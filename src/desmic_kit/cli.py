@@ -31,7 +31,8 @@ class Check:
     """One verification step: id, human anchor, outcome, details."""
 
     def __init__(self, check_id, anchor, status, details, elapsed=0.0):
-        assert status in ("pass", "fail", "evidence-only", "skipped")
+        if status not in ("pass", "fail", "evidence-only", "skipped"):
+            raise ValueError("check %r: unknown status %r" % (check_id, status))
         self.id = check_id
         self.anchor = anchor
         self.status = status
@@ -48,7 +49,9 @@ class VerificationReport:
 
     def __init__(self, suite, checks, options):
         ids = [c.id for c in checks]
-        assert len(ids) == len(set(ids)), "duplicate check ids"
+        dups = sorted({i for i in ids if ids.count(i) > 1})
+        if dups:
+            raise ValueError("duplicate check ids: %s" % ", ".join(dups))
         self.suite = suite
         self.checks = sorted(checks, key=lambda c: c.id)
         self.options = options

@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 import json
 import os
+import tempfile
 
 from .linecomplex import (PLUCKER_NODES_16, PLUCKER_NODES_18,
                           perm_compose, perm_from_cycles,
@@ -929,9 +930,19 @@ def supersingular_42_system(data_dir=None):
             "fibrations": cs.fibrations,
             "divisors": cs.divisors,
         }
-        with open(path, "w") as fh:
-            json.dump(data, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        # write beside the target and rename into place: a reader never
+        # sees, and a crash never leaves, a partial file under this name
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
+                                   prefix=".supersingular-42.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(data, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+            os.chmod(tmp, 0o644)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return ingest_curve_system(path)
 
 

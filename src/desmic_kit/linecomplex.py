@@ -870,10 +870,11 @@ def _orbit_sizes(keys, elements, action):
 # scanning over prime fields
 # ---------------------------------------------------------------------------
 
-def scan_singular_points(p, unit_variant=False, force_pure=False):
-    """Exhaustive search of P^5(F_p) for points where both Klein equations
-    vanish and the Jacobian has rank <= 1.  The cubic coefficient is a
-    square root of -1 mod p, or 1 when unit_variant is set.
+def scan_singular_points(p, unit_variant=False):
+    """Every point of P^5(F_p) where both Klein equations vanish and the
+    Jacobian has rank <= 1, solved exactly from the Lagrange condition
+    (see scan.py).  The cubic coefficient is a square root of -1 mod p, or
+    1 when unit_variant is set.
 
     Evidence-only: the scan certifies the count over F_p, not over the
     rationals.  Returns (count, sorted point list as int tuples)."""
@@ -881,7 +882,7 @@ def scan_singular_points(p, unit_variant=False, force_pure=False):
     if p % 4 != 1:
         raise ValueError("prime must be 1 mod 4")
     c = 1 if unit_variant else sqrt_minus_one(p).v
-    pts = run_scan(p, c, force_pure=force_pure)
+    pts = run_scan(p, c)
     return len(pts), pts
 
 

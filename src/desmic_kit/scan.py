@@ -1,26 +1,31 @@
-"""Exhaustive singular-point scan over P^5(F_p) for the pair of equations
+"""Singular points over P^5(F_p) of the pair of equations
 
     z0^2 + ... + z5^2 = 0,    z0*z1*z2 + c*z3*z4*z5 = 0.
 
 A point counts when both equations vanish and the 2x6 Jacobian has rank at
-most 1; since the gradient of the quadric is 2z (never zero for p odd), this
-means the cubic's gradient is proportional to z.
+most 1.  For p odd the gradient of the quadric is 2z, never zero, so this
+is the Lagrange condition: the cubic's gradient equals lambda*z for some
+lambda in F_p.  Scaling z by mu scales lambda by mu, so lambda in {0, 1}
+reaches every projective point, and the condition splits into one system
+per block (x0, x1, x2) with coefficient k (1, then c):
 
-Points are enumerated in the standard normalized-leading-coordinate order:
-for each leading position the leading coordinate is 1, earlier coordinates
-are 0, and the remaining coordinates run lexicographically.  The compiled
-kernel (when built) and the pure-Python fallback produce identical lists,
-and the work splits into disjoint partitions merged deterministically.
+    k*x1*x2 = lambda*x0,   k*x0*x2 = lambda*x1,   k*x0*x1 = lambda*x2.
+
+- lambda = 1: multiplying through gives x0^2 = x1^2 = x2^2 = k*x0*x1*x2,
+  so a block is zero or (t, e*t, d*t) with e, d = +-1 and t = e*d/k.
+- lambda = 0: each block has at most one nonzero coordinate, and the
+  quadric forces both blocks to have one, fixed to 1 and to a square root
+  of -1.
+
+That leaves at most 25 + 18 candidates.  Each is kept only if it passes
+the explicit equation and Jacobian checks; the survivors are normalized
+(leading nonzero coordinate 1) and listed in the standard order: by
+leading position, then lexicographically.
 """
 
-from itertools import product
+from math import isqrt
 
-try:
-    from . import _scan_fast
-except ImportError:  # pragma: no cover - depends on the build environment
-    _scan_fast = None
-
-HAVE_FAST = _scan_fast is not None
+from .scalars import sqrt_minus_one
 
 
 def _check_candidate(z, c, p):
@@ -35,49 +40,43 @@ def _check_candidate(z, c, p):
     return True
 
 
-def scan_pure(p, c, lead_positions=None):
-    """Pure-Python scan.  `lead_positions` restricts the leading coordinate
-    (a partition of the search space); None means all six."""
-    if lead_positions is None:
-        lead_positions = range(6)
-    sq = [z * z % p for z in range(p)]
-    roots = [[] for _ in range(p)]
-    for z in range(p):
-        roots[sq[z]].append(z)
-    found = []
-    for lead in lead_positions:
-        nfree = 5 - lead
-        if nfree == 0:
-            continue  # z = (0,...,0,1) has quadric value 1
-        prefix = [0] * lead + [1]
-        for mid in product(range(p), repeat=nfree - 1):
-            base = (1 + sum(sq[m] for m in mid)) % p
-            for last in roots[-base % p]:
-                z = tuple(prefix) + mid + (last,)
-                if (z[0] * z[1] * z[2] + c * z[3] * z[4] * z[5]) % p:
-                    continue
-                if _check_candidate(z, c, p):
-                    found.append(z)
-    return found
+def _lagrange_blocks(k, p):
+    """The block solutions of the lambda = 1 system with coefficient k."""
+    t = pow(k, -1, p)
+    return [(0, 0, 0)] + [(e * d * t % p, d * t % p, e * t % p)
+                          for e in (1, -1) for d in (1, -1)]
 
 
-def run_scan(p, c, force_pure=False, partitions=1):
-    """Scan P^5(F_p); uses the compiled kernel when available.
+def _leading(z):
+    return next(i for i, v in enumerate(z) if v)
 
-    With partitions > 1 the pure path maps disjoint leading-coordinate
-    groups separately and merges the results in partition order (the merge
-    is deterministic, so the output never depends on scheduling)."""
-    assert p > 2 and c % p
-    if HAVE_FAST and not force_pure:
-        return [tuple(z) for z in _scan_fast.scan(p, c % p)]
-    if partitions <= 1:
-        return scan_pure(p, c % p)
-    groups = [[] for _ in range(min(partitions, 6))]
-    for lead in range(6):
-        groups[lead % len(groups)].append(lead)
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-        parts = list(pool.map(lambda g: scan_pure(p, c % p, g), groups))
-    merged = [pt for part in parts for pt in part]
-    merged.sort(key=lambda z: (next(i for i, v in enumerate(z) if v), z))
-    return merged
+
+def run_scan(p, c):
+    """All singular points over P^5(F_p), normalized and in standard
+    order, as a list of 6-tuples of ints."""
+    if p < 3 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError("scan needs an odd prime, got p=%r" % (p,))
+    if c % p == 0:
+        raise ValueError("cubic coefficient c=%r vanishes mod %d" % (c, p))
+    c %= p
+    # lambda = 1
+    candidates = [x + y for x in _lagrange_blocks(1, p)
+                  for y in _lagrange_blocks(c, p)]
+    # lambda = 0 needs a square root of -1
+    if p % 4 == 1:
+        s = sqrt_minus_one(p).v
+        for a in range(3):
+            for b in range(3, 6):
+                for root in (s, p - s):
+                    z = [0] * 6
+                    z[a], z[b] = 1, root
+                    candidates.append(tuple(z))
+    found = set()
+    for z in candidates:
+        if (not any(z) or sum(v * v for v in z) % p
+                or (z[0] * z[1] * z[2] + c * z[3] * z[4] * z[5]) % p
+                or not _check_candidate(z, c, p)):
+            continue
+        inv = pow(z[_leading(z)], -1, p)
+        found.add(tuple(v * inv % p for v in z))
+    return sorted(found, key=lambda z: (_leading(z), z))

@@ -1,6 +1,9 @@
 """Tests for the batch verification driver."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -100,6 +103,26 @@ def test_supersingular_data_file_is_generated_and_cached(tmp_path):
     assert cs2.ids == cs.ids and cs2.gram == cs.gram
 
 
+def test_supersingular_data_file_matches_checked_in_copy(tmp_path):
+    cf.supersingular_42_system(str(tmp_path))
+    generated = (tmp_path / "supersingular-42.json").read_bytes()
+    with open(cf.data_path("supersingular-42.json"), "rb") as fh:
+        assert generated == fh.read()
+    assert [p.name for p in tmp_path.iterdir()] == ["supersingular-42.json"]
+    assert (tmp_path / "supersingular-42.json").stat().st_mode & 0o777 == 0o644
+
+
+def test_supersingular_data_file_write_is_atomic(tmp_path, monkeypatch):
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"curves": [')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cf.json, "dump", broken_dump)
+    with pytest.raises(OSError, match="disk full"):
+        cf.supersingular_42_system(str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_supersingular_suite_statuses():
     rep = cli.run_suite("supersingular")
     by_id = {c.id: c for c in rep.checks}
@@ -136,10 +159,37 @@ def test_main_rejects_unknown_suite():
 
 def test_duplicate_check_ids_rejected():
     c = cli.Check("x", "a", "pass", "d")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="duplicate check ids: x"):
         cli.VerificationReport("s", [c, c], cli.Options())
 
 
 def test_check_status_validated():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="'maybe'"):
         cli.Check("x", "a", "maybe", "d")
+
+
+OPTIMIZED_CHECKS = """
+import desmic_kit.cli as cli
+from desmic_kit.scan import run_scan
+print("debug", __debug__)
+ok = cli.Check("x", "a", "pass", "d")
+for case in (lambda: run_scan(13, 0),
+             lambda: cli.Check("x", "a", "bogus", "d"),
+             lambda: cli.VerificationReport("s", [ok, ok], cli.Options())):
+    try:
+        case()
+        print("accepted")
+    except ValueError as exc:
+        print("ValueError", exc)
+"""
+
+
+def test_validation_survives_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+                         env=env, capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert lines[0] == "debug False"
+    assert len(lines) == 4
+    assert all(line.startswith("ValueError ") for line in lines[1:]), lines

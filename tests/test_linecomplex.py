@@ -2,6 +2,7 @@
 scans, the projected quartic threefold, and the Segre identification."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,7 +10,7 @@ import desmic_kit.linecomplex as lc
 from desmic_kit.poly import PolyRing
 from desmic_kit.projgeom import LineP3, ProjPoint
 from desmic_kit.scalars import I, Mod, QI, sqrt_minus_one
-from desmic_kit.scan import HAVE_FAST, run_scan
+from desmic_kit.scan import run_scan
 from desmic_kit.surfaces import desmic_lines_16
 
 
@@ -163,22 +164,49 @@ def test_monomial_symmetry_group():
 
 # -- scans over prime fields --------------------------------------------------
 
+def brute_force_scan(p, c):
+    """Reference enumeration of the singular points over P^5(F_p), O(p^4):
+    leading coordinate 1, earlier ones 0, the middle ones lexicographic and
+    the last one solved from the quadric."""
+    roots = [[] for _ in range(p)]
+    for z in range(p):
+        roots[z * z % p].append(z)
+    found = []
+    for lead in range(5):
+        prefix = (0,) * lead + (1,)
+        for mid in product(range(p), repeat=4 - lead):
+            base = 1 + sum(m * m for m in mid)
+            for last in roots[-base % p]:
+                z = prefix + mid + (last,)
+                if (z[0] * z[1] * z[2] + c * z[3] * z[4] * z[5]) % p:
+                    continue
+                g = (z[1] * z[2], z[0] * z[2], z[0] * z[1],
+                     c * z[4] * z[5], c * z[3] * z[5], c * z[3] * z[4])
+                if all((z[a] * g[b] - z[b] * g[a]) % p == 0
+                       for a in range(6) for b in range(a + 1, 6)):
+                    found.append(z)
+    return found
+
+
+def _oracle_cases():
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        yield pytest.param(p, 1, id="p%d-1" % p)
+        yield pytest.param(p, p - 1, id="p%d-minus1" % p)
+        if p % 4 == 1:
+            yield pytest.param(p, sqrt_minus_one(p).v, id="p%d-sqrt-1" % p)
+
+
+@pytest.mark.parametrize("p,c", _oracle_cases())
+def test_scan_agrees_with_brute_force(p, c):
+    assert run_scan(p, c) == brute_force_scan(p, c)
+
+
 def test_scan_counts_34_and_18():
-    for p in (13, 17):
+    for p in (13, 17, 10009):
         count, pts = lc.scan_singular_points(p)
         assert count == 34 and len(set(pts)) == 34
         count_u, pts_u = lc.scan_singular_points(p, unit_variant=True)
         assert count_u == 18 and len(set(pts_u)) == 18
-
-
-def test_scan_kernel_agrees_with_fallback():
-    p = 13
-    c = sqrt_minus_one(p).v
-    pure = run_scan(p, c, force_pure=True)
-    assert run_scan(p, c, force_pure=True) == pure  # idempotent
-    assert run_scan(p, c, force_pure=True, partitions=3) == pure
-    if HAVE_FAST:
-        assert run_scan(p, c) == pure
 
 
 def test_scan_finds_exactly_the_printed_points_mod_13():
@@ -193,7 +221,6 @@ def test_scan_finds_exactly_the_printed_points_mod_13():
     assert set(pts) == printed
 
 
-@pytest.mark.skipif(not HAVE_FAST, reason="compiled kernel not built")
 def test_scan_count_stable_at_29():
     count, _ = lc.scan_singular_points(29)
     assert count == 34
