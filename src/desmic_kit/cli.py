@@ -9,16 +9,14 @@ in-memory objects but never serialized).
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import configs as cf
 from . import lattices as la
 from . import linecomplex as lc
 from . import surfaces as sf
-from .scalars import Mod, sqrt_minus_one
+from .scalars import Mod, is_prime, sqrt_minus_one
 
 SUITES = ("identities", "desmic-surface", "line-complex", "symmetry",
           "cremona", "char2", "supersingular", "lattices")
@@ -77,10 +75,9 @@ class VerificationReport:
 
 
 class Options:
-    def __init__(self, primes=DEFAULT_PRIMES, threads=None, data_dir=None,
+    def __init__(self, primes=DEFAULT_PRIMES, data_dir=None,
                  budget_seconds=DEFAULT_BUDGET):
         self.primes = tuple(primes) if primes else DEFAULT_PRIMES
-        self.threads = threads or os.cpu_count() or 1
         self.data_dir = data_dir
         self.budget_seconds = budget_seconds
 
@@ -537,17 +534,12 @@ def _run_one(item):
 
 
 def run_suite(name, options=None):
-    """Run one suite (or "all") and return its VerificationReport."""
+    """Run one suite (or "all") and return its VerificationReport.  The
+    checks run one after another: each is CPU-bound Python, so threads
+    would only add switching under the interpreter lock."""
     opt = options or Options()
-    if name == "all":
-        items = [it for s in SUITES for it in _suite_checks(s, opt)]
-    else:
-        items = _suite_checks(name, opt)
-    if opt.threads > 1:
-        with ThreadPoolExecutor(max_workers=opt.threads) as pool:
-            checks = list(pool.map(_run_one, items))
-    else:
-        checks = [_run_one(it) for it in items]
+    names = SUITES if name == "all" else (name,)
+    checks = [_run_one(it) for s in names for it in _suite_checks(s, opt)]
     return VerificationReport(name, checks, opt)
 
 
@@ -555,18 +547,31 @@ def run_suite(name, options=None):
 # command line
 # ---------------------------------------------------------------------------
 
+def scan_prime(text):
+    """argparse type of --prime: a prime p = 1 (mod 4), so that F_p has
+    the square root of -1 that the scan checks need."""
+    try:
+        p = int(text)
+    except ValueError:
+        p = 0
+    if p % 4 != 1 or not is_prime(p):
+        raise argparse.ArgumentTypeError(
+            "%r is not a prime p = 1 (mod 4)" % (text,))
+    return p
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="desmic-kit",
         description="run exact verification suites and report the results")
     ap.add_argument("--suite", default="all",
                     choices=SUITES + ("all",))
-    ap.add_argument("--prime", type=int, action="append", default=None,
-                    help="scan prime, repeatable (default: 13 and 17)")
+    ap.add_argument("--prime", type=scan_prime, action="append",
+                    default=None,
+                    help="scan prime p = 1 (mod 4), repeatable "
+                         "(default: 13 and 17)")
     ap.add_argument("--json", metavar="PATH", default=None,
                     help="write the JSON report here ('-' for stdout)")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="max concurrent checks (default: cpu count)")
     ap.add_argument("--data-dir", default=None,
                     help="directory with the curve-system JSON files")
     ap.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET,
@@ -576,8 +581,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    opt = Options(primes=args.prime, threads=args.threads,
-                  data_dir=args.data_dir,
+    opt = Options(primes=args.prime, data_dir=args.data_dir,
                   budget_seconds=args.budget_seconds)
     report = run_suite(args.suite, opt)
 

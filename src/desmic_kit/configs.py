@@ -16,7 +16,7 @@ import tempfile
 from .linecomplex import (PLUCKER_NODES_16, PLUCKER_NODES_18,
                           perm_compose, perm_from_cycles,
                           plucker_plane_list)
-from .matrices import matrix_rank
+from .matrices import _int_det, matrix_rank
 from .projgeom import ProjPoint
 from .scalars import F4, F4_ELEMENTS, W
 from .surfaces import DESMIC_SINGULAR_12, desmic_lines_16
@@ -233,8 +233,10 @@ def point_transitive(cfg):
 # ---------------------------------------------------------------------------
 
 def _collinear(p, q, r):
-    return matrix_rank([[Fraction(v) for v in row]
-                        for row in (p, q, r)]) <= 2
+    """Whether three integer points of P^3 lie on a line: the 3x4 matrix
+    of their coordinates has rank <= 2 iff its four 3x3 minors vanish."""
+    return all(_int_det([[row[c] for c in cols] for row in (p, q, r)]) == 0
+               for cols in combinations(range(4), 3))
 
 
 def reye_config():
@@ -540,15 +542,24 @@ class CurveSystem:
     def __init__(self, ids, gram, fibrations=None, divisors=None):
         self.ids = list(ids)
         self.index = {c: k for k, c in enumerate(self.ids)}
-        assert len(self.index) == len(self.ids), "duplicate curve ids"
+        dups = sorted({c for c in self.ids if self.ids.count(c) > 1})
+        if dups:
+            raise ValueError("duplicate curve ids: %s" % ", ".join(dups))
         self.gram = [list(row) for row in gram]
         n = len(self.ids)
-        assert len(self.gram) == n and all(len(r) == n for r in self.gram)
+        if len(self.gram) != n:
+            raise ValueError("intersection matrix has %d rows for %d curves"
+                             % (len(self.gram), n))
+        for cid, row in zip(self.ids, self.gram):
+            if len(row) != n:
+                raise ValueError("intersection row of curve %s has %d "
+                                 "entries, expected %d" % (cid, len(row), n))
         for a in range(n):
-            for b in range(n):
-                assert self.gram[a][b] == self.gram[b][a], \
-                    "intersection matrix not symmetric at %s, %s" % (
-                        self.ids[a], self.ids[b])
+            for b in range(a + 1, n):
+                if self.gram[a][b] != self.gram[b][a]:
+                    raise ValueError(
+                        "intersection matrix not symmetric at %s, %s"
+                        % (self.ids[a], self.ids[b]))
         self.fibrations = list(fibrations or [])
         self.divisors = list(divisors or [])
 
@@ -563,9 +574,11 @@ class CurveSystem:
         return v
 
     def vector_pairing(self, u, v):
-        n = len(self.ids)
-        return sum(u[a] * self.gram[a][b] * v[b]
-                   for a in range(n) for b in range(n))
+        """u . v under the intersection matrix, summed over the nonzero
+        entries of u and v only."""
+        sv = [(b, y) for b, y in enumerate(v) if y]
+        return sum(x * sum(self.gram[a][b] * y for b, y in sv)
+                   for a, x in enumerate(u) if x)
 
     def fiber_vector(self, fibration_name, which=0):
         for fib in self.fibrations:
@@ -602,8 +615,10 @@ class CurveSystem:
         cids = [c["id"] for c in comps]
         mults = [c["mult"] for c in comps]
         where = "fiber %d of %s" % (k, fname)
-        assert len(set(cids)) == len(cids), \
-            "%s lists a curve twice" % where
+        twice = sorted({c for c in cids if cids.count(c) > 1})
+        if twice:
+            raise ValueError("%s lists curve %s twice"
+                             % (where, ", ".join(twice)))
         ftype = fiber.get("type")
         if ftype is not None:
             want = _AFFINE_MULTS.get(ftype)

@@ -6,6 +6,12 @@ hashable, and arithmetic accepts plain ints on either side.
 """
 
 from fractions import Fraction
+from math import isqrt
+
+
+def is_prime(n):
+    """Whether the integer n is prime, by trial division."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def xgcd(a, b):
@@ -114,16 +120,14 @@ class Mod:
 def sqrt_minus_one(p):
     """The canonical square root of -1 in GF(p): the smallest one.
 
-    Requires p = 1 mod 4.
+    Raises ValueError when there is none, as for every p other than a
+    prime = 1 mod 4.
     """
-    if p % 4 != 1:
-        raise ValueError("no square root of -1 mod %d" % p)
-    best = None
-    for x in range(2, p):
-        if x * x % p == p - 1:
-            best = x
-            break
-    return Mod(best, p)
+    if p % 4 == 1:
+        for x in range(2, p):
+            if x * x % p == p - 1:
+                return Mod(x, p)
+    raise ValueError("no square root of -1 mod %d" % p)
 
 
 class QI:

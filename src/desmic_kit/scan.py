@@ -23,9 +23,7 @@ the explicit equation and Jacobian checks; the survivors are normalized
 leading position, then lexicographically.
 """
 
-from math import isqrt
-
-from .scalars import sqrt_minus_one
+from .scalars import is_prime, sqrt_minus_one
 
 
 def _check_candidate(z, c, p):
@@ -54,7 +52,7 @@ def _leading(z):
 def run_scan(p, c):
     """All singular points over P^5(F_p), normalized and in standard
     order, as a list of 6-tuples of ints."""
-    if p < 3 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    if p == 2 or not is_prime(p):
         raise ValueError("scan needs an odd prime, got p=%r" % (p,))
     if c % p == 0:
         raise ValueError("cubic coefficient c=%r vanishes mod %d" % (c, p))

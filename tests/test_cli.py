@@ -40,12 +40,6 @@ def test_report_schema_and_no_elapsed():
         assert set(c) == {"id", "anchor", "status", "details"}
 
 
-def test_parallel_and_serial_reports_identical():
-    serial = cli.run_suite("identities", cli.Options(threads=1))
-    parallel = cli.run_suite("identities", cli.Options(threads=4))
-    assert serial.to_json() == parallel.to_json()
-
-
 def test_desmic_surface_suite_has_the_known_failure():
     rep = cli.run_suite("desmic-surface")
     assert not rep.ok
@@ -132,6 +126,14 @@ def test_supersingular_suite_statuses():
         assert by_id[cid].status == "pass"
 
 
+def test_supersingular_report_matches_benchmark_reference():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    ref = os.path.join(root, "perfbench", "references",
+                       "supersingular-13-17.json")
+    with open(ref) as fh:
+        assert cli.run_suite("supersingular").to_json() == fh.read()
+
+
 def test_main_exit_codes_and_json_output(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = cli.main(["--suite", "identities", "--json", str(out)])
@@ -157,6 +159,22 @@ def test_main_rejects_unknown_suite():
         cli.main(["--suite", "nope"])
 
 
+@pytest.mark.parametrize("value", ["21", "1", "19", "2", "-13", "x", "0"])
+def test_main_rejects_bad_prime(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--suite", "identities", "--prime", value])
+    assert exc.value.code == 2
+    assert "'%s' is not a prime p = 1 (mod 4)" % value \
+        in capsys.readouterr().err
+
+
+def test_main_accepts_primes_one_mod_four(capsys):
+    assert cli.main(["--suite", "identities", "--prime", "5",
+                     "--prime", "29", "--json", "-"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["primes"] == [5, 29]
+
+
 def test_duplicate_check_ids_rejected():
     c = cli.Check("x", "a", "pass", "d")
     with pytest.raises(ValueError, match="duplicate check ids: x"):
@@ -170,18 +188,31 @@ def test_check_status_validated():
 
 OPTIMIZED_CHECKS = """
 import desmic_kit.cli as cli
+from desmic_kit.configs import CurveSystem
 from desmic_kit.scan import run_scan
 print("debug", __debug__)
 ok = cli.Check("x", "a", "pass", "d")
+twice = {"name": "f", "fibers": [{"components": [{"id": "a", "mult": 1},
+                                                 {"id": "a", "mult": 1}]}]}
 for case in (lambda: run_scan(13, 0),
              lambda: cli.Check("x", "a", "bogus", "d"),
-             lambda: cli.VerificationReport("s", [ok, ok], cli.Options())):
+             lambda: cli.VerificationReport("s", [ok, ok], cli.Options()),
+             lambda: CurveSystem(["a", "a"], [[0, 0], [0, 0]]),
+             lambda: CurveSystem(["a", "b"], [[0, 1], [2, 0]]),
+             lambda: CurveSystem(["a", "b"], [[0, 1]]),
+             lambda: CurveSystem(["a", "b"], [[0, 1], [1]]),
+             lambda: CurveSystem(["a"], [[0]], [twice]).validate(False)):
     try:
         case()
         print("accepted")
     except ValueError as exc:
         print("ValueError", exc)
 """
+
+# what each case's error names, in the order of OPTIMIZED_CHECKS
+OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
+                    "symmetric at a, b", "1 rows for 2 curves",
+                    "curve b has 1 entries", "fiber 0 of f lists curve a"]
 
 
 def test_validation_survives_python_O():
@@ -191,5 +222,6 @@ def test_validation_survives_python_O():
                          env=env, capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
     assert lines[0] == "debug False"
-    assert len(lines) == 4
-    assert all(line.startswith("ValueError ") for line in lines[1:]), lines
+    assert len(lines) == 1 + len(OPTIMIZED_ERRORS), lines
+    for line, want in zip(lines[1:], OPTIMIZED_ERRORS):
+        assert line.startswith("ValueError ") and want in line, (line, want)

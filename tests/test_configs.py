@@ -3,6 +3,7 @@
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import desmic_kit.configs as cf
 from desmic_kit.linecomplex import perm_from_cycles
+from desmic_kit.matrices import matrix_rank
 
 
 # -- abstract configurations ---------------------------------------------------
@@ -21,6 +23,36 @@ def test_reye_config_type_and_model():
     # the line through the center and two opposite vertices is a block
     diag = frozenset({(1, 0, 0, 0), (1, 1, 1, 1), (1, -1, -1, -1)})
     assert diag in set(r.blocks)
+
+
+def rank_collinear(p, q, r):
+    """The oracle: rank <= 2 of the 3x4 coordinate matrix over Q."""
+    return matrix_rank([[Fraction(v) for v in row]
+                        for row in (p, q, r)]) <= 2
+
+
+small = st.integers(-3, 3)
+point4 = st.tuples(small, small, small, small)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point4, point4, point4)
+def test_collinear_agrees_with_rank(p, q, r):
+    assert cf._collinear(p, q, r) == rank_collinear(p, q, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(point4, point4, small, small)
+def test_collinear_on_combinations(p, q, alpha, beta):
+    r = tuple(alpha * x + beta * y for x, y in zip(p, q))
+    assert rank_collinear(p, q, r)
+    assert cf._collinear(p, q, r)
+
+
+def test_collinear_agrees_with_rank_on_reye_points():
+    points = [pt for b in cf.reye_config().blocks for pt in b]
+    for p, q, r in combinations(sorted(set(points)), 3):
+        assert cf._collinear(p, q, r) == rank_collinear(p, q, r)
 
 
 def test_reye_point_transitive():
@@ -236,6 +268,67 @@ def test_extract_desmic_28():
     assert iso is not None
     assert cfg.points == ["12", "13", "14", "15", "26", "36", "46", "56",
                           "23", "45", "T2", "T5"]
+
+
+# -- the sparse pairing against the dense double sum ----------------------------
+
+def dense_pairing(cs, u, v):
+    """The oracle: u . v as the full double sum over the Gram matrix."""
+    n = len(cs.ids)
+    return sum(u[a] * cs.gram[a][b] * v[b]
+               for a in range(n) for b in range(n))
+
+
+@lru_cache(maxsize=None)
+def curve_system(name):
+    if name == "42-curve":
+        return cf.fibration_tables()[0]
+    if name == "kummer-char0":
+        return cf.kummer_char0_system()
+    return cf.kummer_char2_system()
+
+
+SYSTEMS = ("42-curve", "kummer-char0", "kummer-char2")
+
+
+def unit(n, k):
+    v = [Fraction(0)] * n
+    v[k] = Fraction(1)
+    return v
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_pairing_of_unit_zero_and_dense_vectors(name):
+    cs = curve_system(name)
+    n = len(cs.ids)
+    units = [unit(n, k) for k in range(n)]
+    for a in range(n):
+        for b in range(n):
+            assert cs.vector_pairing(units[a], units[b]) == cs.gram[a][b]
+    zero = [Fraction(0)] * n
+    dense = [Fraction(k + 1, k % 5 + 2) * (-1) ** k for k in range(n)]
+    for u, v in ((zero, zero), (zero, dense), (dense, zero),
+                 (dense, dense), (units[0], dense), (dense, units[-1])):
+        assert cs.vector_pairing(u, v) == dense_pairing(cs, u, v)
+
+
+def rational_vectors(n):
+    nonzero = st.fractions(-5, 5, max_denominator=6).filter(bool)
+    entry = st.one_of(st.just(Fraction(0)), nonzero)
+    return st.one_of(
+        st.just([Fraction(0)] * n),
+        st.integers(0, n - 1).map(lambda k: unit(n, k)),
+        st.lists(nonzero, min_size=n, max_size=n),
+        st.lists(entry, min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_pairing_agrees_with_dense_sum(data):
+    cs = curve_system(data.draw(st.sampled_from(SYSTEMS)))
+    u = data.draw(rational_vectors(len(cs.ids)))
+    v = data.draw(rational_vectors(len(cs.ids)))
+    assert cs.vector_pairing(u, v) == dense_pairing(cs, u, v)
 
 
 # -- curve-system ingestion ------------------------------------------------------

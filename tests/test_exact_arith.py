@@ -31,8 +31,10 @@ def test_sqrt_minus_one_canonical():
     for p in (13, 17, 29):
         i = sqrt_minus_one(p)
         assert i * i == Mod(-1, p)
-    with pytest.raises(ValueError):
-        sqrt_minus_one(7)
+    # no root: p = 3 mod 4, or p = 1 mod 4 that is not a prime
+    for p in (7, 2, 1, 9, 21):
+        with pytest.raises(ValueError, match="mod %d" % p):
+            sqrt_minus_one(p)
 
 
 def test_gaussian_rationals():
