@@ -16,7 +16,7 @@ import tempfile
 from .linecomplex import (PLUCKER_NODES_16, PLUCKER_NODES_18,
                           perm_compose, perm_from_cycles,
                           plucker_plane_list)
-from .matrices import _int_det, matrix_rank
+from .matrices import bilinear, det_poly_matrix, matrix_rank
 from .projgeom import ProjPoint
 from .scalars import F4, F4_ELEMENTS, W
 from .surfaces import DESMIC_SINGULAR_12, desmic_lines_16
@@ -235,7 +235,8 @@ def point_transitive(cfg):
 def _collinear(p, q, r):
     """Whether three integer points of P^3 lie on a line: the 3x4 matrix
     of their coordinates has rank <= 2 iff its four 3x3 minors vanish."""
-    return all(_int_det([[row[c] for c in cols] for row in (p, q, r)]) == 0
+    rows = (p, q, r)
+    return all(det_poly_matrix([[row[c] for c in cols] for row in rows]) == 0
                for cols in combinations(range(4), 3))
 
 
@@ -574,11 +575,8 @@ class CurveSystem:
         return v
 
     def vector_pairing(self, u, v):
-        """u . v under the intersection matrix, summed over the nonzero
-        entries of u and v only."""
-        sv = [(b, y) for b, y in enumerate(v) if y]
-        return sum(x * sum(self.gram[a][b] * y for b, y in sv)
-                   for a, x in enumerate(u) if x)
+        """u . v under the intersection matrix."""
+        return bilinear(self.gram, u, v)
 
     def fiber_vector(self, fibration_name, which=0):
         for fib in self.fibrations:
@@ -657,14 +655,13 @@ class CurveSystem:
                 raise ValueError("%s: F . %s = %s, expected 0"
                                  % (where, cid, val))
 
-    def validate(self, minus_two=True):
+    def validate(self):
         """Check the declared invariants; raises ValueError naming the
         offending fiber/curve/divisor on failure."""
-        if minus_two:
-            for cid in self.ids:
-                if self.pair(cid, cid) != -2:
-                    raise ValueError("curve %s has self-intersection %s"
-                                     % (cid, self.pair(cid, cid)))
+        for cid in self.ids:
+            if self.pair(cid, cid) != -2:
+                raise ValueError("curve %s has self-intersection %s"
+                                 % (cid, self.pair(cid, cid)))
         for fib in self.fibrations:
             for k, fiber in enumerate(fib["fibers"]):
                 self._check_fiber(fib["name"], k, fiber)

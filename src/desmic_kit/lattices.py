@@ -9,8 +9,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from .matrices import inertia_signature, matrix_rank, smith_invariants, \
-    smith_normal_form
+from .matrices import bilinear, det_poly_matrix, inertia_signature, \
+    row_basis, smith_invariants, smith_normal_form, solve_linear
 
 
 # ---------------------------------------------------------------------------
@@ -24,27 +24,26 @@ class Lattice:
         self.gram = [list(r) for r in gram]
         self.name = name
         n = len(self.gram)
-        for r in self.gram:
-            assert len(r) == n, "Gram matrix not square"
-            assert all(isinstance(x, int) for x in r)
+        for i, r in enumerate(self.gram):
+            if len(r) != n:
+                raise ValueError("Gram matrix not square: row %d has %d "
+                                 "entries, expected %d" % (i, len(r), n))
+            bad = [x for x in r if not isinstance(x, int)]
+            if bad:
+                raise ValueError("Gram entry %r is not an integer"
+                                 % (bad[0],))
         for i in range(n):
-            assert self.gram[i][i] % 2 == 0, \
-                "diagonal entry %d is odd" % self.gram[i][i]
-            for j in range(n):
-                assert self.gram[i][j] == self.gram[j][i], \
-                    "Gram matrix not symmetric"
+            if self.gram[i][i] % 2:
+                raise ValueError("diagonal entry %d is odd"
+                                 % self.gram[i][i])
+            for j in range(i + 1, n):
+                if self.gram[i][j] != self.gram[j][i]:
+                    raise ValueError("Gram matrix not symmetric at (%d, %d)"
+                                     % (i, j))
         self.rank = n
 
     def det(self):
-        if self.rank == 0:
-            return 1
-        pos, zero, neg = inertia_signature(self.gram)
-        if zero:
-            return 0
-        mag = 1
-        for d in smith_invariants(self.gram):
-            mag *= d
-        return mag if neg % 2 == 0 else -mag
+        return det_poly_matrix(self.gram) if self.rank else 1
 
     def signature(self):
         """(n_plus, n_minus); raises on a degenerate form."""
@@ -123,25 +122,6 @@ def rescale(l, m):
         l = standard_lattice(l)
     return Lattice([[m * x for x in r] for r in l.gram],
                    name="%s(%d)" % (l.name or "?", m))
-
-
-def _inverse_fraction_matrix(gram):
-    n = len(gram)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j))
-                                       for j in range(n)]
-         for i, row in enumerate(gram)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("degenerate Gram matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -258,30 +238,18 @@ def disc_form(l):
     if isinstance(l, str):
         l = standard_lattice(l)
     n = l.rank
-    d, u, v = smith_normal_form(l.gram)
+    d, _, v = smith_normal_form(l.gram)
     diag = [d.rows[i][i] for i in range(n)]
     if any(x == 0 for x in diag):
         raise ValueError("degenerate Gram matrix")
-    # Z^n / (gram Z^n): generator i is column i of u^-1, of order diag[i]
-    uinv = _inverse_fraction_matrix(u.rows)
-    ginv = _inverse_fraction_matrix(l.gram)
-    gens, orders = [], []
-    for i in range(n):
-        if diag[i] == 1:
-            continue
-        t = [uinv[r][i] for r in range(n)]
-        assert all(x.denominator == 1 for x in t)
-        # dual vector x with gram*x = t
-        x = [sum(ginv[r][c] * t[c] for c in range(n)) for r in range(n)]
-        gens.append(x)
-        orders.append(diag[i])
-
-    def pairing(x, y):
-        return sum(x[r] * l.gram[r][c] * y[c]
-                   for r in range(n) for c in range(n))
-
-    qvals = [pairing(x, x) for x in gens]
-    bmat = [[pairing(x, y) for y in gens] for x in gens]
+    # Z^n / (gram Z^n): generator i is the dual vector gram^-1 (u^-1 e_i),
+    # of order diag[i].  As gram^-1 = v diag^-1 u, that is column i of v
+    # over diag[i].
+    gens = [[Fraction(v.rows[r][i], diag[i]) for r in range(n)]
+            for i in range(n) if diag[i] > 1]
+    orders = [x for x in diag if x > 1]
+    qvals = [bilinear(l.gram, x, x) for x in gens]
+    bmat = [[bilinear(l.gram, x, y) for y in gens] for x in gens]
     return FiniteQuadForm(orders, qvals, bmat), gens
 
 
@@ -409,8 +377,7 @@ def lattice_from_curves(cs):
     keep = [i for i in range(min(n, n)) if d.rows[i][i] != 0]
     # columns of v indexed by `keep` descend to a basis of Z^n / radical
     basis = [[v.rows[r][i] for r in range(n)] for i in keep]
-    gram = [[sum(x[r] * g[r][c] * y[c] for r in range(n)
-                 for c in range(n)) for y in basis] for x in basis]
+    gram = [[bilinear(g, x, y) for y in basis] for x in basis]
     lat = Lattice(gram, name="curve span")
     return {"lattice": lat,
             "rank": lat.rank,
@@ -537,45 +504,6 @@ def classify_dynkin(cs, subset):
 # overlattices
 # ---------------------------------------------------------------------------
 
-def _hermite_rows(rows):
-    """Row-span basis of an integer matrix (full column dimension kept)."""
-    rows = [list(r) for r in rows if any(r)]
-    ncols = len(rows[0]) if rows else 0
-    basis = []
-    col = 0
-    while col < ncols and rows:
-        stack = [r for r in rows if r[col] != 0]
-        if not stack:
-            col += 1
-            continue
-        while True:
-            stack.sort(key=lambda r: abs(r[col]))
-            piv = stack[0]
-            done = True
-            for r in stack[1:]:
-                f = r[col] // piv[col]
-                for k in range(ncols):
-                    r[k] -= f * piv[k]
-                if r[col] != 0:
-                    done = False
-            stack = [piv] + [r for r in stack[1:] if any(r)]
-            if done or len(stack) == 1:
-                break
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        basis.append(piv)
-        rows = [r for r in rows if r is not piv and any(r)]
-        # eliminate the pivot column from the rest
-        for r in rows:
-            if r[col] % piv[col] == 0 and r[col] != 0:
-                f = r[col] // piv[col]
-                for k in range(ncols):
-                    r[k] -= f * piv[k]
-        rows = [r for r in rows if any(r)]
-        col += 1
-    return basis
-
-
 def overlattice(l, glue):
     """The overlattice of l generated by l and rational glue vectors
     (coordinates in the basis of l).
@@ -599,14 +527,10 @@ def overlattice(l, glue):
         scaled = [Fraction(x) * den for x in vec]
         assert all(x.denominator == 1 for x in scaled)
         rows.append([int(x) for x in scaled])
-    basis_scaled = _hermite_rows(rows)
+    basis_scaled = row_basis(rows)
     assert len(basis_scaled) == n, "glue vectors drop the rank"
     basis = [[Fraction(x, den) for x in row] for row in basis_scaled]
-    gram = []
-    for x in basis:
-        gram.append([sum(x[r] * l.gram[r][c] * y[c]
-                         for r in range(n) for c in range(n))
-                     for y in basis])
+    gram = [[bilinear(l.gram, x, y) for y in basis] for x in basis]
     for i in range(n):
         if gram[i][i].denominator != 1 or gram[i][i] % 2 != 0:
             raise ValueError("glue vector not isotropic: odd or "
@@ -621,23 +545,13 @@ def overlattice(l, glue):
 
 
 def _coords_in_basis(vec, basis):
-    """Express vec (old coordinates) in a row basis; entries must come out
-    integral."""
-    n = len(basis)
-    a = [[Fraction(basis[r][c]) for r in range(n)] + [Fraction(vec[c])]
-         for c in range(n)]
-    # solve basis^T x = vec by elimination
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    coords = [a[r][n] for r in range(n)]
-    assert all(x.denominator == 1 for x in coords)
+    """Express vec (old coordinates) in a row basis; raises ValueError
+    unless the coordinates are integral."""
+    cols = [[Fraction(x) for x in c] for c in zip(*basis)]
+    coords = solve_linear(cols, [Fraction(x) for x in vec], Fraction(1))
+    if coords is None or any(x.denominator != 1 for x in coords):
+        raise ValueError("%s has no integral coordinates in the basis: %s"
+                         % (vec, coords))
     return [int(x) for x in coords]
 
 
@@ -711,12 +625,10 @@ def _embedding_check(sub_gram, amb, rows):
     """rows: integer images in amb of a basis of the sub lattice.  Checks
     the Gram is preserved and the sublattice is primitive (all Smith
     invariants of the embedding matrix equal 1)."""
-    n = amb.rank
     k = len(rows)
     for i in range(k):
         for j in range(k):
-            val = sum(rows[i][r] * amb.gram[r][c] * rows[j][c]
-                      for r in range(n) for c in range(n))
+            val = bilinear(amb.gram, rows[i], rows[j])
             if val != sub_gram[i][j]:
                 return False, "Gram not preserved at (%d, %d)" % (i, j)
     invs = smith_invariants(rows)
@@ -738,12 +650,12 @@ def _block_embedding_rows(blocks, total_rank):
     return rows
 
 
-def ternary_enumeration(target_det, reduced_bound=None):
+def ternary_enumeration(target_det):
     """All Minkowski-reduced even negative-definite ternary Gram matrices
     of the given determinant magnitude: diagonal -a <= -b <= ... with
     2 <= a <= b <= c, abc <= 4*target_det, off-diagonal x with
     |2x| bounded by the matching diagonals."""
-    bound = reduced_bound or 4 * target_det
+    bound = 4 * target_det
     found = []
     a = 2
     while True:

@@ -195,7 +195,7 @@ def _field_i(one):
 class CompleteIntersection35:
     """Quadric and cubic forms cutting the complex out of P^5."""
 
-    def __init__(self, quadric, cubic, coords, i=None, cubic_coeff_is_i=True):
+    def __init__(self, quadric, cubic, coords, i=None):
         assert quadric.degree == 2 and cubic.degree == 3
         assert len(quadric.coord_vars) == 6
         self.quadric = quadric
@@ -203,7 +203,6 @@ class CompleteIntersection35:
         self.coords = coords
         self.char = quadric.char
         self.i = i
-        self.cubic_coeff_is_i = cubic_coeff_is_i
         self.ring = quadric.ring
         self.one = quadric.ring.one
 
@@ -233,8 +232,7 @@ class CompleteIntersection35:
             q = q + g * g
         coeff = one if unit_variant else i
         c = gens[0] * gens[1] * gens[2] + (gens[3] * gens[4] * gens[5]).scale(coeff)
-        return cls(Form(q), Form(c), "klein", i=i,
-                   cubic_coeff_is_i=not unit_variant)
+        return cls(Form(q), Form(c), "klein", i=i)
 
 
 def klein_change_rows(i):
@@ -770,7 +768,7 @@ def _element_preserves(el, form):
     return ok
 
 
-def monomial_symmetry_group(check_closure=True):
+def monomial_symmetry_group():
     """Exhaustive search over monomial 6x6 matrices with nonzero entries in
     {1, i, -1, -i} preserving both Klein equations up to scalar.
 
@@ -778,8 +776,9 @@ def monomial_symmetry_group(check_closure=True):
     the transformed cubic has a monomial outside the support of the cubic
     with a unit coefficient, so no sign choice can work; such permutations
     are skipped after that support check.  Survivors get a full symbolic
-    verification.  Reports projective order, node orbit sizes, and the
-    number of plane orbits; a closure beyond 1152 is a failure signal.
+    verification, and an element that fails it raises ValueError.
+    Reports projective order, node orbit sizes, and the number of plane
+    orbits; a closure beyond 1152 is a failure signal.
     """
     elements = set()
     for pi in permutations(range(6)):
@@ -801,21 +800,16 @@ def monomial_symmetry_group(check_closure=True):
 
     ci = CompleteIntersection35.klein()
     for el in elements:
-        assert _element_preserves(el, ci.quadric)
-        assert _element_preserves(el, ci.cubic)
+        for name, form in (("quadric", ci.quadric), ("cubic", ci.cubic)):
+            if not _element_preserves(el, form):
+                raise ValueError("monomial element %s does not preserve "
+                                 "the %s" % (el, name))
 
     g0 = _canonical_element((3, 4, 5, 0, 1, 2), (2, 2, 2, 0, 0, 0))
     has_g0 = g0 in elements
 
-    closed = True
-    if check_closure:
-        for g in elements:
-            for h in elements:
-                if _compose_elements(g, h) not in elements:
-                    closed = False
-                    break
-            if not closed:
-                break
+    closed = all(_compose_elements(g, h) in elements
+                 for g in elements for h in elements)
 
     nodes = [tuple(QI(c) if isinstance(c, int) else c for c in pt)
              for pt in klein_nodes_18() + klein_nodes_16()]
@@ -847,20 +841,17 @@ def _apply_plane_key(el, key):
 
 
 def _orbit_sizes(keys, elements, action):
+    """Orbit sizes of the group `elements` on `keys`.  The orbit of a seed
+    is its image under every element, which needs the closure that
+    monomial_symmetry_group checks and reports."""
     todo = set(keys)
     sizes = []
     while todo:
         seed = todo.pop()
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            cur = frontier.pop()
-            for el in elements:
-                img = action(el, cur)
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        assert orbit <= set(keys), "orbit leaves the verified set"
+        orbit = {action(g, seed) for g in elements}
+        if not orbit <= set(keys):
+            raise ValueError("the orbit of %s leaves the verified set"
+                             % (seed,))
         todo -= orbit
         sizes.append(len(orbit))
     return sizes

@@ -49,38 +49,17 @@ class IntMatrix:
         return IntMatrix([list(c) for c in zip(*self.rows)])
 
     def det(self):
-        assert self.nrows == self.ncols
-        return _int_det([list(r) for r in self.rows])
+        return det_poly_matrix(self.rows)
 
     def __repr__(self):
         return "IntMatrix(%r)" % (self.rows,)
 
 
-def _int_det(a):
-    """Fraction-free (Bareiss) determinant of an integer matrix (mutates a)."""
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
-
-
 def det_poly_matrix(m):
     """Exact determinant of a square matrix with entries in one ring
-    (polynomials, or any exact field scalars).  Fraction-free Bareiss is
-    used for polynomial entries to avoid rational-function blowup."""
+    (polynomials, integers, or any exact field scalars), by fraction-free
+    Bareiss elimination: every division is exact, so polynomial and integer
+    entries never leave their ring."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("non-square matrix")
@@ -89,25 +68,22 @@ def det_poly_matrix(m):
     a = [list(r) for r in m]
     sample = a[0][0]
     if isinstance(sample, MultiPoly):
-        ring = sample.ring
-        one = ring.const(1)
-        div = lambda f, g: f.divexact(g)
-        is_zero = lambda f: f.is_zero()
+        div = MultiPoly.divexact
+    elif all(isinstance(x, int) for r in a for x in r):
+        div = int.__floordiv__
     else:
-        one = None
         div = lambda f, g: f / g
-        is_zero = lambda f: not f
     sign = 1
     prev = None
     for k in range(n - 1):
-        if is_zero(a[k][k]):
+        if not a[k][k]:
             for i in range(k + 1, n):
-                if not is_zero(a[i][k]):
+                if a[i][k]:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
             else:
-                return sample * 0 if one is None else sample.ring.zero()
+                return sample * 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
@@ -241,6 +217,14 @@ def smith_invariants(m):
     return out
 
 
+def row_basis(m):
+    """A basis of the lattice spanned by the rows of an integer matrix: the
+    nonzero rows of U*M for the Smith form U*M*V = D.  U is unimodular, so
+    U*M spans the same lattice, and its rows past the rank are zero."""
+    _, u, _ = smith_normal_form(m)
+    return [r for r in (u * IntMatrix(m)).rows if any(r)]
+
+
 def inertia_signature(m):
     """Exact inertia (n_plus, n_zero, n_minus) of a symmetric rational matrix
     via symmetric Gaussian elimination over the rationals."""
@@ -293,6 +277,14 @@ def inertia_signature(m):
 
 
 # -- generic exact linear algebra over a field -------------------------------
+
+def bilinear(gram, u, v):
+    """u . v under the Gram matrix, summed over the nonzero entries of u
+    and v only."""
+    sv = [(b, y) for b, y in enumerate(v) if y]
+    return sum(x * sum(gram[a][b] * y for b, y in sv)
+               for a, x in enumerate(u) if x)
+
 
 def rref(rows):
     """Reduced row echelon form over any exact field.  Returns (rref_rows,

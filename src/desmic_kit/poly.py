@@ -82,10 +82,6 @@ class MultiPoly:
             return -1
         return max(e[i] for e in self.coeffs)
 
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.coeffs}
-        return len(degs) <= 1
-
     def constant_coeff(self):
         return self.coeffs.get(self.ring.zero_exp, self.ring.one * 0)
 
@@ -257,13 +253,6 @@ class MultiPoly:
             q = q + t
             r = r - t * g
         return q
-
-    def homogeneous_part(self, d):
-        return MultiPoly(self.ring,
-                         {e: c for e, c in self.coeffs.items() if sum(e) == d})
-
-    def map_coeffs(self, fn, new_ring):
-        return MultiPoly(new_ring, {e: fn(c) for e, c in self.coeffs.items()})
 
     def __repr__(self):
         if not self.coeffs:

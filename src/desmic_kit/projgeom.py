@@ -141,10 +141,6 @@ class LineP3:
         rows = [[_as_field(c) for c in r] for r in rows]
         return matrix_rank(rows) == 2
 
-    def point_at(self, u, v):
-        """The point u*p + v*q on the line."""
-        return ProjPoint([u * a + v * b for a, b in zip(self.p.coords, self.q.coords)])
-
     def __repr__(self):
         return "LineP3(%r)" % (list(self.plucker),)
 

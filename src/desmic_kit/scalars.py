@@ -123,11 +123,12 @@ def sqrt_minus_one(p):
     Raises ValueError when there is none, as for every p other than a
     prime = 1 mod 4.
     """
-    if p % 4 == 1:
-        for x in range(2, p):
-            if x * x % p == p - 1:
-                return Mod(x, p)
-    raise ValueError("no square root of -1 mod %d" % p)
+    if p % 4 != 1 or not is_prime(p):
+        raise ValueError("no square root of -1 mod %d" % p)
+    # a^((p-1)/4) squares to -1 for the first non-residue a
+    a = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    r = pow(a, (p - 1) // 4, p)
+    return Mod(min(r, p - r), p)
 
 
 class QI:
@@ -362,9 +363,4 @@ def one_like(x):
 
 def from_int(one, n):
     """Image of the integer n in the field whose identity is `one`."""
-    if n >= 0:
-        r = one * 0
-        for _ in range(n):
-            r = r + one
-        return r
-    return -from_int(one, -n)
+    return one * n

@@ -35,10 +35,6 @@ class Form:
     def partials(self):
         return [self.poly.diff(v) for v in self.coord_vars]
 
-    def param_ring(self):
-        params = [v for v in self.ring.varnames if v not in self.coord_vars]
-        return PolyRing(params, self.ring.one)
-
     def eval_coords(self, point):
         """Substitute scalars for the coordinate variables only; the result is
         a polynomial in the parameters (constant if there are none)."""

@@ -188,9 +188,16 @@ def test_check_status_validated():
 
 OPTIMIZED_CHECKS = """
 import desmic_kit.cli as cli
+import desmic_kit.linecomplex as lc
 from desmic_kit.configs import CurveSystem
+from desmic_kit.lattices import Lattice, _coords_in_basis
 from desmic_kit.scan import run_scan
 print("debug", __debug__)
+
+def symmetry_with_failing_element():
+    lc._element_preserves = lambda el, form: False
+    lc.monomial_symmetry_group()
+
 ok = cli.Check("x", "a", "pass", "d")
 twice = {"name": "f", "fibers": [{"components": [{"id": "a", "mult": 1},
                                                  {"id": "a", "mult": 1}]}]}
@@ -201,7 +208,13 @@ for case in (lambda: run_scan(13, 0),
              lambda: CurveSystem(["a", "b"], [[0, 1], [2, 0]]),
              lambda: CurveSystem(["a", "b"], [[0, 1]]),
              lambda: CurveSystem(["a", "b"], [[0, 1], [1]]),
-             lambda: CurveSystem(["a"], [[0]], [twice]).validate(False)):
+             lambda: CurveSystem(["a"], [[-2]], [twice]).validate(),
+             lambda: Lattice([[-2, 1]]),
+             lambda: Lattice([[0.5]]),
+             lambda: Lattice([[-1]]),
+             lambda: Lattice([[-2, 1], [0, -2]]),
+             lambda: _coords_in_basis([1, 0], [[2, 0], [0, 1]]),
+             symmetry_with_failing_element):
     try:
         case()
         print("accepted")
@@ -212,7 +225,10 @@ for case in (lambda: run_scan(13, 0),
 # what each case's error names, in the order of OPTIMIZED_CHECKS
 OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
                     "symmetric at a, b", "1 rows for 2 curves",
-                    "curve b has 1 entries", "fiber 0 of f lists curve a"]
+                    "curve b has 1 entries", "fiber 0 of f lists curve a",
+                    "row 0 has 2 entries", "entry 0.5", "entry -1 is odd",
+                    "symmetric at (0, 1)", "[1, 0] has no integral",
+                    "does not preserve the quadric"]
 
 
 def test_validation_survives_python_O():

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from desmic_kit.scalars import Mod, QI, F4, W, I, sqrt_minus_one, F4_ELEMENTS
+from desmic_kit.scalars import (Mod, QI, F4, W, I, F4_ELEMENTS, from_int,
+                                is_prime, sqrt_minus_one)
 from desmic_kit.poly import (MultiPoly, PolyRing, PowerSeriesTrunc, RatFunc,
                              poly_subst, prem)
-from desmic_kit.matrices import (IntMatrix, det_poly_matrix, inertia_signature,
-                                 matrix_rank, nullspace, pfaffian_poly_matrix,
-                                 smith_invariants, smith_normal_form)
+from desmic_kit.matrices import (IntMatrix, bilinear, det_poly_matrix,
+                                 inertia_signature, matrix_rank, nullspace,
+                                 pfaffian_poly_matrix, smith_invariants,
+                                 smith_normal_form)
 
 
 # ---------------------------------------------------------------- scalars --
@@ -32,9 +34,36 @@ def test_sqrt_minus_one_canonical():
         i = sqrt_minus_one(p)
         assert i * i == Mod(-1, p)
     # no root: p = 3 mod 4, or p = 1 mod 4 that is not a prime
-    for p in (7, 2, 1, 9, 21):
+    for p in (7, 2, 1, 9, 21, 25, 45, 65):
         with pytest.raises(ValueError, match="mod %d" % p):
             sqrt_minus_one(p)
+
+
+def smallest_root_by_search(p):
+    """The oracle: the old linear search for the smallest root of -1."""
+    return next(x for x in range(2, p) if x * x % p == p - 1)
+
+
+def test_sqrt_minus_one_agrees_with_linear_search():
+    for p in range(5, 20000, 4):
+        if is_prime(p):
+            assert sqrt_minus_one(p) == Mod(smallest_root_by_search(p), p)
+
+
+def test_sqrt_minus_one_large_prime():
+    # the linear search needs 4.5e7 steps here; the root is its answer
+    assert sqrt_minus_one(100000037) == Mod(44612474, 100000037)
+
+
+def test_from_int_agrees_with_repeated_addition():
+    t = ring_q("t")
+    for one in (Mod(1, 13), QI(1), Fraction(1), F4(1), W,
+                RatFunc(t.const(1))):
+        for n in range(-7, 8):
+            r = one * 0
+            for _ in range(abs(n)):
+                r = r + one
+            assert from_int(one, n) == (r if n >= 0 else -r)
 
 
 def test_gaussian_rationals():
@@ -208,6 +237,43 @@ def test_det_small():
 def test_det_scalar_entries():
     m = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
     assert det_poly_matrix(m) == Fraction(-2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_det_integer_entries_stay_exact(seed):
+    # integer entries take the exact // path: the result is an int equal
+    # to the Fraction determinant, and a mixed matrix is not floored
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    d = det_poly_matrix(m)
+    assert type(d) is int
+    assert d == det_poly_matrix([[Fraction(x) for x in r] for r in m])
+    assert d == IntMatrix(m).det()
+    half = [[Fraction(x, 2) if (i, j) == (n - 1, n - 1) else x
+             for j, x in enumerate(r)] for i, r in enumerate(m)]
+    frac = det_poly_matrix([[Fraction(x) for x in r] for r in half])
+    assert det_poly_matrix(half) == frac
+
+
+def dense_bilinear(gram, u, v):
+    """The oracle: the dense double sum over every entry."""
+    n = len(gram)
+    return sum(u[r] * gram[r][c] * v[c] for r in range(n) for c in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bilinear_agrees_with_dense_sum(data):
+    n = data.draw(st.integers(1, 7))
+    gram = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n,
+                                       max_size=n), min_size=n, max_size=n))
+    entry = st.one_of(st.just(0), st.integers(-5, 5),
+                      st.fractions(-5, 5, max_denominator=6))
+    u = data.draw(st.lists(entry, min_size=n, max_size=n))
+    v = data.draw(st.lists(entry, min_size=n, max_size=n))
+    assert bilinear(gram, u, v) == dense_bilinear(gram, u, v)
 
 
 def test_pfaffian_small():

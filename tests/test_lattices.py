@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import desmic_kit.configs as cf
 import desmic_kit.lattices as la
+from desmic_kit.matrices import (inertia_signature, matrix_rank, row_basis,
+                                 smith_invariants, smith_normal_form)
 
 
 # -- construction ---------------------------------------------------------------
@@ -39,7 +41,7 @@ def test_unknown_lattice_name():
 
 
 def test_odd_diagonal_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="diagonal entry -1 is odd"):
         la.Lattice([[-1]])
 
 
@@ -388,3 +390,276 @@ def test_transcendental_lattice():
     assert t["signature"] == (2, 1)
     assert abs(t["det"]) == 16
     assert t["disc_group"] == [2, 2, 4]
+
+
+# -- the shared matrix kernels against the lattice code they replaced --------------
+#
+# Each oracle below is the lattice-specific algorithm that matrices.py now
+# replaces, kept as it was except where its docstring says otherwise.
+
+def det_by_inertia_and_smith(gram):
+    """The oracle for Lattice.det: sign from the inertia, magnitude from
+    the Smith invariants."""
+    if not gram:
+        return 1
+    pos, zero, neg = inertia_signature(gram)
+    if zero:
+        return 0
+    mag = 1
+    for d in smith_invariants(gram):
+        mag *= d
+    return mag if neg % 2 == 0 else -mag
+
+
+def inverse_by_gauss_jordan(gram):
+    n = len(gram)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j))
+                                       for j in range(n)]
+         for i, row in enumerate(gram)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def disc_form_by_gauss_jordan(l):
+    """The oracle for disc_form: generator i is gram^-1 times column i of
+    u^-1, both inverses by Gauss-Jordan, paired by the dense double sum."""
+    n = l.rank
+    d, u, _ = smith_normal_form(l.gram)
+    diag = [d.rows[i][i] for i in range(n)]
+    uinv = inverse_by_gauss_jordan(u.rows)
+    ginv = inverse_by_gauss_jordan(l.gram)
+    gens, orders = [], []
+    for i in range(n):
+        if diag[i] == 1:
+            continue
+        t = [uinv[r][i] for r in range(n)]
+        gens.append([sum(ginv[r][c] * t[c] for c in range(n))
+                     for r in range(n)])
+        orders.append(diag[i])
+
+    def pairing(x, y):
+        return sum(x[r] * l.gram[r][c] * y[c]
+                   for r in range(n) for c in range(n))
+
+    qvals = [pairing(x, x) for x in gens]
+    bmat = [[pairing(x, y) for y in gens] for x in gens]
+    return la.FiniteQuadForm(orders, qvals, bmat), gens
+
+
+def coords_by_gauss_jordan(vec, basis):
+    """The oracle for _coords_in_basis: solve basis^T x = vec."""
+    n = len(basis)
+    a = [[Fraction(basis[r][c]) for r in range(n)] + [Fraction(vec[c])]
+         for c in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
+
+
+def hermite_rows(rows):
+    """The oracle for the overlattice row basis: an echelon basis of the
+    row lattice by repeated integer row reduction.  One fix: a row whose
+    pivot-column entry is reduced to zero leaves the stack.  Before, it
+    stayed, sorted first and was divided by, so [[0, 2, 0, 1], [0, 3, 2, 0],
+    [0, 6, 6, 0]] raised ZeroDivisionError."""
+    rows = [list(r) for r in rows if any(r)]
+    ncols = len(rows[0]) if rows else 0
+    basis = []
+    col = 0
+    while col < ncols and rows:
+        stack = [r for r in rows if r[col] != 0]
+        if not stack:
+            col += 1
+            continue
+        while True:
+            stack.sort(key=lambda r: abs(r[col]))
+            piv = stack[0]
+            done = True
+            for r in stack[1:]:
+                f = r[col] // piv[col]
+                for k in range(ncols):
+                    r[k] -= f * piv[k]
+                if r[col] != 0:
+                    done = False
+            stack = [piv] + [r for r in stack[1:] if r[col]]
+            if done or len(stack) == 1:
+                break
+        if piv[col] < 0:
+            piv = [-x for x in piv]
+        basis.append(piv)
+        rows = [r for r in rows if r is not piv and any(r)]
+        for r in rows:
+            if r[col] % piv[col] == 0 and r[col] != 0:
+                f = r[col] // piv[col]
+                for k in range(ncols):
+                    r[k] -= f * piv[k]
+        rows = [r for r in rows if any(r)]
+        col += 1
+    return basis
+
+
+def hermite_normal_form(rows):
+    """The canonical basis of a row lattice: the echelon basis with every
+    entry above a pivot reduced into [0, pivot)."""
+    basis = hermite_rows(rows)
+    for i, row in enumerate(basis):
+        c = next(k for k, x in enumerate(row) if x)
+        for j in range(i):
+            f = basis[j][c] // row[c]
+            basis[j] = [x - f * y for x, y in zip(basis[j], row)]
+    return basis
+
+
+def even_grams(max_n=5):
+    """Random even symmetric integer matrices, degenerate ones included."""
+    @st.composite
+    def draw(draw_):
+        n = draw_(st.integers(1, max_n))
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 2 * draw_(st.integers(-3, 3))
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = draw_(st.integers(-3, 3))
+        return g
+    return draw()
+
+
+NAMED = ["U", "A1", "A3", "D4", "D5", "D8", "E8", "<-4>", "<4>"]
+NAMED_SUMS = [("U", "D8", "D9"), ("U", "E8", "D8", "<-4>"), ("D5", "A3"),
+              ("U", "E8", "D12"), ("U", "E8", "D4", "D4", "D4")]
+
+
+def named_lattices():
+    return ([la.standard_lattice(n) for n in NAMED]
+            + [la.direct_sum(*names) for names in NAMED_SUMS]
+            + [la.rescale("A2", 2), la.transcendental_lattice()["lattice"]]
+            + la.ternary_enumeration(16))
+
+
+def test_det_agrees_with_inertia_and_smith_on_named_lattices():
+    for l in named_lattices():
+        assert l.det() == det_by_inertia_and_smith(l.gram), l
+
+
+@settings(max_examples=80, deadline=None)
+@given(even_grams(6))
+def test_det_agrees_with_inertia_and_smith(gram):
+    assert la.Lattice(gram).det() == det_by_inertia_and_smith(gram)
+
+
+def assert_same_disc_form(l):
+    try:
+        want_fq, want_gens = disc_form_by_gauss_jordan(l)
+    except StopIteration:  # the Gauss-Jordan oracle hit a zero pivot
+        with pytest.raises(ValueError, match="degenerate"):
+            la.disc_form(l)
+        return
+    fq, gens = la.disc_form(l)
+    assert gens == want_gens
+    assert (fq.orders, fq.q, fq.b) == (want_fq.orders, want_fq.q, want_fq.b)
+
+
+def test_disc_form_agrees_with_gauss_jordan_on_named_lattices():
+    for l in named_lattices():
+        assert_same_disc_form(l)
+
+
+@settings(max_examples=60, deadline=None)
+@given(even_grams(5))
+def test_disc_form_agrees_with_gauss_jordan(gram):
+    assert_same_disc_form(la.Lattice(gram))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_coords_in_basis_agrees_with_gauss_jordan(data):
+    n = data.draw(st.integers(1, 5))
+    small = st.integers(-4, 4)
+    basis = data.draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+    if matrix_rank([[Fraction(x) for x in r] for r in basis]) < n:
+        return
+    coeffs = data.draw(st.lists(small, min_size=n, max_size=n))
+    vec = [sum(coeffs[r] * basis[r][c] for r in range(n)) for c in range(n)]
+    assert la._coords_in_basis(vec, basis) == coeffs
+    assert coords_by_gauss_jordan(vec, basis) == coeffs
+    off = data.draw(st.lists(small, min_size=n, max_size=n))
+    want = coords_by_gauss_jordan(off, basis)
+    if all(x.denominator == 1 for x in want):
+        assert la._coords_in_basis(off, basis) == want
+    else:
+        with pytest.raises(ValueError, match="no integral coordinates"):
+            la._coords_in_basis(off, basis)
+
+
+def test_coords_in_basis_on_the_overlattice_chain():
+    ch = la.d5_a3_chain()
+    for big, small in (("e8_basis", "d8_basis"), ("e8_basis", "e8_basis")):
+        for row in ch[small]:
+            want = coords_by_gauss_jordan(row, ch[big])
+            assert la._coords_in_basis(row, ch[big]) == want
+    # E8 is not inside D8: some E8 basis row has fractional coordinates
+    with pytest.raises(ValueError, match="no integral coordinates"):
+        for row in ch["e8_basis"]:
+            la._coords_in_basis(row, ch["d8_basis"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_row_basis_spans_the_hermite_lattice(data):
+    ncols = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=ncols,
+                                       max_size=ncols), min_size=1,
+                              max_size=7))
+    got = row_basis(rows)
+    assert len(got) == matrix_rank([[Fraction(x) for x in r] for r in rows])
+    assert hermite_normal_form(got) == hermite_normal_form(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_basis_of_glued_rows(data):
+    # the shape overlattice reduces: den * identity, then the glue rows
+    n = data.draw(st.integers(1, 6))
+    den = data.draw(st.integers(1, 8))
+    glue = data.draw(st.lists(st.lists(st.integers(-2 * den, 2 * den),
+                                       min_size=n, max_size=n),
+                              max_size=3))
+    rows = [[den * int(i == j) for j in range(n)] for i in range(n)] + glue
+    got = row_basis(rows)
+    assert len(got) == n
+    assert hermite_normal_form(got) == hermite_normal_form(rows)
+
+
+def test_overlattice_basis_spans_the_hermite_lattice():
+    # the two glue vectors of the D5+A3 chain, scaled to integer rows as
+    # overlattice does
+    ch = la.d5_a3_chain()
+    base = ch["base"]
+    for key, index in (("e8_basis", 4), ("d8_basis", 2)):
+        basis = ch[key]
+        den = max(x.denominator for r in basis for x in r)
+        rows = [[den * int(i == j) for j in range(8)] for i in range(8)]
+        glue = [v for v in basis
+                if any(x.denominator != 1 for x in v)]
+        rows += [[int(den * x) for x in v] for v in glue]
+        scaled = [[int(den * x) for x in r] for r in basis]
+        assert hermite_normal_form(scaled) == hermite_normal_form(rows)
+        out, again = la.overlattice(base, glue)
+        assert again == basis
+        assert abs(out.det()) * index * index == abs(base.det())

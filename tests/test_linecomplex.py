@@ -162,6 +162,11 @@ def test_monomial_symmetry_group():
     assert rep.closed
 
 
+def test_orbit_leaving_the_keys_raises():
+    with pytest.raises(ValueError, match="orbit of 1 leaves"):
+        lc._orbit_sizes([1], [0, 1], lambda g, k: k + g)
+
+
 # -- scans over prime fields --------------------------------------------------
 
 def brute_force_scan(p, c):
