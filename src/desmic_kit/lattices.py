@@ -582,12 +582,17 @@ def d5_a3_chain():
             continue  # and the A3 factor
         chosen = vec
         break
-    assert chosen is not None, "no order-4 isotropic glue found"
+    if chosen is None:
+        raise ValueError("no order-4 isotropic glue found")
     e8, e8_basis = overlattice(base, [chosen])
-    assert abs(e8.det()) == 1 and e8.signature() == (0, 8)
+    if abs(e8.det()) != 1 or e8.signature() != (0, 8):
+        raise ValueError("glued E8 has det %s and signature %s"
+                         % (e8.det(), e8.signature()))
     half = [2 * x for x in chosen]
     d8, d8_basis = overlattice(base, [half])
-    assert abs(d8.det()) == 4 and d8.signature() == (0, 8)
+    if abs(d8.det()) != 4 or d8.signature() != (0, 8):
+        raise ValueError("glued D8 has det %s and signature %s"
+                         % (d8.det(), d8.signature()))
 
     def block_coords(basis):
         return [_coords_in_basis(
@@ -697,8 +702,10 @@ def artin2_check(sigma):
            "picard_signature": s.signature(),
            "picard_disc_group": s.disc_group(),
            "l_bounds": (2 * sigma - 3, 3)}
-    assert s.signature() == (1, 21)
-    assert s.disc_group() == [2] * (2 * sigma)
+    if s.signature() != (1, 21) or s.disc_group() != [2] * (2 * sigma):
+        raise ValueError("Picard lattice for sigma %d has signature %s and "
+                         "discriminant group %s" % (sigma, s.signature(),
+                                                    s.disc_group()))
 
     if sigma == 1:
         # L = U + D5 + D12 sits blockwise in U + E8 + D12 with D5 put
@@ -712,13 +719,14 @@ def artin2_check(sigma):
              (10, [[int(i == j) for j in range(12)] for i in range(12)])],
             amb.rank)
         ok, how = _embedding_check(sub.gram, amb, rows)
-        assert ok, how
+        if not ok:
+            raise ValueError("sigma 1 witness embedding fails: %s" % how)
         # the printed presentations agree with the blocks used
-        match = genus_match_indefinite(sub,
-                                       direct_sum("U", "E8", "D8", "<-4>"))
-        assert match["match"]
-        amb_match = genus_match_indefinite(amb, supersingular_picard(1))
-        assert amb_match["match"]
+        for lat, printed in ((sub, direct_sum("U", "E8", "D8", "<-4>")),
+                             (amb, supersingular_picard(1))):
+            if not genus_match_indefinite(lat, printed)["match"]:
+                raise ValueError("%s is not in the genus of %s"
+                                 % (lat.name, printed.name))
         out.update(embeddable=True, witness=how,
                    witness_blocks="U + D5(inside E8) + D12")
         return out
@@ -734,7 +742,8 @@ def artin2_check(sigma):
             [(0, ident(2)), (2, ident(8)), (10, ident(8)), (18, [v])],
             amb.rank)
         ok, how = _embedding_check(sub.gram, amb, rows)
-        assert ok, how
+        if not ok:
+            raise ValueError("sigma 2 witness embedding fails: %s" % how)
         out.update(embeddable=True, witness=how,
                    witness_blocks="U + E8 + D8 + <-4>(inside D4)")
         return out
@@ -743,9 +752,11 @@ def artin2_check(sigma):
     # lattice of determinant -16 with discriminant form q1(4) + v
     target = fq_cyclic(1, 4).direct_sum(fq_v2())
     alt = fq_cyclic(5, 4).direct_sum(fq_u2())
-    assert fq_isometric(target, alt)
-    assert fq_isometric(fq_u2().direct_sum(fq_u2()),
-                        fq_v2().direct_sum(fq_v2()))
+    if not fq_isometric(target, alt):
+        raise ValueError("q1(4) + v is not isometric to q5(4) + u")
+    if not fq_isometric(fq_u2().direct_sum(fq_u2()),
+                        fq_v2().direct_sum(fq_v2())):
+        raise ValueError("u + u is not isometric to v + v")
     candidates = ternary_enumeration(16)
     matching = []
     for lat in candidates:
@@ -758,7 +769,9 @@ def artin2_check(sigma):
                candidates=len(candidates),
                matching=len(matching),
                exhaustive=True)
-    assert not matching, "unexpected complement found"
+    if matching:
+        raise ValueError("unexpected complement found: %r"
+                         % ([lat.gram for lat in matching],))
     return out
 
 

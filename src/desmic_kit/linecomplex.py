@@ -17,10 +17,10 @@ variety of a 35-nodal cubic in P^6.
 from fractions import Fraction
 from itertools import permutations, product
 
-from .matrices import matrix_rank, nullspace, rref
+from .matrices import bilinear, matrix_rank, nullspace, rref
 from .poly import PolyRing
 from .scalars import I, Mod, QI, from_int, one_like, sqrt_minus_one
-from .surfaces import Form, _localize_split, eval_coords, node_check
+from .surfaces import Form, eval_coords, node_check
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +196,12 @@ class CompleteIntersection35:
     """Quadric and cubic forms cutting the complex out of P^5."""
 
     def __init__(self, quadric, cubic, coords, i=None):
-        assert quadric.degree == 2 and cubic.degree == 3
-        assert len(quadric.coord_vars) == 6
+        if (quadric.degree, cubic.degree) != (2, 3):
+            raise ValueError("forms of degrees %d and %d, not 2 and 3"
+                             % (quadric.degree, cubic.degree))
+        if len(quadric.coord_vars) != 6:
+            raise ValueError("quadric in %d coordinates, not 6"
+                             % len(quadric.coord_vars))
         self.quadric = quadric
         self.cubic = cubic
         self.coords = coords
@@ -205,6 +209,13 @@ class CompleteIntersection35:
         self.i = i
         self.ring = quadric.ring
         self.one = quadric.ring.one
+        # first and second partials, for the node test
+        self.grad2 = quadric.partials()
+        self.grad3 = cubic.partials()
+        self.hess2 = [Form(g, quadric.coord_vars).partials()
+                      for g in self.grad2]
+        self.hess3 = [Form(g, cubic.coord_vars).partials()
+                      for g in self.grad3]
 
     @classmethod
     def plucker(cls, one=Fraction(1)):
@@ -339,9 +350,9 @@ def _lift_point(one, pt):
     return tuple(from_int(one, c) if isinstance(c, int) else c for c in pt)
 
 
-def _grad_values(form, pt):
-    return [eval_coords(g, form.coord_vars, list(pt)).constant_coeff()
-            for g in form.partials()]
+def _values(polys, coord_vars, pt):
+    return [eval_coords(g, coord_vars, list(pt)).constant_coeff()
+            for g in polys]
 
 
 class NodeReport:
@@ -368,70 +379,38 @@ def ci_node_report(ci, pt):
     """Ordinary-node test at a point of the complete intersection: both
     equations vanish, the 2x6 Jacobian has rank exactly 1, and the quadratic
     part of cubic - lambda*quadric restricted to the tangent space of the
-    quadric has rank 4."""
+    quadric has rank 4.
+
+    In the affine chart with the leading coordinate set to 1, the quadratic
+    part q of cubic - lambda*quadric polarizes to the Hessian H of
+    cubic - lambda*quadric on the other five coordinates:
+    q(a+b) - q(a) - q(b) = a.H.b and 2q(a) = a.H.a in every characteristic.
+    So the Gram matrix of q on the tangent space T is T^t.H.T."""
     one = ci.one
-    # scale the leading coordinate to 1 so the gradient ratio matches the
-    # affine chart used below
+    coord_vars = ci.quadric.coord_vars
     pt = _normalize_tuple(_lift_point(one, pt))
     on2 = ci.quadric.eval_coords(list(pt)).is_zero()
     on3 = ci.cubic.eval_coords(list(pt)).is_zero()
-    g2 = _grad_values(ci.quadric, pt)
-    g3 = _grad_values(ci.cubic, pt)
+    g2 = _values(ci.grad2, coord_vars, pt)
+    g3 = _values(ci.grad3, coord_vars, pt)
     jrank = matrix_rank([g2, g3])
     if not (on2 and on3) or jrank != 1:
         return NodeReport(pt, on2 and on3, jrank, None, 0)
+    # the leading coordinate is 1 in the chart; the other five are local
+    pivot = next(k for k, c in enumerate(pt) if c)
+    local = [k for k in range(len(pt)) if k != pivot]
+    lin = [g2[k] for k in local]
+    if not any(lin):
+        raise ValueError("quadric not smooth at %r" % (pt,))
+    # rank 1 with g2 != 0: the cubic's gradient is lam times the quadric's
     j = next(k for k, v in enumerate(g2) if v)
     lam = g3[j] / g2[j]
-    assert all(b == lam * a for a, b in zip(g2, g3))
-
-    split2, names, _ = _localize_split(ci.quadric, pt)
-    split3, names3, _ = _localize_split(ci.cubic, pt)
-    assert names == names3
-    n = len(names)
-    zero = one * 0
-
-    def coeff(split, le):
-        p = split.get(le)
-        return zero if p is None else p.constant_coeff()
-
-    # local equation g = F3 - lambda*F2 has no constant or linear part
-    exps = set(split2) | set(split3)
-    lin = [zero] * n
-    q2 = {}
-    for le in exps:
-        c = coeff(split3, le) - lam * coeff(split2, le)
-        d = sum(le)
-        if d == 0:
-            assert not c
-        elif d == 1:
-            assert not c
-        elif d == 2 and c:
-            q2[le] = c
-        if d == 1:
-            k = next(t for t, e in enumerate(le) if e)
-            lin[k] = coeff(split2, le)
-    assert any(lin), "quadric not smooth at the point"
+    h = [[c3 - lam * c2 for c2, c3 in zip(
+        _values([ci.hess2[a][b] for b in local], coord_vars, pt),
+        _values([ci.hess3[a][b] for b in local], coord_vars, pt))]
+        for a in local]
     tangent = nullspace([lin], one)
-    assert len(tangent) == n - 1
-
-    def qval(v):
-        total = zero
-        for le, c in q2.items():
-            t = c
-            for vi, ei in zip(v, le):
-                for _ in range(ei):
-                    t = t * vi
-            total = total + t
-        return total
-
-    m = len(tangent)
-    gram = [[zero] * m for _ in range(m)]
-    for a in range(m):
-        gram[a][a] = qval(tangent[a]) + qval(tangent[a])
-        for b in range(a + 1, m):
-            vab = [x + y for x, y in zip(tangent[a], tangent[b])]
-            gram[a][b] = gram[b][a] = \
-                qval(vab) - qval(tangent[a]) - qval(tangent[b])
+    gram = [[bilinear(h, u, v) for v in tangent] for u in tangent]
     return NodeReport(pt, True, 1, lam, matrix_rank(gram))
 
 
@@ -439,7 +418,9 @@ class NodeInventory:
     """The 34 singular points, partitioned 18 + 16, with node reports."""
 
     def __init__(self, sing1, sing2, reports1, reports2):
-        assert len(sing1) == 18 and len(sing2) == 16
+        if (len(sing1), len(sing2)) != (18, 16):
+            raise ValueError("%d + %d singular points, not 18 + 16"
+                             % (len(sing1), len(sing2)))
         self.sing1 = sing1
         self.sing2 = sing2
         self.reports1 = reports1
@@ -564,7 +545,9 @@ class PlaneInP5:
         if matrix_rank([list(c) for c in self.covectors]) != 3:
             raise ValueError("covectors do not cut a plane")
         self.basis = nullspace([list(c) for c in self.covectors], one)
-        assert len(self.basis) == 3
+        if len(self.basis) != 3:
+            raise ValueError("covectors %r cut a space of dimension %d, not "
+                             "a plane" % (covectors, len(self.basis) - 1))
 
     def contains_point(self, pt):
         zero = self.one * 0

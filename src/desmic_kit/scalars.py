@@ -6,7 +6,7 @@ hashable, and arithmetic accepts plain ints on either side.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 def is_prime(n):
@@ -31,9 +31,11 @@ class Mod:
     __slots__ = ("v", "p")
 
     def __init__(self, v, p):
-        assert p >= 2
+        if p < 2:
+            raise ValueError("modulus %r is below 2" % (p,))
         if isinstance(v, Mod):
-            assert v.p == p
+            if v.p != p:
+                raise ValueError("mixed moduli %d and %d" % (v.p, p))
             v = v.v
         object.__setattr__(self, "v", v % p)
         object.__setattr__(self, "p", p)
@@ -132,71 +134,113 @@ def sqrt_minus_one(p):
 
 
 class QI:
-    """Gaussian rational a + b*i, a and b arbitrary-precision rationals."""
+    """Gaussian rational (a + b*i)/d, stored as three ints with d > 0 and
+    gcd(a, b, d) = 1, so equal values have equal triples.  One common
+    denominator keeps arithmetic on ints (Cohen, A Course in Computational
+    Algebraic Number Theory, 4.2); `re` and `im` read back as Fractions."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        # over the lcm of the two reduced denominators the triple is reduced
+        dr, di = re.denominator, im.denominator
+        d = dr * di // gcd(dr, di)
+        object.__setattr__(self, "a", re.numerator * (d // dr))
+        object.__setattr__(self, "b", im.numerator * (d // di))
+        object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _make(cls, a, b, d):
+        """The value (a + b*i)/d for ints a, b and d > 0."""
+        if d != 1:
+            g = gcd(a, b, d)
+            a, b, d = a // g, b // g, d // g
+        q = object.__new__(cls)
+        object.__setattr__(q, "a", a)
+        object.__setattr__(q, "b", b)
+        object.__setattr__(q, "d", d)
+        return q
 
     def __setattr__(self, *a):
         raise AttributeError("QI is immutable")
 
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
+
     @staticmethod
     def _lift(other):
+        """(a, b, d) of an operand, or None for a foreign type."""
         if isinstance(other, QI):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QI(other)
-        return NotImplemented
+            return other.a, other.b, other.d
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
+        return None
 
     def __add__(self, other):
         o = QI._lift(other)
-        if o is NotImplemented:
+        if o is None:
             return NotImplemented
-        return QI(self.re + o.re, self.im + o.im)
+        a, b, d = o
+        return QI._make(self.a * d + a * self.d, self.b * d + b * self.d,
+                        self.d * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        return QI._make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         o = QI._lift(other)
-        if o is NotImplemented:
+        if o is None:
             return NotImplemented
-        return QI(self.re - o.re, self.im - o.im)
+        a, b, d = o
+        return QI._make(self.a * d - a * self.d, self.b * d - b * self.d,
+                        self.d * d)
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
         o = QI._lift(other)
-        if o is NotImplemented:
+        if o is None:
             return NotImplemented
-        return QI(self.re * o.re - self.im * o.im,
-                  self.re * o.im + self.im * o.re)
+        a, b, d = o
+        return QI._make(self.a * a - self.b * b, self.a * b + self.b * a,
+                        self.d * d)
 
     __rmul__ = __mul__
 
     def conj(self):
-        return QI(self.re, -self.im)
+        return QI._make(self.a, -self.b, self.d)
 
     def norm(self):
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def inverse(self):
-        n = self.norm()
+        n = self.a * self.a + self.b * self.b
         if n == 0:
             raise ZeroDivisionError("0 in Q(i)")
-        return QI(self.re / n, -self.im / n)
+        return QI._make(self.a * self.d, -self.b * self.d, n)
 
     def __truediv__(self, other):
         o = QI._lift(other)
-        if o is NotImplemented:
+        if o is None:
             return NotImplemented
-        return self * o.inverse()
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i)/(a2^2 + b2^2)
+        a, b, d = o
+        n = a * a + b * b
+        if n == 0:
+            raise ZeroDivisionError("0 in Q(i)")
+        return QI._make((self.a * a + self.b * b) * d,
+                        (self.b * a - self.a * b) * d, self.d * n)
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -216,20 +260,20 @@ class QI:
 
     def __eq__(self, other):
         o = QI._lift(other)
-        if o is NotImplemented:
+        if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.a == o[0] and self.b == o[1] and self.d == o[2]
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self.a != 0 or self.b != 0
 
     def __hash__(self):
-        if self.im == 0:
+        if self.b == 0:
             return hash(self.re)
         return hash((self.re, self.im, "QI"))
 
     def __repr__(self):
-        if self.im == 0:
+        if self.b == 0:
             return "QI(%s)" % self.re
         return "QI(%s, %s)" % (self.re, self.im)
 

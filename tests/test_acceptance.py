@@ -46,7 +46,7 @@ def test_criterion_2_tangency_formula_verbatim():
 
 
 def test_criterion_3_line_complex():
-    by_id = run_within("line-complex", 300,
+    by_id = run_within("line-complex", 5,
                        cli.Options(primes=(13, 17)))
     assert by_id["complex.nodes-34"].status == "pass"
     assert by_id["complex.planes-24"].status == "pass"

@@ -187,16 +187,29 @@ def test_check_status_validated():
 
 
 OPTIMIZED_CHECKS = """
+from fractions import Fraction
 import desmic_kit.cli as cli
+import desmic_kit.lattices as la
 import desmic_kit.linecomplex as lc
 from desmic_kit.configs import CurveSystem
 from desmic_kit.lattices import Lattice, _coords_in_basis
+from desmic_kit.poly import PolyRing
+from desmic_kit.scalars import Mod
 from desmic_kit.scan import run_scan
 print("debug", __debug__)
 
 def symmetry_with_failing_element():
     lc._element_preserves = lambda el, form: False
     lc.monomial_symmetry_group()
+
+plucker = lc.CompleteIntersection35.plucker()
+a, b, c, d, e = PolyRing(list("abcde")).gens()
+f2 = Mod(1, 2)
+klein_f2 = lc.CompleteIntersection35.klein(i=f2, one=f2)
+
+def artin_with_failing_embedding(sigma):
+    la._embedding_check = lambda *a: (False, "Gram not preserved at (0, 0)")
+    la.artin2_check(sigma)
 
 ok = cli.Check("x", "a", "pass", "d")
 twice = {"name": "f", "fibers": [{"components": [{"id": "a", "mult": 1},
@@ -214,7 +227,19 @@ for case in (lambda: run_scan(13, 0),
              lambda: Lattice([[-1]]),
              lambda: Lattice([[-2, 1], [0, -2]]),
              lambda: _coords_in_basis([1, 0], [[2, 0], [0, 1]]),
-             symmetry_with_failing_element):
+             symmetry_with_failing_element,
+             lambda: Mod(3, 1),
+             lambda: Mod(Mod(3, 5), 7),
+             lambda: lc.CompleteIntersection35(plucker.cubic, plucker.quadric,
+                                               "plucker"),
+             lambda: lc.CompleteIntersection35(lc.Form(a * a + b * e),
+                                               lc.Form(a * b * c), "plucker"),
+             lambda: lc.ci_node_report(klein_f2, (1, 1, 0, 0, 0, 0)),
+             lambda: lc.NodeInventory([], [None] * 16, [], []),
+             lambda: lc.PlaneInP5([[int(j == k) for j in range(5)]
+                                   for k in range(3)], Fraction(1)),
+             lambda: artin_with_failing_embedding(1),
+             lambda: artin_with_failing_embedding(2)):
     try:
         case()
         print("accepted")
@@ -228,7 +253,14 @@ OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
                     "curve b has 1 entries", "fiber 0 of f lists curve a",
                     "row 0 has 2 entries", "entry 0.5", "entry -1 is odd",
                     "symmetric at (0, 1)", "[1, 0] has no integral",
-                    "does not preserve the quadric"]
+                    "does not preserve the quadric", "modulus 1 is below 2",
+                    "mixed moduli 5 and 7", "degrees 3 and 2, not 2 and 3",
+                    "quadric in 5 coordinates", "not smooth at (Mod(1, 2), "
+                    "Mod(1, 2), Mod(0, 2)", "0 + 16 singular points",
+                    "[[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]] cut "
+                    "a space of dimension 1", "sigma 1 witness embedding "
+                    "fails: Gram not preserved at (0, 0)", "sigma 2 witness "
+                    "embedding fails: Gram not preserved at (0, 0)"]
 
 
 def test_validation_survives_python_O():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +74,191 @@ def test_gaussian_rationals():
     assert (a / a) == QI(1)
     assert a + Fraction(1, 2) == QI(1, 3)
     assert QI(2) == 2
+
+
+class FractionPairQI:
+    """Oracle: the Gaussian rational as a pair of Fractions, the
+    representation QI had before it moved to one common denominator."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, *a):
+        raise AttributeError("QI is immutable")
+
+    @staticmethod
+    def _lift(other):
+        if isinstance(other, FractionPairQI):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionPairQI(other)
+        return NotImplemented
+
+    def __add__(self, other):
+        o = FractionPairQI._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return FractionPairQI(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionPairQI(-self.re, -self.im)
+
+    def __sub__(self, other):
+        o = FractionPairQI._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return FractionPairQI(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = FractionPairQI._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return FractionPairQI(self.re * o.re - self.im * o.im,
+                              self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def conj(self):
+        return FractionPairQI(self.re, -self.im)
+
+    def norm(self):
+        return self.re * self.re + self.im * self.im
+
+    def inverse(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("0 in Q(i)")
+        return FractionPairQI(self.re / n, -self.im / n)
+
+    def __truediv__(self, other):
+        o = FractionPairQI._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, e):
+        assert isinstance(e, int)
+        if e < 0:
+            return self.inverse() ** (-e)
+        r = FractionPairQI(1)
+        b = self
+        while e:
+            if e & 1:
+                r = r * b
+            b = b * b
+            e >>= 1
+        return r
+
+    def __eq__(self, other):
+        o = FractionPairQI._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im, "QI"))
+
+    def __repr__(self):
+        if self.im == 0:
+            return "QI(%s)" % self.re
+        return "QI(%s, %s)" % (self.re, self.im)
+
+
+def agrees(new, old):
+    """new is a QI in lowest terms with the value of the oracle's old."""
+    return (isinstance(new, QI) and type(new.re) is Fraction
+            and type(new.im) is Fraction
+            and (new.re, new.im) == (old.re, old.im)
+            and new.d > 0 and gcd(new.a, new.b, new.d) == 1
+            and repr(new) == repr(old) and hash(new) == hash(old))
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except ZeroDivisionError as exc:
+        return type(exc), str(exc)
+
+
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+plain_scalars = st.one_of(st.integers(-30, 30), rationals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, rationals, rationals, rationals, plain_scalars)
+def test_qi_agrees_with_fraction_pair_oracle(r1, i1, r2, i2, c):
+    x, y = QI(r1, i1), QI(r2, i2)
+    ox, oy = FractionPairQI(r1, i1), FractionPairQI(r2, i2)
+    assert agrees(x, ox) and agrees(y, oy)
+    ops = [lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v,
+           lambda u, v: u / v]
+    for op in ops:
+        want = outcome(op, ox, oy)
+        got = outcome(op, x, y)
+        assert got == want if isinstance(want, tuple) else agrees(got, want)
+        # mixed operands: an int or a Fraction on either side
+        for args, oargs in (((x, c), (ox, c)), ((c, x), (c, ox))):
+            want = outcome(op, *oargs)
+            got = outcome(op, *args)
+            assert got == want if isinstance(want, tuple) \
+                else agrees(got, want)
+    assert agrees(-x, -ox) and agrees(x.conj(), ox.conj())
+    assert x.norm() == ox.norm() and type(x.norm()) is Fraction
+    got, want = outcome(QI.inverse, x), outcome(FractionPairQI.inverse, ox)
+    assert got == want if isinstance(want, tuple) else agrees(got, want)
+    for e in range(-3, 5):
+        got, want = outcome(pow, x, e), outcome(pow, ox, e)
+        assert got == want if isinstance(want, tuple) else agrees(got, want)
+    assert (x == y) == (ox == oy) and (x == c) == (ox == c)
+    assert (c == x) == (c == ox) and bool(x) == bool(ox)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plain_scalars)
+def test_real_qi_hashes_and_compares_like_its_value(c):
+    x = QI(c)
+    assert x == c and c == x and x == QI(c, 0)
+    assert hash(x) == hash(c) == hash(Fraction(c))
+    assert {x: 1}[c] == 1
+    assert x != QI(c, 1) and QI(c, 1) != c
+
+
+def test_qi_representation_and_errors():
+    x = QI(Fraction(3, 4), Fraction(-5, 6))
+    assert (x.a, x.b, x.d) == (9, -10, 12)
+    assert (QI(0).a, QI(0).b, QI(0).d) == (0, 0, 1)
+    assert repr(x) == "QI(3/4, -5/6)" and repr(QI(Fraction(-2, 4))) \
+        == "QI(-1/2)"
+    assert QI("1/3", 2) == QI(Fraction(1, 3), 2)
+    with pytest.raises(ZeroDivisionError, match="0 in Q"):
+        QI(0).inverse()
+    with pytest.raises(ZeroDivisionError, match="0 in Q"):
+        QI(1) / 0
+    with pytest.raises(ZeroDivisionError, match="0 in Q"):
+        Fraction(1) / QI(0)
+    for attr in ("re", "im", "a", "b", "d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, 1)
+    assert x.__eq__(Mod(1, 13)) is NotImplemented and x != 0.75
+    with pytest.raises(TypeError):
+        x + Mod(1, 13)
 
 
 def test_f4():

@@ -1,17 +1,20 @@
 """Tests for the cubic line complex: equations, nodes, planes, symmetries,
 scans, the projected quartic threefold, and the Segre identification."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import desmic_kit.linecomplex as lc
+from desmic_kit.matrices import matrix_rank, nullspace, solve_linear
 from desmic_kit.poly import PolyRing
 from desmic_kit.projgeom import LineP3, ProjPoint
 from desmic_kit.scalars import I, Mod, QI, sqrt_minus_one
 from desmic_kit.scan import run_scan
-from desmic_kit.surfaces import desmic_lines_16
+from desmic_kit.surfaces import _localize_split, desmic_lines_16, eval_coords
 
 
 def coord_point(j):
@@ -121,6 +124,188 @@ def test_off_list_point_fails_the_node_test():
     # a smooth point of the complex: both equations vanish, Jacobian rank 2
     rep = lc.ci_node_report(ci, (0, 1, 0, 0, 0, 1))
     assert rep.on_both and rep.jacobian_rank == 2 and not rep.is_node
+
+
+def localize_node_report(ci, pt):
+    """Oracle: the node test as it was before the Hessian form.  It expands
+    both equations in the affine chart at the point with `_localize_split`
+    and polarizes the quadratic part of cubic - lambda*quadric on the
+    tangent space of the quadric."""
+    one = ci.one
+    pt = lc._normalize_tuple(lc._lift_point(one, pt))
+    on2 = ci.quadric.eval_coords(list(pt)).is_zero()
+    on3 = ci.cubic.eval_coords(list(pt)).is_zero()
+    g2, g3 = ([eval_coords(g, f.coord_vars, list(pt)).constant_coeff()
+               for g in f.partials()] for f in (ci.quadric, ci.cubic))
+    jrank = matrix_rank([g2, g3])
+    if not (on2 and on3) or jrank != 1:
+        return lc.NodeReport(pt, on2 and on3, jrank, None, 0)
+    j = next(k for k, v in enumerate(g2) if v)
+    lam = g3[j] / g2[j]
+    assert all(b == lam * a for a, b in zip(g2, g3))
+    split2, names, _ = _localize_split(ci.quadric, pt)
+    split3, names3, _ = _localize_split(ci.cubic, pt)
+    assert names == names3
+    n = len(names)
+    zero = one * 0
+
+    def coeff(split, le):
+        p = split.get(le)
+        return zero if p is None else p.constant_coeff()
+
+    lin = [zero] * n
+    q2 = {}
+    for le in set(split2) | set(split3):
+        c = coeff(split3, le) - lam * coeff(split2, le)
+        d = sum(le)
+        assert d >= 2 or not c
+        if d == 2 and c:
+            q2[le] = c
+        if d == 1:
+            lin[le.index(1)] = coeff(split2, le)
+    assert any(lin), "quadric not smooth at the point"
+    tangent = nullspace([lin], one)
+
+    def qval(v):
+        total = zero
+        for le, c in q2.items():
+            t = c
+            for vi, ei in zip(v, le):
+                for _ in range(ei):
+                    t = t * vi
+            total = total + t
+        return total
+
+    m = len(tangent)
+    gram = [[zero] * m for _ in range(m)]
+    for a in range(m):
+        gram[a][a] = qval(tangent[a]) + qval(tangent[a])
+        for b in range(a + 1, m):
+            vab = [x + y for x, y in zip(tangent[a], tangent[b])]
+            gram[a][b] = gram[b][a] = \
+                qval(vab) - qval(tangent[a]) - qval(tangent[b])
+    return lc.NodeReport(pt, True, 1, lam, matrix_rank(gram))
+
+
+def report_fields(rep):
+    return (rep.point, rep.on_both, rep.jacobian_rank, rep.tangent_lambda,
+            rep.restricted_rank)
+
+
+def assert_node_reports_agree(ci, pts):
+    for pt in pts:
+        assert report_fields(lc.ci_node_report(ci, pt)) \
+            == report_fields(localize_node_report(ci, pt)), pt
+
+
+def plucker_quadric_points(one, rng, count):
+    """Points of x1*x6 - x2*x5 + x3*x4 = 0, x6 solved from x1..x5."""
+    pts = []
+    while len(pts) < count:
+        x = [one * rng.randint(-5, 5) for _ in range(5)]
+        if x[0]:
+            pts.append(tuple(x) + ((x[1] * x[4] - x[2] * x[3]) / x[0],))
+    return pts
+
+
+def klein_image(i, pt):
+    rows = lc.klein_change_rows(i)
+    return tuple(sum((r * c for r, c in zip(row, pt)), i * 0)
+                 for row in rows)
+
+
+def off_list_points(ci, one, i, rng):
+    """Smooth points, points off the complex and points of the quadric."""
+    quad = plucker_quadric_points(one, rng, 12)
+    rand = [tuple(one * rng.randint(-4, 4) for _ in range(6))
+            for _ in range(8)]
+    rand = [p for p in rand if any(p)]
+    smooth = [(0, 1, 0, 0, 0, 1)]
+    for plane in lc.plucker_plane_list(one)[3:6]:
+        s, t = rng.randint(-3, 3), rng.randint(1, 3)
+        smooth.append(tuple(a * s + b * t + c
+                            for a, b, c in zip(*plane.basis)))
+    if ci.coords == "plucker":
+        return smooth + quad + rand
+    return [klein_image(i, lc._lift_point(one, p)) for p in smooth + quad] \
+        + rand
+
+
+def _node_cases():
+    yield pytest.param(Fraction(1), None, False, id="plucker-Q")
+    yield pytest.param(QI(1), I, False, id="klein-Qi")
+    for p in (13, 17, 29):
+        yield pytest.param(Mod(1, p), sqrt_minus_one(p), False,
+                           id="klein-F%d" % p)
+        yield pytest.param(Mod(1, p), sqrt_minus_one(p), True,
+                           id="klein-unit-F%d" % p)
+
+
+@pytest.mark.parametrize("one,i,unit", _node_cases())
+def test_node_report_agrees_with_localized_polarization(one, i, unit):
+    rng = random.Random(repr(one) + repr(unit))
+    if i is None:
+        ci = lc.CompleteIntersection35.plucker(one)
+        pts = [lc._lift_point(one, p)
+               for p in lc.PLUCKER_NODES_18 + lc.PLUCKER_NODES_16]
+    else:
+        ci = lc.CompleteIntersection35.klein(i=i, one=one,
+                                             unit_variant=unit)
+        pts = lc.klein_nodes_18(i) + lc.klein_nodes_16(i)
+        if isinstance(one, Mod):
+            _, scanned = lc.scan_singular_points(one.p, unit_variant=unit)
+            pts += [lc._lift_point(one, p) for p in scanned]
+    listed = [lc.ci_node_report(ci, p) for p in pts]
+    assert unit or all(r.is_node for r in listed)
+    assert_node_reports_agree(ci, pts + off_list_points(ci, one, i, rng))
+
+
+def singular_complete_intersection(one, rng):
+    """A complete intersection singular at a random point: the Plucker
+    quadric, and a cubic lam*x1*Q + x1*(random quadratic form in x2..x6) +
+    (random cubic terms in x2..x6), both moved by a random invertible
+    change of coordinates.  At e1 the cubic vanishes and its gradient is
+    lam times the quadric's, so the Hessian of the random form decides the
+    restricted rank, which ranges over 0..4."""
+    ring = PolyRing(list(lc.PLUCKER_NAMES), one)
+    x = ring.gens()
+    quad = x[0] * x[5] - x[1] * x[4] + x[2] * x[3]
+    lam = one * rng.randint(-2, 2)
+    cubic = (x[0] * quad).scale(lam) + x[1] * x[2] * x[3]
+    for a in range(1, 6):
+        for b in range(a, 6):
+            if rng.random() < 0.3:
+                cubic = cubic + (x[0] * x[a] * x[b]).scale(
+                    one * rng.randint(-3, 3))
+            if rng.random() < 0.2:
+                cubic = cubic + (x[a] * x[b] * x[rng.randrange(1, 6)]).scale(
+                    one * rng.randint(-3, 3))
+    while True:
+        move = [[one * rng.randint(-2, 2) for _ in range(6)]
+                for _ in range(6)]
+        if matrix_rank(move) == 6:
+            break
+    mapping = {name: sum((g.scale(c) for g, c in zip(x, row)), ring.zero())
+               for name, row in zip(lc.PLUCKER_NAMES, move)}
+    forms = [lc.Form(f.subst(mapping, ring)) for f in (quad, cubic)]
+    if forms[1].degree != 3:
+        return None, None
+    point = solve_linear(move, [one] + [one * 0] * 5, one)
+    return lc.CompleteIntersection35(forms[0], forms[1], "plucker"), point
+
+
+@pytest.mark.parametrize("one", [Fraction(1), Mod(1, 13), Mod(1, 3),
+                                 Mod(1, 2)], ids=["Q", "F13", "F3", "F2"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_node_report_agrees_at_singular_points_of_random_intersections(
+        one, seed):
+    ci, point = singular_complete_intersection(one, random.Random(seed))
+    if ci is None:
+        return
+    rep = lc.ci_node_report(ci, point)
+    assert rep.on_both and rep.jacobian_rank == 1
+    assert_node_reports_agree(ci, [point])
 
 
 # -- plane inventory ----------------------------------------------------------
