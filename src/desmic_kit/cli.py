@@ -8,6 +8,7 @@ in-memory objects but never serialized).
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -310,9 +311,8 @@ def check_duad_table():
                "6x6 duad/syntheme table differs from the reference")
 
 
-def check_fibration_tables(data_dir):
-    base = cf.supersingular_42_system(data_dir)
-    cs, commons = cf.fibration_tables(base)
+def check_fibration_tables(tables):
+    cs, commons = tables()
     ok = (len(commons) == 16 and len(cs.fibrations) == 3
           and all(f["type"] == "D~4"
                   for fib in cs.fibrations for f in fib["fibers"]))
@@ -333,9 +333,8 @@ def check_reye_28():
                "isomorphic to Reye")
 
 
-def check_ss_divisor(data_dir):
-    base = cf.supersingular_42_system(data_dir)
-    cs, commons = cf.fibration_tables(base)
+def check_ss_divisor(tables):
+    cs, commons = tables()
     out = la.divisor_pairings(cs, "H")
     pair = out["pairings"]
     centrals = {c for t in cf.FIBRATION_TABLES for c, _ in t[:4]}
@@ -349,9 +348,8 @@ def check_ss_divisor(data_dir):
                "1 with the 16 commons, 2 with the three conics")
 
 
-def check_ss_profile_printed(data_dir):
-    base = cf.supersingular_42_system(data_dir)
-    cs, _ = cf.fibration_tables(base)
+def check_ss_profile_printed(tables):
+    cs, _ = tables()
     out = la.divisor_pairings(cs, "H")
     profile = {}
     for v in out["pairings"].values():
@@ -493,16 +491,20 @@ def _suite_checks(name, opt):
              check_char2_kummer),
         ]
     if name == "supersingular":
+        # the 42-curve system is loaded and its tables built once per run;
+        # a failed load is not cached, so each check reports it on its own
+        tables = functools.cache(lambda: cf.fibration_tables(
+            cf.supersingular_42_system(opt.data_dir)))
         return [
             ("ss.pg24", "plane over the four-element field", check_pg24),
             ("ss.duad-table", "duad/syntheme table", check_duad_table),
             ("ss.fibration-tables", "three fibration tables",
-             lambda: check_fibration_tables(opt.data_dir)),
+             lambda: check_fibration_tables(tables)),
             ("ss.reye-28", "28-curve configuration", check_reye_28),
             ("ss.divisor-h", "polarization pairings",
-             lambda: check_ss_divisor(opt.data_dir)),
+             lambda: check_ss_divisor(tables)),
             ("ss.pairing-profile-printed", "printed pairing profile",
-             lambda: check_ss_profile_printed(opt.data_dir)),
+             lambda: check_ss_profile_printed(tables)),
         ]
     if name == "lattices":
         return [

@@ -9,6 +9,7 @@ system with its fibration tables, and a JSON loader for dual-graph data
 
 from fractions import Fraction
 from itertools import combinations, permutations
+import errno
 import json
 import os
 import tempfile
@@ -16,7 +17,8 @@ import tempfile
 from .linecomplex import (PLUCKER_NODES_16, PLUCKER_NODES_18,
                           perm_compose, perm_from_cycles,
                           plucker_plane_list)
-from .matrices import bilinear, det_poly_matrix, matrix_rank
+from .matrices import (bilinear, det_poly_matrix, exact_ratio, gram_times,
+                       integer_scaled, matrix_rank)
 from .projgeom import ProjPoint
 from .scalars import F4, F4_ELEMENTS, W
 from .surfaces import DESMIC_SINGULAR_12, desmic_lines_16
@@ -568,23 +570,30 @@ class CurveSystem:
         return self.gram[self.index[a]][self.index[b]]
 
     def _as_vector(self, terms):
-        """terms: iterable of (curve id, rational coefficient)."""
-        v = [Fraction(0)] * len(self.ids)
+        """terms: iterable of (curve id, rational coefficient).  Integral
+        entries are ints; only a non-integral one is a Fraction."""
+        v = [0] * len(self.ids)
         for cid, coeff in terms:
             v[self.index[cid]] += Fraction(coeff)
-        return v
+        return [x.numerator if x.denominator == 1 else x for x in v]
 
     def vector_pairing(self, u, v):
-        """u . v under the intersection matrix."""
-        return bilinear(self.gram, u, v)
+        """u . v under the intersection matrix: both vectors are scaled to
+        integers over their common denominators and divided once."""
+        du, iu = integer_scaled(u)
+        dv, iv = integer_scaled(v)
+        return exact_ratio(bilinear(self.gram, iu, iv), du * dv)
 
-    def fiber_vector(self, fibration_name, which=0):
+    def _fiber_components(self, fibration_name, which=0):
         for fib in self.fibrations:
             if fib["name"] == fibration_name:
-                comps = fib["fibers"][which]["components"]
-                return self._as_vector(
-                    (c["id"], c["mult"]) for c in comps)
+                return fib["fibers"][which]["components"]
         raise KeyError("no fibration named %r" % fibration_name)
+
+    def fiber_vector(self, fibration_name, which=0):
+        return self._as_vector(
+            (c["id"], c["mult"])
+            for c in self._fiber_components(fibration_name, which))
 
     def divisor_vector(self, name):
         """Expand a divisor record; "class" terms contribute the class of
@@ -592,20 +601,20 @@ class CurveSystem:
         for div in self.divisors:
             if div["name"] != name:
                 continue
-            v = [Fraction(0)] * len(self.ids)
+            terms = []
             for term in div["terms"]:
                 coeff = Fraction(term["coeff"])
                 if "class" in term:
-                    fv = self.fiber_vector(term["class"])
-                    v = [a + coeff * b for a, b in zip(v, fv)]
+                    terms += [(c["id"], coeff * c["mult"]) for c in
+                              self._fiber_components(term["class"])]
                 else:
-                    v[self.index[term["id"]]] += coeff
-            return v
+                    terms.append((term["id"], coeff))
+            return self._as_vector(terms)
         raise KeyError("no divisor named %r" % name)
 
     def curve_vector(self, cid):
-        v = [Fraction(0)] * len(self.ids)
-        v[self.index[cid]] = Fraction(1)
+        v = [0] * len(self.ids)
+        v[self.index[cid]] = 1
         return v
 
     def _check_fiber(self, fname, k, fiber):
@@ -649,8 +658,9 @@ class CurveSystem:
         sq = self.vector_pairing(fv, fv)
         if sq != 0:
             raise ValueError("%s: F^2 = %s, expected 0" % (where, sq))
+        fg = gram_times(self.gram, fv)
         for cid in cids:
-            val = self.vector_pairing(fv, self.curve_vector(cid))
+            val = fg[self.index[cid]]
             if val != 0:
                 raise ValueError("%s: F . %s = %s, expected 0"
                                  % (where, cid, val))
@@ -666,9 +676,8 @@ class CurveSystem:
             for k, fiber in enumerate(fib["fibers"]):
                 self._check_fiber(fib["name"], k, fiber)
         for div in self.divisors:
-            dv = self.divisor_vector(div["name"])
-            for cid in self.ids:
-                val = self.vector_pairing(dv, self.curve_vector(cid))
+            dg = gram_times(self.gram, self.divisor_vector(div["name"]))
+            for cid, val in zip(self.ids, dg):
                 if val.denominator != 1:
                     raise ValueError(
                         "divisor %s pairs non-integrally with %s: %s"
@@ -890,11 +899,13 @@ def fibration_tables(curve_system=None):
         fibers = []
         for central, leaves in table:
             for leaf in leaves:
-                assert cs.pair(central, leaf) == 1, \
-                    "central %s misses leaf %s" % (central, leaf)
+                if cs.pair(central, leaf) != 1:
+                    raise ValueError("table %d: central %s misses leaf %s"
+                                     % (t + 1, central, leaf))
             for u, v in combinations(leaves, 2):
-                assert cs.pair(u, v) == 0, \
-                    "leaves %s, %s meet" % (u, v)
+                if cs.pair(u, v) != 0:
+                    raise ValueError("table %d: leaves %s, %s of central %s "
+                                     "meet" % (t + 1, u, v, central))
             comps = [{"id": central, "mult": 2}]
             comps += [{"id": leaf, "mult": 1} for leaf in leaves]
             fibers.append({"type": "D~4", "components": comps})
@@ -902,12 +913,15 @@ def fibration_tables(curve_system=None):
         simple = set()
         for central, leaves in table[:4]:
             simple.update(leaves)
-        assert len(simple) == 16
+        if len(simple) != 16:
+            raise ValueError("table %d: %d simple components in its first "
+                             "four columns, expected 16"
+                             % (t + 1, len(simple)))
         if commons is None:
             commons = simple
-        else:
-            assert commons == simple, \
-                "simple components differ between tables"
+        elif commons != simple:
+            raise ValueError("table %d: simple components %s differ from "
+                             "table 1's" % (t + 1, sorted(simple ^ commons)))
     h_terms = [{"class": "f%d" % (t + 1), "coeff": "1"} for t in range(3)]
     h_terms += [{"id": c, "coeff": "-1/2"} for c in sorted(commons)]
     out = CurveSystem(cs.ids, cs.gram, fibrations=fibrations,
@@ -932,6 +946,9 @@ def supersingular_42_system(data_dir=None):
     generated from the labeling on first use."""
     path = data_path("supersingular-42.json", data_dir)
     if not os.path.exists(path):
+        if not os.path.isdir(os.path.dirname(path)):
+            raise FileNotFoundError(errno.ENOENT, "no such data directory",
+                                    path)
         cs, _ = fibration_tables()
         data = {
             "curves": [{"id": c, "self": -2} for c in cs.ids],
@@ -967,8 +984,11 @@ def extract_desmic_28():
     cs, commons = fibration_tables()
     centrals = [central for table in FIBRATION_TABLES
                 for central, _ in table[:4]]
-    assert centrals == ["12", "13", "14", "15", "26", "36", "46", "56",
-                        "23", "45", "T2", "T5"]
+    want = ["12", "13", "14", "15", "26", "36", "46", "56",
+            "23", "45", "T2", "T5"]
+    if centrals != want:
+        raise ValueError("centrals %s of the fibration tables differ from %s"
+                         % (centrals, want))
     keep = centrals + sorted(commons)
     idx = [cs.index[c] for c in keep]
     sub = [[cs.gram[a][b] for b in idx] for a in idx]
@@ -976,7 +996,10 @@ def extract_desmic_28():
     inc = {(c, e) for c in centrals for e in commons
            if cs28.pair(c, e) == 1}
     cfg = AbstractConfig(centrals, sorted(commons), inc, name="desmic-28")
-    assert cfg.type_signature == ((12, 4), (16, 3))
+    if cfg.type_signature != ((12, 4), (16, 3)):
+        raise ValueError("28-curve configuration has type %s, expected "
+                         "((12, 4), (16, 3))" % (cfg.type_signature,))
     iso = config_isomorphic(cfg, reye_config())
-    assert iso is not None, "28-curve configuration is not Reye"
+    if iso is None:
+        raise ValueError("28-curve configuration is not Reye")
     return cs28, cfg, iso

@@ -9,8 +9,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from .matrices import bilinear, det_poly_matrix, inertia_signature, \
-    row_basis, smith_invariants, smith_normal_form, solve_linear
+from .matrices import bilinear, det_poly_matrix, gram_times, \
+    inertia_signature, row_basis, smith_invariants, smith_normal_form, \
+    solve_linear
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +144,32 @@ class FiniteQuadForm:
 
     def __init__(self, orders, qvals, bmat):
         self.orders = tuple(int(d) for d in orders)
-        assert all(d > 1 for d in self.orders)
+        for i, d in enumerate(self.orders):
+            if d <= 1:
+                raise ValueError("generator %d has order %d, expected "
+                                 "above 1" % (i, d))
         k = len(self.orders)
         self.q = tuple(_mod2(v) for v in qvals)
         self.b = tuple(tuple(_mod1(bmat[i][j]) for j in range(k))
                        for i in range(k))
         for i in range(k):
+            d, q = self.orders[i], self.q[i]
             # b(x, x) = q(x) read modulo 1
-            assert self.b[i][i] == _mod1(self.q[i]), \
-                "diagonal bilinear value inconsistent with q"
-            assert _mod2(self.q[i] * self.orders[i] * self.orders[i]) == 0, \
-                "q incompatible with generator order"
+            if self.b[i][i] != _mod1(q):
+                raise ValueError("generator %d: b(g, g) = %s is not q(g) = "
+                                 "%s modulo 1" % (i, self.b[i][i], q))
+            if _mod2(q * d * d) != 0:
+                raise ValueError("generator %d: q(g) = %s incompatible with "
+                                 "order %d" % (i, q, d))
             for j in range(k):
-                assert self.b[i][j] == self.b[j][i]
-                assert _mod1(self.b[i][j] * self.orders[i]) == 0, \
-                    "b incompatible with generator order"
+                if self.b[i][j] != self.b[j][i]:
+                    raise ValueError("b not symmetric at generators %d, %d: "
+                                     "%s and %s" % (i, j, self.b[i][j],
+                                                    self.b[j][i]))
+                if _mod1(self.b[i][j] * d) != 0:
+                    raise ValueError("generators %d, %d: b = %s incompatible "
+                                     "with order %d"
+                                     % (i, j, self.b[i][j], d))
 
     @property
     def order(self):
@@ -392,12 +404,11 @@ def divisor_pairings(cs, name):
     h = cs.divisor_vector(name)
     self_int = cs.vector_pairing(h, h)
     table = {}
-    for cid in cs.ids:
-        val = cs.vector_pairing(h, cs.curve_vector(cid))
+    for cid, val in zip(cs.ids, gram_times(cs.gram, h)):
         if val.denominator != 1:
             raise ValueError("divisor %s pairs non-integrally with %s"
                              % (name, cid))
-        table[cid] = int(val)
+        table[cid] = val
     return {"self": self_int, "pairings": table}
 
 

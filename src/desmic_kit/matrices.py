@@ -3,6 +3,7 @@ determinants and Pfaffians over polynomial rings, rational inertia, and small
 generic linear-algebra helpers over any exact field."""
 
 from fractions import Fraction
+from math import lcm
 
 from .poly import MultiPoly
 
@@ -284,6 +285,30 @@ def bilinear(gram, u, v):
     sv = [(b, y) for b, y in enumerate(v) if y]
     return sum(x * sum(gram[a][b] * y for b, y in sv)
                for a, x in enumerate(u) if x)
+
+
+# -- fraction-free rational vectors (Cohen 1993, section 2.2) -----------------
+
+def integer_scaled(v):
+    """(d, w) for a vector of ints and Fractions: d is the lcm of the
+    entries' denominators and w = d * v is an int vector."""
+    d = lcm(*{x.denominator for x in v})
+    return d, [x.numerator * (d // x.denominator) for x in v]
+
+
+def exact_ratio(n, d):
+    """n / d for ints, as an int when d divides n and else a Fraction."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
+def gram_times(gram, v):
+    """G . v for an integer matrix G and a rational vector v, summed over the
+    nonzero entries of v only; v is scaled to integers and each entry of the
+    product is divided once."""
+    d, w = integer_scaled(v)
+    sv = [(b, y) for b, y in enumerate(w) if y]
+    return [exact_ratio(sum(row[b] * y for b, y in sv), d) for row in gram]
 
 
 def rref(rows):

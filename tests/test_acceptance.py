@@ -78,7 +78,7 @@ def test_criterion_6_characteristic_2():
 
 
 def test_criterion_7_supersingular():
-    by_id = run_within("supersingular", 5)
+    by_id = run_within("supersingular", 2)
     for cid in ("ss.pg24", "ss.duad-table", "ss.fibration-tables",
                 "ss.reye-28", "ss.divisor-h"):
         assert by_id[cid].status == "pass", by_id[cid].details
@@ -89,7 +89,7 @@ def test_criterion_7_supersingular():
                    "intersection matrix; the exact profile is "
                    "{0x15, 1x24, 2x3}")
 def test_criterion_7_pairing_profile_verbatim():
-    by_id = run_within("supersingular", 5)
+    by_id = run_within("supersingular", 2)
     assert by_id["ss.pairing-profile-printed"].status == "pass", \
         by_id["ss.pairing-profile-printed"].details
 

@@ -117,6 +117,18 @@ def test_supersingular_data_file_write_is_atomic(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_missing_data_dir_fails_each_supersingular_check(tmp_path):
+    opt = cli.Options(data_dir=str(tmp_path / "no" / "such" / "dir"))
+    first = cli.run_suite("supersingular", opt)
+    assert cli.run_suite("supersingular", opt).to_json() == first.to_json()
+    failed = {c.id: c.details for c in first.failures}
+    want = "data file missing: [Errno 2] no such data directory: '%s'" \
+        % cf.data_path("supersingular-42.json", opt.data_dir)
+    assert failed == {"ss.fibration-tables": want, "ss.divisor-h": want,
+                      "ss.pairing-profile-printed": want}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_supersingular_suite_statuses():
     rep = cli.run_suite("supersingular")
     by_id = {c.id: c for c in rep.checks}
@@ -191,8 +203,9 @@ from fractions import Fraction
 import desmic_kit.cli as cli
 import desmic_kit.lattices as la
 import desmic_kit.linecomplex as lc
+import desmic_kit.configs as cf
 from desmic_kit.configs import CurveSystem
-from desmic_kit.lattices import Lattice, _coords_in_basis
+from desmic_kit.lattices import FiniteQuadForm, Lattice, _coords_in_basis
 from desmic_kit.poly import PolyRing
 from desmic_kit.scalars import Mod
 from desmic_kit.scan import run_scan
@@ -210,6 +223,17 @@ klein_f2 = lc.CompleteIntersection35.klein(i=f2, one=f2)
 def artin_with_failing_embedding(sigma):
     la._embedding_check = lambda *a: (False, "Gram not preserved at (0, 0)")
     la.artin2_check(sigma)
+
+def relabeled_42(a, b, value):
+    cs, _ = cf.label_42_curves()
+    gram = [row[:] for row in cs.gram]
+    i, j = cs.index[a], cs.index[b]
+    gram[i][j] = gram[j][i] = value
+    return CurveSystem(cs.ids, gram)
+
+def desmic_28_not_reye():
+    cf.config_isomorphic = lambda cfg, other: None
+    cf.extract_desmic_28()
 
 ok = cli.Check("x", "a", "pass", "d")
 twice = {"name": "f", "fibers": [{"components": [{"id": "a", "mult": 1},
@@ -239,7 +263,12 @@ for case in (lambda: run_scan(13, 0),
              lambda: lc.PlaneInP5([[int(j == k) for j in range(5)]
                                    for k in range(3)], Fraction(1)),
              lambda: artin_with_failing_embedding(1),
-             lambda: artin_with_failing_embedding(2)):
+             lambda: artin_with_failing_embedding(2),
+             lambda: cf.fibration_tables(relabeled_42("12", "2", 0)),
+             lambda: cf.fibration_tables(relabeled_42("2", "12.35.46", 1)),
+             desmic_28_not_reye,
+             lambda: FiniteQuadForm([2], [Fraction(1, 3)],
+                                    [[Fraction(1, 7)]])):
     try:
         case()
         print("accepted")
@@ -260,7 +289,11 @@ OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
                     "[[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]] cut "
                     "a space of dimension 1", "sigma 1 witness embedding "
                     "fails: Gram not preserved at (0, 0)", "sigma 2 witness "
-                    "embedding fails: Gram not preserved at (0, 0)"]
+                    "embedding fails: Gram not preserved at (0, 0)",
+                    "table 1: central 12 misses leaf 2",
+                    "table 1: leaves 12.35.46, 2 of central 12 meet",
+                    "28-curve configuration is not Reye",
+                    "generator 0: b(g, g) = 1/7 is not q(g) = 1/3 modulo 1"]
 
 
 def test_validation_survives_python_O():

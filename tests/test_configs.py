@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import desmic_kit.configs as cf
+import desmic_kit.lattices as la
 from desmic_kit.linecomplex import perm_from_cycles
-from desmic_kit.matrices import matrix_rank
+from desmic_kit.matrices import gram_times, matrix_rank
 
 
 # -- abstract configurations ---------------------------------------------------
@@ -313,13 +314,23 @@ def test_pairing_of_unit_zero_and_dense_vectors(name):
 
 
 def rational_vectors(n):
-    nonzero = st.fractions(-5, 5, max_denominator=6).filter(bool)
-    entry = st.one_of(st.just(Fraction(0)), nonzero)
+    """Vectors that mix int and Fraction entries, with denominators 1 to 6
+    and either sign."""
+    fractions = st.fractions(-5, 5, max_denominator=6).filter(bool)
+    nonzero = st.one_of(fractions, st.integers(-5, 5).filter(bool))
+    entry = st.one_of(st.just(0), st.just(Fraction(0)), nonzero)
     return st.one_of(
         st.just([Fraction(0)] * n),
+        st.just([0] * n),
         st.integers(0, n - 1).map(lambda k: unit(n, k)),
         st.lists(nonzero, min_size=n, max_size=n),
         st.lists(entry, min_size=n, max_size=n))
+
+
+def assert_exact(val, want):
+    """val equals want, and is an int exactly when want is integral."""
+    assert val == want
+    assert isinstance(val, int) == (Fraction(want).denominator == 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -328,7 +339,57 @@ def test_sparse_pairing_agrees_with_dense_sum(data):
     cs = curve_system(data.draw(st.sampled_from(SYSTEMS)))
     u = data.draw(rational_vectors(len(cs.ids)))
     v = data.draw(rational_vectors(len(cs.ids)))
-    assert cs.vector_pairing(u, v) == dense_pairing(cs, u, v)
+    assert_exact(cs.vector_pairing(u, v), dense_pairing(cs, u, v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gram_times_agrees_with_dense_sums(data):
+    cs = curve_system(data.draw(st.sampled_from(SYSTEMS)))
+    n = len(cs.ids)
+    v = data.draw(rational_vectors(n))
+    got = gram_times(cs.gram, v)
+    assert len(got) == n
+    for val, row in zip(got, cs.gram):
+        assert_exact(val, sum(Fraction(g) * x for g, x in zip(row, v)))
+
+
+def per_curve_divisor_pairings(cs, name):
+    """The oracle: the divisor expanded from its record in Fractions, then
+    one dense pairing per curve against a unit Fraction vector."""
+    n = len(cs.ids)
+    div = next(d for d in cs.divisors if d["name"] == name)
+    h = [Fraction(0)] * n
+    for term in div["terms"]:
+        coeff = Fraction(term["coeff"])
+        if "class" in term:
+            fib = next(f for f in cs.fibrations if f["name"] == term["class"])
+            for comp in fib["fibers"][0]["components"]:
+                h[cs.index[comp["id"]]] += coeff * comp["mult"]
+        else:
+            h[cs.index[term["id"]]] += coeff
+    return {"self": dense_pairing(cs, h, h),
+            "pairings": {cid: dense_pairing(cs, h, unit(n, k))
+                         for k, cid in enumerate(cs.ids)}}
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_divisor_pairings_agree_with_per_curve_oracle(name):
+    cs = curve_system(name)
+    got = la.divisor_pairings(cs, "H")
+    assert got == per_curve_divisor_pairings(cs, "H")
+    assert all(type(v) is int for v in got["pairings"].values())
+    assert_exact(got["self"], 4)
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_curve_vectors_hold_ints_for_integral_entries(name):
+    cs = curve_system(name)
+    vectors = [cs.divisor_vector("H"), cs.curve_vector(cs.ids[-1])]
+    vectors += [cs.fiber_vector(fib["name"], k) for fib in cs.fibrations
+                for k in range(len(fib["fibers"]))]
+    for v in vectors:
+        assert all(type(x) is int or x.denominator > 1 for x in v)
 
 
 # -- curve-system ingestion ------------------------------------------------------

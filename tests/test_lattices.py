@@ -93,7 +93,8 @@ def test_u_and_v_relations():
 
 def test_fq_diagonal_consistency_enforced():
     # b(x, x) must equal q(x) mod 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match=r"generator 0: b\(g, g\) = 1/2 "
+                       r"is not q\(g\) = 1 modulo 1"):
         la.FiniteQuadForm((2,), (1,), [[Fraction(1, 2)]])
 
 
