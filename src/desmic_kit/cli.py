@@ -228,22 +228,22 @@ def check_symmetry(budget_seconds):
                % (rep.order, rep.node_orbit_sizes, rep.plane_orbit_count))
 
 
-def check_cremona_rewrite():
-    rep = lc.project_to_quartic_threefold()
+def check_cremona_rewrite(projection):
+    rep = projection()
     return _ok(rep["rewrite_identity"] and rep["elimination_identity"],
                "quartic-threefold rewriting and elimination identities hold "
                "exactly")
 
 
-def check_cremona_nodes():
-    rep = lc.project_to_quartic_threefold()
+def check_cremona_nodes(projection):
+    rep = projection()
     ok = rep["nodes_ok"] and len(rep["node_flags"]) == 17
     return _ok(ok, "%d listed points verified as nodes of the projected "
                "quartic" % len(rep["node_flags"]))
 
 
-def check_cremona_lines():
-    rep = lc.project_to_quartic_threefold()
+def check_cremona_lines(projection):
+    rep = projection()
     return _ok(rep["singular_lines_ok"],
                "all 4 listed singular lines verified")
 
@@ -470,12 +470,16 @@ def _suite_checks(name, opt):
              lambda: check_symmetry(opt.budget_seconds)),
         ]
     if name == "cremona":
+        # the projection to the quartic threefold is computed once per run
+        # for its three checks; an exception is not cached
+        projection = functools.cache(lc.project_to_quartic_threefold)
         return [
             ("cremona.rewrite", "quartic threefold rewriting identity",
-             check_cremona_rewrite),
-            ("cremona.nodes-17", "seventeen nodes", check_cremona_nodes),
+             lambda: check_cremona_rewrite(projection)),
+            ("cremona.nodes-17", "seventeen nodes",
+             lambda: check_cremona_nodes(projection)),
             ("cremona.singular-lines", "four singular lines",
-             check_cremona_lines),
+             lambda: check_cremona_lines(projection)),
             ("cremona.rationality-planes", "three planes and intersections",
              check_rationality_planes),
             ("cremona.segre", "cubic change of variables",

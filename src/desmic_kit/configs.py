@@ -685,6 +685,11 @@ class CurveSystem:
         return self
 
 
+def _is_int(value):
+    """True for a JSON integer; bool is an int subclass but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def ingest_curve_system(path):
     """Load and validate a curve system from its JSON file."""
     with open(path) as fh:
@@ -699,6 +704,9 @@ def ingest_curve_system(path):
     for rec in data["curves"]:
         if set(rec) != {"id", "self"}:
             raise ValueError("bad curve record %r" % (rec,))
+        if not _is_int(rec["self"]):
+            raise ValueError("curve record %r: self-intersection is not an "
+                             "integer" % (rec,))
         ids.append(rec["id"])
         selfints[rec["id"]] = rec["self"]
     n = len(ids)
@@ -708,6 +716,7 @@ def ingest_curve_system(path):
     gram = [[0] * n for _ in range(n)]
     for c in ids:
         gram[index[c]][index[c]] = selfints[c]
+    given = set()
     for entry in data.get("intersections", []):
         if len(entry) != 3:
             raise ValueError("bad intersection entry %r" % (entry,))
@@ -718,9 +727,14 @@ def ingest_curve_system(path):
         if a == b:
             raise ValueError("self-intersections belong in 'curves': %r"
                              % (entry,))
-        if gram[index[a]][index[b]] != 0:
-            raise ValueError("intersection %s.%s given twice" % (a, b))
-        gram[index[a]][index[b]] = gram[index[b]][index[a]] = int(val)
+        if not _is_int(val):
+            raise ValueError("intersection entry %r: value is not an integer"
+                             % (entry,))
+        if frozenset((a, b)) in given:
+            raise ValueError("intersection %s.%s given twice: %r"
+                             % (a, b, entry))
+        given.add(frozenset((a, b)))
+        gram[index[a]][index[b]] = gram[index[b]][index[a]] = val
     fibrations = data.get("fibrations", [])
     for fib in fibrations:
         if set(fib) != {"name", "fibers"}:

@@ -20,7 +20,7 @@ from itertools import permutations, product
 from .matrices import bilinear, matrix_rank, nullspace, rref
 from .poly import PolyRing
 from .scalars import I, Mod, QI, from_int, one_like, sqrt_minus_one
-from .surfaces import Form, eval_coords, node_check
+from .surfaces import Form, node_check, polar_matrix, taylor
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def montesano_matrix(net, a, b):
     names = net[0].ring.varnames
 
     def val(q, pt):
-        return eval_coords(q, names, list(pt)).constant_coeff()
+        return q.evaluate(dict(zip(names, pt)))
 
     ab = [ai + bi for ai, bi in zip(a, b)]
     row_a = [val(q, a) for q in net]
@@ -209,13 +209,6 @@ class CompleteIntersection35:
         self.i = i
         self.ring = quadric.ring
         self.one = quadric.ring.one
-        # first and second partials, for the node test
-        self.grad2 = quadric.partials()
-        self.grad3 = cubic.partials()
-        self.hess2 = [Form(g, quadric.coord_vars).partials()
-                      for g in self.grad2]
-        self.hess3 = [Form(g, cubic.coord_vars).partials()
-                      for g in self.grad3]
 
     @classmethod
     def plucker(cls, one=Fraction(1)):
@@ -350,11 +343,6 @@ def _lift_point(one, pt):
     return tuple(from_int(one, c) if isinstance(c, int) else c for c in pt)
 
 
-def _values(polys, coord_vars, pt):
-    return [eval_coords(g, coord_vars, list(pt)).constant_coeff()
-            for g in polys]
-
-
 class NodeReport:
     """Per-point data for the complete-intersection node test."""
 
@@ -381,34 +369,50 @@ def ci_node_report(ci, pt):
     part of cubic - lambda*quadric restricted to the tangent space of the
     quadric has rank 4.
 
-    In the affine chart with the leading coordinate set to 1, the quadratic
-    part q of cubic - lambda*quadric polarizes to the Hessian H of
-    cubic - lambda*quadric on the other five coordinates:
-    q(a+b) - q(a) - q(b) = a.H.b and 2q(a) = a.H.a in every characteristic.
-    So the Gram matrix of q on the tangent space T is T^t.H.T."""
+    Value, gradient and quadratic part of each equation come from one
+    degree-2 Taylor expansion at the normalized point.  In the affine chart
+    with the pivot (the leading nonzero coordinate) set to 1, the quadratic
+    part q of cubic - lambda*quadric lives on the other five coordinates,
+    and its Gram matrix on the tangent space T of the quadric is T^t.H.T,
+    with H the polar matrix of q.
+
+    Rank 4 is the criterion of quadratic_part_smooth for q on T, in every
+    characteristic: in an even number of variables a quadric is smooth
+    exactly when its polar form is nondegenerate.  In characteristic 2 the
+    polar form is alternating, so its kernel on the 4-dimensional T has even
+    dimension and the one-dimensional kernel that quadratic_part_smooth
+    admits cannot occur; otherwise q(w) is half the polar value at (w, w),
+    which vanishes on the kernel."""
     one = ci.one
-    coord_vars = ci.quadric.coord_vars
+    zero = one * 0
     pt = _normalize_tuple(_lift_point(one, pt))
-    on2 = ci.quadric.eval_coords(list(pt)).is_zero()
-    on3 = ci.cubic.eval_coords(list(pt)).is_zero()
-    g2 = _values(ci.grad2, coord_vars, pt)
-    g3 = _values(ci.grad3, coord_vars, pt)
+    n = len(pt)
+    t2 = taylor(ci.quadric, pt, 2)
+    t3 = taylor(ci.cubic, pt, 2)
+
+    def coeff(t, e):
+        c = t.get(e)
+        return zero if c is None else c.constant_coeff()
+
+    on2 = (0,) * n not in t2
+    on3 = (0,) * n not in t3
+    units = [tuple(int(k == m) for m in range(n)) for k in range(n)]
+    g2 = [coeff(t2, e) for e in units]
+    g3 = [coeff(t3, e) for e in units]
     jrank = matrix_rank([g2, g3])
     if not (on2 and on3) or jrank != 1:
         return NodeReport(pt, on2 and on3, jrank, None, 0)
-    # the leading coordinate is 1 in the chart; the other five are local
+    # the pivot is 1 in the chart; the other five coordinates are local
     pivot = next(k for k, c in enumerate(pt) if c)
-    local = [k for k in range(len(pt)) if k != pivot]
-    lin = [g2[k] for k in local]
+    lin = g2[:pivot] + g2[pivot + 1:]
     if not any(lin):
         raise ValueError("quadric not smooth at %r" % (pt,))
     # rank 1 with g2 != 0: the cubic's gradient is lam times the quadric's
     j = next(k for k, v in enumerate(g2) if v)
     lam = g3[j] / g2[j]
-    h = [[c3 - lam * c2 for c2, c3 in zip(
-        _values([ci.hess2[a][b] for b in local], coord_vars, pt),
-        _values([ci.hess3[a][b] for b in local], coord_vars, pt))]
-        for a in local]
+    q = {e[:pivot] + e[pivot + 1:]: coeff(t3, e) - lam * coeff(t2, e)
+         for e in set(t2) | set(t3) if sum(e) == 2 and not e[pivot]}
+    h = polar_matrix(q, n - 1, one)
     tangent = nullspace([lin], one)
     gram = [[bilinear(h, u, v) for v in tangent] for u in tangent]
     return NodeReport(pt, True, 1, lam, matrix_rank(gram))
@@ -663,7 +667,9 @@ def klein_plane_labels():
     rows = klein_change_rows(I)
     printed = plucker_plane_list(QI(1))
     by_canon = {pl.canonical(): pl.label for pl in printed}
-    assert len(by_canon) == 24
+    if len(by_canon) != 24:
+        raise ValueError("the printed planes have %d distinct canonical "
+                         "forms, not 24" % len(by_canon))
     labels = []
     for pl in klein_plane_list():
         pulled = []
@@ -672,7 +678,9 @@ def klein_plane_labels():
                            for j in range(6)])
         canon = PlaneInP5(pulled, QI(1)).canonical()
         labels.append(by_canon[canon])
-    assert len(set(labels)) == 24
+    if len(set(labels)) != 24:
+        raise ValueError("the Klein planes match %d distinct printed "
+                         "labels, not 24" % len(set(labels)))
     return labels
 
 
@@ -895,7 +903,9 @@ def _line_on_and_singular(form, covectors):
     covs = [[from_int(one, c) if isinstance(c, int) else c for c in cv]
             for cv in covectors]
     basis = nullspace(covs, one)
-    assert len(basis) == 2
+    if len(basis) != 2:
+        raise ValueError("covectors %r cut a space of dimension %d, not a "
+                         "line" % (covectors, len(basis) - 1))
     ring2 = PolyRing(["s", "t"], one)
     s, t = ring2.gens()
     mapping = {name: s.scale(basis[0][j]) + t.scale(basis[1][j])
@@ -960,7 +970,9 @@ def rationality_planes_check():
     for covs in RATIONALITY_PLANES:
         rows = [[from_int(one, c) for c in cv] for cv in covs]
         basis = nullspace(rows, one)
-        assert len(basis) == 3
+        if len(basis) != 3:
+            raise ValueError("covectors %r cut a space of dimension %d, not "
+                             "a plane" % (covs, len(basis) - 1))
         bases.append(basis)
         mapping = {name: (s.scale(basis[0][j]) + t.scale(basis[1][j])
                           + r.scale(basis[2][j]))

@@ -9,6 +9,8 @@ parameters).
 """
 
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 from .matrices import matrix_rank, nullspace
 from .poly import (MultiPoly, PolyRing, PowerSeriesTrunc, RatFunc, prem)
@@ -35,50 +37,8 @@ class Form:
     def partials(self):
         return [self.poly.diff(v) for v in self.coord_vars]
 
-    def eval_coords(self, point):
-        """Substitute scalars for the coordinate variables only; the result is
-        a polynomial in the parameters (constant if there are none)."""
-        return eval_coords(self.poly, self.coord_vars, point)
-
     def __repr__(self):
         return "Form(%r)" % (self.poly,)
-
-
-def eval_coords(poly, coord_vars, point):
-    ring = poly.ring
-    pr_names = [v for v in ring.varnames if v not in coord_vars]
-    pr = PolyRing(pr_names, ring.one)
-    vals = {}
-    for v, c in zip(coord_vars, point):
-        if isinstance(c, int):
-            c = from_int(ring.one, c)
-        vals[v] = c
-    out = pr.zero()
-    for e, c in poly.coeffs.items():
-        scal = ring.one
-        pe = []
-        ok = True
-        for name, k in zip(ring.varnames, e):
-            if name in vals:
-                for _ in range(k):
-                    scal = scal * vals[name]
-                    if not scal:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            else:
-                pe.append(k)
-        if not ok or not scal:
-            continue
-        key = tuple(pe)
-        cur = out.coeffs.get(key)
-        val = c * scal if cur is None else cur + c * scal
-        if val:
-            out.coeffs[key] = val
-        elif key in out.coeffs:
-            del out.coeffs[key]
-    return out
 
 
 class SingularPointReport:
@@ -99,62 +59,106 @@ class SingularPointReport:
                 % (self.point, self.is_singular, self.node, self.an_type))
 
 
-def singular_at(f, p):
-    """Evaluate f and all its formal coordinate partials at p (char-2 safe:
-    identically-zero partials are simply zero polynomials)."""
-    point = list(p.coords) if isinstance(p, ProjPoint) else list(p)
+def _lift_coords(one, p):
+    """The coordinates of p (a ProjPoint or a sequence) in the field of
+    `one`."""
+    return [_lift_scalar(one, c)
+            for c in (p.coords if isinstance(p, ProjPoint) else p)]
+
+
+def taylor(f, p, degree):
+    """Taylor coefficients of the form f at the point p, up to total degree
+    `degree` in the local coordinates u = x - p.
+
+    Returns a dict mapping each exponent tuple e (one slot per coordinate
+    variable) to the nonzero coefficient of u^e, a polynomial in the
+    parameters of f.  That coefficient is the Hasse derivative D^(e) f at
+    p: a term c*x^a*t^b of f contributes c*C(a, e)*p^(a-e)*t^b for every
+    e <= a with |e| <= degree, where C(a, e) is the product of the binomial
+    coefficients C(a_i, e_i) mapped into the field.  No division by e! is
+    involved, so the expansion is exact in every characteristic (Hasse
+    1936, J. reine angew. Math. 175)."""
+    one = f.ring.one
+    point = _lift_coords(one, p)
     if len(point) != len(f.coord_vars):
-        raise ValueError("point/form dimension mismatch")
-    on = f.eval_coords(point).is_zero()
-    grads = [eval_coords(g, f.coord_vars, point) for g in f.partials()]
-    jac_rank = 0 if all(g.is_zero() for g in grads) else 1
+        raise ValueError("point %r has %d coordinates, the form %d"
+                         % (point, len(point), len(f.coord_vars)))
+    params = [k for k in range(f.ring.nvars()) if k not in f.coord_idx]
+    powers = []
+    for c in point:
+        row = [one]
+        for _ in range(max(f.degree, 0)):
+            row.append(row[-1] * c)
+        powers.append(row)
+    buckets = {}
+    for exp, c in f.poly.coeffs.items():
+        a = [exp[k] for k in f.coord_idx]
+        b = tuple(exp[k] for k in params)
+        # a zero coordinate kills every term with e_i < a_i
+        ranges = [range(ai, ai + 1) if not x else range(min(ai, degree) + 1)
+                  for ai, x in zip(a, point)]
+        for e in product(*ranges):
+            if sum(e) > degree:
+                continue
+            binom = 1
+            term = c
+            for ai, ei, pw in zip(a, e, powers):
+                if ai > ei:
+                    binom *= comb(ai, ei)
+                    term = term * pw[ai - ei]
+            if binom != 1:
+                term = term * from_int(one, binom)
+            if term:
+                bucket = buckets.setdefault(e, {})
+                bucket[b] = bucket[b] + term if b in bucket else term
+    pr = PolyRing([f.ring.varnames[k] for k in params], one)
+    out = {e: MultiPoly(pr, d) for e, d in buckets.items()}
+    return {e: g for e, g in out.items() if g}
+
+
+def singular_at(f, p):
+    """Value and gradient of f at p, read from its degree-1 Taylor
+    expansion; a partial that vanishes identically (as x^2 does in
+    characteristic 2) contributes nothing."""
+    point = list(p.coords) if isinstance(p, ProjPoint) else list(p)
+    coeffs = taylor(f, point, 1)
+    on = (0,) * len(point) not in coeffs
+    jac_rank = 1 if any(sum(e) == 1 for e in coeffs) else 0
     return SingularPointReport(point, on, jac_rank,
                                is_singular=on and jac_rank == 0)
 
 
-def _localize_split(f, p):
-    """Affine chart at p: returns a dict mapping local exponent tuples (one
-    slot per coordinate variable except the pivot) to parameter polynomials.
-    The chart is x_i = p_i/p_k + u_i with pivot x_k = 1."""
-    point = list(p.coords) if isinstance(p, ProjPoint) else list(p)
-    pivot = next(i for i, c in enumerate(point) if c)
-    pv = point[pivot]
-    one = f.ring.one
-    norm = []
-    for c in point:
-        if isinstance(c, int):
-            c = Fraction(c) if isinstance(one, Fraction) or isinstance(one, int) \
-                else from_int(one, c)
-        norm.append(c)
-    norm = [c / norm[pivot] for c in norm]
+def _chart(f, p, degree):
+    """Taylor coefficients of f in the affine chart at p, up to `degree`.
 
-    local_names = ["u%d" % i for i in range(len(point) - 1)]
-    pr_names = [v for v in f.ring.varnames if v not in f.coord_vars]
-    big = PolyRing(pr_names + local_names + list(f.coord_vars), one)
-    # substitute x_i -> p_i + u_i (pivot -> 1) inside the big ring
-    mapping = {}
-    li = 0
-    for i, v in enumerate(f.coord_vars):
-        if i == pivot:
-            mapping[v] = big.const(1)
+    The chart fixes the pivot x_k = 1 (k the first nonzero coordinate of
+    p) and puts x_i = p_i/p_k + u_i elsewhere, so of the expansion at the
+    normalized point only the terms with e[k] = 0 remain; their exponent
+    tuples are returned with slot k dropped."""
+    point = _lift_coords(f.ring.one, p)
+    k = next(i for i, c in enumerate(point) if c)
+    point = [c / point[k] for c in point]
+    return {e[:k] + e[k + 1:]: c for e, c in taylor(f, point, degree).items()
+            if not e[k]}
+
+
+def polar_matrix(q2, nvars, one):
+    """Matrix of the polar form q(a + b) - q(a) - q(b) of the quadratic form
+    q, given as a dict exponent tuple -> coefficient.  Row i holds the
+    coefficients of the formal partial dq/du_i: a cross term c*u_i*u_j puts
+    c at (i, j) and (j, i), and a square term c*u_i^2 puts 2c at (i, i),
+    which is zero in characteristic 2."""
+    zero = one * 0
+    two = from_int(one, 2)
+    m = [[zero] * nvars for _ in range(nvars)]
+    for e, c in q2.items():
+        i, j = (k for k, x in enumerate(e) for _ in range(x))
+        if i == j:
+            m[i][i] = m[i][i] + c * two
         else:
-            mapping[v] = big.var(local_names[li]) + big.const(1).scale(one * norm[i])
-            li += 1
-    for v in pr_names:
-        mapping[v] = big.var(v)
-    loc = f.poly.subst(mapping, big)
-    # split into local-exponent -> parameter-polynomial
-    pr = PolyRing(pr_names, one)
-    npr = len(pr_names)
-    nloc = len(local_names)
-    out = {}
-    for e, c in loc.coeffs.items():
-        le = tuple(e[npr:npr + nloc])
-        pe = tuple(e[:npr])
-        bucket = out.setdefault(le, {})
-        bucket[pe] = bucket.get(pe, one * 0) + c
-    return {le: MultiPoly(pr, d) for le, d in out.items()
-            if not MultiPoly(pr, d).is_zero()}, local_names, pr
+            m[i][j] = m[i][j] + c
+            m[j][i] = m[j][i] + c
+    return m
 
 
 def quadratic_part_smooth(q2_coeffs, nvars, one):
@@ -162,33 +166,19 @@ def quadratic_part_smooth(q2_coeffs, nvars, one):
     form in `nvars` variables over an exact field (char-2 robust).
 
     q2_coeffs: dict exponent-tuple -> field element.  The test: let N be the
-    common kernel of the formal partials (linear forms); the quadric is
-    smooth iff N = 0, or dim N = 1 with q2 nonvanishing on the kernel line.
+    kernel of the polar matrix (the common kernel of the formal partials);
+    the quadric is smooth iff N = 0, or dim N = 1 with q2 nonvanishing on
+    the kernel line.
     """
     if not q2_coeffs:
         return False
-    zero = one * 0
-    rows = []
-    for i in range(nvars):
-        row = [zero] * nvars
-        for e, c in q2_coeffs.items():
-            if e[i] == 0:
-                continue
-            k = from_int(one, e[i])
-            if not k:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            j = next(t for t, x in enumerate(e2) if x)
-            row[j] = row[j] + c * k
-        rows.append(row)
-    ker = nullspace(rows, one)
+    ker = nullspace(polar_matrix(q2_coeffs, nvars, one), one)
     if not ker:
         return True
     if len(ker) >= 2:
         return False
     w = ker[0]
-    val = zero
+    val = one * 0
     for e, c in q2_coeffs.items():
         t = c
         for wi, ei in zip(w, e):
@@ -201,36 +191,29 @@ def quadratic_part_smooth(q2_coeffs, nvars, one):
 def node_check(f, p):
     """True iff p is an ordinary node of V(f): the degree-2 part of f in an
     affine chart at p defines a smooth quadric (Jacobian criterion on the
-    tangent cone; valid in characteristic 2)."""
-    rep = singular_at(f, p)
-    if not rep.is_singular:
-        raise ValueError("point is not singular on the form")
-    split, local_names, pr = _localize_split(f, p)
-    n = len(local_names)
-    has_params = bool(pr.varnames)
-    q2 = {}
-    for le, cpoly in split.items():
-        d = sum(le)
-        if d < 2 and not cpoly.is_zero():
-            if d == 0 or d == 1:
-                raise ValueError("unexpected nonzero low-order term at singular point")
-        if d == 2:
-            q2[le] = RatFunc(cpoly) if has_params else cpoly.constant_coeff()
-    if has_params:
-        one = RatFunc(pr.const(1))
+    tangent cone; valid in characteristic 2).  With parameters the verdict
+    is taken over their rational function field."""
+    if not singular_at(f, p).is_singular:
+        raise ValueError("point %r is not singular on the form" % (p,))
+    q2 = {e: c for e, c in _chart(f, p, 2).items() if sum(e) == 2}
+    one = f.ring.one
+    if f.ring.nvars() > len(f.coord_vars):
+        q2 = {e: RatFunc(c) for e, c in q2.items()}
+        params = [v for v in f.ring.varnames if v not in f.coord_vars]
+        one = RatFunc(PolyRing(params, one).const(1))
     else:
-        one = f.ring.one
-    return quadratic_part_smooth(q2, n, one)
+        q2 = {e: c.constant_coeff() for e, c in q2.items()}
+    return quadratic_part_smooth(q2, len(f.coord_vars) - 1, one)
 
 
 def local_series(f, p, trunc=PowerSeriesTrunc.DEFAULT_TRUNC):
     """Truncated local equation of f in an affine chart centered at p
     (numeric, parameter-free forms only)."""
-    split, local_names, pr = _localize_split(f, p)
-    if pr.varnames:
+    if f.ring.nvars() > len(f.coord_vars):
         raise ValueError("local_series requires a parameter-free form")
-    ring = PolyRing(local_names, f.ring.one)
-    coeffs = {le: c.constant_coeff() for le, c in split.items()}
+    ring = PolyRing(["u%d" % i for i in range(len(f.coord_vars) - 1)],
+                    f.ring.one)
+    coeffs = {e: c.constant_coeff() for e, c in _chart(f, p, trunc).items()}
     return PowerSeriesTrunc(ring, coeffs, trunc)
 
 
@@ -358,48 +341,22 @@ def rdp_an_type(series, max_n=6):
     if quadratic_part_smooth(q2, 3, one):
         return AnVerdict("A", 1)
     # find the singular point of the tangent-cone conic
-    rows = []
     zero = one * 0
-    for i in range(3):
-        row = [zero] * 3
-        for e, c in q2.items():
-            if e[i]:
-                k = from_int(one, e[i])
-                if not k:
-                    continue
-                e2 = list(e)
-                e2[i] -= 1
-                j = next(t for t, x in enumerate(e2) if x)
-                row[j] = row[j] + c * k
-        rows.append(row)
-    ker = nullspace(rows, one)
+    polar = polar_matrix(q2, 3, one)
+    ker = nullspace(polar, one)
     if len(ker) != 1:
         return AnVerdict("not-A")
     P = ker[0]
-    # complete P to a basis with two coordinate vectors
+    # complete P to a basis with the two coordinate vectors e_i, e_j
     piv = next(i for i, c in enumerate(P) if c)
-    others = [i for i in range(3) if i != piv]
-    basis = []
-    for i in others:
-        v = [zero] * 3
-        v[i] = one
-        basis.append(v)
-    e1, e2v = basis
-    # binary quadratic B(s,t) = q2(s*e1 + t*e2)
-    def q2_eval(vec):
-        val = zero
-        for e, c in q2.items():
-            t = c
-            for vi, ei in zip(vec, e):
-                for _ in range(ei):
-                    t = t * vi
-            val = val + t
-        return val
-
-    aa = q2_eval(e1)
-    cc = q2_eval(e2v)
-    both = [x + y for x, y in zip(e1, e2v)]
-    bb = q2_eval(both) - aa - cc
+    i, j = [k for k in range(3) if k != piv]
+    e1 = [one if k == i else zero for k in range(3)]
+    e2v = [one if k == j else zero for k in range(3)]
+    # binary quadratic B(s,t) = q2(s*e_i + t*e_j): the coefficients of
+    # u_i^2 and u_j^2, and the polar value at (e_i, e_j)
+    aa = q2.get(tuple(2 * (k == i) for k in range(3)), zero)
+    cc = q2.get(tuple(2 * (k == j) for k in range(3)), zero)
+    bb = polar[i][j]
     fac = _factor_binary_quadratic(aa, bb, cc, one)
     if fac is None:
         return AnVerdict("not-A")
@@ -421,10 +378,10 @@ def rdp_an_type(series, max_n=6):
     g = series.subst(subs_map)
     # now quadratic part of g is u*v (first variable * second variable)
     uv_exp = (1, 1, 0)
-    assert g.coeffs.get(uv_exp), "normalization failed"
-    for e in g.coeffs:
-        if sum(e) == 2:
-            assert e == uv_exp, "normalization left extra quadratic terms"
+    quad = sorted(e for e in g.coeffs if sum(e) == 2)
+    if quad != [uv_exp]:
+        raise ValueError("normalization leaves the quadratic terms %s, not "
+                         "u*v alone" % (quad,))
     lead_inv = one / g.coeffs[uv_exp]
     g = PowerSeriesTrunc(ring, {e: c * lead_inv for e, c in g.coeffs.items()},
                          series.N)
@@ -605,7 +562,8 @@ def residual_conic_tangency(f=None, line=None, pencil=None):
     fbig = f.poly.subst(mapping, ring)
     f0 = coeff_in(fbig, "r", 0)
     f1 = coeff_in(fbig, "r", 1)
-    assert f0.is_zero(), "restriction to the line is not zero"
+    if not f0.is_zero():
+        raise ValueError("the form does not vanish on the line %r" % (line,))
     # f1 is a cubic in (s,t) with coefficients linear in (u,v): tangency iff
     # all vanish; extract the single common linear condition.
     si, ti = ring.varnames.index("s"), ring.varnames.index("t")
@@ -777,7 +735,8 @@ def char2_cremona_singular_points():
          + (a * w ** 2 + b * w * x + c * w * y + d * w * z
             + x ** 2 + y ** 2 + z ** 2) ** 2)
     partials = {n: F.diff(n) for n in ("x", "y", "z", "w")}
-    assert partials["w"].is_zero()  # F_w' = 0 identically in char 2
+    if not partials["w"].is_zero():  # F_w' = 0 identically in char 2
+        raise ValueError("F_w = %r is not identically zero" % (partials["w"],))
 
     families = [
         # (point coords in (x,y,z,w) as polys in params and Z, relation in Z)
@@ -907,7 +866,9 @@ def _quartic_rank_of_projection(pts, c):
     # basis of linear forms vanishing at c
     ccoords = [Fraction(v) for v in c.coords]
     forms = nullspace([ccoords], Fraction(1))  # 3 covectors
-    assert len(forms) == 3
+    if len(forms) != 3:
+        raise ValueError("center %r has %d independent linear forms through "
+                         "it, not 3" % (c, len(forms)))
     images = []
     for p in pts:
         img = [sum(f[k] * Fraction(p.coords[k]) for k in range(4))

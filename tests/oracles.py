@@ -1,0 +1,53 @@
+"""Oracles shared by several test modules."""
+
+from fractions import Fraction
+
+from desmic_kit.poly import MultiPoly, PolyRing
+from desmic_kit.projgeom import ProjPoint
+from desmic_kit.scalars import from_int
+
+
+def localize_split(f, p):
+    """The affine chart at p by substitution, as surfaces computed it before
+    its Taylor expansion: x_i = p_i/p_k + u_i with the pivot x_k = 1 (k the
+    first nonzero coordinate) is substituted into a ring of parameters,
+    local and coordinate variables, and the result is split by local
+    exponent.  Returns (dict local exponent tuple -> parameter polynomial,
+    local names, parameter ring)."""
+    point = list(p.coords) if isinstance(p, ProjPoint) else list(p)
+    pivot = next(i for i, c in enumerate(point) if c)
+    one = f.ring.one
+    norm = []
+    for c in point:
+        if isinstance(c, int):
+            c = Fraction(c) if isinstance(one, (Fraction, int)) \
+                else from_int(one, c)
+        norm.append(c)
+    norm = [c / norm[pivot] for c in norm]
+
+    local_names = ["u%d" % i for i in range(len(point) - 1)]
+    pr_names = [v for v in f.ring.varnames if v not in f.coord_vars]
+    big = PolyRing(pr_names + local_names + list(f.coord_vars), one)
+    mapping = {}
+    li = 0
+    for i, v in enumerate(f.coord_vars):
+        if i == pivot:
+            mapping[v] = big.const(1)
+        else:
+            mapping[v] = (big.var(local_names[li])
+                          + big.const(1).scale(one * norm[i]))
+            li += 1
+    for v in pr_names:
+        mapping[v] = big.var(v)
+    loc = f.poly.subst(mapping, big)
+    pr = PolyRing(pr_names, one)
+    npr = len(pr_names)
+    nloc = len(local_names)
+    out = {}
+    for e, c in loc.coeffs.items():
+        le = tuple(e[npr:npr + nloc])
+        pe = tuple(e[:npr])
+        bucket = out.setdefault(le, {})
+        bucket[pe] = bucket.get(pe, one * 0) + c
+    return {le: MultiPoly(pr, d) for le, d in out.items()
+            if not MultiPoly(pr, d).is_zero()}, local_names, pr

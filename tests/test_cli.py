@@ -1,5 +1,6 @@
 """Tests for the batch verification driver."""
 
+import ast
 import json
 import os
 import subprocess
@@ -72,6 +73,34 @@ def test_prime_option_controls_scan_checks():
 def test_cremona_and_char2_suites_pass():
     assert cli.run_suite("cremona").ok
     assert cli.run_suite("char2").ok
+
+
+def test_cremona_projection_runs_once_per_suite(monkeypatch):
+    calls = []
+    real = cli.lc.project_to_quartic_threefold
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(cli.lc, "project_to_quartic_threefold", counted)
+    assert cli.run_suite("cremona").ok
+    assert len(calls) == 1
+
+
+def test_cremona_projection_failure_is_not_cached(monkeypatch):
+    calls = []
+
+    def broken():
+        calls.append(1)
+        raise ValueError("projection broke")
+
+    monkeypatch.setattr(cli.lc, "project_to_quartic_threefold", broken)
+    failed = {c.id: c.details for c in cli.run_suite("cremona").failures}
+    want = "ValueError: projection broke"
+    assert failed == {"cremona.rewrite": want, "cremona.nodes-17": want,
+                      "cremona.singular-lines": want}
+    assert len(calls) == 3
 
 
 def test_lattice_suite_passes():
@@ -204,12 +233,22 @@ import desmic_kit.cli as cli
 import desmic_kit.lattices as la
 import desmic_kit.linecomplex as lc
 import desmic_kit.configs as cf
+import desmic_kit.surfaces as sf
 from desmic_kit.configs import CurveSystem
 from desmic_kit.lattices import FiniteQuadForm, Lattice, _coords_in_basis
-from desmic_kit.poly import PolyRing
-from desmic_kit.scalars import Mod
+from desmic_kit.poly import PolyRing, PowerSeriesTrunc
+from desmic_kit.projgeom import LineP3, ProjPoint
+from desmic_kit.scalars import Mod, QI
 from desmic_kit.scan import run_scan
 print("debug", __debug__)
+
+def patched(module, name, value, call):
+    saved = getattr(module, name)
+    setattr(module, name, value)
+    try:
+        call()
+    finally:
+        setattr(module, name, saved)
 
 def symmetry_with_failing_element():
     lc._element_preserves = lambda el, form: False
@@ -234,6 +273,12 @@ def relabeled_42(a, b, value):
 def desmic_28_not_reye():
     cf.config_isomorphic = lambda cfg, other: None
     cf.extract_desmic_28()
+
+u, v, t = PolyRing(list("uvt")).gens()
+a3_series = PowerSeriesTrunc.from_poly(u * v + t ** 3)
+edge = LineP3(ProjPoint([1, 0, 0, 0]), ProjPoint([0, 1, 0, 0]))
+printed_planes = lc.plucker_plane_list(QI(1))
+klein_planes = lc.klein_plane_list()
 
 ok = cli.Check("x", "a", "pass", "d")
 twice = {"name": "f", "fibers": [{"components": [{"id": "a", "mult": 1},
@@ -268,7 +313,25 @@ for case in (lambda: run_scan(13, 0),
              lambda: cf.fibration_tables(relabeled_42("2", "12.35.46", 1)),
              desmic_28_not_reye,
              lambda: FiniteQuadForm([2], [Fraction(1, 3)],
-                                    [[Fraction(1, 7)]])):
+                                    [[Fraction(1, 7)]]),
+             lambda: patched(sf, "_factor_binary_quadratic",
+                             lambda a, b, c, one: ((one, one * 0),
+                                                   (one, one)),
+                             lambda: sf.rdp_an_type(a3_series)),
+             lambda: patched(sf, "contains_line", lambda f, line: True,
+                             lambda: sf.residual_conic_tangency(line=edge)),
+             lambda: sf.projected_24_points_quartic_rank((1, 2, 3, 4, 5)),
+             lambda: patched(lc, "plucker_plane_list",
+                             lambda one: printed_planes[:23]
+                             + printed_planes[:1], lc.klein_plane_labels),
+             lambda: patched(lc, "klein_plane_list",
+                             lambda: klein_planes[:23] + klein_planes[:1],
+                             lc.klein_plane_labels),
+             lambda: lc._line_on_and_singular(lc.Form(lc.projected_quartic()),
+                                              [[1, 0, 0, 0, 0]]),
+             lambda: patched(lc, "RATIONALITY_PLANES",
+                             [((0, 1, 0, 0, 0),)],
+                             lc.rationality_planes_check)):
     try:
         case()
         print("accepted")
@@ -293,7 +356,19 @@ OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
                     "table 1: central 12 misses leaf 2",
                     "table 1: leaves 12.35.46, 2 of central 12 meet",
                     "28-curve configuration is not Reye",
-                    "generator 0: b(g, g) = 1/7 is not q(g) = 1/3 modulo 1"]
+                    "generator 0: b(g, g) = 1/7 is not q(g) = 1/3 modulo 1",
+                    "quadratic terms [(1, 1, 0), (2, 0, 0)], not u*v alone",
+                    "does not vanish on the line LineP3([Fraction(1, 1), "
+                    "Fraction(0, 1)",
+                    "center ProjPoint([Fraction(1, 1), Fraction(2, 1), "
+                    "Fraction(3, 1), Fraction(4, 1), Fraction(5, 1)]) has 4 "
+                    "independent linear forms",
+                    "printed planes have 23 distinct canonical forms",
+                    "Klein planes match 23 distinct printed labels",
+                    "[[1, 0, 0, 0, 0]] cut a space of dimension 3, not a "
+                    "line",
+                    "((0, 1, 0, 0, 0),) cut a space of dimension 3, not a "
+                    "plane"]
 
 
 def test_validation_survives_python_O():
@@ -306,3 +381,19 @@ def test_validation_survives_python_O():
     assert len(lines) == 1 + len(OPTIMIZED_ERRORS), lines
     for line, want in zip(lines[1:], OPTIMIZED_ERRORS):
         assert line.startswith("ValueError ") and want in line, (line, want)
+
+
+# Modules free of assert statements, so that `python -O` removes no check
+# from them.  Later modules are added to this list, never removed from it.
+ASSERT_FREE_MODULES = ("cli.py", "scan.py", "surfaces.py", "linecomplex.py")
+
+
+@pytest.mark.parametrize("module", ASSERT_FREE_MODULES)
+def test_module_has_no_assert_statements(module):
+    path = os.path.join(os.path.dirname(os.path.abspath(cli.__file__)),
+                        module)
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert lines == [], "%s asserts at lines %s" % (module, lines)

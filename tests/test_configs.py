@@ -459,6 +459,37 @@ def test_ingest_rejects_unknown_curve(tmp_path):
         cf.ingest_curve_system(str(bad))
 
 
+def _edit_intersections(data, case):
+    """Apply one bad edit to a loaded kummer-char0.json record."""
+    if case == "value-1.5":
+        data["intersections"][0][2] = 1.5
+    elif case == "value-true":
+        data["intersections"][0][2] = True
+    elif case == "zero-pair-twice":
+        data["intersections"] += [["E0", "E1", 0], ["E0", "E1", 0]]
+    elif case == "zero-then-one":
+        data["intersections"] += [["E0", "E1", 0], ["E1", "E0", 1]]
+    elif case == "self-1.5":
+        data["curves"][0]["self"] = 1.5
+
+
+@pytest.mark.parametrize("case,match", [
+    ("value-1.5", r"\['E0', 'T00', 1.5\]: value is not an integer"),
+    ("value-true", r"\['E0', 'T00', True\]: value is not an integer"),
+    ("zero-pair-twice", "E0.E1 given twice"),
+    ("zero-then-one", r"E1.E0 given twice: \['E1', 'E0', 1\]"),
+    ("self-1.5", "'T00', 'self': 1.5}: self-intersection is not an integer"),
+])
+def test_ingest_rejects_bad_intersection_values(tmp_path, case, match):
+    with open(cf.data_path("kummer-char0.json")) as fh:
+        data = json.load(fh)
+    _edit_intersections(data, case)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=match):
+        cf.ingest_curve_system(str(bad))
+
+
 def test_divisor_halves_are_fractions():
     cs = cf.kummer_char0_system()
     coeffs = {Fraction(t["coeff"]) for t in cs.divisors[0]["terms"]

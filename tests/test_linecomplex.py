@@ -14,7 +14,8 @@ from desmic_kit.poly import PolyRing
 from desmic_kit.projgeom import LineP3, ProjPoint
 from desmic_kit.scalars import I, Mod, QI, sqrt_minus_one
 from desmic_kit.scan import run_scan
-from desmic_kit.surfaces import _localize_split, desmic_lines_16, eval_coords
+from desmic_kit.surfaces import desmic_lines_16
+from oracles import localize_split
 
 
 def coord_point(j):
@@ -128,23 +129,25 @@ def test_off_list_point_fails_the_node_test():
 
 def localize_node_report(ci, pt):
     """Oracle: the node test as it was before the Hessian form.  It expands
-    both equations in the affine chart at the point with `_localize_split`
-    and polarizes the quadratic part of cubic - lambda*quadric on the
-    tangent space of the quadric."""
+    both equations in the affine chart at the point by substitution
+    (`localize_split`) and polarizes the quadratic part of
+    cubic - lambda*quadric on the tangent space of the quadric.  Values and
+    gradients come from evaluating the equations and their partials."""
     one = ci.one
     pt = lc._normalize_tuple(lc._lift_point(one, pt))
-    on2 = ci.quadric.eval_coords(list(pt)).is_zero()
-    on3 = ci.cubic.eval_coords(list(pt)).is_zero()
-    g2, g3 = ([eval_coords(g, f.coord_vars, list(pt)).constant_coeff()
-               for g in f.partials()] for f in (ci.quadric, ci.cubic))
+    at = dict(zip(ci.quadric.coord_vars, pt))
+    on2 = not ci.quadric.poly.evaluate(at)
+    on3 = not ci.cubic.poly.evaluate(at)
+    g2, g3 = ([g.evaluate(at) for g in f.partials()]
+              for f in (ci.quadric, ci.cubic))
     jrank = matrix_rank([g2, g3])
     if not (on2 and on3) or jrank != 1:
         return lc.NodeReport(pt, on2 and on3, jrank, None, 0)
     j = next(k for k, v in enumerate(g2) if v)
     lam = g3[j] / g2[j]
     assert all(b == lam * a for a, b in zip(g2, g3))
-    split2, names, _ = _localize_split(ci.quadric, pt)
-    split3, names3, _ = _localize_split(ci.cubic, pt)
+    split2, names, _ = localize_split(ci.quadric, pt)
+    split3, names3, _ = localize_split(ci.cubic, pt)
     assert names == names3
     n = len(names)
     zero = one * 0

@@ -1,22 +1,28 @@
 """Tests for hypersurface singularity analysis and the quartic models."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from desmic_kit.poly import MultiPoly, PolyRing, PowerSeriesTrunc
 from desmic_kit.projgeom import LineP3, ProjPlane, ProjPoint, mat_apply
-from desmic_kit.scalars import F4, Mod, QI, W
+from desmic_kit.scalars import F4, Mod, QI, W, from_int
 from desmic_kit.surfaces import (
     AnVerdict, DESMIC_SINGULAR_12, DESMIC_VERTICES_12, Form,
     KUMMER2_SIX_POINTS, char2_cremona_singular_points,
     contains_line, cremona_char2_specialized, cremona_cubic_f,
     cremona_cubic_q, cremona_quadric, cremona_quartic_char2,
     desmic_identity_parts, desmic_lines_16, desmic_pencil_at,
-    desmic_pencil_symbolic, eight_squares_parts, kummer_char2_quartic,
+    desmic_pencil_symbolic, eight_squares_parts, kummer_char2_points,
+    kummer_char2_quartic,
     local_series, node_check, projected_24_points_quartic_rank,
     rdp_an_type, singular_at, steinerian_equation,
-    steinerian_identity_parts, verify_identity)
+    steinerian_identity_parts, taylor, verify_identity)
+from desmic_kit.linecomplex import PROJECTED_NODES_17, projected_quartic
+from desmic_kit import surfaces
+from oracles import localize_split
 
 
 # ------------------------------------------------------------- identities --
@@ -81,6 +87,91 @@ def test_node_check_char2_formal():
     assert node_check(Form(x * x + y * z), (0, 0, 0, 1))
     # (x+y)^2 = x^2 + y^2 is a double plane: not a node.
     assert not node_check(Form(x * x + y * y), (0, 0, 0, 1))
+
+
+# ------------------------------------------------ Taylor expansion at p --
+
+def random_form(one, degree, rng):
+    """A random nonzero form of the given degree in x, y, z, w."""
+    ring = PolyRing(["x", "y", "z", "w"], one)
+    while True:
+        coeffs = {e: from_int(one, rng.randint(-5, 5))
+                  for e in product(range(degree + 1), repeat=4)
+                  if sum(e) == degree and rng.random() < 0.5}
+        f = MultiPoly(ring, coeffs)
+        if f:
+            return Form(f)
+
+
+def random_points(one, rng, count):
+    """Points with zero coordinates and, over fields larger than F_2, a
+    first nonzero coordinate that is not 1."""
+    pts = [(0, 0, 0, 1), (0, 1, 0, 0)]
+    while len(pts) < count:
+        p = tuple(from_int(one, rng.choice([0, 0, 1, -1, 2, -3, 5]))
+                  for _ in range(4))
+        if any(p):
+            pts.append(p)
+    return pts
+
+
+def chart_cases(name):
+    """(form, points) pairs of one family of inputs."""
+    rng = random.Random(name)
+    if name == "desmic-pencil":
+        return [(desmic_pencil_symbolic(),
+                 DESMIC_SINGULAR_12 + DESMIC_VERTICES_12
+                 + [(2, 0, -3, 5), (0, 3, 1, 0), (-1, 2, 2, 7)])]
+    if name == "projected-17":
+        return [(Form(projected_quartic()),
+                 PROJECTED_NODES_17 + [(0, 2, -1, 0, 3)])]
+    if name == "cremona-char2":
+        return [(cremona_char2_specialized(0, 0, 1, 1),
+                 [(0, 0, 0, 1), (W, 1, 0, 1), (0, W * W, 1, W)]),
+                (cremona_char2_specialized(1, W, 1, W * W),
+                 [(1, 1, W, 0), (0, 0, 1, W)])]
+    if name == "kummer-char2":
+        return [(kummer_char2_quartic(alpha)[0],
+                 KUMMER2_SIX_POINTS + kummer_char2_points())
+                for alpha in (F4(1), W)]
+    one = {"random-Q": Fraction(1), "random-F13": Mod(1, 13),
+           "random-F3": Mod(1, 3), "random-F2": Mod(1, 2)}[name]
+    return [(random_form(one, degree, rng), random_points(one, rng, 6))
+            for degree in (2, 3, 4, 4, 5)]
+
+
+CHART_CASES = ["desmic-pencil", "projected-17", "cremona-char2",
+               "kummer-char2", "random-Q", "random-F13", "random-F3",
+               "random-F2"]
+
+
+@pytest.mark.parametrize("name", CHART_CASES)
+def test_taylor_chart_agrees_with_substitution_oracle(name):
+    rng = random.Random(name)
+    for f, pts in chart_cases(name):
+        one = f.ring.one
+        params = [v for v in f.ring.varnames if v not in f.coord_vars]
+        at_params = {v: from_int(one, rng.randint(-4, 4)) for v in params}
+        for p in pts:
+            full, _, _ = localize_split(f, p)
+            for degree in range(f.degree + 1):
+                assert surfaces._chart(f, p, degree) == {
+                    e: c for e, c in full.items() if sum(e) <= degree}, \
+                    (name, p, degree)
+            # the expansion at p itself: value and gradient of f at p
+            coords = p.coords if isinstance(p, ProjPoint) else p
+            at = dict(at_params, **{
+                v: from_int(one, c) if isinstance(c, int) else c
+                for v, c in zip(f.coord_vars, coords)})
+            n = len(f.coord_vars)
+            coeffs = taylor(f, p, 1)
+            want = {(0,) * n: f.poly.evaluate(at)}
+            for k, v in enumerate(f.coord_vars):
+                want[tuple(int(m == k) for m in range(n))] = \
+                    f.poly.diff(v).evaluate(at)
+            got = {e: coeffs[e].evaluate(at_params) if e in coeffs
+                   else one * 0 for e in want}
+            assert got == want, (name, p)
 
 
 # --------------------------------------------------------------- A_n types --
