@@ -7,6 +7,7 @@ system with its fibration tables, and a JSON loader for dual-graph data
 (curve systems with intersection matrices, fibers and divisors).
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 import errno
@@ -14,7 +15,7 @@ import json
 import os
 import tempfile
 
-from .linecomplex import (PLUCKER_NODES_16, PLUCKER_NODES_18,
+from .linecomplex import (PLUCKER_NODES_16, PLUCKER_NODES_18, _orbit,
                           perm_compose, perm_from_cycles,
                           plucker_plane_list)
 from .matrices import (bilinear, det_poly_matrix, exact_ratio, gram_times,
@@ -42,21 +43,26 @@ class AbstractConfig:
         self.points = list(points)
         self.blocks = list(blocks)
         self.name = name
-        pset, bset = set(self.points), set(self.blocks)
-        assert len(pset) == len(self.points), "duplicate point labels"
-        assert len(bset) == len(self.blocks), "duplicate block labels"
+        for kind, labels in (("point", self.points), ("block", self.blocks)):
+            dups = [x for x, n in Counter(labels).items() if n > 1]
+            if dups:
+                raise ValueError("duplicate %s label %r" % (kind, dups[0]))
         self.incidence = frozenset(incidence)
         self._blocks_of = {p: set() for p in self.points}
         self._points_of = {b: set() for b in self.blocks}
         for p, b in self.incidence:
-            assert p in pset, "unknown point %r" % (p,)
-            assert b in bset, "unknown block %r" % (b,)
+            if p not in self._blocks_of:
+                raise ValueError("incidence names unknown point %r" % (p,))
+            if b not in self._points_of:
+                raise ValueError("incidence names unknown block %r" % (b,))
             self._blocks_of[p].add(b)
             self._points_of[b].add(p)
         degs = {len(s) for s in self._blocks_of.values()}
         sizes = {len(s) for s in self._points_of.values()}
-        assert len(degs) == 1, "point degrees not uniform: %s" % degs
-        assert len(sizes) == 1, "block sizes not uniform: %s" % sizes
+        if len(degs) != 1:
+            raise ValueError("point degrees not uniform: %s" % sorted(degs))
+        if len(sizes) != 1:
+            raise ValueError("block sizes not uniform: %s" % sorted(sizes))
         self.c = degs.pop()
         self.d = sizes.pop()
 
@@ -295,19 +301,6 @@ def _s4():
     return sorted(permutations((1, 2, 3, 4)))
 
 
-def _subgroup(generators):
-    elems = {(1, 2, 3, 4)}
-    frontier = list(elems)
-    while frontier:
-        g = frontier.pop()
-        for h in generators:
-            gh = perm_compose(g, h)
-            if gh not in elems:
-                elems.add(gh)
-                frontier.append(gh)
-    return elems
-
-
 COSET_SUBGROUP_GENERATORS = [
     [perm_from_cycles("(12)"), perm_from_cycles("(34)")],
     [perm_from_cycles("(13)"), perm_from_cycles("(24)")],
@@ -321,12 +314,13 @@ def coset_config():
     transpositions.  The coset side is fixed so that the quadruple
     {(143),(132),(1432),(13)} is one block."""
     elements = _s4()
-    marker = frozenset(perm_from_cycles(t)
-                       for t in ["(143)", "(132)", "(1432)", "(13)"])
+    quadruple = ["(143)", "(132)", "(1432)", "(13)"]
+    marker = frozenset(perm_from_cycles(t) for t in quadruple)
     for side in ("right", "left"):
         blocks = set()
         for gens in COSET_SUBGROUP_GENERATORS:
-            h = _subgroup(gens)
+            h = _orbit((1, 2, 3, 4), gens,
+                       lambda s, g: perm_compose(g, s))
             for g in elements:
                 if side == "right":
                     blocks.add(frozenset(perm_compose(x, g) for x in h))
@@ -338,14 +332,16 @@ def coset_config():
                                  inc, name="cosets")
             assert cfg.type_signature == ((24, 3), (18, 4))
             return cfg
-    raise AssertionError("printed coset quadruple not found on either side")
+    raise ValueError("the printed coset quadruple %s is a block on neither "
+                     "side" % ", ".join(quadruple))
 
 
 def plane_node_config(family):
     """Incidence of the 24 planes on the singular complex with one family
     of its singular points: family 1 (18 points, 3 per plane) or family 2
     (16 points, 4 per plane)."""
-    assert family in (1, 2)
+    if family not in (1, 2):
+        raise ValueError("plane family %r is not 1 or 2" % (family,))
     one = Fraction(1)
     planes = plucker_plane_list(one)
     nodes = PLUCKER_NODES_18 if family == 1 else PLUCKER_NODES_16
@@ -641,17 +637,9 @@ class CurveSystem:
                 raise ValueError(
                     "%s: multiplicities %s do not match type %s"
                     % (where, sorted(mults), ftype))
-        # connectivity of the component graph
-        adj = {a: {b for b in cids
-                   if b != a and self.pair(a, b) != 0} for a in cids}
-        seen = {cids[0]}
-        frontier = [cids[0]]
-        while frontier:
-            a = frontier.pop()
-            for b in adj[a]:
-                if b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
+        # connectivity: the components reached from the first one by steps
+        # a -> b between curves that meet
+        seen = _orbit(cids[0], cids, lambda b, a: b if self.pair(a, b) else a)
         if seen != set(cids):
             raise ValueError("%s is not connected" % where)
         fv = self._as_vector(zip(cids, mults))
@@ -745,6 +733,10 @@ def ingest_curve_system(path):
                     raise ValueError(
                         "fibration %s names unknown curve %r"
                         % (fib["name"], comp["id"]))
+                if not (_is_int(comp.get("mult")) and comp["mult"] > 0):
+                    raise ValueError(
+                        "fibration %s component %r: multiplicity is not a "
+                        "positive integer" % (fib["name"], comp))
     divisors = data.get("divisors", [])
     for div in divisors:
         for term in div["terms"]:
@@ -755,7 +747,14 @@ def ingest_curve_system(path):
             if "id" in term and term["id"] not in index:
                 raise ValueError("divisor %s names unknown curve %r"
                                  % (div["name"], term["id"]))
-            Fraction(term["coeff"])  # must parse
+            coeff = term["coeff"]
+            try:  # an integer, or a string that Fraction parses
+                if not _is_int(coeff):
+                    Fraction(coeff if isinstance(coeff, str) else "")
+            except (ValueError, ZeroDivisionError):
+                raise ValueError("divisor %s term %r: coefficient is not an "
+                                 "integer or a fraction string"
+                                 % (div["name"], term)) from None
     cs = CurveSystem(ids, gram, fibrations, divisors)
     return cs.validate()
 

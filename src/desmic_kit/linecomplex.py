@@ -17,7 +17,8 @@ variety of a 35-nodal cubic in P^6.
 from fractions import Fraction
 from itertools import permutations, product
 
-from .matrices import bilinear, matrix_rank, nullspace, rref
+from .matrices import (bilinear, det_poly_matrix, matrix_rank, nullspace,
+                       rref)
 from .poly import PolyRing
 from .scalars import I, Mod, QI, from_int, one_like, sqrt_minus_one
 from .surfaces import Form, node_check, polar_matrix, taylor
@@ -69,12 +70,6 @@ def _quadric_coeff_vectors(net):
     return [[q.coeffs.get(m, zero) for m in monos] for q in net]
 
 
-def _det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
 def montesano_matrix(net, a, b):
     """3x3 matrix whose determinant detects lines on quadrics of the net.
 
@@ -104,7 +99,7 @@ def montesano_condition(net, line):
     one = one_like(net[0].ring.one)
     a = [c if not isinstance(c, int) else from_int(one, c) for c in line.p.coords]
     b = [c if not isinstance(c, int) else from_int(one, c) for c in line.q.coords]
-    return not _det3(montesano_matrix(net, a, b))
+    return not det_poly_matrix(montesano_matrix(net, a, b))
 
 
 def complex_cubic_from_net(net):
@@ -127,7 +122,7 @@ def complex_cubic_from_net(net):
     row_b = [sub(q, b) for q in net]
     ab = [ai + bi for ai, bi in zip(a, b)]
     row_c = [sub(q, ab) - ra - rb for q, ra, rb in zip(net, row_a, row_b)]
-    return _det3([row_a, row_b, row_c])
+    return det_poly_matrix([row_a, row_b, row_c])
 
 
 def plucker_forms_in_ab():
@@ -759,6 +754,37 @@ def _element_preserves(el, form):
     return ok
 
 
+def _orbit(seed, gens, action, keys=None):
+    """The orbit of seed under what gens generate: a breadth-first search
+    making |orbit|*|gens| calls of action(g, x) (Seress, Permutation Group
+    Algorithms, 2003).  An image outside keys, if given, raises ValueError."""
+    orbit = {seed}
+    frontier = [seed]
+    for x in frontier:
+        for g in gens:
+            y = action(g, x)
+            if y not in orbit:
+                if keys is not None and y not in keys:
+                    raise ValueError("the orbit of %s leaves the verified set"
+                                     % (seed,))
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
+def _generators(elements):
+    """(gens, group): walking sorted(elements), an element becomes a
+    generator when the earlier ones do not span it, and group is what gens
+    span.  So elements is closed exactly when group == elements (Sims 1970)."""
+    one = _canonical_element(tuple(range(6)), (0,) * 6)
+    gens, group = [], {one}
+    for el in sorted(elements):
+        if el not in group:
+            gens.append(el)
+            group = _orbit(one, gens, _compose_elements)
+    return gens, group
+
+
 def monomial_symmetry_group():
     """Exhaustive search over monomial 6x6 matrices with nonzero entries in
     {1, i, -1, -i} preserving both Klein equations up to scalar.
@@ -766,10 +792,11 @@ def monomial_symmetry_group():
     For a permutation whose image of {1,2,3} is neither {1,2,3} nor {4,5,6},
     the transformed cubic has a monomial outside the support of the cubic
     with a unit coefficient, so no sign choice can work; such permutations
-    are skipped after that support check.  Survivors get a full symbolic
-    verification, and an element that fails it raises ValueError.
-    Reports projective order, node orbit sizes, and the number of plane
-    orbits; a closure beyond 1152 is a failure signal.
+    are skipped after that support check.  Survivors are checked along a
+    generating set that spans them: each generator gets a full symbolic
+    verification (invariance up to scalar is multiplicative), and one that
+    fails raises ValueError.  Reports projective order, node orbit sizes,
+    and the number of plane orbits; a closure beyond 1152 is a failure.
     """
     elements = set()
     for pi in permutations(range(6)):
@@ -788,9 +815,10 @@ def monomial_symmetry_group():
                     - exps[3] - exps[4] - exps[5] - shift) % 4:
                 continue
             elements.add(_canonical_element(pi, exps))
+    gens, group = _generators(elements)
 
     ci = CompleteIntersection35.klein()
-    for el in elements:
+    for el in gens:
         for name, form in (("quadric", ci.quadric), ("cubic", ci.cubic)):
             if not _element_preserves(el, form):
                 raise ValueError("monomial element %s does not preserve "
@@ -799,21 +827,17 @@ def monomial_symmetry_group():
     g0 = _canonical_element((3, 4, 5, 0, 1, 2), (2, 2, 2, 0, 0, 0))
     has_g0 = g0 in elements
 
-    closed = all(_compose_elements(g, h) in elements
-                 for g in elements for h in elements)
-
     nodes = [tuple(QI(c) if isinstance(c, int) else c for c in pt)
              for pt in klein_nodes_18() + klein_nodes_16()]
     node_keys = [_normalize_tuple(p) for p in nodes]
-    orbit_sizes = _orbit_sizes(node_keys, elements, _apply_point)
+    orbit_sizes = _orbit_sizes(node_keys, gens, _apply_point)
 
     planes = klein_plane_list()
     plane_keys = [_plane_key(pl.basis) for pl in planes]
-    plane_orbits = len(_orbit_sizes(plane_keys, elements,
-                                    _apply_plane_key))
+    plane_orbits = len(_orbit_sizes(plane_keys, gens, _apply_plane_key))
 
     return SymmetryReport(len(elements), sorted(orbit_sizes),
-                          plane_orbits, has_g0, closed, elements)
+                          plane_orbits, has_g0, group == elements, elements)
 
 
 def _apply_point(el, key):
@@ -831,20 +855,15 @@ def _apply_plane_key(el, key):
     return tuple(tuple(row) for row in r)
 
 
-def _orbit_sizes(keys, elements, action):
-    """Orbit sizes of the group `elements` on `keys`.  The orbit of a seed
-    is its image under every element, which needs the closure that
-    monomial_symmetry_group checks and reports."""
-    todo = set(keys)
-    sizes = []
-    while todo:
-        seed = todo.pop()
-        orbit = {action(g, seed) for g in elements}
-        if not orbit <= set(keys):
-            raise ValueError("the orbit of %s leaves the verified set"
-                             % (seed,))
-        todo -= orbit
-        sizes.append(len(orbit))
+def _orbit_sizes(keys, gens, action):
+    """Sizes of the orbits that the group generated by gens makes on keys,
+    in the order of their first key; see _orbit."""
+    keyset, seen, sizes = set(keys), set(), []
+    for seed in keys:
+        if seed not in seen:
+            orbit = _orbit(seed, gens, action, keyset)
+            seen |= orbit
+            sizes.append(len(orbit))
     return sizes
 
 

@@ -51,3 +51,28 @@ def localize_split(f, p):
         bucket[pe] = bucket.get(pe, one * 0) + c
     return {le: MultiPoly(pr, d) for le, d in out.items()
             if not MultiPoly(pr, d).is_zero()}, local_names, pr
+
+
+def pairwise_closed(elements, compose):
+    """Closure of a finite set under composition, as the symmetry search
+    checked it before its generating set: every one of the |S|^2 products
+    lies in S."""
+    return all(compose(g, h) in elements for g in elements for h in elements)
+
+
+def orbit_sizes_by_elements(keys, elements, action):
+    """Orbit sizes of the group `elements` on `keys`, as the symmetry search
+    computed them before its generating set: the orbit of a seed is its
+    image under every element, which is an orbit only if `elements` is
+    closed."""
+    todo = set(keys)
+    sizes = []
+    while todo:
+        seed = todo.pop()
+        orbit = {action(g, seed) for g in elements}
+        if not orbit <= set(keys):
+            raise ValueError("the orbit of %s leaves the verified set"
+                             % (seed,))
+        todo -= orbit
+        sizes.append(len(orbit))
+    return sorted(sizes)

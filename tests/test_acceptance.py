@@ -57,7 +57,7 @@ def test_criterion_3_line_complex():
 
 
 def test_criterion_4_symmetry():
-    by_id = run_within("symmetry", 30)
+    by_id = run_within("symmetry", 5)
     assert by_id["symmetry.group-1152"].status == "pass", \
         by_id["symmetry.group-1152"].details
 

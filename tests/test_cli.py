@@ -195,6 +195,12 @@ def test_main_json_to_stdout(capsys):
     assert data["suite"] == "identities"
 
 
+def test_main_rejects_the_removed_budget_option():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--budget-seconds", "5"])
+    assert exc.value.code == 2
+
+
 def test_main_rejects_unknown_suite():
     with pytest.raises(SystemExit):
         cli.main(["--suite", "nope"])
@@ -331,7 +337,16 @@ for case in (lambda: run_scan(13, 0),
                                               [[1, 0, 0, 0, 0]]),
              lambda: patched(lc, "RATIONALITY_PLANES",
                              [((0, 1, 0, 0, 0),)],
-                             lc.rationality_planes_check)):
+                             lc.rationality_planes_check),
+             lambda: cf.AbstractConfig(["p", "p"], ["b"], []),
+             lambda: cf.AbstractConfig(["p"], ["b", "b"], []),
+             lambda: cf.AbstractConfig(["p"], ["b"], [("q", "b")]),
+             lambda: cf.AbstractConfig(["p"], ["b"], [("p", "c")]),
+             lambda: cf.AbstractConfig(["p", "q"], ["b"], [("p", "b")]),
+             lambda: cf.AbstractConfig(["p"], ["b", "c"], [("p", "b")]),
+             lambda: cf.plane_node_config(3),
+             lambda: patched(cf, "COSET_SUBGROUP_GENERATORS",
+                             [[(2, 1, 3, 4)]], cf.coset_config)):
     try:
         case()
         print("accepted")
@@ -368,7 +383,14 @@ OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
                     "[[1, 0, 0, 0, 0]] cut a space of dimension 3, not a "
                     "line",
                     "((0, 1, 0, 0, 0),) cut a space of dimension 3, not a "
-                    "plane"]
+                    "plane",
+                    "duplicate point label 'p'", "duplicate block label 'b'",
+                    "unknown point 'q'", "unknown block 'c'",
+                    "point degrees not uniform: [0, 1]",
+                    "block sizes not uniform: [0, 1]",
+                    "plane family 3 is not 1 or 2",
+                    "quadruple (143), (132), (1432), (13) is a block on "
+                    "neither side"]
 
 
 def test_validation_survives_python_O():

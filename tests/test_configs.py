@@ -2,6 +2,7 @@
 42-curve system and the curve-system JSON loader."""
 
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -488,6 +489,44 @@ def test_ingest_rejects_bad_intersection_values(tmp_path, case, match):
     bad.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=match):
         cf.ingest_curve_system(str(bad))
+
+
+def _ingest_edited(tmp_path, edit):
+    with open(cf.data_path("kummer-char0.json")) as fh:
+        data = json.load(fh)
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return cf.ingest_curve_system(str(path))
+
+
+@pytest.mark.parametrize("value", [True, 1.5, "x"])
+def test_ingest_rejects_bad_divisor_coefficients(tmp_path, value):
+    def edit(data):
+        data["divisors"][0]["terms"][0]["coeff"] = value
+    term = {"class": "f1", "coeff": value}
+    with pytest.raises(ValueError, match=re.escape(
+            "divisor H term %r: coefficient is not an integer" % (term,))):
+        _ingest_edited(tmp_path, edit)
+
+
+@pytest.mark.parametrize("value", [True, 1.5, 0])
+def test_ingest_rejects_bad_fiber_multiplicities(tmp_path, value):
+    def edit(data):
+        data["fibrations"][0]["fibers"][0]["components"][0]["mult"] = value
+    comp = {"id": "E0", "mult": value}
+    with pytest.raises(ValueError, match=re.escape(
+            "fibration f1 component %r: multiplicity is not a positive "
+            "integer" % (comp,))):
+        _ingest_edited(tmp_path, edit)
+
+
+def test_ingest_accepts_an_integer_divisor_coefficient(tmp_path):
+    def edit(data):
+        data["divisors"][0]["terms"][0]["coeff"] = 1
+    cs = _ingest_edited(tmp_path, edit)
+    want = cf.kummer_char0_system().divisor_vector("H")
+    assert cs.divisor_vector("H") == want
 
 
 def test_divisor_halves_are_fractions():

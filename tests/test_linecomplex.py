@@ -15,7 +15,8 @@ from desmic_kit.projgeom import LineP3, ProjPoint
 from desmic_kit.scalars import I, Mod, QI, sqrt_minus_one
 from desmic_kit.scan import run_scan
 from desmic_kit.surfaces import desmic_lines_16
-from oracles import localize_split
+from oracles import (localize_split, orbit_sizes_by_elements,
+                     pairwise_closed)
 
 
 def coord_point(j):
@@ -353,6 +354,80 @@ def test_monomial_symmetry_group():
 def test_orbit_leaving_the_keys_raises():
     with pytest.raises(ValueError, match="orbit of 1 leaves"):
         lc._orbit_sizes([1], [0, 1], lambda g, k: k + g)
+
+
+def test_orbit_of_a_finite_group_raises_outside_the_keys():
+    # Z/3 acting on itself leaves the keys {0, 1} at 2
+    with pytest.raises(ValueError, match="orbit of 0 leaves"):
+        lc._orbit_sizes([0, 1], [1], lambda g, k: (k + g) % 3)
+
+
+def test_orbit_searches_along_every_generator():
+    calls = []
+
+    def add(g, x):
+        calls.append(g)
+        return (x + g) % 12
+
+    # 4 and 6 generate the even residues mod 12; either alone does not
+    assert lc._orbit(0, [4, 6], add) == {0, 2, 4, 6, 8, 10}
+    assert len(calls) == 6 * 2
+
+
+@pytest.fixture(scope="module")
+def symmetry_group():
+    return lc.monomial_symmetry_group().elements
+
+
+def _closure_test_sets(group):
+    """S, its order-576 subgroup preserving the two coordinate blocks, S
+    minus one element, and that subgroup plus one element of S."""
+    blocks = {el for el in group if set(el[0][:3]) == {0, 1, 2}}
+    last = max(group)
+    swap = min(group - blocks)
+    return {"S": group, "blocks": blocks, "S-1": group - {last},
+            "blocks+1": blocks | {swap}}
+
+
+@pytest.mark.parametrize("name,closed", [("S", True), ("blocks", True),
+                                         ("S-1", False),
+                                         ("blocks+1", False)])
+def test_generator_closure_agrees_with_pairwise_oracle(symmetry_group, name,
+                                                       closed):
+    elements = _closure_test_sets(symmetry_group)[name]
+    gens, group = lc._generators(elements)
+    assert (group == elements) is closed
+    assert pairwise_closed(elements, lc._compose_elements) is closed
+    identity = (tuple(range(6)), (0,) * 6)
+    assert set(gens) <= elements <= group
+    assert lc._orbit(identity, gens, lc._compose_elements) == group
+    for k, g in enumerate(gens):
+        assert g not in lc._orbit(identity, gens[:k], lc._compose_elements)
+
+
+def test_orbit_sizes_agree_with_every_element_oracle(symmetry_group):
+    gens, group = lc._generators(symmetry_group)
+    assert group == symmetry_group
+    nodes = [tuple(QI(c) if isinstance(c, int) else c for c in pt)
+             for pt in lc.klein_nodes_18() + lc.klein_nodes_16()]
+    node_keys = [lc._normalize_tuple(p) for p in nodes]
+    plane_keys = [lc._plane_key(pl.basis) for pl in lc.klein_plane_list()]
+    for keys, action in ((node_keys, lc._apply_point),
+                         (plane_keys, lc._apply_plane_key)):
+        assert sorted(lc._orbit_sizes(keys, gens, action)) == \
+            orbit_sizes_by_elements(keys, symmetry_group, action)
+
+
+def test_invariance_is_checked_on_the_generators_only(monkeypatch):
+    calls = []
+    check = lc._element_preserves
+    monkeypatch.setattr(lc, "_element_preserves",
+                        lambda el, form: calls.append(el) or check(el, form))
+    rep = lc.monomial_symmetry_group()
+    gens, _ = lc._generators(rep.elements)
+    # the sorted walk finds 9 generators: 18 symbolic checks, not 2 * 1152
+    assert len(calls) == 2 * len(gens) == 18
+    assert set(calls) == set(gens)
 
 
 # -- scans over prime fields --------------------------------------------------
