@@ -106,15 +106,15 @@ def check_steinerian(char):
                "f^2 - f_x f_y f_z = G w^2 in characteristic %d" % char)
 
 
-def check_desmic_nodes():
-    f = sf.desmic_pencil_symbolic()
+def check_desmic_nodes(pencil):
+    f = pencil()
     good = sum(1 for p in sf.DESMIC_SINGULAR_12 if sf.node_check(f, p))
     return _ok(good == 12, "%d/12 points are ordinary nodes of the "
                "generic pencil member" % good)
 
 
-def check_desmic_lines():
-    f = sf.desmic_pencil_symbolic()
+def check_desmic_lines(pencil):
+    f = pencil()
     lines = sf.desmic_lines_16()
     distinct = len(set(l.plucker for l in lines))
     good = sum(1 for l in lines if sf.contains_line(f, l))
@@ -128,8 +128,8 @@ def check_desmic_reye():
                "node/line incidence is a (12_4, 16_3) Reye configuration")
 
 
-def check_tangency_computed():
-    condition, conic, big = sf.residual_conic_tangency()
+def check_tangency_computed(tangency):
+    condition, conic, big = tangency()
     ring = condition.ring
     a, b, u, v = ring.gens()
     two = ring.const(2)
@@ -142,10 +142,10 @@ def check_tangency_computed():
                "gradient oracle; residual conic is an honest quadric")
 
 
-def check_tangency_printed():
+def check_tangency_printed(tangency):
     # the printed formula, taken at face value: u(b+c) + v(a+b) with
     # c = -a-b, compared against the computed condition
-    condition, _, _ = sf.residual_conic_tangency()
+    condition, _, _ = tangency()
     ring = condition.ring
     a, b, u, v = ring.gens()
     printed = (b + (-a - b)) * u + (a + b) * v
@@ -171,8 +171,8 @@ def check_complex_planes():
                "first-family node, 6 per second-family node")
 
 
-def check_scan(p, unit_variant):
-    count, pts = lc.scan_singular_points(p, unit_variant=unit_variant)
+def check_scan(scan, p, unit_variant):
+    count, pts = scan(p, unit_variant)
     want = 18 if unit_variant else 34
     label = "unit-coefficient variant" if unit_variant else "complex"
     if count == want and len(set(pts)) == want:
@@ -183,14 +183,14 @@ def check_scan(p, unit_variant):
             % (p, count, want))
 
 
-def check_scan_matches_list(p):
+def check_scan_matches_list(scan, p):
     one = Mod(1, p)
     i = sqrt_minus_one(p)
     printed = set()
     for pt in lc.klein_nodes_18(i) + lc.klein_nodes_16(i):
         printed.add(tuple(c.v for c in lc._normalize_tuple(
             lc._lift_point(one, pt))))
-    _, pts = lc.scan_singular_points(p)
+    _, pts = scan(p, False)
     return _ok(set(pts) == printed,
                "scan output over F_%d equals the reduction of the printed "
                "node list" % p)
@@ -397,118 +397,111 @@ def check_artin_verdicts():
 # suite assembly
 # ---------------------------------------------------------------------------
 
-def _suite_checks(name, opt):
-    """The (id, anchor, thunk) list of one suite."""
-    if name == "identities":
-        return [
+def _check_table(opt):
+    """{suite: [(id, anchor, check, *args)]}, built for one run, so that it
+    calls the check functions bound in this module when the run starts.
+    A value that two or more checks read (and none modifies) is a cached
+    thunk made here: it is computed at most once per run, and an exception
+    is not cached, so each check that reads a failed value reports the
+    failure itself."""
+    pencil = functools.cache(sf.desmic_pencil_symbolic)
+    tangency = functools.cache(lambda: sf.residual_conic_tangency(pencil()))
+    scan = functools.cache(lc.scan_singular_points)
+    projection = functools.cache(lc.project_to_quartic_threefold)
+    tables = functools.cache(lambda: cf.fibration_tables(
+        cf.supersingular_42_system(opt.data_dir)))
+    scans = [row for p in opt.primes for row in (
+        ("complex.scan-f%d" % p, "exhaustive scan over F_%d" % p,
+         check_scan, scan, p, False),
+        ("complex.scan-f%d-unit" % p,
+         "exhaustive scan, unit variant, over F_%d" % p,
+         check_scan, scan, p, True),
+        ("complex.scan-f%d-match" % p,
+         "scan agrees with the printed list mod %d" % p,
+         check_scan_matches_list, scan, p))]
+    return {
+        "identities": [
             ("identities.desmic", "desmic tetrahedra product identity",
              check_desmic_identity),
             ("identities.eight-squares", "eight-squares identity",
              check_eight_squares),
             ("identities.steinerian-char0", "Steinerian identity over Z",
-             lambda: check_steinerian(0)),
+             check_steinerian, 0),
             ("identities.steinerian-char2", "Steinerian identity over F_2",
-             lambda: check_steinerian(2)),
-        ]
-    if name == "desmic-surface":
-        return [
+             check_steinerian, 2),
+        ],
+        "desmic-surface": [
             ("desmic.nodes-12", "twelve singular points of the pencil",
-             check_desmic_nodes),
+             check_desmic_nodes, pencil),
             ("desmic.lines-16", "sixteen base-locus lines",
-             check_desmic_lines),
+             check_desmic_lines, pencil),
             ("desmic.reye-incidence", "node/line incidence configuration",
              check_desmic_reye),
             ("desmic.tangency-computed",
              "residual-conic tangency, gradient oracle",
-             check_tangency_computed),
+             check_tangency_computed, tangency),
             ("desmic.tangency-printed",
              "residual-conic tangency, printed formula",
-             check_tangency_printed),
-        ]
-    if name == "line-complex":
-        checks = [
+             check_tangency_printed, tangency),
+        ],
+        "line-complex": [
             ("complex.nodes-34", "34 listed nodes", check_complex_nodes),
             ("complex.planes-24", "24 planes and incidence counts",
              check_complex_planes),
-        ]
-        for p in opt.primes:
-            checks.append(("complex.scan-f%d" % p,
-                           "exhaustive scan over F_%d" % p,
-                           lambda p=p: check_scan(p, False)))
-            checks.append(("complex.scan-f%d-unit" % p,
-                           "exhaustive scan, unit variant, over F_%d" % p,
-                           lambda p=p: check_scan(p, True)))
-            checks.append(("complex.scan-f%d-match" % p,
-                           "scan agrees with the printed list mod %d" % p,
-                           lambda p=p: check_scan_matches_list(p)))
-        return checks
-    if name == "symmetry":
-        return [
+        ] + scans,
+        "symmetry": [
             ("symmetry.group-1152", "monomial symmetry group and orbits",
              check_symmetry),
-        ]
-    if name == "cremona":
-        # the projection to the quartic threefold is computed once per run
-        # for its three checks; an exception is not cached
-        projection = functools.cache(lc.project_to_quartic_threefold)
-        return [
+        ],
+        "cremona": [
             ("cremona.rewrite", "quartic threefold rewriting identity",
-             lambda: check_cremona_rewrite(projection)),
+             check_cremona_rewrite, projection),
             ("cremona.nodes-17", "seventeen nodes",
-             lambda: check_cremona_nodes(projection)),
+             check_cremona_nodes, projection),
             ("cremona.singular-lines", "four singular lines",
-             lambda: check_cremona_lines(projection)),
+             check_cremona_lines, projection),
             ("cremona.rationality-planes", "three planes and intersections",
              check_rationality_planes),
-            ("cremona.segre", "cubic change of variables",
-             check_segre),
-        ]
-    if name == "char2":
-        return [
+            ("cremona.segre", "cubic change of variables", check_segre),
+        ],
+        "char2": [
             ("char2.points-13", "thirteen singular points",
              check_char2_points),
             ("char2.a3-specialization", "A_3 at the special member",
              check_char2_a3),
             ("char2.kummer-model", "four lines and six A_3 points",
              check_char2_kummer),
-        ]
-    if name == "supersingular":
-        # the 42-curve system is loaded and its tables built once per run;
-        # a failed load is not cached, so each check reports it on its own
-        tables = functools.cache(lambda: cf.fibration_tables(
-            cf.supersingular_42_system(opt.data_dir)))
-        return [
+        ],
+        "supersingular": [
             ("ss.pg24", "plane over the four-element field", check_pg24),
             ("ss.duad-table", "duad/syntheme table", check_duad_table),
             ("ss.fibration-tables", "three fibration tables",
-             lambda: check_fibration_tables(tables)),
+             check_fibration_tables, tables),
             ("ss.reye-28", "28-curve configuration", check_reye_28),
             ("ss.divisor-h", "polarization pairings",
-             lambda: check_ss_divisor(tables)),
+             check_ss_divisor, tables),
             ("ss.pairing-profile-printed", "printed pairing profile",
-             lambda: check_ss_profile_printed(tables)),
-        ]
-    if name == "lattices":
-        return [
+             check_ss_profile_printed, tables),
+        ],
+        "lattices": [
             ("lat.genus-match", "two presentations of the rank-19 lattice",
              check_genus_match),
             ("lat.span-28", "28-curve span invariants",
-             lambda: check_span_28(opt.data_dir)),
+             check_span_28, opt.data_dir),
             ("lat.disc-forms", "finite quadratic form relations",
              check_disc_form_relations),
             ("lat.overlattice-chains", "overlattice chains",
              check_overlattice_chains),
             ("lat.artin-verdicts", "embeddability verdicts",
              check_artin_verdicts),
-        ]
-    raise ValueError("unknown suite %r" % name)
+        ],
+    }
 
 
-def _run_one(item):
-    check_id, anchor, thunk = item
+def _run_one(check_id, anchor, check, *args):
     t0 = time.monotonic()
     try:
-        status, details = thunk()
+        status, details = check(*args)
     except FileNotFoundError as e:
         status, details = "fail", "data file missing: %s" % e
     except Exception as e:  # a crashed check is a failed check
@@ -521,9 +514,12 @@ def run_suite(name, options=None):
     """Run one suite (or "all") and return its VerificationReport.  The
     checks run one after another: each is CPU-bound Python, so threads
     would only add switching under the interpreter lock."""
+    if name != "all" and name not in SUITES:
+        raise ValueError("unknown suite %r" % name)
     opt = options or Options()
+    table = _check_table(opt)
     names = SUITES if name == "all" else (name,)
-    checks = [_run_one(it) for s in names for it in _suite_checks(s, opt)]
+    checks = [_run_one(*row) for s in names for row in table[s]]
     return VerificationReport(name, checks, opt)
 
 

@@ -10,10 +10,8 @@ system with its fibration tables, and a JSON loader for dual-graph data
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
-import errno
 import json
 import os
-import tempfile
 
 from .linecomplex import (PLUCKER_NODES_16, PLUCKER_NODES_18, _orbit,
                           perm_compose, perm_from_cycles,
@@ -727,8 +725,14 @@ def ingest_curve_system(path):
     for fib in fibrations:
         if set(fib) != {"name", "fibers"}:
             raise ValueError("bad fibration record %r" % (fib.get("name"),))
-        for fiber in fib["fibers"]:
+        for k, fiber in enumerate(fib["fibers"]):
+            if "components" not in fiber:
+                raise ValueError("fibration %s fiber %d has no components: "
+                                 "%r" % (fib["name"], k, fiber))
             for comp in fiber["components"]:
+                if "id" not in comp:
+                    raise ValueError("fibration %s component %r has no id"
+                                     % (fib["name"], comp))
                 if comp["id"] not in index:
                     raise ValueError(
                         "fibration %s names unknown curve %r"
@@ -739,6 +743,9 @@ def ingest_curve_system(path):
                         "positive integer" % (fib["name"], comp))
     divisors = data.get("divisors", [])
     for div in divisors:
+        if not {"name", "terms"} <= set(div):
+            raise ValueError("divisor record %r needs a name and terms"
+                             % (div,))
         for term in div["terms"]:
             keys = set(term)
             if keys not in ({"id", "coeff"}, {"class", "coeff"}):
@@ -766,6 +773,12 @@ def kummer_char0_system(data_dir=None):
 def kummer_char2_system(data_dir=None):
     return ingest_curve_system(
         data_path("kummer-char2-ordinary.json", data_dir))
+
+
+def supersingular_42_system(data_dir=None):
+    """The 42-curve system with its fibrations and H, loaded from its
+    checked-in JSON file (written by tools/make_data_files.py)."""
+    return ingest_curve_system(data_path("supersingular-42.json", data_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -952,40 +965,6 @@ DUAD_TABLE_REFERENCE = (
     ("12.34.56", "16.23.45", "13.25.46", "15.24.36", "", "14.26.35"),
     ("15.23.46", "13.24.56", "12.36.45", "16.25.34", "14.26.35", ""),
 )
-
-
-def supersingular_42_system(data_dir=None):
-    """The 42-curve system, loaded from its cached JSON file; the file is
-    generated from the labeling on first use."""
-    path = data_path("supersingular-42.json", data_dir)
-    if not os.path.exists(path):
-        if not os.path.isdir(os.path.dirname(path)):
-            raise FileNotFoundError(errno.ENOENT, "no such data directory",
-                                    path)
-        cs, _ = fibration_tables()
-        data = {
-            "curves": [{"id": c, "self": -2} for c in cs.ids],
-            "intersections": [
-                [a, b, cs.pair(a, b)]
-                for k, a in enumerate(cs.ids)
-                for b in cs.ids[k + 1:] if cs.pair(a, b)],
-            "fibrations": cs.fibrations,
-            "divisors": cs.divisors,
-        }
-        # write beside the target and rename into place: a reader never
-        # sees, and a crash never leaves, a partial file under this name
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                   prefix=".supersingular-42.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(data, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            os.chmod(tmp, 0o644)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    return ingest_curve_system(path)
 
 
 def extract_desmic_28():

@@ -70,10 +70,12 @@ def _dynkin_edges(kind, n):
     if kind == "A":
         return [(i, i + 1) for i in range(n - 1)]
     if kind == "D":
-        assert n >= 3
+        if n < 3:
+            raise ValueError("D_%d: D_n needs n >= 3" % n)
         return [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
     if kind == "E":
-        assert n in (6, 7, 8)
+        if n not in (6, 7, 8):
+            raise ValueError("E_%d: E_n needs n in (6, 7, 8)" % n)
         # chain 0..n-2 with the extra vertex n-1 attached at position 2
         return [(i, i + 1) for i in range(n - 2)] + [(2, n - 1)]
     raise ValueError("unknown Dynkin kind %r" % kind)
@@ -536,10 +538,14 @@ def overlattice(l, glue):
     rows = [[den * int(i == j) for j in range(n)] for i in range(n)]
     for vec in glue:
         scaled = [Fraction(x) * den for x in vec]
-        assert all(x.denominator == 1 for x in scaled)
+        if any(x.denominator != 1 for x in scaled):
+            raise ValueError("glue vector %r is not integral over the common "
+                             "denominator %d" % (vec, den))
         rows.append([int(x) for x in scaled])
     basis_scaled = row_basis(rows)
-    assert len(basis_scaled) == n, "glue vectors drop the rank"
+    if len(basis_scaled) != n:
+        raise ValueError("glue vectors %r drop the rank from %d to %d"
+                         % (glue, n, len(basis_scaled)))
     basis = [[Fraction(x, den) for x in row] for row in basis_scaled]
     gram = [[bilinear(l.gram, x, y) for y in basis] for x in basis]
     for i in range(n):

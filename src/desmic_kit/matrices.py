@@ -17,8 +17,14 @@ class IntMatrix:
         rows = [list(r) for r in rows]
         if rows:
             n = len(rows[0])
-            assert all(len(r) == n for r in rows), "ragged rows"
-            assert all(isinstance(x, int) for r in rows for x in r)
+            for k, r in enumerate(rows):
+                if len(r) != n:
+                    raise ValueError("ragged rows: row %d has %d entries, "
+                                     "row 0 has %d" % (k, len(r), n))
+                for x in r:
+                    if not isinstance(x, int):
+                        raise ValueError("row %d entry %r is not an int"
+                                         % (k, x))
         self.rows = rows
 
     @property
@@ -40,7 +46,10 @@ class IntMatrix:
         return isinstance(other, IntMatrix) and self.rows == other.rows
 
     def __mul__(self, other):
-        assert self.ncols == other.nrows
+        if self.ncols != other.nrows:
+            raise ValueError("cannot multiply a %dx%d by a %dx%d matrix"
+                             % (self.nrows, self.ncols, other.nrows,
+                                other.ncols))
         return IntMatrix([[sum(self.rows[i][k] * other.rows[k][j]
                                for k in range(self.ncols))
                            for j in range(other.ncols)]

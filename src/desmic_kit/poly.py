@@ -7,7 +7,7 @@ Everything is exact; no floats anywhere.
 
 from fractions import Fraction
 
-from .scalars import char_of, from_int, one_like
+from .scalars import char_of, from_int, one_like, power
 
 
 class PolyRing:
@@ -157,15 +157,7 @@ class MultiPoly:
         return MultiPoly(self.ring, {e: v * c for e, v in self.coeffs.items()})
 
     def __pow__(self, n):
-        assert isinstance(n, int) and n >= 0
-        r = self.ring.const(1)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        return power(self, n, self.ring.const(1))
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -407,8 +399,7 @@ class RatFunc:
         return o / self
 
     def __pow__(self, e):
-        assert isinstance(e, int)
-        if e < 0:
+        if isinstance(e, int) and e < 0:
             return (RatFunc(self.den, self.num)) ** (-e)
         return RatFunc(self.num ** e, self.den ** e)
 
@@ -460,7 +451,11 @@ class PowerSeriesTrunc:
 
     def _lift(self, other):
         if isinstance(other, PowerSeriesTrunc):
-            assert other.ring == self.ring and other.N == self.N
+            if other.ring != self.ring or other.N != self.N:
+                raise ValueError("series truncated at %d over %r does not "
+                                 "match one truncated at %d over %r"
+                                 % (other.N, other.ring.varnames, self.N,
+                                    self.ring.varnames))
             return other
         if isinstance(other, MultiPoly):
             return PowerSeriesTrunc(self.ring, other.coeffs, self.N)
@@ -517,15 +512,8 @@ class PowerSeriesTrunc:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        assert isinstance(n, int) and n >= 0
-        r = PowerSeriesTrunc.from_poly(self.ring.const(1), self.N)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        return power(self, n,
+                     PowerSeriesTrunc.from_poly(self.ring.const(1), self.N))
 
     def __eq__(self, other):
         o = self._lift(other)

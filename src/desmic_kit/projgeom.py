@@ -111,7 +111,9 @@ class LineP3:
         object.__setattr__(self, "plucker", pl)
         p12, p13, p14, p23, p24, p34 = pl
         rel = p12 * p34 - p13 * p24 + p14 * p23
-        assert not rel, "Plucker relation violated"
+        if rel:
+            raise ValueError("Plucker coordinates %r violate the Plucker "
+                             "relation: %r" % (pl, rel))
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")

@@ -98,7 +98,8 @@ class Mod:
         return self.inverse() * other
 
     def __pow__(self, e):
-        assert isinstance(e, int)
+        if not isinstance(e, int):
+            raise TypeError("exponent %r is not an int" % (e,))
         if e < 0:
             return self.inverse() ** (-e)
         return Mod(pow(self.v, e, self.p), self.p)
@@ -246,17 +247,9 @@ class QI:
         return self.inverse() * other
 
     def __pow__(self, e):
-        assert isinstance(e, int)
-        if e < 0:
+        if isinstance(e, int) and e < 0:
             return self.inverse() ** (-e)
-        r = QI(1)
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
+        return power(self, e, QI(1))
 
     def __eq__(self, other):
         o = QI._lift(other)
@@ -340,17 +333,9 @@ class F4:
         return self.inverse() * other
 
     def __pow__(self, e):
-        assert isinstance(e, int)
-        if e < 0:
+        if isinstance(e, int) and e < 0:
             return self.inverse() ** (-e)
-        r = F4(1)
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
+        return power(self, e, F4(1))
 
     def __eq__(self, other):
         o = F4._lift(other)
@@ -408,3 +393,20 @@ def one_like(x):
 def from_int(one, n):
     """Image of the integer n in the field whose identity is `one`."""
     return one * n
+
+
+def power(base, e, one):
+    """base**e by repeated squaring, for an int e >= 0; `one` is the
+    identity of the ring of base.  QI, F4, MultiPoly and PowerSeriesTrunc
+    raise to a power through it; Mod uses the built-in modular pow."""
+    if not isinstance(e, int):
+        raise TypeError("exponent %r is not an int" % (e,))
+    if e < 0:
+        raise ValueError("negative exponent %d" % e)
+    r = one
+    while e:
+        if e & 1:
+            r = r * base
+        base = base * base
+        e >>= 1
+    return r

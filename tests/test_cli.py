@@ -75,32 +75,101 @@ def test_cremona_and_char2_suites_pass():
     assert cli.run_suite("char2").ok
 
 
+SCAN_CHECKS = tuple("complex.scan-f%d%s" % (p, kind) for p in (13, 17)
+                    for kind in ("", "-unit", "-match"))
+# shared input -> (suite, module, function, calls in one run, the checks
+# that read it).  The scan runs once for each of its 4 distinct arguments.
+SHARED_INPUTS = {
+    "pencil": ("desmic-surface", cli.sf, "desmic_pencil_symbolic", 1,
+               ("desmic.nodes-12", "desmic.lines-16",
+                "desmic.tangency-computed", "desmic.tangency-printed")),
+    "tangency": ("desmic-surface", cli.sf, "residual_conic_tangency", 1,
+                 ("desmic.tangency-computed", "desmic.tangency-printed")),
+    "scan": ("line-complex", cli.lc, "scan_singular_points", 4,
+             SCAN_CHECKS),
+    "projection": ("cremona", cli.lc, "project_to_quartic_threefold", 1,
+                   ("cremona.rewrite", "cremona.nodes-17",
+                    "cremona.singular-lines")),
+    "42-curve-tables": ("supersingular", cli.cf, "supersingular_42_system", 1,
+                        ("ss.fibration-tables", "ss.divisor-h",
+                         "ss.pairing-profile-printed")),
+}
+# the "all" case breaks every input but the pencil: the tangency is
+# computed from the pencil, so a broken pencil would hide it
+ALL_BROKEN = ("tangency", "scan", "projection", "42-curve-tables")
+
+
+def _suite_and_inputs(case, broken):
+    """The suite that `case` (one input, or "all") runs, and its inputs."""
+    if case != "all":
+        return SHARED_INPUTS[case][0], [case]
+    return "all", ALL_BROKEN if broken else list(SHARED_INPUTS)
+
+
+def _instrument(monkeypatch, names, broken):
+    """Count the calls of the named shared inputs in a {function: calls}
+    dict; a broken input raises ValueError naming its function."""
+    calls = {}
+    for name in names:
+        _, module, func, _, _ = SHARED_INPUTS[name]
+        real = getattr(module, func)
+
+        def counted(*args, func=func, real=real):
+            calls[func] = calls.get(func, 0) + 1
+            if broken:
+                raise ValueError("%s broke" % func)
+            return real(*args)
+
+        monkeypatch.setattr(module, func, counted)
+    return calls
+
+
+def _assert_computed_once_per_run(monkeypatch, case):
+    suite, names = _suite_and_inputs(case, broken=False)
+    calls = _instrument(monkeypatch, names, broken=False)
+    cli.run_suite(suite)
+    assert calls == {SHARED_INPUTS[n][2]: SHARED_INPUTS[n][3] for n in names}
+
+
+def _assert_failure_is_not_cached(monkeypatch, case):
+    suite, names = _suite_and_inputs(case, broken=True)
+    calls = _instrument(monkeypatch, names, broken=True)
+    failed = {c.id: c.details for c in cli.run_suite(suite).failures}
+    want, want_calls = {}, {}
+    for name in names:
+        _, _, func, _, readers = SHARED_INPUTS[name]
+        want.update((cid, "ValueError: %s broke" % func) for cid in readers)
+        want_calls[func] = len(readers)
+    assert failed == want
+    assert calls == want_calls
+
+
 def test_cremona_projection_runs_once_per_suite(monkeypatch):
-    calls = []
-    real = cli.lc.project_to_quartic_threefold
-
-    def counted():
-        calls.append(1)
-        return real()
-
-    monkeypatch.setattr(cli.lc, "project_to_quartic_threefold", counted)
-    assert cli.run_suite("cremona").ok
-    assert len(calls) == 1
+    _assert_computed_once_per_run(monkeypatch, "projection")
 
 
 def test_cremona_projection_failure_is_not_cached(monkeypatch):
-    calls = []
+    _assert_failure_is_not_cached(monkeypatch, "projection")
 
-    def broken():
-        calls.append(1)
-        raise ValueError("projection broke")
 
-    monkeypatch.setattr(cli.lc, "project_to_quartic_threefold", broken)
-    failed = {c.id: c.details for c in cli.run_suite("cremona").failures}
-    want = "ValueError: projection broke"
-    assert failed == {"cremona.rewrite": want, "cremona.nodes-17": want,
-                      "cremona.singular-lines": want}
-    assert len(calls) == 3
+@pytest.mark.parametrize("case", [n for n in SHARED_INPUTS
+                                  if n != "projection"] + ["all"])
+def test_shared_input_computed_once_per_run(monkeypatch, case):
+    _assert_computed_once_per_run(monkeypatch, case)
+
+
+@pytest.mark.parametrize("case", [n for n in SHARED_INPUTS
+                                  if n != "projection"] + ["all"])
+def test_shared_input_failure_is_not_cached(monkeypatch, case):
+    _assert_failure_is_not_cached(monkeypatch, case)
+
+
+def test_rebound_check_function_is_the_one_that_runs(monkeypatch):
+    monkeypatch.setattr(cli, "check_steinerian",
+                        lambda char: ("fail", "rebound in char %d" % char))
+    failed = {c.id: c.details for c in cli.run_suite("identities").failures}
+    assert failed == {"identities.steinerian-char0": "rebound in char 0",
+                      "identities.steinerian-char2": "rebound in char 2"}
 
 
 def test_lattice_suite_passes():
@@ -115,47 +184,30 @@ def test_missing_data_file_fails_cleanly(tmp_path):
     assert "data file missing" in by_id["lat.span-28"].details
 
 
-def test_supersingular_data_file_is_generated_and_cached(tmp_path):
-    path = tmp_path / "supersingular-42.json"
-    assert not path.exists()
-    cs = cf.supersingular_42_system(str(tmp_path))
-    assert path.exists() and len(cs.ids) == 42
-    first = path.read_bytes()
-    cs2 = cf.supersingular_42_system(str(tmp_path))
-    assert path.read_bytes() == first
-    assert cs2.ids == cs.ids and cs2.gram == cs.gram
-
-
-def test_supersingular_data_file_matches_checked_in_copy(tmp_path):
-    cf.supersingular_42_system(str(tmp_path))
-    generated = (tmp_path / "supersingular-42.json").read_bytes()
-    with open(cf.data_path("supersingular-42.json"), "rb") as fh:
-        assert generated == fh.read()
-    assert [p.name for p in tmp_path.iterdir()] == ["supersingular-42.json"]
-    assert (tmp_path / "supersingular-42.json").stat().st_mode & 0o777 == 0o644
-
-
-def test_supersingular_data_file_write_is_atomic(tmp_path, monkeypatch):
-    def broken_dump(obj, fh, **kwargs):
-        fh.write('{"curves": [')
-        raise OSError("disk full")
-
-    monkeypatch.setattr(cf.json, "dump", broken_dump)
-    with pytest.raises(OSError, match="disk full"):
-        cf.supersingular_42_system(str(tmp_path))
-    assert list(tmp_path.iterdir()) == []
+def test_supersingular_data_file_matches_checked_in_copy():
+    cs = cf.supersingular_42_system()
+    built, _ = cf.fibration_tables()
+    assert cs.ids == built.ids and cs.gram == built.gram
+    assert cs.fibrations == built.fibrations
+    assert cs.divisors == built.divisors
 
 
 def test_missing_data_dir_fails_each_supersingular_check(tmp_path):
-    opt = cli.Options(data_dir=str(tmp_path / "no" / "such" / "dir"))
-    first = cli.run_suite("supersingular", opt)
-    assert cli.run_suite("supersingular", opt).to_json() == first.to_json()
-    failed = {c.id: c.details for c in first.failures}
-    want = "data file missing: [Errno 2] no such data directory: '%s'" \
-        % cf.data_path("supersingular-42.json", opt.data_dir)
-    assert failed == {"ss.fibration-tables": want, "ss.divisor-h": want,
-                      "ss.pairing-profile-printed": want}
-    assert list(tmp_path.iterdir()) == []
+    # a missing directory and an empty one fail alike, and nothing is
+    # written to either
+    (tmp_path / "empty").mkdir()
+    for data_dir in (tmp_path / "no" / "such" / "dir", tmp_path / "empty"):
+        opt = cli.Options(data_dir=str(data_dir))
+        first = cli.run_suite("supersingular", opt)
+        assert cli.run_suite("supersingular", opt).to_json() \
+            == first.to_json()
+        failed = {c.id: c.details for c in first.failures}
+        want = "data file missing: [Errno 2] No such file or directory: " \
+            "'%s'" % cf.data_path("supersingular-42.json", opt.data_dir)
+        assert failed == {"ss.fibration-tables": want, "ss.divisor-h": want,
+                          "ss.pairing-profile-printed": want}
+    assert [p.name for p in tmp_path.iterdir()] == ["empty"]
+    assert list((tmp_path / "empty").iterdir()) == []
 
 
 def test_supersingular_suite_statuses():
@@ -239,6 +291,7 @@ import desmic_kit.cli as cli
 import desmic_kit.lattices as la
 import desmic_kit.linecomplex as lc
 import desmic_kit.configs as cf
+import desmic_kit.projgeom as pg
 import desmic_kit.surfaces as sf
 from desmic_kit.configs import CurveSystem
 from desmic_kit.lattices import FiniteQuadForm, Lattice, _coords_in_basis
@@ -346,7 +399,14 @@ for case in (lambda: run_scan(13, 0),
              lambda: cf.AbstractConfig(["p"], ["b", "c"], [("p", "b")]),
              lambda: cf.plane_node_config(3),
              lambda: patched(cf, "COSET_SUBGROUP_GENERATORS",
-                             [[(2, 1, 3, 4)]], cf.coset_config)):
+                             [[(2, 1, 3, 4)]], cf.coset_config),
+             lambda: patched(pg, "PLUCKER_INDEX",
+                             pg.PLUCKER_INDEX[:5] + ((3, 2),),
+                             lambda: LineP3(ProjPoint([1, 0, 1, 0]),
+                                            ProjPoint([0, 1, 0, 1]))),
+             lambda: patched(la, "row_basis", lambda rows: rows[:1],
+                             lambda: la.overlattice(
+                                 "D4", [[Fraction(1, 2)] * 4]))):
     try:
         case()
         print("accepted")
@@ -390,7 +450,9 @@ OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
                     "block sizes not uniform: [0, 1]",
                     "plane family 3 is not 1 or 2",
                     "quadruple (143), (132), (1432), (13) is a block on "
-                    "neither side"]
+                    "neither side",
+                    "violate the Plucker relation: Fraction(-2, 1)",
+                    "drop the rank from 4 to 1"]
 
 
 def test_validation_survives_python_O():
@@ -407,7 +469,9 @@ def test_validation_survives_python_O():
 
 # Modules free of assert statements, so that `python -O` removes no check
 # from them.  Later modules are added to this list, never removed from it.
-ASSERT_FREE_MODULES = ("cli.py", "scan.py", "surfaces.py", "linecomplex.py")
+ASSERT_FREE_MODULES = ("cli.py", "scan.py", "surfaces.py", "linecomplex.py",
+                       "matrices.py", "scalars.py", "poly.py", "projgeom.py",
+                       "lattices.py")
 
 
 @pytest.mark.parametrize("module", ASSERT_FREE_MODULES)

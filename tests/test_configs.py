@@ -439,6 +439,21 @@ def test_ingest_rejects_bad_fiber(tmp_path):
         cf.ingest_curve_system(str(bad))
 
 
+@pytest.mark.parametrize("edit,match", [
+    (lambda d: d["fibrations"][0]["fibers"][0]["components"][0].pop("id"),
+     "fibration f1 component {'mult': 2} has no id"),
+    (lambda d: d["fibrations"][1]["fibers"][2].pop("components"),
+     "fibration f2 fiber 2 has no components: {'type': 'D~4'}"),
+    (lambda d: d["divisors"][0].pop("name"),
+     "divisor record {'terms': [{'class': 'f1', 'coeff': '1'}, "),
+    (lambda d: d["divisors"][0].pop("terms"),
+     "divisor record {'name': 'H'} needs a name and terms"),
+], ids=["component-id", "fiber-components", "divisor-name", "divisor-terms"])
+def test_ingest_rejects_records_missing_a_key(tmp_path, edit, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        _ingest_edited(tmp_path, edit)
+
+
 def test_ingest_rejects_non_integral_divisor(tmp_path):
     with open(cf.data_path("kummer-char0.json")) as fh:
         data = json.load(fh)

@@ -1,6 +1,7 @@
 """Tests for the exact arithmetic substrate: scalars, polynomials, matrices."""
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -318,6 +319,35 @@ def test_poly_mixed_ring_rejected():
     r1, r2 = ring_q("x"), ring_q("y")
     with pytest.raises(ValueError):
         r1.var("x") + r2.var("y")
+
+
+X = PolyRing(["x"]).var("x")
+SERIES = PowerSeriesTrunc.from_poly(X, 3)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: Mod(2, 5) ** 1.5, TypeError, "exponent 1.5 is not an int"),
+    (lambda: QI(1, 1) ** Fraction(1, 2), TypeError, "Fraction(1, 2)"),
+    (lambda: F4(1) ** "2", TypeError, "exponent '2' is not an int"),
+    (lambda: X ** 2.0, TypeError, "exponent 2.0 is not an int"),
+    (lambda: X ** -1, ValueError, "negative exponent -1"),
+    (lambda: RatFunc(X) ** 0.5, TypeError, "exponent 0.5 is not an int"),
+    (lambda: SERIES ** 1.0, TypeError, "exponent 1.0 is not an int"),
+    (lambda: SERIES ** -2, ValueError, "negative exponent -2"),
+    (lambda: SERIES + PowerSeriesTrunc.from_poly(X, 2), ValueError,
+     "series truncated at 2 over ('x',) does not match one truncated at 3"),
+    (lambda: IntMatrix([[1, 2], [3]]), ValueError,
+     "ragged rows: row 1 has 1 entries, row 0 has 2"),
+    (lambda: IntMatrix([[1, Fraction(1, 2)]]), ValueError,
+     "row 0 entry Fraction(1, 2) is not an int"),
+    (lambda: IntMatrix([[1, 2]]) * IntMatrix([[1, 2]]), ValueError,
+     "cannot multiply a 1x2 by a 1x2 matrix"),
+], ids=["mod-pow", "qi-pow", "f4-pow", "poly-pow-type", "poly-pow-negative",
+        "ratfunc-pow", "series-pow-type", "series-pow-negative",
+        "series-mixed", "matrix-ragged", "matrix-entry", "matrix-shapes"])
+def test_arithmetic_rejects_bad_operands_by_name(call, error, match):
+    with pytest.raises(error, match=re.escape(match)):
+        call()
 
 
 def test_poly_derivative_char2():

@@ -40,6 +40,16 @@ def test_unknown_lattice_name():
         la.standard_lattice("Z5")
 
 
+@pytest.mark.parametrize("name,match", [
+    ("D2", "D_2: D_n needs n >= 3"),
+    ("E5", r"E_5: E_n needs n in \(6, 7, 8\)"),
+    ("E9", r"E_9: E_n needs n in \(6, 7, 8\)"),
+])
+def test_dynkin_rank_out_of_range(name, match):
+    with pytest.raises(ValueError, match=match):
+        la.standard_lattice(name)
+
+
 def test_odd_diagonal_rejected():
     with pytest.raises(ValueError, match="diagonal entry -1 is odd"):
         la.Lattice([[-1]])

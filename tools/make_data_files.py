@@ -1,5 +1,9 @@
 """Regenerate the checked-in dual-graph data files.
 
+This is the only writer of src/desmic_kit/data; the package only reads
+it.  Run from anywhere: `python tools/make_data_files.py`.  On a clean
+checkout it rewrites the three files byte for byte.
+
 The incidence rules encoded here are validated independently by
 desmic_kit.configs (fiber squares, affine Dynkin shapes, divisor pairing
 integrality), so a transcription slip shows up as a validation error rather
@@ -8,9 +12,10 @@ than silently corrupting downstream checks.
 
 import json
 import os
+import sys
 
-OUT = os.path.join(os.path.dirname(__file__), "..", "src", "desmic_kit",
-                   "data")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+OUT = os.path.join(SRC, "desmic_kit", "data")
 
 
 def kummer_char0():
@@ -135,13 +140,28 @@ def kummer_char2_ordinary():
             "fibrations": fibrations, "divisors": divisors}
 
 
+def supersingular_42():
+    # the 42 curves over the points and lines of the plane over the
+    # four-element field, with the three fibration tables and H, as
+    # desmic_kit.configs builds them from the labeling of the 6-arc
+    sys.path.insert(0, SRC)
+    from desmic_kit.configs import fibration_tables
+    cs, _ = fibration_tables()
+    return {"curves": [{"id": c, "self": -2} for c in cs.ids],
+            "intersections": [[a, b, cs.pair(a, b)]
+                              for k, a in enumerate(cs.ids)
+                              for b in cs.ids[k + 1:] if cs.pair(a, b)],
+            "fibrations": cs.fibrations, "divisors": cs.divisors}
+
+
 def main():
-    for name, data in [("kummer-char0.json", kummer_char0()),
-                       ("kummer-char2-ordinary.json",
-                        kummer_char2_ordinary())]:
+    for name, data, sort_keys in [
+            ("kummer-char0.json", kummer_char0(), False),
+            ("kummer-char2-ordinary.json", kummer_char2_ordinary(), False),
+            ("supersingular-42.json", supersingular_42(), True)]:
         path = os.path.join(OUT, name)
         with open(path, "w") as fh:
-            json.dump(data, fh, indent=1)
+            json.dump(data, fh, indent=1, sort_keys=sort_keys)
             fh.write("\n")
         print("wrote", path)
 
