@@ -17,7 +17,8 @@ from . import configs as cf
 from . import lattices as la
 from . import linecomplex as lc
 from . import surfaces as sf
-from .scalars import Mod, is_prime, sqrt_minus_one
+from .projgeom import normalize
+from .scalars import is_prime, sqrt_minus_one
 
 SUITES = ("identities", "desmic-surface", "line-complex", "symmetry",
           "cremona", "char2", "supersingular", "lattices")
@@ -184,12 +185,9 @@ def check_scan(scan, p, unit_variant):
 
 
 def check_scan_matches_list(scan, p):
-    one = Mod(1, p)
     i = sqrt_minus_one(p)
-    printed = set()
-    for pt in lc.klein_nodes_18(i) + lc.klein_nodes_16(i):
-        printed.add(tuple(c.v for c in lc._normalize_tuple(
-            lc._lift_point(one, pt))))
+    printed = {tuple(c.v for c in normalize(pt))
+               for pt in lc.klein_nodes_18(i) + lc.klein_nodes_16(i)}
     _, pts = scan(p, False)
     return _ok(set(pts) == printed,
                "scan output over F_%d equals the reduction of the printed "

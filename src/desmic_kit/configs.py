@@ -676,6 +676,17 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _records(value, where):
+    """value, which must be a JSON list of objects; `where` names it in the
+    ValueError raised otherwise."""
+    if not isinstance(value, list):
+        raise ValueError("%s: %r is not a list" % (where, value))
+    for rec in value:
+        if not isinstance(rec, dict):
+            raise ValueError("%s: record %r is not an object" % (where, rec))
+    return value
+
+
 def ingest_curve_system(path):
     """Load and validate a curve system from its JSON file."""
     with open(path) as fh:
@@ -687,7 +698,7 @@ def ingest_curve_system(path):
     if "curves" not in data:
         raise ValueError("missing 'curves'")
     ids, selfints = [], {}
-    for rec in data["curves"]:
+    for rec in _records(data["curves"], "curves"):
         if set(rec) != {"id", "self"}:
             raise ValueError("bad curve record %r" % (rec,))
         if not _is_int(rec["self"]):
@@ -704,7 +715,7 @@ def ingest_curve_system(path):
         gram[index[c]][index[c]] = selfints[c]
     given = set()
     for entry in data.get("intersections", []):
-        if len(entry) != 3:
+        if not isinstance(entry, list) or len(entry) != 3:
             raise ValueError("bad intersection entry %r" % (entry,))
         a, b, val = entry
         if a not in index or b not in index:
@@ -721,15 +732,19 @@ def ingest_curve_system(path):
                              % (a, b, entry))
         given.add(frozenset((a, b)))
         gram[index[a]][index[b]] = gram[index[b]][index[a]] = val
-    fibrations = data.get("fibrations", [])
+    fibrations = _records(data.get("fibrations", []), "fibrations")
     for fib in fibrations:
         if set(fib) != {"name", "fibers"}:
             raise ValueError("bad fibration record %r" % (fib.get("name"),))
-        for k, fiber in enumerate(fib["fibers"]):
+        fibers = _records(fib["fibers"],
+                          "fibration %s fibers" % (fib["name"],))
+        for k, fiber in enumerate(fibers):
             if "components" not in fiber:
                 raise ValueError("fibration %s fiber %d has no components: "
                                  "%r" % (fib["name"], k, fiber))
-            for comp in fiber["components"]:
+            for comp in _records(fiber["components"],
+                                 "fibration %s fiber %d components"
+                                 % (fib["name"], k)):
                 if "id" not in comp:
                     raise ValueError("fibration %s component %r has no id"
                                      % (fib["name"], comp))
@@ -741,12 +756,13 @@ def ingest_curve_system(path):
                     raise ValueError(
                         "fibration %s component %r: multiplicity is not a "
                         "positive integer" % (fib["name"], comp))
-    divisors = data.get("divisors", [])
+    divisors = _records(data.get("divisors", []), "divisors")
     for div in divisors:
         if not {"name", "terms"} <= set(div):
             raise ValueError("divisor record %r needs a name and terms"
                              % (div,))
-        for term in div["terms"]:
+        for term in _records(div["terms"],
+                             "divisor %s terms" % (div["name"],)):
             keys = set(term)
             if keys not in ({"id", "coeff"}, {"class", "coeff"}):
                 raise ValueError("bad divisor term %r in %s"

@@ -20,7 +20,8 @@ from itertools import permutations, product
 from .matrices import (bilinear, det_poly_matrix, matrix_rank, nullspace,
                        rref)
 from .poly import PolyRing
-from .scalars import I, Mod, QI, from_int, one_like, sqrt_minus_one
+from .projgeom import ProjPoint, klein_change_rows, mat_apply, normalize
+from .scalars import I, Mod, QI, field_i, lift, one_like, sqrt_minus_one
 from .surfaces import Form, node_check, polar_matrix, taylor
 
 
@@ -97,8 +98,8 @@ def montesano_condition(net, line):
     if matrix_rank(_quadric_coeff_vectors(net)) != 3:
         raise ValueError("degenerate net")
     one = one_like(net[0].ring.one)
-    a = [c if not isinstance(c, int) else from_int(one, c) for c in line.p.coords]
-    b = [c if not isinstance(c, int) else from_int(one, c) for c in line.q.coords]
+    a = [lift(one, c) for c in line.p.coords]
+    b = [lift(one, c) for c in line.q.coords]
     return not det_poly_matrix(montesano_matrix(net, a, b))
 
 
@@ -176,17 +177,6 @@ PLUCKER_NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")
 KLEIN_NAMES = ("x1", "x2", "x3", "y1", "y2", "y3")
 
 
-def _field_i(one):
-    """A designated square root of -1 in the field of `one`."""
-    if isinstance(one, Mod):
-        return sqrt_minus_one(one.p)
-    if isinstance(one, QI):
-        return I
-    if isinstance(one, (int, Fraction)):
-        return I
-    raise ValueError("field lacks a designated square root of -1")
-
-
 class CompleteIntersection35:
     """Quadric and cubic forms cutting the complex out of P^5."""
 
@@ -221,7 +211,7 @@ class CompleteIntersection35:
         """Sum of the six squares, and x1*x2*x3 + i*y1*y2*y3 (or with
         coefficient 1 when unit_variant is set)."""
         if i is None:
-            i = I if one is None else _field_i(one)
+            i = I if one is None else field_i(one)
         if one is None:
             one = one_like(i)
         ring = PolyRing(list(KLEIN_NAMES), one)
@@ -232,20 +222,6 @@ class CompleteIntersection35:
         coeff = one if unit_variant else i
         c = gens[0] * gens[1] * gens[2] + (gens[3] * gens[4] * gens[5]).scale(coeff)
         return cls(Form(q), Form(c), "klein", i=i)
-
-
-def klein_change_rows(i):
-    """Matrix K with (Klein coords) = K * (Plucker coords)."""
-    o = one_like(i)
-    z = o * 0
-    return [
-        [o, z, z, z, z, o],
-        [z, -o, z, z, o, z],
-        [z, z, o, o, z, z],
-        [-i, z, z, z, z, i],
-        [z, i, z, z, i, z],
-        [z, z, -i, i, z, z],
-    ]
 
 
 def klein_change_consistent(i=None):
@@ -334,10 +310,6 @@ def klein_nodes_16(i=None):
     return pts
 
 
-def _lift_point(one, pt):
-    return tuple(from_int(one, c) if isinstance(c, int) else c for c in pt)
-
-
 class NodeReport:
     """Per-point data for the complete-intersection node test."""
 
@@ -380,7 +352,7 @@ def ci_node_report(ci, pt):
     which vanishes on the kernel."""
     one = ci.one
     zero = one * 0
-    pt = _normalize_tuple(_lift_point(one, pt))
+    pt = normalize([lift(one, c) for c in pt])
     n = len(pt)
     t2 = taylor(ci.quadric, pt, 2)
     t3 = taylor(ci.cubic, pt, 2)
@@ -430,15 +402,19 @@ class NodeInventory:
         return all(r.is_node for r in self.reports1 + self.reports2)
 
 
+def _listed_nodes(ci):
+    """The printed 18 and 16 singular points in the coordinates of `ci`,
+    over its field."""
+    if ci.coords == "plucker":
+        return ([tuple(lift(ci.one, c) for c in p) for p in PLUCKER_NODES_18],
+                [tuple(lift(ci.one, c) for c in p) for p in PLUCKER_NODES_16])
+    return klein_nodes_18(ci.i), klein_nodes_16(ci.i)
+
+
 def verify_node_inventory(ci):
     """Check the full printed list of 34 singular points in the coordinate
     system of `ci`; raises if any point fails a check."""
-    if ci.coords == "plucker":
-        pts1 = [_lift_point(ci.one, p) for p in PLUCKER_NODES_18]
-        pts2 = [_lift_point(ci.one, p) for p in PLUCKER_NODES_16]
-    else:
-        pts1 = klein_nodes_18(ci.i)
-        pts2 = klein_nodes_16(ci.i)
+    pts1, pts2 = _listed_nodes(ci)
     reps1 = [ci_node_report(ci, p) for p in pts1]
     reps2 = [ci_node_report(ci, p) for p in pts2]
     for r in reps1 + reps2:
@@ -447,22 +423,13 @@ def verify_node_inventory(ci):
     return NodeInventory(pts1, pts2, reps1, reps2)
 
 
-def _normalize_tuple(coords):
-    lead = next(c for c in coords if c)
-    return tuple(c / lead for c in coords)
-
-
 def klein_plucker_node_bijection():
     """The coordinate change maps the 34 Plucker nodes bijectively onto the
     34 Klein nodes (up to scale)."""
     rows = klein_change_rows(I)
-    imgs = set()
-    for pt in PLUCKER_NODES_18 + PLUCKER_NODES_16:
-        p = [QI(c) for c in pt]
-        img = [sum((rows[k][j] * p[j] for j in range(6)), QI(0))
-               for k in range(6)]
-        imgs.add(_normalize_tuple(img))
-    target = {_normalize_tuple(p) for p in klein_nodes_18() + klein_nodes_16()}
+    imgs = {mat_apply(rows, ProjPoint(pt))
+            for pt in PLUCKER_NODES_18 + PLUCKER_NODES_16}
+    target = {ProjPoint(p) for p in klein_nodes_18() + klein_nodes_16()}
     return imgs == target and len(imgs) == 34
 
 
@@ -536,9 +503,7 @@ class PlaneInP5:
     """Plane in P^5 cut by three independent linear forms (covectors)."""
 
     def __init__(self, covectors, one, label=None):
-        self.covectors = [
-            tuple(from_int(one, c) if isinstance(c, int) else c for c in cv)
-            for cv in covectors]
+        self.covectors = [tuple(lift(one, c) for c in cv) for cv in covectors]
         self.one = one
         self.label = label
         if matrix_rank([list(c) for c in self.covectors]) != 3:
@@ -555,9 +520,12 @@ class PlaneInP5:
                 return False
         return True
 
-    def canonical(self):
-        r, _ = rref([list(c) for c in self.covectors])
-        return tuple(tuple(row) for row in r)
+
+def _span_key(rows):
+    """The span of the rows, as the rows of its reduced echelon form: the
+    key of a plane of P^5 by its covectors or by a basis."""
+    r, _ = rref([list(v) for v in rows])
+    return tuple(tuple(row) for row in r)
 
 
 def klein_plane_list(i=None):
@@ -625,12 +593,9 @@ def verify_plane_inventory(ci):
     configuration (24_{3+4}, 18_4 + 16_6)."""
     if ci.coords == "plucker":
         planes = plucker_plane_list(ci.one)
-        pts1 = [_lift_point(ci.one, p) for p in PLUCKER_NODES_18]
-        pts2 = [_lift_point(ci.one, p) for p in PLUCKER_NODES_16]
     else:
         planes = klein_plane_list(ci.i)
-        pts1 = klein_nodes_18(ci.i)
-        pts2 = klein_nodes_16(ci.i)
+    pts1, pts2 = _listed_nodes(ci)
     for pl in planes:
         if not plane_contained(ci, pl):
             raise ValueError("plane not contained in the complex: %r"
@@ -661,18 +626,15 @@ def klein_plane_labels():
     klein_plane_list()."""
     rows = klein_change_rows(I)
     printed = plucker_plane_list(QI(1))
-    by_canon = {pl.canonical(): pl.label for pl in printed}
+    by_canon = {_span_key(pl.covectors): pl.label for pl in printed}
     if len(by_canon) != 24:
         raise ValueError("the printed planes have %d distinct canonical "
                          "forms, not 24" % len(by_canon))
     labels = []
     for pl in klein_plane_list():
-        pulled = []
-        for cv in pl.covectors:
-            pulled.append([sum((cv[k] * rows[k][j] for k in range(6)), QI(0))
-                           for j in range(6)])
-        canon = PlaneInP5(pulled, QI(1)).canonical()
-        labels.append(by_canon[canon])
+        pulled = [[sum((cv[k] * rows[k][j] for k in range(6)), QI(0))
+                   for j in range(6)] for cv in pl.covectors]
+        labels.append(by_canon[_span_key(pulled)])
     if len(set(labels)) != 24:
         raise ValueError("the Klein planes match %d distinct printed "
                          "labels, not 24" % len(set(labels)))
@@ -827,32 +789,22 @@ def monomial_symmetry_group():
     g0 = _canonical_element((3, 4, 5, 0, 1, 2), (2, 2, 2, 0, 0, 0))
     has_g0 = g0 in elements
 
-    nodes = [tuple(QI(c) if isinstance(c, int) else c for c in pt)
-             for pt in klein_nodes_18() + klein_nodes_16()]
-    node_keys = [_normalize_tuple(p) for p in nodes]
+    node_keys = [normalize(p) for p in klein_nodes_18() + klein_nodes_16()]
     orbit_sizes = _orbit_sizes(node_keys, gens, _apply_point)
 
-    planes = klein_plane_list()
-    plane_keys = [_plane_key(pl.basis) for pl in planes]
-    plane_orbits = len(_orbit_sizes(plane_keys, gens, _apply_plane_key))
+    plane_keys = [_span_key(pl.basis) for pl in klein_plane_list()]
+    plane_orbits = len(_orbit_sizes(plane_keys, gens, _apply_plane))
 
     return SymmetryReport(len(elements), sorted(orbit_sizes),
                           plane_orbits, has_g0, group == elements, elements)
 
 
 def _apply_point(el, key):
-    return _normalize_tuple(_apply_element(el, key))
+    return normalize(_apply_element(el, key))
 
 
-def _plane_key(basis):
-    r, _ = rref([list(b) for b in basis])
-    return tuple(tuple(row) for row in r)
-
-
-def _apply_plane_key(el, key):
-    imgs = [list(_apply_element(el, b)) for b in key]
-    r, _ = rref(imgs)
-    return tuple(tuple(row) for row in r)
+def _apply_plane(el, key):
+    return _span_key(_apply_element(el, b) for b in key)
 
 
 def _orbit_sizes(keys, gens, action):
@@ -919,8 +871,7 @@ def projected_quartic():
 
 def _line_on_and_singular(form, covectors):
     one = form.ring.one
-    covs = [[from_int(one, c) if isinstance(c, int) else c for c in cv]
-            for cv in covectors]
+    covs = [[lift(one, c) for c in cv] for cv in covectors]
     basis = nullspace(covs, one)
     if len(basis) != 2:
         raise ValueError("covectors %r cut a space of dimension %d, not a "
@@ -987,7 +938,7 @@ def rationality_planes_check():
     s, t, r = ring3.gens()
     bases = []
     for covs in RATIONALITY_PLANES:
-        rows = [[from_int(one, c) for c in cv] for cv in covs]
+        rows = [[lift(one, c) for c in cv] for cv in covs]
         basis = nullspace(rows, one)
         if len(basis) != 3:
             raise ValueError("covectors %r cut a space of dimension %d, not "
@@ -999,13 +950,12 @@ def rationality_planes_check():
         if not X.subst(mapping, ring3).is_zero():
             return False
     for (a, b), printed in RATIONALITY_INTERSECTIONS.items():
-        rows = [[from_int(one, c) for c in cv]
+        rows = [[lift(one, c) for c in cv]
                 for cv in RATIONALITY_PLANES[a] + RATIONALITY_PLANES[b]]
         ker = nullspace(rows, one)
         if len(ker) != 1:
             return False
-        if _normalize_tuple(ker[0]) != _normalize_tuple(
-                [from_int(one, c) for c in printed]):
+        if normalize(ker[0]) != normalize([lift(one, c) for c in printed]):
             return False
     return True
 
@@ -1018,7 +968,7 @@ def cubic_sevenfold(one=None, i=None):
     """x0*(x1^2+...+x6^2) + x1*x2*x3 + i*x4*x5*x6, the cubic in P^6 whose
     associated variety at [1,0,...,0] is the Klein-form complex."""
     if i is None:
-        i = I if one is None else _field_i(one)
+        i = I if one is None else field_i(one)
     if one is None:
         one = one_like(i)
     ring = PolyRing(["x0", "x1", "x2", "x3", "x4", "x5", "x6"], one)
@@ -1034,19 +984,16 @@ def segre_t_forms(ring):
     """The eight printed linear forms identifying the cubic with the Segre
     cubic in P^6."""
     x0, x1, x2, x3, x4, x5, x6 = ring.gens()
-    i = _field_i(ring.one)
-
-    def sc(p, c):
-        return p.scale(ring.one * c) if isinstance(c, int) else p.scale(c)
-
-    t0 = sc(x0, 2) + x1 - x2 - x3
-    t1 = sc(x0, 2) - x1 + x2 - x3
-    t2 = sc(x0, 2) - x1 - x2 + x3
-    t3 = sc(x0, 2) + x1 + x2 + x3
-    t4 = sc(x0, -2) - sc(x4 + x5 + x6, i)
-    t5 = sc(x0, -2) + sc(x4 + x5 - x6, i)
-    t6 = sc(x0, -2) + sc(x4 - x5 + x6, i)
-    t7 = sc(x0, -2) + sc(-x4 + x5 + x6, i)
+    i = field_i(ring.one)
+    two_x0 = x0.scale(lift(ring.one, 2))
+    t0 = two_x0 + x1 - x2 - x3
+    t1 = two_x0 - x1 + x2 - x3
+    t2 = two_x0 - x1 - x2 + x3
+    t3 = two_x0 + x1 + x2 + x3
+    t4 = -two_x0 - (x4 + x5 + x6).scale(i)
+    t5 = -two_x0 + (x4 + x5 - x6).scale(i)
+    t6 = -two_x0 + (x4 - x5 + x6).scale(i)
+    t7 = -two_x0 + (-x4 + x5 + x6).scale(i)
     return [t0, t1, t2, t3, t4, t5, t6, t7]
 
 
@@ -1080,10 +1027,10 @@ def segre_isomorphism_check(scan_prime=13):
         cand = (-rep.tangent_lambda,) + tuple(rep.point)
         if not node_check(fp, cand):
             raise ValueError("lifted point is not a node: %r" % (cand,))
-        seen.add(_normalize_tuple(cand))
+        seen.add(normalize(cand))
     cone = (one,) + (one * 0,) * 6
     if not node_check(fp, cone):
         raise ValueError("cone point is not a node")
-    seen.add(_normalize_tuple(cone))
+    seen.add(normalize(cone))
     return {"sum_zero": sum_zero, "lambda": lam,
             "nodes_mod_p": len(seen), "prime": p}

@@ -55,9 +55,6 @@ class IntMatrix:
                            for j in range(other.ncols)]
                           for i in range(self.nrows)])
 
-    def transpose(self):
-        return IntMatrix([list(c) for c in zip(*self.rows)])
-
     def det(self):
         return det_poly_matrix(self.rows)
 

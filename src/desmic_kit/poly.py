@@ -7,7 +7,7 @@ Everything is exact; no floats anywhere.
 
 from fractions import Fraction
 
-from .scalars import char_of, from_int, one_like, power
+from .scalars import char_of, lift, one_like, power
 
 
 class PolyRing:
@@ -32,8 +32,7 @@ class PolyRing:
         return tuple(self.var(v) for v in self.varnames)
 
     def const(self, c):
-        if isinstance(c, int):
-            c = from_int(self.one, c)
+        c = lift(self.one, c)
         if not c:
             return MultiPoly(self, {})
         return MultiPoly(self, {self.zero_exp: c})
@@ -84,9 +83,6 @@ class MultiPoly:
 
     def constant_coeff(self):
         return self.coeffs.get(self.ring.zero_exp, self.ring.one * 0)
-
-    def coeff_of(self, exp):
-        return self.coeffs.get(tuple(exp), self.ring.one * 0)
 
     def monomials(self):
         return sorted(self.coeffs)
@@ -178,7 +174,7 @@ class MultiPoly:
         for e, c in self.coeffs.items():
             if e[i] == 0:
                 continue
-            k = from_int(self.ring.one, e[i])
+            k = lift(self.ring.one, e[i])
             if not k:
                 continue
             e2 = list(e)
@@ -256,15 +252,6 @@ class MultiPoly:
                             for v, k in zip(self.ring.varnames, e) if k)
             parts.append("(%s)%s" % (c, "*" + mono if mono else ""))
         return " + ".join(parts)
-
-
-def poly_subst(f, mapping):
-    """Compose f with a variable -> polynomial map (all targets in one ring)."""
-    rings = {g.ring for g in mapping.values() if isinstance(g, MultiPoly)}
-    if len(rings) > 1:
-        raise ValueError("substitution targets mix rings")
-    target = rings.pop() if rings else f.ring
-    return f.subst(mapping, target)
 
 
 def poly_gcd_content(f):

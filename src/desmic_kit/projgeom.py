@@ -4,22 +4,23 @@ construction from a general point.
 
 Plucker convention: (p12, p13, p14, p23, p24, p34), satisfying
 p12*p34 - p13*p24 + p14*p23 = 0.
+
+A point of any projective space is a ProjPoint; normalize() gives its key,
+and klein_change_rows() the linear change from Plucker to Klein
+coordinates of P^5.
 """
 
 from fractions import Fraction
 
 from .matrices import matrix_rank, nullspace, solve_linear
-from .poly import MultiPoly, PolyRing
-from .scalars import I, QI, Mod, char_of, one_like, sqrt_minus_one
+from .poly import PolyRing
+from .scalars import char_of, field_i, lift, one_like
 
 
-def _as_field(c):
-    """Lift a plain int coordinate into the rationals."""
-    return Fraction(c) if isinstance(c, int) else c
-
-
-def _normalize(coords):
-    coords = tuple(_as_field(c) for c in coords)
+def normalize(coords):
+    """The projective key of a coordinate vector: every entry divided by
+    the first nonzero one.  The entries must be field elements already
+    (see scalars.lift); a zero vector raises ValueError."""
     lead = next((c for c in coords if c), None)
     if lead is None:
         raise ValueError("zero coordinate vector")
@@ -27,12 +28,13 @@ def _normalize(coords):
 
 
 class ProjPoint:
-    """Point of projective space; equality up to scale."""
+    """Point of projective space of any dimension; equality up to scale.
+    Int and Fraction coordinates are lifted into the rationals."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        coords = tuple(_as_field(c) for c in coords)
+        coords = tuple(lift(Fraction(1), c) for c in coords)
         if not any(coords):
             raise ValueError("all coordinates zero")
         object.__setattr__(self, "coords", coords)
@@ -41,7 +43,7 @@ class ProjPoint:
         raise AttributeError("immutable")
 
     def normalized(self):
-        return _normalize(self.coords)
+        return normalize(self.coords)
 
     def __eq__(self, other):
         return isinstance(other, ProjPoint) and self.normalized() == other.normalized()
@@ -65,7 +67,7 @@ class ProjPlane:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = tuple(_as_field(c) for c in coeffs)
+        coeffs = tuple(lift(Fraction(1), c) for c in coeffs)
         if not any(coeffs):
             raise ValueError("all coefficients zero")
         object.__setattr__(self, "coeffs", coeffs)
@@ -81,7 +83,7 @@ class ProjPlane:
         return not s
 
     def normalized(self):
-        return _normalize(self.coeffs)
+        return normalize(self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, ProjPlane) and self.normalized() == other.normalized()
@@ -102,7 +104,7 @@ class LineP3:
     __slots__ = ("p", "q", "plucker")
 
     def __init__(self, p, q):
-        pc, qc = [_as_field(c) for c in p.coords], [_as_field(c) for c in q.coords]
+        pc, qc = p.coords, q.coords
         pl = tuple(pc[i] * qc[j] - pc[j] * qc[i] for i, j in PLUCKER_INDEX)
         if not any(pl):
             raise ValueError("dependent spanning points")
@@ -121,16 +123,14 @@ class LineP3:
     @classmethod
     def from_planes(cls, h1, h2):
         """The intersection line of two distinct planes."""
-        one = one_like(_as_field(h1.coeffs[0]))
-        rows = [[_as_field(c) for c in h1.coeffs],
-                [_as_field(c) for c in h2.coeffs]]
-        ker = nullspace(rows, one)
+        ker = nullspace([list(h1.coeffs), list(h2.coeffs)],
+                        one_like(h1.coeffs[0]))
         if len(ker) != 2:
             raise ValueError("planes do not meet in a line")
         return cls(ProjPoint(ker[0]), ProjPoint(ker[1]))
 
     def normalized(self):
-        return _normalize(self.plucker)
+        return normalize(self.plucker)
 
     def __eq__(self, other):
         return isinstance(other, LineP3) and self.normalized() == other.normalized()
@@ -139,9 +139,8 @@ class LineP3:
         return hash(self.normalized())
 
     def contains(self, pt):
-        rows = [list(self.p.coords), list(self.q.coords), list(pt.coords)]
-        rows = [[_as_field(c) for c in r] for r in rows]
-        return matrix_rank(rows) == 2
+        return matrix_rank([list(self.p.coords), list(self.q.coords),
+                            list(pt.coords)]) == 2
 
     def __repr__(self):
         return "LineP3(%r)" % (list(self.plucker),)
@@ -152,56 +151,32 @@ def plucker_from_points(p, q):
     return LineP3(p, q)
 
 
-class KleinPoint:
-    """Point of P^5 in Klein coordinates (x1,x2,x3,y1,y2,y3)."""
+def klein_change_rows(i):
+    """Matrix K with (Klein coords) = K * (Plucker coords):
 
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        coords = tuple(coords)
-        if not any(coords):
-            raise ValueError("all coordinates zero")
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def normalized(self):
-        return _normalize(self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, KleinPoint) and self.normalized() == other.normalized()
-
-    def __hash__(self):
-        return hash(self.normalized())
-
-    def __repr__(self):
-        return "KleinPoint(%r)" % (list(self.coords),)
+    (x1,x2,x3,y1,y2,y3) =
+      (p12+p34, -p13+p24, p14+p23, i(p34-p12), i(p24+p13), i(p23-p14))."""
+    o = one_like(i)
+    z = o * 0
+    return [
+        [o, z, z, z, z, o],
+        [z, -o, z, z, o, z],
+        [z, z, o, o, z, z],
+        [-i, z, z, z, z, i],
+        [z, i, z, z, i, z],
+        [z, z, -i, i, z, z],
+    ]
 
 
 def klein_from_plucker(line, i=None):
-    """Klein coordinates of a line: the linear change
+    """The Klein point K * plucker of a line, K = klein_change_rows(i).
 
-    (x1,x2,x3,y1,y2,y3) =
-      (p12+p34, -p13+p24, p14+p23, i(p34-p12), i(p24+p13), i(p23-p14)).
-
-    The ambient field must contain i; rational Plucker coordinates are
-    promoted to Gaussian rationals, prime fields need p = 1 mod 4.
-    """
-    pl = line.plucker
+    The ambient field must contain i; by default i is field_i of the
+    Plucker field, so rational coordinates go to the Gaussian rationals
+    and prime fields need p = 1 mod 4."""
     if i is None:
-        sample = pl[0]
-        ch = char_of(sample)
-        if ch == 0:
-            pl = tuple(QI(c) if isinstance(c, (int, Fraction)) else c for c in pl)
-            i = I
-        elif isinstance(sample, Mod):
-            i = sqrt_minus_one(ch)
-        else:
-            raise ValueError("field lacks a designated square root of -1")
-    p12, p13, p14, p23, p24, p34 = pl
-    return KleinPoint((p12 + p34, -p13 + p24, p14 + p23,
-                       i * (p34 - p12), i * (p24 + p13), i * (p23 - p14)))
+        i = field_i(one_like(line.plucker[0]))
+    return mat_apply(klein_change_rows(i), ProjPoint(line.plucker))
 
 
 def harmonic_homology(axis, center):
@@ -210,8 +185,7 @@ def harmonic_homology(axis, center):
     Involutive up to scalar; fixes the axis pointwise and the center.
     Requires characteristic != 2 and the center off the axis.
     """
-    a = [_as_field(c) for c in axis.coeffs]
-    c = [_as_field(x) for x in center.coords]
+    a, c = axis.coeffs, center.coords
     if char_of(next(c for c in a if c)) == 2:
         raise ValueError("harmonic homology undefined in characteristic 2")
     s = sum((ai * ci for ai, ci in zip(a, c)), a[0] * 0)
@@ -238,10 +212,9 @@ def edge_involution(edge1, edge2):
 
 
 def mat_apply(m, point):
-    coords = [sum((row[j] * _as_field(point.coords[j])
-                   for j in range(len(row))), _as_field(row[0]) * 0)
-              for row in m]
-    return ProjPoint(coords)
+    """The point m * point."""
+    return ProjPoint([sum(a * x for a, x in zip(row, point.coords))
+                      for row in m])
 
 
 OPPOSITE_EDGE_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
@@ -254,7 +227,7 @@ COORD_FACES = tuple(ProjPlane([1 if i == j else 0 for j in range(4)])
 
 def plane_through(points):
     """The plane spanned by three independent points of P^3."""
-    rows = [[_as_field(c) for c in p.coords] for p in points]
+    rows = [list(p.coords) for p in points]
     ker = nullspace(rows, one_like(next(c for r in rows for c in r if c)))
     if len(ker) != 1:
         raise ValueError("points do not span a plane")
@@ -289,8 +262,7 @@ def desmic_from_point(p):
     t2 = [mat_apply(harmonic_homology(COORD_FACES[i], COORD_VERTICES[i]), p)
           for i in range(4)]
 
-    ring = PolyRing(["x", "y", "z", "w"],
-                    one_like(_as_field(p.coords[0])))
+    ring = PolyRing(["x", "y", "z", "w"], one_like(p.coords[0]))
     xs = ring.gens()
 
     def face_product(vertices):
@@ -298,7 +270,7 @@ def desmic_from_point(p):
         for skip in range(4):
             pts = [v for k, v in enumerate(vertices) if k != skip]
             pl = plane_through(pts)
-            prod = prod * _canonical_form([_as_field(c) for c in pl.coeffs], ring)
+            prod = prod * _canonical_form(pl.coeffs, ring)
         return prod
 
     q0 = xs[0] * xs[1] * xs[2] * xs[3]
@@ -334,7 +306,7 @@ def alpha_plane(p, ring=None):
     """
     if ring is None:
         ring = PLUCKER_RING
-    a, b, c, d = (_as_field(x) for x in p.coords)
+    a, b, c, d = p.coords
     x1, x2, x3, x4, x5, x6 = ring.gens()
     o = ring.one
 
@@ -363,7 +335,7 @@ def beta_plane(h, ring=None):
     """
     if ring is None:
         ring = PLUCKER_RING
-    a, b, c, d = (_as_field(x) for x in h.coeffs)
+    a, b, c, d = h.coeffs
     x1, x2, x3, x4, x5, x6 = ring.gens()
     o = ring.one
 

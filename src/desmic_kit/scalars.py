@@ -134,6 +134,28 @@ def sqrt_minus_one(p):
     return Mod(min(r, p - r), p)
 
 
+def field_i(one):
+    """The designated square root of -1 in the field of `one`: i in Q and
+    Q(i), sqrt_minus_one(p) in GF(p).  Other fields raise ValueError."""
+    if isinstance(one, Mod):
+        return sqrt_minus_one(one.p)
+    if isinstance(one, (int, Fraction, QI)):
+        return I
+    raise ValueError("field lacks a designated square root of -1")
+
+
+def lift(one, x):
+    """Image of x in the field whose identity is `one`.  An int n maps to
+    one*n and a Fraction n/d to (one*n)/(one*d), which also serves F_4,
+    where F4 * Fraction is undefined.  Anything else is taken to be a field
+    element already and is returned unchanged."""
+    if isinstance(x, int):
+        return one * x
+    if isinstance(x, Fraction):
+        return one * x.numerator / (one * x.denominator)
+    return x
+
+
 class QI:
     """Gaussian rational (a + b*i)/d, stored as three ints with d > 0 and
     gcd(a, b, d) = 1, so equal values have equal triples.  One common
@@ -388,11 +410,6 @@ def one_like(x):
     if o is not None:
         return o() if callable(o) else o
     raise TypeError("unknown scalar type %r" % type(x))
-
-
-def from_int(one, n):
-    """Image of the integer n in the field whose identity is `one`."""
-    return one * n
 
 
 def power(base, e, one):

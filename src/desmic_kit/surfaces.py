@@ -14,8 +14,8 @@ from math import comb
 
 from .matrices import matrix_rank, nullspace
 from .poly import (MultiPoly, PolyRing, PowerSeriesTrunc, RatFunc, prem)
-from .projgeom import LineP3, ProjPlane, ProjPoint, plucker_from_points
-from .scalars import F4_ELEMENTS, F4, Mod, QI, from_int, one_like
+from .projgeom import LineP3, ProjPlane, ProjPoint
+from .scalars import F4_ELEMENTS, F4, Mod, QI, lift, one_like
 
 
 class Form:
@@ -59,13 +59,6 @@ class SingularPointReport:
                 % (self.point, self.is_singular, self.node, self.an_type))
 
 
-def _lift_coords(one, p):
-    """The coordinates of p (a ProjPoint or a sequence) in the field of
-    `one`."""
-    return [_lift_scalar(one, c)
-            for c in (p.coords if isinstance(p, ProjPoint) else p)]
-
-
 def taylor(f, p, degree):
     """Taylor coefficients of the form f at the point p, up to total degree
     `degree` in the local coordinates u = x - p.
@@ -79,7 +72,7 @@ def taylor(f, p, degree):
     involved, so the expansion is exact in every characteristic (Hasse
     1936, J. reine angew. Math. 175)."""
     one = f.ring.one
-    point = _lift_coords(one, p)
+    point = [lift(one, c) for c in p]
     if len(point) != len(f.coord_vars):
         raise ValueError("point %r has %d coordinates, the form %d"
                          % (point, len(point), len(f.coord_vars)))
@@ -107,7 +100,7 @@ def taylor(f, p, degree):
                     binom *= comb(ai, ei)
                     term = term * pw[ai - ei]
             if binom != 1:
-                term = term * from_int(one, binom)
+                term = term * lift(one, binom)
             if term:
                 bucket = buckets.setdefault(e, {})
                 bucket[b] = bucket[b] + term if b in bucket else term
@@ -120,7 +113,7 @@ def singular_at(f, p):
     """Value and gradient of f at p, read from its degree-1 Taylor
     expansion; a partial that vanishes identically (as x^2 does in
     characteristic 2) contributes nothing."""
-    point = list(p.coords) if isinstance(p, ProjPoint) else list(p)
+    point = list(p)
     coeffs = taylor(f, point, 1)
     on = (0,) * len(point) not in coeffs
     jac_rank = 1 if any(sum(e) == 1 for e in coeffs) else 0
@@ -135,7 +128,7 @@ def _chart(f, p, degree):
     p) and puts x_i = p_i/p_k + u_i elsewhere, so of the expansion at the
     normalized point only the terms with e[k] = 0 remain; their exponent
     tuples are returned with slot k dropped."""
-    point = _lift_coords(f.ring.one, p)
+    point = [lift(f.ring.one, c) for c in p]
     k = next(i for i, c in enumerate(point) if c)
     point = [c / point[k] for c in point]
     return {e[:k] + e[k + 1:]: c for e, c in taylor(f, point, degree).items()
@@ -149,7 +142,7 @@ def polar_matrix(q2, nvars, one):
     c at (i, j) and (j, i), and a square term c*u_i^2 puts 2c at (i, i),
     which is zero in characteristic 2."""
     zero = one * 0
-    two = from_int(one, 2)
+    two = lift(one, 2)
     m = [[zero] * nvars for _ in range(nvars)]
     for e, c in q2.items():
         i, j = (k for k, x in enumerate(e) for _ in range(x))
@@ -425,18 +418,6 @@ def verify_identity(lhs, rhs):
     return lhs == rhs
 
 
-def _lift_scalar(one, a):
-    """Image of an int/Fraction coordinate in the field of `one`."""
-    if isinstance(a, int):
-        return from_int(one, a)
-    if isinstance(a, Fraction):
-        num = from_int(one, a.numerator)
-        if a.denominator == 1:
-            return num
-        return num / from_int(one, a.denominator)
-    return one * a
-
-
 def contains_line(f, line):
     """True iff f vanishes identically on the line (the restriction to the
     parametrization is the zero polynomial; parameters, if any, stay
@@ -447,7 +428,7 @@ def contains_line(f, line):
     mapping = {v: ring2.var(v) for v in pr}
     one = f.ring.one
     for v, a, b in zip(f.coord_vars, line.p.coords, line.q.coords):
-        mapping[v] = s.scale(_lift_scalar(one, a)) + t.scale(_lift_scalar(one, b))
+        mapping[v] = s.scale(lift(one, a)) + t.scale(lift(one, b))
     return f.poly.subst(mapping, ring2).is_zero()
 
 
@@ -528,8 +509,7 @@ def residual_conic_tangency(f=None, line=None, pencil=None):
             pencil = ((1, 1, 0, 0), (1, 0, 0, 1))
     if not contains_line(f, line):
         raise ValueError("line is not on the hypersurface")
-    P1 = [Fraction(c) for c in line.p.coords]
-    P2 = [Fraction(c) for c in line.q.coords]
+    P1, P2 = list(line.p.coords), list(line.q.coords)
     if pencil is None:
         h1, h2 = nullspace([P1, P2], Fraction(1))
     else:
@@ -652,14 +632,8 @@ def cremona_quadric(q, alpha, beta, gamma):
     ring = q.ring
     x, y, z, w = (ring.var(n) for n in ("x", "y", "z", "w"))
 
-    def lift(v):
-        if isinstance(v, MultiPoly):
-            return v
-        if isinstance(v, int):
-            return ring.const(v)
-        return ring.const(1).scale(ring.one * v)
-
-    al, be, ga = lift(alpha), lift(beta), lift(gamma)
+    al, be, ga = (v if isinstance(v, MultiPoly) else ring.const(v)
+                  for v in (alpha, beta, gamma))
     return (q + al * y * z + be * x * z + ga * x * y
             - (al * be * z + al * ga * y + be * ga * x) * w
             + al * be * ga * w * w)
@@ -784,10 +758,7 @@ def cremona_char2_specialized(a_val, b_val, c_val, d_val, one=None):
     ring = PolyRing(["x", "y", "z", "w"], one)
     x, y, z, w = ring.gens()
 
-    def lift(v):
-        return from_int(one, v) if isinstance(v, int) else v
-
-    a, b, c, d = (lift(v) for v in (a_val, b_val, c_val, d_val))
+    a, b, c, d = (lift(one, v) for v in (a_val, b_val, c_val, d_val))
     F = ((w ** 4).scale(b * c * d) + (w ** 2 * x * y).scale(b * c)
          + (w ** 2 * x * z).scale(b * d) + (w ** 2 * y * z).scale(c * d)
          + (x.scale(b) + y.scale(c) + z.scale(d)) * x * y * z
@@ -841,7 +812,7 @@ def kummer_char2_points(one=None):
     """The six singular points as ProjPoints over the char-2 field of `one`."""
     if one is None:
         one = F4(1)
-    return [ProjPoint([from_int(one, c) for c in p])
+    return [ProjPoint([lift(one, c) for c in p])
             for p in KUMMER2_SIX_POINTS]
 
 
@@ -854,25 +825,21 @@ def projected_24_points_quartic_rank(center):
     c = ProjPoint(center) if not isinstance(center, ProjPoint) else center
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            rows = [[Fraction(v) for v in pts[i].coords],
-                    [Fraction(v) for v in pts[j].coords],
-                    [Fraction(v) for v in c.coords]]
-            if matrix_rank(rows) <= 2:
+            if matrix_rank([list(pts[i].coords), list(pts[j].coords),
+                            list(c.coords)]) <= 2:
                 raise ValueError("center lies on a connecting line")
     return _quartic_rank_of_projection(pts, c)
 
 
 def _quartic_rank_of_projection(pts, c):
     # basis of linear forms vanishing at c
-    ccoords = [Fraction(v) for v in c.coords]
-    forms = nullspace([ccoords], Fraction(1))  # 3 covectors
+    forms = nullspace([list(c.coords)], Fraction(1))  # 3 covectors
     if len(forms) != 3:
         raise ValueError("center %r has %d independent linear forms through "
                          "it, not 3" % (c, len(forms)))
     images = []
     for p in pts:
-        img = [sum(f[k] * Fraction(p.coords[k]) for k in range(4))
-               for f in forms]
+        img = [sum(f[k] * p.coords[k] for k in range(4)) for f in forms]
         images.append(img)
     monos = [(i, j, k) for i in range(5) for j in range(5) for k in range(5)
              if i + j + k == 4]

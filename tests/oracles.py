@@ -4,7 +4,37 @@ from fractions import Fraction
 
 from desmic_kit.poly import MultiPoly, PolyRing
 from desmic_kit.projgeom import ProjPoint
-from desmic_kit.scalars import from_int
+
+
+# The ways a coordinate entered a field before scalars.lift replaced them.
+
+def from_int(one, n):
+    """Image of the integer n in the field whose identity is `one`."""
+    return one * n
+
+
+def as_field(c):
+    """A plain int coordinate lifted into the rationals (projgeom)."""
+    return Fraction(c) if isinstance(c, int) else c
+
+
+def lift_scalar(one, a):
+    """Image of an int/Fraction coordinate in the field of `one`
+    (surfaces)."""
+    if isinstance(a, int):
+        return from_int(one, a)
+    if isinstance(a, Fraction):
+        num = from_int(one, a.numerator)
+        if a.denominator == 1:
+            return num
+        return num / from_int(one, a.denominator)
+    return one * a
+
+
+def lift_point(one, pt):
+    """A coordinate tuple with its ints lifted into the field of `one`
+    (linecomplex)."""
+    return tuple(from_int(one, c) if isinstance(c, int) else c for c in pt)
 
 
 def localize_split(f, p):

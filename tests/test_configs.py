@@ -439,6 +439,15 @@ def test_ingest_rejects_bad_fiber(tmp_path):
         cf.ingest_curve_system(str(bad))
 
 
+def _put(value, *path):
+    """An edit that puts value at data[path[0]][path[1]]..."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit,match", [
     (lambda d: d["fibrations"][0]["fibers"][0]["components"][0].pop("id"),
      "fibration f1 component {'mult': 2} has no id"),
@@ -448,7 +457,25 @@ def test_ingest_rejects_bad_fiber(tmp_path):
      "divisor record {'terms': [{'class': 'f1', 'coeff': '1'}, "),
     (lambda d: d["divisors"][0].pop("terms"),
      "divisor record {'name': 'H'} needs a name and terms"),
-], ids=["component-id", "fiber-components", "divisor-name", "divisor-terms"])
+    (_put(5, "curves", 0), "curves: record 5 is not an object"),
+    (_put(7, "fibrations", 0), "fibrations: record 7 is not an object"),
+    (_put(3, "fibrations", 0, "fibers", 0),
+     "fibration f1 fibers: record 3 is not an object"),
+    (_put(9, "fibrations", 0, "fibers", 0, "components", 0),
+     "fibration f1 fiber 0 components: record 9 is not an object"),
+    (_put(4, "divisors", 0), "divisors: record 4 is not an object"),
+    (_put(6, "divisors", 0, "terms", 0),
+     "divisor H terms: record 6 is not an object"),
+    (_put(3, "fibrations", 1, "fibers"),
+     "fibration f2 fibers: 3 is not a list"),
+    (_put(9, "fibrations", 0, "fibers", 1, "components"),
+     "fibration f1 fiber 1 components: 9 is not a list"),
+    (_put(4, "divisors", 0, "terms"), "divisor H terms: 4 is not a list"),
+    (_put(2, "intersections", 0), "bad intersection entry 2"),
+], ids=["component-id", "fiber-components", "divisor-name", "divisor-terms",
+        "curve-record", "fibration-record", "fiber-record",
+        "component-record", "divisor-record", "term-record", "fibers-list",
+        "components-list", "terms-list", "intersection-entry"])
 def test_ingest_rejects_records_missing_a_key(tmp_path, edit, match):
     with pytest.raises(ValueError, match=re.escape(match)):
         _ingest_edited(tmp_path, edit)

@@ -8,14 +8,16 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from desmic_kit.scalars import (Mod, QI, F4, W, I, F4_ELEMENTS, from_int,
-                                is_prime, sqrt_minus_one)
+from desmic_kit.scalars import (Mod, QI, F4, W, I, F4_ELEMENTS, is_prime,
+                                lift, sqrt_minus_one)
 from desmic_kit.poly import (MultiPoly, PolyRing, PowerSeriesTrunc, RatFunc,
-                             poly_subst, prem)
+                             prem)
 from desmic_kit.matrices import (IntMatrix, bilinear, det_poly_matrix,
                                  inertia_signature, matrix_rank, nullspace,
                                  pfaffian_poly_matrix, smith_invariants,
                                  smith_normal_form)
+
+import oracles
 
 
 # ---------------------------------------------------------------- scalars --
@@ -57,7 +59,7 @@ def test_sqrt_minus_one_large_prime():
     assert sqrt_minus_one(100000037) == Mod(44612474, 100000037)
 
 
-def test_from_int_agrees_with_repeated_addition():
+def test_lift_agrees_with_repeated_addition():
     t = ring_q("t")
     for one in (Mod(1, 13), QI(1), Fraction(1), F4(1), W,
                 RatFunc(t.const(1))):
@@ -65,7 +67,39 @@ def test_from_int_agrees_with_repeated_addition():
             r = one * 0
             for _ in range(abs(n)):
                 r = r + one
-            assert from_int(one, n) == (r if n >= 0 else -r)
+            assert lift(one, n) == (r if n >= 0 else -r)
+
+
+LIFT_FIELDS = [("Q", Fraction(1), [Fraction(-3, 7)]),
+               ("Qi", QI(1), [I, QI(Fraction(1, 2), -3)]),
+               ("F13", Mod(1, 13), [Mod(5, 13)]),
+               ("F2", Mod(1, 2), [Mod(1, 2)]),
+               ("F4", F4(1), list(F4_ELEMENTS))]
+
+
+@pytest.mark.parametrize("one,elements", [f[1:] for f in LIFT_FIELDS],
+                         ids=[f[0] for f in LIFT_FIELDS])
+def test_lift_agrees_with_the_helpers_it_replaced(one, elements):
+    """lift takes the value of from_int on ints, of lift_scalar on ints,
+    Fractions and field elements, of lift_point on a whole tuple, and of
+    as_field over Q; unlike lift_point it also maps a Fraction into the
+    field, where it hashes like the lifted int."""
+    ints = list(range(-4, 5))
+    fracs = [Fraction(n, d) for n in (-3, 0, 2, 5) for d in (1, 3, 7)]
+    for n in ints:
+        assert lift(one, n) == oracles.from_int(one, n)
+    for x in ints + fracs + elements:
+        got = lift(one, x)
+        assert got == oracles.lift_scalar(one, x)
+        assert hash(got) == hash(oracles.lift_scalar(one, x))
+    pt = tuple(ints + elements)
+    assert tuple(lift(one, x) for x in pt) == oracles.lift_point(one, pt)
+    for x in ints + fracs + elements:
+        assert lift(Fraction(1), x) == oracles.as_field(x)
+    for f in fracs:
+        assert type(lift(one, f)) is type(one)
+        if f.denominator == 1:
+            assert hash(lift(one, f)) == hash(lift(one, f.numerator))
 
 
 def test_gaussian_rationals():
@@ -305,14 +339,14 @@ def test_poly_subst_basic():
     f = x + y
     r2 = ring_q("u", "v")
     u, v = r2.gens()
-    assert poly_subst(f, {"x": u ** 2, "y": v}) == u ** 2 + v
+    assert f.subst({"x": u ** 2, "y": v}) == u ** 2 + v
 
 
 def test_poly_subst_missing_var():
     r = ring_q("x", "y")
     x, y = r.gens()
     with pytest.raises(ValueError):
-        poly_subst(x + y, {"x": x})
+        (x + y).subst({"x": x})
 
 
 def test_poly_mixed_ring_rejected():
@@ -624,7 +658,8 @@ def test_inertia_congruence_invariance(seed):
         for j in range(i, n):
             g[i][j] = g[j][i] = rng.randint(-3, 3)
     s = rand_unimodular(n, rng)
-    gs = (s.transpose() * IntMatrix(g) * s).rows
+    s_t = IntMatrix([list(c) for c in zip(*s.rows)])
+    gs = (s_t * IntMatrix(g) * s).rows
     assert inertia_signature(g) == inertia_signature(gs)
 
 

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 import desmic_kit.linecomplex as lc
 from desmic_kit.matrices import matrix_rank, nullspace, solve_linear
 from desmic_kit.poly import PolyRing
-from desmic_kit.projgeom import LineP3, ProjPoint
-from desmic_kit.scalars import I, Mod, QI, sqrt_minus_one
+from desmic_kit.projgeom import (LineP3, ProjPoint, klein_change_rows,
+                                 normalize)
+from desmic_kit.scalars import I, Mod, QI, lift, sqrt_minus_one
 from desmic_kit.scan import run_scan
 from desmic_kit.surfaces import desmic_lines_16
 from oracles import (localize_split, orbit_sizes_by_elements,
@@ -21,6 +22,10 @@ from oracles import (localize_split, orbit_sizes_by_elements,
 
 def coord_point(j):
     return ProjPoint([1 if k == j else 0 for k in range(4)])
+
+
+def lifted(one, pt):
+    return tuple(lift(one, c) for c in pt)
 
 
 # -- nets and the Montesano condition ---------------------------------------
@@ -135,7 +140,7 @@ def localize_node_report(ci, pt):
     cubic - lambda*quadric on the tangent space of the quadric.  Values and
     gradients come from evaluating the equations and their partials."""
     one = ci.one
-    pt = lc._normalize_tuple(lc._lift_point(one, pt))
+    pt = normalize(lifted(one, pt))
     at = dict(zip(ci.quadric.coord_vars, pt))
     on2 = not ci.quadric.poly.evaluate(at)
     on3 = not ci.cubic.poly.evaluate(at)
@@ -213,7 +218,7 @@ def plucker_quadric_points(one, rng, count):
 
 
 def klein_image(i, pt):
-    rows = lc.klein_change_rows(i)
+    rows = klein_change_rows(i)
     return tuple(sum((r * c for r, c in zip(row, pt)), i * 0)
                  for row in rows)
 
@@ -231,7 +236,7 @@ def off_list_points(ci, one, i, rng):
                             for a, b, c in zip(*plane.basis)))
     if ci.coords == "plucker":
         return smooth + quad + rand
-    return [klein_image(i, lc._lift_point(one, p)) for p in smooth + quad] \
+    return [klein_image(i, lifted(one, p)) for p in smooth + quad] \
         + rand
 
 
@@ -250,7 +255,7 @@ def test_node_report_agrees_with_localized_polarization(one, i, unit):
     rng = random.Random(repr(one) + repr(unit))
     if i is None:
         ci = lc.CompleteIntersection35.plucker(one)
-        pts = [lc._lift_point(one, p)
+        pts = [lifted(one, p)
                for p in lc.PLUCKER_NODES_18 + lc.PLUCKER_NODES_16]
     else:
         ci = lc.CompleteIntersection35.klein(i=i, one=one,
@@ -258,7 +263,7 @@ def test_node_report_agrees_with_localized_polarization(one, i, unit):
         pts = lc.klein_nodes_18(i) + lc.klein_nodes_16(i)
         if isinstance(one, Mod):
             _, scanned = lc.scan_singular_points(one.p, unit_variant=unit)
-            pts += [lc._lift_point(one, p) for p in scanned]
+            pts += [lifted(one, p) for p in scanned]
     listed = [lc.ci_node_report(ci, p) for p in pts]
     assert unit or all(r.is_node for r in listed)
     assert_node_reports_agree(ci, pts + off_list_points(ci, one, i, rng))
@@ -408,12 +413,11 @@ def test_generator_closure_agrees_with_pairwise_oracle(symmetry_group, name,
 def test_orbit_sizes_agree_with_every_element_oracle(symmetry_group):
     gens, group = lc._generators(symmetry_group)
     assert group == symmetry_group
-    nodes = [tuple(QI(c) if isinstance(c, int) else c for c in pt)
-             for pt in lc.klein_nodes_18() + lc.klein_nodes_16()]
-    node_keys = [lc._normalize_tuple(p) for p in nodes]
-    plane_keys = [lc._plane_key(pl.basis) for pl in lc.klein_plane_list()]
+    node_keys = [normalize(p)
+                 for p in lc.klein_nodes_18() + lc.klein_nodes_16()]
+    plane_keys = [lc._span_key(pl.basis) for pl in lc.klein_plane_list()]
     for keys, action in ((node_keys, lc._apply_point),
-                         (plane_keys, lc._apply_plane_key)):
+                         (plane_keys, lc._apply_plane)):
         assert sorted(lc._orbit_sizes(keys, gens, action)) == \
             orbit_sizes_by_elements(keys, symmetry_group, action)
 
@@ -479,12 +483,9 @@ def test_scan_counts_34_and_18():
 
 def test_scan_finds_exactly_the_printed_points_mod_13():
     p = 13
-    one = Mod(1, p)
     i = sqrt_minus_one(p)
-    printed = set()
-    for pt in lc.klein_nodes_18(i) + lc.klein_nodes_16(i):
-        printed.add(tuple(c.v for c in lc._normalize_tuple(
-            lc._lift_point(one, pt))))
+    printed = {tuple(c.v for c in normalize(pt))
+               for pt in lc.klein_nodes_18(i) + lc.klein_nodes_16(i)}
     _, pts = lc.scan_singular_points(p)
     assert set(pts) == printed
 

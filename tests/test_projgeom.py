@@ -1,6 +1,7 @@
 """Tests for P^3 geometry: Plucker/Klein coordinates, involutions, and the
 three-tetrahedra construction."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -8,14 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from desmic_kit.matrices import matrix_rank, rref
-from desmic_kit.projgeom import (COORD_FACES, COORD_VERTICES, KleinPoint,
-                                 LineP3, OPPOSITE_EDGE_PAIRS, PLUCKER_RING,
+from desmic_kit.projgeom import (COORD_FACES, COORD_VERTICES, LineP3,
+                                 OPPOSITE_EDGE_PAIRS, PLUCKER_RING,
                                  ProjPlane, ProjPoint, alpha_plane, beta_plane,
                                  desmic_from_point, edge_involution,
                                  eval_plucker_form, harmonic_homology,
-                                 klein_from_plucker, mat_apply,
-                                 plucker_from_points)
-from desmic_kit.scalars import QI, I
+                                 klein_change_rows, klein_from_plucker,
+                                 mat_apply, normalize, plucker_from_points)
+from desmic_kit.scalars import F4, QI, I, Mod, W, lift, sqrt_minus_one
 
 
 def P(*c):
@@ -70,6 +71,53 @@ def test_klein_image_on_sum_of_squares_quadric(a, b):
     for c in k.coords:
         s = s + c * c
     assert s == QI(0)
+
+
+def test_normalize_keys_a_lifted_fraction_like_the_lifted_int():
+    one = Mod(1, 13)
+    key = normalize(tuple(lift(one, c) for c in (Fraction(2), 0, 0, 0, 0, 0)))
+    int_key = normalize(tuple(lift(one, c) for c in (1, 0, 0, 0, 0, 0)))
+    assert key == int_key
+    assert hash(key) == hash(int_key)
+    assert len({key, int_key}) == 1
+
+
+def test_normalize_rejects_the_zero_vector():
+    for zero in (0, Mod(0, 13)):
+        with pytest.raises(ValueError, match="zero coordinate vector"):
+            normalize((zero,) * 6)
+
+
+@pytest.mark.parametrize("one,i",
+                         [(QI(1), I), (Mod(1, 13), sqrt_minus_one(13))],
+                         ids=["Qi", "F13"])
+def test_klein_from_plucker_applies_the_klein_change(one, i):
+    """klein_from_plucker is the point K * plucker, K = klein_change_rows(i),
+    and by default takes field_i of the Plucker field, here i itself."""
+    rng = random.Random(repr(one))
+    rows = klein_change_rows(i)
+    lines = 0
+    while lines < 20:
+        p, q = (ProjPoint([one * rng.randint(-4, 4) for _ in range(4)])
+                for _ in range(2))
+        try:
+            line = LineP3(p, q)
+        except ValueError:
+            continue
+        lines += 1
+        want = tuple(sum((a * x for a, x in zip(row, line.plucker)), one * 0)
+                     for row in rows)
+        for k in (klein_from_plucker(line, i), klein_from_plucker(line)):
+            assert isinstance(k, ProjPoint)
+            assert k.coords == want
+            assert k == ProjPoint(want)
+
+
+def test_klein_from_plucker_needs_a_square_root_of_minus_one():
+    o, z = F4(1), F4(0)
+    line = LineP3(ProjPoint([o, z, z, z]), ProjPoint([z, W, z, z]))
+    with pytest.raises(ValueError, match="square root of -1"):
+        klein_from_plucker(line)
 
 
 def test_line_from_planes():

@@ -8,7 +8,7 @@ import pytest
 
 from desmic_kit.poly import MultiPoly, PolyRing, PowerSeriesTrunc
 from desmic_kit.projgeom import LineP3, ProjPlane, ProjPoint, mat_apply
-from desmic_kit.scalars import F4, Mod, QI, W, from_int
+from desmic_kit.scalars import F4, Mod, QI, W, lift
 from desmic_kit.surfaces import (
     AnVerdict, DESMIC_SINGULAR_12, DESMIC_VERTICES_12, Form,
     KUMMER2_SIX_POINTS, char2_cremona_singular_points,
@@ -95,7 +95,7 @@ def random_form(one, degree, rng):
     """A random nonzero form of the given degree in x, y, z, w."""
     ring = PolyRing(["x", "y", "z", "w"], one)
     while True:
-        coeffs = {e: from_int(one, rng.randint(-5, 5))
+        coeffs = {e: lift(one, rng.randint(-5, 5))
                   for e in product(range(degree + 1), repeat=4)
                   if sum(e) == degree and rng.random() < 0.5}
         f = MultiPoly(ring, coeffs)
@@ -108,7 +108,7 @@ def random_points(one, rng, count):
     first nonzero coordinate that is not 1."""
     pts = [(0, 0, 0, 1), (0, 1, 0, 0)]
     while len(pts) < count:
-        p = tuple(from_int(one, rng.choice([0, 0, 1, -1, 2, -3, 5]))
+        p = tuple(lift(one, rng.choice([0, 0, 1, -1, 2, -3, 5]))
                   for _ in range(4))
         if any(p):
             pts.append(p)
@@ -151,7 +151,7 @@ def test_taylor_chart_agrees_with_substitution_oracle(name):
     for f, pts in chart_cases(name):
         one = f.ring.one
         params = [v for v in f.ring.varnames if v not in f.coord_vars]
-        at_params = {v: from_int(one, rng.randint(-4, 4)) for v in params}
+        at_params = {v: lift(one, rng.randint(-4, 4)) for v in params}
         for p in pts:
             full, _, _ = localize_split(f, p)
             for degree in range(f.degree + 1):
@@ -159,10 +159,8 @@ def test_taylor_chart_agrees_with_substitution_oracle(name):
                     e: c for e, c in full.items() if sum(e) <= degree}, \
                     (name, p, degree)
             # the expansion at p itself: value and gradient of f at p
-            coords = p.coords if isinstance(p, ProjPoint) else p
-            at = dict(at_params, **{
-                v: from_int(one, c) if isinstance(c, int) else c
-                for v, c in zip(f.coord_vars, coords)})
+            at = dict(at_params, **{v: lift(one, c)
+                                    for v, c in zip(f.coord_vars, p)})
             n = len(f.coord_vars)
             coeffs = taylor(f, p, 1)
             want = {(0,) * n: f.poly.evaluate(at)}
@@ -361,9 +359,7 @@ def test_residual_conic_meets_line_in_two_points():
     mapping = {"a": ring2.const(1), "b": ring2.const(2),
                "s": s, "t": t, "r": ring2.zero()}
     q = conic.subst(mapping, ring2)
-    A = q.coeff_of((2, 0))
-    B = q.coeff_of((1, 1))
-    C = q.coeff_of((0, 2))
+    A, B, C = (q.coeffs.get(e, 0) for e in ((2, 0), (1, 1), (0, 2)))
     assert B * B - 4 * A * C != 0
 
 
