@@ -9,12 +9,11 @@ in-memory objects but never serialized).
 
 import argparse
 import functools
+import importlib.util
 import json
 import sys
 import time
 
-from . import configs as cf
-from . import lattices as la
 from . import linecomplex as lc
 from . import surfaces as sf
 from .projgeom import normalize
@@ -24,6 +23,29 @@ SUITES = ("identities", "desmic-surface", "line-complex", "symmetry",
           "cremona", "char2", "supersingular", "lattices")
 
 DEFAULT_PRIMES = (13, 17)
+
+
+def _on_first_use(name):
+    """The submodule `name` of this package, executed when one of its
+    attributes is first read (the lazy-import recipe of `importlib.util`).
+    An import compiles a module (where no bytecode is cached) and runs it;
+    a suite that reads none of its attributes pays for neither."""
+    fullname = "%s.%s" % (__package__, name)
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+# configs is read by the desmic-surface, supersingular and lattice suites
+# and lattices by the last two, so the other five suites load neither
+cf = _on_first_use("configs")
+la = _on_first_use("lattices")
 
 
 class Check:

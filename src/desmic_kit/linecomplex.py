@@ -14,7 +14,6 @@ nodes and 4 singular lines, and the identification with the associated
 variety of a 35-nodal cubic in P^6.
 """
 
-from fractions import Fraction
 from itertools import permutations, product
 
 from .matrices import (bilinear, det_poly_matrix, matrix_rank, nullspace,
@@ -196,7 +195,7 @@ class CompleteIntersection35:
         self.one = quadric.ring.one
 
     @classmethod
-    def plucker(cls, one=Fraction(1)):
+    def plucker(cls, one=QI(1)):
         """x1*x6 - x2*x5 + x3*x4 = 0 and
         -x1*x2*x4 + x1*x3*x5 - x2*x3*x6 + x4*x5*x6 = 0
         in coordinates (x1..x6) = (p12,p13,p14,p23,p24,p34)."""
@@ -512,11 +511,16 @@ class PlaneInP5:
         if len(self.basis) != 3:
             raise ValueError("covectors %r cut a space of dimension %d, not "
                              "a plane" % (covectors, len(self.basis) - 1))
+        # the nonzero entries (position, value) of each covector
+        self.support = [[(k, c) for k, c in enumerate(cv) if c]
+                        for cv in self.covectors]
 
     def contains_point(self, pt):
-        zero = self.one * 0
-        for cv in self.covectors:
-            if sum((a * b for a, b in zip(cv, pt)), zero):
+        """Whether every covector vanishes at pt.  Only the products of two
+        nonzero entries are summed: most entries of both are zero."""
+        for row in self.support:
+            terms = [c * pt[k] for k, c in row if pt[k]]
+            if terms and sum(terms[1:], terms[0]):
                 return False
         return True
 
@@ -549,7 +553,7 @@ def klein_plane_list(i=None):
     return planes
 
 
-def plucker_plane_list(one=Fraction(1)):
+def plucker_plane_list(one=QI(1)):
     """The printed alpha and beta planes with their permutation labels."""
     planes = []
     for covs, lab in zip(ALPHA_PLANES, ALPHA_LABELS):
@@ -572,14 +576,14 @@ def plane_contained(ci, plane):
 
 
 class PlaneInventory:
-    """24 planes with the node incidence matrix."""
+    """24 planes with their node counts: per plane (first family, second
+    family), and per node of each family."""
 
-    def __init__(self, planes, per_plane, per_node1, per_node2, incidence):
+    def __init__(self, planes, per_plane, per_node1, per_node2):
         self.planes = planes
         self.per_plane = per_plane
         self.per_node1 = per_node1
         self.per_node2 = per_node2
-        self.incidence = incidence
 
     @property
     def configuration_ok(self):
@@ -600,24 +604,21 @@ def verify_plane_inventory(ci):
         if not plane_contained(ci, pl):
             raise ValueError("plane not contained in the complex: %r"
                              % (pl.label,))
-    incidence = {}
     per_plane = []
     n1 = [0] * 18
     n2 = [0] * 16
-    for pi, pl in enumerate(planes):
+    for pl in planes:
         c1 = c2 = 0
         for k, pt in enumerate(pts1):
             if pl.contains_point(pt):
                 c1 += 1
                 n1[k] += 1
-                incidence[(pi, "s1", k)] = True
         for k, pt in enumerate(pts2):
             if pl.contains_point(pt):
                 c2 += 1
                 n2[k] += 1
-                incidence[(pi, "s2", k)] = True
         per_plane.append((c1, c2))
-    return PlaneInventory(planes, per_plane, n1, n2, incidence)
+    return PlaneInventory(planes, per_plane, n1, n2)
 
 
 def klein_plane_labels():

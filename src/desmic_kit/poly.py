@@ -52,6 +52,16 @@ class PolyRing:
         return "PolyRing(%s)" % (",".join(self.varnames))
 
 
+def _constant(ring, c):
+    """The scalar c as a constant of `ring`.  An int or a Fraction enters
+    through scalars.lift (F4 * Fraction is undefined).  Anything else is
+    multiplied by the ring's one, which raises for a scalar that does not
+    belong, such as a Mod of another modulus, and for a RatFunc."""
+    if isinstance(c, (int, Fraction)):
+        return ring.const(c)
+    return MultiPoly(ring, {ring.zero_exp: ring.one * c})
+
+
 class MultiPoly:
     """Sparse polynomial: dict exponent-tuple -> nonzero coefficient."""
 
@@ -94,13 +104,12 @@ class MultiPoly:
             if other.ring != self.ring:
                 raise ValueError("mixed polynomial rings")
             return other
-        if isinstance(other, int):
-            return self.ring.const(other)
-        try:
-            one_like(other)
-        except TypeError:
-            return NotImplemented
-        return MultiPoly(self.ring, {self.ring.zero_exp: self.ring.one * other})
+        if not isinstance(other, (int, Fraction)):
+            try:
+                one_like(other)
+            except TypeError:
+                return NotImplemented
+        return _constant(self.ring, other)
 
     def __add__(self, other):
         o = self._lift(other)
@@ -205,10 +214,9 @@ class MultiPoly:
             target_ring = some.ring if isinstance(some, MultiPoly) else self.ring
         out = target_ring.zero()
         for e, c in self.coeffs.items():
-            term = target_ring.const(1).scale(target_ring.one * c) \
-                if not isinstance(c, MultiPoly) else None
-            if term is None:
+            if isinstance(c, MultiPoly):
                 raise ValueError("nested polynomial coefficients unsupported")
+            term = _constant(target_ring, c)
             for name, ei in zip(self.ring.varnames, e):
                 if ei == 0:
                     continue
@@ -216,7 +224,7 @@ class MultiPoly:
                     raise ValueError("substitution misses variable %r" % name)
                 g = mapping[name]
                 if not isinstance(g, MultiPoly):
-                    g = target_ring.const(1).scale(target_ring.one * g)
+                    g = _constant(target_ring, g)
                 if g.ring != target_ring:
                     raise ValueError("substitution targets mix rings")
                 term = term * g ** ei
@@ -515,7 +523,6 @@ class PowerSeriesTrunc:
                 raise ValueError("substituted series must have zero constant term")
         out = PowerSeriesTrunc(self.ring, {}, self.N)
         for e, c in self.coeffs.items():
-            term = PowerSeriesTrunc.from_poly(self.ring.const(1), self.N)
             term = PowerSeriesTrunc(self.ring,
                                     {self.ring.zero_exp: c}, self.N)
             for name, ei in zip(self.ring.varnames, e):

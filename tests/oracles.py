@@ -37,6 +37,14 @@ def lift_point(one, pt):
     return tuple(from_int(one, c) if isinstance(c, int) else c for c in pt)
 
 
+def dense_contains_point(plane, pt):
+    """Plane incidence as PlaneInP5.contains_point computed it before its
+    sparse form: the full dot product of each covector with the point."""
+    zero = plane.one * 0
+    return not any(sum((a * b for a, b in zip(cv, pt)), zero)
+                   for cv in plane.covectors)
+
+
 def localize_split(f, p):
     """The affine chart at p by substitution, as surfaces computed it before
     its Taylor expansion: x_i = p_i/p_k + u_i with the pivot x_k = 1 (k the

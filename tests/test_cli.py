@@ -456,16 +456,97 @@ OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
                     "drop the rank from 4 to 1"]
 
 
-def test_validation_survives_python_O():
+def _fresh_python(*args):
+    """Run a new interpreter with this package's src/ on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
-                         env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+
+
+def test_validation_survives_python_O():
+    out = _fresh_python("-O", "-c", OPTIMIZED_CHECKS)
+    assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0] == "debug False"
     assert len(lines) == 1 + len(OPTIMIZED_ERRORS), lines
     for line, want in zip(lines[1:], OPTIMIZED_ERRORS):
         assert line.startswith("ValueError ") and want in line, (line, want)
+
+
+def test_all_suites_report_alike_under_python_O():
+    runs = [_fresh_python(*flags, "-m", "desmic_kit.cli", "--suite", "all",
+                          "--json", "-") for flags in ((), ("-O",))]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].returncode == runs[1].returncode == 1
+    assert len(json.loads(runs[0].stdout)["checks"]) == 37
+
+
+# The package files a run executes: the audit hook sees the module code of
+# each import that runs.
+EXECUTED_MODULES = """
+import json, os, sys
+ran = set()
+sys.addaudithook(lambda event, args: event == "exec"
+                 and ran.add(getattr(args[0], "co_filename", "")))
+import desmic_kit.cli as cli
+report = cli.run_suite(sys.argv[1])
+package = os.path.dirname(cli.__file__)
+print(json.dumps([report.ok, sorted(os.path.basename(f) for f in ran
+                                    if os.path.dirname(f) == package)]))
+"""
+
+
+@pytest.mark.parametrize("suite,ok,loaded", [("line-complex", True, False),
+                                             ("supersingular", False, True)])
+def test_configs_and_lattices_execute_on_first_use(suite, ok, loaded):
+    out = _fresh_python("-c", EXECUTED_MODULES, suite)
+    assert out.returncode == 0, out.stderr
+    report_ok, ran = json.loads(out.stdout)
+    assert report_ok == ok
+    assert {"cli.py", "linecomplex.py", "surfaces.py"} <= set(ran)
+    assert ("configs.py" in ran) == ("lattices.py" in ran) == loaded
+
+
+# A run after configs and lattices were rebound in a fresh process that
+# imported cli: either once they have run ("import"), or on the modules
+# that have not run yet, reached through cli and through the package
+# ("unloaded"), whose first use keeps the binding.
+REBOUND_AFTER_IMPORT = """
+import json, sys
+import desmic_kit
+import desmic_kit.cli as cli
+calls = []
+if sys.argv[1] == "import":
+    import desmic_kit.configs as cf
+    import desmic_kit.lattices as la
+    real_cf, real_la = cf.supersingular_42_system, la.divisor_pairings
+    cf.supersingular_42_system = lambda *a: calls.append("cf") or real_cf(*a)
+    la.divisor_pairings = lambda *a: calls.append("la") or real_la(*a)
+else:
+    def rebound(*args):
+        raise ValueError("rebound")
+    cli.cf.pg24 = rebound
+    desmic_kit.lattices.curve_span_lattice_names = rebound
+failed = {c.id: c.details for s in ("supersingular", "lattices")
+          for c in cli.run_suite(s).failures}
+print(json.dumps([failed, calls]))
+"""
+
+
+@pytest.mark.parametrize("how,rebound,calls", [
+    ("import", {}, ["cf", "la", "la"]),
+    ("unloaded", {"ss.pg24": "ValueError: rebound",
+                  "lat.genus-match": "ValueError: rebound"}, [])])
+def test_rebinding_configs_and_lattices_after_importing_cli(how, rebound,
+                                                            calls):
+    out = _fresh_python("-c", REBOUND_AFTER_IMPORT, how)
+    assert out.returncode == 0, out.stderr
+    failed, seen = json.loads(out.stdout)
+    printed = "pairing profile {0x15, 1x24, 2x3} vs printed {0x15, " \
+        "1x16, 2x3, 3x8}"
+    assert failed == dict(rebound, **{"ss.pairing-profile-printed": printed})
+    assert seen == calls
 
 
 # Modules that still hold assert statements.  Every other module of the

@@ -349,6 +349,33 @@ def test_poly_subst_missing_var():
         (x + y).subst({"x": x})
 
 
+def test_poly_fraction_coefficients_enter_f4_through_lift():
+    # 3 = 1 in F_4, so 1/3 lifts to 1; the product F4(1) * Fraction(1, 3)
+    # is undefined
+    third = Fraction(1, 3)
+    f4 = PolyRing(["y"], F4(1))
+    y = f4.var("y")
+    assert y + third == y + 1 == third + y
+    assert y * third == y
+    assert (y - third) * (y + third) == y * y + 1
+    x = ring_q("x").var("x")
+    assert x.scale(third).subst({"x": y}, f4) == y
+    # 1/9 + 1/3 = 1 + 1 = 0 in F_4
+    assert (x * x + third).subst({"x": third}, f4) == f4.zero()
+    assert (x + 3).subst({"x": y}, f4) == y + 1
+
+
+def test_poly_rejects_a_scalar_of_another_field():
+    x = PolyRing(["x"], Mod(1, 13)).var("x")
+    with pytest.raises(ValueError, match="mixed moduli"):
+        x + Mod(1, 17)
+    with pytest.raises(ValueError, match="mixed moduli"):
+        (x * x).subst({"x": Mod(1, 17)})
+    q = ring_q("x", "y")
+    with pytest.raises(TypeError):
+        q.var("x") + RatFunc(q.var("x"), q.var("y"))
+
+
 def test_poly_mixed_ring_rejected():
     r1, r2 = ring_q("x"), ring_q("y")
     with pytest.raises(ValueError):

@@ -16,8 +16,8 @@ from desmic_kit.projgeom import (LineP3, ProjPoint, klein_change_rows,
 from desmic_kit.scalars import I, Mod, QI, lift, sqrt_minus_one
 from desmic_kit.scan import run_scan
 from desmic_kit.surfaces import desmic_lines_16
-from oracles import (localize_split, orbit_sizes_by_elements,
-                     pairwise_closed)
+from oracles import (dense_contains_point, localize_split,
+                     orbit_sizes_by_elements, pairwise_closed)
 
 
 def coord_point(j):
@@ -100,7 +100,8 @@ def test_node_lists_correspond_under_the_coordinate_change():
 # -- node inventory -----------------------------------------------------------
 
 def test_node_inventory_plucker_rationals():
-    inv = lc.verify_node_inventory(lc.CompleteIntersection35.plucker())
+    inv = lc.verify_node_inventory(
+        lc.CompleteIntersection35.plucker(Fraction(1)))
     assert inv.all_nodes
     assert len(inv.sing1) == 18 and len(inv.sing2) == 16
 
@@ -242,6 +243,7 @@ def off_list_points(ci, one, i, rng):
 
 def _node_cases():
     yield pytest.param(Fraction(1), None, False, id="plucker-Q")
+    yield pytest.param(QI(1), None, False, id="plucker-Qi")
     yield pytest.param(QI(1), I, False, id="klein-Qi")
     for p in (13, 17, 29):
         yield pytest.param(Mod(1, p), sqrt_minus_one(p), False,
@@ -330,6 +332,44 @@ def test_plane_inventory_klein():
     assert inv.configuration_ok
     # each plane holds 3+4 = 7 singular points
     assert all(c1 + c2 == 7 for c1, c2 in inv.per_plane)
+
+
+PLANE_FIELDS = {"Q": (Fraction(1), None), "Qi": (QI(1), I),
+                "F13": (Mod(1, 13), sqrt_minus_one(13))}
+
+
+@pytest.mark.parametrize("case", ["plucker-Q", "plucker-Qi", "klein-Qi",
+                                  "klein-F13"])
+def test_sparse_plane_incidence_matches_the_dense_product(case):
+    coords, field = case.split("-")
+    one, i = PLANE_FIELDS[field]
+    if coords == "plucker":
+        ci = lc.CompleteIntersection35.plucker(one)
+        planes = lc.plucker_plane_list(one)
+    else:
+        ci = lc.CompleteIntersection35.klein(i=i, one=one)
+        planes = lc.klein_plane_list(i)
+    pts1, pts2 = lc._listed_nodes(ci)
+    rng = random.Random(case)
+    # a random point of each plane, and random points of P^5
+    on_planes = []
+    for pl in planes:
+        coeffs = [one * rng.randint(1, 3) for _ in pl.basis]
+        on_planes.append(tuple(
+            sum((c * b[j] for c, b in zip(coeffs, pl.basis)), one * 0)
+            for j in range(6)))
+    rand = [tuple(one * rng.randint(-3, 3) for _ in range(6))
+            for _ in range(60)]
+    pts = pts1 + pts2 + on_planes + [p for p in rand if any(p)]
+    sparse = [[pl.contains_point(p) for p in pts] for pl in planes]
+    assert sparse == [[dense_contains_point(pl, p) for p in pts]
+                      for pl in planes]
+    # 7 nodes on each plane, and each plane's random point on it
+    assert [row[:34].count(True) for row in sparse] == [7] * 24
+    assert all(row[34 + k] for k, row in enumerate(sparse))
+    off_every_plane = [k for k in range(58, len(pts))
+                       if not any(row[k] for row in sparse)]
+    assert len(off_every_plane) >= 40
 
 
 def test_klein_planes_biject_with_the_printed_labels():
