@@ -3,7 +3,7 @@
 Library layout:
 
 - scalars / poly / matrices : exact arithmetic substrate
-- projgeom                  : points, planes, lines in P^3, Plucker/Klein coords
+- projgeom                  : points; planes and lines in P^3 with Plucker coords
 - surfaces                  : hypersurface singularity analysis and quartic models
 - linecomplex               : the cubic line complex in P^5 (nodes, planes, symmetry)
 - configs                   : abstract incidence configurations and curve systems

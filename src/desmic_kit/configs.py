@@ -1,10 +1,11 @@
 """Incidence configurations and curve systems.
 
-Covers the abstract side of the toolkit: the Reye configuration and its
-avatars, coset and determinant configurations, the projective plane over
-the four-element field, Sylvester's duads/synthemes/totals, the 42-curve
-system with its fibration tables, and a JSON loader for dual-graph data
-(curve systems with intersection matrices, fibers and divisors).
+Covers the abstract side of the toolkit: the Reye configuration and the
+incidence of the desmic surface's 12 nodes with its 16 lines, the
+projective plane over the four-element field, Sylvester's
+duads/synthemes/totals, the 42-curve system with its fibration tables, and
+a JSON loader for dual-graph data (curve systems with intersection
+matrices, fibers and divisors).
 """
 
 from collections import Counter
@@ -13,9 +14,7 @@ from itertools import combinations, permutations
 import json
 import os
 
-from .linecomplex import (PLUCKER_NODES_16, PLUCKER_NODES_18, _orbit,
-                          perm_compose, perm_from_cycles,
-                          plucker_plane_list)
+from .linecomplex import _orbit
 from .matrices import (bilinear, det_poly_matrix, exact_ratio, gram_times,
                        integer_scaled, matrix_rank)
 from .projgeom import ProjPoint
@@ -77,9 +76,6 @@ class AbstractConfig:
 
     def blocks_of(self, p):
         return frozenset(self._blocks_of[p])
-
-    def points_of(self, b):
-        return frozenset(self._points_of[b])
 
     def __repr__(self):
         (a, c), (b, d) = self.type_signature
@@ -222,18 +218,6 @@ def config_isomorphic(A, B):
     return _isomorphism_search(A, B)
 
 
-def automorphism_sending(cfg, p, q):
-    """An automorphism of cfg taking point p to point q, or None."""
-    return _isomorphism_search(cfg, cfg, seed=[(p, q)])
-
-
-def point_transitive(cfg):
-    """Whether the automorphism group acts transitively on points."""
-    base = cfg.points[0]
-    return all(automorphism_sending(cfg, base, q) is not None
-               for q in cfg.points[1:])
-
-
 # ---------------------------------------------------------------------------
 # the Reye configuration and its geometric/abstract avatars
 # ---------------------------------------------------------------------------
@@ -259,7 +243,9 @@ def reye_config():
         on = frozenset(r for r in points if _collinear(p, q, r))
         if len(on) == 3:
             lines.add(on)
-    assert len(lines) == 16
+    if len(lines) != 16:
+        raise ValueError("the cube model has %d lines of three points, not "
+                         "16" % len(lines))
     inc = {(p, b) for b in lines for p in b}
     return AbstractConfig(points, sorted(lines, key=sorted), inc,
                           name="reye")
@@ -275,103 +261,9 @@ def desmic_surface_config():
         block_sets.append([n for n, pt in zip(nodes, pts)
                            if ln.contains(pt)])
     cfg = AbstractConfig.from_blocks(nodes, block_sets, name="desmic")
-    assert cfg.type_signature == ((12, 4), (16, 3))
-    return cfg
-
-
-def kummer_abstract_config(system=None):
-    """(12_4, 16_3) read off a 28-curve Kummer-style system: the twelve
-    disjoint curves as points, the sixteen exceptional curves as blocks,
-    incident when the curves meet."""
-    cs = system or kummer_char0_system()
-    pts = [c for c in cs.ids if not c.startswith("T")]
-    blocks = [c for c in cs.ids if c.startswith("T")]
-    assert len(pts) == 12 and len(blocks) == 16
-    inc = {(p, b) for p in pts for b in blocks if cs.pair(p, b) == 1}
-    return AbstractConfig(pts, blocks, inc, name="kummer-28")
-
-
-# ---------------------------------------------------------------------------
-# coset and determinant configurations
-# ---------------------------------------------------------------------------
-
-def _s4():
-    return sorted(permutations((1, 2, 3, 4)))
-
-
-COSET_SUBGROUP_GENERATORS = [
-    [perm_from_cycles("(12)"), perm_from_cycles("(34)")],
-    [perm_from_cycles("(13)"), perm_from_cycles("(24)")],
-    [perm_from_cycles("(14)"), perm_from_cycles("(23)")],
-]
-
-
-def coset_config():
-    """(24_3, 18_4): the 24 permutations of four letters against the 18
-    cosets of the three order-4 subgroups generated by pairs of disjoint
-    transpositions.  The coset side is fixed so that the quadruple
-    {(143),(132),(1432),(13)} is one block."""
-    elements = _s4()
-    quadruple = ["(143)", "(132)", "(1432)", "(13)"]
-    marker = frozenset(perm_from_cycles(t) for t in quadruple)
-    for side in ("right", "left"):
-        blocks = set()
-        for gens in COSET_SUBGROUP_GENERATORS:
-            h = _orbit((1, 2, 3, 4), gens,
-                       lambda s, g: perm_compose(g, s))
-            for g in elements:
-                if side == "right":
-                    blocks.add(frozenset(perm_compose(x, g) for x in h))
-                else:
-                    blocks.add(frozenset(perm_compose(g, x) for x in h))
-        if marker in blocks:
-            inc = {(p, b) for b in blocks for p in b}
-            cfg = AbstractConfig(elements, sorted(blocks, key=sorted),
-                                 inc, name="cosets")
-            assert cfg.type_signature == ((24, 3), (18, 4))
-            return cfg
-    raise ValueError("the printed coset quadruple %s is a block on neither "
-                     "side" % ", ".join(quadruple))
-
-
-def plane_node_config(family):
-    """Incidence of the 24 planes on the singular complex with one family
-    of its singular points: family 1 (18 points, 3 per plane) or family 2
-    (16 points, 4 per plane)."""
-    if family not in (1, 2):
-        raise ValueError("plane family %r is not 1 or 2" % (family,))
-    one = Fraction(1)
-    planes = plucker_plane_list(one)
-    nodes = PLUCKER_NODES_18 if family == 1 else PLUCKER_NODES_16
-    pts = list(range(len(planes)))
-    inc = set()
-    for k, pl in enumerate(planes):
-        for nd in nodes:
-            if pl.contains_point([one * v for v in nd]):
-                inc.add((k, nd))
-    cfg = AbstractConfig(pts, list(nodes), inc,
-                         name="planes-vs-family-%d" % family)
-    want = ((24, 3), (18, 4)) if family == 1 else ((24, 4), (16, 6))
-    assert cfg.type_signature == want
-    return cfg
-
-
-DETERMINANT_CELL_LABELS = ((1, 14, 12, 7),
-                           (15, 2, 5, 10),
-                           (9, 8, 3, 16),
-                           (6, 11, 13, 4))
-
-
-def determinant_config():
-    """(24_4, 16_6): the 24 monomials of a 4x4 determinant against the 16
-    matrix cells, with the cells carrying the printed labels 1..16."""
-    cells = [DETERMINANT_CELL_LABELS[r][c]
-             for r in range(4) for c in range(4)]
-    monomials = list(permutations(range(4)))
-    inc = {(tau, DETERMINANT_CELL_LABELS[r][tau[r]])
-           for tau in monomials for r in range(4)}
-    cfg = AbstractConfig(monomials, cells, inc, name="determinant")
-    assert cfg.type_signature == ((24, 4), (16, 6))
+    if cfg.type_signature != ((12, 4), (16, 3)):
+        raise ValueError("desmic incidence has type %s, expected "
+                         "((12, 4), (16, 3))" % (cfg.type_signature,))
     return cfg
 
 
@@ -402,7 +294,9 @@ def pg24():
 
     inc = {(p, l) for p in pts for l in lines if on(p, l)}
     cfg = AbstractConfig(pts, lines, inc, name="pg(2,4)")
-    assert cfg.type_signature == ((21, 5), (21, 5))
+    if cfg.type_signature != ((21, 5), (21, 5)):
+        raise ValueError("pg(2,4) has type %s, expected ((21, 5), (21, 5))"
+                         % (cfg.type_signature,))
     return cfg
 
 
@@ -444,7 +338,8 @@ def duad_syntheme_system():
     of strings, empty on the diagonal)."""
     letters = range(1, 7)
     duads = [frozenset(d) for d in combinations(letters, 2)]
-    assert len(duads) == 15
+    if len(duads) != 15:
+        raise ValueError("%d duads, not 15" % len(duads))
 
     def matchings(rest):
         if not rest:
@@ -456,7 +351,8 @@ def duad_syntheme_system():
                 yield [frozenset({a, b})] + tail
 
     synthemes = [frozenset(m) for m in matchings(set(letters))]
-    assert len(synthemes) == 15
+    if len(synthemes) != 15:
+        raise ValueError("%d synthemes, not 15" % len(synthemes))
 
     # a total is five pairwise duad-disjoint synthemes covering all duads
     disjoint = {(s, t) for s in synthemes for t in synthemes
@@ -465,12 +361,19 @@ def duad_syntheme_system():
     for combo in combinations(synthemes, 5):
         if all((s, t) in disjoint for s, t in combinations(combo, 2)):
             totals.append(frozenset(combo))
-    assert len(totals) == 6
+    if len(totals) != 6:
+        raise ValueError("%d totals, not 6" % len(totals))
     for t in totals:
-        covered = set().union(*[set(s) for s in t])
-        assert covered == set(duads)
+        missed = set(duads).difference(*t)
+        if missed:
+            raise ValueError("total %s misses the duads %s"
+                             % (sorted(map(_syntheme_str, t)),
+                                sorted(map(_duad_str, missed))))
     for s, t in combinations(totals, 2):
-        assert len(s & t) == 1
+        if len(s & t) != 1:
+            raise ValueError("totals %s and %s share %d synthemes, not 1"
+                             % (sorted(map(_syntheme_str, s)),
+                                sorted(map(_syntheme_str, t)), len(s & t)))
 
     # find the labeling that reproduces the printed table
     labeling = None
@@ -484,7 +387,9 @@ def duad_syntheme_system():
         if ok:
             labeling = perm
             break
-    assert labeling is not None, "printed table inconsistent with totals"
+    if labeling is None:
+        raise ValueError("no labeling of the totals reproduces the printed "
+                         "table")
 
     labeled = {"T%d" % (k + 1): totals[labeling[k]] for k in range(6)}
     table = tuple(
@@ -495,7 +400,10 @@ def duad_syntheme_system():
     for i, j in permutations(range(6), 2):
         common = next(iter(labeled["T%d" % (i + 1)]
                            & labeled["T%d" % (j + 1)]))
-        assert table[i][j] == _syntheme_str(common)
+        if table[i][j] != _syntheme_str(common):
+            raise ValueError("table entry T%d, T%d is %s, but the totals "
+                             "share %s" % (i + 1, j + 1, table[i][j],
+                                           _syntheme_str(common)))
     return {
         "duads": sorted(_duad_str(d) for d in duads),
         "synthemes": sorted(_syntheme_str(s) for s in synthemes),
@@ -505,18 +413,6 @@ def duad_syntheme_system():
         "_synthemes_raw": synthemes,
         "_totals_raw": labeled,
     }
-
-
-def duad_syntheme_config():
-    """The (15_3, 15_3) incidence of duads with the synthemes containing
-    them."""
-    sysd = duad_syntheme_system()
-    duads = sysd["duads"]
-    synthemes = sysd["synthemes"]
-    inc = {(d, s) for d in duads for s in synthemes if d in s.split(".")}
-    cfg = AbstractConfig(duads, synthemes, inc, name="duad-syntheme")
-    assert cfg.type_signature == ((15, 3), (15, 3))
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +501,6 @@ class CurveSystem:
                     terms.append((term["id"], coeff))
             return self._as_vector(terms)
         raise KeyError("no divisor named %r" % name)
-
-    def curve_vector(self, cid):
-        v = [0] * len(self.ids)
-        v[self.index[cid]] = 1
-        return v
 
     def _check_fiber(self, fname, k, fiber):
         comps = fiber["components"]
@@ -786,11 +677,6 @@ def kummer_char0_system(data_dir=None):
     return ingest_curve_system(data_path("kummer-char0.json", data_dir))
 
 
-def kummer_char2_system(data_dir=None):
-    return ingest_curve_system(
-        data_path("kummer-char2-ordinary.json", data_dir))
-
-
 def supersingular_42_system(data_dir=None):
     """The 42-curve system with its fibrations and H, loaded from its
     checked-in JSON file (written by tools/make_data_files.py)."""
@@ -830,15 +716,17 @@ def label_42_curves():
     pts = _pg2_reps()
     arc = list(SIX_ARC)
     for trip in combinations(arc, 3):
-        assert matrix_rank([list(r) for r in trip]) == 3, \
-            "three arc points collinear"
+        if matrix_rank([list(r) for r in trip]) != 3:
+            raise ValueError("the 6-arc points %s are collinear" % (trip,))
 
     # duad lines
     line_label = {}
     for i, j in combinations(range(6), 2):
         rep = _f4_line_through(arc[i], arc[j])
         lbl = "%d%d" % (i + 1, j + 1)
-        assert rep not in line_label, "two duads give the same line"
+        if rep in line_label:
+            raise ValueError("duads %s and %s give the same line %s"
+                             % (line_label[rep], lbl, rep))
         line_label[rep] = lbl
 
     def on(p, l):
@@ -856,12 +744,17 @@ def label_42_curves():
             continue
         duads = sorted(lbl for rep, lbl in line_label.items()
                        if on(p, rep))
-        assert len(duads) == 3, "non-arc point on %d duad lines" % \
-            len(duads)
+        if len(duads) != 3:
+            raise ValueError("non-arc point %s lies on the %d duad lines %s"
+                             % (p, len(duads), duads))
         s = ".".join(duads)
-        assert s in syntheme_strs, "duads through point do not match: %s" % s
+        if s not in syntheme_strs:
+            raise ValueError("the duads %s through point %s are not a "
+                             "syntheme" % (s, p))
         point_label[p] = s
-    assert len(set(point_label.values())) == 21
+    if len(set(point_label.values())) != 21:
+        raise ValueError("%d distinct point labels, not 21"
+                         % len(set(point_label.values())))
 
     # total lines: the six lines missing every arc point
     totals = {k: set(v) for k, v in sysd["totals"].items()}
@@ -869,11 +762,14 @@ def label_42_curves():
         if l in line_label:
             continue
         synths = sorted(point_label[p] for p in pts if on(p, l))
-        assert len(synths) == 5
         match = [k for k, v in totals.items() if v == set(synths)]
-        assert len(match) == 1, "line does not match a unique total"
+        if len(synths) != 5 or len(match) != 1:
+            raise ValueError("line %s through the synthemes %s matches the "
+                             "totals %s, not one" % (l, synths, match))
         line_label[l] = match[0]
-    assert len(set(line_label.values())) == 21
+    if len(set(line_label.values())) != 21:
+        raise ValueError("%d distinct line labels, not 21"
+                         % len(set(line_label.values())))
 
     plabels = [point_label[p] for p in pts]
     llabels = [line_label[l] for l in _pg2_reps()]
@@ -888,13 +784,14 @@ def label_42_curves():
                 gram[a][21 + b] = gram[21 + b][a] = 1
     cs = CurveSystem(ids, gram)
     cs.validate()
-    # the lifted (21_5) property
-    for a in range(21):
-        assert sum(gram[a][21 + b] for b in range(21)) == 5
-        assert sum(gram[21 + b][a] for b in range(21)) == 5
-        assert all(gram[a][b] == 0 for b in range(21) if b != a)
-    for a in range(21, 42):
-        assert all(gram[a][b] == 0 for b in range(21, 42) if b != a)
+    # the lifted (21_5) property: each curve meets five curves, all of
+    # the other kind (points against lines)
+    for a, row in enumerate(gram):
+        met = [b for b in range(n) if b != a and row[b]]
+        same = [ids[b] for b in met if (b < 21) == (a < 21)]
+        if same or sum(row[b] for b in met) != 5:
+            raise ValueError("curve %s meets %s, not five curves of the "
+                             "other kind" % (ids[a], [ids[b] for b in met]))
     return cs, {"points": plabels, "lines": llabels}
 
 

@@ -1,4 +1,6 @@
-"""Even integral lattices, discriminant forms, and curve-lattice checks.
+"""Even integral lattices, discriminant forms, and curve-lattice checks:
+the lattice spanned by a curve system, divisor pairings, overlattice glue,
+and the embeddability verdicts.
 
 Root lattices are taken negative definite (the (-2)-curve convention), so
 hyperbolic Picard-type lattices have signature (1, n).  Finite quadratic
@@ -6,7 +8,7 @@ forms live on finite abelian groups with q in Q/2Z and b in Q/Z.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 
 from .matrices import bilinear, det_poly_matrix, gram_times, \
@@ -118,13 +120,6 @@ def direct_sum(*lattices):
         off += l.rank
     name = "+".join(l.name or "?" for l in lats)
     return Lattice(g, name=name)
-
-
-def rescale(l, m):
-    if isinstance(l, str):
-        l = standard_lattice(l)
-    return Lattice([[m * x for x in r] for r in l.gram],
-                   name="%s(%d)" % (l.name or "?", m))
 
 
 # ---------------------------------------------------------------------------
@@ -415,105 +410,6 @@ def divisor_pairings(cs, name):
 
 
 # ---------------------------------------------------------------------------
-# Dynkin classification
-# ---------------------------------------------------------------------------
-
-def _graph_isomorphic(edges1, edges2, n):
-    deg1 = [0] * n
-    deg2 = [0] * n
-    adj1 = [set() for _ in range(n)]
-    adj2 = [set() for _ in range(n)]
-    for a, b in edges1:
-        deg1[a] += 1
-        deg1[b] += 1
-        adj1[a].add(b)
-        adj1[b].add(a)
-    for a, b in edges2:
-        deg2[a] += 1
-        deg2[b] += 1
-        adj2[a].add(b)
-        adj2[b].add(a)
-    if sorted(deg1) != sorted(deg2):
-        return False
-    assign = [None] * n
-    used = [False] * n
-
-    def extend(i):
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j] or deg2[j] != deg1[i]:
-                continue
-            ok = True
-            for i2 in range(i):
-                if (i2 in adj1[i]) != (assign[i2] in adj2[j]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assign[i] = j
-            used[j] = True
-            if extend(i + 1):
-                return True
-            assign[i] = None
-            used[j] = False
-        return False
-
-    return extend(0)
-
-
-def _affine_edges(kind, n):
-    """Edges of the affine diagram with n+1 vertices."""
-    if kind == "A":
-        return [(i, (i + 1) % (n + 1)) for i in range(n + 1)]
-    if kind == "D":
-        # chain 0..n-2 with leaves n-1 (at vertex 1) and n (at vertex n-3)
-        base = [(i, i + 1) for i in range(n - 2)]
-        return base + [(1, n - 1)] + [(n - 3, n)]
-    if kind == "E":
-        base = _dynkin_edges("E", n)
-        # the affine vertex n extends the short arm (E6), one long arm
-        # (E7), or the long chain (E8)
-        attach = {6: n - 1, 7: 0, 8: n - 2}[n]
-        return base + [(n, attach)]
-    raise ValueError(kind)
-
-
-def classify_dynkin(cs, subset):
-    """ADE or affine type of a subset of (-2)-curves, by graph isomorphism
-    against the standard templates.  Raises ValueError when the subgraph
-    matches no template."""
-    subset = list(subset)
-    m = len(subset)
-    for c in subset:
-        if cs.pair(c, c) != -2:
-            raise ValueError("curve %s is not a (-2)-curve" % c)
-    edges = []
-    for i, j in combinations(range(m), 2):
-        val = cs.pair(subset[i], subset[j])
-        if val not in (0, 1):
-            raise ValueError("intersection %s.%s = %s outside {0,1}"
-                             % (subset[i], subset[j], val))
-        if val == 1:
-            edges.append((i, j))
-    candidates = [("A%d" % m, _dynkin_edges("A", m))]
-    if m >= 3:
-        candidates.append(("D%d" % m, _dynkin_edges("D", m)))
-    if m in (6, 7, 8):
-        candidates.append(("E%d" % m, _dynkin_edges("E", m)))
-    if m >= 3:
-        candidates.append(("A~%d" % (m - 1), _affine_edges("A", m - 1)))
-    if m >= 5:
-        candidates.append(("D~%d" % (m - 1), _affine_edges("D", m - 1)))
-    if m in (7, 8, 9):
-        candidates.append(("E~%d" % (m - 1), _affine_edges("E", m - 1)))
-    for name, tmpl in candidates:
-        if _graph_isomorphic(edges, tmpl, m):
-            return name
-    raise ValueError("subset matches no ADE or affine template")
-
-
-# ---------------------------------------------------------------------------
 # overlattices
 # ---------------------------------------------------------------------------
 
@@ -790,32 +686,3 @@ def artin2_check(sigma):
         raise ValueError("unexpected complement found: %r"
                          % ([lat.gram for lat in matching],))
     return out
-
-
-# ---------------------------------------------------------------------------
-# reported lattices
-# ---------------------------------------------------------------------------
-
-def m2_lattice():
-    """The Picard lattice of the char-0 Kummer model."""
-    return direct_sum("U", "E8", "D8", "<-4>")
-
-
-def cm_picard_lattices():
-    """The two special Picard lattices reported with their invariants."""
-    l1 = direct_sum("U", "E8", "E8", "<-4>", "<-4>")
-    l2 = direct_sum("U", "E8", "E8", rescale("A2", 2))
-    out = []
-    for l in (l1, l2):
-        out.append({"name": l.name, "rank": l.rank,
-                    "signature": l.signature(),
-                    "disc_group": l.disc_group(),
-                    "det": l.det()})
-    return out
-
-
-def transcendental_lattice():
-    """U(2) + <4>, reported with its invariants."""
-    l = direct_sum(rescale("U", 2), standard_lattice("<4>"))
-    return {"lattice": l, "signature": l.signature(),
-            "disc_group": l.disc_group(), "det": l.det()}

@@ -16,124 +16,16 @@ variety of a 35-nodal cubic in P^6.
 
 from itertools import permutations, product
 
-from .matrices import (bilinear, det_poly_matrix, matrix_rank, nullspace,
-                       rref)
+from .matrices import bilinear, matrix_rank, nullspace, rref
 from .poly import PolyRing
-from .projgeom import ProjPoint, klein_change_rows, mat_apply, normalize
+from .projgeom import normalize
 from .scalars import I, Mod, QI, field_i, lift, one_like, sqrt_minus_one
 from .surfaces import Form, node_check, polar_matrix, taylor
 
 
 # ---------------------------------------------------------------------------
-# nets of quadrics and the Montesano condition
+# the complete intersection in P^5
 # ---------------------------------------------------------------------------
-
-P3_RING = PolyRing(["x", "y", "z", "w"])
-
-
-def standard_net(ring=None):
-    """The net t1*(xy+zw) + t2*(xz+yw) + t3*(xw+yz)."""
-    if ring is None:
-        ring = P3_RING
-    x, y, z, w = ring.gens()
-    return (x * y + z * w, x * z + y * w, x * w + y * z)
-
-
-def net_n1(ring=None):
-    """Net spanned by (x-y)(z+w), (x-z)(y+w), (x-w)(y+z)."""
-    if ring is None:
-        ring = P3_RING
-    x, y, z, w = ring.gens()
-    return ((x - y) * (z + w), (x - z) * (y + w), (x - w) * (y + z))
-
-
-def net_n2(ring=None):
-    """Net spanned by (x-y)(z-w), (x-z)(y-w), (x+w)(y+z)."""
-    if ring is None:
-        ring = P3_RING
-    x, y, z, w = ring.gens()
-    return ((x - y) * (z - w), (x - z) * (y - w), (x + w) * (y + z))
-
-
-def net_n3(ring=None):
-    """Net spanned by x^2-y^2, x^2-z^2, x^2-w^2."""
-    if ring is None:
-        ring = P3_RING
-    x, y, z, w = ring.gens()
-    return (x * x - y * y, x * x - z * z, x * x - w * w)
-
-
-def _quadric_coeff_vectors(net):
-    ring = net[0].ring
-    monos = sorted(set(m for q in net for m in q.coeffs))
-    zero = ring.one * 0
-    return [[q.coeffs.get(m, zero) for m in monos] for q in net]
-
-
-def montesano_matrix(net, a, b):
-    """3x3 matrix whose determinant detects lines on quadrics of the net.
-
-    Rows: values of the three quadrics at a, at b, and the polar values
-    Q(a+b) - Q(a) - Q(b).  For the standard net this reproduces the classical
-    matrix with rows (a1a2+a3a4, a1a3+a2a4, a1a4+a2a3), etc.
-    """
-    names = net[0].ring.varnames
-
-    def val(q, pt):
-        return q.evaluate(dict(zip(names, pt)))
-
-    ab = [ai + bi for ai, bi in zip(a, b)]
-    row_a = [val(q, a) for q in net]
-    row_b = [val(q, b) for q in net]
-    row_c = [val(q, ab) - ra - rb for q, ra, rb in zip(net, row_a, row_b)]
-    return [row_a, row_b, row_c]
-
-
-def montesano_condition(net, line):
-    """True iff the line lies on some quadric of the net (det of the 3x3
-    restriction matrix vanishes).  Raises on a degenerate net."""
-    if len(net) != 3:
-        raise ValueError("net must consist of three quadrics")
-    if matrix_rank(_quadric_coeff_vectors(net)) != 3:
-        raise ValueError("degenerate net")
-    one = one_like(net[0].ring.one)
-    a = [lift(one, c) for c in line.p.coords]
-    b = [lift(one, c) for c in line.q.coords]
-    return not det_poly_matrix(montesano_matrix(net, a, b))
-
-
-def complex_cubic_from_net(net):
-    """Equation of the line complex of the net, as a polynomial in the eight
-    coordinates a1..a4, b1..b4 of a spanning pair of points.
-
-    Substitutes the parametric line (a1 u + b1 v, ..., a4 u + b4 v) into the
-    net and returns the determinant of the 3x3 coefficient matrix.
-    """
-    ring8 = PolyRing(["a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4"])
-    gens = ring8.gens()
-    a = gens[:4]
-    b = gens[4:]
-    names = net[0].ring.varnames
-
-    def sub(q, vec):
-        return q.subst(dict(zip(names, vec)), ring8)
-
-    row_a = [sub(q, a) for q in net]
-    row_b = [sub(q, b) for q in net]
-    ab = [ai + bi for ai, bi in zip(a, b)]
-    row_c = [sub(q, ab) - ra - rb for q, ra, rb in zip(net, row_a, row_b)]
-    return det_poly_matrix([row_a, row_b, row_c])
-
-
-def plucker_forms_in_ab():
-    """The six Plucker coordinates as polynomials in a1..a4, b1..b4."""
-    ring8 = PolyRing(["a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4"])
-    gens = ring8.gens()
-    a = gens[:4]
-    b = gens[4:]
-    idx = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    return [a[i] * b[j] - a[j] * b[i] for i, j in idx]
-
 
 def _proportional_polys(f, g):
     """(True, scalar) if f == scalar*g with scalar nonzero, else (False, None)."""
@@ -149,28 +41,6 @@ def _proportional_polys(f, g):
         return True, lam
     return False, None
 
-
-def nets_define_same_complex():
-    """Check that the three nets attached to the desmic pencil, and the
-    standard net, all cut out the same cubic complex (equal equations up to a
-    nonzero scalar, as polynomials in the spanning-pair coordinates).
-
-    Returns a dict net-name -> scalar relative to the standard net's cubic,
-    or raises if some pair fails to be proportional.
-    """
-    base = complex_cubic_from_net(standard_net())
-    out = {}
-    for name, net in (("n1", net_n1()), ("n2", net_n2()), ("n3", net_n3())):
-        ok, lam = _proportional_polys(complex_cubic_from_net(net), base)
-        if not ok:
-            raise ValueError("net %s defines a different complex" % name)
-        out[name] = lam
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the complete intersection in P^5
-# ---------------------------------------------------------------------------
 
 PLUCKER_NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")
 KLEIN_NAMES = ("x1", "x2", "x3", "y1", "y2", "y3")
@@ -221,34 +91,6 @@ class CompleteIntersection35:
         coeff = one if unit_variant else i
         c = gens[0] * gens[1] * gens[2] + (gens[3] * gens[4] * gens[5]).scale(coeff)
         return cls(Form(q), Form(c), "klein", i=i)
-
-
-def klein_change_consistent(i=None):
-    """Substituting the Klein linear forms into the Klein equations must
-    reproduce the Plucker equations up to nonzero scalars.  Returns the two
-    scalars."""
-    if i is None:
-        i = I
-    one = one_like(i)
-    ci_p = CompleteIntersection35.plucker(one)
-    ci_k = CompleteIntersection35.klein(i=i, one=one)
-    rows = klein_change_rows(i)
-    ring = ci_p.ring
-    gens = ring.gens()
-    mapping = {}
-    for k, name in enumerate(KLEIN_NAMES):
-        f = ring.zero()
-        for j in range(6):
-            if rows[k][j]:
-                f = f + gens[j].scale(rows[k][j])
-        mapping[name] = f
-    q_img = ci_k.quadric.poly.subst(mapping, ring)
-    c_img = ci_k.cubic.poly.subst(mapping, ring)
-    ok_q, lam_q = _proportional_polys(q_img, ci_p.quadric.poly)
-    ok_c, lam_c = _proportional_polys(c_img, ci_p.cubic.poly)
-    if not (ok_q and ok_c):
-        raise ValueError("coordinate change does not match the equations")
-    return lam_q, lam_c
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +264,6 @@ def verify_node_inventory(ci):
     return NodeInventory(pts1, pts2, reps1, reps2)
 
 
-def klein_plucker_node_bijection():
-    """The coordinate change maps the 34 Plucker nodes bijectively onto the
-    34 Klein nodes (up to scale)."""
-    rows = klein_change_rows(I)
-    imgs = {mat_apply(rows, ProjPoint(pt))
-            for pt in PLUCKER_NODES_18 + PLUCKER_NODES_16}
-    target = {ProjPoint(p) for p in klein_nodes_18() + klein_nodes_16()}
-    return imgs == target and len(imgs) == 34
-
-
 # ---------------------------------------------------------------------------
 # the 24 planes and the incidence configuration
 # ---------------------------------------------------------------------------
@@ -470,32 +302,6 @@ ALPHA_LABELS = ["(12)(34)", "(13)(24)", "(14)(23)", "1", "(142)", "(132)",
                 "(123)", "(124)", "(143)", "(243)", "(234)", "(134)"]
 BETA_LABELS = ["(1342)", "(1243)", "(1432)", "(1234)", "(1423)", "(1324)",
                "(12)", "(34)", "(24)", "(13)", "(23)", "(14)"]
-
-
-def perm_from_cycles(text):
-    """Permutation of {1,2,3,4} from disjoint-cycle notation, as the tuple
-    (g(1),g(2),g(3),g(4))."""
-    img = {k: k for k in (1, 2, 3, 4)}
-    for part in text.replace(")", ")|").split("|"):
-        part = part.strip().strip("()")
-        if not part or part == "1":
-            continue
-        cyc = [int(ch) for ch in part]
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            img[a] = b
-    return tuple(img[k] for k in (1, 2, 3, 4))
-
-
-def perm_compose(g, h):
-    """(g o h)(x) = g(h(x))."""
-    return tuple(g[h[x - 1] - 1] for x in (1, 2, 3, 4))
-
-
-def perm_inverse(g):
-    inv = [0] * 4
-    for x in (1, 2, 3, 4):
-        inv[g[x - 1] - 1] = x
-    return tuple(inv)
 
 
 class PlaneInP5:
@@ -619,48 +425,6 @@ def verify_plane_inventory(ci):
                 n2[k] += 1
         per_plane.append((c1, c2))
     return PlaneInventory(planes, per_plane, n1, n2)
-
-
-def klein_plane_labels():
-    """Match each Klein plane with a printed alpha/beta plane through the
-    coordinate change and return the permutation labels, in the order of
-    klein_plane_list()."""
-    rows = klein_change_rows(I)
-    printed = plucker_plane_list(QI(1))
-    by_canon = {_span_key(pl.covectors): pl.label for pl in printed}
-    if len(by_canon) != 24:
-        raise ValueError("the printed planes have %d distinct canonical "
-                         "forms, not 24" % len(by_canon))
-    labels = []
-    for pl in klein_plane_list():
-        pulled = [[sum((cv[k] * rows[k][j] for k in range(6)), QI(0))
-                   for j in range(6)] for cv in pl.covectors]
-        labels.append(by_canon[_span_key(pulled)])
-    if len(set(labels)) != 24:
-        raise ValueError("the Klein planes match %d distinct printed "
-                         "labels, not 24" % len(set(labels)))
-    return labels
-
-
-def incidence_coset_example():
-    """The point (i,0,0,0,0,1) in Klein coordinates lies in exactly four
-    planes; their permutation labels form a single coset of the subgroup
-    generated by (12) and (34) (left or right depending on the composition
-    convention)."""
-    pt = (I, QI(0), QI(0), QI(0), QI(0), QI(1))
-    planes = klein_plane_list()
-    labels = klein_plane_labels()
-    hit = [lab for pl, lab in zip(planes, labels) if pl.contains_point(pt)]
-    perms = {perm_from_cycles(lab[1]) for lab in hit}
-    h1 = {perm_from_cycles(s) for s in ("1", "(12)", "(34)", "(12)(34)")}
-    g = next(iter(perms))
-    left = {perm_compose(perm_inverse(g), h) for h in perms}
-    right = {perm_compose(h, perm_inverse(g)) for h in perms}
-    return {
-        "labels": sorted(lab[1] for lab in hit),
-        "is_left_coset": left == h1,
-        "is_right_coset": right == h1,
-    }
 
 
 # ---------------------------------------------------------------------------

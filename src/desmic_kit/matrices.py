@@ -1,6 +1,6 @@
 """Exact matrix algebra: integer matrices with Smith normal form, fraction-free
-determinants and Pfaffians over polynomial rings, rational inertia, and small
-generic linear-algebra helpers over any exact field."""
+determinants over polynomial rings, rational inertia, and small generic
+linear-algebra helpers over any exact field."""
 
 from fractions import Fraction
 from math import lcm
@@ -34,10 +34,6 @@ class IntMatrix:
     @property
     def ncols(self):
         return len(self.rows[0]) if self.rows else 0
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
@@ -98,42 +94,6 @@ def det_poly_matrix(m):
         prev = a[k][k]
     d = a[n - 1][n - 1]
     return -d if sign < 0 else d
-
-
-def pfaffian_poly_matrix(m):
-    """Pfaffian of an alternating matrix (zero diagonal, skew; in char 2
-    this means symmetric with zero diagonal).  Pf(M)^2 = det(M)."""
-    n = len(m)
-    if n % 2:
-        raise ValueError("odd-size alternating matrix")
-    sample = m[0][0]
-    zero = sample * 0 if not isinstance(sample, MultiPoly) else sample.ring.zero()
-    for i in range(n):
-        if m[i][i] != zero:
-            raise ValueError("nonzero diagonal")
-        for j in range(n):
-            if m[i][j] != -m[j][i]:
-                raise ValueError("matrix not alternating")
-    return _pf(m, list(range(n)), zero)
-
-
-def _pf(m, idx, zero):
-    if not idx:
-        return zero + 1 if not isinstance(zero, MultiPoly) else zero.ring.const(1)
-    i0 = idx[0]
-    total = zero
-    for pos in range(1, len(idx)):
-        j = idx[pos]
-        a = m[i0][j]
-        if a == zero:
-            continue
-        rest = idx[1:pos] + idx[pos + 1:]
-        sub = _pf(m, rest, zero)
-        term = a * sub
-        if pos % 2 == 0:  # sign (-1)^(pos+1); pos=1 positive
-            term = -term
-        total = total + term
-    return total
 
 
 def smith_normal_form(m):

@@ -191,18 +191,6 @@ class MultiPoly:
             new[tuple(e2)] = new.get(tuple(e2), self.ring.one * 0) + c * k
         return MultiPoly(self.ring, new)
 
-    def evaluate(self, values):
-        """Evaluate at a point; `values` maps every variable name to a scalar."""
-        vals = [values[v] for v in self.ring.varnames]
-        total = self.ring.one * 0
-        for e, c in self.coeffs.items():
-            t = c
-            for vi, ei in zip(vals, e):
-                for _ in range(ei):
-                    t = t * vi
-            total = total + t
-        return total
-
     def subst(self, mapping, target_ring=None):
         """Substitute polynomials for variables.
 

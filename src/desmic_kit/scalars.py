@@ -147,11 +147,14 @@ def field_i(one):
 def lift(one, x):
     """Image of x in the field whose identity is `one`.  An int n maps to
     one*n and a Fraction n/d to (one*n)/(one*d), which also serves F_4,
-    where F4 * Fraction is undefined.  Anything else is taken to be a field
-    element already and is returned unchanged."""
+    where F4 * Fraction is undefined; with an int `one` (the rationals) a
+    Fraction maps to one*x, since int / int is a float.  Anything else is
+    taken to be a field element already and is returned unchanged."""
     if isinstance(x, int):
         return one * x
     if isinstance(x, Fraction):
+        if isinstance(one, int):
+            return one * x
         return one * x.numerator / (one * x.denominator)
     return x
 
@@ -240,9 +243,6 @@ class QI:
                         self.d * d)
 
     __rmul__ = __mul__
-
-    def conj(self):
-        return QI._make(self.a, -self.b, self.d)
 
     def norm(self):
         return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .matrices import matrix_rank, nullspace
+from .matrices import nullspace
 from .poly import (MultiPoly, PolyRing, PowerSeriesTrunc, RatFunc, prem)
 from .projgeom import LineP3, ProjPlane, ProjPoint
 from .scalars import F4_ELEMENTS, F4, Mod, QI, lift, one_like
@@ -440,13 +440,6 @@ DESMIC_SINGULAR_12 = [
     (1, 1, 1, -1), (1, 1, -1, 1), (1, -1, 1, 1), (-1, 1, 1, 1),
 ]
 
-DESMIC_VERTICES_12 = [
-    (0, 0, 1, 1), (0, 0, 1, -1), (0, 1, 0, 1), (0, 1, 0, -1),
-    (0, 1, 1, 0), (0, 1, -1, 0), (1, 0, 0, 1), (1, 0, 0, -1),
-    (1, 0, 1, 0), (1, 0, -1, 0), (1, 1, 0, 0), (1, -1, 0, 0),
-]
-
-
 def desmic_lines_16():
     """The 16 base-locus lines V(x+-y,x+-w), V(x+-y,y+-z), V(z+-w,x+-w),
     V(z+-w,y+-z) of the standard desmic pencil."""
@@ -472,18 +465,6 @@ def desmic_pencil_symbolic():
          + b * (x ** 2 - w ** 2) * (y ** 2 - z ** 2)
          + c * (x ** 2 - z ** 2) * (w ** 2 - y ** 2))
     return Form(f, coord_vars=("x", "y", "z", "w"))
-
-
-def desmic_pencil_at(a_val, b_val):
-    """The pencil member at rational (a, b) with c = -a-b."""
-    ring = PolyRing(["x", "y", "z", "w"])
-    x, y, z, w = ring.gens()
-    a, b = Fraction(a_val), Fraction(b_val)
-    c = -a - b
-    f = ((x ** 2 - y ** 2) * (z ** 2 - w ** 2)).scale(a) \
-        + ((x ** 2 - w ** 2) * (y ** 2 - z ** 2)).scale(b) \
-        + ((x ** 2 - z ** 2) * (w ** 2 - y ** 2)).scale(c)
-    return Form(f)
 
 
 def residual_conic_tangency(f=None, line=None, pencil=None):
@@ -607,14 +588,6 @@ def cremona_cubic_q(ring=None):
     return (a * w + b * x + c * y + d * z) * w + x * x + y * y + z * z
 
 
-def cremona_cubic_f(ring=None):
-    """f = q*w + x*y*z (the cubic surface with tritangent plane w=0)."""
-    if ring is None:
-        ring = cubic_ring()
-    x, y, z, w = (ring.var(n) for n in ("x", "y", "z", "w"))
-    return cremona_cubic_q(ring) * w + x * y * z
-
-
 def steinerian_equation(q):
     """Humbert's Steinerian equation
     G = q^2 - q_y q_z yz - q_x q_z xz - q_x q_y xy - q_x q_y q_z w + xyz q_w."""
@@ -623,20 +596,6 @@ def steinerian_equation(q):
     qx, qy, qz, qw = (q.diff(n) for n in ("x", "y", "z", "w"))
     return (q * q - qy * qz * y * z - qx * qz * x * z - qx * qy * x * y
             - qx * qy * qz * w + x * y * z * qw)
-
-
-def cremona_quadric(q, alpha, beta, gamma):
-    """The quadric q + a*yz + b*xz + c*xy - (ab*z + ac*y + bc*x)*w + abc*w^2
-    through the three residual conics (alpha, beta, gamma scalars or
-    polynomials of q's ring)."""
-    ring = q.ring
-    x, y, z, w = (ring.var(n) for n in ("x", "y", "z", "w"))
-
-    al, be, ga = (v if isinstance(v, MultiPoly) else ring.const(v)
-                  for v in (alpha, beta, gamma))
-    return (q + al * y * z + be * x * z + ga * x * y
-            - (al * be * z + al * ga * y + be * ga * x) * w
-            + al * be * ga * w * w)
 
 
 def steinerian_identity_parts(char=0):
@@ -682,20 +641,6 @@ def eight_squares_parts():
 
 
 # ------------------------------------------------ characteristic-2 Cremona --
-
-def cremona_quartic_char2():
-    """The characteristic-2 Cremona quartic
-    F = bcdw^4 + bcw^2xy + bdw^2xz + cdw^2yz + (bx+cy+dz)xyz
-        + (aw^2 + bwx + cwy + dwz + x^2 + y^2 + z^2)^2
-    over F_2[a,b,c,d], coordinates (x,y,z,w)."""
-    ring = cubic_ring(Mod(1, 2))
-    a, b, c, d, x, y, z, w = ring.gens()
-    F = (b * c * d * w ** 4 + b * c * w ** 2 * x * y + b * d * w ** 2 * x * z
-         + c * d * w ** 2 * y * z + (b * x + c * y + d * z) * x * y * z
-         + (a * w ** 2 + b * w * x + c * w * y + d * w * z
-            + x ** 2 + y ** 2 + z ** 2) ** 2)
-    return Form(F, coord_vars=("x", "y", "z", "w"))
-
 
 def char2_cremona_singular_points():
     """Verify the 12 parametric singular points (three families of four) and
@@ -814,37 +759,3 @@ def kummer_char2_points(one=None):
         one = F4(1)
     return [ProjPoint([lift(one, c) for c in p])
             for p in KUMMER2_SIX_POINTS]
-
-
-# ------------------------------------------------ 24-point projection rank --
-
-def projected_24_points_quartic_rank(center):
-    """Project the 12 nodes plus 12 vertices from `center` to P^2 and return
-    the rank of the 24 x 15 evaluation matrix of plane quartic monomials."""
-    pts = [ProjPoint(p) for p in DESMIC_SINGULAR_12 + DESMIC_VERTICES_12]
-    c = ProjPoint(center) if not isinstance(center, ProjPoint) else center
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if matrix_rank([list(pts[i].coords), list(pts[j].coords),
-                            list(c.coords)]) <= 2:
-                raise ValueError("center lies on a connecting line")
-    return _quartic_rank_of_projection(pts, c)
-
-
-def _quartic_rank_of_projection(pts, c):
-    # basis of linear forms vanishing at c
-    forms = nullspace([list(c.coords)], Fraction(1))  # 3 covectors
-    if len(forms) != 3:
-        raise ValueError("center %r has %d independent linear forms through "
-                         "it, not 3" % (c, len(forms)))
-    images = []
-    for p in pts:
-        img = [sum(f[k] * p.coords[k] for k in range(4)) for f in forms]
-        images.append(img)
-    monos = [(i, j, k) for i in range(5) for j in range(5) for k in range(5)
-             if i + j + k == 4]
-    rows = []
-    for img in images:
-        rows.append([img[0] ** m[0] * img[1] ** m[1] * img[2] ** m[2]
-                     for m in monos])
-    return matrix_rank(rows)

@@ -114,3 +114,18 @@ def orbit_sizes_by_elements(keys, elements, action):
         todo -= orbit
         sizes.append(len(orbit))
     return sorted(sizes)
+
+
+def evaluate(poly, values):
+    """A polynomial at a point by summing its terms, each a product of
+    repeated multiplications; `values` maps every variable name to a
+    scalar.  Tests compare Taylor coefficients and gradients with it."""
+    vals = [values[v] for v in poly.ring.varnames]
+    total = poly.ring.one * 0
+    for e, c in poly.coeffs.items():
+        t = c
+        for vi, ei in zip(vals, e):
+            for _ in range(ei):
+                t = t * vi
+        total = total + t
+    return total

@@ -4,6 +4,7 @@ import ast
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -294,11 +295,12 @@ import desmic_kit.linecomplex as lc
 import desmic_kit.configs as cf
 import desmic_kit.projgeom as pg
 import desmic_kit.surfaces as sf
+import claims
 from desmic_kit.configs import CurveSystem
 from desmic_kit.lattices import FiniteQuadForm, Lattice, _coords_in_basis
 from desmic_kit.poly import PolyRing, PowerSeriesTrunc
 from desmic_kit.projgeom import LineP3, ProjPoint
-from desmic_kit.scalars import Mod, QI
+from desmic_kit.scalars import F4, Mod, QI
 from desmic_kit.scan import run_scan
 print("debug", __debug__)
 
@@ -329,6 +331,8 @@ def relabeled_42(a, b, value):
     i, j = cs.index[a], cs.index[b]
     gram[i][j] = gram[j][i] = value
     return CurveSystem(cs.ids, gram)
+
+collinear_arc = cf.SIX_ARC[:3] + ((F4(1), F4(1), F4(0)),) + cf.SIX_ARC[4:]
 
 def desmic_28_not_reye():
     cf.config_isomorphic = lambda cfg, other: None
@@ -372,6 +376,8 @@ for case in (lambda: run_scan(13, 0),
              lambda: cf.fibration_tables(relabeled_42("12", "2", 0)),
              lambda: cf.fibration_tables(relabeled_42("2", "12.35.46", 1)),
              desmic_28_not_reye,
+             lambda: patched(cf, "SIX_ARC", collinear_arc,
+                             cf.label_42_curves),
              lambda: FiniteQuadForm([2], [Fraction(1, 3)],
                                     [[Fraction(1, 7)]]),
              lambda: patched(sf, "_factor_binary_quadratic",
@@ -380,13 +386,14 @@ for case in (lambda: run_scan(13, 0),
                              lambda: sf.rdp_an_type(a3_series)),
              lambda: patched(sf, "contains_line", lambda f, line: True,
                              lambda: sf.residual_conic_tangency(line=edge)),
-             lambda: sf.projected_24_points_quartic_rank((1, 2, 3, 4, 5)),
+             lambda: claims.projected_24_points_quartic_rank(
+                 (1, 2, 3, 4, 5)),
              lambda: patched(lc, "plucker_plane_list",
                              lambda one: printed_planes[:23]
-                             + printed_planes[:1], lc.klein_plane_labels),
+                             + printed_planes[:1], claims.klein_plane_labels),
              lambda: patched(lc, "klein_plane_list",
                              lambda: klein_planes[:23] + klein_planes[:1],
-                             lc.klein_plane_labels),
+                             claims.klein_plane_labels),
              lambda: lc._line_on_and_singular(lc.Form(lc.projected_quartic()),
                                               [[1, 0, 0, 0, 0]]),
              lambda: patched(lc, "RATIONALITY_PLANES",
@@ -398,9 +405,9 @@ for case in (lambda: run_scan(13, 0),
              lambda: cf.AbstractConfig(["p"], ["b"], [("p", "c")]),
              lambda: cf.AbstractConfig(["p", "q"], ["b"], [("p", "b")]),
              lambda: cf.AbstractConfig(["p"], ["b", "c"], [("p", "b")]),
-             lambda: cf.plane_node_config(3),
-             lambda: patched(cf, "COSET_SUBGROUP_GENERATORS",
-                             [[(2, 1, 3, 4)]], cf.coset_config),
+             lambda: claims.plane_node_config(3),
+             lambda: patched(claims, "COSET_SUBGROUP_GENERATORS",
+                             [[(2, 1, 3, 4)]], claims.coset_config),
              lambda: patched(pg, "PLUCKER_INDEX",
                              pg.PLUCKER_INDEX[:5] + ((3, 2),),
                              lambda: LineP3(ProjPoint([1, 0, 1, 0]),
@@ -432,6 +439,8 @@ OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
                     "table 1: central 12 misses leaf 2",
                     "table 1: leaves 12.35.46, 2 of central 12 meet",
                     "28-curve configuration is not Reye",
+                    "the 6-arc points ((F4(1), F4(0), F4(0)), (F4(0), "
+                    "F4(1), F4(0)), (F4(1), F4(1), F4(0))) are collinear",
                     "generator 0: b(g, g) = 1/7 is not q(g) = 1/3 modulo 1",
                     "quadratic terms [(1, 1, 0), (2, 0, 0)], not u*v alone",
                     "does not vanish on the line LineP3([Fraction(1, 1), "
@@ -457,10 +466,13 @@ OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
 
 
 def _fresh_python(*args):
-    """Run a new interpreter with this package's src/ on its path."""
+    """Run a new interpreter with this package's src/ and the tests'
+    shared modules on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    here = os.path.dirname(os.path.abspath(__file__))
     return subprocess.run([sys.executable, *args],
-                          env=dict(os.environ, PYTHONPATH=src),
+                          env=dict(os.environ,
+                                   PYTHONPATH=os.pathsep.join((src, here))),
                           capture_output=True, text=True)
 
 
@@ -549,14 +561,11 @@ def test_rebinding_configs_and_lattices_after_importing_cli(how, rebound,
     assert seen == calls
 
 
-# Modules that still hold assert statements.  Every other module of the
-# package, a new one included, must be free of them, so that `python -O`
-# removes no check; a module leaves this set once converted.
-ASSERT_PENDING = {"configs.py"}
+# Every module of the package, a new one included, must be free of assert
+# statements, so that `python -O` removes no check.
 ASSERT_FREE_MODULES = sorted(
     os.path.basename(path) for path in glob.glob(os.path.join(
-        os.path.dirname(os.path.abspath(cli.__file__)), "*.py"))
-    if os.path.basename(path) not in ASSERT_PENDING)
+        os.path.dirname(os.path.abspath(cli.__file__)), "*.py")))
 
 
 @pytest.mark.parametrize("module", ASSERT_FREE_MODULES)
@@ -568,3 +577,65 @@ def test_module_has_no_assert_statements(module):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert lines == [], "%s asserts at lines %s" % (module, lines)
+
+
+# Definitions of the package that the verifier does not need to run but
+# that are kept as library API, each with its reason.
+KEPT_API = {}
+
+
+def _own_names(node):
+    """The names and attribute names that a definition uses; a class
+    counts its bases, decorators and class-level statements, not the
+    bodies of its methods."""
+    if isinstance(node, ast.ClassDef):
+        parts = node.decorator_list + node.bases + [
+            s for s in node.body if not isinstance(s, ast.FunctionDef)]
+    else:
+        parts = [node]
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for part in parts for n in ast.walk(part)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unreached_definitions(package):
+    """The top-level functions, classes and methods of the package that a
+    name walk does not reach.  The walk starts from the module-level code
+    of every module, imports aside (cli's `__main__` block calls `main`),
+    and adds the names that each reached definition uses; a definition is
+    reached when its bare name is used, and dunder methods always are.
+    Matching bare names can only overcount what is reached."""
+    defs, names = {}, set()
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        defs["%s.%s.%s" % (module, node.name, sub.name)] = sub
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs["%s.%s" % (module, node.name)] = node
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= _own_names(node)
+    reached = set()
+    while True:
+        new = [q for q in defs if q not in reached
+               and (q.rsplit(".", 1)[1] in names
+                    or re.fullmatch(r"__\w+__", q.rsplit(".", 1)[1]))]
+        if not new:
+            return sorted(set(defs) - reached)
+        reached.update(new)
+        for q in new:
+            names |= _own_names(defs[q])
+
+
+def test_every_src_definition_is_reached_from_cli():
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    unreached = unreached_definitions(package)
+    assert set(KEPT_API) <= set(unreached), "KEPT_API names a reached " \
+        "definition: %s" % sorted(set(KEPT_API) - set(unreached))
+    extra = [q for q in unreached if q not in KEPT_API]
+    assert extra == [], "%d definitions that only the tests reach: %s" % (
+        len(extra), ", ".join(extra))

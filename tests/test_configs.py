@@ -5,7 +5,7 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import desmic_kit.configs as cf
 import desmic_kit.lattices as la
-from desmic_kit.linecomplex import perm_from_cycles
 from desmic_kit.matrices import gram_times, matrix_rank
+from claims import coset_config, perm_from_cycles, plane_node_config
 
 
 # -- abstract configurations ---------------------------------------------------
@@ -58,7 +58,11 @@ def test_collinear_agrees_with_rank_on_reye_points():
 
 
 def test_reye_point_transitive():
-    assert cf.point_transitive(cf.reye_config())
+    """Some automorphism of the Reye configuration takes its first point to
+    each other point."""
+    r = cf.reye_config()
+    assert all(cf._isomorphism_search(r, r, seed=[(r.points[0], q)])
+               is not None for q in r.points[1:])
 
 
 def test_desmic_incidence_is_reye():
@@ -71,7 +75,15 @@ def test_desmic_incidence_is_reye():
 
 
 def test_kummer_28_incidence_is_reye():
-    k = cf.kummer_abstract_config()
+    """(12_4, 16_3) read off the 28-curve Kummer system: the twelve
+    disjoint curves as points, the sixteen exceptional curves as blocks,
+    incident when the curves meet."""
+    cs = cf.kummer_char0_system()
+    pts = [c for c in cs.ids if not c.startswith("T")]
+    blocks = [c for c in cs.ids if c.startswith("T")]
+    assert len(pts) == 12 and len(blocks) == 16
+    inc = {(p, b) for p in pts for b in blocks if cs.pair(p, b) == 1}
+    k = cf.AbstractConfig(pts, blocks, inc, name="kummer-28")
     assert k.type_signature == ((12, 4), (16, 3))
     assert cf.config_isomorphic(k, cf.reye_config()) is not None
 
@@ -85,7 +97,7 @@ def test_switched_bipartite_graph_is_not_reye():
     # swap one incidence between two disjoint blocks: degrees survive but
     # the structure is no longer a Reye configuration
     r = cf.reye_config()
-    blocks = [set(r.points_of(b)) for b in r.blocks]
+    blocks = [set(r._points_of[b]) for b in r.blocks]
     a, b = None, None
     for i, j in combinations(range(len(blocks)), 2):
         if not blocks[i] & blocks[j]:
@@ -110,7 +122,7 @@ def test_isomorphism_invariant_under_relabeling(rnd):
     shuffled = list(r.points)
     rnd.shuffle(shuffled)
     perm = dict(zip(r.points, shuffled))
-    blocks = [frozenset(perm[p] for p in r.points_of(b)) for b in r.blocks]
+    blocks = [frozenset(perm[p] for p in r._points_of[b]) for b in r.blocks]
     other = cf.AbstractConfig.from_blocks(shuffled, blocks)
     iso = cf.config_isomorphic(other, r)
     assert iso is not None
@@ -121,7 +133,7 @@ def test_isomorphism_invariant_under_relabeling(rnd):
 # -- coset and determinant configurations --------------------------------------
 
 def test_coset_config_type_and_printed_quadruple():
-    c = cf.coset_config()
+    c = coset_config()
     assert c.type_signature == ((24, 3), (18, 4))
     quad = frozenset(perm_from_cycles(t)
                      for t in ["(143)", "(132)", "(1432)", "(13)"])
@@ -130,24 +142,43 @@ def test_coset_config_type_and_printed_quadruple():
 
 
 def test_coset_config_matches_plane_incidence_on_first_family():
-    c = cf.coset_config()
-    p = cf.plane_node_config(1)
+    c = coset_config()
+    p = plane_node_config(1)
     assert p.type_signature == ((24, 3), (18, 4))
     assert cf.config_isomorphic(c, p) is not None
 
 
+DETERMINANT_CELL_LABELS = ((1, 14, 12, 7),
+                           (15, 2, 5, 10),
+                           (9, 8, 3, 16),
+                           (6, 11, 13, 4))
+
+
+def determinant_config():
+    """(24_4, 16_6): the 24 monomials of a 4x4 determinant against the 16
+    matrix cells, with the cells carrying the printed labels 1..16."""
+    cells = [DETERMINANT_CELL_LABELS[r][c]
+             for r in range(4) for c in range(4)]
+    monomials = list(permutations(range(4)))
+    inc = {(tau, DETERMINANT_CELL_LABELS[r][tau[r]])
+           for tau in monomials for r in range(4)}
+    cfg = cf.AbstractConfig(monomials, cells, inc, name="determinant")
+    assert cfg.type_signature == ((24, 4), (16, 6))
+    return cfg
+
+
 def test_determinant_config_counts():
-    d = cf.determinant_config()
+    d = determinant_config()
     assert d.type_signature == ((24, 4), (16, 6))
     for tau in d.points:
         assert len(d.blocks_of(tau)) == 4
     for cell in d.blocks:
-        assert len(d.points_of(cell)) == 6
+        assert len(d._points_of[cell]) == 6
 
 
 def test_determinant_config_matches_plane_incidence_on_second_family():
-    d = cf.determinant_config()
-    p = cf.plane_node_config(2)
+    d = determinant_config()
+    p = plane_node_config(2)
     assert p.type_signature == ((24, 4), (16, 6))
     assert cf.config_isomorphic(d, p) is not None
 
@@ -165,7 +196,7 @@ def test_pg24_projective_axioms():
     for p, q in combinations(pg.points, 2):
         assert len(pg.blocks_of(p) & pg.blocks_of(q)) == 1
     for l, m in combinations(pg.blocks, 2):
-        assert len(pg.points_of(l) & pg.points_of(m)) == 1
+        assert len(pg._points_of[l] & pg._points_of[m]) == 1
 
 
 # -- duads, synthemes, totals ---------------------------------------------------
@@ -203,7 +234,11 @@ def test_totals_cover_and_intersect_once():
 
 
 def test_duad_syntheme_incidence_is_15_3():
-    ds = cf.duad_syntheme_config()
+    sysd = cf.duad_syntheme_system()
+    inc = {(d, s) for d in sysd["duads"] for s in sysd["synthemes"]
+           if d in s.split(".")}
+    ds = cf.AbstractConfig(sysd["duads"], sysd["synthemes"], inc,
+                           name="duad-syntheme")
     assert ds.type_signature == ((15, 3), (15, 3))
 
 
@@ -287,7 +322,7 @@ def curve_system(name):
         return cf.fibration_tables()[0]
     if name == "kummer-char0":
         return cf.kummer_char0_system()
-    return cf.kummer_char2_system()
+    return cf.ingest_curve_system(cf.data_path("kummer-char2-ordinary.json"))
 
 
 SYSTEMS = ("42-curve", "kummer-char0", "kummer-char2")
@@ -386,7 +421,7 @@ def test_divisor_pairings_agree_with_per_curve_oracle(name):
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_curve_vectors_hold_ints_for_integral_entries(name):
     cs = curve_system(name)
-    vectors = [cs.divisor_vector("H"), cs.curve_vector(cs.ids[-1])]
+    vectors = [cs.divisor_vector("H")]
     vectors += [cs.fiber_vector(fib["name"], k) for fib in cs.fibrations
                 for k in range(len(fib["fibers"]))]
     for v in vectors:
@@ -398,7 +433,7 @@ def test_curve_vectors_hold_ints_for_integral_entries(name):
 def test_checked_in_data_files_validate():
     cs0 = cf.kummer_char0_system()
     assert len(cs0.ids) == 28
-    cs2 = cf.kummer_char2_system()
+    cs2 = curve_system("kummer-char2")
     assert len(cs2.ids) == 22
     # three fibrations with two nine-component fibers each
     pis = [f for f in cs2.fibrations if f["name"].startswith("pi")]
@@ -416,16 +451,16 @@ def test_char0_divisor_h():
     assert cs.vector_pairing(h, h) == 4
     for cid in cs.ids:
         want = 1 if cid.startswith("T") else 0
-        assert cs.vector_pairing(h, cs.curve_vector(cid)) == want
+        assert cs.vector_pairing(h, unit(len(cs.ids), cs.index[cid])) == want
 
 
 def test_char2_divisor_h():
-    cs = cf.kummer_char2_system()
+    cs = curve_system("kummer-char2")
     h = cs.divisor_vector("H")
     assert cs.vector_pairing(h, h) == 4
     for cid in cs.ids:
         want = 1 if cid.endswith(".0") else 0
-        assert cs.vector_pairing(h, cs.curve_vector(cid)) == want
+        assert cs.vector_pairing(h, unit(len(cs.ids), cs.index[cid])) == want
 
 
 def test_ingest_rejects_bad_fiber(tmp_path):

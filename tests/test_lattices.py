@@ -1,7 +1,11 @@
 """Tests for even lattices, discriminant forms, curve-span lattices, the
-overlattice chains and the embeddability verdicts."""
+overlattice chains and the embeddability verdicts.  The Dynkin
+classification of curve subsets and the reported CM and transcendental
+lattices are paper claims that only these tests check, so their code is
+here."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -55,12 +59,19 @@ def test_odd_diagonal_rejected():
         la.Lattice([[-1]])
 
 
+def rescale(name, m):
+    """The standard lattice `name` with its form multiplied by m."""
+    l = la.standard_lattice(name)
+    return la.Lattice([[m * x for x in r] for r in l.gram],
+                      name="%s(%d)" % (l.name, m))
+
+
 def test_direct_sum_and_rescale():
     l = la.direct_sum("U", "D8", "D9")
     assert l.rank == 19
     assert l.signature() == (1, 18)
     assert l.det() == 16
-    a22 = la.rescale("A2", 2)
+    a22 = rescale("A2", 2)
     assert a22.det() == 12
     assert a22.gram == [[-4, 2], [2, -4]]
 
@@ -287,31 +298,117 @@ def test_divisor_pairings_unknown_name():
 
 # -- Dynkin classification ---------------------------------------------------------
 
+def graph_isomorphic(edges1, edges2, n):
+    """Whether two graphs on the vertices 0..n-1 are isomorphic, by
+    backtracking over degree-preserving vertex maps.  Edges are distinct
+    pairs of distinct vertices."""
+    def adjacency(edges):
+        adj = [set() for _ in range(n)]
+        for a, b in edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        return adj
+
+    adj1, adj2 = adjacency(edges1), adjacency(edges2)
+    deg1, deg2 = [len(s) for s in adj1], [len(s) for s in adj2]
+    if sorted(deg1) != sorted(deg2):
+        return False
+    assign = [None] * n
+    used = [False] * n
+
+    def extend(i):
+        if i == n:
+            return True
+        for j in range(n):
+            if used[j] or deg2[j] != deg1[i]:
+                continue
+            if any((i2 in adj1[i]) != (assign[i2] in adj2[j])
+                   for i2 in range(i)):
+                continue
+            assign[i] = j
+            used[j] = True
+            if extend(i + 1):
+                return True
+            assign[i] = None
+            used[j] = False
+        return False
+
+    return extend(0)
+
+
+def affine_edges(kind, n):
+    """Edges of the affine diagram with n+1 vertices."""
+    if kind == "A":
+        return [(i, (i + 1) % (n + 1)) for i in range(n + 1)]
+    if kind == "D":
+        # chain 0..n-2 with leaves n-1 (at vertex 1) and n (at vertex n-3)
+        base = [(i, i + 1) for i in range(n - 2)]
+        return base + [(1, n - 1)] + [(n - 3, n)]
+    # the affine vertex n extends the short arm (E6), one long arm (E7), or
+    # the long chain (E8)
+    attach = {6: n - 1, 7: 0, 8: n - 2}[n]
+    return la._dynkin_edges("E", n) + [(n, attach)]
+
+
+def classify_dynkin(cs, subset):
+    """ADE or affine type of a subset of (-2)-curves, by graph isomorphism
+    against the standard templates.  Raises ValueError when the subgraph
+    matches no template."""
+    subset = list(subset)
+    m = len(subset)
+    for c in subset:
+        if cs.pair(c, c) != -2:
+            raise ValueError("curve %s is not a (-2)-curve" % c)
+    edges = []
+    for i, j in combinations(range(m), 2):
+        val = cs.pair(subset[i], subset[j])
+        if val not in (0, 1):
+            raise ValueError("intersection %s.%s = %s outside {0,1}"
+                             % (subset[i], subset[j], val))
+        if val == 1:
+            edges.append((i, j))
+    candidates = [("A%d" % m, la._dynkin_edges("A", m))]
+    if m >= 3:
+        candidates.append(("D%d" % m, la._dynkin_edges("D", m)))
+    if m in (6, 7, 8):
+        candidates.append(("E%d" % m, la._dynkin_edges("E", m)))
+    if m >= 3:
+        candidates.append(("A~%d" % (m - 1), affine_edges("A", m - 1)))
+    if m >= 5:
+        candidates.append(("D~%d" % (m - 1), affine_edges("D", m - 1)))
+    if m in (7, 8, 9):
+        candidates.append(("E~%d" % (m - 1), affine_edges("E", m - 1)))
+    for name, tmpl in candidates:
+        if graph_isomorphic(edges, tmpl, m):
+            return name
+    raise ValueError("subset matches no ADE or affine template")
+
+
 def test_classify_dynkin_char0_examples():
     cs = cf.kummer_char0_system()
-    assert la.classify_dynkin(cs, ["T20", "E2", "T22", "T23"]) == "D4"
-    assert la.classify_dynkin(cs, ["D3", "T30", "E3", "T32", "T33"]) == "D5"
+    assert classify_dynkin(cs, ["T20", "E2", "T22", "T23"]) == "D4"
+    assert classify_dynkin(cs, ["D3", "T30", "E3", "T32", "T33"]) == "D5"
 
 
 def test_classify_dynkin_affine_fiber():
     cs, _ = cf.fibration_tables()
     central, leaves = cf.FIBRATION_TABLE_1[0]
-    assert la.classify_dynkin(cs, [central] + list(leaves)) == "D~4"
+    assert classify_dynkin(cs, [central] + list(leaves)) == "D~4"
 
 
 def test_classify_dynkin_paths_and_stars():
     path = cf.CurveSystem(["a", "b", "c"],
                           [[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
-    assert la.classify_dynkin(path, ["a", "b", "c"]) == "A3"
+    assert classify_dynkin(path, ["a", "b", "c"]) == "A3"
     cycle = cf.CurveSystem(["a", "b", "c"],
                            [[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
-    assert la.classify_dynkin(cycle, ["a", "b", "c"]) == "A~2"
+    assert classify_dynkin(cycle, ["a", "b", "c"]) == "A~2"
 
 
 def test_classify_dynkin_rejects_junk():
     bad = cf.CurveSystem(["a", "b"], [[-2, 2], [2, -2]])
     with pytest.raises(ValueError):
-        la.classify_dynkin(bad, ["a", "b"])
+        classify_dynkin(bad, ["a", "b"])
 
 
 # -- overlattices -------------------------------------------------------------------
@@ -378,11 +475,28 @@ def test_ternary_enumeration_det4_recovers_a3():
 
 # -- reported lattices ----------------------------------------------------------------
 
+def cm_picard_lattices():
+    """The two special Picard lattices reported with their invariants."""
+    l1 = la.direct_sum("U", "E8", "E8", "<-4>", "<-4>")
+    l2 = la.direct_sum("U", "E8", "E8", rescale("A2", 2))
+    return [{"name": l.name, "rank": l.rank, "signature": l.signature(),
+             "disc_group": l.disc_group(), "det": l.det()}
+            for l in (l1, l2)]
+
+
+def transcendental_lattice():
+    """U(2) + <4>, reported with its invariants."""
+    l = la.direct_sum(rescale("U", 2), la.standard_lattice("<4>"))
+    return {"lattice": l, "signature": l.signature(),
+            "disc_group": l.disc_group(), "det": l.det()}
+
+
 def test_m2_and_cm_lattices():
-    m2 = la.m2_lattice()
+    # M2, the Picard lattice of the characteristic-0 Kummer model
+    m2 = la.direct_sum("U", "E8", "D8", "<-4>")
     assert m2.rank == 19 and m2.signature() == (1, 18)
     assert abs(m2.det()) == 16
-    cms = la.cm_picard_lattices()
+    cms = cm_picard_lattices()
     assert len(cms) == 2
     for rep in cms:
         assert rep["rank"] == 20
@@ -396,7 +510,7 @@ def test_m2_and_cm_lattices():
 
 
 def test_transcendental_lattice():
-    t = la.transcendental_lattice()
+    t = transcendental_lattice()
     assert t["lattice"].rank == 3
     assert t["signature"] == (2, 1)
     assert abs(t["det"]) == 16
@@ -558,7 +672,7 @@ NAMED_SUMS = [("U", "D8", "D9"), ("U", "E8", "D8", "<-4>"), ("D5", "A3"),
 def named_lattices():
     return ([la.standard_lattice(n) for n in NAMED]
             + [la.direct_sum(*names) for names in NAMED_SUMS]
-            + [la.rescale("A2", 2), la.transcendental_lattice()["lattice"]]
+            + [rescale("A2", 2), transcendental_lattice()["lattice"]]
             + la.ternary_enumeration(16))
 
 

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import desmic_kit.linecomplex as lc
-from desmic_kit.matrices import matrix_rank, nullspace, solve_linear
+from desmic_kit.matrices import (det_poly_matrix, matrix_rank, nullspace,
+                                 solve_linear)
 from desmic_kit.poly import PolyRing
-from desmic_kit.projgeom import (LineP3, ProjPoint, klein_change_rows,
-                                 normalize)
-from desmic_kit.scalars import I, Mod, QI, lift, sqrt_minus_one
+from desmic_kit.projgeom import PLUCKER_INDEX, LineP3, ProjPoint, normalize
+from desmic_kit.scalars import I, Mod, QI, lift, one_like, sqrt_minus_one
 from desmic_kit.scan import run_scan
 from desmic_kit.surfaces import desmic_lines_16
-from oracles import (dense_contains_point, localize_split,
+from claims import (klein_change_rows, klein_plane_labels, mat_apply,
+                    perm_compose, perm_from_cycles)
+from oracles import (dense_contains_point, evaluate, localize_split,
                      orbit_sizes_by_elements, pairwise_closed)
 
 
@@ -29,28 +31,100 @@ def lifted(one, pt):
 
 
 # -- nets and the Montesano condition ---------------------------------------
+#
+# The line complex is the complex of lines that lie on some quadric of a net
+# (Montesano); the verifier takes its equations from the printed Plucker and
+# Klein forms, and these tests tie the two descriptions together.
+
+P3_RING = PolyRing(["x", "y", "z", "w"])
+SPANNING_RING = PolyRing(["a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4"])
+
+
+def desmic_nets():
+    """The standard net t1*(xy+zw) + t2*(xz+yw) + t3*(xw+yz), and the
+    three nets attached to the desmic pencil."""
+    x, y, z, w = P3_RING.gens()
+    return {"standard": (x * y + z * w, x * z + y * w, x * w + y * z),
+            "n1": ((x - y) * (z + w), (x - z) * (y + w), (x - w) * (y + z)),
+            "n2": ((x - y) * (z - w), (x - z) * (y - w), (x + w) * (y + z)),
+            "n3": (x * x - y * y, x * x - z * z, x * x - w * w)}
+
+
+def montesano_matrix(net, a, b):
+    """3x3 matrix whose determinant detects lines on quadrics of the net:
+    the values of the three quadrics at a, at b, and the polar values
+    Q(a+b) - Q(a) - Q(b).  Scalar points give constants of the net's ring,
+    points with polynomial coordinates give polynomials of their ring."""
+    names = net[0].ring.varnames
+
+    def val(q, pt):
+        return q.subst(dict(zip(names, pt)))
+
+    ab = [ai + bi for ai, bi in zip(a, b)]
+    row_a = [val(q, a) for q in net]
+    row_b = [val(q, b) for q in net]
+    row_c = [val(q, ab) - ra - rb for q, ra, rb in zip(net, row_a, row_b)]
+    return [row_a, row_b, row_c]
+
+
+def montesano_condition(net, line):
+    """True iff the line lies on some quadric of the net (det of the 3x3
+    restriction matrix vanishes).  Raises on a degenerate net."""
+    if len(net) != 3:
+        raise ValueError("net must consist of three quadrics")
+    monos = sorted(set(m for q in net for m in q.coeffs))
+    zero = net[0].ring.one * 0
+    if matrix_rank([[q.coeffs.get(m, zero) for m in monos]
+                    for q in net]) != 3:
+        raise ValueError("degenerate net")
+    one = one_like(net[0].ring.one)
+    a = [lift(one, c) for c in line.p.coords]
+    b = [lift(one, c) for c in line.q.coords]
+    return not det_poly_matrix(montesano_matrix(net, a, b))
+
+
+def complex_cubic_from_net(net):
+    """Equation of the line complex of the net, as a polynomial in the eight
+    coordinates a1..a4, b1..b4 of a spanning pair of points: the Montesano
+    determinant of the parametric line (a1 u + b1 v, ..., a4 u + b4 v)."""
+    gens = SPANNING_RING.gens()
+    return det_poly_matrix(montesano_matrix(net, gens[:4], gens[4:]))
+
+
+def plucker_forms_in_ab():
+    """The six Plucker coordinates as polynomials in a1..a4, b1..b4."""
+    gens = SPANNING_RING.gens()
+    a, b = gens[:4], gens[4:]
+    return [a[i] * b[j] - a[j] * b[i] for i, j in PLUCKER_INDEX]
+
 
 def test_montesano_determinant_gives_the_plucker_cubic():
-    det = lc.complex_cubic_from_net(lc.standard_net())
+    det = complex_cubic_from_net(desmic_nets()["standard"])
     ci = lc.CompleteIntersection35.plucker()
-    pl = lc.plucker_forms_in_ab()
-    ring8 = pl[0].ring
-    cubic_ab = ci.cubic.poly.subst(dict(zip(lc.PLUCKER_NAMES, pl)), ring8)
+    cubic_ab = ci.cubic.poly.subst(
+        dict(zip(lc.PLUCKER_NAMES, plucker_forms_in_ab())), SPANNING_RING)
     ok, lam = lc._proportional_polys(det, cubic_ab)
     assert ok and lam
 
 
 def test_three_desmic_nets_cut_the_same_complex():
-    scalars = lc.nets_define_same_complex()
-    assert set(scalars) == {"n1", "n2", "n3"}
-    assert all(scalars.values())
+    """The three nets attached to the desmic pencil cut out the cubic
+    complex of the standard net: equal equations up to a nonzero scalar,
+    as polynomials in the spanning-pair coordinates."""
+    cubics = {name: complex_cubic_from_net(net)
+              for name, net in desmic_nets().items()}
+    base = cubics.pop("standard")
+    assert set(cubics) == {"n1", "n2", "n3"}
+    for name, cubic in cubics.items():
+        ok, lam = lc._proportional_polys(cubic, base)
+        assert ok and lam, name
 
 
 def test_montesano_matrix_rows_for_the_standard_net():
     # rows are the printed symmetric functions of the spanning points
     a = [Fraction(v) for v in (2, 3, 5, 7)]
     b = [Fraction(v) for v in (1, 4, 6, 9)]
-    m = lc.montesano_matrix(lc.standard_net(), a, b)
+    m = montesano_matrix(desmic_nets()["standard"], a, b)
     assert m[0] == [a[0] * a[1] + a[2] * a[3], a[0] * a[2] + a[1] * a[3],
                     a[0] * a[3] + a[1] * a[2]]
     assert m[1] == [b[0] * b[1] + b[2] * b[3], b[0] * b[2] + b[1] * b[3],
@@ -61,40 +135,57 @@ def test_montesano_matrix_rows_for_the_standard_net():
 
 
 def test_montesano_tetrahedron_edges_and_base_lines():
-    net = lc.standard_net()
+    net = desmic_nets()["standard"]
     verts = [coord_point(j) for j in range(4)]
     for a in range(4):
         for b in range(a + 1, 4):
-            assert lc.montesano_condition(net, LineP3(verts[a], verts[b]))
+            assert montesano_condition(net, LineP3(verts[a], verts[b]))
     for line in desmic_lines_16():
-        assert lc.montesano_condition(net, line)
+        assert montesano_condition(net, line)
 
 
 def test_montesano_random_line_is_outside():
-    net = lc.standard_net()
+    net = desmic_nets()["standard"]
     line = LineP3(ProjPoint([3, 1, 4, 1]), ProjPoint([5, 9, 2, 6]))
-    assert not lc.montesano_condition(net, line)
+    assert not montesano_condition(net, line)
 
 
 def test_montesano_rejects_degenerate_net():
-    ring = lc.P3_RING
-    x, y, z, w = ring.gens()
+    x, y, z, w = P3_RING.gens()
     net = (x * y, x * y + x * y, z * w)
     line = LineP3(coord_point(0), coord_point(1))
     with pytest.raises(ValueError):
-        lc.montesano_condition(net, line)
+        montesano_condition(net, line)
 
 
 # -- coordinate systems ------------------------------------------------------
 
 def test_klein_change_matches_both_equations():
-    lam_q, lam_c = lc.klein_change_consistent()
+    """Substituting the Klein linear forms into the Klein equations gives
+    the Plucker equations up to nonzero scalars."""
+    ci_p = lc.CompleteIntersection35.plucker(QI(1))
+    ci_k = lc.CompleteIntersection35.klein(i=I, one=QI(1))
+    gens = ci_p.ring.gens()
+    mapping = {name: sum((g.scale(c) for g, c in zip(gens, row) if c),
+                         ci_p.ring.zero())
+               for name, row in zip(lc.KLEIN_NAMES, klein_change_rows(I))}
+    ok_q, lam_q = lc._proportional_polys(
+        ci_k.quadric.poly.subst(mapping, ci_p.ring), ci_p.quadric.poly)
+    ok_c, lam_c = lc._proportional_polys(
+        ci_k.cubic.poly.subst(mapping, ci_p.ring), ci_p.cubic.poly)
+    assert ok_q and ok_c
     assert lam_q == QI(4)
     assert lam_c
 
 
 def test_node_lists_correspond_under_the_coordinate_change():
-    assert lc.klein_plucker_node_bijection()
+    """The coordinate change maps the 34 Plucker nodes bijectively onto
+    the 34 Klein nodes (up to scale)."""
+    rows = klein_change_rows(I)
+    imgs = {mat_apply(rows, ProjPoint(pt))
+            for pt in lc.PLUCKER_NODES_18 + lc.PLUCKER_NODES_16}
+    target = {ProjPoint(p) for p in lc.klein_nodes_18() + lc.klein_nodes_16()}
+    assert imgs == target and len(imgs) == 34
 
 
 # -- node inventory -----------------------------------------------------------
@@ -143,9 +234,9 @@ def localize_node_report(ci, pt):
     one = ci.one
     pt = normalize(lifted(one, pt))
     at = dict(zip(ci.quadric.coord_vars, pt))
-    on2 = not ci.quadric.poly.evaluate(at)
-    on3 = not ci.cubic.poly.evaluate(at)
-    g2, g3 = ([g.evaluate(at) for g in f.partials()]
+    on2 = not evaluate(ci.quadric.poly, at)
+    on3 = not evaluate(ci.cubic.poly, at)
+    g2, g3 = ([evaluate(g, at) for g in f.partials()]
               for f in (ci.quadric, ci.cubic))
     jrank = matrix_rank([g2, g3])
     if not (on2 and on3) or jrank != 1:
@@ -373,16 +464,27 @@ def test_sparse_plane_incidence_matches_the_dense_product(case):
 
 
 def test_klein_planes_biject_with_the_printed_labels():
-    labels = lc.klein_plane_labels()
+    labels = klein_plane_labels()
     assert len(labels) == 24
     assert sorted(lab for kind, lab in labels) == sorted(
         lc.ALPHA_LABELS + lc.BETA_LABELS)
 
 
 def test_incidence_coset_example():
-    out = lc.incidence_coset_example()
-    assert out["labels"] == ["(13)", "(132)", "(143)", "(1432)"]
-    assert out["is_left_coset"] or out["is_right_coset"]
+    """The point (i,0,0,0,0,1) in Klein coordinates lies in exactly four
+    planes; their permutation labels form a single coset of the subgroup
+    generated by (12) and (34) (left or right depending on the composition
+    convention)."""
+    pt = (I, QI(0), QI(0), QI(0), QI(0), QI(1))
+    hit = [lab for pl, lab in zip(lc.klein_plane_list(), klein_plane_labels())
+           if pl.contains_point(pt)]
+    assert sorted(lab for _, lab in hit) == ["(13)", "(132)", "(143)",
+                                             "(1432)"]
+    perms = {perm_from_cycles(lab) for _, lab in hit}
+    h1 = {perm_from_cycles(s) for s in ("1", "(12)", "(34)", "(12)(34)")}
+    g = next(iter(perms))
+    assert perms in ({perm_compose(g, h) for h in h1},
+                     {perm_compose(h, g) for h in h1})
 
 
 # -- symmetry group -----------------------------------------------------------

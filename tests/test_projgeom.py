@@ -1,22 +1,21 @@
 """Tests for P^3 geometry: Plucker/Klein coordinates, involutions, and the
-three-tetrahedra construction."""
+three-tetrahedra construction.  The Klein image of a line, the involutions,
+the three tetrahedra and the alpha/beta planes are paper claims that only
+these tests check, so their code is here."""
 
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from desmic_kit.matrices import matrix_rank, rref
-from desmic_kit.projgeom import (COORD_FACES, COORD_VERTICES, LineP3,
-                                 OPPOSITE_EDGE_PAIRS, PLUCKER_RING,
-                                 ProjPlane, ProjPoint, alpha_plane, beta_plane,
-                                 desmic_from_point, edge_involution,
-                                 eval_plucker_form, harmonic_homology,
-                                 klein_change_rows, klein_from_plucker,
-                                 mat_apply, normalize, plucker_from_points)
-from desmic_kit.scalars import F4, QI, I, Mod, W, lift, sqrt_minus_one
+from desmic_kit.matrices import matrix_rank, nullspace, rref, solve_linear
+from desmic_kit.poly import PolyRing
+from desmic_kit.projgeom import LineP3, ProjPlane, ProjPoint, normalize
+from desmic_kit.scalars import (F4, QI, I, Mod, W, char_of, field_i, lift,
+                                one_like, sqrt_minus_one)
+from claims import klein_change_rows, mat_apply
+from oracles import evaluate
 
 
 def P(*c):
@@ -30,19 +29,30 @@ def H(*c):
 # ------------------------------------------------------------------ lines --
 
 def test_plucker_coordinate_edge():
-    l = plucker_from_points(P(1, 0, 0, 0), P(0, 1, 0, 0))
+    l = LineP3(P(1, 0, 0, 0), P(0, 1, 0, 0))
     assert l.normalized() == (Fraction(1), 0, 0, 0, 0, 0)
 
 
 def test_plucker_dependent_points_rejected():
     with pytest.raises(ValueError):
-        plucker_from_points(P(1, 2, 3, 4), P(2, 4, 6, 8))
+        LineP3(P(1, 2, 3, 4), P(2, 4, 6, 8))
 
 
 def test_plucker_independent_of_spanning_pair():
-    l1 = plucker_from_points(P(1, -1, 0, 0), P(0, 0, 1, -1))
-    l2 = plucker_from_points(P(1, -1, 1, -1), P(2, -2, -1, 1))
+    l1 = LineP3(P(1, -1, 0, 0), P(0, 0, 1, -1))
+    l2 = LineP3(P(1, -1, 1, -1), P(2, -2, -1, 1))
     assert l1 == l2
+
+
+def klein_from_plucker(line, i=None):
+    """The Klein point K * plucker of a line, K = klein_change_rows(i).
+
+    The ambient field must contain i; by default i is field_i of the
+    Plucker field, so rational coordinates go to the Gaussian rationals
+    and prime fields need p = 1 mod 4."""
+    if i is None:
+        i = field_i(one_like(line.plucker[0]))
+    return mat_apply(klein_change_rows(i), ProjPoint(line.plucker))
 
 
 coords = st.integers(-4, 4)
@@ -52,7 +62,7 @@ coords = st.integers(-4, 4)
 @given(st.tuples(*[coords] * 4), st.tuples(*[coords] * 4))
 def test_plucker_relation_always(a, b):
     try:
-        l = plucker_from_points(ProjPoint(a), ProjPoint(b))
+        l = LineP3(ProjPoint(a), ProjPoint(b))
     except ValueError:
         return
     p12, p13, p14, p23, p24, p34 = l.plucker
@@ -63,7 +73,7 @@ def test_plucker_relation_always(a, b):
 @given(st.tuples(*[coords] * 4), st.tuples(*[coords] * 4))
 def test_klein_image_on_sum_of_squares_quadric(a, b):
     try:
-        l = plucker_from_points(ProjPoint(a), ProjPoint(b))
+        l = LineP3(ProjPoint(a), ProjPoint(b))
     except ValueError:
         return
     k = klein_from_plucker(l)
@@ -130,6 +140,45 @@ def test_line_from_planes():
 
 # ------------------------------------------------------------- involutions --
 
+def harmonic_homology(axis, center):
+    """Matrix of the harmonic homology with the given axis plane and center.
+
+    Involutive up to scalar; fixes the axis pointwise and the center.
+    Requires characteristic != 2 and the center off the axis.
+    """
+    a, c = axis.coeffs, center.coords
+    if char_of(next(c for c in a if c)) == 2:
+        raise ValueError("harmonic homology undefined in characteristic 2")
+    s = sum((ai * ci for ai, ci in zip(a, c)), a[0] * 0)
+    if not s:
+        raise ValueError("center lies on the axis")
+    n = len(a)
+    return [[(s if i == j else s * 0) - 2 * c[i] * a[j] for j in range(n)]
+            for i in range(n)]
+
+
+def edge_involution(edge1, edge2):
+    """Involution fixing two opposite coordinate edges of V(xyzw) pointwise.
+
+    Edges are given as the pairs of coordinate indices that vanish on them,
+    e.g. (0,1) is the edge x=y=0.  Returns a diagonal sign matrix.
+    """
+    s1, s2 = set(edge1), set(edge2)
+    if len(s1) != 2 or len(s2) != 2 or (s1 | s2) != {0, 1, 2, 3} or (s1 & s2):
+        raise ValueError("not a pair of opposite coordinate edges")
+    diag = [Fraction(1) if i in s1 else Fraction(-1) for i in range(4)]
+    return [[diag[i] if i == j else Fraction(0) for j in range(4)]
+            for i in range(4)]
+
+
+OPPOSITE_EDGE_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+
+COORD_VERTICES = tuple(ProjPoint([1 if i == j else 0 for j in range(4)])
+                       for i in range(4))
+COORD_FACES = tuple(ProjPlane([1 if i == j else 0 for j in range(4)])
+                    for i in range(4))
+
+
 def test_harmonic_homology_coordinate_case():
     m = harmonic_homology(H(1, 0, 0, 0), P(1, 0, 0, 0))
     assert m == [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -185,6 +234,63 @@ def test_harmonic_homologies_generate_third_tetrahedron():
 
 # ------------------------------------------------------ desmic construction --
 
+def linear_form(ring, coeffs):
+    """The linear form sum c_k x_k in the generators x_k of the ring."""
+    return sum((x.scale(ring.one * c) for x, c in zip(ring.gens(), coeffs)
+                if c), ring.zero())
+
+
+def desmic_from_point(p):
+    """From a point P off the coordinate tetrahedron, build the second and
+    third tetrahedra (via the three edge involutions and the four harmonic
+    homologies) and test whether xyzw, the face product of T', and the face
+    product of T'' span a pencil (rank 2).
+
+    Returns (t1_vertices, t2_vertices, verdict) where verdict is a dict with
+    the three product quartics, the dependence flag, and -- when dependent --
+    coefficients (s, t) with -16*xyzw = s*prod' + t*prod''.
+    """
+    if any(not c for c in p.coords):
+        raise ValueError("point lies on a face of the coordinate tetrahedron")
+    t1 = [p] + [mat_apply(edge_involution(e1, e2), p)
+                for e1, e2 in OPPOSITE_EDGE_PAIRS]
+    t2 = [mat_apply(harmonic_homology(COORD_FACES[i], COORD_VERTICES[i]), p)
+          for i in range(4)]
+
+    ring = PolyRing(["x", "y", "z", "w"], one_like(p.coords[0]))
+    xs = ring.gens()
+
+    def face_product(vertices):
+        """The product of the four face planes, each scaled so that its
+        first nonzero coefficient is 1."""
+        prod = ring.const(1)
+        for skip in range(4):
+            face = nullspace([list(v.coords) for k, v in enumerate(vertices)
+                              if k != skip], ring.one)
+            if len(face) != 1:
+                raise ValueError("points do not span a plane")
+            prod = prod * linear_form(ring, normalize(face[0]))
+        return prod
+
+    q0 = xs[0] * xs[1] * xs[2] * xs[3]
+    q1 = face_product(t1)
+    q2 = face_product(t2)
+
+    monos = sorted(set(q0.coeffs) | set(q1.coeffs) | set(q2.coeffs))
+    one = ring.one
+    rows = [[q.coeffs.get(m, one * 0) for m in monos] for q in (q0, q1, q2)]
+    dependent = matrix_rank(rows) <= 2
+    result = {"quartics": (q0, q1, q2), "dependent": dependent}
+    if dependent:
+        cols = [[q1.coeffs.get(m, one * 0), q2.coeffs.get(m, one * 0)]
+                for m in monos]
+        rhs = [one * (-16) * q0.coeffs.get(m, one * 0) for m in monos]
+        sol = solve_linear(cols, rhs, one)
+        if sol is not None:
+            result["coefficients"] = tuple(sol)
+    return t1, t2, result
+
+
 def test_desmic_from_point_symmetric():
     t1, t2, verdict = desmic_from_point(P(1, 1, 1, 1))
     assert set(t1) == {P(1, 1, 1, 1), P(1, -1, -1, 1), P(1, -1, 1, -1),
@@ -208,6 +314,55 @@ def test_desmic_from_point_on_face_rejected():
 
 
 # --------------------------------------------------------- alpha/beta data --
+
+PLUCKER_RING = PolyRing(["x1", "x2", "x3", "x4", "x5", "x6"])
+
+
+def alpha_plane(p):
+    """Three independent linear Plucker forms cutting the plane of lines
+    through p.  For p=[a,b,c,d] the classical forms are
+
+    -c*p12 + b*p13 - a*p23,  d*p13 - c*p14 + a*p34,  d*p12 - b*p14 + a*p24;
+
+    for special positions (e.g. coordinate vertices) some of these collapse,
+    so the fourth incidence form d*p23 - c*p24 + b*p34 completes the set.
+    """
+    a, b, c, d = p.coords
+    z = a * 0
+    return independent_triple([[-c, b, z, -a, z, z], [z, d, -c, z, z, a],
+                               [d, z, -b, z, a, z], [z, z, z, d, -c, b]])
+
+
+def beta_plane(h):
+    """Three independent linear Plucker forms cutting the plane of lines
+    contained in the plane h.
+
+    Derived from the exact incidence condition P.u = 0 where P is the
+    antisymmetric Plucker matrix of the line and u the plane covector; the
+    first three independent rows are returned.
+    """
+    a, b, c, d = h.coeffs
+    z = a * 0
+    return independent_triple([[b, c, d, z, z, z], [-a, z, z, c, d, z],
+                               [z, -a, z, -b, z, d], [z, z, -a, z, -b, -c]])
+
+
+def independent_triple(rows):
+    """The linear Plucker forms of the first three linearly independent
+    coefficient rows, in order."""
+    chosen = []
+    for r in rows:
+        if matrix_rank(chosen + [r]) > len(chosen):
+            chosen.append(r)
+        if len(chosen) == 3:
+            return tuple(linear_form(PLUCKER_RING, r) for r in chosen)
+    raise ValueError("degenerate input")
+
+
+def vanishes_on(form, line):
+    """Whether a linear Plucker form vanishes at the line."""
+    return not evaluate(form, dict(zip(PLUCKER_RING.varnames, line.plucker)))
+
 
 SING_12 = [P(0, 0, 0, 1), P(0, 0, 1, 0), P(0, 1, 0, 0), P(1, 0, 0, 0),
            P(1, 1, 1, 1), P(1, 1, -1, -1), P(1, -1, 1, -1), P(1, -1, -1, 1),
@@ -296,8 +451,8 @@ def test_alpha_plane_annihilates_lines_through_point():
     p = P(1, 2, 3, 5)
     forms = alpha_plane(p)
     for other in (P(1, 0, 0, 0), P(0, 1, 0, 0), P(3, 1, 4, 1)):
-        l = plucker_from_points(p, other)
-        assert all(eval_plucker_form(f, l) == 0 for f in forms)
+        l = LineP3(p, other)
+        assert all(vanishes_on(f, l) for f in forms)
 
 
 def test_beta_plane_annihilates_lines_in_plane():
@@ -306,8 +461,8 @@ def test_beta_plane_annihilates_lines_in_plane():
     pts = [P(2, -1, 0, 0), P(3, 0, -1, 0), P(5, 0, 0, -1)]
     for a in range(3):
         for b in range(a + 1, 3):
-            l = plucker_from_points(pts[a], pts[b])
-            assert all(eval_plucker_form(f, l) == 0 for f in forms)
+            l = LineP3(pts[a], pts[b])
+            assert all(vanishes_on(f, l) for f in forms)
 
 
 def test_alpha_plane_vertex_example():

@@ -1,4 +1,7 @@
-"""Tests for hypersurface singularity analysis and the quartic models."""
+"""Tests for hypersurface singularity analysis and the quartic models.  The
+Cremona quadric through the residual conics and the printed
+characteristic-2 Cremona quartic are paper claims that only these tests
+check, so their code is here."""
 
 import random
 from fractions import Fraction
@@ -7,22 +10,24 @@ from itertools import product
 import pytest
 
 from desmic_kit.poly import MultiPoly, PolyRing, PowerSeriesTrunc
-from desmic_kit.projgeom import LineP3, ProjPlane, ProjPoint, mat_apply
-from desmic_kit.scalars import F4, Mod, QI, W, lift
+from desmic_kit.projgeom import LineP3, ProjPoint
+from desmic_kit.scalars import F4, Mod, W, lift
 from desmic_kit.surfaces import (
-    AnVerdict, DESMIC_SINGULAR_12, DESMIC_VERTICES_12, Form,
+    AnVerdict, DESMIC_SINGULAR_12, Form,
     KUMMER2_SIX_POINTS, char2_cremona_singular_points,
-    contains_line, cremona_char2_specialized, cremona_cubic_f,
-    cremona_cubic_q, cremona_quadric, cremona_quartic_char2,
-    desmic_identity_parts, desmic_lines_16, desmic_pencil_at,
+    contains_line, cremona_char2_specialized, cremona_cubic_q, cubic_ring,
+    desmic_identity_parts, desmic_lines_16,
     desmic_pencil_symbolic, eight_squares_parts, kummer_char2_points,
     kummer_char2_quartic,
-    local_series, node_check, projected_24_points_quartic_rank,
+    local_series, node_check,
     rdp_an_type, singular_at, steinerian_equation,
     steinerian_identity_parts, taylor, verify_identity)
 from desmic_kit.linecomplex import PROJECTED_NODES_17, projected_quartic
 from desmic_kit import surfaces
-from oracles import localize_split
+from claims import (DESMIC_VERTICES_12, mat_apply,
+                    projected_24_points_quartic_rank,
+                    quartic_rank_of_projection)
+from oracles import evaluate, localize_split
 
 
 # ------------------------------------------------------------- identities --
@@ -163,11 +168,11 @@ def test_taylor_chart_agrees_with_substitution_oracle(name):
                                     for v, c in zip(f.coord_vars, p)})
             n = len(f.coord_vars)
             coeffs = taylor(f, p, 1)
-            want = {(0,) * n: f.poly.evaluate(at)}
+            want = {(0,) * n: evaluate(f.poly, at)}
             for k, v in enumerate(f.coord_vars):
                 want[tuple(int(m == k) for m in range(n))] = \
-                    f.poly.diff(v).evaluate(at)
-            got = {e: coeffs[e].evaluate(at_params) if e in coeffs
+                    evaluate(f.poly.diff(v), at)
+            got = {e: evaluate(coeffs[e], at_params) if e in coeffs
                    else one * 0 for e in want}
             assert got == want, (name, p)
 
@@ -292,6 +297,15 @@ def test_desmic_lines_closed_under_coordinate_symmetries():
         assert apply(m) == lines
 
 
+def desmic_pencil_at(a, b):
+    """The member of the desmic pencil at rational (a, b), c = -a-b: the
+    symbolic pencil with a and b substituted."""
+    ring = PolyRing(["x", "y", "z", "w"])
+    mapping = dict(zip(ring.varnames, ring.gens()), a=Fraction(a),
+                   b=Fraction(b))
+    return Form(desmic_pencil_symbolic().poly.subst(mapping, ring))
+
+
 def test_desmic_specialized_member_nodes():
     f = desmic_pencil_at(1, 2)  # c = -3
     for p in DESMIC_SINGULAR_12:
@@ -338,7 +352,8 @@ def test_tangent_plane_matches_gradient_oracle():
     for (s, t) in ((1, 2), (2, 1), (1, 3)):
         vals = {"x": Fraction(s), "y": Fraction(-s), "z": Fraction(t),
                 "w": Fraction(-s)}
-        grads.append([f.poly.diff(n).evaluate(vals) for n in ("x", "y", "z", "w")])
+        grads.append([evaluate(f.poly.diff(n), vals)
+                      for n in ("x", "y", "z", "w")])
     for g in grads:
         lead = next(c for c in g if c)
         assert [c / lead for c in g] == [1, -4, 0, 5]
@@ -364,6 +379,30 @@ def test_residual_conic_meets_line_in_two_points():
 
 
 # --------------------------------------------------- Cremona cubic/quartic --
+
+def cremona_quadric(q, al, be, ga):
+    """The quadric q + a*yz + b*xz + c*xy - (ab*z + ac*y + bc*x)*w + abc*w^2
+    through the three residual conics (a, b, c = al, be, ga, polynomials of
+    q's ring)."""
+    x, y, z, w = (q.ring.var(n) for n in ("x", "y", "z", "w"))
+    return (q + al * y * z + be * x * z + ga * x * y
+            - (al * be * z + al * ga * y + be * ga * x) * w
+            + al * be * ga * w * w)
+
+
+def cremona_quartic_char2():
+    """The characteristic-2 Cremona quartic as printed,
+    F = bcdw^4 + bcw^2xy + bdw^2xz + cdw^2yz + (bx+cy+dz)xyz
+        + (aw^2 + bwx + cwy + dwz + x^2 + y^2 + z^2)^2
+    over F_2[a,b,c,d], coordinates (x,y,z,w)."""
+    ring = cubic_ring(Mod(1, 2))
+    a, b, c, d, x, y, z, w = ring.gens()
+    F = (b * c * d * w ** 4 + b * c * w ** 2 * x * y + b * d * w ** 2 * x * z
+         + c * d * w ** 2 * y * z + (b * x + c * y + d * z) * x * y * z
+         + (a * w ** 2 + b * w * x + c * w * y + d * w * z
+            + x ** 2 + y ** 2 + z ** 2) ** 2)
+    return Form(F, coord_vars=("x", "y", "z", "w"))
+
 
 def test_cremona_quadric_contains_residual_conics():
     ring = PolyRing(["a", "b", "c", "d", "al", "be", "ga",
@@ -475,13 +514,10 @@ def test_projected_24_points_give_a_quartic():
 
 
 def test_random_24_points_rank_full():
-    import random
-    from desmic_kit.matrices import matrix_rank
-    from desmic_kit.surfaces import _quartic_rank_of_projection
     rng = random.Random(7)
     pts = [ProjPoint([rng.randint(1, 50) for _ in range(4)])
            for _ in range(24)]
-    assert _quartic_rank_of_projection(pts, ProjPoint((1, 2, 3, 7))) == 15
+    assert quartic_rank_of_projection(pts, ProjPoint((1, 2, 3, 7))) == 15
 
 
 def test_projection_center_on_line_rejected():
