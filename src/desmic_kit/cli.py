@@ -10,6 +10,7 @@ in-memory objects but never serialized).
 import argparse
 import functools
 import importlib.util
+from itertools import combinations
 import json
 import sys
 import time
@@ -17,7 +18,7 @@ import time
 from . import linecomplex as lc
 from . import surfaces as sf
 from .projgeom import normalize
-from .scalars import is_prime, sqrt_minus_one
+from .scalars import QI, is_prime, sqrt_minus_one
 
 SUITES = ("identities", "desmic-surface", "line-complex", "symmetry",
           "cremona", "char2", "supersingular", "lattices")
@@ -254,7 +255,6 @@ def check_rationality_planes():
 
 def check_segre():
     out = lc.segre_isomorphism_check()
-    from .scalars import QI
     ok = (out["sum_zero"] and out["lambda"] == QI(24)
           and out["nodes_mod_p"] == 35)
     return _ok(ok, "sum t_i = 0 and sum t_i^3 = 24 * cubic; 35 distinct "
@@ -292,7 +292,6 @@ def check_char2_kummer():
 
 
 def check_pg24():
-    from itertools import combinations
     pg = cf.pg24()
     ok = pg.type_signature == ((21, 5), (21, 5))
     ok = ok and all(len(pg.blocks_of(p) & pg.blocks_of(q)) == 1

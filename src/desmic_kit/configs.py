@@ -16,8 +16,8 @@ import os
 
 from .linecomplex import _orbit
 from .matrices import (bilinear, det_poly_matrix, exact_ratio, gram_times,
-                       integer_scaled, matrix_rank)
-from .projgeom import ProjPoint
+                       integer_scaled, matrix_rank, nullspace)
+from .projgeom import ProjPoint, normalize
 from .scalars import F4, F4_ELEMENTS, W
 from .surfaces import DESMIC_SINGULAR_12, desmic_lines_16
 
@@ -126,8 +126,10 @@ def _check_witness(A, B, pmap, bmap):
     return {(pmap[p], bmap[b]) for p, b in A.incidence} == B.incidence
 
 
-def _isomorphism_search(A, B, seed=None):
-    """Backtracking point-map search; returns (pmap, bmap) or None.
+def config_isomorphic(A, B, seed=None):
+    """An explicit isomorphism (point map, block map) between two
+    configurations, or None when an exhaustive backtracking search rules one
+    out.  Raises ValueError when the type signatures differ.
 
     seed is an optional list of forced (point of A, point of B) pairs,
     used for automorphism questions.
@@ -211,13 +213,6 @@ def _isomorphism_search(A, B, seed=None):
     return None
 
 
-def config_isomorphic(A, B):
-    """An explicit isomorphism (point map, block map) between two
-    configurations, or None when an exhaustive search rules one out.
-    Raises ValueError when the type signatures differ."""
-    return _isomorphism_search(A, B)
-
-
 # ---------------------------------------------------------------------------
 # the Reye configuration and its geometric/abstract avatars
 # ---------------------------------------------------------------------------
@@ -275,6 +270,11 @@ _F4_ZERO = F4(0)
 _F4_ONE = F4(1)
 
 
+def _on(p, l):
+    """Whether the point p of the plane over F_4 lies on the line l."""
+    return p[0] * l[0] + p[1] * l[1] + p[2] * l[2] == _F4_ZERO
+
+
 def _pg2_reps():
     pts = [(_F4_ONE, a, b) for a in F4_ELEMENTS for b in F4_ELEMENTS]
     pts += [(_F4_ZERO, _F4_ONE, a) for a in F4_ELEMENTS]
@@ -287,12 +287,7 @@ def pg24():
     21 lines, five points per line and five lines per point."""
     pts = _pg2_reps()
     lines = _pg2_reps()
-
-    def on(p, l):
-        s = p[0] * l[0] + p[1] * l[1] + p[2] * l[2]
-        return s == _F4_ZERO
-
-    inc = {(p, l) for p in pts for l in lines if on(p, l)}
+    inc = {(p, l) for p in pts for l in lines if _on(p, l)}
     cfg = AbstractConfig(pts, lines, inc, name="pg(2,4)")
     if cfg.type_signature != ((21, 5), (21, 5)):
         raise ValueError("pg(2,4) has type %s, expected ((21, 5), (21, 5))"
@@ -695,18 +690,6 @@ SIX_ARC = ((F4(1), F4(0), F4(0)),
            (F4(1), W * W, W))
 
 
-def _f4_line_through(p, q):
-    """The covector of the line through two points of the plane, scaled to
-    the lexicographically first normalized representative."""
-    # solve p.l = q.l = 0 for l up to scale
-    for rep in _pg2_reps():
-        if (p[0] * rep[0] + p[1] * rep[1] + p[2] * rep[2] == _F4_ZERO
-                and q[0] * rep[0] + q[1] * rep[1] + q[2] * rep[2]
-                == _F4_ZERO):
-            return rep
-    raise AssertionError("no line through the two points")
-
-
 def label_42_curves():
     """The 42-curve system: 21 exceptional curves over the points of the
     plane and 21 line transforms, labeled by letters 1..6, duads,
@@ -722,15 +705,12 @@ def label_42_curves():
     # duad lines
     line_label = {}
     for i, j in combinations(range(6), 2):
-        rep = _f4_line_through(arc[i], arc[j])
+        rep = normalize(nullspace([arc[i], arc[j]], _F4_ONE)[0])
         lbl = "%d%d" % (i + 1, j + 1)
         if rep in line_label:
             raise ValueError("duads %s and %s give the same line %s"
                              % (line_label[rep], lbl, rep))
         line_label[rep] = lbl
-
-    def on(p, l):
-        return p[0] * l[0] + p[1] * l[1] + p[2] * l[2] == _F4_ZERO
 
     # point labels: arc points get letters, the rest get the syntheme of
     # the duad lines through them
@@ -743,7 +723,7 @@ def label_42_curves():
         if p in point_label:
             continue
         duads = sorted(lbl for rep, lbl in line_label.items()
-                       if on(p, rep))
+                       if _on(p, rep))
         if len(duads) != 3:
             raise ValueError("non-arc point %s lies on the %d duad lines %s"
                              % (p, len(duads), duads))
@@ -761,7 +741,7 @@ def label_42_curves():
     for l in _pg2_reps():
         if l in line_label:
             continue
-        synths = sorted(point_label[p] for p in pts if on(p, l))
+        synths = sorted(point_label[p] for p in pts if _on(p, l))
         match = [k for k, v in totals.items() if v == set(synths)]
         if len(synths) != 5 or len(match) != 1:
             raise ValueError("line %s through the synthemes %s matches the "
@@ -780,7 +760,7 @@ def label_42_curves():
         gram[k][k] = -2
     for a, p in enumerate(pts):
         for b, l in enumerate(_pg2_reps()):
-            if on(p, l):
+            if _on(p, l):
                 gram[a][21 + b] = gram[21 + b][a] = 1
     cs = CurveSystem(ids, gram)
     cs.validate()

@@ -248,13 +248,13 @@ def disc_form(l):
         l = standard_lattice(l)
     n = l.rank
     d, _, v = smith_normal_form(l.gram)
-    diag = [d.rows[i][i] for i in range(n)]
+    diag = [d[i][i] for i in range(n)]
     if any(x == 0 for x in diag):
         raise ValueError("degenerate Gram matrix")
     # Z^n / (gram Z^n): generator i is the dual vector gram^-1 (u^-1 e_i),
     # of order diag[i].  As gram^-1 = v diag^-1 u, that is column i of v
     # over diag[i].
-    gens = [[Fraction(v.rows[r][i], diag[i]) for r in range(n)]
+    gens = [[Fraction(v[r][i], diag[i]) for r in range(n)]
             for i in range(n) if diag[i] > 1]
     orders = [x for x in diag if x > 1]
     qvals = [bilinear(l.gram, x, x) for x in gens]
@@ -382,10 +382,10 @@ def lattice_from_curves(cs):
     factors of the discriminant group."""
     g = cs.gram
     n = len(g)
-    d, u, v = smith_normal_form(g)
-    keep = [i for i in range(min(n, n)) if d.rows[i][i] != 0]
+    d, _, v = smith_normal_form(g)
+    keep = [i for i in range(n) if d[i][i] != 0]
     # columns of v indexed by `keep` descend to a basis of Z^n / radical
-    basis = [[v.rows[r][i] for r in range(n)] for i in keep]
+    basis = [[v[r][i] for r in range(n)] for i in keep]
     gram = [[bilinear(g, x, y) for y in basis] for x in basis]
     lat = Lattice(gram, name="curve span")
     return {"lattice": lat,

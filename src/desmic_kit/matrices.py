@@ -1,4 +1,4 @@
-"""Exact matrix algebra: integer matrices with Smith normal form, fraction-free
+"""Exact matrix algebra: Smith normal form of integer matrices, fraction-free
 determinants over polynomial rings, rational inertia, and small generic
 linear-algebra helpers over any exact field."""
 
@@ -6,56 +6,6 @@ from fractions import Fraction
 from math import lcm
 
 from .poly import MultiPoly
-
-
-class IntMatrix:
-    """Rectangular matrix of arbitrary-precision integers."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rows = [list(r) for r in rows]
-        if rows:
-            n = len(rows[0])
-            for k, r in enumerate(rows):
-                if len(r) != n:
-                    raise ValueError("ragged rows: row %d has %d entries, "
-                                     "row 0 has %d" % (k, len(r), n))
-                for x in r:
-                    if not isinstance(x, int):
-                        raise ValueError("row %d entry %r is not an int"
-                                         % (k, x))
-        self.rows = rows
-
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __mul__(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("cannot multiply a %dx%d by a %dx%d matrix"
-                             % (self.nrows, self.ncols, other.nrows,
-                                other.ncols))
-        return IntMatrix([[sum(self.rows[i][k] * other.rows[k][j]
-                               for k in range(self.ncols))
-                           for j in range(other.ncols)]
-                          for i in range(self.nrows)])
-
-    def det(self):
-        return det_poly_matrix(self.rows)
-
-    def __repr__(self):
-        return "IntMatrix(%r)" % (self.rows,)
 
 
 def det_poly_matrix(m):
@@ -97,11 +47,19 @@ def det_poly_matrix(m):
 
 
 def smith_normal_form(m):
-    """Smith normal form: returns (D, U, V) with U*M*V = D, U and V
-    unimodular, and the diagonal of D a divisibility chain d1 | d2 | ..."""
-    a = [list(r) for r in (m.rows if isinstance(m, IntMatrix) else m)]
+    """Smith normal form of an integer matrix given as a list of rows:
+    returns row lists (D, U, V) with U*M*V = D, U and V unimodular, and the
+    diagonal of D a divisibility chain d1 | d2 | ..."""
+    a = [list(r) for r in m]
     nr = len(a)
     nc = len(a[0]) if a else 0
+    for k, r in enumerate(a):
+        if len(r) != nc:
+            raise ValueError("ragged rows: row %d has %d entries, "
+                             "row 0 has %d" % (k, len(r), nc))
+        for x in r:
+            if not isinstance(x, int):
+                raise ValueError("row %d entry %r is not an int" % (k, x))
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
@@ -171,17 +129,13 @@ def smith_normal_form(m):
                 for k in range(nr):
                     u[t][k] = -u[t][k]
             t += 1
-    return IntMatrix(a), IntMatrix(u), IntMatrix(v)
+    return a, u, v
 
 
 def smith_invariants(m):
     """Nonzero diagonal invariant factors d1 | d2 | ... of m."""
     d, _, _ = smith_normal_form(m)
-    out = []
-    for i in range(min(d.nrows, d.ncols)):
-        if d.rows[i][i]:
-            out.append(d.rows[i][i])
-    return out
+    return [r[i] for i, r in enumerate(d) if i < len(r) and r[i]]
 
 
 def row_basis(m):
@@ -189,7 +143,8 @@ def row_basis(m):
     nonzero rows of U*M for the Smith form U*M*V = D.  U is unimodular, so
     U*M spans the same lattice, and its rows past the rank are zero."""
     _, u, _ = smith_normal_form(m)
-    return [r for r in (u * IntMatrix(m)).rows if any(r)]
+    um = [[sum(x * y for x, y in zip(r, c)) for c in zip(*m)] for r in u]
+    return [r for r in um if any(r)]
 
 
 def inertia_signature(m):

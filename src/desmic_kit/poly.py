@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials, truncated power series, rational functions.
+"""Sparse multivariate polynomials, pseudo-remainders and rational functions.
 
 A polynomial is a map from exponent tuples to nonzero scalar coefficients,
 tied to a PolyRing that fixes the variable names and the coefficient field.
@@ -268,21 +268,22 @@ def prem(f, g, name):
     dg = g.degree_in(name)
     if dg < 0:
         raise ZeroDivisionError("pseudo-division by zero")
-    lc_g = _coeff_in(g, i, dg)
+    lc_g = coeff_in(g, name, dg)
     r = f
     while True:
         dr = r.degree_in(name)
         if dr < dg or r.is_zero():
             return r
-        lc_r = _coeff_in(r, i, dr)
+        lc_r = coeff_in(r, name, dr)
         shift = [0] * f.ring.nvars()
         shift[i] = dr - dg
         mono = MultiPoly(f.ring, {tuple(shift): f.ring.one})
         r = r * lc_g - lc_r * mono * g
 
 
-def _coeff_in(f, i, d):
-    """Coefficient of (variable i)^d in f, as a polynomial in the rest."""
+def coeff_in(f, name, d):
+    """Coefficient of name^d in f, as a polynomial in the other variables."""
+    i = f.ring.varnames.index(name)
     new = {}
     for e, c in f.coeffs.items():
         if e[i] == d:
@@ -290,10 +291,6 @@ def _coeff_in(f, i, d):
             e2[i] = 0
             new[tuple(e2)] = c
     return MultiPoly(f.ring, new)
-
-
-def coeff_in(f, name, d):
-    return _coeff_in(f, f.ring.varnames.index(name), d)
 
 
 class RatFunc:
@@ -402,128 +399,3 @@ class RatFunc:
 
     def __repr__(self):
         return "(%s)/(%s)" % (self.num, self.den)
-
-
-class PowerSeriesTrunc:
-    """Power series truncated at total degree N (terms of degree > N dropped)."""
-
-    DEFAULT_TRUNC = 8
-
-    __slots__ = ("ring", "N", "coeffs")
-
-    def __init__(self, ring, coeffs, N=DEFAULT_TRUNC):
-        self.ring = ring
-        self.N = N
-        self.coeffs = {e: c for e, c in coeffs.items() if c and sum(e) <= N}
-
-    @classmethod
-    def from_poly(cls, f, N=DEFAULT_TRUNC):
-        return cls(f.ring, f.coeffs, N)
-
-    def to_poly(self):
-        return MultiPoly(self.ring, dict(self.coeffs))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def order(self):
-        """Lowest total degree of a nonzero term; None if zero to truncation."""
-        if not self.coeffs:
-            return None
-        return min(sum(e) for e in self.coeffs)
-
-    def _lift(self, other):
-        if isinstance(other, PowerSeriesTrunc):
-            if other.ring != self.ring or other.N != self.N:
-                raise ValueError("series truncated at %d over %r does not "
-                                 "match one truncated at %d over %r"
-                                 % (other.N, other.ring.varnames, self.N,
-                                    self.ring.varnames))
-            return other
-        if isinstance(other, MultiPoly):
-            return PowerSeriesTrunc(self.ring, other.coeffs, self.N)
-        if isinstance(other, int):
-            return PowerSeriesTrunc.from_poly(self.ring.const(other), self.N)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        new = dict(self.coeffs)
-        for e, c in o.coeffs.items():
-            s = new.get(e)
-            s = c if s is None else s + c
-            if s:
-                new[e] = s
-            elif e in new:
-                del new[e]
-        return PowerSeriesTrunc(self.ring, new, self.N)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PowerSeriesTrunc(self.ring,
-                                {e: -c for e, c in self.coeffs.items()}, self.N)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        prod = {}
-        for e1, c1 in self.coeffs.items():
-            d1 = sum(e1)
-            for e2, c2 in o.coeffs.items():
-                if d1 + sum(e2) > self.N:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = prod.get(e)
-                s = c if s is None else s + c
-                if s:
-                    prod[e] = s
-                elif e in prod:
-                    del prod[e]
-        return PowerSeriesTrunc(self.ring, prod, self.N)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return power(self, n,
-                     PowerSeriesTrunc.from_poly(self.ring.const(1), self.N))
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def subst(self, mapping):
-        """Substitute a series with zero constant term for each variable."""
-        for g in mapping.values():
-            if isinstance(g, PowerSeriesTrunc) and g.coeffs.get(g.ring.zero_exp):
-                raise ValueError("substituted series must have zero constant term")
-        out = PowerSeriesTrunc(self.ring, {}, self.N)
-        for e, c in self.coeffs.items():
-            term = PowerSeriesTrunc(self.ring,
-                                    {self.ring.zero_exp: c}, self.N)
-            for name, ei in zip(self.ring.varnames, e):
-                if ei == 0:
-                    continue
-                g = mapping.get(name)
-                if g is None:
-                    g = PowerSeriesTrunc.from_poly(self.ring.var(name), self.N)
-                elif isinstance(g, MultiPoly):
-                    g = PowerSeriesTrunc.from_poly(g, self.N)
-                term = term * g ** ei
-            out = out + term
-        return out
-
-    def __repr__(self):
-        return "O(%d) series %r" % (self.N, self.to_poly())

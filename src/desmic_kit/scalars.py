@@ -145,17 +145,18 @@ def field_i(one):
 
 
 def lift(one, x):
-    """Image of x in the field whose identity is `one`.  An int n maps to
-    one*n and a Fraction n/d to (one*n)/(one*d), which also serves F_4,
-    where F4 * Fraction is undefined; with an int `one` (the rationals) a
-    Fraction maps to one*x, since int / int is a float.  Anything else is
-    taken to be a field element already and is returned unchanged."""
+    """Image of x in the field of `one`, times `one`.  An int n maps to
+    one*n and a Fraction n/d to (one*n)/d, with d taken into the field
+    through its identity, which also serves F_4, where F4 * Fraction is
+    undefined; with an int `one` (the rationals) a Fraction maps to one*x,
+    since int / int is a float.  Anything else is taken to be a field
+    element already and is returned unchanged."""
     if isinstance(x, int):
         return one * x
     if isinstance(x, Fraction):
         if isinstance(one, int):
             return one * x
-        return one * x.numerator / (one * x.denominator)
+        return one * x.numerator / (one_like(one) * x.denominator)
     return x
 
 
@@ -414,8 +415,8 @@ def one_like(x):
 
 def power(base, e, one):
     """base**e by repeated squaring, for an int e >= 0; `one` is the
-    identity of the ring of base.  QI, F4, MultiPoly and PowerSeriesTrunc
-    raise to a power through it; Mod uses the built-in modular pow."""
+    identity of the ring of base.  QI, F4 and MultiPoly raise to a power
+    through it; Mod uses the built-in modular pow."""
     if not isinstance(e, int):
         raise TypeError("exponent %r is not an int" % (e,))
     if e < 0:

@@ -10,10 +10,10 @@ parameters).
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, isqrt
 
 from .matrices import nullspace
-from .poly import (MultiPoly, PolyRing, PowerSeriesTrunc, RatFunc, prem)
+from .poly import MultiPoly, PolyRing, RatFunc, coeff_in, prem
 from .projgeom import LineP3, ProjPlane, ProjPoint
 from .scalars import F4_ELEMENTS, F4, Mod, QI, lift, one_like
 
@@ -199,15 +199,21 @@ def node_check(f, p):
     return quadratic_part_smooth(q2, len(f.coord_vars) - 1, one)
 
 
-def local_series(f, p, trunc=PowerSeriesTrunc.DEFAULT_TRUNC):
-    """Truncated local equation of f in an affine chart centered at p
-    (numeric, parameter-free forms only)."""
+# local equations are cut at total degree TRUNC, and A_n is named up to
+# n = MAX_AN; past either bound rdp_an_type answers inconclusive
+TRUNC = 8
+MAX_AN = 6
+
+
+def local_series(f, p):
+    """Local equation of f in an affine chart centered at p, cut at total
+    degree TRUNC (numeric, parameter-free forms only)."""
     if f.ring.nvars() > len(f.coord_vars):
         raise ValueError("local_series requires a parameter-free form")
     ring = PolyRing(["u%d" % i for i in range(len(f.coord_vars) - 1)],
                     f.ring.one)
-    coeffs = {e: c.constant_coeff() for e, c in _chart(f, p, trunc).items()}
-    return PowerSeriesTrunc(ring, coeffs, trunc)
+    coeffs = {e: c.constant_coeff() for e, c in _chart(f, p, TRUNC).items()}
+    return MultiPoly(ring, coeffs)
 
 
 # --------------------------------------------------------------- A_n types --
@@ -250,8 +256,7 @@ def _sqrt_fraction(x):
 
 
 def _isqrt_exact(n):
-    import math
-    r = math.isqrt(n)
+    r = isqrt(n)
     return r if r * r == n else None
 
 
@@ -313,12 +318,12 @@ def _factor_binary_quadratic(a, b, c, one):
     return ((one, -r), (a, b + a * r))
 
 
-def rdp_an_type(series, max_n=6):
-    """A_n detection for a 3-variable local equation with zero constant and
-    linear parts.  Iteratively absorbs terms divisible by the two branches of
-    the rank-2 quadratic part until the residual is a pure power t^(n+1);
-    returns A_n, A_1 for a smooth tangent-cone conic, or inconclusive when
-    the truncation degree is reached."""
+def rdp_an_type(series):
+    """A_n detection for a 3-variable local equation (a MultiPoly) with zero
+    constant and linear parts.  Iteratively absorbs terms divisible by the
+    two branches of the rank-2 quadratic part, keeping total degree
+    <= TRUNC, until the residual is a pure power t^(n+1); returns A_n, A_1
+    for a smooth tangent-cone conic, or inconclusive past TRUNC or MAX_AN."""
     ring = series.ring
     if len(ring.varnames) != 3:
         raise ValueError("expected a 3-variable local equation")
@@ -375,9 +380,8 @@ def rdp_an_type(series, max_n=6):
     if quad != [uv_exp]:
         raise ValueError("normalization leaves the quadratic terms %s, not "
                          "u*v alone" % (quad,))
-    lead_inv = one / g.coeffs[uv_exp]
-    g = PowerSeriesTrunc(ring, {e: c * lead_inv for e, c in g.coeffs.items()},
-                         series.N)
+    g = g.scale(one / g.coeffs[uv_exp])
+    uv = ring.var(names[0]) * ring.var(names[1])
     while True:
         a_part, b_part, c_part = {}, {}, {}
         for e, c in g.coeffs.items():
@@ -390,17 +394,16 @@ def rdp_an_type(series, max_n=6):
             else:
                 c_part[e] = c
         if not a_part and not b_part:
-            residual = PowerSeriesTrunc(ring, c_part, series.N)
             break
-        A = PowerSeriesTrunc(ring, a_part, series.N)
-        B = PowerSeriesTrunc(ring, b_part, series.N)
-        C = PowerSeriesTrunc(ring, c_part, series.N)
-        g = PowerSeriesTrunc(ring, {uv_exp: one}, series.N) + C - A * B
-    if residual.is_zero():
+        # (u + B)(v + A) = uv + uA + vB + AB absorbs the cross terms
+        g = uv + MultiPoly(ring, c_part) - (MultiPoly(ring, a_part)
+                                            * MultiPoly(ring, b_part))
+        g = MultiPoly(ring, {e: c for e, c in g.coeffs.items()
+                             if sum(e) <= TRUNC})
+    if not c_part:
         return AnVerdict("inconclusive")
-    k = residual.order()
-    n = k - 1
-    if n > max_n or k > series.N:
+    n = min(sum(e) for e in c_part) - 1
+    if n > MAX_AN:
         return AnVerdict("inconclusive")
     return AnVerdict("A", n)
 
@@ -480,7 +483,6 @@ def residual_conic_tangency(f=None, line=None, pencil=None):
     conic_ring): condition lives in k[params, u, v] and is linear in (u, v);
     the conic is a quadratic in plane coordinates (s, t, r) with the line at
     r = 0."""
-    from .poly import coeff_in
     if f is None:
         f = desmic_pencil_symbolic()
     if line is None:

@@ -61,7 +61,7 @@ def test_reye_point_transitive():
     """Some automorphism of the Reye configuration takes its first point to
     each other point."""
     r = cf.reye_config()
-    assert all(cf._isomorphism_search(r, r, seed=[(r.points[0], q)])
+    assert all(cf.config_isomorphic(r, r, seed=[(r.points[0], q)])
                is not None for q in r.points[1:])
 
 

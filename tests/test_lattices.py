@@ -558,8 +558,8 @@ def disc_form_by_gauss_jordan(l):
     u^-1, both inverses by Gauss-Jordan, paired by the dense double sum."""
     n = l.rank
     d, u, _ = smith_normal_form(l.gram)
-    diag = [d.rows[i][i] for i in range(n)]
-    uinv = inverse_by_gauss_jordan(u.rows)
+    diag = [d[i][i] for i in range(n)]
+    uinv = inverse_by_gauss_jordan(u)
     ginv = inverse_by_gauss_jordan(l.gram)
     gens, orders = [], []
     for i in range(n):

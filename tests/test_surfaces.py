@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from desmic_kit.poly import MultiPoly, PolyRing, PowerSeriesTrunc
+from desmic_kit.poly import MultiPoly, PolyRing
 from desmic_kit.projgeom import LineP3, ProjPoint
 from desmic_kit.scalars import F4, Mod, W, lift
 from desmic_kit.surfaces import (
@@ -183,7 +183,7 @@ def an_series(n, one=Fraction(1)):
     """uv + t^(n+1) in disguise after a linear change of coordinates."""
     ring = PolyRing(["u", "v", "t"], one)
     u, v, t = ring.gens()
-    return PowerSeriesTrunc.from_poly(u * v + t ** (n + 1))
+    return u * v + t ** (n + 1)
 
 
 def test_rdp_an_plain():
@@ -194,8 +194,7 @@ def test_rdp_an_plain():
 def test_rdp_a1_smooth_cone():
     ring = PolyRing(["u", "v", "t"])
     u, v, t = ring.gens()
-    s = PowerSeriesTrunc.from_poly(u * v + t * t + u ** 3)
-    assert rdp_an_type(s) == AnVerdict("A", 1)
+    assert rdp_an_type(u * v + t * t + u ** 3) == AnVerdict("A", 1)
 
 
 def test_rdp_an_after_coordinate_mixing():
@@ -204,30 +203,41 @@ def test_rdp_an_after_coordinate_mixing():
     u, v, t = ring.gens()
     f = (u + t) * (v - t) + t * t + t ** 4 + u * t ** 3
     # quadratic part: uv + ut - vt - t^2 + t^2 = uv + ut - vt (rank 2)
-    s = PowerSeriesTrunc.from_poly(f)
-    verdict = rdp_an_type(s)
-    assert verdict.kind == "A"
+    assert rdp_an_type(f).kind == "A"
+
+
+# two units c of each field for the absorption family below
+ABSORPTION_UNITS = [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(-2, 3)),
+                    (Mod(1, 13), Mod(1, 13)), (Mod(1, 13), Mod(5, 13)),
+                    (F4(1), F4(1)), (F4(1), W)]
 
 
 def test_rdp_absorption():
-    # uv + u*t^2 + v*t^2 + t^4: completing gives uv' + t^4 - t^4 = ...
-    ring = PolyRing(["u", "v", "t"])
-    u, v, t = ring.gens()
-    f = u * v + u * t ** 2 + v * t ** 2 + t ** 4
-    # (u + t^2)(v + t^2) = uv + ut^2 + vt^2 + t^4, so f = u'v' exactly:
-    # residual zero to all orders -> inconclusive at this truncation
-    assert rdp_an_type(PowerSeriesTrunc.from_poly(f)).kind == "inconclusive"
-    g = f + t ** 5
-    assert rdp_an_type(PowerSeriesTrunc.from_poly(g)) == AnVerdict("A", 4)
+    """f = uv + u t^a + v t^b + c t^n is (u + t^b)(v + t^a) + c t^n - t^(a+b),
+    so absorbing the cross terms leaves c t^n - t^(a+b) cut at degree 8.
+    Its order k gives A_(k-1); a zero residual, or k - 1 > 6, gives an
+    inconclusive verdict."""
+    for one, c in ABSORPTION_UNITS:
+        u, v, t = PolyRing(["u", "v", "t"], one).gens()
+        for a, b, n in product(range(2, 7), range(2, 7), range(3, 10)):
+            residual = {n: c}
+            residual[a + b] = residual.get(a + b, one * 0) - one
+            orders = [k for k, x in residual.items() if x and k <= 8]
+            if orders and min(orders) - 1 <= 6:
+                want = AnVerdict("A", min(orders) - 1)
+            else:
+                want = AnVerdict("inconclusive")
+            f = u * v + u * t ** a + v * t ** b + t ** n * c
+            assert rdp_an_type(f) == want, (one, c, a, b, n)
 
 
 def test_rdp_not_a_type():
     ring = PolyRing(["u", "v", "t"])
     u, v, t = ring.gens()
     # rank-1 quadratic part
-    assert rdp_an_type(PowerSeriesTrunc.from_poly(u * u + t ** 3)).kind == "not-A"
+    assert rdp_an_type(u * u + t ** 3).kind == "not-A"
     # no quadratic part
-    assert rdp_an_type(PowerSeriesTrunc.from_poly(u ** 3 + v ** 3 + t ** 3)).kind == "not-A"
+    assert rdp_an_type(u ** 3 + v ** 3 + t ** 3).kind == "not-A"
 
 
 def test_rdp_char2_irreducible_conic_over_f4():
@@ -235,14 +245,14 @@ def test_rdp_char2_irreducible_conic_over_f4():
     ring = PolyRing(["x", "y", "z"], F4(1))
     x, y, z = ring.gens()
     f = y * y + y * z + z * z + x ** 4
-    assert rdp_an_type(PowerSeriesTrunc.from_poly(f)) == AnVerdict("A", 3)
+    assert rdp_an_type(f) == AnVerdict("A", 3)
 
 
 def test_rdp_rejects_linear_part():
     ring = PolyRing(["u", "v", "t"])
     u, v, t = ring.gens()
     with pytest.raises(ValueError):
-        rdp_an_type(PowerSeriesTrunc.from_poly(u + v * t))
+        rdp_an_type(u + v * t)
 
 
 # ---------------------------------------------------------- desmic pencil --
