@@ -15,8 +15,7 @@ import json
 import sys
 import time
 
-from . import linecomplex as lc
-from . import surfaces as sf
+from .poly import proportional_polys
 from .projgeom import normalize
 from .scalars import QI, is_prime, sqrt_minus_one
 
@@ -43,8 +42,12 @@ def _on_first_use(name):
     return module
 
 
-# configs is read by the desmic-surface, supersingular and lattice suites
-# and lattices by the last two, so the other five suites load neither
+# A suite executes only the modules its checks read: surfaces for all but
+# supersingular and lattices, linecomplex for line-complex, symmetry and
+# cremona, configs for desmic-surface, supersingular and lattices, and
+# lattices for the last two.
+sf = _on_first_use("surfaces")
+lc = _on_first_use("linecomplex")
 cf = _on_first_use("configs")
 la = _on_first_use("lattices")
 
@@ -147,7 +150,9 @@ def check_desmic_lines(pencil):
 
 
 def check_desmic_reye():
-    iso = cf.config_isomorphic(cf.desmic_surface_config(), cf.reye_config())
+    desmic = cf.desmic_surface_config(sf.DESMIC_SINGULAR_12,
+                                      sf.desmic_lines_16())
+    iso = cf.config_isomorphic(desmic, cf.reye_config())
     return _ok(iso is not None,
                "node/line incidence is a (12_4, 16_3) Reye configuration")
 
@@ -157,7 +162,7 @@ def check_tangency_computed(tangency):
     ring = condition.ring
     a, b, u, v = ring.gens()
     two = ring.const(2)
-    computed_ok = lc._proportional_polys(
+    computed_ok = proportional_polys(
         condition, (a + two * b) * u + (two * a + b) * v)[0]
     si, ti, ri = (big.varnames.index(n) for n in ("s", "t", "r"))
     degs = {e[si] + e[ti] + e[ri] for e in conic.coeffs}
@@ -173,7 +178,7 @@ def check_tangency_printed(tangency):
     ring = condition.ring
     a, b, u, v = ring.gens()
     printed = (b + (-a - b)) * u + (a + b) * v
-    same = lc._proportional_polys(condition, printed)[0]
+    same = proportional_polys(condition, printed)[0]
     return _ok(same, "computed condition %s the printed formula "
                "u(b+c) + v(a+b)" % ("matches" if same else "differs from"))
 
@@ -422,11 +427,12 @@ def _check_table(opt):
     A value that two or more checks read (and none modifies) is a cached
     thunk made here: it is computed at most once per run, and an exception
     is not cached, so each check that reads a failed value reports the
-    failure itself."""
-    pencil = functools.cache(sf.desmic_pencil_symbolic)
+    failure itself.  A thunk reads its module attribute when first called,
+    so building the table loads no module."""
+    pencil = functools.cache(lambda: sf.desmic_pencil_symbolic())
     tangency = functools.cache(lambda: sf.residual_conic_tangency(pencil()))
-    scan = functools.cache(lc.scan_singular_points)
-    projection = functools.cache(lc.project_to_quartic_threefold)
+    scan = functools.cache(lambda p, unit: lc.scan_singular_points(p, unit))
+    projection = functools.cache(lambda: lc.project_to_quartic_threefold())
     tables = functools.cache(lambda: cf.fibration_tables(
         cf.supersingular_42_system(opt.data_dir)))
     scans = [row for p in opt.primes for row in (

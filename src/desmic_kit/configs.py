@@ -14,12 +14,10 @@ from itertools import combinations, permutations
 import json
 import os
 
-from .linecomplex import _orbit
-from .matrices import (bilinear, det_poly_matrix, exact_ratio, gram_times,
-                       integer_scaled, matrix_rank, nullspace)
-from .projgeom import ProjPoint, normalize
+from .matrices import (bilinear, exact_ratio, gram_times, integer_scaled,
+                       matrix_rank, nullspace)
+from .projgeom import PLUCKER_INDEX, ProjPoint, _orbit, normalize
 from .scalars import F4, F4_ELEMENTS, W
-from .surfaces import DESMIC_SINGULAR_12, desmic_lines_16
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -219,10 +217,16 @@ def config_isomorphic(A, B, seed=None):
 
 def _collinear(p, q, r):
     """Whether three integer points of P^3 lie on a line: the 3x4 matrix
-    of their coordinates has rank <= 2 iff its four 3x3 minors vanish."""
-    rows = (p, q, r)
-    return all(det_poly_matrix([[row[c] for c in cols] for row in rows]) == 0
-               for cols in combinations(range(4), 3))
+    of their coordinates has rank <= 2 iff its four 3x3 minors vanish.
+    Expanded along r, the minor on columns i < j < k is
+    r_i m_jk - r_j m_ik + r_k m_ij, with m the 2x2 minors of p and q."""
+    m01, m02, m03, m12, m13, m23 = (p[i] * q[j] - p[j] * q[i]
+                                    for i, j in PLUCKER_INDEX)
+    r0, r1, r2, r3 = r
+    return (r0 * m12 - r1 * m02 + r2 * m01 == 0
+            and r0 * m13 - r1 * m03 + r3 * m01 == 0
+            and r0 * m23 - r2 * m03 + r3 * m02 == 0
+            and r1 * m23 - r2 * m13 + r3 * m12 == 0)
 
 
 def reye_config():
@@ -246,13 +250,14 @@ def reye_config():
                           name="reye")
 
 
-def desmic_surface_config():
+def desmic_surface_config(singular_12, lines_16):
     """Incidence of the 12 singular points of the desmic quartic with the
-    16 lines common to the pencil."""
-    nodes = [tuple(p) for p in DESMIC_SINGULAR_12]
+    16 lines common to the pencil (surfaces.DESMIC_SINGULAR_12 and
+    surfaces.desmic_lines_16())."""
+    nodes = [tuple(p) for p in singular_12]
     pts = [ProjPoint(list(p)) for p in nodes]
     block_sets = []
-    for ln in desmic_lines_16():
+    for ln in lines_16:
         block_sets.append([n for n, pt in zip(nodes, pts)
                            if ln.contains(pt)])
     cfg = AbstractConfig.from_blocks(nodes, block_sets, name="desmic")

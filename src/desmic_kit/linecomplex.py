@@ -17,8 +17,8 @@ variety of a 35-nodal cubic in P^6.
 from itertools import permutations, product
 
 from .matrices import bilinear, matrix_rank, nullspace, rref
-from .poly import PolyRing
-from .projgeom import normalize
+from .poly import PolyRing, proportional_polys
+from .projgeom import _orbit, normalize
 from .scalars import I, Mod, QI, field_i, lift, one_like, sqrt_minus_one
 from .surfaces import Form, node_check, polar_matrix, taylor
 
@@ -26,21 +26,6 @@ from .surfaces import Form, node_check, polar_matrix, taylor
 # ---------------------------------------------------------------------------
 # the complete intersection in P^5
 # ---------------------------------------------------------------------------
-
-def _proportional_polys(f, g):
-    """(True, scalar) if f == scalar*g with scalar nonzero, else (False, None)."""
-    if f.is_zero() or g.is_zero():
-        return (f.is_zero() and g.is_zero(), None)
-    m = g.monomials()[0]
-    cg = g.coeffs[m]
-    cf = f.coeffs.get(m)
-    if cf is None:
-        return False, None
-    lam = cf / cg
-    if f == g.scale(lam):
-        return True, lam
-    return False, None
-
 
 PLUCKER_NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")
 KLEIN_NAMES = ("x1", "x2", "x3", "y1", "y2", "y3")
@@ -477,26 +462,8 @@ def _element_preserves(el, form):
     unit = [QI(1), I, QI(-1), -I]
     mapping = {name: gens[pi[j]].scale(unit[exps[j] % 4])
                for j, name in enumerate(ring.varnames)}
-    ok, _ = _proportional_polys(form.poly.subst(mapping, ring), form.poly)
+    ok, _ = proportional_polys(form.poly.subst(mapping, ring), form.poly)
     return ok
-
-
-def _orbit(seed, gens, action, keys=None):
-    """The orbit of seed under what gens generate: a breadth-first search
-    making |orbit|*|gens| calls of action(g, x) (Seress, Permutation Group
-    Algorithms, 2003).  An image outside keys, if given, raises ValueError."""
-    orbit = {seed}
-    frontier = [seed]
-    for x in frontier:
-        for g in gens:
-            y = action(g, x)
-            if y not in orbit:
-                if keys is not None and y not in keys:
-                    raise ValueError("the orbit of %s leaves the verified set"
-                                     % (seed,))
-                orbit.add(y)
-                frontier.append(y)
-    return orbit
 
 
 def _generators(elements):
@@ -777,7 +744,7 @@ def segre_isomorphism_check(scan_prime=13):
         total = total + t
         cubes = cubes + t * t * t
     sum_zero = total.is_zero()
-    ok, lam = _proportional_polys(cubes, f.poly)
+    ok, lam = proportional_polys(cubes, f.poly)
     if not (sum_zero and ok and lam):
         raise ValueError("printed change of variables fails")
 

@@ -250,6 +250,21 @@ class MultiPoly:
         return " + ".join(parts)
 
 
+def proportional_polys(f, g):
+    """(True, scalar) if f == scalar*g with scalar nonzero, else (False, None)."""
+    if f.is_zero() or g.is_zero():
+        return (f.is_zero() and g.is_zero(), None)
+    m = g.monomials()[0]
+    cg = g.coeffs[m]
+    cf = f.coeffs.get(m)
+    if cf is None:
+        return False, None
+    lam = cf / cg
+    if f == g.scale(lam):
+        return True, lam
+    return False, None
+
+
 def poly_gcd_content(f):
     """Monomial content of f: the largest monomial dividing every term."""
     if f.is_zero():

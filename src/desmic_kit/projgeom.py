@@ -5,12 +5,32 @@ Plucker convention: (p12, p13, p14, p23, p24, p34), satisfying
 p12*p34 - p13*p24 + p14*p23 = 0.
 
 A point of any projective space is a ProjPoint; normalize() gives its key.
+_orbit() is the one orbit search: group closure, orbits, coset subgroups
+and fiber connectivity.
 """
 
 from fractions import Fraction
 
 from .matrices import matrix_rank, nullspace
 from .scalars import lift, one_like
+
+
+def _orbit(seed, gens, action, keys=None):
+    """The orbit of seed under what gens generate: a breadth-first search
+    making |orbit|*|gens| calls of action(g, x) (Seress, Permutation Group
+    Algorithms, 2003).  An image outside keys, if given, raises ValueError."""
+    orbit = {seed}
+    frontier = [seed]
+    for x in frontier:
+        for g in gens:
+            y = action(g, x)
+            if y not in orbit:
+                if keys is not None and y not in keys:
+                    raise ValueError("the orbit of %s leaves the verified set"
+                                     % (seed,))
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
 
 
 def normalize(coords):

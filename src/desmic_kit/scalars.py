@@ -298,13 +298,14 @@ I = QI(0, 1)
 
 
 class F4:
-    """Element a + b*w of the field with four elements, w^2 = w + 1."""
+    """Element a + b*w of the field with four elements, w^2 = w + 1.
+    There are exactly four F4 objects, F4_ELEMENTS[a | b << 1]: the
+    constructor and the operations return one of them."""
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", a % 2)
-        object.__setattr__(self, "b", b % 2)
+    def __new__(cls, a=0, b=0):
+        return F4_ELEMENTS[a % 2 | b % 2 << 1]
 
     def __setattr__(self, *a):
         raise AttributeError("F4 is immutable")
@@ -321,7 +322,7 @@ class F4:
         o = F4._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return F4(self.a ^ o.a, self.b ^ o.b)
+        return F4_ELEMENTS[self.a ^ o.a | (self.b ^ o.b) << 1]
 
     __radd__ = __add__
     __sub__ = __add__
@@ -336,7 +337,7 @@ class F4:
             return NotImplemented
         # (a+bw)(c+dw) = ac + (ad+bc)w + bd w^2,  w^2 = w+1
         a, b, c, d = self.a, self.b, o.a, o.b
-        return F4((a * c + b * d) % 2, (a * d + b * c + b * d) % 2)
+        return F4_ELEMENTS[a & c ^ b & d | (a & d ^ b & c ^ b & d) << 1]
 
     __rmul__ = __mul__
 
@@ -377,9 +378,16 @@ class F4:
                 (0, 1): "w", (1, 1): "w+1"}[(self.a, self.b)]
 
 
-W = F4(0, 1)
+def _f4_element(a, b):
+    x = object.__new__(F4)
+    object.__setattr__(x, "a", a)
+    object.__setattr__(x, "b", b)
+    return x
 
-F4_ELEMENTS = (F4(0), F4(1), W, W + 1)
+
+F4_ELEMENTS = tuple(_f4_element(k & 1, k >> 1) for k in range(4))
+
+W = F4(0, 1)
 
 
 def char_of(x):

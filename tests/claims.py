@@ -13,7 +13,7 @@ from itertools import permutations
 import desmic_kit.linecomplex as lc
 from desmic_kit.configs import AbstractConfig
 from desmic_kit.matrices import matrix_rank, nullspace
-from desmic_kit.projgeom import ProjPoint
+from desmic_kit.projgeom import ProjPoint, _orbit
 from desmic_kit.scalars import I, QI, one_like
 from desmic_kit.surfaces import DESMIC_SINGULAR_12
 
@@ -105,8 +105,7 @@ def coset_config():
     for side in ("right", "left"):
         blocks = set()
         for gens in COSET_SUBGROUP_GENERATORS:
-            h = lc._orbit((1, 2, 3, 4), gens,
-                          lambda s, g: perm_compose(g, s))
+            h = _orbit((1, 2, 3, 4), gens, lambda s, g: perm_compose(g, s))
             for g in elements:
                 if side == "right":
                     blocks.add(frozenset(perm_compose(x, g) for x in h))

@@ -1,7 +1,9 @@
 """Oracles shared by several test modules."""
 
 from fractions import Fraction
+from itertools import combinations
 
+from desmic_kit.matrices import det_poly_matrix
 from desmic_kit.poly import MultiPoly, PolyRing
 from desmic_kit.projgeom import ProjPoint
 
@@ -129,3 +131,57 @@ def evaluate(poly, values):
                 t = t * vi
         total = total + t
     return total
+
+
+def collinear_by_minors(p, q, r):
+    """Collinearity of three integer points of P^3 as configs tested it
+    before its integer form: each of the four 3x3 minors of the coordinate
+    matrix by the generic Bareiss determinant."""
+    rows = (p, q, r)
+    return all(det_poly_matrix([[row[c] for c in cols] for row in rows]) == 0
+               for cols in combinations(range(4), 3))
+
+
+class F4Formulas:
+    """a + b*w in the field with four elements, w^2 = w + 1, as scalars.F4
+    computed it before it kept four interned elements: every operation
+    builds a new object from the reduced mod-2 formulas."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a=0, b=0):
+        object.__setattr__(self, "a", a % 2)
+        object.__setattr__(self, "b", b % 2)
+
+    def __setattr__(self, *a):
+        raise AttributeError("F4 is immutable")
+
+    def __add__(self, o):
+        return F4Formulas(self.a ^ o.a, self.b ^ o.b)
+
+    __sub__ = __add__
+
+    def __neg__(self):
+        return self
+
+    def __mul__(self, o):
+        a, b, c, d = self.a, self.b, o.a, o.b
+        return F4Formulas((a * c + b * d) % 2, (a * d + b * c + b * d) % 2)
+
+    def inverse(self):
+        if not (self.a or self.b):
+            raise ZeroDivisionError("0 in F4")
+        return self * self
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __eq__(self, o):
+        return self.a == o.a and self.b == o.b
+
+    def __hash__(self):
+        return hash((self.a, self.b, "F4"))
+
+    def __repr__(self):
+        return {(0, 0): "F4(0)", (1, 0): "F4(1)",
+                (0, 1): "w", (1, 1): "w+1"}[(self.a, self.b)]

@@ -2,6 +2,7 @@
 42-curve system and the curve-system JSON loader."""
 
 import json
+import random
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 import desmic_kit.configs as cf
 import desmic_kit.lattices as la
 from desmic_kit.matrices import gram_times, matrix_rank
+from desmic_kit.surfaces import DESMIC_SINGULAR_12, desmic_lines_16
 from claims import coset_config, perm_from_cycles, plane_node_config
+from oracles import collinear_by_minors
 
 
 # -- abstract configurations ---------------------------------------------------
@@ -57,6 +60,32 @@ def test_collinear_agrees_with_rank_on_reye_points():
         assert cf._collinear(p, q, r) == rank_collinear(p, q, r)
 
 
+def test_collinear_agrees_with_minor_oracle():
+    """The integer minors against the Bareiss determinants they replaced:
+    all 220 triples of the cube-model points, then seeded random triples
+    with repeated, proportional and combined points among them."""
+    points = sorted({pt for b in cf.reye_config().blocks for pt in b})
+    triples = list(combinations(points, 3))
+    assert len(triples) == 220
+    rng = random.Random(11)
+
+    def rand_point():
+        return tuple(rng.randint(-4, 4) for _ in range(4))
+
+    for _ in range(400):
+        p, q = rand_point(), rand_point()
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        triples += [(p, q, rand_point()), (p, p, q), (p, q, q),
+                    (p, q, tuple(a * x for x in p)),
+                    (p, q, tuple(a * x + b * y for x, y in zip(p, q)))]
+    seen = set()
+    for p, q, r in triples:
+        got = cf._collinear(p, q, r)
+        assert got == collinear_by_minors(p, q, r), (p, q, r)
+        seen.add(got)
+    assert seen == {True, False}
+
+
 def test_reye_point_transitive():
     """Some automorphism of the Reye configuration takes its first point to
     each other point."""
@@ -66,7 +95,7 @@ def test_reye_point_transitive():
 
 
 def test_desmic_incidence_is_reye():
-    d = cf.desmic_surface_config()
+    d = cf.desmic_surface_config(DESMIC_SINGULAR_12, desmic_lines_16())
     assert d.type_signature == ((12, 4), (16, 3))
     iso = cf.config_isomorphic(d, cf.reye_config())
     assert iso is not None

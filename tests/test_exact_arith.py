@@ -308,6 +308,45 @@ def test_f4():
     assert all(x * x.inverse() == F4(1) for x in F4_ELEMENTS if x)
 
 
+def test_f4_agrees_with_formula_oracle_on_all_pairs():
+    """The four interned elements against the mod-2 formulas, on all 16
+    pairs; every result is one of the four."""
+    bits = [(a, b) for b in (0, 1) for a in (0, 1)]
+    for x, (a, b) in zip(F4_ELEMENTS, bits):
+        ox = oracles.F4Formulas(a, b)
+        assert (x.a, x.b) == (a, b)
+        assert hash(x) == hash(ox) and repr(x) == repr(ox)
+        if a or b:
+            assert repr(x.inverse()) == repr(ox.inverse())
+        else:
+            for zero in (x, ox):
+                with pytest.raises(ZeroDivisionError):
+                    zero.inverse()
+        for y, (c, d) in zip(F4_ELEMENTS, bits):
+            oy = oracles.F4Formulas(c, d)
+            assert (x == y) == (ox == oy)
+            results = [(x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy)]
+            if c or d:
+                results.append((x / y, ox / oy))
+            for got, want in results:
+                assert any(got is e for e in F4_ELEMENTS)
+                assert (got.a, got.b) == (want.a, want.b)
+                assert hash(got) == hash(want) and repr(got) == repr(want)
+    assert -W is W
+
+
+def test_f4_elements_are_interned_and_immutable():
+    assert F4(-3, 5) is F4(1, 1) is W + 1
+    assert F4(2) is F4(0) is F4_ELEMENTS[0] and F4(1, 0) is F4(7)
+    assert W * W is W + 1 and F4(1) / W is W + 1 and W + 1 is 1 + W
+    for x in F4_ELEMENTS:
+        for attr in ("a", "b", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, attr, 1)
+    assert [(x.a, x.b) for x in F4_ELEMENTS] == [(0, 0), (1, 0), (0, 1),
+                                                  (1, 1)]
+
+
 scalar_samples = {
     "Q": [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)],
     "Qi": [QI(n, m) for n in range(-2, 3) for m in range(-2, 3)],

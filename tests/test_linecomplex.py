@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 import desmic_kit.linecomplex as lc
 from desmic_kit.matrices import (det_poly_matrix, matrix_rank, nullspace,
                                  solve_linear)
-from desmic_kit.poly import PolyRing
-from desmic_kit.projgeom import PLUCKER_INDEX, LineP3, ProjPoint, normalize
+from desmic_kit.poly import PolyRing, proportional_polys
+from desmic_kit.projgeom import (PLUCKER_INDEX, LineP3, ProjPoint, _orbit,
+                                normalize)
 from desmic_kit.scalars import I, Mod, QI, lift, one_like, sqrt_minus_one
 from desmic_kit.scan import run_scan
 from desmic_kit.surfaces import desmic_lines_16
@@ -103,7 +104,7 @@ def test_montesano_determinant_gives_the_plucker_cubic():
     ci = lc.CompleteIntersection35.plucker()
     cubic_ab = ci.cubic.poly.subst(
         dict(zip(lc.PLUCKER_NAMES, plucker_forms_in_ab())), SPANNING_RING)
-    ok, lam = lc._proportional_polys(det, cubic_ab)
+    ok, lam = proportional_polys(det, cubic_ab)
     assert ok and lam
 
 
@@ -116,7 +117,7 @@ def test_three_desmic_nets_cut_the_same_complex():
     base = cubics.pop("standard")
     assert set(cubics) == {"n1", "n2", "n3"}
     for name, cubic in cubics.items():
-        ok, lam = lc._proportional_polys(cubic, base)
+        ok, lam = proportional_polys(cubic, base)
         assert ok and lam, name
 
 
@@ -169,9 +170,9 @@ def test_klein_change_matches_both_equations():
     mapping = {name: sum((g.scale(c) for g, c in zip(gens, row) if c),
                          ci_p.ring.zero())
                for name, row in zip(lc.KLEIN_NAMES, klein_change_rows(I))}
-    ok_q, lam_q = lc._proportional_polys(
+    ok_q, lam_q = proportional_polys(
         ci_k.quadric.poly.subst(mapping, ci_p.ring), ci_p.quadric.poly)
-    ok_c, lam_c = lc._proportional_polys(
+    ok_c, lam_c = proportional_polys(
         ci_k.cubic.poly.subst(mapping, ci_p.ring), ci_p.cubic.poly)
     assert ok_q and ok_c
     assert lam_q == QI(4)
@@ -517,7 +518,7 @@ def test_orbit_searches_along_every_generator():
         return (x + g) % 12
 
     # 4 and 6 generate the even residues mod 12; either alone does not
-    assert lc._orbit(0, [4, 6], add) == {0, 2, 4, 6, 8, 10}
+    assert _orbit(0, [4, 6], add) == {0, 2, 4, 6, 8, 10}
     assert len(calls) == 6 * 2
 
 
@@ -547,9 +548,9 @@ def test_generator_closure_agrees_with_pairwise_oracle(symmetry_group, name,
     assert pairwise_closed(elements, lc._compose_elements) is closed
     identity = (tuple(range(6)), (0,) * 6)
     assert set(gens) <= elements <= group
-    assert lc._orbit(identity, gens, lc._compose_elements) == group
+    assert _orbit(identity, gens, lc._compose_elements) == group
     for k, g in enumerate(gens):
-        assert g not in lc._orbit(identity, gens[:k], lc._compose_elements)
+        assert g not in _orbit(identity, gens[:k], lc._compose_elements)
 
 
 def test_orbit_sizes_agree_with_every_element_oracle(symmetry_group):
