@@ -42,9 +42,9 @@ def _on_first_use(name):
     return module
 
 
-# A suite executes only the modules its checks read: surfaces for all but
-# supersingular and lattices, linecomplex for line-complex, symmetry and
-# cremona, configs for desmic-surface, supersingular and lattices, and
+# A suite executes only the modules its checks read: surfaces for identities,
+# desmic-surface, cremona and char2, linecomplex for line-complex, symmetry
+# and cremona, configs for desmic-surface, supersingular and lattices, and
 # lattices for the last two.
 sf = _on_first_use("surfaces")
 lc = _on_first_use("linecomplex")

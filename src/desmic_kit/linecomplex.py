@@ -16,11 +16,11 @@ variety of a 35-nodal cubic in P^6.
 
 from itertools import permutations, product
 
-from .matrices import bilinear, matrix_rank, nullspace, rref
+from .forms import Form, polar_matrix, taylor
+from .matrices import matrix_rank, nullspace, rref
 from .poly import PolyRing, proportional_polys
 from .projgeom import _orbit, normalize
 from .scalars import I, Mod, QI, field_i, lift, one_like, sqrt_minus_one
-from .surfaces import Form, node_check, polar_matrix, taylor
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +166,13 @@ def ci_node_report(ci, pt):
     degree-2 Taylor expansion at the normalized point.  In the affine chart
     with the pivot (the leading nonzero coordinate) set to 1, the quadratic
     part q of cubic - lambda*quadric lives on the other five coordinates,
-    and its Gram matrix on the tangent space T of the quadric is T^t.H.T,
-    with H the polar matrix of q.
+    with polar matrix H, and the tangent space of the quadric is T = ker l
+    for its gradient l there.  The rank of H on T is that of the bordered
+    matrix [[H, l^t], [l, 0]] minus 2.  This holds for any bilinear H and
+    any covector l != 0, in every characteristic: in a basis of ker l plus
+    one vector v with l(v) = 1 the border is (0, ..., 0, 1), and row and
+    column operations with its two unit entries clear row and column v of
+    H, leaving H on ker l and a 2x2 block [[0, 1], [1, 0]] of rank 2.
 
     Rank 4 is the criterion of quadratic_part_smooth for q on T, in every
     characteristic: in an even number of variables a quadric is smooth
@@ -206,9 +211,8 @@ def ci_node_report(ci, pt):
     q = {e[:pivot] + e[pivot + 1:]: coeff(t3, e) - lam * coeff(t2, e)
          for e in set(t2) | set(t3) if sum(e) == 2 and not e[pivot]}
     h = polar_matrix(q, n - 1, one)
-    tangent = nullspace([lin], one)
-    gram = [[bilinear(h, u, v) for v in tangent] for u in tangent]
-    return NodeReport(pt, True, 1, lam, matrix_rank(gram))
+    bordered = [row + [l] for row, l in zip(h, lin)] + [lin + [zero]]
+    return NodeReport(pt, True, 1, lam, matrix_rank(bordered) - 2)
 
 
 class NodeInventory:
@@ -621,6 +625,7 @@ def project_to_quartic_threefold():
     """Eliminate x6 and verify: the rewriting identity, the elimination
     identity x1*cubic + X = (x4x5 - x2x3)*quadric, the 17 printed nodes, and
     the four printed singular lines."""
+    from .surfaces import node_check
     ci = CompleteIntersection35.plucker()
     x1p, x2p, x3p, x4p, x5p, x6p = ci.ring.gens()
     X = projected_quartic()
@@ -735,6 +740,7 @@ def segre_isomorphism_check(scan_prime=13):
     scalar multiple of the cubic.  Also verifies, over F_p, that the 35
     candidate singular points (34 lifted from the complex plus the cone
     point) are distinct ordinary nodes of the cubic."""
+    from .surfaces import node_check
     f = cubic_sevenfold()
     ring = f.ring
     ts = segre_t_forms(ring)

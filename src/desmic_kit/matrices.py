@@ -246,11 +246,11 @@ def rref(rows):
             continue
         a[r], a[piv] = a[piv], a[r]
         inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
+        a[r] = [x / inv if x else x for x in a[r]]
         for i in range(nr):
             if i != r and a[i][c]:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
         if r == nr:

@@ -43,6 +43,9 @@ class Mod:
     def __setattr__(self, *a):
         raise AttributeError("Mod is immutable")
 
+    def __reduce__(self):
+        return Mod, (self.v, self.p)
+
     def _lift(self, other):
         if isinstance(other, Mod):
             if other.p != self.p:
@@ -192,6 +195,9 @@ class QI:
     def __setattr__(self, *a):
         raise AttributeError("QI is immutable")
 
+    def __reduce__(self):
+        return QI._make, (self.a, self.b, self.d)
+
     @property
     def re(self):
         return Fraction(self.a, self.d)
@@ -309,6 +315,9 @@ class F4:
 
     def __setattr__(self, *a):
         raise AttributeError("F4 is immutable")
+
+    def __reduce__(self):
+        return F4, (self.a, self.b)
 
     @staticmethod
     def _lift(other):
@@ -433,6 +442,7 @@ def power(base, e, one):
     while e:
         if e & 1:
             r = r * base
-        base = base * base
         e >>= 1
+        if e:
+            base = base * base
     return r

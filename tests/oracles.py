@@ -3,7 +3,8 @@
 from fractions import Fraction
 from itertools import combinations
 
-from desmic_kit.matrices import det_poly_matrix
+from desmic_kit.matrices import bilinear, det_poly_matrix, matrix_rank, \
+    nullspace
 from desmic_kit.poly import MultiPoly, PolyRing
 from desmic_kit.projgeom import ProjPoint
 
@@ -185,3 +186,47 @@ class F4Formulas:
     def __repr__(self):
         return {(0, 0): "F4(0)", (1, 0): "F4(1)",
                 (0, 1): "w", (1, 1): "w+1"}[(self.a, self.b)]
+
+
+def dense_rref(rows):
+    """Reduced row echelon form as matrices.rref computed it before it
+    skipped zero entries: every entry of the pivot row is divided and every
+    entry of a cleared row updated, zero or not."""
+    a = [list(r) for r in rows]
+    nr = len(a)
+    nc = len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(nr):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return a, pivots
+
+
+def tangent_gram_rank(h, lin, one):
+    """Rank of the bilinear form with matrix h on the kernel of the covector
+    lin, as linecomplex.ci_node_report computed it before its bordered
+    matrix: the Gram matrix of h on a basis of that kernel."""
+    tangent = nullspace([lin], one)
+    return matrix_rank([[bilinear(h, u, v) for v in tangent]
+                        for u in tangent])
+
+
+def naive_power(base, e, one):
+    """base**e as the product of e factors base."""
+    r = one
+    for _ in range(e):
+        r = r * base
+    return r

@@ -526,12 +526,12 @@ print(json.dumps([ok, sorted(os.path.basename(f)[:-3] for f in ran
 EAGER_MODULES = {"__init__", "cli", "scalars", "poly", "matrices", "projgeom"}
 # suite -> (report ok, the modules it executes beyond EAGER_MODULES)
 SUITE_MODULES = {
-    "identities": (True, {"surfaces"}),
-    "desmic-surface": (False, {"surfaces", "configs"}),
-    "line-complex": (True, {"surfaces", "linecomplex", "scan"}),
-    "symmetry": (True, {"surfaces", "linecomplex"}),
-    "cremona": (True, {"surfaces", "linecomplex"}),
-    "char2": (True, {"surfaces"}),
+    "identities": (True, {"forms", "surfaces"}),
+    "desmic-surface": (False, {"forms", "surfaces", "configs"}),
+    "line-complex": (True, {"forms", "linecomplex", "scan"}),
+    "symmetry": (True, {"forms", "linecomplex"}),
+    "cremona": (True, {"forms", "linecomplex", "surfaces"}),
+    "char2": (True, {"forms", "surfaces"}),
     "supersingular": (False, {"configs", "lattices"}),
     "lattices": (True, {"configs", "lattices"}),
 }

@@ -1,6 +1,8 @@
 """Tests for the exact arithmetic substrate: scalars, polynomials, matrices.
 The Pfaffian is checked only here, so its code is here too."""
 
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -10,11 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from desmic_kit.scalars import (Mod, QI, F4, W, I, F4_ELEMENTS, is_prime,
-                                lift, sqrt_minus_one)
+                                lift, power, sqrt_minus_one)
 from desmic_kit.poly import MultiPoly, PolyRing, RatFunc, prem
 from desmic_kit.matrices import (bilinear, det_poly_matrix,
                                  inertia_signature, matrix_rank, nullspace,
-                                 smith_invariants, smith_normal_form)
+                                 rref, smith_invariants, smith_normal_form)
 
 import oracles
 
@@ -345,6 +347,75 @@ def test_f4_elements_are_interned_and_immutable():
                 setattr(x, attr, 1)
     assert [(x.a, x.b) for x in F4_ELEMENTS] == [(0, 0), (1, 0), (0, 1),
                                                   (1, 1)]
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "pickle-0": lambda x: pickle.loads(pickle.dumps(x, 0)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+def test_scalars_survive_copy_and_pickle(how):
+    trip = ROUND_TRIPS[how]
+    values = [Mod(0, 13), Mod(5, 13), Mod(-1, 2), QI(0), QI(-3), I,
+              QI(Fraction(1, 3), Fraction(-2, 5)), QI(Fraction(7, 2))]
+    for x in values + list(F4_ELEMENTS):
+        y = trip(x)
+        assert type(y) is type(x) and y == x and hash(y) == hash(x)
+        assert repr(y) == repr(x)
+    for x in F4_ELEMENTS:
+        assert trip(x) is x
+    # a QI comes back with its reduced triple
+    q = trip(QI(Fraction(1, 3), Fraction(-2, 5)))
+    assert (q.a, q.b, q.d) == (5, -6, 15)
+    assert trip([Mod(3, 7), {W: QI(1, 1)}]) == [Mod(3, 7), {W: QI(1, 1)}]
+
+
+QI_XY = PolyRing(["x", "y"], QI(1))
+POWER_BASES = {
+    "F13": (Mod(1, 13), [Mod(n, 13) for n in (0, 1, 2, 5, 12)]),
+    "Qi": (QI(1), [QI(0), QI(1), I, QI(1, 1), QI(Fraction(2, 3), -1)]),
+    "F4": (F4(1), list(F4_ELEMENTS)),
+    "poly": (QI_XY.const(1), [QI_XY.zero(), QI_XY.var("x") + I,
+                              QI_XY.var("y").scale(QI(1, -1))]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(POWER_BASES))
+def test_power_agrees_with_repeated_multiplication(field):
+    one, bases = POWER_BASES[field]
+    for x in bases:
+        for e in range(41):
+            want = oracles.naive_power(x, e, one)
+            assert power(x, e, one) == want, (x, e)
+            assert x ** e == want, (x, e)
+
+
+class CountedMul:
+    """A ring element that logs each product as (left, right) names."""
+
+    def __init__(self, name, log):
+        self.name, self.log = name, log
+
+    def __mul__(self, other):
+        self.log.append((self.name, other.name))
+        return CountedMul("(%s*%s)" % (self.name, other.name), self.log)
+
+
+def test_power_squares_only_while_bits_remain():
+    log = []
+    one, x = CountedMul("1", log), CountedMul("x", log)
+    power(x, 1, one)
+    assert log == [("1", "x")]
+    for e in range(41):
+        del log[:]
+        power(x, e, one)
+        squarings = sum(1 for a, b in log if a == b)
+        assert squarings == max(e.bit_length() - 1, 0), e
+        assert len(log) - squarings == bin(e).count("1"), e
 
 
 scalar_samples = {
@@ -746,6 +817,39 @@ def test_inertia_congruence_invariance(seed):
     s_t = [list(c) for c in zip(*s)]
     gs = matmul(matmul(s_t, g), s)
     assert inertia_signature(g) == inertia_signature(gs)
+
+
+RREF_FIELDS = {
+    "Q": lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+    "Qi": lambda rng: QI(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                         rng.randint(-2, 2)),
+    "F13": lambda rng: Mod(rng.randrange(13), 13),
+    "F4": lambda rng: rng.choice(F4_ELEMENTS),
+}
+
+
+@pytest.mark.parametrize("field", sorted(RREF_FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_rref_agrees_with_dense_elimination(field, seed):
+    """Zero-skipping elimination against the dense oracle on sparse
+    matrices, some with rows that are sums of others: the same rows, with
+    entries of the same types, and the same pivots."""
+    rng = random.Random(seed)
+    draw = RREF_FIELDS[field]
+    zero = draw(rng) * 0
+    nr, nc = rng.randint(1, 6), rng.randint(1, 7)
+    density = rng.choice((0.2, 0.4, 0.7))
+    rows = [[draw(rng) if rng.random() < density else zero
+             for _ in range(nc)] for _ in range(nr)]
+    if nr > 2 and rng.random() < 0.5:
+        rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
+    got, pivots = rref(rows)
+    want, want_pivots = oracles.dense_rref(rows)
+    assert pivots == want_pivots
+    assert got == want
+    assert [[type(x) for x in r] for r in got] \
+        == [[type(x) for x in r] for r in want]
 
 
 def test_rank_nullspace_over_gf13():

@@ -20,7 +20,8 @@ from desmic_kit.surfaces import desmic_lines_16
 from claims import (klein_change_rows, klein_plane_labels, mat_apply,
                     perm_compose, perm_from_cycles)
 from oracles import (dense_contains_point, evaluate, localize_split,
-                     orbit_sizes_by_elements, pairwise_closed)
+                     orbit_sizes_by_elements, pairwise_closed,
+                     tangent_gram_rank)
 
 
 def coord_point(j):
@@ -409,6 +410,30 @@ def test_node_report_agrees_at_singular_points_of_random_intersections(
     rep = lc.ci_node_report(ci, point)
     assert rep.on_both and rep.jacobian_rank == 1
     assert_node_reports_agree(ci, [point])
+
+
+@pytest.mark.parametrize("one", [Fraction(1), Mod(1, 2), Mod(1, 3),
+                                 Mod(1, 13)], ids=["Q", "F2", "F3", "F13"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_bordered_rank_is_the_rank_on_the_kernel(one, seed):
+    """The bordered matrix of ci_node_report, [[H, l^t], [l, 0]], has rank
+    2 more than H on ker l, for a random symmetric H of random rank
+    (alternating in characteristic 2) and a random covector l != 0."""
+    rng = random.Random(seed)
+    zero = one * 0
+    n = rng.randint(1, 6)
+    density = rng.choice((0, 0.3, 0.6, 1))
+    h = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if (i != j or one + one) and rng.random() < density:
+                h[i][j] = h[j][i] = lift(one, rng.randint(-3, 3))
+    lin = [lift(one, rng.randint(-2, 2)) if rng.random() < 0.5 else zero
+           for _ in range(n)]
+    lin[rng.randrange(n)] = one
+    bordered = [row + [l] for row, l in zip(h, lin)] + [lin + [zero]]
+    assert matrix_rank(bordered) - 2 == tangent_gram_rank(h, lin, one)
 
 
 # -- plane inventory ----------------------------------------------------------
