@@ -16,7 +16,7 @@ import os
 
 from .matrices import (bilinear, exact_ratio, gram_times, integer_scaled,
                        matrix_rank, nullspace)
-from .projgeom import PLUCKER_INDEX, ProjPoint, _orbit, normalize
+from .projgeom import PLUCKER_INDEX, _orbit, normalize
 from .scalars import F4, F4_ELEMENTS, W
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -255,11 +255,7 @@ def desmic_surface_config(singular_12, lines_16):
     16 lines common to the pencil (surfaces.DESMIC_SINGULAR_12 and
     surfaces.desmic_lines_16())."""
     nodes = [tuple(p) for p in singular_12]
-    pts = [ProjPoint(list(p)) for p in nodes]
-    block_sets = []
-    for ln in lines_16:
-        block_sets.append([n for n, pt in zip(nodes, pts)
-                           if ln.contains(pt)])
+    block_sets = [[n for n in nodes if ln.contains(n)] for ln in lines_16]
     cfg = AbstractConfig.from_blocks(nodes, block_sets, name="desmic")
     if cfg.type_signature != ((12, 4), (16, 3)):
         raise ValueError("desmic incidence has type %s, expected "

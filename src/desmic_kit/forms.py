@@ -5,7 +5,8 @@ surfaces and linecomplex share.
 Forms may carry symbolic parameters: a Form records which ring variables are
 projective coordinates; the remaining variables are parameters, and all
 verdicts are then generic (over the rational function field in the
-parameters).
+parameters).  The generic node verdict is det(polar matrix) != 0 in the
+parameter ring, in odd characteristic (surfaces.node_check).
 """
 
 from itertools import product

@@ -300,8 +300,6 @@ class PlaneInP5:
         self.covectors = [tuple(lift(one, c) for c in cv) for cv in covectors]
         self.one = one
         self.label = label
-        if matrix_rank([list(c) for c in self.covectors]) != 3:
-            raise ValueError("covectors do not cut a plane")
         self.basis = nullspace([list(c) for c in self.covectors], one)
         if len(self.basis) != 3:
             raise ValueError("covectors %r cut a space of dimension %d, not "

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials, pseudo-remainders and rational functions.
+"""Sparse multivariate polynomials and pseudo-remainders.
 
 A polynomial is a map from exponent tuples to nonzero scalar coefficients,
 tied to a PolyRing that fixes the variable names and the coefficient field.
@@ -56,7 +56,7 @@ def _constant(ring, c):
     """The scalar c as a constant of `ring`.  An int or a Fraction enters
     through scalars.lift (F4 * Fraction is undefined).  Anything else is
     multiplied by the ring's one, which raises for a scalar that does not
-    belong, such as a Mod of another modulus, and for a RatFunc."""
+    belong, such as a Mod of another modulus."""
     if isinstance(c, (int, Fraction)):
         return ring.const(c)
     return MultiPoly(ring, {ring.zero_exp: ring.one * c})
@@ -78,12 +78,6 @@ class MultiPoly:
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self.coeffs:
-            return -1
-        return max(sum(e) for e in self.coeffs)
 
     def degree_in(self, name):
         i = self.ring.varnames.index(name)
@@ -215,7 +209,7 @@ class MultiPoly:
                     g = _constant(target_ring, g)
                 if g.ring != target_ring:
                     raise ValueError("substitution targets mix rings")
-                term = term * g ** ei
+                term = term * (g if ei == 1 else g ** ei)
             out = out + term
         return out
 
@@ -265,16 +259,6 @@ def proportional_polys(f, g):
     return False, None
 
 
-def poly_gcd_content(f):
-    """Monomial content of f: the largest monomial dividing every term."""
-    if f.is_zero():
-        return f.ring.zero_exp
-    mins = None
-    for e in f.coeffs:
-        mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
-    return mins
-
-
 def prem(f, g, name):
     """Pseudo-remainder of f by g viewed as polynomials in the variable
     `name`; lc(g)^k * f = q*g + prem for some k.  Used for membership tests
@@ -306,111 +290,3 @@ def coeff_in(f, name, d):
             e2[i] = 0
             new[tuple(e2)] = c
     return MultiPoly(f.ring, new)
-
-
-class RatFunc:
-    """Fraction of two polynomials over one ring (a rational function).
-
-    Only light normalization (monomial content) is applied; equality is
-    decided by cross-multiplication, which is exact.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = num.ring.const(1)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.ring != den.ring:
-            raise ValueError("mixed rings")
-        cn, cd = poly_gcd_content(num), poly_gcd_content(den)
-        common = tuple(min(a, b) for a, b in zip(cn, cd))
-        if any(common):
-            mono = MultiPoly(num.ring, {common: num.ring.one})
-            num = num.divexact(mono)
-            den = den.divexact(mono)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RatFunc is immutable")
-
-    @property
-    def char(self):
-        return self.num.ring.char
-
-    def one(self):
-        r = self.num.ring
-        return RatFunc(r.const(1))
-
-    def _lift(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, MultiPoly):
-            return RatFunc(other)
-        if isinstance(other, int):
-            return RatFunc(self.num.ring.const(other))
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        return o / self
-
-    def __pow__(self, e):
-        if isinstance(e, int) and e < 0:
-            return (RatFunc(self.den, self.num)) ** (-e)
-        return RatFunc(self.num ** e, self.den ** e)
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.num * o.den == o.num * self.den
-
-    def __bool__(self):
-        return not self.num.is_zero()
-
-    def __hash__(self):
-        if self.den == self.den.ring.const(1):
-            return hash(self.num)
-        return hash((self.num, "ratfunc"))
-
-    def __repr__(self):
-        return "(%s)/(%s)" % (self.num, self.den)

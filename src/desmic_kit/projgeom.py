@@ -1,10 +1,11 @@
-"""Projective geometry: points of projective space of any dimension, and
-planes and lines of P^3, a line with its Plucker coordinates.
+"""Projective geometry: the projective key of a point, the orbit search,
+and lines of P^3 with their Plucker coordinates.
 
 Plucker convention: (p12, p13, p14, p23, p24, p34), satisfying
 p12*p34 - p13*p24 + p14*p23 = 0.
 
-A point of any projective space is a ProjPoint; normalize() gives its key.
+A point of any projective space, and a plane of P^3, is a tuple of field
+coordinates (see scalars.lift); normalize() gives its key.
 _orbit() is the one orbit search: group closure, orbits, coset subgroups
 and fiber connectivity.
 """
@@ -43,85 +44,20 @@ def normalize(coords):
     return tuple(c / lead for c in coords)
 
 
-class ProjPoint:
-    """Point of projective space of any dimension; equality up to scale.
-    Int and Fraction coordinates are lifted into the rationals."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        coords = tuple(lift(Fraction(1), c) for c in coords)
-        if not any(coords):
-            raise ValueError("all coordinates zero")
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def normalized(self):
-        return normalize(self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, ProjPoint) and self.normalized() == other.normalized()
-
-    def __hash__(self):
-        return hash(self.normalized())
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def __repr__(self):
-        return "ProjPoint(%r)" % (list(self.coords),)
-
-
-class ProjPlane:
-    """Hyperplane of P^3 given by its coefficient covector."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = tuple(lift(Fraction(1), c) for c in coeffs)
-        if not any(coeffs):
-            raise ValueError("all coefficients zero")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def contains(self, p):
-        s = None
-        for a, x in zip(self.coeffs, p.coords):
-            t = a * x
-            s = t if s is None else s + t
-        return not s
-
-    def normalized(self):
-        return normalize(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, ProjPlane) and self.normalized() == other.normalized()
-
-    def __hash__(self):
-        return hash(self.normalized())
-
-    def __repr__(self):
-        return "ProjPlane(%r)" % (list(self.coeffs),)
-
-
 PLUCKER_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 class LineP3:
-    """Line in P^3 with cached Plucker coordinates (p12,p13,p14,p23,p24,p34)."""
+    """Line in P^3 through two points, given as coordinate sequences, with
+    cached Plucker coordinates (p12,p13,p14,p23,p24,p34).  Int and Fraction
+    coordinates are lifted into the rationals."""
 
     __slots__ = ("p", "q", "plucker")
 
     def __init__(self, p, q):
-        pc, qc = p.coords, q.coords
-        pl = tuple(pc[i] * qc[j] - pc[j] * qc[i] for i, j in PLUCKER_INDEX)
+        p = tuple(lift(Fraction(1), c) for c in p)
+        q = tuple(lift(Fraction(1), c) for c in q)
+        pl = tuple(p[i] * q[j] - p[j] * q[i] for i, j in PLUCKER_INDEX)
         if not any(pl):
             raise ValueError("dependent spanning points")
         object.__setattr__(self, "p", p)
@@ -136,27 +72,22 @@ class LineP3:
     def __setattr__(self, *a):
         raise AttributeError("immutable")
 
+    def __reduce__(self):
+        return LineP3, (self.p, self.q)
+
     @classmethod
     def from_planes(cls, h1, h2):
-        """The intersection line of two distinct planes."""
-        ker = nullspace([list(h1.coeffs), list(h2.coeffs)],
-                        one_like(h1.coeffs[0]))
+        """The intersection line of two distinct planes, given as
+        covector sequences."""
+        rows = [[lift(Fraction(1), c) for c in h] for h in (h1, h2)]
+        ker = nullspace(rows, one_like(rows[0][0]))
         if len(ker) != 2:
             raise ValueError("planes do not meet in a line")
-        return cls(ProjPoint(ker[0]), ProjPoint(ker[1]))
-
-    def normalized(self):
-        return normalize(self.plucker)
-
-    def __eq__(self, other):
-        return isinstance(other, LineP3) and self.normalized() == other.normalized()
-
-    def __hash__(self):
-        return hash(self.normalized())
+        return cls(ker[0], ker[1])
 
     def contains(self, pt):
-        return matrix_rank([list(self.p.coords), list(self.q.coords),
-                            list(pt.coords)]) == 2
+        return matrix_rank([list(self.p), list(self.q),
+                            [lift(Fraction(1), c) for c in pt]]) == 2
 
     def __repr__(self):
         return "LineP3(%r)" % (list(self.plucker),)

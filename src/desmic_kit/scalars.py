@@ -251,9 +251,6 @@ class QI:
 
     __rmul__ = __mul__
 
-    def norm(self):
-        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
-
     def inverse(self):
         n = self.a * self.a + self.b * self.b
         if n == 0:
@@ -407,10 +404,6 @@ def char_of(x):
         return 2
     if isinstance(x, (int, Fraction, QI)):
         return 0
-    # rational function fields and similar wrappers expose .char
-    ch = getattr(x, "char", None)
-    if ch is not None:
-        return ch() if callable(ch) else ch
     raise TypeError("unknown scalar type %r" % type(x))
 
 
@@ -424,9 +417,6 @@ def one_like(x):
         return QI(1)
     if isinstance(x, (int, Fraction)):
         return Fraction(1)
-    o = getattr(x, "one", None)
-    if o is not None:
-        return o() if callable(o) else o
     raise TypeError("unknown scalar type %r" % type(x))
 
 

@@ -5,13 +5,12 @@ taylor and polar_matrix, which linecomplex shares, live in forms.
 """
 
 from fractions import Fraction
-from math import isqrt
 
 from .forms import Form, polar_matrix, taylor
-from .matrices import nullspace
-from .poly import MultiPoly, PolyRing, RatFunc, coeff_in, prem
-from .projgeom import LineP3, ProjPlane, ProjPoint
-from .scalars import F4_ELEMENTS, F4, Mod, QI, lift, one_like
+from .matrices import det_poly_matrix, nullspace
+from .poly import MultiPoly, PolyRing, coeff_in, prem
+from .projgeom import LineP3
+from .scalars import F4_ELEMENTS, F4, Mod, lift, one_like
 
 
 class SingularPointReport:
@@ -88,19 +87,26 @@ def quadratic_part_smooth(q2_coeffs, nvars, one):
 def node_check(f, p):
     """True iff p is an ordinary node of V(f): the degree-2 part of f in an
     affine chart at p defines a smooth quadric (Jacobian criterion on the
-    tangent cone; valid in characteristic 2).  With parameters the verdict
-    is taken over their rational function field."""
+    tangent cone; valid in characteristic 2).
+
+    With parameters the verdict is generic, over the rational function
+    field in the parameters, and needs odd characteristic: there the
+    quadric is smooth iff the determinant of its polar matrix, computed in
+    the parameter ring by exact Bareiss division, is not zero."""
     if not singular_at(f, p).is_singular:
         raise ValueError("point %r is not singular on the form" % (p,))
     q2 = {e: c for e, c in _chart(f, p, 2).items() if sum(e) == 2}
-    one = f.ring.one
+    n = len(f.coord_vars) - 1
     if f.ring.nvars() > len(f.coord_vars):
-        q2 = {e: RatFunc(c) for e, c in q2.items()}
-        params = [v for v in f.ring.varnames if v not in f.coord_vars]
-        one = RatFunc(PolyRing(params, one).const(1))
-    else:
-        q2 = {e: c.constant_coeff() for e, c in q2.items()}
-    return quadratic_part_smooth(q2, len(f.coord_vars) - 1, one)
+        if f.char == 2:
+            raise ValueError("%r has parameters in characteristic 2, where "
+                             "the generic node test does not apply" % (f,))
+        if not q2:
+            return False
+        chart_one = next(iter(q2.values())).ring.const(1)
+        return not det_poly_matrix(polar_matrix(q2, n, chart_one)).is_zero()
+    q2 = {e: c.constant_coeff() for e, c in q2.items()}
+    return quadratic_part_smooth(q2, n, f.ring.one)
 
 
 # local equations are cut at total degree TRUNC, and A_n is named up to
@@ -139,62 +145,11 @@ class AnVerdict:
         return self.kind
 
 
-def _field_elements(one):
-    """All elements for small enumerable fields, else None."""
-    if isinstance(one, F4):
-        return list(F4_ELEMENTS)
-    if isinstance(one, Mod):
-        return [Mod(v, one.p) for v in range(one.p)]
-    return None
-
-
-def _sqrt_fraction(x):
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn = _isqrt_exact(num)
-    rd = _isqrt_exact(den)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _isqrt_exact(n):
-    r = isqrt(n)
-    return r if r * r == n else None
-
-
-def _sqrt_scalar(x, one):
-    """A square root of x in the field, or None."""
-    elems = _field_elements(one)
-    if elems is not None:
-        for e in elems:
-            if e * e == x:
-                return e
-        return None
-    if isinstance(x, QI):
-        if x.im == 0:
-            r = _sqrt_fraction(x.re)
-            if r is not None:
-                return QI(r)
-            r = _sqrt_fraction(-x.re)
-            return QI(0, r) if r is not None else None
-        n = _sqrt_fraction(x.norm())
-        if n is None:
-            return None
-        p2 = (x.re + n) / 2
-        p = _sqrt_fraction(p2)
-        if p is None or p == 0:
-            return None
-        return QI(p, x.im / (2 * p))
-    if isinstance(x, (int, Fraction)):
-        return _sqrt_fraction(Fraction(x))
-    return None
-
-
 def _factor_binary_quadratic(a, b, c, one):
     """Factor a*s^2 + b*s*t + c*t^2 into two linear forms ((a1,b1),(a2,b2))
-    over the field of `one`, or None if irreducible over that field."""
+    over the field of `one`, or None if irreducible over that field.  With
+    a*c != 0 a root is searched for, so the field must be F_4 or a prime
+    field; any other field raises ValueError."""
     zero = one * 0
     if not a and not c:
         if not b:
@@ -205,21 +160,19 @@ def _factor_binary_quadratic(a, b, c, one):
         return ((zero, one), (b, c))
     if not c:
         return ((one, zero), (a, b))
-    elems = _field_elements(one)
-    if elems is not None:
-        for r in elems:
-            if a * r * r + b * r + c == zero:
-                # a(s - r t)(s - r2 t); find the cofactor by division
-                # a s^2 + b s t + c t^2 = (s - r t)(a s + (b + a r) t)
-                return ((one, -r), (a, b + a * r))
-        return None
-    two = one + one
-    disc = b * b - (two + two) * a * c
-    s = _sqrt_scalar(disc, one)
-    if s is None:
-        return None
-    r = (-b + s) / two / a
-    return ((one, -r), (a, b + a * r))
+    if isinstance(one, F4):
+        elems = F4_ELEMENTS
+    elif isinstance(one, Mod):
+        elems = [Mod(v, one.p) for v in range(one.p)]
+    else:
+        raise ValueError("cannot factor a binary quadratic over the field of "
+                         "%r, which is not enumerable" % (one,))
+    for r in elems:
+        if a * r * r + b * r + c == zero:
+            # a(s - r t)(s - r2 t); find the cofactor by division
+            # a s^2 + b s t + c t^2 = (s - r t)(a s + (b + a r) t)
+            return ((one, -r), (a, b + a * r))
+    return None
 
 
 def rdp_an_type(series):
@@ -334,7 +287,7 @@ def contains_line(f, line):
     s, t = ring2.var("s"), ring2.var("t")
     mapping = {v: ring2.var(v) for v in pr}
     one = f.ring.one
-    for v, a, b in zip(f.coord_vars, line.p.coords, line.q.coords):
+    for v, a, b in zip(f.coord_vars, line.p, line.q):
         mapping[v] = s.scale(lift(one, a)) + t.scale(lift(one, b))
     return f.poly.subst(mapping, ring2).is_zero()
 
@@ -357,8 +310,7 @@ def desmic_lines_16():
         for g in second:
             for s1 in (1, -1):
                 for s2 in (1, -1):
-                    out.append(LineP3.from_planes(ProjPlane(f(s1)),
-                                                  ProjPlane(g(s2))))
+                    out.append(LineP3.from_planes(f(s1), g(s2)))
     return out
 
 
@@ -390,13 +342,12 @@ def residual_conic_tangency(f=None, line=None, pencil=None):
     if f is None:
         f = desmic_pencil_symbolic()
     if line is None:
-        line = LineP3.from_planes(ProjPlane((1, 1, 0, 0)),
-                                  ProjPlane((1, 0, 0, 1)))
+        line = LineP3.from_planes((1, 1, 0, 0), (1, 0, 0, 1))
         if pencil is None:
             pencil = ((1, 1, 0, 0), (1, 0, 0, 1))
     if not contains_line(f, line):
         raise ValueError("line is not on the hypersurface")
-    P1, P2 = list(line.p.coords), list(line.q.coords)
+    P1, P2 = list(line.p), list(line.q)
     if pencil is None:
         h1, h2 = nullspace([P1, P2], Fraction(1))
     else:
@@ -647,7 +598,7 @@ def kummer_char2_quartic(alpha=None):
         h1[i] = one
         h2 = [one] * 4
         h2[i] = zero
-        lines.append(LineP3.from_planes(ProjPlane(h1), ProjPlane(h2)))
+        lines.append(LineP3.from_planes(h1, h2))
     reports = []
     for pt in KUMMER2_SIX_POINTS:
         rep = singular_at(form, pt)
@@ -660,8 +611,8 @@ def kummer_char2_quartic(alpha=None):
 
 
 def kummer_char2_points(one=None):
-    """The six singular points as ProjPoints over the char-2 field of `one`."""
+    """The six singular points as coordinate tuples over the char-2 field
+    of `one`."""
     if one is None:
         one = F4(1)
-    return [ProjPoint([lift(one, c) for c in p])
-            for p in KUMMER2_SIX_POINTS]
+    return [tuple(lift(one, c) for c in p) for p in KUMMER2_SIX_POINTS]

@@ -13,8 +13,8 @@ from itertools import permutations
 import desmic_kit.linecomplex as lc
 from desmic_kit.configs import AbstractConfig
 from desmic_kit.matrices import matrix_rank, nullspace
-from desmic_kit.projgeom import ProjPoint, _orbit
-from desmic_kit.scalars import I, QI, one_like
+from desmic_kit.projgeom import _orbit
+from desmic_kit.scalars import I, QI, lift, one_like
 from desmic_kit.surfaces import DESMIC_SINGULAR_12
 
 
@@ -38,9 +38,9 @@ def klein_change_rows(i):
 
 
 def mat_apply(m, point):
-    """The point m * point."""
-    return ProjPoint([sum(a * x for a, x in zip(row, point.coords))
-                      for row in m])
+    """The point m * point, its coordinates lifted into the rationals."""
+    return tuple(lift(Fraction(1), sum(a * x for a, x in zip(row, point)))
+                 for row in m)
 
 
 def klein_plane_labels():
@@ -155,12 +155,12 @@ DESMIC_VERTICES_12 = [
 def projected_24_points_quartic_rank(center):
     """Project the 12 nodes plus 12 vertices from `center` to P^2 and return
     the rank of the 24 x 15 evaluation matrix of plane quartic monomials."""
-    pts = [ProjPoint(p) for p in DESMIC_SINGULAR_12 + DESMIC_VERTICES_12]
-    c = ProjPoint(center) if not isinstance(center, ProjPoint) else center
+    pts = [tuple(lift(Fraction(1), x) for x in p)
+           for p in DESMIC_SINGULAR_12 + DESMIC_VERTICES_12]
+    c = tuple(lift(Fraction(1), x) for x in center)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if matrix_rank([list(pts[i].coords), list(pts[j].coords),
-                            list(c.coords)]) <= 2:
+            if matrix_rank([list(pts[i]), list(pts[j]), list(c)]) <= 2:
                 raise ValueError("center lies on a connecting line")
     return quartic_rank_of_projection(pts, c)
 
@@ -169,13 +169,13 @@ def quartic_rank_of_projection(pts, c):
     """Rank of the plane quartic monomials at the images of pts under the
     projection from c."""
     # basis of linear forms vanishing at c
-    forms = nullspace([list(c.coords)], Fraction(1))  # 3 covectors
+    forms = nullspace([list(c)], Fraction(1))  # 3 covectors
     if len(forms) != 3:
         raise ValueError("center %r has %d independent linear forms through "
                          "it, not 3" % (c, len(forms)))
     images = []
     for p in pts:
-        img = [sum(f[k] * p.coords[k] for k in range(4)) for f in forms]
+        img = [sum(f[k] * p[k] for k in range(4)) for f in forms]
         images.append(img)
     monos = [(i, j, k) for i in range(5) for j in range(5) for k in range(5)
              if i + j + k == 4]

@@ -6,7 +6,6 @@ from itertools import combinations
 from desmic_kit.matrices import bilinear, det_poly_matrix, matrix_rank, \
     nullspace
 from desmic_kit.poly import MultiPoly, PolyRing
-from desmic_kit.projgeom import ProjPoint
 
 
 # The ways a coordinate entered a field before scalars.lift replaced them.
@@ -55,7 +54,7 @@ def localize_split(f, p):
     local and coordinate variables, and the result is split by local
     exponent.  Returns (dict local exponent tuple -> parameter polynomial,
     local names, parameter ring)."""
-    point = list(p.coords) if isinstance(p, ProjPoint) else list(p)
+    point = list(p)
     pivot = next(i for i, c in enumerate(point) if c)
     one = f.ring.one
     norm = []

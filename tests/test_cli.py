@@ -308,7 +308,7 @@ import claims
 from desmic_kit.configs import CurveSystem
 from desmic_kit.lattices import FiniteQuadForm, Lattice, _coords_in_basis
 from desmic_kit.poly import PolyRing
-from desmic_kit.projgeom import LineP3, ProjPoint
+from desmic_kit.projgeom import LineP3
 from desmic_kit.scalars import F4, Mod, QI
 from desmic_kit.scan import run_scan
 print("debug", __debug__)
@@ -349,7 +349,7 @@ def desmic_28_not_reye():
 
 u, v, t = PolyRing(list("uvt")).gens()
 a3_series = u * v + t ** 3
-edge = LineP3(ProjPoint([1, 0, 0, 0]), ProjPoint([0, 1, 0, 0]))
+edge = LineP3([1, 0, 0, 0], [0, 1, 0, 0])
 printed_planes = lc.plucker_plane_list(QI(1))
 klein_planes = lc.klein_plane_list()
 
@@ -419,8 +419,7 @@ for case in (lambda: run_scan(13, 0),
                              [[(2, 1, 3, 4)]], claims.coset_config),
              lambda: patched(pg, "PLUCKER_INDEX",
                              pg.PLUCKER_INDEX[:5] + ((3, 2),),
-                             lambda: LineP3(ProjPoint([1, 0, 1, 0]),
-                                            ProjPoint([0, 1, 0, 1]))),
+                             lambda: LineP3([1, 0, 1, 0], [0, 1, 0, 1])),
              lambda: patched(la, "row_basis", lambda rows: rows[:1],
                              lambda: la.overlattice(
                                  "D4", [[Fraction(1, 2)] * 4]))):
@@ -454,8 +453,8 @@ OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
                     "quadratic terms [(1, 1, 0), (2, 0, 0)], not u*v alone",
                     "does not vanish on the line LineP3([Fraction(1, 1), "
                     "Fraction(0, 1)",
-                    "center ProjPoint([Fraction(1, 1), Fraction(2, 1), "
-                    "Fraction(3, 1), Fraction(4, 1), Fraction(5, 1)]) has 4 "
+                    "center (Fraction(1, 1), Fraction(2, 1), "
+                    "Fraction(3, 1), Fraction(4, 1), Fraction(5, 1)) has 4 "
                     "independent linear forms",
                     "printed planes have 23 distinct canonical forms",
                     "Klein planes match 23 distinct printed labels",
@@ -652,63 +651,95 @@ def test_module_has_no_assert_statements(module):
     assert lines == [], "%s asserts at lines %s" % (module, lines)
 
 
-# Definitions of the package that the verifier does not need to run but
+# Functions and methods of the package that the verifier never runs but
 # that are kept as library API, each with its reason.
-KEPT_API = {}
+KEPT_API = {
+    "scalars.QI.inverse": "the Q(i) inverse behind 1/x and negative powers; "
+                          "a run reaches it only through __rtruediv__ and "
+                          "__pow__, which it does not call",
+}
+
+# Python calls dunder methods implicitly (operators, hashing, repr, pickle),
+# so a run that never happens to need one does not make it dead code.
+DUNDER = re.compile(r"__\w+__")
 
 
-def _own_names(node):
-    """The names and attribute names that a definition uses; a class
-    counts its bases, decorators and class-level statements, not the
-    bodies of its methods."""
-    if isinstance(node, ast.ClassDef):
-        parts = node.decorator_list + node.bases + [
-            s for s in node.body if not isinstance(s, ast.FunctionDef)]
-    else:
-        parts = [node]
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for part in parts for n in ast.walk(part)
-            if isinstance(n, (ast.Name, ast.Attribute))}
-
-
-def unreached_definitions(package):
-    """The top-level functions, classes and methods of the package that a
-    name walk does not reach.  The walk starts from the module-level code
-    of every module, imports aside (cli's `__main__` block calls `main`),
-    and adds the names that each reached definition uses; a definition is
-    reached when its bare name is used, and dunder methods always are.
-    Matching bare names can only overcount what is reached."""
-    defs, names = {}, set()
+def src_definitions(package):
+    """The top-level functions and the methods of top-level classes of the
+    package, as qualified name -> (path, first line, name): the key of the
+    code object that a call runs, whose first line is the first decorator's
+    when there is one."""
+    defs = {}
     for path in sorted(glob.glob(os.path.join(package, "*.py"))):
         module = os.path.basename(path)[:-3]
         with open(path) as fh:
             tree = ast.parse(fh.read(), filename=path)
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                for sub in node.body:
-                    if isinstance(sub, ast.FunctionDef):
-                        defs["%s.%s.%s" % (module, node.name, sub.name)] = sub
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs["%s.%s" % (module, node.name)] = node
-            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                names |= _own_names(node)
-    reached = set()
-    while True:
-        new = [q for q in defs if q not in reached
-               and (q.rsplit(".", 1)[1] in names
-                    or re.fullmatch(r"__\w+__", q.rsplit(".", 1)[1]))]
-        if not new:
-            return sorted(set(defs) - reached)
-        reached.update(new)
-        for q in new:
-            names |= _own_names(defs[q])
+                subs = [(node.name + "." + sub.name, sub) for sub in node.body
+                        if isinstance(sub, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef):
+                subs = [(node.name, node)]
+            else:
+                continue
+            for qual, fn in subs:
+                first = min([d.lineno for d in fn.decorator_list]
+                            + [fn.lineno])
+                defs[module + "." + qual] = (path, first, fn.name)
+    return defs
+
+
+def never_ran(defs, ran):
+    """The definitions whose code key is not in `ran`, dunder methods
+    excepted."""
+    return sorted(q for q, key in defs.items()
+                  if key not in ran and not DUNDER.fullmatch(key[2]))
+
+
+# Runs `desmic-kit --suite all --json -` and the line-complex suite at two
+# primes (only --prime runs cli.scan_prime) under sys.setprofile, and prints
+# the code key of every function of the package that ran.
+EXECUTED_FUNCTIONS = """
+import contextlib, io, json, os, sys
+package = sys.argv[1]
+ran = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        if code.co_filename.startswith(package):
+            ran.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+sys.setprofile(profile)
+import desmic_kit.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["--suite", "all", "--json", "-"])
+    cli.main(["--suite", "line-complex", "--prime", "29", "--prime", "37"])
+sys.setprofile(None)
+print(json.dumps(sorted(ran)))
+"""
+
+
+def test_never_ran_reports_a_planted_function_and_passes_a_dunder():
+    defs = {"m.f": ("m.py", 3, "f"), "m.C.__repr__": ("m.py", 9, "__repr__"),
+            "m.C.g": ("m.py", 12, "g"), "m.h": ("m.py", 20, "h")}
+    ran = {("m.py", 12, "g"), ("m.py", 20, "h")}
+    assert never_ran(defs, ran) == ["m.f"]
+    assert never_ran(defs, ran | {("m.py", 3, "f")}) == []
 
 
 def test_every_src_definition_is_reached_from_cli():
+    """Every top-level function and method of the package runs in
+    `desmic-kit --suite all` or `--suite line-complex --prime 29 --prime
+    37`, unless it is a dunder method or KEPT_API keeps it."""
     package = os.path.dirname(os.path.abspath(cli.__file__))
-    unreached = unreached_definitions(package)
-    assert set(KEPT_API) <= set(unreached), "KEPT_API names a reached " \
-        "definition: %s" % sorted(set(KEPT_API) - set(unreached))
-    extra = [q for q in unreached if q not in KEPT_API]
-    assert extra == [], "%d definitions that only the tests reach: %s" % (
+    out = _fresh_python("-c", EXECUTED_FUNCTIONS, package + os.sep)
+    assert out.returncode == 0, out.stderr
+    ran = {tuple(key) for key in json.loads(out.stdout)}
+    unrun = never_ran(src_definitions(package), ran)
+    assert all(not DUNDER.fullmatch(q.rsplit(".", 1)[1]) for q in KEPT_API)
+    assert set(KEPT_API) <= set(unrun), "KEPT_API names a definition " \
+        "that runs: %s" % sorted(set(KEPT_API) - set(unrun))
+    extra = [q for q in unrun if q not in KEPT_API]
+    assert extra == [], "%d definitions that the verifier never runs: %s" % (
         len(extra), ", ".join(extra))

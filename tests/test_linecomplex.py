@@ -12,7 +12,7 @@ import desmic_kit.linecomplex as lc
 from desmic_kit.matrices import (det_poly_matrix, matrix_rank, nullspace,
                                  solve_linear)
 from desmic_kit.poly import PolyRing, proportional_polys
-from desmic_kit.projgeom import (PLUCKER_INDEX, LineP3, ProjPoint, _orbit,
+from desmic_kit.projgeom import (PLUCKER_INDEX, LineP3, _orbit,
                                 normalize)
 from desmic_kit.scalars import I, Mod, QI, lift, one_like, sqrt_minus_one
 from desmic_kit.scan import run_scan
@@ -25,7 +25,7 @@ from oracles import (dense_contains_point, evaluate, localize_split,
 
 
 def coord_point(j):
-    return ProjPoint([1 if k == j else 0 for k in range(4)])
+    return tuple(1 if k == j else 0 for k in range(4))
 
 
 def lifted(one, pt):
@@ -80,8 +80,8 @@ def montesano_condition(net, line):
                     for q in net]) != 3:
         raise ValueError("degenerate net")
     one = one_like(net[0].ring.one)
-    a = [lift(one, c) for c in line.p.coords]
-    b = [lift(one, c) for c in line.q.coords]
+    a = [lift(one, c) for c in line.p]
+    b = [lift(one, c) for c in line.q]
     return not det_poly_matrix(montesano_matrix(net, a, b))
 
 
@@ -148,7 +148,7 @@ def test_montesano_tetrahedron_edges_and_base_lines():
 
 def test_montesano_random_line_is_outside():
     net = desmic_nets()["standard"]
-    line = LineP3(ProjPoint([3, 1, 4, 1]), ProjPoint([5, 9, 2, 6]))
+    line = LineP3([3, 1, 4, 1], [5, 9, 2, 6])
     assert not montesano_condition(net, line)
 
 
@@ -184,9 +184,10 @@ def test_node_lists_correspond_under_the_coordinate_change():
     """The coordinate change maps the 34 Plucker nodes bijectively onto
     the 34 Klein nodes (up to scale)."""
     rows = klein_change_rows(I)
-    imgs = {mat_apply(rows, ProjPoint(pt))
+    imgs = {normalize(mat_apply(rows, pt))
             for pt in lc.PLUCKER_NODES_18 + lc.PLUCKER_NODES_16}
-    target = {ProjPoint(p) for p in lc.klein_nodes_18() + lc.klein_nodes_16()}
+    target = {normalize(tuple(lift(Fraction(1), c) for c in p))
+              for p in lc.klein_nodes_18() + lc.klein_nodes_16()}
     assert imgs == target and len(imgs) == 34
 
 

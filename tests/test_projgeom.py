@@ -3,6 +3,8 @@ three-tetrahedra construction.  The Klein image of a line, the involutions,
 the three tetrahedra and the alpha/beta planes are paper claims that only
 these tests check, so their code is here."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from desmic_kit.matrices import matrix_rank, nullspace, rref, solve_linear
 from desmic_kit.poly import PolyRing
-from desmic_kit.projgeom import LineP3, ProjPlane, ProjPoint, normalize
+from desmic_kit.projgeom import LineP3, normalize
 from desmic_kit.scalars import (F4, QI, I, Mod, W, char_of, field_i, lift,
                                 one_like, sqrt_minus_one)
 from claims import klein_change_rows, mat_apply
@@ -19,18 +21,23 @@ from oracles import evaluate
 
 
 def P(*c):
-    return ProjPoint(c)
+    """A point, or a plane by its covector: the coordinates lifted into the
+    rationals."""
+    return tuple(lift(Fraction(1), x) for x in c)
 
 
-def H(*c):
-    return ProjPlane(c)
+H = P
+
+
+def on_plane(h, pt):
+    return not sum(a * x for a, x in zip(h, pt))
 
 
 # ------------------------------------------------------------------ lines --
 
 def test_plucker_coordinate_edge():
     l = LineP3(P(1, 0, 0, 0), P(0, 1, 0, 0))
-    assert l.normalized() == (Fraction(1), 0, 0, 0, 0, 0)
+    assert normalize(l.plucker) == (Fraction(1), 0, 0, 0, 0, 0)
 
 
 def test_plucker_dependent_points_rejected():
@@ -41,7 +48,37 @@ def test_plucker_dependent_points_rejected():
 def test_plucker_independent_of_spanning_pair():
     l1 = LineP3(P(1, -1, 0, 0), P(0, 0, 1, -1))
     l2 = LineP3(P(1, -1, 1, -1), P(2, -2, -1, 1))
-    assert l1 == l2
+    assert normalize(l1.plucker) == normalize(l2.plucker)
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "pickle-0": lambda x: pickle.loads(pickle.dumps(x, 0)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+def test_line_survives_copy_and_pickle(how):
+    """A line comes back with the same spanning points, Plucker key and
+    repr, over Q, Q(i), F_13 and F_4, and stays immutable."""
+    trip = ROUND_TRIPS[how]
+    o, z = F4(1), F4(0)
+    lines = [LineP3((1, 0, 0, 0), (0, 1, 0, 0)),
+             LineP3((3, 1, 4, 1), (Fraction(5, 2), 9, 2, 6)),
+             LineP3((I, 1, 0, 2), (0, QI(1, -1), 1, 0)),
+             LineP3([Mod(c, 13) for c in (1, 2, 3, 4)],
+                    [Mod(c, 13) for c in (0, 1, 5, 7)]),
+             LineP3([o, z, z, z], [z, W, z, o])]
+    for line in lines:
+        back = trip(line)
+        assert type(back) is LineP3
+        assert (back.p, back.q) == (line.p, line.q)
+        assert normalize(back.plucker) == normalize(line.plucker)
+        assert repr(back) == repr(line)
+        with pytest.raises(AttributeError):
+            back.p = line.q
 
 
 def klein_from_plucker(line, i=None):
@@ -52,7 +89,7 @@ def klein_from_plucker(line, i=None):
     and prime fields need p = 1 mod 4."""
     if i is None:
         i = field_i(one_like(line.plucker[0]))
-    return mat_apply(klein_change_rows(i), ProjPoint(line.plucker))
+    return mat_apply(klein_change_rows(i), line.plucker)
 
 
 coords = st.integers(-4, 4)
@@ -62,7 +99,7 @@ coords = st.integers(-4, 4)
 @given(st.tuples(*[coords] * 4), st.tuples(*[coords] * 4))
 def test_plucker_relation_always(a, b):
     try:
-        l = LineP3(ProjPoint(a), ProjPoint(b))
+        l = LineP3(a, b)
     except ValueError:
         return
     p12, p13, p14, p23, p24, p34 = l.plucker
@@ -73,12 +110,12 @@ def test_plucker_relation_always(a, b):
 @given(st.tuples(*[coords] * 4), st.tuples(*[coords] * 4))
 def test_klein_image_on_sum_of_squares_quadric(a, b):
     try:
-        l = LineP3(ProjPoint(a), ProjPoint(b))
+        l = LineP3(a, b)
     except ValueError:
         return
     k = klein_from_plucker(l)
     s = QI(0)
-    for c in k.coords:
+    for c in k:
         s = s + c * c
     assert s == QI(0)
 
@@ -108,7 +145,7 @@ def test_klein_from_plucker_applies_the_klein_change(one, i):
     rows = klein_change_rows(i)
     lines = 0
     while lines < 20:
-        p, q = (ProjPoint([one * rng.randint(-4, 4) for _ in range(4)])
+        p, q = ([one * rng.randint(-4, 4) for _ in range(4)]
                 for _ in range(2))
         try:
             line = LineP3(p, q)
@@ -118,14 +155,12 @@ def test_klein_from_plucker_applies_the_klein_change(one, i):
         want = tuple(sum((a * x for a, x in zip(row, line.plucker)), one * 0)
                      for row in rows)
         for k in (klein_from_plucker(line, i), klein_from_plucker(line)):
-            assert isinstance(k, ProjPoint)
-            assert k.coords == want
-            assert k == ProjPoint(want)
+            assert k == want
 
 
 def test_klein_from_plucker_needs_a_square_root_of_minus_one():
     o, z = F4(1), F4(0)
-    line = LineP3(ProjPoint([o, z, z, z]), ProjPoint([z, W, z, z]))
+    line = LineP3([o, z, z, z], [z, W, z, z])
     with pytest.raises(ValueError, match="square root of -1"):
         klein_from_plucker(line)
 
@@ -134,19 +169,19 @@ def test_line_from_planes():
     l = LineP3.from_planes(H(1, 1, 0, 0), H(0, 0, 1, 1))
     # both spanning points lie in both planes
     for pt in (l.p, l.q):
-        assert H(1, 1, 0, 0).contains(pt)
-        assert H(0, 0, 1, 1).contains(pt)
+        assert on_plane(H(1, 1, 0, 0), pt)
+        assert on_plane(H(0, 0, 1, 1), pt)
 
 
 # ------------------------------------------------------------- involutions --
 
-def harmonic_homology(axis, center):
-    """Matrix of the harmonic homology with the given axis plane and center.
+def harmonic_homology(a, c):
+    """Matrix of the harmonic homology with axis plane a (a covector) and
+    center c.
 
     Involutive up to scalar; fixes the axis pointwise and the center.
     Requires characteristic != 2 and the center off the axis.
     """
-    a, c = axis.coeffs, center.coords
     if char_of(next(c for c in a if c)) == 2:
         raise ValueError("harmonic homology undefined in characteristic 2")
     s = sum((ai * ci for ai, ci in zip(a, c)), a[0] * 0)
@@ -173,10 +208,9 @@ def edge_involution(edge1, edge2):
 
 OPPOSITE_EDGE_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
-COORD_VERTICES = tuple(ProjPoint([1 if i == j else 0 for j in range(4)])
+COORD_VERTICES = tuple(P(*[1 if i == j else 0 for j in range(4)])
                        for i in range(4))
-COORD_FACES = tuple(ProjPlane([1 if i == j else 0 for j in range(4)])
-                    for i in range(4))
+COORD_FACES = COORD_VERTICES
 
 
 def test_harmonic_homology_coordinate_case():
@@ -196,14 +230,14 @@ def test_harmonic_homology_involutive(ac, cc):
         return
     if sum(a * c for a, c in zip(ac, cc)) == 0:
         return
-    m = harmonic_homology(ProjPlane(ac), ProjPoint(cc))
+    m = harmonic_homology(H(*ac), P(*cc))
     sq = [[sum(m[i][k] * m[k][j] for k in range(4)) for j in range(4)]
           for i in range(4)]
     lam = sq[0][0]
     assert lam != 0
     assert sq == [[lam if i == j else 0 for j in range(4)] for i in range(4)]
     # axis fixed pointwise, center fixed
-    assert mat_apply(m, ProjPoint(cc)) == ProjPoint(cc)
+    assert normalize(mat_apply(m, P(*cc))) == normalize(P(*cc))
 
 
 def test_edge_involution_matrix():
@@ -216,20 +250,22 @@ def test_edge_involution_matrix():
 def test_edge_involution_fixes_both_edges():
     m = edge_involution((0, 2), (1, 3))
     for pt in (P(0, 1, 0, 5), P(0, 3, 0, -2), P(1, 0, 4, 0)):
-        assert mat_apply(m, pt) == pt
+        assert normalize(mat_apply(m, pt)) == normalize(pt)
 
 
 def test_edge_involutions_generate_second_tetrahedron():
-    imgs = {mat_apply(edge_involution(e1, e2), P(1, 1, 1, 1))
+    imgs = {normalize(mat_apply(edge_involution(e1, e2), P(1, 1, 1, 1)))
             for e1, e2 in OPPOSITE_EDGE_PAIRS}
-    assert imgs == {P(1, -1, -1, 1), P(1, -1, 1, -1), P(1, 1, -1, -1)}
+    assert imgs == {normalize(P(1, -1, -1, 1)), normalize(P(1, -1, 1, -1)),
+                    normalize(P(1, 1, -1, -1))}
 
 
 def test_harmonic_homologies_generate_third_tetrahedron():
-    imgs = {mat_apply(harmonic_homology(COORD_FACES[i], COORD_VERTICES[i]),
-                      P(1, 1, 1, 1)) for i in range(4)}
-    assert imgs == {P(-1, 1, 1, 1), P(1, -1, 1, 1), P(1, 1, -1, 1),
-                    P(1, 1, 1, -1)}
+    imgs = {normalize(mat_apply(harmonic_homology(COORD_FACES[i],
+                                                  COORD_VERTICES[i]),
+                                P(1, 1, 1, 1))) for i in range(4)}
+    assert imgs == {normalize(P(-1, 1, 1, 1)), normalize(P(1, -1, 1, 1)),
+                    normalize(P(1, 1, -1, 1)), normalize(P(1, 1, 1, -1))}
 
 
 # ------------------------------------------------------ desmic construction --
@@ -250,14 +286,14 @@ def desmic_from_point(p):
     the three product quartics, the dependence flag, and -- when dependent --
     coefficients (s, t) with -16*xyzw = s*prod' + t*prod''.
     """
-    if any(not c for c in p.coords):
+    if any(not c for c in p):
         raise ValueError("point lies on a face of the coordinate tetrahedron")
     t1 = [p] + [mat_apply(edge_involution(e1, e2), p)
                 for e1, e2 in OPPOSITE_EDGE_PAIRS]
     t2 = [mat_apply(harmonic_homology(COORD_FACES[i], COORD_VERTICES[i]), p)
           for i in range(4)]
 
-    ring = PolyRing(["x", "y", "z", "w"], one_like(p.coords[0]))
+    ring = PolyRing(["x", "y", "z", "w"], one_like(p[0]))
     xs = ring.gens()
 
     def face_product(vertices):
@@ -265,7 +301,7 @@ def desmic_from_point(p):
         first nonzero coefficient is 1."""
         prod = ring.const(1)
         for skip in range(4):
-            face = nullspace([list(v.coords) for k, v in enumerate(vertices)
+            face = nullspace([list(v) for k, v in enumerate(vertices)
                               if k != skip], ring.one)
             if len(face) != 1:
                 raise ValueError("points do not span a plane")
@@ -293,10 +329,12 @@ def desmic_from_point(p):
 
 def test_desmic_from_point_symmetric():
     t1, t2, verdict = desmic_from_point(P(1, 1, 1, 1))
-    assert set(t1) == {P(1, 1, 1, 1), P(1, -1, -1, 1), P(1, -1, 1, -1),
-                       P(1, 1, -1, -1)}
-    assert set(t2) == {P(-1, 1, 1, 1), P(1, -1, 1, 1), P(1, 1, -1, 1),
-                       P(1, 1, 1, -1)}
+    assert {normalize(v) for v in t1} == {
+        normalize(P(*c)) for c in ((1, 1, 1, 1), (1, -1, -1, 1),
+                                   (1, -1, 1, -1), (1, 1, -1, -1))}
+    assert {normalize(v) for v in t2} == {
+        normalize(P(*c)) for c in ((-1, 1, 1, 1), (1, -1, 1, 1),
+                                   (1, 1, -1, 1), (1, 1, 1, -1))}
     assert verdict["dependent"]
     s, t = verdict["coefficients"]
     q0, q1, q2 = verdict["quartics"]
@@ -327,7 +365,7 @@ def alpha_plane(p):
     for special positions (e.g. coordinate vertices) some of these collapse,
     so the fourth incidence form d*p23 - c*p24 + b*p34 completes the set.
     """
-    a, b, c, d = p.coords
+    a, b, c, d = p
     z = a * 0
     return independent_triple([[-c, b, z, -a, z, z], [z, d, -c, z, z, a],
                                [d, z, -b, z, a, z], [z, z, z, d, -c, b]])
@@ -341,7 +379,7 @@ def beta_plane(h):
     antisymmetric Plucker matrix of the line and u the plane covector; the
     first three independent rows are returned.
     """
-    a, b, c, d = h.coeffs
+    a, b, c, d = h
     z = a * 0
     return independent_triple([[b, c, d, z, z, z], [-a, z, z, c, d, z],
                                [z, -a, z, -b, z, d], [z, z, -a, z, -b, -c]])
@@ -483,14 +521,13 @@ def lines_16():
         for g in second.values():
             for s1 in (1, -1):
                 for s2 in (1, -1):
-                    out.append(LineP3.from_planes(ProjPlane(f(s1)),
-                                                  ProjPlane(g(s2))))
+                    out.append(LineP3.from_planes(f(s1), g(s2)))
     return out
 
 
 def test_sixteen_lines_distinct():
     ls = lines_16()
-    assert len(set(ls)) == 16
+    assert len({normalize(l.plucker) for l in ls}) == 16
 
 
 def test_klein_images_of_16_lines():
@@ -499,10 +536,10 @@ def test_klein_images_of_16_lines():
     seen = set()
     for l in lines_16():
         k = klein_from_plucker(l)
-        c = [x if isinstance(x, QI) else QI(x) for x in k.coords]
+        c = [x if isinstance(x, QI) else QI(x) for x in k]
         assert c[0] ** 2 == c[1] ** 2 == c[2] ** 2
         assert c[3] ** 2 == c[4] ** 2 == c[5] ** 2
         assert c[0] ** 2 == -c[3] ** 2
         assert c[0] * c[1] * c[2] + I * c[3] * c[4] * c[5] == QI(0)
-        seen.add(k)
+        seen.add(normalize(k))
     assert len(seen) == 16

@@ -9,9 +9,11 @@ from itertools import product
 
 import pytest
 
+from desmic_kit.forms import polar_matrix
+from desmic_kit.matrices import det_poly_matrix
 from desmic_kit.poly import MultiPoly, PolyRing
-from desmic_kit.projgeom import LineP3, ProjPoint
-from desmic_kit.scalars import F4, Mod, W, lift
+from desmic_kit.projgeom import LineP3
+from desmic_kit.scalars import F4, Mod, QI, W, lift
 from desmic_kit.surfaces import (
     AnVerdict, DESMIC_SINGULAR_12, Form,
     KUMMER2_SIX_POINTS, char2_cremona_singular_points,
@@ -295,9 +297,8 @@ def test_desmic_lines_closed_under_coordinate_symmetries():
     def apply(m):
         out = set()
         for l in desmic_lines_16():
-            p = ProjPoint(mat_apply(m, l.p).coords)
-            q = ProjPoint(mat_apply(m, l.q).coords)
-            out.add(pkey(LineP3(p, q).plucker))
+            line = LineP3(mat_apply(m, l.p), mat_apply(m, l.q))
+            out.add(pkey(line.plucker))
         return out
 
     swap_xy = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -320,6 +321,72 @@ def test_desmic_specialized_member_nodes():
     f = desmic_pencil_at(1, 2)  # c = -3
     for p in DESMIC_SINGULAR_12:
         assert node_check(f, p)
+
+
+def polar_determinant(f, p):
+    """det of the polar matrix of the tangent cone of f at p, a polynomial
+    in the parameters, with the chart taken by the substitution oracle."""
+    local, _, params = localize_split(f, p)
+    q2 = {e: c for e, c in local.items() if sum(e) == 2}
+    return det_poly_matrix(polar_matrix(q2, len(f.coord_vars) - 1,
+                                        params.const(1)))
+
+
+def test_generic_node_verdict_agrees_with_specialized_members():
+    """At each of the 12 nodes the generic verdict is True, and at seeded
+    random (a, b), and at the three members a = b, b = -2a and a = -2b where
+    the polar determinant vanishes, the numeric node_check of the member is
+    True exactly when the determinant is nonzero there."""
+    f = desmic_pencil_symbolic()
+    rng = random.Random(17)
+    samples = [(1, 1), (1, -2), (-2, 1)] + [
+        (rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(12)]
+    samples = [(a, b) for a, b in samples if (a, b) != (0, 0)]
+    checked = set()
+    for p in DESMIC_SINGULAR_12:
+        assert node_check(f, p) is True, p
+        det = polar_determinant(f, p)
+        assert not det.is_zero()
+        for a, b in samples:
+            nonzero = bool(evaluate(det, {"a": Fraction(a), "b": Fraction(b)}))
+            assert node_check(desmic_pencil_at(a, b), p) == nonzero, (p, a, b)
+            checked.add(nonzero)
+    assert checked == {True, False}
+
+
+def test_generic_node_verdict_on_a_degenerate_tangent_cone():
+    """With parameters a, b: the tangent cone a(x^2 - y^2) + b z^2 at
+    (0, 0, 0, 1) is a smooth conic, a(x^2 - y^2) a line pair, and a form
+    with no quadratic part there has no node."""
+    ring = PolyRing(["a", "b", "x", "y", "z", "w"])
+    a, b, x, y, z, w = ring.gens()
+    coords = ("x", "y", "z", "w")
+    smooth = Form(a * (x * x - y * y) * w * w + b * z * z * w * w, coords)
+    pair = Form(a * (x * x - y * y) * w * w + b * z ** 4, coords)
+    cubic = Form(a * x ** 3 * w + b * y ** 3 * w + z ** 4, coords)
+    assert node_check(smooth, (0, 0, 0, 1)) is True
+    assert node_check(pair, (0, 0, 0, 1)) is False
+    assert node_check(cubic, (0, 0, 0, 1)) is False
+
+
+def test_generic_node_verdict_rejects_characteristic_2():
+    ring = PolyRing(["a", "x", "y", "z", "w"], Mod(1, 2))
+    a, x, y, z, w = ring.gens()
+    f = Form(a * x * y * w * w + z ** 4, ("x", "y", "z", "w"))
+    with pytest.raises(ValueError, match=r"Form\(.*\) has parameters in "
+                       "characteristic 2"):
+        node_check(f, (0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("one", [Fraction(1), QI(1)], ids=["Q", "Qi"])
+def test_binary_quadratic_over_an_infinite_field_is_rejected(one):
+    """A quadratic a s^2 + b s t + c t^2 with a*c != 0 is factored by a root
+    search, which needs F_4 or a prime field; with a or c zero it factors
+    over any field."""
+    with pytest.raises(ValueError, match="not enumerable"):
+        surfaces._factor_binary_quadratic(one, one * 0, -one, one)
+    assert surfaces._factor_binary_quadratic(one * 0, one, one, one) == (
+        (one * 0, one), (one, one))
 
 
 # --------------------------------------------------- tangent-plane pencils --
@@ -525,9 +592,10 @@ def test_projected_24_points_give_a_quartic():
 
 def test_random_24_points_rank_full():
     rng = random.Random(7)
-    pts = [ProjPoint([rng.randint(1, 50) for _ in range(4)])
+    pts = [tuple(Fraction(rng.randint(1, 50)) for _ in range(4))
            for _ in range(24)]
-    assert quartic_rank_of_projection(pts, ProjPoint((1, 2, 3, 7))) == 15
+    center = tuple(Fraction(c) for c in (1, 2, 3, 7))
+    assert quartic_rank_of_projection(pts, center) == 15
 
 
 def test_projection_center_on_line_rejected():
