@@ -327,8 +327,8 @@ def check_fibration_tables(tables):
                "components")
 
 
-def check_reye_28():
-    cs28, cfg, iso = cf.extract_desmic_28()
+def check_reye_28(tables):
+    cs28, cfg, iso = cf.extract_desmic_28(tables())
     ok = (len(cs28.ids) == 28 and cfg.type_signature == ((12, 4), (16, 3))
           and iso is not None)
     return _ok(ok, "28-curve sub-system carries a (12_4, 16_3) configuration "
@@ -433,8 +433,7 @@ def _check_table(opt):
     tangency = functools.cache(lambda: sf.residual_conic_tangency(pencil()))
     scan = functools.cache(lambda p, unit: lc.scan_singular_points(p, unit))
     projection = functools.cache(lambda: lc.project_to_quartic_threefold())
-    tables = functools.cache(lambda: cf.fibration_tables(
-        cf.supersingular_42_system(opt.data_dir)))
+    tables = functools.cache(lambda: cf.fibration_tables())
     scans = [row for p in opt.primes for row in (
         ("complex.scan-f%d" % p, "exhaustive scan over F_%d" % p,
          check_scan, scan, p, False),
@@ -502,7 +501,8 @@ def _check_table(opt):
             ("ss.duad-table", "duad/syntheme table", check_duad_table),
             ("ss.fibration-tables", "three fibration tables",
              check_fibration_tables, tables),
-            ("ss.reye-28", "28-curve configuration", check_reye_28),
+            ("ss.reye-28", "28-curve configuration",
+             check_reye_28, tables),
             ("ss.divisor-h", "polarization pairings",
              check_ss_divisor, tables),
             ("ss.pairing-profile-printed", "printed pairing profile",
@@ -578,7 +578,7 @@ def build_parser():
     ap.add_argument("--json", metavar="PATH", default=None,
                     help="write the JSON report here ('-' for stdout)")
     ap.add_argument("--data-dir", default=None,
-                    help="directory with the curve-system JSON files")
+                    help="directory with the lattices suite's curve file")
     return ap
 
 

@@ -406,8 +406,6 @@ def duad_syntheme_system():
         "totals": {k: sorted(_syntheme_str(s) for s in v)
                    for k, v in labeled.items()},
         "table": table,
-        "_synthemes_raw": synthemes,
-        "_totals_raw": labeled,
     }
 
 
@@ -673,12 +671,6 @@ def kummer_char0_system(data_dir=None):
     return ingest_curve_system(data_path("kummer-char0.json", data_dir))
 
 
-def supersingular_42_system(data_dir=None):
-    """The 42-curve system with its fibrations and H, loaded from its
-    checked-in JSON file (written by tools/make_data_files.py)."""
-    return ingest_curve_system(data_path("supersingular-42.json", data_dir))
-
-
 # ---------------------------------------------------------------------------
 # the 42-curve system
 # ---------------------------------------------------------------------------
@@ -698,6 +690,7 @@ def label_42_curves():
 
     Returns (CurveSystem, labeling dict)."""
     pts = _pg2_reps()
+    lines = _pg2_reps()
     arc = list(SIX_ARC)
     for trip in combinations(arc, 3):
         if matrix_rank([list(r) for r in trip]) != 3:
@@ -739,7 +732,7 @@ def label_42_curves():
 
     # total lines: the six lines missing every arc point
     totals = {k: set(v) for k, v in sysd["totals"].items()}
-    for l in _pg2_reps():
+    for l in lines:
         if l in line_label:
             continue
         synths = sorted(point_label[p] for p in pts if _on(p, l))
@@ -753,14 +746,14 @@ def label_42_curves():
                          % len(set(line_label.values())))
 
     plabels = [point_label[p] for p in pts]
-    llabels = [line_label[l] for l in _pg2_reps()]
+    llabels = [line_label[l] for l in lines]
     ids = plabels + llabels
     n = 42
     gram = [[0] * n for _ in range(n)]
     for k in range(n):
         gram[k][k] = -2
     for a, p in enumerate(pts):
-        for b, l in enumerate(_pg2_reps()):
+        for b, l in enumerate(lines):
             if _on(p, l):
                 gram[a][21 + b] = gram[21 + b][a] = 1
     cs = CurveSystem(ids, gram)
@@ -861,13 +854,14 @@ DUAD_TABLE_REFERENCE = (
 )
 
 
-def extract_desmic_28():
+def extract_desmic_28(tables):
     """The 12 central curves of the first four fibers plus their 16 common
     simple components, as a sub curve system and the induced (12_4, 16_3)
-    configuration, checked isomorphic to the Reye configuration.
+    configuration, checked isomorphic to the Reye configuration.  `tables`
+    is the (CurveSystem, commons) pair that fibration_tables() returns.
 
     Returns (CurveSystem, AbstractConfig, isomorphism with Reye)."""
-    cs, commons = fibration_tables()
+    cs, commons = tables
     centrals = [central for table in FIBRATION_TABLES
                 for central, _ in table[:4]]
     want = ["12", "13", "14", "15", "26", "36", "46", "56",

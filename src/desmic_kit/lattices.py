@@ -640,8 +640,7 @@ def artin2_check(sigma):
             if not genus_match_indefinite(lat, printed)["match"]:
                 raise ValueError("%s is not in the genus of %s"
                                  % (lat.name, printed.name))
-        out.update(embeddable=True, witness=how,
-                   witness_blocks="U + D5(inside E8) + D12")
+        out.update(embeddable=True, witness=how)
         return out
 
     if sigma == 2:
@@ -657,8 +656,7 @@ def artin2_check(sigma):
         ok, how = _embedding_check(sub.gram, amb, rows)
         if not ok:
             raise ValueError("sigma 2 witness embedding fails: %s" % how)
-        out.update(embeddable=True, witness=how,
-                   witness_blocks="U + E8 + D8 + <-4>(inside D4)")
+        out.update(embeddable=True, witness=how)
         return out
 
     # sigma == 3: the complement would be a rank-3 even negative-definite

@@ -642,7 +642,6 @@ def project_to_quartic_threefold():
     line_flags = [_line_on_and_singular(form, covs)
                   for covs in SINGULAR_LINES_4]
     return {
-        "quartic": X,
         "rewrite_identity": rewrite_ok,
         "elimination_identity": elim_ok,
         "nodes_ok": all(node_flags),
@@ -768,5 +767,4 @@ def segre_isomorphism_check(scan_prime=13):
     if not node_check(fp, cone):
         raise ValueError("cone point is not a node")
     seen.add(normalize(cone))
-    return {"sum_zero": sum_zero, "lambda": lam,
-            "nodes_mod_p": len(seen), "prime": p}
+    return {"sum_zero": sum_zero, "lambda": lam, "nodes_mod_p": len(seen)}

@@ -13,7 +13,7 @@ and fiber connectivity.
 from fractions import Fraction
 
 from .matrices import matrix_rank, nullspace
-from .scalars import lift, one_like
+from .scalars import Frozen, lift, one_like
 
 
 def _orbit(seed, gens, action, keys=None):
@@ -47,7 +47,7 @@ def normalize(coords):
 PLUCKER_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-class LineP3:
+class LineP3(Frozen):
     """Line in P^3 through two points, given as coordinate sequences, with
     cached Plucker coordinates (p12,p13,p14,p23,p24,p34).  Int and Fraction
     coordinates are lifted into the rationals."""
@@ -68,9 +68,6 @@ class LineP3:
         if rel:
             raise ValueError("Plucker coordinates %r violate the Plucker "
                              "relation: %r" % (pl, rel))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def __reduce__(self):
         return LineP3, (self.p, self.q)

@@ -25,7 +25,16 @@ def xgcd(a, b):
     return a, s0, t0
 
 
-class Mod:
+class Frozen:
+    """Base of the immutable values: slots set by object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class Mod(Frozen):
     """Element of the prime field GF(p)."""
 
     __slots__ = ("v", "p")
@@ -39,9 +48,6 @@ class Mod:
             v = v.v
         object.__setattr__(self, "v", v % p)
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Mod is immutable")
 
     def __reduce__(self):
         return Mod, (self.v, self.p)
@@ -163,7 +169,7 @@ def lift(one, x):
     return x
 
 
-class QI:
+class QI(Frozen):
     """Gaussian rational (a + b*i)/d, stored as three ints with d > 0 and
     gcd(a, b, d) = 1, so equal values have equal triples.  One common
     denominator keeps arithmetic on ints (Cohen, A Course in Computational
@@ -191,9 +197,6 @@ class QI:
         object.__setattr__(q, "b", b)
         object.__setattr__(q, "d", d)
         return q
-
-    def __setattr__(self, *a):
-        raise AttributeError("QI is immutable")
 
     def __reduce__(self):
         return QI._make, (self.a, self.b, self.d)
@@ -300,7 +303,7 @@ class QI:
 I = QI(0, 1)
 
 
-class F4:
+class F4(Frozen):
     """Element a + b*w of the field with four elements, w^2 = w + 1.
     There are exactly four F4 objects, F4_ELEMENTS[a | b << 1]: the
     constructor and the operations return one of them."""
@@ -309,9 +312,6 @@ class F4:
 
     def __new__(cls, a=0, b=0):
         return F4_ELEMENTS[a % 2 | b % 2 << 1]
-
-    def __setattr__(self, *a):
-        raise AttributeError("F4 is immutable")
 
     def __reduce__(self):
         return F4, (self.a, self.b)

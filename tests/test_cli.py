@@ -2,6 +2,7 @@
 
 import ast
 import glob
+import hashlib
 import json
 import os
 import re
@@ -92,8 +93,8 @@ SHARED_INPUTS = {
     "projection": ("cremona", cli.lc, "project_to_quartic_threefold", 1,
                    ("cremona.rewrite", "cremona.nodes-17",
                     "cremona.singular-lines")),
-    "42-curve-tables": ("supersingular", cli.cf, "supersingular_42_system", 1,
-                        ("ss.fibration-tables", "ss.divisor-h",
+    "42-curve-tables": ("supersingular", cli.cf, "fibration_tables", 1,
+                        ("ss.fibration-tables", "ss.reye-28", "ss.divisor-h",
                          "ss.pairing-profile-printed")),
 }
 # the "all" case breaks every input but the pencil: the tangency is
@@ -186,30 +187,42 @@ def test_missing_data_file_fails_cleanly(tmp_path):
     assert "data file missing" in by_id["lat.span-28"].details
 
 
-def test_supersingular_data_file_matches_checked_in_copy():
-    cs = cf.supersingular_42_system()
-    built, _ = cf.fibration_tables()
-    assert cs.ids == built.ids and cs.gram == built.gram
-    assert cs.fibrations == built.fibrations
-    assert cs.divisors == built.divisors
+# sha256 of the 42-curve system with its fibrations and H, as sorted JSON:
+# a snapshot that any change to the derived ids, Gram matrix, fibration
+# records or divisor fails
+DIGEST_42 = "f39e4bd2c6bed16e1cca5e8ab9e34901e3c30b05c1697bf570054abf81adf232"
 
 
-def test_missing_data_dir_fails_each_supersingular_check(tmp_path):
-    # a missing directory and an empty one fail alike, and nothing is
-    # written to either
+def test_42_curve_system_matches_its_pinned_digest():
+    cs, _ = cf.fibration_tables()
+    text = json.dumps({"ids": cs.ids, "gram": cs.gram,
+                       "fibrations": cs.fibrations,
+                       "divisors": cs.divisors}, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGEST_42
+
+
+def test_supersingular_suite_reads_no_data_dir(tmp_path):
+    # the suite derives its curves, so a missing directory and an empty
+    # one give the default report, and nothing is written to either
     (tmp_path / "empty").mkdir()
+    default = cli.run_suite("supersingular").to_json()
     for data_dir in (tmp_path / "no" / "such" / "dir", tmp_path / "empty"):
         opt = cli.Options(data_dir=str(data_dir))
-        first = cli.run_suite("supersingular", opt)
-        assert cli.run_suite("supersingular", opt).to_json() \
-            == first.to_json()
-        failed = {c.id: c.details for c in first.failures}
-        want = "data file missing: [Errno 2] No such file or directory: " \
-            "'%s'" % cf.data_path("supersingular-42.json", opt.data_dir)
-        assert failed == {"ss.fibration-tables": want, "ss.divisor-h": want,
-                          "ss.pairing-profile-printed": want}
+        assert cli.run_suite("supersingular", opt).to_json() == default
     assert [p.name for p in tmp_path.iterdir()] == ["empty"]
     assert list((tmp_path / "empty").iterdir()) == []
+
+
+def test_supersingular_run_derives_the_42_curves_once(monkeypatch):
+    calls = []
+    for name in ("label_42_curves", "fibration_tables",
+                 "ingest_curve_system"):
+        real = getattr(cf, name)
+        monkeypatch.setattr(cf, name, lambda *a, name=name, real=real:
+                            calls.append(name) or real(*a))
+    rep = cli.run_suite("supersingular")
+    assert [c.id for c in rep.failures] == ["ss.pairing-profile-printed"]
+    assert sorted(calls) == ["fibration_tables", "label_42_curves"]
 
 
 def test_supersingular_suite_statuses():
@@ -345,7 +358,7 @@ collinear_arc = cf.SIX_ARC[:3] + ((F4(1), F4(1), F4(0)),) + cf.SIX_ARC[4:]
 
 def desmic_28_not_reye():
     cf.config_isomorphic = lambda cfg, other: None
-    cf.extract_desmic_28()
+    cf.extract_desmic_28(cf.fibration_tables())
 
 u, v, t = PolyRing(list("uvt")).gens()
 a3_series = u * v + t ** 3
@@ -595,8 +608,8 @@ suites = ("supersingular", "lattices")
 if sys.argv[1] == "import":
     import desmic_kit.configs as cf
     import desmic_kit.lattices as la
-    real_cf, real_la = cf.supersingular_42_system, la.divisor_pairings
-    cf.supersingular_42_system = lambda *a: calls.append("cf") or real_cf(*a)
+    real_cf, real_la = cf.fibration_tables, la.divisor_pairings
+    cf.fibration_tables = lambda *a: calls.append("cf") or real_cf(*a)
     la.divisor_pairings = lambda *a: calls.append("la") or real_la(*a)
 elif sys.argv[1] == "unloaded":
     cli.cf.pg24 = rebound

@@ -1,7 +1,9 @@
 """Tests for incidence configurations, the duad/syntheme structures, the
 42-curve system and the curve-system JSON loader."""
 
+import importlib.util
 import json
+import os
 import random
 import re
 from fractions import Fraction
@@ -328,7 +330,7 @@ def test_fiber_classes_square_to_zero():
 
 
 def test_extract_desmic_28():
-    cs28, cfg, iso = cf.extract_desmic_28()
+    cs28, cfg, iso = cf.extract_desmic_28(cf.fibration_tables())
     assert len(cs28.ids) == 28
     assert cfg.type_signature == ((12, 4), (16, 3))
     assert iso is not None
@@ -640,3 +642,18 @@ def test_divisor_halves_are_fractions():
     coeffs = {Fraction(t["coeff"]) for t in cs.divisors[0]["terms"]
               if "id" in t}
     assert coeffs == {Fraction(-1, 2)}
+
+
+def test_data_files_are_what_their_writer_renders():
+    """src/desmic_kit/data holds exactly the files that
+    tools/make_data_files.py renders, byte for byte."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "make_data_files", os.path.join(root, "tools", "make_data_files.py"))
+    writer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(writer)
+    rendered = dict(writer.data_files())
+    assert sorted(os.listdir(cf.DATA_DIR)) == sorted(rendered)
+    for name, text in rendered.items():
+        with open(cf.data_path(name)) as fh:
+            assert fh.read() == text

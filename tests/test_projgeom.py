@@ -81,6 +81,19 @@ def test_line_survives_copy_and_pickle(how):
             back.p = line.q
 
 
+@pytest.mark.parametrize("value", [
+    Mod(3, 7), QI(1, 2), W, LineP3((1, 0, 0, 0), (0, 1, 0, 0))],
+    ids=["Mod", "QI", "F4", "LineP3"])
+def test_value_types_are_immutable_and_have_no_dict(value):
+    """Setting a slot or a new attribute raises, naming the class, and no
+    instance gets a __dict__ (the shared base declares no slots)."""
+    name = type(value).__name__
+    for attr in ("other",) + type(value).__slots__:
+        with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+            setattr(value, attr, getattr(value, attr, 1))
+    assert not hasattr(value, "__dict__")
+
+
 def klein_from_plucker(line, i=None):
     """The Klein point K * plucker of a line, K = klein_change_rows(i).
 

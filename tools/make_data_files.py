@@ -1,8 +1,11 @@
-"""Regenerate the checked-in dual-graph data files.
+"""Regenerate the two checked-in dual-graph data files.
 
 This is the only writer of src/desmic_kit/data; the package only reads
 it.  Run from anywhere: `python tools/make_data_files.py`.  On a clean
-checkout it rewrites the three files byte for byte.
+checkout it rewrites kummer-char0.json and kummer-char2-ordinary.json byte
+for byte.  It imports nothing from desmic_kit: the 42-curve system of the
+supersingular suite is no data file, since desmic_kit.configs derives it
+from the 6-arc on every run.
 
 The incidence rules encoded here are validated independently by
 desmic_kit.configs (fiber squares, affine Dynkin shapes, divisor pairing
@@ -12,10 +15,9 @@ than silently corrupting downstream checks.
 
 import json
 import os
-import sys
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-OUT = os.path.join(SRC, "desmic_kit", "data")
+OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src",
+                   "desmic_kit", "data")
 
 
 def kummer_char0():
@@ -140,29 +142,19 @@ def kummer_char2_ordinary():
             "fibrations": fibrations, "divisors": divisors}
 
 
-def supersingular_42():
-    # the 42 curves over the points and lines of the plane over the
-    # four-element field, with the three fibration tables and H, as
-    # desmic_kit.configs builds them from the labeling of the 6-arc
-    sys.path.insert(0, SRC)
-    from desmic_kit.configs import fibration_tables
-    cs, _ = fibration_tables()
-    return {"curves": [{"id": c, "self": -2} for c in cs.ids],
-            "intersections": [[a, b, cs.pair(a, b)]
-                              for k, a in enumerate(cs.ids)
-                              for b in cs.ids[k + 1:] if cs.pair(a, b)],
-            "fibrations": cs.fibrations, "divisors": cs.divisors}
+def data_files():
+    """(file name, text) of each data file."""
+    for name, data in [
+            ("kummer-char0.json", kummer_char0()),
+            ("kummer-char2-ordinary.json", kummer_char2_ordinary())]:
+        yield name, json.dumps(data, indent=1) + "\n"
 
 
 def main():
-    for name, data, sort_keys in [
-            ("kummer-char0.json", kummer_char0(), False),
-            ("kummer-char2-ordinary.json", kummer_char2_ordinary(), False),
-            ("supersingular-42.json", supersingular_42(), True)]:
+    for name, text in data_files():
         path = os.path.join(OUT, name)
         with open(path, "w") as fh:
-            json.dump(data, fh, indent=1, sort_keys=sort_keys)
-            fh.write("\n")
+            fh.write(text)
         print("wrote", path)
 
 
