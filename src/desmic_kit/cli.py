@@ -45,7 +45,7 @@ def _on_first_use(name):
 # A suite executes only the modules its checks read: surfaces for identities,
 # desmic-surface, cremona and char2, linecomplex for line-complex, symmetry
 # and cremona, configs for desmic-surface, supersingular and lattices, and
-# lattices for the last two.
+# lattices for the last one.
 sf = _on_first_use("surfaces")
 lc = _on_first_use("linecomplex")
 cf = _on_first_use("configs")
@@ -335,9 +335,9 @@ def check_reye_28(tables):
                "isomorphic to Reye")
 
 
-def check_ss_divisor(tables):
-    cs, commons = tables()
-    out = la.divisor_pairings(cs, "H")
+def check_ss_divisor(tables, h_pairings):
+    _, commons = tables()
+    out = h_pairings()
     pair = out["pairings"]
     centrals = {c for t in cf.FIBRATION_TABLES for c, _ in t[:4]}
     conics = {"1", "6", "16.23.45"}
@@ -350,9 +350,8 @@ def check_ss_divisor(tables):
                "1 with the 16 commons, 2 with the three conics")
 
 
-def check_ss_profile_printed(tables):
-    cs, _ = tables()
-    out = la.divisor_pairings(cs, "H")
+def check_ss_profile_printed(h_pairings):
+    out = h_pairings()
     profile = {}
     for v in out["pairings"].values():
         profile[v] = profile.get(v, 0) + 1
@@ -434,6 +433,7 @@ def _check_table(opt):
     scan = functools.cache(lambda p, unit: lc.scan_singular_points(p, unit))
     projection = functools.cache(lambda: lc.project_to_quartic_threefold())
     tables = functools.cache(lambda: cf.fibration_tables())
+    h_pairings = functools.cache(lambda: cf.divisor_pairings(tables()[0], "H"))
     scans = [row for p in opt.primes for row in (
         ("complex.scan-f%d" % p, "exhaustive scan over F_%d" % p,
          check_scan, scan, p, False),
@@ -504,9 +504,9 @@ def _check_table(opt):
             ("ss.reye-28", "28-curve configuration",
              check_reye_28, tables),
             ("ss.divisor-h", "polarization pairings",
-             check_ss_divisor, tables),
+             check_ss_divisor, tables, h_pairings),
             ("ss.pairing-profile-printed", "printed pairing profile",
-             check_ss_profile_printed, tables),
+             check_ss_profile_printed, h_pairings),
         ],
         "lattices": [
             ("lat.genus-match", "two presentations of the rank-19 lattice",

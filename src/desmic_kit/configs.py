@@ -3,9 +3,9 @@
 Covers the abstract side of the toolkit: the Reye configuration and the
 incidence of the desmic surface's 12 nodes with its 16 lines, the
 projective plane over the four-element field, Sylvester's
-duads/synthemes/totals, the 42-curve system with its fibration tables, and
-a JSON loader for dual-graph data (curve systems with intersection
-matrices, fibers and divisors).
+duads/synthemes/totals, the 42-curve system with its fibration tables,
+divisor pairings on a curve system, and a JSON loader for dual-graph data
+(curve systems with intersection matrices, fibers and divisors).
 """
 
 from collections import Counter
@@ -325,9 +325,9 @@ for (_i, _j), _v in list(TOTALS_TABLE.items()):
 
 
 def duad_syntheme_system():
-    """Duads, synthemes and totals on six letters, with the totals labeled
-    T1..T6 so that the pairwise-intersection table reproduces the printed
-    one entry for entry.
+    """Duads, synthemes and totals on six letters.  The totals are the
+    5-cliques of the disjointness graph on the synthemes, and T_k is the
+    total whose synthemes are the five entries of row k of the printed table.
 
     Returns a dict with keys: duads (15 strings), synthemes (15 strings),
     totals (label -> sorted list of 5 syntheme strings), table (6x6 tuple
@@ -350,13 +350,18 @@ def duad_syntheme_system():
     if len(synthemes) != 15:
         raise ValueError("%d synthemes, not 15" % len(synthemes))
 
-    # a total is five pairwise duad-disjoint synthemes covering all duads
-    disjoint = {(s, t) for s in synthemes for t in synthemes
-                if s is not t and not (s & t)}
-    totals = []
-    for combo in combinations(synthemes, 5):
-        if all((s, t) in disjoint for s, t in combinations(combo, 2)):
-            totals.append(frozenset(combo))
+    # a total is five pairwise duad-disjoint synthemes: a partial total is
+    # extended only by synthemes after its last member that are disjoint
+    # from all of its members, so the totals come in combinations order
+    def cliques(members, candidates):
+        if len(members) == 5:
+            yield frozenset(members)
+            return
+        for k, s in enumerate(candidates):
+            yield from cliques(members + [s],
+                               [t for t in candidates[k + 1:] if not s & t])
+
+    totals = list(cliques([], synthemes))
     if len(totals) != 6:
         raise ValueError("%d totals, not 6" % len(totals))
     for t in totals:
@@ -371,23 +376,20 @@ def duad_syntheme_system():
                              % (sorted(map(_syntheme_str, s)),
                                 sorted(map(_syntheme_str, t)), len(s & t)))
 
-    # find the labeling that reproduces the printed table
-    labeling = None
-    for perm in permutations(range(6)):
-        ok = True
-        for i, j in combinations(range(6), 2):
-            common = next(iter(totals[perm[i]] & totals[perm[j]]))
-            if _syntheme_str(common) != TOTALS_TABLE[(i + 1, j + 1)]:
-                ok = False
-                break
-        if ok:
-            labeling = perm
-            break
-    if labeling is None:
-        raise ValueError("no labeling of the totals reproduces the printed "
-                         "table")
-
-    labeled = {"T%d" % (k + 1): totals[labeling[k]] for k in range(6)}
+    # T_k is read off row k of the printed table: the labeling is forced
+    by_names = {frozenset(map(_syntheme_str, t)): t for t in totals}
+    label_of = {}
+    for k in range(1, 7):
+        row = frozenset(TOTALS_TABLE[(k, j)] for j in letters if j != k)
+        total = by_names.get(row)
+        if total is None:
+            raise ValueError("row T%d of the printed table, %s, is not a "
+                             "total" % (k, ", ".join(sorted(row))))
+        if total in label_of:
+            raise ValueError("rows %s and T%d of the printed table name the "
+                             "same total" % (label_of[total], k))
+        label_of[total] = "T%d" % k
+    labeled = {k: t for t, k in label_of.items()}
     table = tuple(
         tuple("" if i == j else TOTALS_TABLE[(i + 1, j + 1)]
               for j in range(6))
@@ -554,6 +556,20 @@ class CurveSystem:
                         "divisor %s pairs non-integrally with %s: %s"
                         % (div["name"], cid, val))
         return self
+
+
+def divisor_pairings(cs, name):
+    """H^2 and the table of H . C over all curves of the system, by exact
+    rational Gram arithmetic (fiber classes expanded from the records)."""
+    h = cs.divisor_vector(name)
+    self_int = cs.vector_pairing(h, h)
+    table = {}
+    for cid, val in zip(cs.ids, gram_times(cs.gram, h)):
+        if val.denominator != 1:
+            raise ValueError("divisor %s pairs non-integrally with %s"
+                             % (name, cid))
+        table[cid] = val
+    return {"self": self_int, "pairings": table}
 
 
 def _is_int(value):

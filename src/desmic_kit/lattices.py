@@ -1,6 +1,7 @@
 """Even integral lattices, discriminant forms, and curve-lattice checks:
-the lattice spanned by a curve system, divisor pairings, overlattice glue,
-and the embeddability verdicts.
+the lattice spanned by a curve system, overlattice glue, and the
+embeddability verdicts, with the integer and rational linear algebra only
+they use (Smith normal form, row bases, inertia, linear solves).
 
 Root lattices are taken negative definite (the (-2)-curve convention), so
 hyperbolic Picard-type lattices have signature (1, n).  Finite quadratic
@@ -9,11 +10,182 @@ forms live on finite abelian groups with q in Q/2Z and b in Q/Z.
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
-from .matrices import bilinear, det_poly_matrix, gram_times, \
-    inertia_signature, row_basis, smith_invariants, smith_normal_form, \
-    solve_linear
+from .matrices import bilinear, det_poly_matrix, rref
+
+
+# ---------------------------------------------------------------------------
+# integer and rational linear algebra
+# ---------------------------------------------------------------------------
+
+def smith_normal_form(m):
+    """Smith normal form of an integer matrix given as a list of rows:
+    returns row lists (D, U, V) with U*M*V = D, U and V unimodular, and the
+    diagonal of D a divisibility chain d1 | d2 | ..."""
+    a = [list(r) for r in m]
+    nr = len(a)
+    nc = len(a[0]) if a else 0
+    for k, r in enumerate(a):
+        if len(r) != nc:
+            raise ValueError("ragged rows: row %d has %d entries, "
+                             "row 0 has %d" % (k, len(r), nc))
+        for x in r:
+            if not isinstance(x, int):
+                raise ValueError("row %d entry %r is not an int" % (k, x))
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def row_op(i, j, c):  # row i += c * row j
+        for k in range(nc):
+            a[i][k] += c * a[j][k]
+        for k in range(nr):
+            u[i][k] += c * u[j][k]
+
+    def col_op(i, j, c):  # col i += c * col j
+        for k in range(nr):
+            a[k][i] += c * a[k][j]
+        for k in range(nc):
+            v[k][i] += c * v[k][j]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for k in range(nr):
+            a[k][i], a[k][j] = a[k][j], a[k][i]
+        for k in range(nc):
+            v[k][i], v[k][j] = v[k][j], v[k][i]
+
+    t = 0
+    while t < min(nr, nc):
+        # find pivot: smallest nonzero abs value in remaining block
+        piv = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if a[i][j] and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        row_swap(t, piv[0])
+        col_swap(t, piv[1])
+        dirty = False
+        for i in range(t + 1, nr):
+            if a[i][t]:
+                q = a[i][t] // a[t][t]
+                row_op(i, t, -q)
+                if a[i][t]:
+                    dirty = True
+        for j in range(t + 1, nc):
+            if a[t][j]:
+                q = a[t][j] // a[t][t]
+                col_op(j, t, -q)
+                if a[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        # pivot must divide every remaining entry
+        ok = True
+        for i in range(t + 1, nr):
+            for j in range(t + 1, nc):
+                if a[i][j] % a[t][t]:
+                    row_op(t, i, 1)
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            if a[t][t] < 0:
+                for k in range(nc):
+                    a[t][k] = -a[t][k]
+                for k in range(nr):
+                    u[t][k] = -u[t][k]
+            t += 1
+    return a, u, v
+
+
+def smith_invariants(m):
+    """Nonzero diagonal invariant factors d1 | d2 | ... of m."""
+    d, _, _ = smith_normal_form(m)
+    return [r[i] for i, r in enumerate(d) if i < len(r) and r[i]]
+
+
+def row_basis(m):
+    """A basis of the lattice spanned by the rows of an integer matrix: the
+    nonzero rows of U*M for the Smith form U*M*V = D.  U is unimodular, so
+    U*M spans the same lattice, and its rows past the rank are zero."""
+    _, u, _ = smith_normal_form(m)
+    um = [[sum(x * y for x, y in zip(r, c)) for c in zip(*m)] for r in u]
+    return [r for r in um if any(r)]
+
+
+def inertia_signature(m):
+    """Exact inertia (n_plus, n_zero, n_minus) of a symmetric rational matrix
+    via symmetric Gaussian elimination over the rationals."""
+    n = len(m)
+    a = [[Fraction(x) for x in r] for r in m]
+    for i in range(n):
+        for j in range(n):
+            if a[i][j] != a[j][i]:
+                raise ValueError("matrix not symmetric")
+    pos = neg = zero = 0
+    live = list(range(n))
+    while live:
+        k = next((i for i in live if a[i][i] != 0), None)
+        if k is None:
+            # all diagonal zero: look for off-diagonal pivot pair
+            pair = None
+            for i in live:
+                for j in live:
+                    if i != j and a[i][j] != 0:
+                        pair = (i, j)
+                        break
+                if pair:
+                    break
+            if pair is None:
+                zero += len(live)
+                break
+            i, j = pair
+            # symmetric congruence: row/col i += row/col j makes a[i][i]=2a[i][j]
+            for t in range(n):
+                a[i][t] += a[j][t]
+            for t in range(n):
+                a[t][i] += a[t][j]
+            continue
+        d = a[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        live.remove(k)
+        for i in live:
+            if a[i][k] == 0:
+                continue
+            f = a[i][k] / d
+            for j in live:
+                a[i][j] -= f * a[k][j]
+            a[i][k] = Fraction(0)
+        for j in live:
+            a[k][j] = Fraction(0)
+    return pos, zero, neg
+
+
+def solve_linear(rows, rhs, one):
+    """One solution x of A x = rhs over the field, or None if inconsistent."""
+    nc = len(rows[0]) if rows else 0
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    a, pivots = rref(aug)
+    zero = one * 0
+    for r in range(len(a)):
+        if all(not x for x in a[r][:nc]) and a[r][nc]:
+            return None
+    x = [zero] * nc
+    for r, pc in enumerate(pivots):
+        if pc == nc:
+            return None
+        x[pc] = a[r][nc]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +464,7 @@ def fq_isometric(q1, q2):
         return False
 
     def el_order(q, el):
-        o = 1
-        for c, d in zip(el, q.orders):
-            if c:
-                o = o * (d // gcd(c, d)) // gcd(o, d // gcd(c, d))
-        return o
+        return lcm(*(d // gcd(c, d) for c, d in zip(el, q.orders) if c))
 
     targets = list(q2.elements())
     k = len(q1.orders)
@@ -371,7 +539,7 @@ def genus_match_indefinite(l1, l2):
 
 
 # ---------------------------------------------------------------------------
-# curve-span lattices and divisor arithmetic
+# curve-span lattices
 # ---------------------------------------------------------------------------
 
 def lattice_from_curves(cs):
@@ -395,20 +563,6 @@ def lattice_from_curves(cs):
             "disc_order": abs(lat.det())}
 
 
-def divisor_pairings(cs, name):
-    """H^2 and the table of H . C over all curves of the system, by exact
-    rational Gram arithmetic (fiber classes expanded from the records)."""
-    h = cs.divisor_vector(name)
-    self_int = cs.vector_pairing(h, h)
-    table = {}
-    for cid, val in zip(cs.ids, gram_times(cs.gram, h)):
-        if val.denominator != 1:
-            raise ValueError("divisor %s pairs non-integrally with %s"
-                             % (name, cid))
-        table[cid] = val
-    return {"self": self_int, "pairings": table}
-
-
 # ---------------------------------------------------------------------------
 # overlattices
 # ---------------------------------------------------------------------------
@@ -426,11 +580,7 @@ def overlattice(l, glue):
     if not glue:
         return l, [[Fraction(int(i == j)) for j in range(n)]
                    for i in range(n)]
-    den = 1
-    for vec in glue:
-        for x in vec:
-            den = den * Fraction(x).denominator // gcd(
-                den, Fraction(x).denominator)
+    den = lcm(*(Fraction(x).denominator for vec in glue for x in vec))
     rows = [[den * int(i == j) for j in range(n)] for i in range(n)]
     for vec in glue:
         scaled = [Fraction(x) * den for x in vec]
@@ -605,14 +755,13 @@ def artin2_check(sigma):
     """Whether the 28-curve lattice embeds primitively in the Picard
     lattice with Artin invariant sigma.
 
-    sigma 1 and 2 return an explicit verified embedding; sigma 3 returns a
+    sigma 1 and 2 verify an explicit embedding; sigma 3 returns a
     certified-exhaustive ternary enumeration with no matching complement.
     """
     if sigma not in (1, 2, 3):
         raise ValueError("sigma must be 1, 2 or 3")
     s = supersingular_picard(sigma)
-    out = {"sigma": sigma,
-           "picard_signature": s.signature(),
+    out = {"picard_signature": s.signature(),
            "picard_disc_group": s.disc_group(),
            "l_bounds": (2 * sigma - 3, 3)}
     if s.signature() != (1, 21) or s.disc_group() != [2] * (2 * sigma):
@@ -640,7 +789,7 @@ def artin2_check(sigma):
             if not genus_match_indefinite(lat, printed)["match"]:
                 raise ValueError("%s is not in the genus of %s"
                                  % (lat.name, printed.name))
-        out.update(embeddable=True, witness=how)
+        out.update(embeddable=True)
         return out
 
     if sigma == 2:
@@ -656,7 +805,7 @@ def artin2_check(sigma):
         ok, how = _embedding_check(sub.gram, amb, rows)
         if not ok:
             raise ValueError("sigma 2 witness embedding fails: %s" % how)
-        out.update(embeddable=True, witness=how)
+        out.update(embeddable=True)
         return out
 
     # sigma == 3: the complement would be a rank-3 even negative-definite

@@ -1,8 +1,9 @@
 """Oracles shared by several test modules."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
+from desmic_kit.configs import TOTALS_TABLE, _duad_str, _syntheme_str
 from desmic_kit.matrices import bilinear, det_poly_matrix, matrix_rank, \
     nullspace
 from desmic_kit.poly import MultiPoly, PolyRing
@@ -229,3 +230,42 @@ def naive_power(base, e, one):
     for _ in range(e):
         r = r * base
     return r
+
+
+def searched_duad_syntheme_system():
+    """configs.duad_syntheme_system as it was before it solved for the
+    totals: every 5-subset of the synthemes filtered for pairwise
+    disjointness, and the 720 labelings of the totals searched for the one
+    that reproduces the printed table."""
+    letters = range(1, 7)
+    duads = [frozenset(d) for d in combinations(letters, 2)]
+
+    def matchings(rest):
+        if not rest:
+            yield []
+            return
+        a = min(rest)
+        for b in sorted(rest - {a}):
+            for tail in matchings(rest - {a, b}):
+                yield [frozenset({a, b})] + tail
+
+    synthemes = [frozenset(m) for m in matchings(set(letters))]
+    totals = [frozenset(combo) for combo in combinations(synthemes, 5)
+              if all(not (s & t) for s, t in combinations(combo, 2))]
+    for perm in permutations(range(6)):
+        if all(_syntheme_str(next(iter(totals[perm[i]] & totals[perm[j]])))
+               == TOTALS_TABLE[(i + 1, j + 1)]
+               for i, j in combinations(range(6), 2)):
+            break
+    else:
+        raise ValueError("no labeling of the totals reproduces the printed "
+                         "table")
+    labeled = {"T%d" % (k + 1): totals[perm[k]] for k in range(6)}
+    return {
+        "duads": sorted(_duad_str(d) for d in duads),
+        "synthemes": sorted(_syntheme_str(s) for s in synthemes),
+        "totals": {k: sorted(_syntheme_str(s) for s in v)
+                   for k, v in labeled.items()},
+        "table": tuple(tuple("" if i == j else TOTALS_TABLE[(i + 1, j + 1)]
+                             for j in range(6)) for i in range(6)),
+    }

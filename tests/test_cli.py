@@ -96,9 +96,12 @@ SHARED_INPUTS = {
     "42-curve-tables": ("supersingular", cli.cf, "fibration_tables", 1,
                         ("ss.fibration-tables", "ss.reye-28", "ss.divisor-h",
                          "ss.pairing-profile-printed")),
+    "h-pairings": ("supersingular", cli.cf, "divisor_pairings", 1,
+                   ("ss.divisor-h", "ss.pairing-profile-printed")),
 }
-# the "all" case breaks every input but the pencil: the tangency is
-# computed from the pencil, so a broken pencil would hide it
+# the "all" case breaks every input but the pencil and the H pairings: the
+# tangency is computed from the pencil and the H pairings from the 42-curve
+# tables, so a broken pencil or tables would hide them
 ALL_BROKEN = ("tangency", "scan", "projection", "42-curve-tables")
 
 
@@ -544,7 +547,7 @@ SUITE_MODULES = {
     "symmetry": (True, {"forms", "linecomplex"}),
     "cremona": (True, {"forms", "linecomplex", "surfaces"}),
     "char2": (True, {"forms", "surfaces"}),
-    "supersingular": (False, {"configs", "lattices"}),
+    "supersingular": (False, {"configs"}),
     "lattices": (True, {"configs", "lattices"}),
 }
 
@@ -608,9 +611,11 @@ suites = ("supersingular", "lattices")
 if sys.argv[1] == "import":
     import desmic_kit.configs as cf
     import desmic_kit.lattices as la
-    real_cf, real_la = cf.fibration_tables, la.divisor_pairings
-    cf.fibration_tables = lambda *a: calls.append("cf") or real_cf(*a)
-    la.divisor_pairings = lambda *a: calls.append("la") or real_la(*a)
+    real = (cf.fibration_tables, cf.divisor_pairings,
+            la.curve_span_lattice_names)
+    cf.fibration_tables = lambda *a: calls.append("tables") or real[0](*a)
+    cf.divisor_pairings = lambda *a: calls.append("pairings") or real[1](*a)
+    la.curve_span_lattice_names = lambda: calls.append("names") or real[2]()
 elif sys.argv[1] == "unloaded":
     cli.cf.pg24 = rebound
     desmic_kit.lattices.curve_span_lattice_names = rebound
@@ -630,7 +635,7 @@ XFAIL_PROFILE = {"ss.pairing-profile-printed": "pairing profile {0x15, "
 
 
 @pytest.mark.parametrize("how,rebound,calls", [
-    ("import", XFAIL_PROFILE, ["cf", "la", "la"]),
+    ("import", XFAIL_PROFILE, ["tables", "pairings", "names"]),
     ("unloaded", dict(XFAIL_PROFILE, **{
         "ss.pg24": "ValueError: rebound",
         "lat.genus-match": "ValueError: rebound"}), []),

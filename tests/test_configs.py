@@ -15,11 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import desmic_kit.configs as cf
-import desmic_kit.lattices as la
 from desmic_kit.matrices import gram_times, matrix_rank
 from desmic_kit.surfaces import DESMIC_SINGULAR_12, desmic_lines_16
 from claims import coset_config, perm_from_cycles, plane_node_config
-from oracles import collinear_by_minors
+from oracles import collinear_by_minors, searched_duad_syntheme_system
 
 
 # -- abstract configurations ---------------------------------------------------
@@ -273,6 +272,33 @@ def test_duad_syntheme_incidence_is_15_3():
     assert ds.type_signature == ((15, 3), (15, 3))
 
 
+
+def test_solved_totals_agree_with_the_labeling_search():
+    assert cf.duad_syntheme_system() == searched_duad_syntheme_system()
+
+
+def test_printed_row_that_is_not_a_total_is_named(monkeypatch):
+    # entry (1, 2) becomes 12.35.46, which shares the duad 12 with the
+    # entry (1, 5), 12.34.56, so row 1 is five synthemes but no total
+    table = dict(cf.TOTALS_TABLE)
+    table[(1, 2)] = table[(2, 1)] = "12.35.46"
+    monkeypatch.setattr(cf, "TOTALS_TABLE", table)
+    with pytest.raises(ValueError, match=re.escape(
+            "row T1 of the printed table, 12.34.56, 12.35.46, 13.26.45, "
+            "15.23.46, 16.24.35, is not a total")):
+        cf.duad_syntheme_system()
+
+
+def test_two_printed_rows_naming_one_total_are_named(monkeypatch):
+    # row 2 is given the five entries of row 1
+    table = dict(cf.TOTALS_TABLE)
+    for j in range(3, 7):
+        table[(2, j)] = table[(1, j)]
+    monkeypatch.setattr(cf, "TOTALS_TABLE", table)
+    with pytest.raises(ValueError, match="rows T1 and T2 of the printed "
+                       "table name the same total"):
+        cf.duad_syntheme_system()
+
 # -- the 42-curve system --------------------------------------------------------
 
 def test_six_arc_general_position():
@@ -443,7 +469,7 @@ def per_curve_divisor_pairings(cs, name):
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_divisor_pairings_agree_with_per_curve_oracle(name):
     cs = curve_system(name)
-    got = la.divisor_pairings(cs, "H")
+    got = cf.divisor_pairings(cs, "H")
     assert got == per_curve_divisor_pairings(cs, "H")
     assert all(type(v) is int for v in got["pairings"].values())
     assert_exact(got["self"], 4)

@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 from desmic_kit.scalars import (Mod, QI, F4, W, I, F4_ELEMENTS, is_prime,
                                 lift, power, sqrt_minus_one)
 from desmic_kit.poly import MultiPoly, PolyRing, prem
-from desmic_kit.matrices import (bilinear, det_poly_matrix,
-                                 inertia_signature, matrix_rank, nullspace,
-                                 rref, smith_invariants, smith_normal_form)
+from desmic_kit.lattices import (inertia_signature, smith_invariants,
+                                 smith_normal_form)
+from desmic_kit.matrices import (bilinear, det_poly_matrix, matrix_rank,
+                                 nullspace, rref)
 
 import oracles
 

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import desmic_kit.configs as cf
 import desmic_kit.lattices as la
-from desmic_kit.matrices import (inertia_signature, matrix_rank, row_basis,
+from desmic_kit.lattices import (inertia_signature, row_basis,
                                  smith_invariants, smith_normal_form)
+from desmic_kit.matrices import matrix_rank
 
 
 # -- construction ---------------------------------------------------------------
@@ -227,7 +228,7 @@ def test_42_curve_span_is_the_sigma1_lattice():
 
 def test_char0_h_pairings():
     cs = cf.kummer_char0_system()
-    out = la.divisor_pairings(cs, "H")
+    out = cf.divisor_pairings(cs, "H")
     assert out["self"] == 4
     for cid, val in out["pairings"].items():
         assert val == (1 if cid.startswith("T") else 0)
@@ -242,12 +243,12 @@ def test_two_node_line_system_squares_to_four():
               for t in ("T01", "T02", "T03", "T10", "T20", "T30")]
     sys2 = cf.CurveSystem(cs.ids, cs.gram, fibrations=cs.fibrations,
                           divisors=[{"name": "HL", "terms": terms}])
-    assert la.divisor_pairings(sys2, "HL")["self"] == 4
+    assert cf.divisor_pairings(sys2, "HL")["self"] == 4
 
 
 def test_supersingular_h_profile():
     cs, commons = cf.fibration_tables()
-    out = la.divisor_pairings(cs, "H")
+    out = cf.divisor_pairings(cs, "H")
     assert out["self"] == 4
     pair = out["pairings"]
     centrals = {c for t in cf.FIBRATION_TABLES for c, _ in t[:4]}
@@ -273,8 +274,8 @@ def test_divisor_pairings_invariant_under_relabeling():
     gram = [[cs.gram[a][b] for b in idx] for a in idx]
     flipped = cf.CurveSystem(order, gram, fibrations=cs.fibrations,
                              divisors=cs.divisors)
-    a = la.divisor_pairings(cs, "H")
-    b = la.divisor_pairings(flipped, "H")
+    a = cf.divisor_pairings(cs, "H")
+    b = cf.divisor_pairings(flipped, "H")
     assert a["self"] == b["self"] and a["pairings"] == b["pairings"]
 
 
@@ -287,13 +288,13 @@ def test_divisor_pairings_invariant_under_radical_shift():
     shifted_terms = list(cs.divisors[0]["terms"]) + extra
     sys2 = cf.CurveSystem(cs.ids, cs.gram, fibrations=cs.fibrations,
                           divisors=[{"name": "H", "terms": shifted_terms}])
-    assert la.divisor_pairings(sys2, "H") == la.divisor_pairings(cs, "H")
+    assert cf.divisor_pairings(sys2, "H") == cf.divisor_pairings(cs, "H")
 
 
 def test_divisor_pairings_unknown_name():
     cs = cf.kummer_char0_system()
     with pytest.raises(KeyError):
-        la.divisor_pairings(cs, "nope")
+        cf.divisor_pairings(cs, "nope")
 
 
 # -- Dynkin classification ---------------------------------------------------------

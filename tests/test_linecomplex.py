@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import desmic_kit.linecomplex as lc
-from desmic_kit.matrices import (det_poly_matrix, matrix_rank, nullspace,
-                                 solve_linear)
+from desmic_kit.lattices import solve_linear
+from desmic_kit.matrices import det_poly_matrix, matrix_rank, nullspace
 from desmic_kit.poly import PolyRing, proportional_polys
 from desmic_kit.projgeom import (PLUCKER_INDEX, LineP3, _orbit,
                                 normalize)

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from desmic_kit.matrices import matrix_rank, nullspace, rref, solve_linear
+from desmic_kit.lattices import solve_linear
+from desmic_kit.matrices import matrix_rank, nullspace, rref
 from desmic_kit.poly import PolyRing
 from desmic_kit.projgeom import LineP3, normalize
 from desmic_kit.scalars import (F4, QI, I, Mod, W, char_of, field_i, lift,
