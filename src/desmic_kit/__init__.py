@@ -3,9 +3,12 @@
 Library layout:
 
 - scalars / poly / matrices : exact arithmetic substrate
-- projgeom                  : points; planes and lines in P^3 with Plucker coords
+- projgeom                  : lines in P^3 with Plucker coords, projective keys,
+                              orbits (points and planes are coordinate tuples)
+- forms                     : forms, Taylor expansion, restriction to subspaces
 - surfaces                  : hypersurface singularity analysis and quartic models
 - linecomplex               : the cubic line complex in P^5 (nodes, planes, symmetry)
+- scan                      : singular points of the complex over F_p
 - configs                   : abstract incidence configurations and curve systems
 - lattices                  : even lattices, discriminant forms, embedding checks
 - cli                       : batch verification suites with JSON reports

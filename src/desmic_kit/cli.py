@@ -583,7 +583,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for k, p in enumerate(args.prime or ()):
+        if p in args.prime[:k]:
+            parser.error("prime %d given twice" % p)
     opt = Options(primes=args.prime, data_dir=args.data_dir)
     report = run_suite(args.suite, opt)
 

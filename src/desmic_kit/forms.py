@@ -1,6 +1,7 @@
 """Homogeneous forms with designated coordinates, their Taylor expansion at
-a point, and the polar matrix of a quadratic form: what the node tests of
-surfaces and linecomplex share.
+a point, the polar matrix of a quadratic form, and the restriction of a form
+to a linear subspace: what the node and containment tests of surfaces and
+linecomplex share.
 
 Forms may carry symbolic parameters: a Form records which ring variables are
 projective coordinates; the remaining variables are parameters, and all
@@ -12,6 +13,7 @@ parameter ring, in odd characteristic (surfaces.node_check).
 from itertools import product
 from math import comb
 
+from .matrices import nullspace
 from .poly import MultiPoly, PolyRing
 from .scalars import lift
 
@@ -37,6 +39,39 @@ class Form:
 
     def __repr__(self):
         return "Form(%r)" % (self.poly,)
+
+
+def restrict(f, vectors):
+    """f(s0*v0 + s1*v1 + ...) as a polynomial in the parameters of f and
+    s0, s1, ...: the restriction of f to the span of the vectors, with the
+    parameters kept symbolic.  Entries enter the field through lift.  It is
+    the zero polynomial iff f vanishes identically on that span."""
+    one = f.ring.one
+    params = [v for v in f.ring.varnames if v not in f.coord_vars]
+    ring = PolyRing(params + ["s%d" % k for k in range(len(vectors))], one)
+    n = ring.nvars()
+    mapping = {v: ring.var(v) for v in params}
+    for j, v in enumerate(f.coord_vars):
+        # the linear form sum_k v_k[j]*s_k, built as its exponent dict
+        coeffs = {}
+        for k, vec in enumerate(vectors, len(params)):
+            c = lift(one, vec[j])
+            if c:
+                coeffs[(0,) * k + (1,) + (0,) * (n - k - 1)] = c
+        mapping[v] = MultiPoly(ring, coeffs)
+    return f.poly.subst(mapping, ring)
+
+
+def cut_out(covectors, one, dim, what):
+    """A basis of the common kernel of the covectors, whose entries enter
+    the field of `one` through lift.  Raises ValueError, naming the
+    covectors as given, unless the kernel is a projective space of
+    dimension dim (the `what`: a line or a plane)."""
+    basis = nullspace([[lift(one, c) for c in cv] for cv in covectors], one)
+    if len(basis) != dim + 1:
+        raise ValueError("covectors %r cut a space of dimension %d, not a %s"
+                         % (covectors, len(basis) - 1, what))
+    return basis
 
 
 def taylor(f, p, degree):

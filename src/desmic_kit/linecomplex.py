@@ -16,7 +16,7 @@ variety of a 35-nodal cubic in P^6.
 
 from itertools import permutations, product
 
-from .forms import Form, polar_matrix, taylor
+from .forms import Form, cut_out, polar_matrix, restrict, taylor
 from .matrices import matrix_rank, nullspace, rref
 from .poly import PolyRing, proportional_polys
 from .projgeom import _orbit, normalize
@@ -300,10 +300,7 @@ class PlaneInP5:
         self.covectors = [tuple(lift(one, c) for c in cv) for cv in covectors]
         self.one = one
         self.label = label
-        self.basis = nullspace([list(c) for c in self.covectors], one)
-        if len(self.basis) != 3:
-            raise ValueError("covectors %r cut a space of dimension %d, not "
-                             "a plane" % (covectors, len(self.basis) - 1))
+        self.basis = cut_out(covectors, one, 2, "plane")
         # the nonzero entries (position, value) of each covector
         self.support = [[(k, c) for k, c in enumerate(cv) if c]
                         for cv in self.covectors]
@@ -357,15 +354,9 @@ def plucker_plane_list(one=QI(1)):
 
 
 def plane_contained(ci, plane):
-    """Substitute a parametrization of the plane into both equations."""
-    ring3 = PolyRing(["s", "t", "r"], ci.one)
-    s, t, r = ring3.gens()
-    mapping = {}
-    for j, name in enumerate(ci.ring.varnames):
-        mapping[name] = (s.scale(plane.basis[0][j]) + t.scale(plane.basis[1][j])
-                         + r.scale(plane.basis[2][j]))
-    return (ci.quadric.poly.subst(mapping, ring3).is_zero()
-            and ci.cubic.poly.subst(mapping, ring3).is_zero())
+    """Whether both equations vanish identically on the plane."""
+    return (restrict(ci.quadric, plane.basis).is_zero()
+            and restrict(ci.cubic, plane.basis).is_zero())
 
 
 class PlaneInventory:
@@ -482,17 +473,24 @@ def _generators(elements):
 
 
 def monomial_symmetry_group():
-    """Exhaustive search over monomial 6x6 matrices with nonzero entries in
-    {1, i, -1, -i} preserving both Klein equations up to scalar.
+    """The monomial 6x6 matrices with nonzero entries i^e_k in
+    {1, i, -1, -i} that preserve both Klein equations up to scalar.
 
-    For a permutation whose image of {1,2,3} is neither {1,2,3} nor {4,5,6},
-    the transformed cubic has a monomial outside the support of the cubic
-    with a unit coefficient, so no sign choice can work; such permutations
-    are skipped after that support check.  Survivors are checked along a
-    generating set that spans them: each generator gets a full symbolic
-    verification (invariance up to scalar is multiplicative), and one that
-    fails raises ValueError.  Reports projective order, node orbit sizes,
-    and the number of plane orbits; a closure beyond 1152 is a failure.
+    The loop walks the 720 permutations and, for each one that maps the
+    block {1,2,3} to itself or to {4,5,6}, the 4^6 exponent tuples; it
+    keeps the tuples that meet the necessary conditions below.  Any other
+    permutation sends x1*x2*x3 to a monomial outside the support of the
+    cubic with a unit coefficient, so no sign choice can work.  The
+    exponents must (1) share one parity, since the quadric's six squares
+    pick up the factors i^(2*e_k) = (-1)^e_k, which must agree; and
+    (2) satisfy e1 + e2 + e3 - e4 - e5 - e6 = shift (mod 4), with shift 0
+    when the blocks stay and 2 when they swap, since the cubic's terms
+    x1*x2*x3 and i*y1*y2*y3 must pick up one common factor.  The
+    survivors are checked along a generating set that spans them: each
+    generator gets a full symbolic verification (invariance up to scalar
+    is multiplicative), and one that fails raises ValueError.  Reports
+    projective order, node orbit sizes, and the number of plane orbits; a
+    closure beyond 1152 is a failure.
     """
     elements = set()
     for pi in permutations(range(6)):
@@ -604,19 +602,11 @@ def projected_quartic():
 
 
 def _line_on_and_singular(form, covectors):
-    one = form.ring.one
-    covs = [[lift(one, c) for c in cv] for cv in covectors]
-    basis = nullspace(covs, one)
-    if len(basis) != 2:
-        raise ValueError("covectors %r cut a space of dimension %d, not a "
-                         "line" % (covectors, len(basis) - 1))
-    ring2 = PolyRing(["s", "t"], one)
-    s, t = ring2.gens()
-    mapping = {name: s.scale(basis[0][j]) + t.scale(basis[1][j])
-               for j, name in enumerate(form.ring.varnames)}
-    if not form.poly.subst(mapping, ring2).is_zero():
+    basis = cut_out(covectors, form.ring.one, 1, "line")
+    if not restrict(form, basis).is_zero():
         return False
-    return all(g.subst(mapping, ring2).is_zero() for g in form.partials())
+    return all(restrict(Form(g, form.coord_vars), basis).is_zero()
+               for g in form.partials())
 
 
 def project_to_quartic_threefold():
@@ -666,22 +656,10 @@ RATIONALITY_INTERSECTIONS = {
 def rationality_planes_check():
     """The three planes used in the rationality argument lie on the quartic
     threefold and meet pairwise in the printed points."""
-    X = projected_quartic()
+    X = Form(projected_quartic())
     one = X.ring.one
-    ring3 = PolyRing(["s", "t", "r"], one)
-    s, t, r = ring3.gens()
-    bases = []
     for covs in RATIONALITY_PLANES:
-        rows = [[lift(one, c) for c in cv] for cv in covs]
-        basis = nullspace(rows, one)
-        if len(basis) != 3:
-            raise ValueError("covectors %r cut a space of dimension %d, not "
-                             "a plane" % (covs, len(basis) - 1))
-        bases.append(basis)
-        mapping = {name: (s.scale(basis[0][j]) + t.scale(basis[1][j])
-                          + r.scale(basis[2][j]))
-                   for j, name in enumerate(X.ring.varnames)}
-        if not X.subst(mapping, ring3).is_zero():
+        if not restrict(X, cut_out(covs, one, 2, "plane")).is_zero():
             return False
     for (a, b), printed in RATIONALITY_INTERSECTIONS.items():
         rows = [[lift(one, c) for c in cv]
@@ -700,18 +678,13 @@ def rationality_planes_check():
 
 def cubic_sevenfold(one=None, i=None):
     """x0*(x1^2+...+x6^2) + x1*x2*x3 + i*x4*x5*x6, the cubic in P^6 whose
-    associated variety at [1,0,...,0] is the Klein-form complex."""
-    if i is None:
-        i = I if one is None else field_i(one)
-    if one is None:
-        one = one_like(i)
-    ring = PolyRing(["x0", "x1", "x2", "x3", "x4", "x5", "x6"], one)
-    g = ring.gens()
-    q = ring.zero()
-    for k in range(1, 7):
-        q = q + g[k] * g[k]
-    return Form(g[0] * q + g[1] * g[2] * g[3]
-                + (g[4] * g[5] * g[6]).scale(i))
+    associated variety at [1,0,...,0] is the Klein-form complex: x0 times
+    its quadric plus its cubic, shifted into x1..x6."""
+    ci = CompleteIntersection35.klein(i=i, one=one)
+    ring = PolyRing(["x0", "x1", "x2", "x3", "x4", "x5", "x6"], ci.one)
+    shift = dict(zip(KLEIN_NAMES, ring.gens()[1:]))
+    return Form(ring.var("x0") * ci.quadric.poly.subst(shift, ring)
+                + ci.cubic.poly.subst(shift, ring))
 
 
 def segre_t_forms(ring):

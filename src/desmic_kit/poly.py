@@ -7,7 +7,7 @@ Everything is exact; no floats anywhere.
 
 from fractions import Fraction
 
-from .scalars import char_of, lift, one_like, power
+from .scalars import Field, char_of, lift, power
 
 
 class PolyRing:
@@ -98,12 +98,9 @@ class MultiPoly:
             if other.ring != self.ring:
                 raise ValueError("mixed polynomial rings")
             return other
-        if not isinstance(other, (int, Fraction)):
-            try:
-                one_like(other)
-            except TypeError:
-                return NotImplemented
-        return _constant(self.ring, other)
+        if isinstance(other, (int, Fraction, Field)):
+            return _constant(self.ring, other)
+        return NotImplemented
 
     def __add__(self, other):
         o = self._lift(other)

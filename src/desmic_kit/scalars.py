@@ -14,17 +14,6 @@ def is_prime(n):
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-def xgcd(a, b):
-    """Extended gcd: returns (g, s, t) with g = s*a + t*b."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
-
-
 class Frozen:
     """Base of the immutable values: slots set by object.__setattr__."""
 
@@ -34,7 +23,34 @@ class Frozen:
         raise AttributeError("%s is immutable" % type(self).__name__)
 
 
-class Mod(Frozen):
+class Field(Frozen):
+    """Base of the field elements Mod, QI and F4: the operators that follow
+    from +, -, * and inverse().  The generic division takes the divisor
+    through the subclass's _lift: an element of its field, or
+    NotImplemented for a foreign type.  QI divides by its own one-step
+    formula, and Mod raises to a power with the built-in modular pow."""
+
+    __slots__ = ()
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, e):
+        if isinstance(e, int) and e < 0:
+            return self.inverse() ** (-e)
+        return power(self, e, one_like(self))
+
+
+class Mod(Field):
     """Element of the prime field GF(p)."""
 
     __slots__ = ("v", "p")
@@ -55,7 +71,8 @@ class Mod(Frozen):
     def _lift(self, other):
         if isinstance(other, Mod):
             if other.p != self.p:
-                raise ValueError("mixed moduli")
+                raise ValueError("mixed moduli %d and %d"
+                                 % (self.p, other.p))
             return other
         if isinstance(other, int):
             return Mod(other, self.p)
@@ -80,9 +97,6 @@ class Mod(Frozen):
             return NotImplemented
         return Mod(self.v - o.v, self.p)
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
@@ -92,19 +106,10 @@ class Mod(Frozen):
     __rmul__ = __mul__
 
     def inverse(self):
-        g, s, _ = xgcd(self.v, self.p)
-        if g != 1:
-            raise ZeroDivisionError("not invertible mod %d" % self.p)
-        return Mod(s, self.p)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
+        try:
+            return Mod(pow(self.v, -1, self.p), self.p)
+        except ValueError:
+            raise ZeroDivisionError("not invertible mod %d" % self.p) from None
 
     def __pow__(self, e):
         if not isinstance(e, int):
@@ -169,7 +174,7 @@ def lift(one, x):
     return x
 
 
-class QI(Frozen):
+class QI(Field):
     """Gaussian rational (a + b*i)/d, stored as three ints with d > 0 and
     gcd(a, b, d) = 1, so equal values have equal triples.  One common
     denominator keeps arithmetic on ints (Cohen, A Course in Computational
@@ -241,9 +246,6 @@ class QI(Frozen):
         return QI._make(self.a * d - a * self.d, self.b * d - b * self.d,
                         self.d * d)
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         o = QI._lift(other)
         if o is None:
@@ -272,14 +274,6 @@ class QI(Frozen):
         return QI._make((self.a * a + self.b * b) * d,
                         (self.b * a - self.a * b) * d, self.d * n)
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, e):
-        if isinstance(e, int) and e < 0:
-            return self.inverse() ** (-e)
-        return power(self, e, QI(1))
-
     def __eq__(self, other):
         o = QI._lift(other)
         if o is None:
@@ -303,7 +297,7 @@ class QI(Frozen):
 I = QI(0, 1)
 
 
-class F4(Frozen):
+class F4(Field):
     """Element a + b*w of the field with four elements, w^2 = w + 1.
     There are exactly four F4 objects, F4_ELEMENTS[a | b << 1]: the
     constructor and the operations return one of them."""
@@ -332,7 +326,6 @@ class F4(Frozen):
 
     __radd__ = __add__
     __sub__ = __add__
-    __rsub__ = __add__
 
     def __neg__(self):
         return self
@@ -352,20 +345,6 @@ class F4(Frozen):
             raise ZeroDivisionError("0 in F4")
         # x^3 = 1 for x != 0, so x^-1 = x^2
         return self * self
-
-    def __truediv__(self, other):
-        o = F4._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, e):
-        if isinstance(e, int) and e < 0:
-            return self.inverse() ** (-e)
-        return power(self, e, F4(1))
 
     def __eq__(self, other):
         o = F4._lift(other)

@@ -1,12 +1,12 @@
 """Hypersurface singularity analysis and concrete quartic/cubic models:
 the desmic pencil, Cremona's quartic (characteristic 0 and 2), the
 characteristic-2 Kummer quartic, and the Steinerian identities.  Form,
-taylor and polar_matrix, which linecomplex shares, live in forms.
+taylor, polar_matrix and restrict, which linecomplex shares, live in forms.
 """
 
 from fractions import Fraction
 
-from .forms import Form, polar_matrix, taylor
+from .forms import Form, polar_matrix, restrict, taylor
 from .matrices import det_poly_matrix, nullspace
 from .poly import MultiPoly, PolyRing, coeff_in, prem
 from .projgeom import LineP3
@@ -279,17 +279,9 @@ def verify_identity(lhs, rhs):
 
 
 def contains_line(f, line):
-    """True iff f vanishes identically on the line (the restriction to the
-    parametrization is the zero polynomial; parameters, if any, stay
-    symbolic)."""
-    pr = [v for v in f.ring.varnames if v not in f.coord_vars]
-    ring2 = PolyRing(pr + ["s", "t"], f.ring.one)
-    s, t = ring2.var("s"), ring2.var("t")
-    mapping = {v: ring2.var(v) for v in pr}
-    one = f.ring.one
-    for v, a, b in zip(f.coord_vars, line.p, line.q):
-        mapping[v] = s.scale(lift(one, a)) + t.scale(lift(one, b))
-    return f.poly.subst(mapping, ring2).is_zero()
+    """True iff f vanishes identically on the line (parameters, if any,
+    stay symbolic)."""
+    return restrict(f, (line.p, line.q)).is_zero()
 
 
 # ----------------------------------------------------------- desmic pencil --
@@ -499,6 +491,16 @@ def eight_squares_parts():
 
 # ------------------------------------------------ characteristic-2 Cremona --
 
+def _cremona_char2(a, b, c, d, x, y, z, w):
+    """The printed characteristic-2 Cremona quartic in x, y, z, w with
+    parameters a, b, c, d: ring generators, or constants of the ring."""
+    return (b * c * d * w ** 4 + b * c * w ** 2 * x * y
+            + b * d * w ** 2 * x * z + c * d * w ** 2 * y * z
+            + (b * x + c * y + d * z) * x * y * z
+            + (a * w ** 2 + b * w * x + c * w * y + d * w * z
+               + x ** 2 + y ** 2 + z ** 2) ** 2)
+
+
 def char2_cremona_singular_points():
     """Verify the 12 parametric singular points (three families of four) and
     the extra point P_0 of the characteristic-2 Cremona quartic, working in
@@ -506,10 +508,7 @@ def char2_cremona_singular_points():
     remainder membership tests).  Returns a list of 13 reports."""
     base = PolyRing(["a", "b", "c", "d", "x", "y", "z", "w", "Z"], Mod(1, 2))
     a, b, c, d, x, y, z, w, Z = base.gens()
-    F = (b * c * d * w ** 4 + b * c * w ** 2 * x * y + b * d * w ** 2 * x * z
-         + c * d * w ** 2 * y * z + (b * x + c * y + d * z) * x * y * z
-         + (a * w ** 2 + b * w * x + c * w * y + d * w * z
-            + x ** 2 + y ** 2 + z ** 2) ** 2)
+    F = _cremona_char2(a, b, c, d, x, y, z, w)
     partials = {n: F.diff(n) for n in ("x", "y", "z", "w")}
     if not partials["w"].is_zero():  # F_w' = 0 identically in char 2
         raise ValueError("F_w = %r is not identically zero" % (partials["w"],))
@@ -558,15 +557,8 @@ def cremona_char2_specialized(a_val, b_val, c_val, d_val, one=None):
     if one is None:
         one = F4(1)
     ring = PolyRing(["x", "y", "z", "w"], one)
-    x, y, z, w = ring.gens()
-
-    a, b, c, d = (lift(one, v) for v in (a_val, b_val, c_val, d_val))
-    F = ((w ** 4).scale(b * c * d) + (w ** 2 * x * y).scale(b * c)
-         + (w ** 2 * x * z).scale(b * d) + (w ** 2 * y * z).scale(c * d)
-         + (x.scale(b) + y.scale(c) + z.scale(d)) * x * y * z
-         + ((w ** 2).scale(a) + (w * x).scale(b) + (w * y).scale(c)
-            + (w * z).scale(d) + x ** 2 + y ** 2 + z ** 2) ** 2)
-    return Form(F)
+    params = (ring.const(v) for v in (a_val, b_val, c_val, d_val))
+    return Form(_cremona_char2(*params, *ring.gens()))
 
 
 # ----------------------------------------------- characteristic-2 Kummer --

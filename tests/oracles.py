@@ -188,6 +188,119 @@ class F4Formulas:
                 (0, 1): "w", (1, 1): "w+1"}[(self.a, self.b)]
 
 
+class FractionPairQI:
+    """Oracle: the Gaussian rational as a pair of Fractions, the
+    representation QI had before it moved to one common denominator."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, *a):
+        raise AttributeError("QI is immutable")
+
+    @staticmethod
+    def _lift(other):
+        if isinstance(other, FractionPairQI):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionPairQI(other)
+        return NotImplemented
+
+    def __add__(self, other):
+        o = FractionPairQI._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return FractionPairQI(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionPairQI(-self.re, -self.im)
+
+    def __sub__(self, other):
+        o = FractionPairQI._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return FractionPairQI(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = FractionPairQI._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return FractionPairQI(self.re * o.re - self.im * o.im,
+                              self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def norm(self):
+        return self.re * self.re + self.im * self.im
+
+    def inverse(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("0 in Q(i)")
+        return FractionPairQI(self.re / n, -self.im / n)
+
+    def __truediv__(self, other):
+        o = FractionPairQI._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, e):
+        assert isinstance(e, int)
+        if e < 0:
+            return self.inverse() ** (-e)
+        r = FractionPairQI(1)
+        b = self
+        while e:
+            if e & 1:
+                r = r * b
+            b = b * b
+            e >>= 1
+        return r
+
+    def __eq__(self, other):
+        o = FractionPairQI._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im, "QI"))
+
+    def __repr__(self):
+        if self.im == 0:
+            return "QI(%s)" % self.re
+        return "QI(%s, %s)" % (self.re, self.im)
+
+
+def xgcd_inverse(v, p):
+    """The inverse of v mod p as Mod.inverse computed it before the built-in
+    pow(v, -1, p): by the extended Euclidean algorithm, or None when
+    gcd(v, p) != 1."""
+    a, b, s0, s1 = v % p, p, 1, 0
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+    return s0 % p if a == 1 else None
+
+
 def dense_rref(rows):
     """Reduced row echelon form as matrices.rref computed it before it
     skipped zero entries: every entry of the pivot row is divided and every

@@ -294,6 +294,15 @@ def test_main_rejects_bad_prime(value, capsys):
         in capsys.readouterr().err
 
 
+def test_main_rejects_a_repeated_prime(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--suite", "line-complex", "--prime", "17", "--prime",
+                  "13", "--prime", "13"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "prime 13 given twice" in captured.err and not captured.out
+
+
 def test_main_accepts_primes_one_mod_four(capsys):
     assert cli.main(["--suite", "identities", "--prime", "5",
                      "--prime", "29", "--json", "-"]) == 0

@@ -33,6 +33,45 @@ def test_mod_field():
     assert -a == Mod(6, 13)
 
 
+def is_mod(x, v, p):
+    return type(x) is Mod and (x.v, x.p) == (v % p, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 13])
+def test_mod_agrees_with_extended_euclid_oracle(p):
+    """The reflected and derived operators of every residue against integer
+    arithmetic with the extended-Euclid inverse; mod 4 the even residues
+    have none, and dividing by them raises."""
+    def raises_not_invertible(f, *args):
+        with pytest.raises(ZeroDivisionError,
+                           match="^not invertible mod %d$" % p):
+            f(*args)
+
+    for v in range(p):
+        x = Mod(v, p)
+        inv = oracles.xgcd_inverse(v, p)
+        if inv is None:
+            raises_not_invertible(Mod.inverse, x)
+        else:
+            assert is_mod(x.inverse(), inv, p)
+        for n in range(-p, p + 1):
+            assert is_mod(n - x, n - v, p)
+            if inv is None:
+                raises_not_invertible(lambda: n / x)
+            else:
+                assert is_mod(n / x, n * inv, p)
+        for w in range(p):
+            if inv is None:
+                raises_not_invertible(lambda: Mod(w, p) / x)
+            else:
+                assert is_mod(Mod(w, p) / x, w * inv, p)
+        for k in range(1, 5):
+            if inv is None:
+                raises_not_invertible(pow, x, -k)
+            else:
+                assert is_mod(x ** -k, oracles.naive_power(inv, k, 1), p)
+
+
 def test_sqrt_minus_one_canonical():
     assert sqrt_minus_one(13) == Mod(5, 13)
     assert sqrt_minus_one(17) == Mod(4, 17)
@@ -119,107 +158,6 @@ def test_gaussian_rationals():
     assert QI(2) == 2
 
 
-class FractionPairQI:
-    """Oracle: the Gaussian rational as a pair of Fractions, the
-    representation QI had before it moved to one common denominator."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, *a):
-        raise AttributeError("QI is immutable")
-
-    @staticmethod
-    def _lift(other):
-        if isinstance(other, FractionPairQI):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return FractionPairQI(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = FractionPairQI._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FractionPairQI(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FractionPairQI(-self.re, -self.im)
-
-    def __sub__(self, other):
-        o = FractionPairQI._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FractionPairQI(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        o = FractionPairQI._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FractionPairQI(self.re * o.re - self.im * o.im,
-                              self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def norm(self):
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self):
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("0 in Q(i)")
-        return FractionPairQI(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        o = FractionPairQI._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, e):
-        assert isinstance(e, int)
-        if e < 0:
-            return self.inverse() ** (-e)
-        r = FractionPairQI(1)
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
-
-    def __eq__(self, other):
-        o = FractionPairQI._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im, "QI"))
-
-    def __repr__(self):
-        if self.im == 0:
-            return "QI(%s)" % self.re
-        return "QI(%s, %s)" % (self.re, self.im)
-
-
 def agrees(new, old):
     """new is a QI in lowest terms with the value of the oracle's old."""
     return (isinstance(new, QI) and type(new.re) is Fraction
@@ -245,7 +183,7 @@ plain_scalars = st.one_of(st.integers(-30, 30), rationals)
 @given(rationals, rationals, rationals, rationals, plain_scalars)
 def test_qi_agrees_with_fraction_pair_oracle(r1, i1, r2, i2, c):
     x, y = QI(r1, i1), QI(r2, i2)
-    ox, oy = FractionPairQI(r1, i1), FractionPairQI(r2, i2)
+    ox, oy = oracles.FractionPairQI(r1, i1), oracles.FractionPairQI(r2, i2)
     assert agrees(x, ox) and agrees(y, oy)
     ops = [lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v,
            lambda u, v: u / v]
@@ -260,7 +198,7 @@ def test_qi_agrees_with_fraction_pair_oracle(r1, i1, r2, i2, c):
             assert got == want if isinstance(want, tuple) \
                 else agrees(got, want)
     assert agrees(-x, -ox)
-    got, want = outcome(QI.inverse, x), outcome(FractionPairQI.inverse, ox)
+    got, want = outcome(QI.inverse, x), outcome(oracles.FractionPairQI.inverse, ox)
     assert got == want if isinstance(want, tuple) else agrees(got, want)
     for e in range(-3, 5):
         got, want = outcome(pow, x, e), outcome(pow, ox, e)
@@ -310,7 +248,8 @@ def test_f4():
 
 def test_f4_agrees_with_formula_oracle_on_all_pairs():
     """The four interned elements against the mod-2 formulas, on all 16
-    pairs; every result is one of the four."""
+    pairs, with an int on the left and with negative powers; every result
+    is one of the four."""
     bits = [(a, b) for b in (0, 1) for a in (0, 1)]
     for x, (a, b) in zip(F4_ELEMENTS, bits):
         ox = oracles.F4Formulas(a, b)
@@ -332,6 +271,25 @@ def test_f4_agrees_with_formula_oracle_on_all_pairs():
                 assert any(got is e for e in F4_ELEMENTS)
                 assert (got.a, got.b) == (want.a, want.b)
                 assert hash(got) == hash(want) and repr(got) == repr(want)
+        for n in range(-2, 4):
+            on = oracles.F4Formulas(n)
+            results = [(n - x, on - ox)]
+            if a or b:
+                results.append((n / x, on / ox))
+            for got, want in results:
+                assert any(got is e for e in F4_ELEMENTS) and \
+                    repr(got) == repr(want)
+            if not (a or b):
+                with pytest.raises(ZeroDivisionError, match="0 in F4"):
+                    n / x
+        for k in range(1, 5):
+            if a or b:
+                want = oracles.naive_power(ox.inverse(), k,
+                                           oracles.F4Formulas(1))
+                assert x ** -k is F4_ELEMENTS[want.a | want.b << 1]
+            else:
+                with pytest.raises(ZeroDivisionError, match="0 in F4"):
+                    x ** -k
     assert -W is W
 
 
@@ -479,9 +437,9 @@ def test_poly_fraction_coefficients_enter_f4_through_lift():
 
 def test_poly_rejects_a_scalar_of_another_field():
     x = PolyRing(["x"], Mod(1, 13)).var("x")
-    with pytest.raises(ValueError, match="mixed moduli"):
+    with pytest.raises(ValueError, match="mixed moduli 13 and 17"):
         x + Mod(1, 17)
-    with pytest.raises(ValueError, match="mixed moduli"):
+    with pytest.raises(ValueError, match="mixed moduli 13 and 17"):
         (x * x).subst({"x": Mod(1, 17)})
     with pytest.raises(TypeError):
         ring_q("x").var("x") + 0.5

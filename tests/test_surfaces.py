@@ -9,11 +9,11 @@ from itertools import product
 
 import pytest
 
-from desmic_kit.forms import polar_matrix
+from desmic_kit.forms import polar_matrix, restrict
 from desmic_kit.matrices import det_poly_matrix
 from desmic_kit.poly import MultiPoly, PolyRing
 from desmic_kit.projgeom import LineP3
-from desmic_kit.scalars import F4, Mod, QI, W, lift
+from desmic_kit.scalars import F4, F4_ELEMENTS, Mod, QI, W, lift
 from desmic_kit.surfaces import (
     AnVerdict, DESMIC_SINGULAR_12, Form,
     KUMMER2_SIX_POINTS, char2_cremona_singular_points,
@@ -177,6 +177,50 @@ def test_taylor_chart_agrees_with_substitution_oracle(name):
             got = {e: evaluate(coeffs[e], at_params) if e in coeffs
                    else one * 0 for e in want}
             assert got == want, (name, p)
+
+
+# ----------------------------------------------- restriction to a subspace --
+
+RESTRICT_FIELDS = {
+    "Q": (Fraction(1),
+          lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 3))),
+    "Qi": (QI(1), lambda rng: QI(Fraction(rng.randint(-3, 3),
+                                          rng.randint(1, 2)),
+                                 rng.randint(-2, 2))),
+    "F13": (Mod(1, 13), lambda rng: Mod(rng.randrange(13), 13)),
+    "F4": (F4(1), lambda rng: rng.choice(F4_ELEMENTS)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESTRICT_FIELDS) + ["desmic-pencil"])
+def test_restrict_agrees_with_evaluation(name):
+    """restrict(f, V) at random s equals f at sum s_k*v_k, with random
+    values for the parameters of f, over seeded random forms and vectors
+    whose entries are field elements or plain ints."""
+    rng = random.Random(name)
+    if name == "desmic-pencil":
+        one, draw = RESTRICT_FIELDS["Q"]
+        forms = [desmic_pencil_symbolic()]
+    else:
+        one, draw = RESTRICT_FIELDS[name]
+        forms = [random_form(one, degree, rng) for degree in (1, 2, 3, 4)]
+    for f in forms:
+        params = [v for v in f.ring.varnames if v not in f.coord_vars]
+        for count in (1, 2, 3):
+            vectors = [[rng.choice((draw(rng), rng.randint(-3, 3)))
+                        for _ in f.coord_vars] for _ in range(count)]
+            g = restrict(f, vectors)
+            names = ["s%d" % k for k in range(count)]
+            assert g.ring.varnames == tuple(params + names)
+            for _ in range(4):
+                s = [draw(rng) for _ in range(count)]
+                at = {v: draw(rng) for v in params}
+                point = [sum((sk * vec[j] for sk, vec in zip(s, vectors)),
+                             one * 0) for j in range(len(f.coord_vars))]
+                want = evaluate(f.poly, dict(at, **dict(zip(f.coord_vars,
+                                                            point))))
+                assert evaluate(g, dict(at, **dict(zip(names, s)))) \
+                    == want, (name, vectors, s)
 
 
 # --------------------------------------------------------------- A_n types --
