@@ -44,10 +44,12 @@ def _on_first_use(name):
 
 # A suite executes only the modules its checks read: surfaces for identities,
 # desmic-surface, cremona and char2, linecomplex for line-complex, symmetry
-# and cremona, configs for desmic-surface, supersingular and lattices, and
-# lattices for the last one.
+# and cremona, symmetry and cremona for their own suites alone, configs for
+# desmic-surface, supersingular and lattices, and lattices for the last one.
 sf = _on_first_use("surfaces")
 lc = _on_first_use("linecomplex")
+sy = _on_first_use("symmetry")
+cr = _on_first_use("cremona")
 cf = _on_first_use("configs")
 la = _on_first_use("lattices")
 
@@ -223,7 +225,7 @@ def check_scan_matches_list(scan, p):
 
 
 def check_symmetry():
-    rep = lc.monomial_symmetry_group()
+    rep = sy.monomial_symmetry_group()
     ok = (rep.closed and rep.order == 1152
           and rep.node_orbit_sizes == [16, 18]
           and rep.plane_orbit_count == 1)
@@ -253,13 +255,13 @@ def check_cremona_lines(projection):
 
 
 def check_rationality_planes():
-    return _ok(lc.rationality_planes_check(),
+    return _ok(cr.rationality_planes_check(),
                "the three planes lie on the threefold and meet pairwise in "
                "the listed points")
 
 
 def check_segre():
-    out = lc.segre_isomorphism_check()
+    out = cr.segre_isomorphism_check()
     ok = (out["sum_zero"] and out["lambda"] == QI(24)
           and out["nodes_mod_p"] == 35)
     return _ok(ok, "sum t_i = 0 and sum t_i^3 = 24 * cubic; 35 distinct "
@@ -431,7 +433,7 @@ def _check_table(opt):
     pencil = functools.cache(lambda: sf.desmic_pencil_symbolic())
     tangency = functools.cache(lambda: sf.residual_conic_tangency(pencil()))
     scan = functools.cache(lambda p, unit: lc.scan_singular_points(p, unit))
-    projection = functools.cache(lambda: lc.project_to_quartic_threefold())
+    projection = functools.cache(lambda: cr.project_to_quartic_threefold())
     tables = functools.cache(lambda: cf.fibration_tables())
     h_pairings = functools.cache(lambda: cf.divisor_pairings(tables()[0], "H"))
     scans = [row for p in opt.primes for row in (

@@ -1,0 +1,187 @@
+"""The cubic line complex beyond its nodes and planes: the projection
+from a node to a quartic threefold in P^4 with 17 nodes and 4 singular
+lines, the three planes of its rationality argument, and the 35-nodal cubic
+in P^6 whose associated variety is the complex, with the printed change of
+variables to the Segre cubic.  Of the CLI suites, only cremona reads this
+module.
+"""
+
+from .forms import Form, cut_out, restrict
+from .linecomplex import (KLEIN_NAMES, CompleteIntersection35,
+                          verify_node_inventory)
+from .matrices import nullspace
+from .poly import PolyRing, proportional_polys
+from .projgeom import normalize
+from .scalars import Mod, field_i, lift, sqrt_minus_one
+
+
+# ---------------------------------------------------------------------------
+# projection to a quartic threefold in P^4
+# ---------------------------------------------------------------------------
+
+X_RING = PolyRing(["x1", "x2", "x3", "x4", "x5"])
+
+PROJECTED_NODES_17 = [
+    (1, 0, 0, 0, 0), (1, 0, 0, 1, 1), (1, 0, 0, -1, 1), (1, 1, 0, 0, 1),
+    (1, -1, 0, 0, 1), (1, 0, 0, 1, -1), (1, 0, 0, -1, -1), (1, 1, 0, 0, -1),
+    (1, -1, 0, 0, -1), (1, 0, 1, 1, 0), (1, 0, 1, -1, 0), (1, 1, 1, 0, 0),
+    (1, -1, 1, 0, 0), (1, 0, -1, 1, 0), (1, 0, -1, -1, 0), (1, 1, -1, 0, 0),
+    (1, -1, -1, 0, 0),
+]
+
+SINGULAR_LINES_4 = [
+    ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 1, 0)),
+    ((1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 1)),
+    ((1, 0, 0, 0, 0), (0, 1, 0, -1, 0), (0, 0, 1, 0, -1)),
+    ((1, 0, 0, 0, 0), (0, 1, 0, 1, 0), (0, 0, 1, 0, 1)),
+]
+
+
+def projected_quartic():
+    """The quartic threefold obtained by eliminating x6 from the cubic along
+    the Grassmannian quadric."""
+    x1, x2, x3, x4, x5 = X_RING.gens()
+    return (x1 * x1 * x2 * x4 - x1 * x1 * x3 * x5 + x2 * x2 * x3 * x5
+            - x2 * x3 * x3 * x4 + x3 * x4 * x4 * x5 - x2 * x4 * x5 * x5)
+
+
+def _line_on_and_singular(form, covectors):
+    basis = cut_out(covectors, form.ring.one, 1, "line")
+    if not restrict(form, basis).is_zero():
+        return False
+    return all(restrict(Form(g, form.coord_vars), basis).is_zero()
+               for g in form.partials())
+
+
+def project_to_quartic_threefold():
+    """Eliminate x6 and verify: the rewriting identity, the elimination
+    identity x1*cubic + X = (x4x5 - x2x3)*quadric, the 17 printed nodes, and
+    the four printed singular lines."""
+    from .surfaces import node_check
+    ci = CompleteIntersection35.plucker()
+    x1p, x2p, x3p, x4p, x5p, x6p = ci.ring.gens()
+    X = projected_quartic()
+    x1, x2, x3, x4, x5 = X_RING.gens()
+    rewrite = (x1 * x1 * (x2 * x4 - x3 * x5)
+               + (x2 * x3 - x4 * x5) * (x2 * x5 - x3 * x4))
+    rewrite_ok = X == rewrite
+
+    mapping = {n: ci.ring.var(n) for n in X_RING.varnames}
+    x_in6 = X.subst(mapping, ci.ring)
+    elim_ok = (x1p * ci.cubic.poly + x_in6
+               == (x4p * x5p - x2p * x3p) * ci.quadric.poly)
+
+    form = Form(X)
+    node_flags = [node_check(form, pt) for pt in PROJECTED_NODES_17]
+    line_flags = [_line_on_and_singular(form, covs)
+                  for covs in SINGULAR_LINES_4]
+    return {
+        "rewrite_identity": rewrite_ok,
+        "elimination_identity": elim_ok,
+        "nodes_ok": all(node_flags),
+        "node_flags": node_flags,
+        "singular_lines_ok": all(line_flags),
+    }
+
+
+RATIONALITY_PLANES = [
+    ((0, 1, 0, 0, 0), (0, 0, 1, 0, 0)),
+    ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1)),
+    ((1, -1, 0, 1, 0), (1, 0, -1, 0, 1)),
+]
+
+RATIONALITY_INTERSECTIONS = {
+    (0, 1): (1, 0, 0, 0, 0),
+    (1, 2): (1, 1, 1, 0, 0),
+    (2, 0): (1, 0, 0, -1, -1),
+}
+
+
+def rationality_planes_check():
+    """The three planes used in the rationality argument lie on the quartic
+    threefold and meet pairwise in the printed points."""
+    X = Form(projected_quartic())
+    one = X.ring.one
+    for covs in RATIONALITY_PLANES:
+        if not restrict(X, cut_out(covs, one, 2, "plane")).is_zero():
+            return False
+    for (a, b), printed in RATIONALITY_INTERSECTIONS.items():
+        rows = [[lift(one, c) for c in cv]
+                for cv in RATIONALITY_PLANES[a] + RATIONALITY_PLANES[b]]
+        ker = nullspace(rows, one)
+        if len(ker) != 1:
+            return False
+        if normalize(ker[0]) != normalize([lift(one, c) for c in printed]):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# the 35-nodal cubic in P^6
+# ---------------------------------------------------------------------------
+
+def cubic_sevenfold(one=None, i=None):
+    """x0*(x1^2+...+x6^2) + x1*x2*x3 + i*x4*x5*x6, the cubic in P^6 whose
+    associated variety at [1,0,...,0] is the Klein-form complex: x0 times
+    its quadric plus its cubic, shifted into x1..x6."""
+    ci = CompleteIntersection35.klein(i=i, one=one)
+    ring = PolyRing(["x0", "x1", "x2", "x3", "x4", "x5", "x6"], ci.one)
+    shift = dict(zip(KLEIN_NAMES, ring.gens()[1:]))
+    return Form(ring.var("x0") * ci.quadric.poly.subst(shift, ring)
+                + ci.cubic.poly.subst(shift, ring))
+
+
+def segre_t_forms(ring):
+    """The eight printed linear forms identifying the cubic with the Segre
+    cubic in P^6."""
+    x0, x1, x2, x3, x4, x5, x6 = ring.gens()
+    i = field_i(ring.one)
+    two_x0 = x0.scale(lift(ring.one, 2))
+    t0 = two_x0 + x1 - x2 - x3
+    t1 = two_x0 - x1 + x2 - x3
+    t2 = two_x0 - x1 - x2 + x3
+    t3 = two_x0 + x1 + x2 + x3
+    t4 = -two_x0 - (x4 + x5 + x6).scale(i)
+    t5 = -two_x0 + (x4 + x5 - x6).scale(i)
+    t6 = -two_x0 + (x4 - x5 + x6).scale(i)
+    t7 = -two_x0 + (-x4 + x5 + x6).scale(i)
+    return [t0, t1, t2, t3, t4, t5, t6, t7]
+
+
+def segre_isomorphism_check(scan_prime=13):
+    """The printed linear change takes the cubic to the Segre cubic: the sum
+    of the eight forms is zero and the sum of their cubes is one nonzero
+    scalar multiple of the cubic.  Also verifies, over F_p, that the 35
+    candidate singular points (34 lifted from the complex plus the cone
+    point) are distinct ordinary nodes of the cubic."""
+    from .surfaces import node_check
+    f = cubic_sevenfold()
+    ring = f.ring
+    ts = segre_t_forms(ring)
+    total = ring.zero()
+    cubes = ring.zero()
+    for t in ts:
+        total = total + t
+        cubes = cubes + t * t * t
+    sum_zero = total.is_zero()
+    ok, lam = proportional_polys(cubes, f.poly)
+    if not (sum_zero and ok and lam):
+        raise ValueError("printed change of variables fails")
+
+    p = scan_prime
+    one = Mod(1, p)
+    ip = sqrt_minus_one(p)
+    ci = CompleteIntersection35.klein(i=ip, one=one)
+    inv = verify_node_inventory(ci)
+    fp = cubic_sevenfold(one=one, i=ip)
+    seen = set()
+    for rep in inv.reports1 + inv.reports2:
+        cand = (-rep.tangent_lambda,) + tuple(rep.point)
+        if not node_check(fp, cand):
+            raise ValueError("lifted point is not a node: %r" % (cand,))
+        seen.add(normalize(cand))
+    cone = (one,) + (one * 0,) * 6
+    if not node_check(fp, cone):
+        raise ValueError("cone point is not a node")
+    seen.add(normalize(cone))
+    return {"sum_zero": sum_zero, "lambda": lam, "nodes_mod_p": len(seen)}

@@ -1,7 +1,8 @@
 """Homogeneous forms with designated coordinates, their Taylor expansion at
-a point, the polar matrix of a quadratic form, and the restriction of a form
-to a linear subspace: what the node and containment tests of surfaces and
-linecomplex share.
+a point (from one Hasse table per form and degree, built on first use), the
+polar matrix of a quadratic form, and the restriction of a form to a linear
+subspace: what the node and containment tests of surfaces and linecomplex
+share.
 
 Forms may carry symbolic parameters: a Form records which ring variables are
 projective coordinates; the remaining variables are parameters, and all
@@ -11,7 +12,7 @@ parameter ring, in odd characteristic (surfaces.node_check).
 """
 
 from itertools import product
-from math import comb
+from math import comb, prod
 
 from .matrices import nullspace
 from .poly import MultiPoly, PolyRing
@@ -33,6 +34,35 @@ class Form:
             raise ValueError("form not homogeneous in its coordinates")
         self.degree = degs.pop() if degs else -1
         self.char = poly.ring.char
+        self._hasse = {}
+
+    def hasse_table(self, degree):
+        """(ring, entries) of the Taylor expansion up to `degree`, built on
+        first use and kept.  ring is the polynomial ring of the parameters.
+        Each entry is (e, b, c*C(a, e), rest) for a term c*x^a*t^b of the
+        form and an e <= a with |e| <= degree whose coefficient c*C(a, e)
+        is nonzero in the field; rest lists the coordinate positions of
+        x^(a-e), each as often as its exponent."""
+        table = self._hasse.get(degree)
+        if table is None:
+            one = self.ring.one
+            params = [k for k in range(self.ring.nvars())
+                      if k not in self.coord_idx]
+            entries = []
+            for exp, c in self.poly.coeffs.items():
+                a = [exp[k] for k in self.coord_idx]
+                b = tuple(exp[k] for k in params)
+                for e in product(*(range(min(ai, degree) + 1) for ai in a)):
+                    if sum(e) > degree:
+                        continue
+                    ce = c * lift(one, prod(map(comb, a, e)))
+                    if ce:
+                        rest = tuple(k for k, (ai, ei) in enumerate(zip(a, e))
+                                     for _ in range(ai - ei))
+                        entries.append((e, b, ce, rest))
+            ring = PolyRing([self.ring.varnames[k] for k in params], one)
+            table = self._hasse[degree] = (ring, entries)
+        return table
 
     def partials(self):
         return [self.poly.diff(v) for v in self.coord_vars]
@@ -74,6 +104,36 @@ def cut_out(covectors, one, dim, what):
     return basis
 
 
+def hasse_at(f, p, degree):
+    """Hasse derivatives of the form f at the point p, whose entries are
+    field elements, up to total degree `degree`: {e: {b: coeff}}, the
+    nonzero coefficients of u^e*t^b in f(p + u), where u = x - p are the
+    local coordinates and t the parameters of f.  A term c*x^a*t^b of f
+    contributes c*C(a, e)*p^(a-e) to u^e*t^b for every e <= a with
+    |e| <= degree (Form.hasse_table); one whose rest p^(a-e) has a zero
+    factor contributes nothing and is skipped."""
+    if len(p) != len(f.coord_vars):
+        raise ValueError("point %r has %d coordinates, the form %d"
+                         % (p, len(p), len(f.coord_vars)))
+    _, entries = f.hasse_table(degree)
+    buckets = {}
+    for e, b, c, rest in entries:
+        for k in rest:
+            x = p[k]
+            if not x:
+                break
+            c = c * x
+        else:
+            bucket = buckets.setdefault(e, {})
+            bucket[b] = bucket[b] + c if b in bucket else c
+    out = {}
+    for e, bucket in buckets.items():
+        bucket = {b: c for b, c in bucket.items() if c}
+        if bucket:
+            out[e] = bucket
+    return out
+
+
 def taylor(f, p, degree):
     """Taylor coefficients of the form f at the point p, up to total degree
     `degree` in the local coordinates u = x - p.
@@ -81,47 +141,14 @@ def taylor(f, p, degree):
     Returns a dict mapping each exponent tuple e (one slot per coordinate
     variable) to the nonzero coefficient of u^e, a polynomial in the
     parameters of f.  That coefficient is the Hasse derivative D^(e) f at
-    p: a term c*x^a*t^b of f contributes c*C(a, e)*p^(a-e)*t^b for every
-    e <= a with |e| <= degree, where C(a, e) is the product of the binomial
-    coefficients C(a_i, e_i) mapped into the field.  No division by e! is
-    involved, so the expansion is exact in every characteristic (Hasse
+    p, read from hasse_at: C(a, e) is the product of the binomial
+    coefficients C(a_i, e_i) mapped into the field, and no division by e!
+    is involved, so the expansion is exact in every characteristic (Hasse
     1936, J. reine angew. Math. 175)."""
-    one = f.ring.one
-    point = [lift(one, c) for c in p]
-    if len(point) != len(f.coord_vars):
-        raise ValueError("point %r has %d coordinates, the form %d"
-                         % (point, len(point), len(f.coord_vars)))
-    params = [k for k in range(f.ring.nvars()) if k not in f.coord_idx]
-    powers = []
-    for c in point:
-        row = [one]
-        for _ in range(max(f.degree, 0)):
-            row.append(row[-1] * c)
-        powers.append(row)
-    buckets = {}
-    for exp, c in f.poly.coeffs.items():
-        a = [exp[k] for k in f.coord_idx]
-        b = tuple(exp[k] for k in params)
-        # a zero coordinate kills every term with e_i < a_i
-        ranges = [range(ai, ai + 1) if not x else range(min(ai, degree) + 1)
-                  for ai, x in zip(a, point)]
-        for e in product(*ranges):
-            if sum(e) > degree:
-                continue
-            binom = 1
-            term = c
-            for ai, ei, pw in zip(a, e, powers):
-                if ai > ei:
-                    binom *= comb(ai, ei)
-                    term = term * pw[ai - ei]
-            if binom != 1:
-                term = term * lift(one, binom)
-            if term:
-                bucket = buckets.setdefault(e, {})
-                bucket[b] = bucket[b] + term if b in bucket else term
-    pr = PolyRing([f.ring.varnames[k] for k in params], one)
-    out = {e: MultiPoly(pr, d) for e, d in buckets.items()}
-    return {e: g for e, g in out.items() if g}
+    point = [lift(f.ring.one, c) for c in p]
+    ring, _ = f.hasse_table(degree)
+    return {e: MultiPoly(ring, d)
+            for e, d in hasse_at(f, point, degree).items()}
 
 
 def polar_matrix(q2, nvars, one):

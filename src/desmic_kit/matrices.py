@@ -1,6 +1,7 @@
 """Exact matrix algebra shared by every suite: fraction-free determinants
-over integers, fields and polynomial rings, sparse Gram products, and
-reduced row echelon form, rank and nullspace over any exact field."""
+over integers, fields and polynomial rings, sparse Gram products, rank by
+forward elimination, and reduced row echelon form and nullspace over any
+exact field."""
 
 from fractions import Fraction
 from math import lcm
@@ -107,8 +108,27 @@ def rref(rows):
 
 
 def matrix_rank(rows):
-    _, pivots = rref(rows)
-    return len(pivots)
+    """Rank over any exact field by forward elimination: each pivot row
+    clears its column in the rows below it, unscaled, and the elimination
+    stops once every row holds a pivot.  No back-substitution: rref is for
+    kernels and echelon keys."""
+    a = [list(r) for r in rows]
+    nr = len(a)
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, nr) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        for i in range(rank + 1, nr):
+            if a[i][c]:
+                f = a[i][c] / top[c]
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], top)]
+        rank += 1
+        if rank == nr:
+            break
+    return rank
 
 
 def nullspace(rows, one):

@@ -7,7 +7,7 @@ Everything is exact; no floats anywhere.
 
 from fractions import Fraction
 
-from .scalars import Field, char_of, lift, power
+from .scalars import Field, Mod, char_of, is_prime, lift, power
 
 
 class PolyRing:
@@ -15,6 +15,12 @@ class PolyRing:
 
     def __init__(self, varnames, one=Fraction(1)):
         self.varnames = tuple(varnames)
+        for k, v in enumerate(self.varnames):
+            if v in self.varnames[:k]:
+                raise ValueError("repeated variable %r in %r"
+                                 % (v, self.varnames))
+        if isinstance(one, Mod) and not is_prime(one.p):
+            raise ValueError("modulus %d is not prime" % one.p)
         self.one = one
         self.zero_exp = (0,) * len(self.varnames)
         self.char = char_of(one)
@@ -86,7 +92,8 @@ class MultiPoly:
         return max(e[i] for e in self.coeffs)
 
     def constant_coeff(self):
-        return self.coeffs.get(self.ring.zero_exp, self.ring.one * 0)
+        c = self.coeffs.get(self.ring.zero_exp)
+        return self.ring.one * 0 if c is None else c
 
     def monomials(self):
         return sorted(self.coeffs)

@@ -90,7 +90,7 @@ SHARED_INPUTS = {
                  ("desmic.tangency-computed", "desmic.tangency-printed")),
     "scan": ("line-complex", cli.lc, "scan_singular_points", 4,
              SCAN_CHECKS),
-    "projection": ("cremona", cli.lc, "project_to_quartic_threefold", 1,
+    "projection": ("cremona", cli.cr, "project_to_quartic_threefold", 1,
                    ("cremona.rewrite", "cremona.nodes-17",
                     "cremona.singular-lines")),
     "42-curve-tables": ("supersingular", cli.cf, "fibration_tables", 1,
@@ -326,6 +326,8 @@ from fractions import Fraction
 import desmic_kit.cli as cli
 import desmic_kit.lattices as la
 import desmic_kit.linecomplex as lc
+import desmic_kit.symmetry as sy
+import desmic_kit.cremona as cr
 import desmic_kit.configs as cf
 import desmic_kit.projgeom as pg
 import desmic_kit.surfaces as sf
@@ -347,8 +349,8 @@ def patched(module, name, value, call):
         setattr(module, name, saved)
 
 def symmetry_with_failing_element():
-    lc._element_preserves = lambda el, form: False
-    lc.monomial_symmetry_group()
+    sy._element_preserves = lambda el, form: False
+    sy.monomial_symmetry_group()
 
 plucker = lc.CompleteIntersection35.plucker()
 a, b, c, d, e = PolyRing(list("abcde")).gens()
@@ -428,11 +430,11 @@ for case in (lambda: run_scan(13, 0),
              lambda: patched(lc, "klein_plane_list",
                              lambda: klein_planes[:23] + klein_planes[:1],
                              claims.klein_plane_labels),
-             lambda: lc._line_on_and_singular(lc.Form(lc.projected_quartic()),
+             lambda: cr._line_on_and_singular(cr.Form(cr.projected_quartic()),
                                               [[1, 0, 0, 0, 0]]),
-             lambda: patched(lc, "RATIONALITY_PLANES",
+             lambda: patched(cr, "RATIONALITY_PLANES",
                              [((0, 1, 0, 0, 0),)],
-                             lc.rationality_planes_check),
+                             cr.rationality_planes_check),
              lambda: cf.AbstractConfig(["p", "p"], ["b"], []),
              lambda: cf.AbstractConfig(["p"], ["b", "b"], []),
              lambda: cf.AbstractConfig(["p"], ["b"], [("q", "b")]),
@@ -553,8 +555,8 @@ SUITE_MODULES = {
     "identities": (True, {"forms", "surfaces"}),
     "desmic-surface": (False, {"forms", "surfaces", "configs"}),
     "line-complex": (True, {"forms", "linecomplex", "scan"}),
-    "symmetry": (True, {"forms", "linecomplex"}),
-    "cremona": (True, {"forms", "linecomplex", "surfaces"}),
+    "symmetry": (True, {"forms", "linecomplex", "symmetry"}),
+    "cremona": (True, {"forms", "linecomplex", "surfaces", "cremona"}),
     "char2": (True, {"forms", "surfaces"}),
     "supersingular": (False, {"configs"}),
     "lattices": (True, {"configs", "lattices"}),
@@ -601,8 +603,9 @@ def test_fresh_cli_run_matches_benchmark_reference(args, reference, code):
 # imported cli: either configs and lattices once they have run ("import"),
 # or modules that have not run yet, reached through cli and through the
 # package, whose first use keeps the binding: configs and lattices
-# ("unloaded"), or linecomplex and surfaces ("unloaded-lc-sf").  The
-# process also prints which of the four modules had run when it rebound.
+# ("unloaded"), or symmetry and surfaces ("unloaded-lc-sf").  The process
+# also prints which of the six lazily loaded modules had run when it
+# rebound.
 REBOUND_AFTER_IMPORT = """
 import json, os, sys
 ran = set()
@@ -629,11 +632,12 @@ elif sys.argv[1] == "unloaded":
     cli.cf.pg24 = rebound
     desmic_kit.lattices.curve_span_lattice_names = rebound
 else:
-    cli.lc.monomial_symmetry_group = rebound
+    cli.sy.monomial_symmetry_group = rebound
     cli.sf.eight_squares_parts = rebound
     suites = ("identities", "symmetry")
 early = sorted(m[:-3] for m in ("configs.py", "lattices.py",
-                                "linecomplex.py", "surfaces.py") if m in ran)
+                                "linecomplex.py", "surfaces.py",
+                                "symmetry.py", "cremona.py") if m in ran)
 failed = {c.id: c.details for s in suites
           for c in cli.run_suite(s).failures}
 print(json.dumps([failed, calls, early]))

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from desmic_kit.scalars import (Mod, QI, F4, W, I, F4_ELEMENTS, is_prime,
                                 lift, power, sqrt_minus_one)
+from desmic_kit.forms import Form, restrict
 from desmic_kit.poly import MultiPoly, PolyRing, prem
 from desmic_kit.lattices import (inertia_signature, smith_invariants,
                                  smith_normal_form)
@@ -445,6 +446,24 @@ def test_poly_rejects_a_scalar_of_another_field():
         ring_q("x").var("x") + 0.5
 
 
+def test_poly_ring_rejects_a_repeated_variable():
+    with pytest.raises(ValueError, match="repeated variable 'x'"):
+        PolyRing(["x", "y", "x"])
+    # a parameter named like restrict's span coordinates is refused, not
+    # conflated with the first of them
+    s0, x, y = PolyRing(["s0", "x", "y"]).gens()
+    with pytest.raises(ValueError, match="repeated variable 's0'"):
+        restrict(Form(s0 * x + y, ("x", "y")), [(1, 0), (0, 1)])
+
+
+def test_poly_ring_rejects_a_composite_modulus():
+    with pytest.raises(ValueError, match="modulus 4 is not prime"):
+        PolyRing(["x"], Mod(1, 4))
+    with pytest.raises(ValueError, match="modulus 91 is not prime"):
+        PolyRing(["x", "y"], Mod(3, 91))
+    assert PolyRing(["x"], Mod(1, 2)).char == 2
+
+
 def test_poly_mixed_ring_rejected():
     r1, r2 = ring_q("x"), ring_q("y")
     with pytest.raises(ValueError):
@@ -795,6 +814,36 @@ def test_rref_agrees_with_dense_elimination(field, seed):
     assert got == want
     assert [[type(x) for x in r] for r in got] \
         == [[type(x) for x in r] for r in want]
+
+
+RANK_FIELDS = dict(RREF_FIELDS,
+                   F2=lambda rng: Mod(rng.randrange(2), 2),
+                   F3=lambda rng: Mod(rng.randrange(3), 3))
+
+
+@pytest.mark.parametrize("field", sorted(RANK_FIELDS))
+def test_rank_agrees_with_dense_elimination_pivots(field):
+    """Forward elimination against the pivot count of the dense oracle on
+    1-7 x 1-7 matrices of every density from empty to full, with zero
+    rows, repeated rows and rows that are sums of others mixed in."""
+    rng = random.Random(field)
+    draw = RANK_FIELDS[field]
+    zero = draw(rng) * 0
+    for _ in range(300):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        density = rng.choice((0, 0.15, 0.3, 0.5, 0.7, 0.85, 1))
+        rows = [[draw(rng) if rng.random() < density else zero
+                 for _ in range(nc)] for _ in range(nr)]
+        for k in range(1, nr):
+            how = rng.random()
+            if how < 0.15:
+                rows[k] = [zero] * nc
+            elif how < 0.3:
+                rows[k] = list(rows[rng.randrange(k)])
+            elif how < 0.4 and k > 1:
+                rows[k] = [x + y for x, y in zip(rows[0], rows[k - 1])]
+        _, pivots = oracles.dense_rref(rows)
+        assert matrix_rank(rows) == len(pivots), rows
 
 
 def test_rank_nullspace_over_gf13():

@@ -8,7 +8,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import desmic_kit.cremona as cr
 import desmic_kit.linecomplex as lc
+import desmic_kit.symmetry as sy
 from desmic_kit.lattices import solve_linear
 from desmic_kit.matrices import det_poly_matrix, matrix_rank, nullspace
 from desmic_kit.poly import PolyRing, proportional_polys
@@ -399,6 +401,20 @@ def singular_complete_intersection(one, rng):
     return lc.CompleteIntersection35(forms[0], forms[1], "plucker"), point
 
 
+def test_complete_intersection_rejects_a_form_with_parameters():
+    """The node test reads the parameter-free Hasse coefficients only, so a
+    form in a ring with a parameter t is refused, as either equation."""
+    x1, x2, x3, x4, x5, x6, t = PolyRing(list(lc.PLUCKER_NAMES) + ["t"],
+                                         QI(1)).gens()
+    quadric = lc.Form(x1 * x6 - x2 * x5 + x3 * x4, lc.PLUCKER_NAMES)
+    cubic = lc.Form(x1 * x2 * x3 + t * x4 * x5 * x6, lc.PLUCKER_NAMES)
+    plain = lc.CompleteIntersection35.plucker()
+    with pytest.raises(ValueError, match="has parameters"):
+        lc.CompleteIntersection35(quadric, plain.cubic, "plucker")
+    with pytest.raises(ValueError, match="has parameters"):
+        lc.CompleteIntersection35(plain.quadric, cubic, "plucker")
+
+
 @pytest.mark.parametrize("one", [Fraction(1), Mod(1, 13), Mod(1, 3),
                                  Mod(1, 2)], ids=["Q", "F13", "F3", "F2"])
 @settings(max_examples=25, deadline=None)
@@ -517,7 +533,7 @@ def test_incidence_coset_example():
 # -- symmetry group -----------------------------------------------------------
 
 def test_monomial_symmetry_group():
-    rep = lc.monomial_symmetry_group()
+    rep = sy.monomial_symmetry_group()
     assert rep.order == 1152
     assert rep.node_orbit_sizes == [16, 18]
     assert rep.plane_orbit_count == 1
@@ -527,13 +543,13 @@ def test_monomial_symmetry_group():
 
 def test_orbit_leaving_the_keys_raises():
     with pytest.raises(ValueError, match="orbit of 1 leaves"):
-        lc._orbit_sizes([1], [0, 1], lambda g, k: k + g)
+        sy._orbit_sizes([1], [0, 1], lambda g, k: k + g)
 
 
 def test_orbit_of_a_finite_group_raises_outside_the_keys():
     # Z/3 acting on itself leaves the keys {0, 1} at 2
     with pytest.raises(ValueError, match="orbit of 0 leaves"):
-        lc._orbit_sizes([0, 1], [1], lambda g, k: (k + g) % 3)
+        sy._orbit_sizes([0, 1], [1], lambda g, k: (k + g) % 3)
 
 
 def test_orbit_searches_along_every_generator():
@@ -550,7 +566,7 @@ def test_orbit_searches_along_every_generator():
 
 @pytest.fixture(scope="module")
 def symmetry_group():
-    return lc.monomial_symmetry_group().elements
+    return sy.monomial_symmetry_group().elements
 
 
 def _closure_test_sets(group):
@@ -569,35 +585,35 @@ def _closure_test_sets(group):
 def test_generator_closure_agrees_with_pairwise_oracle(symmetry_group, name,
                                                        closed):
     elements = _closure_test_sets(symmetry_group)[name]
-    gens, group = lc._generators(elements)
+    gens, group = sy._generators(elements)
     assert (group == elements) is closed
-    assert pairwise_closed(elements, lc._compose_elements) is closed
+    assert pairwise_closed(elements, sy._compose_elements) is closed
     identity = (tuple(range(6)), (0,) * 6)
     assert set(gens) <= elements <= group
-    assert _orbit(identity, gens, lc._compose_elements) == group
+    assert _orbit(identity, gens, sy._compose_elements) == group
     for k, g in enumerate(gens):
-        assert g not in _orbit(identity, gens[:k], lc._compose_elements)
+        assert g not in _orbit(identity, gens[:k], sy._compose_elements)
 
 
 def test_orbit_sizes_agree_with_every_element_oracle(symmetry_group):
-    gens, group = lc._generators(symmetry_group)
+    gens, group = sy._generators(symmetry_group)
     assert group == symmetry_group
     node_keys = [normalize(p)
                  for p in lc.klein_nodes_18() + lc.klein_nodes_16()]
     plane_keys = [lc._span_key(pl.basis) for pl in lc.klein_plane_list()]
-    for keys, action in ((node_keys, lc._apply_point),
-                         (plane_keys, lc._apply_plane)):
-        assert sorted(lc._orbit_sizes(keys, gens, action)) == \
+    for keys, action in ((node_keys, sy._apply_point),
+                         (plane_keys, sy._apply_plane)):
+        assert sorted(sy._orbit_sizes(keys, gens, action)) == \
             orbit_sizes_by_elements(keys, symmetry_group, action)
 
 
 def test_invariance_is_checked_on_the_generators_only(monkeypatch):
     calls = []
-    check = lc._element_preserves
-    monkeypatch.setattr(lc, "_element_preserves",
+    check = sy._element_preserves
+    monkeypatch.setattr(sy, "_element_preserves",
                         lambda el, form: calls.append(el) or check(el, form))
-    rep = lc.monomial_symmetry_group()
-    gens, _ = lc._generators(rep.elements)
+    rep = sy.monomial_symmetry_group()
+    gens, _ = sy._generators(rep.elements)
     # the sorted walk finds 9 generators: 18 symbolic checks, not 2 * 1152
     assert len(calls) == 2 * len(gens) == 18
     assert set(calls) == set(gens)
@@ -667,7 +683,7 @@ def test_scan_count_stable_at_29():
 # -- projection and rationality ----------------------------------------------
 
 def test_projected_quartic_identities_nodes_and_lines():
-    rep = lc.project_to_quartic_threefold()
+    rep = cr.project_to_quartic_threefold()
     assert rep["rewrite_identity"]
     assert rep["elimination_identity"]
     assert rep["nodes_ok"] and len(rep["node_flags"]) == 17
@@ -675,13 +691,13 @@ def test_projected_quartic_identities_nodes_and_lines():
 
 
 def test_rationality_planes():
-    assert lc.rationality_planes_check()
+    assert cr.rationality_planes_check()
 
 
 # -- the 35-nodal cubic -------------------------------------------------------
 
 def test_segre_change_of_variables():
-    out = lc.segre_isomorphism_check()
+    out = cr.segre_isomorphism_check()
     assert out["sum_zero"]
     assert out["lambda"] == QI(24)
     assert out["nodes_mod_p"] == 35

@@ -24,7 +24,7 @@ from desmic_kit.surfaces import (
     local_series, node_check,
     rdp_an_type, singular_at, steinerian_equation,
     steinerian_identity_parts, taylor, verify_identity)
-from desmic_kit.linecomplex import PROJECTED_NODES_17, projected_quartic
+from desmic_kit.cremona import PROJECTED_NODES_17, projected_quartic
 from desmic_kit import surfaces
 from claims import (DESMIC_VERTICES_12, mat_apply,
                     projected_24_points_quartic_rank,
