@@ -111,7 +111,10 @@ def hasse_at(f, p, degree):
     local coordinates and t the parameters of f.  A term c*x^a*t^b of f
     contributes c*C(a, e)*p^(a-e) to u^e*t^b for every e <= a with
     |e| <= degree (Form.hasse_table); one whose rest p^(a-e) has a zero
-    factor contributes nothing and is skipped."""
+    factor contributes nothing and is skipped.  C(a, e) is the product of
+    the binomial coefficients C(a_i, e_i) mapped into the field, and no
+    division by e! is involved, so the expansion is exact in every
+    characteristic (Hasse 1936, J. reine angew. Math. 175)."""
     if len(p) != len(f.coord_vars):
         raise ValueError("point %r has %d coordinates, the form %d"
                          % (p, len(p), len(f.coord_vars)))
@@ -132,23 +135,6 @@ def hasse_at(f, p, degree):
         if bucket:
             out[e] = bucket
     return out
-
-
-def taylor(f, p, degree):
-    """Taylor coefficients of the form f at the point p, up to total degree
-    `degree` in the local coordinates u = x - p.
-
-    Returns a dict mapping each exponent tuple e (one slot per coordinate
-    variable) to the nonzero coefficient of u^e, a polynomial in the
-    parameters of f.  That coefficient is the Hasse derivative D^(e) f at
-    p, read from hasse_at: C(a, e) is the product of the binomial
-    coefficients C(a_i, e_i) mapped into the field, and no division by e!
-    is involved, so the expansion is exact in every characteristic (Hasse
-    1936, J. reine angew. Math. 175)."""
-    point = [lift(f.ring.one, c) for c in p]
-    ring, _ = f.hasse_table(degree)
-    return {e: MultiPoly(ring, d)
-            for e, d in hasse_at(f, point, degree).items()}
 
 
 def polar_matrix(q2, nvars, one):

@@ -231,10 +231,6 @@ class Lattice:
         """Invariant factors (> 1) of the discriminant group."""
         return [d for d in smith_invariants(self.gram) if d > 1]
 
-    def is_indefinite(self):
-        p, m = self.signature()
-        return p > 0 and m > 0
-
     def __repr__(self):
         return "Lattice(%s, rank %d)" % (self.name or "?", self.rank)
 
@@ -416,8 +412,6 @@ def disc_form(l):
     together with its generators as rational vectors.
 
     Returns (FiniteQuadForm, generator vectors in the lattice basis)."""
-    if isinstance(l, str):
-        l = standard_lattice(l)
     n = l.rank
     d, _, v = smith_normal_form(l.gram)
     diag = [d[i][i] for i in range(n)]
@@ -511,17 +505,14 @@ def genus_match_indefinite(l1, l2):
     lattices, agreement means isomorphism by the uniqueness theorem for
     indefinite lattices in their genus (trusted, not re-proved); for
     definite ones only genus-level agreement is reported."""
-    if isinstance(l1, str):
-        l1 = standard_lattice(l1)
-    if isinstance(l2, str):
-        l2 = standard_lattice(l2)
-    out = {"signatures": (l1.signature(), l2.signature()),
-           "disc_orders": (abs(l1.det()), abs(l2.det()))}
-    if l1.signature() != l2.signature():
+    s1, s2 = l1.signature(), l2.signature()
+    d1, d2 = abs(l1.det()), abs(l2.det())
+    out = {"signatures": (s1, s2), "disc_orders": (d1, d2)}
+    if s1 != s2:
         out["match"] = False
         out["reason"] = "signatures differ"
         return out
-    if abs(l1.det()) != abs(l2.det()):
+    if d1 != d2:
         out["match"] = False
         out["reason"] = "discriminant orders differ"
         return out
@@ -534,7 +525,7 @@ def genus_match_indefinite(l1, l2):
     out["match"] = True
     out["level"] = ("isomorphic by uniqueness of indefinite even "
                     "lattices in their genus (cited)"
-                    if l1.is_indefinite() else "genus-level")
+                    if min(s1) > 0 else "genus-level")
     return out
 
 
@@ -574,8 +565,6 @@ def overlattice(l, glue):
     Returns (Lattice, basis rows in the old coordinates as Fractions).
     Raises ValueError when the result is not an even integral lattice
     (non-isotropic glue)."""
-    if isinstance(l, str):
-        l = standard_lattice(l)
     n = l.rank
     if not glue:
         return l, [[Fraction(int(i == j)) for j in range(n)]

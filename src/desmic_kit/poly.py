@@ -91,10 +91,6 @@ class MultiPoly:
             return -1
         return max(e[i] for e in self.coeffs)
 
-    def constant_coeff(self):
-        c = self.coeffs.get(self.ring.zero_exp)
-        return self.ring.one * 0 if c is None else c
-
     def monomials(self):
         return sorted(self.coeffs)
 

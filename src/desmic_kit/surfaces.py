@@ -1,15 +1,17 @@
 """Hypersurface singularity analysis and concrete quartic/cubic models:
 the desmic pencil, Cremona's quartic (characteristic 0 and 2), the
-characteristic-2 Kummer quartic, and the Steinerian identities.  Form,
-taylor, polar_matrix and restrict, which linecomplex shares, live in forms.
+characteristic-2 Kummer quartic, and the Steinerian identities.  Every
+local test reads one forms.hasse_at expansion at the point.  Form,
+hasse_at, polar_matrix and restrict, which linecomplex shares, live in
+forms.
 """
 
 from fractions import Fraction
 
-from .forms import Form, polar_matrix, restrict, taylor
+from .forms import Form, hasse_at, polar_matrix, restrict
 from .matrices import det_poly_matrix, nullspace
 from .poly import MultiPoly, PolyRing, coeff_in, prem
-from .projgeom import LineP3
+from .projgeom import LineP3, normalize
 from .scalars import F4_ELEMENTS, F4, Mod, lift, one_like
 
 
@@ -32,29 +34,27 @@ class SingularPointReport:
 
 
 def singular_at(f, p):
-    """Value and gradient of f at p, read from its degree-1 Taylor
-    expansion; a partial that vanishes identically (as x^2 does in
+    """Value and gradient of f at p, read from the keys of its degree-1
+    Hasse expansion; a partial that vanishes identically (as x^2 does in
     characteristic 2) contributes nothing."""
     point = list(p)
-    coeffs = taylor(f, point, 1)
+    coeffs = hasse_at(f, [lift(f.ring.one, c) for c in point], 1)
     on = (0,) * len(point) not in coeffs
     jac_rank = 1 if any(sum(e) == 1 for e in coeffs) else 0
     return SingularPointReport(point, on, jac_rank,
                                is_singular=on and jac_rank == 0)
 
 
-def _chart(f, p, degree):
-    """Taylor coefficients of f in the affine chart at p, up to `degree`.
+def _chart(point, expansion):
+    """The local equation in the affine chart at a normalized point, from
+    the point's forms.hasse_at expansion.
 
-    The chart fixes the pivot x_k = 1 (k the first nonzero coordinate of
-    p) and puts x_i = p_i/p_k + u_i elsewhere, so of the expansion at the
-    normalized point only the terms with e[k] = 0 remain; their exponent
-    tuples are returned with slot k dropped."""
-    point = [lift(f.ring.one, c) for c in p]
+    The chart fixes the pivot x_k = 1 (k the first nonzero coordinate) and
+    puts x_i = p_i + u_i elsewhere, so of the expansion only the terms with
+    e[k] = 0 remain; their exponent tuples are returned with slot k
+    dropped."""
     k = next(i for i, c in enumerate(point) if c)
-    point = [c / point[k] for c in point]
-    return {e[:k] + e[k + 1:]: c for e, c in taylor(f, point, degree).items()
-            if not e[k]}
+    return {e[:k] + e[k + 1:]: d for e, d in expansion.items() if not e[k]}
 
 
 def quadratic_part_smooth(q2_coeffs, nvars, one):
@@ -92,10 +92,16 @@ def node_check(f, p):
     With parameters the verdict is generic, over the rational function
     field in the parameters, and needs odd characteristic: there the
     quadric is smooth iff the determinant of its polar matrix, computed in
-    the parameter ring by exact Bareiss division, is not zero."""
-    if not singular_at(f, p).is_singular:
+    the parameter ring by exact Bareiss division, is not zero.
+
+    Value, gradient and quadratic part come from one degree-2 Hasse
+    expansion at the normalized point: p is singular iff it has no term of
+    degree < 2, and then its chart is the quadratic part."""
+    point = normalize([lift(f.ring.one, c) for c in p])
+    expansion = hasse_at(f, point, 2)
+    if any(sum(e) < 2 for e in expansion):
         raise ValueError("point %r is not singular on the form" % (p,))
-    q2 = {e: c for e, c in _chart(f, p, 2).items() if sum(e) == 2}
+    q2 = _chart(point, expansion)
     n = len(f.coord_vars) - 1
     if f.ring.nvars() > len(f.coord_vars):
         if f.char == 2:
@@ -103,9 +109,11 @@ def node_check(f, p):
                              "the generic node test does not apply" % (f,))
         if not q2:
             return False
-        chart_one = next(iter(q2.values())).ring.const(1)
-        return not det_poly_matrix(polar_matrix(q2, n, chart_one)).is_zero()
-    q2 = {e: c.constant_coeff() for e, c in q2.items()}
+        ring, _ = f.hasse_table(2)
+        q2 = {e: MultiPoly(ring, d) for e, d in q2.items()}
+        one = ring.const(1)
+        return not det_poly_matrix(polar_matrix(q2, n, one)).is_zero()
+    q2 = {e: d[()] for e, d in q2.items()}
     return quadratic_part_smooth(q2, n, f.ring.one)
 
 
@@ -122,8 +130,9 @@ def local_series(f, p):
         raise ValueError("local_series requires a parameter-free form")
     ring = PolyRing(["u%d" % i for i in range(len(f.coord_vars) - 1)],
                     f.ring.one)
-    coeffs = {e: c.constant_coeff() for e, c in _chart(f, p, TRUNC).items()}
-    return MultiPoly(ring, coeffs)
+    point = normalize([lift(f.ring.one, c) for c in p])
+    chart = _chart(point, hasse_at(f, point, TRUNC))
+    return MultiPoly(ring, {e: d[()] for e, d in chart.items()})
 
 
 # --------------------------------------------------------------- A_n types --
@@ -269,10 +278,6 @@ def rdp_an_type(series):
 
 def verify_identity(lhs, rhs):
     """Exact polynomial equality (same ring required)."""
-    if isinstance(lhs, Form):
-        lhs = lhs.poly
-    if isinstance(rhs, Form):
-        rhs = rhs.poly
     if lhs.ring != rhs.ring:
         raise ValueError("ring mismatch")
     return lhs == rhs
@@ -318,37 +323,24 @@ def desmic_pencil_symbolic():
     return Form(f, coord_vars=("x", "y", "z", "w"))
 
 
-def residual_conic_tangency(f=None, line=None, pencil=None):
-    """Tangent plane pencil for a base-locus line of the desmic pencil.
+# the base-locus line V(x+y, x+w), cut out by the covectors of x+y and x+w,
+# which also span its pencil of planes u(x+y) + v(x+w)
+TANGENCY_PLANES = ((1, 1, 0, 0), (1, 0, 0, 1))
 
-    For a line l contained in V(f) (f may carry pencil parameters), the
-    planes through l form a pencil V(u*h1 + v*h2); this finds the linear
-    condition on (u, v) for the plane to be tangent to V(f) along l, and the
-    residual conic cut out at the tangent plane.
 
-    Defaults: f the symbolic desmic pencil, l = V(x+y, x+w) with its pencil
-    of planes written as u(x+y) + v(x+w).  Returns (condition, conic,
-    conic_ring): condition lives in k[params, u, v] and is linear in (u, v);
-    the conic is a quadratic in plane coordinates (s, t, r) with the line at
-    r = 0."""
-    if f is None:
-        f = desmic_pencil_symbolic()
-    if line is None:
-        line = LineP3.from_planes((1, 1, 0, 0), (1, 0, 0, 1))
-        if pencil is None:
-            pencil = ((1, 1, 0, 0), (1, 0, 0, 1))
-    if not contains_line(f, line):
-        raise ValueError("line is not on the hypersurface")
-    P1, P2 = list(line.p), list(line.q)
-    if pencil is None:
-        h1, h2 = nullspace([P1, P2], Fraction(1))
-    else:
-        h1 = [Fraction(c) for c in pencil[0]]
-        h2 = [Fraction(c) for c in pencil[1]]
-        for h in (h1, h2):
-            if sum(h[k] * P1[k] for k in range(4)) or \
-               sum(h[k] * P2[k] for k in range(4)):
-                raise ValueError("pencil plane does not contain the line")
+def residual_conic_tangency(f):
+    """Tangent plane pencil for the base-locus line V(x+y, x+w) of the
+    desmic pencil.
+
+    The line lies on V(f) (f may carry pencil parameters), and the planes
+    through it form the pencil V(u(x+y) + v(x+w)); this finds the linear
+    condition on (u, v) for the plane to be tangent to V(f) along the line,
+    and the residual conic cut out at the tangent plane.  Returns
+    (condition, conic, conic_ring): condition lives in k[params, u, v] and
+    is linear in (u, v); the conic is a quadratic in plane coordinates
+    (s, t, r) with the line at r = 0."""
+    h1, h2 = ([Fraction(c) for c in h] for h in TANGENCY_PLANES)
+    line = LineP3.from_planes(h1, h2)
 
     def dot(h, x):
         return sum(h[k] * x[k] for k in range(4))
@@ -365,61 +357,36 @@ def residual_conic_tangency(f=None, line=None, pencil=None):
     u, v, s, t, r = (ring.var(n) for n in ("u", "v", "s", "t", "r"))
     mapping = {n: ring.var(n) for n in pr}
     for k, name in enumerate(f.coord_vars):
-        mapping[name] = (s.scale(f.ring.one * P1[k])
-                         + t.scale(f.ring.one * P2[k])
+        mapping[name] = (s.scale(f.ring.one * line.p[k])
+                         + t.scale(f.ring.one * line.q[k])
                          + (r * v).scale(f.ring.one * A[k])
                          - (r * u).scale(f.ring.one * B[k]))
     fbig = f.poly.subst(mapping, ring)
-    f0 = coeff_in(fbig, "r", 0)
-    f1 = coeff_in(fbig, "r", 1)
-    if not f0.is_zero():
+    if coeff_in(fbig, "r", 0):
         raise ValueError("the form does not vanish on the line %r" % (line,))
-    # f1 is a cubic in (s,t) with coefficients linear in (u,v): tangency iff
-    # all vanish; extract the single common linear condition.
+    # the r^1 coefficient is u*fu + v*fv with fu, fv forms in (s, t) over
+    # the parameters, and the plane (u, v) is tangent along the line iff it
+    # vanishes.  That is one linear condition cu*u + cv*v iff
+    # fu*cv == fv*cu, for cu and cv the coefficients of fu and fv at one
+    # monomial s^i*t^j.
+    f1 = coeff_in(fbig, "r", 1)
+    if not f1:
+        raise ValueError("the form is singular along the line %r" % (line,))
     si, ti = ring.varnames.index("s"), ring.varnames.index("t")
-    buckets = {}
-    for e, cval in f1.coeffs.items():
-        key = (e[si], e[ti])
-        e2 = list(e)
-        e2[si] = e2[ti] = 0
-        buckets.setdefault(key, {})[tuple(e2)] = cval
-    ab = PolyRing(pr, f.ring.one)
-    pidx = [ring.varnames.index(n) for n in pr]
-    ui, vi = ring.varnames.index("u"), ring.varnames.index("v")
-    lin_pairs = []
-    for key, d in buckets.items():
-        Ac, Bc = {}, {}
-        for e, cv in d.items():
-            pe = tuple(e[i] for i in pidx)
-            if e[ui] == 1 and e[vi] == 0:
-                Ac[pe] = cv
-            elif e[ui] == 0 and e[vi] == 1:
-                Bc[pe] = cv
-            else:
-                raise ValueError("tangency coefficient not linear in (u,v)")
-        pA, pB = MultiPoly(ab, Ac), MultiPoly(ab, Bc)
-        if pA.is_zero() and pB.is_zero():
-            continue
-        lin_pairs.append((pA, pB))
-    A0, B0 = lin_pairs[0]
-    for A1, B1 in lin_pairs[1:]:
-        if A0 * B1 != A1 * B0:
-            raise ValueError("no single linear tangency condition")
+    e = next(iter(f1.coeffs))
+    fu, fv = coeff_in(f1, "u", 1), coeff_in(f1, "v", 1)
+    cu, cv = (coeff_in(coeff_in(g, "s", e[si]), "t", e[ti])
+              for g in (fu, fv))
+    if fu * cv != fv * cu:
+        raise ValueError("no single linear tangency condition")
     uab = PolyRing(pr + ["u", "v"], f.ring.one)
-
-    def into(p, target, extra):
-        return MultiPoly(target, {tuple(e) + extra: cv
-                                  for e, cv in p.coeffs.items()})
-
-    condition = (into(A0, uab, (0, 0)) * uab.var("u")
-                 + into(B0, uab, (0, 0)) * uab.var("v"))
-    # residual conic at the tangent plane (u,v) = (B0, -A0)
+    condition = (cu * u + cv * v).subst(
+        {n: uab.var(n) for n in uab.varnames}, uab)
+    # residual conic at the tangent plane (u, v) = (cv, -cu)
     big = PolyRing(pr + ["s", "t", "r"], f.ring.one)
-    sub2 = {n: big.var(n) for n in pr + ["s", "t", "r"]}
-    sub2["u"] = into(B0, big, (0, 0, 0))
-    sub2["v"] = -into(A0, big, (0, 0, 0))
-    fsub = fbig.subst(sub2, big)
-    conic = fsub.divexact(big.var("r") ** 2)
+    sub2 = {n: big.var(n) for n in big.varnames}
+    sub2["u"], sub2["v"] = cv.subst(sub2, big), -cu.subst(sub2, big)
+    conic = fbig.subst(sub2, big).divexact(big.var("r") ** 2)
     return condition, conic, big
 
 
@@ -429,10 +396,8 @@ def cubic_ring(one=Fraction(1)):
     return PolyRing(["a", "b", "c", "d", "x", "y", "z", "w"], one)
 
 
-def cremona_cubic_q(ring=None):
-    """q = (a*w + b*x + c*y + d*z)*w + x^2 + y^2 + z^2."""
-    if ring is None:
-        ring = cubic_ring()
+def cremona_cubic_q(ring):
+    """q = (a*w + b*x + c*y + d*z)*w + x^2 + y^2 + z^2 in the cubic_ring."""
     a, b, c, d, x, y, z, w = ring.gens()
     return (a * w + b * x + c * y + d * z) * w + x * x + y * y + z * z
 

@@ -164,7 +164,8 @@ def test_genus_match_d5_d12_presentation():
 
 
 def test_genus_match_definite_is_genus_level():
-    out = la.genus_match_indefinite("D4", "D4")
+    d4 = la.standard_lattice("D4")
+    out = la.genus_match_indefinite(d4, d4)
     assert out["match"] and out["level"] == "genus-level"
 
 

@@ -257,7 +257,7 @@ def localize_node_report(ci, pt):
 
     def coeff(split, le):
         p = split.get(le)
-        return zero if p is None else p.constant_coeff()
+        return zero if p is None else p.coeffs.get(p.ring.zero_exp, zero)
 
     lin = [zero] * n
     q2 = {}

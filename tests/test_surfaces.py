@@ -9,10 +9,10 @@ from itertools import product
 
 import pytest
 
-from desmic_kit.forms import polar_matrix, restrict
+from desmic_kit.forms import hasse_at, polar_matrix, restrict
 from desmic_kit.matrices import det_poly_matrix
 from desmic_kit.poly import MultiPoly, PolyRing
-from desmic_kit.projgeom import LineP3
+from desmic_kit.projgeom import LineP3, normalize
 from desmic_kit.scalars import F4, F4_ELEMENTS, Mod, QI, W, lift
 from desmic_kit.surfaces import (
     AnVerdict, DESMIC_SINGULAR_12, Form,
@@ -23,7 +23,7 @@ from desmic_kit.surfaces import (
     kummer_char2_quartic,
     local_series, node_check,
     rdp_an_type, singular_at, steinerian_equation,
-    steinerian_identity_parts, taylor, verify_identity)
+    steinerian_identity_parts, verify_identity)
 from desmic_kit.cremona import PROJECTED_NODES_17, projected_quartic
 from desmic_kit import surfaces
 from claims import (DESMIC_VERTICES_12, mat_apply,
@@ -159,23 +159,25 @@ def test_taylor_chart_agrees_with_substitution_oracle(name):
         one = f.ring.one
         params = [v for v in f.ring.varnames if v not in f.coord_vars]
         at_params = {v: lift(one, rng.randint(-4, 4)) for v in params}
+        ring, _ = f.hasse_table(1)
         for p in pts:
             full, _, _ = localize_split(f, p)
+            point = normalize([lift(one, c) for c in p])
             for degree in range(f.degree + 1):
-                assert surfaces._chart(f, p, degree) == {
-                    e: c for e, c in full.items() if sum(e) <= degree}, \
-                    (name, p, degree)
+                chart = surfaces._chart(point, hasse_at(f, point, degree))
+                assert chart == {e: c.coeffs for e, c in full.items()
+                                 if sum(e) <= degree}, (name, p, degree)
             # the expansion at p itself: value and gradient of f at p
-            at = dict(at_params, **{v: lift(one, c)
-                                    for v, c in zip(f.coord_vars, p)})
+            p = [lift(one, c) for c in p]
+            at = dict(at_params, **dict(zip(f.coord_vars, p)))
             n = len(f.coord_vars)
-            coeffs = taylor(f, p, 1)
+            coeffs = hasse_at(f, p, 1)
             want = {(0,) * n: evaluate(f.poly, at)}
             for k, v in enumerate(f.coord_vars):
                 want[tuple(int(m == k) for m in range(n))] = \
                     evaluate(f.poly.diff(v), at)
-            got = {e: evaluate(coeffs[e], at_params) if e in coeffs
-                   else one * 0 for e in want}
+            got = {e: evaluate(MultiPoly(ring, coeffs[e]), at_params)
+                   if e in coeffs else one * 0 for e in want}
             assert got == want, (name, p)
 
 
@@ -451,7 +453,7 @@ def proportional(p, q):
 
 def test_residual_conic_tangency_condition():
     from desmic_kit.surfaces import residual_conic_tangency
-    condition, conic, big = residual_conic_tangency()
+    condition, conic, big = residual_conic_tangency(desmic_pencil_symbolic())
     # with c = -a-b the condition for the pencil u(x+y) + v(x+w) through
     # V(x+y, x+w) is u(b-c) + v(a-c) = 0, i.e. (a+2b)u + (2a+b)v = 0
     uab = condition.ring
@@ -487,7 +489,7 @@ def test_tangent_plane_matches_gradient_oracle():
 
 def test_residual_conic_meets_line_in_two_points():
     from desmic_kit.surfaces import residual_conic_tangency
-    _, conic, big = residual_conic_tangency()
+    _, conic, big = residual_conic_tangency(desmic_pencil_symbolic())
     # restrict to the line r = 0 and specialize (a,b) = (1,2): the binary
     # quadratic in (s,t) must have two distinct roots
     ring2 = PolyRing(["s", "t"])
