@@ -138,13 +138,9 @@ def config_isomorphic(A, B, seed=None):
     pcolA, bcolA = _refined_colors(A)
     pcolB, bcolB = _refined_colors(B)
 
-    def hist(col):
-        h = {}
-        for c in col.values():
-            h[c] = h.get(c, 0) + 1
-        return h
-
-    if hist(pcolA) != hist(pcolB) or hist(bcolA) != hist(bcolB):
+    ha = Counter(pcolA.values())
+    if (ha != Counter(pcolB.values())
+            or Counter(bcolA.values()) != Counter(bcolB.values())):
         return None
     codA, codB = _codegrees(A), _codegrees(B)
 
@@ -154,7 +150,6 @@ def config_isomorphic(A, B, seed=None):
             return None
 
     # assign rarest colors first, then points adjacent to assigned ones
-    ha = hist(pcolA)
     free = [p for p in A.points if p not in {s[0] for s in seed}]
     order = [s[0] for s in seed] + sorted(
         free, key=lambda p: (ha[pcolA[p]], repr(p)))
@@ -510,11 +505,10 @@ class CurveSystem:
         ftype = fiber.get("type")
         if ftype is not None:
             want = _AFFINE_MULTS.get(ftype)
-            if want is None and ftype.startswith("A~"):
-                want = [1] * (int(ftype[2:]) + 1)
-            if want is None and ftype.startswith("D~"):
+            if want is None and ftype[2:].isdecimal():
                 n = int(ftype[2:])
-                want = [1, 1, 1, 1] + [2] * (n - 3)
+                want = {"A~": [1] * (n + 1),
+                        "D~": [1, 1, 1, 1] + [2] * (n - 3)}.get(ftype[:2])
             if want is None:
                 raise ValueError("%s: unknown fiber type %r"
                                  % (where, ftype))
@@ -592,6 +586,8 @@ def ingest_curve_system(path):
     """Load and validate a curve system from its JSON file."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("top level %r is not an object" % (data,))
     for key in data:
         if key not in ("curves", "intersections", "fibrations",
                        "divisors"):
@@ -602,6 +598,8 @@ def ingest_curve_system(path):
     for rec in _records(data["curves"], "curves"):
         if set(rec) != {"id", "self"}:
             raise ValueError("bad curve record %r" % (rec,))
+        if not isinstance(rec["id"], str):
+            raise ValueError("curve record %r: id is not a string" % (rec,))
         if not _is_int(rec["self"]):
             raise ValueError("curve record %r: self-intersection is not an "
                              "integer" % (rec,))
@@ -640,9 +638,12 @@ def ingest_curve_system(path):
         fibers = _records(fib["fibers"],
                           "fibration %s fibers" % (fib["name"],))
         for k, fiber in enumerate(fibers):
-            if "components" not in fiber:
+            if not fiber.get("components"):
                 raise ValueError("fibration %s fiber %d has no components: "
                                  "%r" % (fib["name"], k, fiber))
+            if not isinstance(fiber.get("type", ""), str):
+                raise ValueError("fibration %s fiber %d: type %r is not a "
+                                 "string" % (fib["name"], k, fiber["type"]))
             for comp in _records(fiber["components"],
                                  "fibration %s fiber %d components"
                                  % (fib["name"], k)):
@@ -657,6 +658,7 @@ def ingest_curve_system(path):
                     raise ValueError(
                         "fibration %s component %r: multiplicity is not a "
                         "positive integer" % (fib["name"], comp))
+    names = [fib["name"] for fib in fibrations]
     divisors = _records(data.get("divisors", []), "divisors")
     for div in divisors:
         if not {"name", "terms"} <= set(div):
@@ -671,6 +673,9 @@ def ingest_curve_system(path):
             if "id" in term and term["id"] not in index:
                 raise ValueError("divisor %s names unknown curve %r"
                                  % (div["name"], term["id"]))
+            if "class" in term and term["class"] not in names:
+                raise ValueError("divisor %s names unknown fibration %r"
+                                 % (div["name"], term["class"]))
             coeff = term["coeff"]
             try:  # an integer, or a string that Fraction parses
                 if not _is_int(coeff):

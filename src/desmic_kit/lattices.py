@@ -8,6 +8,7 @@ hyperbolic Picard-type lattices have signature (1, n).  Finite quadratic
 forms live on finite abelian groups with q in Q/2Z and b in Q/Z.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -377,11 +378,7 @@ class FiniteQuadForm:
         return FiniteQuadForm(orders, qvals, bmat)
 
     def value_multiset(self):
-        vals = {}
-        for el in self.elements():
-            v = self.q_of(el)
-            vals[v] = vals.get(v, 0) + 1
-        return vals
+        return Counter(self.q_of(el) for el in self.elements())
 
     def __repr__(self):
         return "FiniteQuadForm(orders=%s, q=%s)" % (self.orders, self.q)

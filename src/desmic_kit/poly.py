@@ -49,7 +49,8 @@ class PolyRing:
     def __eq__(self, other):
         return (isinstance(other, PolyRing)
                 and self.varnames == other.varnames
-                and self.one == other.one)
+                and type(self.one) is type(other.one)
+                and self.char == other.char)
 
     def __hash__(self):
         return hash(self.varnames)

@@ -62,6 +62,8 @@ class Mod(Field):
             if v.p != p:
                 raise ValueError("mixed moduli %d and %d" % (v.p, p))
             v = v.v
+        elif not isinstance(v, int):
+            raise TypeError("Mod value %r is not an int or a Mod" % (v,))
         object.__setattr__(self, "v", v % p)
         object.__setattr__(self, "p", p)
 
@@ -183,6 +185,9 @@ class QI(Field):
     __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
+        for part in (re, im):
+            if isinstance(part, float):
+                raise TypeError("QI part %r is a float" % (part,))
         re, im = Fraction(re), Fraction(im)
         # over the lcm of the two reduced denominators the triple is reduced
         dr, di = re.denominator, im.denominator

@@ -1,8 +1,8 @@
 """The monomial symmetry group of the cubic line complex in Klein
-coordinates: the monomial 6x6 matrices with entries in {1, i, -1, -i} that
-preserve both equations up to scalar, their closure (order 1152 as a
-projective group) and their orbits on the 34 nodes and the 24 planes.
-Of the CLI suites, only symmetry reads this module.
+coordinates: the signed permutation matrices that preserve both equations
+up to scalar, their closure (order 1152 as a projective group) and their
+orbits on the 34 nodes and the 24 planes.  Of the CLI suites, only symmetry
+reads this module.
 """
 
 from itertools import permutations, product
@@ -11,7 +11,6 @@ from .linecomplex import (CompleteIntersection35, _span_key, klein_nodes_16,
                           klein_nodes_18, klein_plane_list)
 from .poly import proportional_polys
 from .projgeom import _orbit, normalize
-from .scalars import I, QI
 
 
 class SymmetryReport:
@@ -25,41 +24,26 @@ class SymmetryReport:
         self.elements = elements
 
 
-def _canonical_element(pi, exps):
-    base = exps[0]
-    return (pi, tuple((e - base) % 4 for e in exps))
-
-
 def _compose_elements(g, h):
     """Matrix product M_g * M_h acting on points as p -> M p with
-    (M p)_j = i^{e_j} p_{pi(j)}."""
-    pig, eg = g
-    pih, eh = h
+    (M p)_j = (-1)^{f_j} p_{pi(j)}, scaled so that f_0 = 0."""
+    pig, fg = g
+    pih, fh = h
     pi = tuple(pih[pig[j]] for j in range(6))
-    exps = tuple((eg[j] + eh[pig[j]]) % 4 for j in range(6))
-    return _canonical_element(pi, exps)
+    flips = [fg[j] ^ fh[pig[j]] for j in range(6)]
+    return pi, tuple(f ^ flips[0] for f in flips)
 
 
 def _apply_element(el, coords):
-    pi, exps = el
-    out = []
-    for j in range(6):
-        c = coords[pi[j]]
-        for _ in range(exps[j] % 4):
-            c = c * I
-        out.append(c)
-    return tuple(out)
+    pi, flips = el
+    return tuple(-coords[p] if f else coords[p] for p, f in zip(pi, flips))
 
 
 def _element_preserves(el, form):
     """Full symbolic check: form composed with the monomial matrix is a
     nonzero scalar multiple of form."""
     ring = form.ring
-    gens = ring.gens()
-    pi, exps = el
-    unit = [QI(1), I, QI(-1), -I]
-    mapping = {name: gens[pi[j]].scale(unit[exps[j] % 4])
-               for j, name in enumerate(ring.varnames)}
+    mapping = dict(zip(ring.varnames, _apply_element(el, ring.gens())))
     ok, _ = proportional_polys(form.poly.subst(mapping, ring), form.poly)
     return ok
 
@@ -68,7 +52,7 @@ def _generators(elements):
     """(gens, group): walking sorted(elements), an element becomes a
     generator when the earlier ones do not span it, and group is what gens
     span.  So elements is closed exactly when group == elements (Sims 1970)."""
-    one = _canonical_element(tuple(range(6)), (0,) * 6)
+    one = (tuple(range(6)), (0,) * 6)
     gens, group = [], {one}
     for el in sorted(elements):
         if el not in group:
@@ -78,42 +62,35 @@ def _generators(elements):
 
 
 def monomial_symmetry_group():
-    """The monomial 6x6 matrices with nonzero entries i^e_k in
-    {1, i, -1, -i} that preserve both Klein equations up to scalar.
+    """The monomial 6x6 matrices that preserve both Klein equations,
+    x1^2 + ... + y3^2 and x1*x2*x3 + i*y1*y2*y3, up to scalar, as pairs
+    (pi, flips): x_j -> (-1)^{f_j} x_{pi(j)} with f_0 = 0.
 
-    The loop walks the 720 permutations and, for each one that maps the
-    block {1,2,3} to itself or to {4,5,6}, the 4^6 exponent tuples; it
-    keeps the tuples that meet the necessary conditions below.  Any other
-    permutation sends x1*x2*x3 to a monomial outside the support of the
-    cubic with a unit coefficient, so no sign choice can work.  The
-    exponents must (1) share one parity, since the quadric's six squares
-    pick up the factors i^(2*e_k) = (-1)^e_k, which must agree; and
-    (2) satisfy e1 + e2 + e3 - e4 - e5 - e6 = shift (mod 4), with shift 0
-    when the blocks stay and 2 when they swap, since the cubic's terms
-    x1*x2*x3 and i*y1*y2*y3 must pick up one common factor.  The
-    survivors are checked along a generating set that spans them: each
-    generator gets a full symbolic verification (invariance up to scalar
-    is multiplicative), and one that fails raises ValueError.  Reports
-    projective order, node orbit sizes, and the number of plane orbits; a
-    closure beyond 1152 is a failure.
+    Let x_j -> u_j x_{pi(j)} with nonzero u_j.  Each term of the cubic
+    goes to a multiple of one monomial, so pi maps the block {1,2,3} to
+    itself or to {4,5,6}: 72 permutations.  The quadric's six squares pick
+    up u_j^2, which must agree, so every u_j is +-u_1, and projectively
+    u_1 = 1: the matrix is a signed permutation.  Let s and t be the sign
+    products over the blocks {1,2,3} and {4,5,6}.  When the blocks stay,
+    the cubic goes to s*x1*x2*x3 + i*t*y1*y2*y3, so s = t; when they swap,
+    to i*t*x1*x2*x3 + s*y1*y2*y3, so s = i*(i*t) = -t.  So the six signs
+    multiply to +1 when the blocks stay and to -1 when they swap: 16 of
+    the 32 sign choices for each permutation, 1152 in all.  The derivation
+    is checked, not trusted: each generator of the set gets a full
+    symbolic verification (invariance up to scalar is multiplicative), and
+    one that fails raises ValueError; the set must equal the group its
+    generators span.  Reports projective order, node orbit sizes, and the
+    number of plane orbits.
     """
     elements = set()
     for pi in permutations(range(6)):
-        img = frozenset(pi[k] for k in (0, 1, 2))
-        if img == frozenset((0, 1, 2)):
-            shift = 0
-        elif img == frozenset((3, 4, 5)):
-            shift = 2
-        else:
+        img = set(pi[:3])
+        if img not in ({0, 1, 2}, {3, 4, 5}):
             continue
-        for exps in product(range(4), repeat=6):
-            par = exps[0] % 2
-            if any(e % 2 != par for e in exps):
-                continue
-            if (exps[0] + exps[1] + exps[2]
-                    - exps[3] - exps[4] - exps[5] - shift) % 4:
-                continue
-            elements.add(_canonical_element(pi, exps))
+        swap = img == {3, 4, 5}
+        for flips in product((0, 1), repeat=5):
+            if sum(flips) % 2 == swap:
+                elements.add((pi, (0,) + flips))
     gens, group = _generators(elements)
 
     ci = CompleteIntersection35.klein()
@@ -123,7 +100,7 @@ def monomial_symmetry_group():
                 raise ValueError("monomial element %s does not preserve "
                                  "the %s" % (el, name))
 
-    g0 = _canonical_element((3, 4, 5, 0, 1, 2), (2, 2, 2, 0, 0, 0))
+    g0 = ((3, 4, 5, 0, 1, 2), (0, 0, 0, 1, 1, 1))
     has_g0 = g0 in elements
 
     node_keys = [normalize(p) for p in klein_nodes_18() + klein_nodes_16()]

@@ -1,7 +1,7 @@
 """Oracles shared by several test modules."""
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from desmic_kit.configs import TOTALS_TABLE, _duad_str, _syntheme_str
 from desmic_kit.matrices import bilinear, det_poly_matrix, matrix_rank, \
@@ -99,6 +99,32 @@ def pairwise_closed(elements, compose):
     checked it before its generating set: every one of the |S|^2 products
     lies in S."""
     return all(compose(g, h) in elements for g in elements for h in elements)
+
+
+def monomial_elements_by_exponents():
+    """The monomial symmetries (pi, exps), x_j -> i^(e_j) x_(pi(j)), as the
+    symmetry search found them before it solved the congruences: for each
+    block-preserving permutation, every exponent tuple mod 4 with one
+    common parity and e1 + e2 + e3 - e4 - e5 - e6 = shift (mod 4), shift 0
+    when the blocks stay and 2 when they swap, shifted to e1 = 0."""
+    elements = set()
+    for pi in permutations(range(6)):
+        img = frozenset(pi[k] for k in (0, 1, 2))
+        if img == frozenset((0, 1, 2)):
+            shift = 0
+        elif img == frozenset((3, 4, 5)):
+            shift = 2
+        else:
+            continue
+        for exps in product(range(4), repeat=6):
+            par = exps[0] % 2
+            if any(e % 2 != par for e in exps):
+                continue
+            if (exps[0] + exps[1] + exps[2]
+                    - exps[3] - exps[4] - exps[5] - shift) % 4:
+                continue
+            elements.add((pi, tuple((e - exps[0]) % 4 for e in exps)))
+    return elements
 
 
 def orbit_sizes_by_elements(keys, elements, action):

@@ -564,10 +564,24 @@ def _put(value, *path):
      "fibration f1 fiber 1 components: 9 is not a list"),
     (_put(4, "divisors", 0, "terms"), "divisor H terms: 4 is not a list"),
     (_put(2, "intersections", 0), "bad intersection entry 2"),
+    (5, "top level 5 is not an object"),
+    (_put(["a"], "curves", 0, "id"),
+     "curve record {'id': ['a'], 'self': -2}: id is not a string"),
+    (_put(4, "fibrations", 0, "fibers", 0, "type"),
+     "fibration f1 fiber 0: type 4 is not a string"),
+    (_put("D~x", "fibrations", 0, "fibers", 0, "type"),
+     "fiber 0 of f1: unknown fiber type 'D~x'"),
+    (_put([], "fibrations", 1, "fibers", 2, "components"),
+     "fibration f2 fiber 2 has no components: {'type': 'D~4', "
+     "'components': []}"),
+    (_put("f9", "divisors", 0, "terms", 0, "class"),
+     "divisor H names unknown fibration 'f9'"),
 ], ids=["component-id", "fiber-components", "divisor-name", "divisor-terms",
         "curve-record", "fibration-record", "fiber-record",
         "component-record", "divisor-record", "term-record", "fibers-list",
-        "components-list", "terms-list", "intersection-entry"])
+        "components-list", "terms-list", "intersection-entry", "top-level",
+        "curve-id-type", "fiber-type-type", "fiber-type-number",
+        "fiber-components-empty", "divisor-class"])
 def test_ingest_rejects_records_missing_a_key(tmp_path, edit, match):
     with pytest.raises(ValueError, match=re.escape(match)):
         _ingest_edited(tmp_path, edit)
@@ -626,9 +640,14 @@ def test_ingest_rejects_bad_intersection_values(tmp_path, case, match):
 
 
 def _ingest_edited(tmp_path, edit):
+    """Ingest the char-0 curve file after edit(data); an edit that is not
+    callable replaces the whole file."""
     with open(cf.data_path("kummer-char0.json")) as fh:
         data = json.load(fh)
-    edit(data)
+    if callable(edit):
+        edit(data)
+    else:
+        data = edit
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(data))
     return cf.ingest_curve_system(str(path))

@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -470,6 +471,19 @@ def test_poly_mixed_ring_rejected():
         r1.var("x") + r2.var("y")
 
 
+def test_rings_over_different_fields_are_unequal():
+    # the same names over Q, Q(i), F_5, F_7 and F_4: the field tells them
+    # apart, not the value of one (QI(1) == Fraction(1), and Mod(1, 5) vs
+    # Mod(1, 7) raises "mixed moduli")
+    rings = [PolyRing(["x", "y"], one) for one in
+             (Fraction(1), QI(1), Mod(1, 5), Mod(1, 7), F4(1))]
+    for r, s in combinations(rings, 2):
+        assert r != s and s != r
+        with pytest.raises(ValueError, match="mixed polynomial rings"):
+            r.var("x") * 3 + s.var("x")
+    assert all(r == PolyRing(["x", "y"], r.one) for r in rings)
+
+
 X = PolyRing(["x"]).var("x")
 
 
@@ -483,8 +497,14 @@ X = PolyRing(["x"]).var("x")
      "ragged rows: row 1 has 1 entries, row 0 has 2"),
     (lambda: smith_normal_form([[1, Fraction(1, 2)]]), ValueError,
      "row 0 entry Fraction(1, 2) is not an int"),
+    (lambda: Mod(Fraction(1, 2), 5), TypeError,
+     "Mod value Fraction(1, 2) is not an int or a Mod"),
+    (lambda: Mod(2.5, 7), TypeError, "Mod value 2.5 is not an int or a Mod"),
+    (lambda: QI(0.1), TypeError, "QI part 0.1 is a float"),
+    (lambda: QI(1, 0.5), TypeError, "QI part 0.5 is a float"),
 ], ids=["mod-pow", "qi-pow", "f4-pow", "poly-pow-type", "poly-pow-negative",
-        "matrix-ragged", "matrix-entry"])
+        "matrix-ragged", "matrix-entry", "mod-fraction", "mod-float",
+        "qi-float-re", "qi-float-im"])
 def test_arithmetic_rejects_bad_operands_by_name(call, error, match):
     with pytest.raises(error, match=re.escape(match)):
         call()

@@ -22,8 +22,8 @@ from desmic_kit.surfaces import desmic_lines_16
 from claims import (klein_change_rows, klein_plane_labels, mat_apply,
                     perm_compose, perm_from_cycles)
 from oracles import (dense_contains_point, evaluate, localize_split,
-                     orbit_sizes_by_elements, pairwise_closed,
-                     tangent_gram_rank)
+                     monomial_elements_by_exponents, orbit_sizes_by_elements,
+                     pairwise_closed, tangent_gram_rank)
 
 
 def coord_point(j):
@@ -593,6 +593,21 @@ def test_generator_closure_agrees_with_pairwise_oracle(symmetry_group, name,
     assert _orbit(identity, gens, sy._compose_elements) == group
     for k, g in enumerate(gens):
         assert g not in _orbit(identity, gens[:k], sy._compose_elements)
+
+
+def test_signed_permutations_agree_with_exponent_filter_oracle(
+        symmetry_group):
+    oracle = monomial_elements_by_exponents()
+    # every survivor of the filter is a signed permutation: i^2 = -1
+    assert all(e % 2 == 0 for _, exps in oracle for e in exps)
+    signs = {(pi, tuple(e // 2 for e in exps)) for pi, exps in oracle}
+    assert signs == symmetry_group
+    # the parity condition with one bit flipped keeps the order 1152 and
+    # takes the other half of the sign choices: the comparison sees it
+    mutant = {(pi, flips[:5] + (1 - flips[5],))
+              for pi, flips in symmetry_group}
+    assert len(mutant) == len(signs) == 1152
+    assert not mutant & signs
 
 
 def test_orbit_sizes_agree_with_every_element_oracle(symmetry_group):
