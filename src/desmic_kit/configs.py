@@ -410,9 +410,9 @@ def duad_syntheme_system():
 # curve systems
 # ---------------------------------------------------------------------------
 
+# multiplicities of the exceptional fiber types; A~n and D~n (n >= 4)
+# follow a formula (CurveSystem._check_fiber)
 _AFFINE_MULTS = {
-    "D~4": [1, 1, 1, 1, 2],
-    "D~8": [1, 1, 1, 1, 2, 2, 2, 2, 2],
     "E~6": [1, 1, 1, 2, 2, 2, 3],
     "E~7": [1, 1, 2, 2, 2, 3, 3, 4],
     "E~8": [1, 2, 2, 3, 3, 4, 4, 5, 6],
@@ -504,14 +504,20 @@ class CurveSystem:
                              % (where, ", ".join(twice)))
         ftype = fiber.get("type")
         if ftype is not None:
-            want = _AFFINE_MULTS.get(ftype)
-            if want is None and ftype[2:].isdecimal():
-                n = int(ftype[2:])
-                want = {"A~": [1] * (n + 1),
-                        "D~": [1, 1, 1, 1] + [2] * (n - 3)}.get(ftype[:2])
-            if want is None:
+            kind, n = ftype[:2], ftype[2:]
+            n = int(n) if n.isdecimal() else -1
+            if ftype in _AFFINE_MULTS:
+                want = _AFFINE_MULTS[ftype]
+            elif not (kind == "A~" and n >= 0 or kind == "D~" and n >= 4):
                 raise ValueError("%s: unknown fiber type %r"
                                  % (where, ftype))
+            elif len(mults) != n + 1:
+                # A~n and D~n have n + 1 components; counting them first
+                # builds no list for a huge n
+                want = None
+            else:
+                want = ([1] * (n + 1) if kind == "A~"
+                        else [1, 1, 1, 1] + [2] * (n - 3))
             if sorted(mults) != want:
                 raise ValueError(
                     "%s: multiplicities %s do not match type %s"

@@ -142,15 +142,15 @@ def polar_matrix(q2, nvars, one):
     q, given as a dict exponent tuple -> coefficient.  Row i holds the
     coefficients of the formal partial dq/du_i: a cross term c*u_i*u_j puts
     c at (i, j) and (j, i), and a square term c*u_i^2 puts 2c at (i, i),
-    which is zero in characteristic 2."""
+    which is zero in characteristic 2.  Each exponent names its slots, and
+    no two exponents name the same slot."""
     zero = one * 0
     two = lift(one, 2)
     m = [[zero] * nvars for _ in range(nvars)]
     for e, c in q2.items():
         i, j = (k for k, x in enumerate(e) for _ in range(x))
         if i == j:
-            m[i][i] = m[i][i] + c * two
+            m[i][i] = c * two
         else:
-            m[i][j] = m[i][j] + c
-            m[j][i] = m[j][i] + c
+            m[i][j] = m[j][i] = c
     return m

@@ -122,53 +122,54 @@ def row_basis(m):
 
 
 def inertia_signature(m):
-    """Exact inertia (n_plus, n_zero, n_minus) of a symmetric rational matrix
-    via symmetric Gaussian elimination over the rationals."""
+    """Exact inertia (n_plus, n_zero, n_minus) of a symmetric integer or
+    rational matrix, by fraction-free symmetric elimination (Bareiss 1968).
+    A rational matrix is first scaled by the lcm of its denominators, which
+    keeps the inertia.  Pivots are diagonal entries; after each step the
+    remaining entries are principal-bordered minors, so each division by
+    the previous pivot is exact, and the Gaussian pivot d_k/d_(k-1) has
+    the sign sign(d_k)*sign(d_(k-1)).  With every remaining diagonal entry
+    zero, the congruence row/col i += row/col j makes a[i][i] = 2a[i][j]."""
     n = len(m)
-    a = [[Fraction(x) for x in r] for r in m]
+    den = lcm(*(x.denominator for r in m for x in r))
+    a = [[x.numerator * (den // x.denominator) for x in r] for r in m]
     for i in range(n):
         for j in range(n):
             if a[i][j] != a[j][i]:
                 raise ValueError("matrix not symmetric")
     pos = neg = zero = 0
+    prev = 1
     live = list(range(n))
     while live:
         k = next((i for i in live if a[i][i] != 0), None)
         if k is None:
-            # all diagonal zero: look for off-diagonal pivot pair
-            pair = None
-            for i in live:
-                for j in live:
-                    if i != j and a[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i in live for j in live
+                         if i != j and a[i][j] != 0), None)
             if pair is None:
                 zero += len(live)
                 break
             i, j = pair
-            # symmetric congruence: row/col i += row/col j makes a[i][i]=2a[i][j]
-            for t in range(n):
+            for t in live:
                 a[i][t] += a[j][t]
-            for t in range(n):
+            for t in live:
                 a[t][i] += a[t][j]
             continue
         d = a[k][k]
-        if d > 0:
+        if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         live.remove(k)
+        pivot_row = a[k]
         for i in live:
-            if a[i][k] == 0:
-                continue
-            f = a[i][k] / d
+            row, c = a[i], a[i][k]
             for j in live:
-                a[i][j] -= f * a[k][j]
-            a[i][k] = Fraction(0)
-        for j in live:
-            a[k][j] = Fraction(0)
+                q, r = divmod(d * row[j] - c * pivot_row[j], prev)
+                if r:
+                    raise ArithmeticError(
+                        "inexact elimination step at (%d, %d)" % (i, j))
+                row[j] = q
+        prev = d
     return pos, zero, neg
 
 
@@ -750,10 +751,12 @@ def artin2_check(sigma):
     out = {"picard_signature": s.signature(),
            "picard_disc_group": s.disc_group(),
            "l_bounds": (2 * sigma - 3, 3)}
-    if s.signature() != (1, 21) or s.disc_group() != [2] * (2 * sigma):
+    if out["picard_signature"] != (1, 21) \
+            or out["picard_disc_group"] != [2] * (2 * sigma):
         raise ValueError("Picard lattice for sigma %d has signature %s and "
-                         "discriminant group %s" % (sigma, s.signature(),
-                                                    s.disc_group()))
+                         "discriminant group %s"
+                         % (sigma, out["picard_signature"],
+                            out["picard_disc_group"]))
 
     if sigma == 1:
         # L = U + D5 + D12 sits blockwise in U + E8 + D12 with D5 put

@@ -302,7 +302,7 @@ class PlaneInP5:
         self.covectors = [tuple(lift(one, c) for c in cv) for cv in covectors]
         self.one = one
         self.label = label
-        self.basis = cut_out(covectors, one, 2, "plane")
+        self.basis = cut_out(self.covectors, one, 2, "plane")
         # the nonzero entries (position, value) of each covector
         self.support = [[(k, c) for k, c in enumerate(cv) if c]
                         for cv in self.covectors]

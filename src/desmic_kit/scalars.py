@@ -15,7 +15,8 @@ def is_prime(n):
 
 
 class Frozen:
-    """Base of the immutable values: slots set by object.__setattr__."""
+    """Base of the immutable values: assignment raises, so each value's
+    slots are set once, when it is built."""
 
     __slots__ = ()
 
@@ -25,24 +26,30 @@ class Frozen:
 
 class Field(Frozen):
     """Base of the field elements Mod, QI and F4: the operators that follow
-    from +, -, * and inverse().  The generic division takes the divisor
-    through the subclass's _lift: an element of its field, or
-    NotImplemented for a foreign type.  QI divides by its own one-step
-    formula, and Mod raises to a power with the built-in modular pow."""
+    from +, -, * and inverse().  The generic division, which F4 uses,
+    takes a divisor of the same type directly and any other through the
+    subclass's _lift: an element of its field, or NotImplemented for a
+    foreign type.  QI divides by its own one-step formula, Mod by its own
+    division, which checks the modulus first, and Mod raises to a power
+    with the built-in modular pow."""
 
     __slots__ = ()
 
+    # the reflected operators call the forward ones directly, so that a
+    # foreign operand gets NotImplemented and Python names the right operator
+
     def __rsub__(self, other):
-        return -self + other
+        return (-self).__add__(other)
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
+        if type(other) is not type(self):
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        return self.inverse().__mul__(other)
 
     def __pow__(self, e):
         if isinstance(e, int) and e < 0:
@@ -51,7 +58,8 @@ class Field(Frozen):
 
 
 class Mod(Field):
-    """Element of the prime field GF(p)."""
+    """Element of the prime field GF(p).  The constructor validates its
+    arguments; results of arithmetic are built by _make."""
 
     __slots__ = ("v", "p")
 
@@ -64,8 +72,16 @@ class Mod(Field):
             v = v.v
         elif not isinstance(v, int):
             raise TypeError("Mod value %r is not an int or a Mod" % (v,))
-        object.__setattr__(self, "v", v % p)
-        object.__setattr__(self, "p", p)
+        _set_v(self, v % p)
+        _set_p(self, p)
+
+    @staticmethod
+    def _make(v, p):
+        """v mod p, for an int v and the modulus p of an existing Mod."""
+        m = _new(Mod)
+        _set_v(m, v % p)
+        _set_p(m, p)
+        return m
 
     def __reduce__(self):
         return Mod, (self.v, self.p)
@@ -77,39 +93,53 @@ class Mod(Field):
                                  % (self.p, other.p))
             return other
         if isinstance(other, int):
-            return Mod(other, self.p)
+            return Mod._make(other, self.p)
         if isinstance(other, Fraction):
-            return Mod(other.numerator, self.p) / Mod(other.denominator, self.p)
+            return (Mod._make(other.numerator, self.p)
+                    / Mod._make(other.denominator, self.p))
         return NotImplemented
 
+    # Each binary operator takes a Mod of the same modulus directly and
+    # anything else through _lift, which raises on mixed moduli.
+
     def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Mod(self.v + o.v, self.p)
+        if type(other) is not Mod or other.p != self.p:
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return Mod._make(self.v + other.v, self.p)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Mod(-self.v, self.p)
+        return Mod._make(-self.v, self.p)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Mod(self.v - o.v, self.p)
+        if type(other) is not Mod or other.p != self.p:
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return Mod._make(self.v - other.v, self.p)
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Mod(self.v * o.v, self.p)
+        if type(other) is not Mod or other.p != self.p:
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return Mod._make(self.v * other.v, self.p)
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        if type(other) is not Mod or other.p != self.p:
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self * other.inverse()
+
     def inverse(self):
         try:
-            return Mod(pow(self.v, -1, self.p), self.p)
+            return Mod._make(pow(self.v, -1, self.p), self.p)
         except ValueError:
             raise ZeroDivisionError("not invertible mod %d" % self.p) from None
 
@@ -118,13 +148,14 @@ class Mod(Field):
             raise TypeError("exponent %r is not an int" % (e,))
         if e < 0:
             return self.inverse() ** (-e)
-        return Mod(pow(self.v, e, self.p), self.p)
+        return Mod._make(pow(self.v, e, self.p), self.p)
 
     def __eq__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.v == o.v
+        if type(other) is not Mod or other.p != self.p:
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.v == other.v
 
     def __bool__(self):
         return self.v != 0
@@ -134,6 +165,11 @@ class Mod(Field):
 
     def __repr__(self):
         return "Mod(%d, %d)" % (self.v, self.p)
+
+
+# The slot setters, bound once (Frozen forbids plain assignment).
+_new = object.__new__
+_set_v, _set_p = Mod.v.__set__, Mod.p.__set__
 
 
 def sqrt_minus_one(p):
@@ -180,7 +216,9 @@ class QI(Field):
     """Gaussian rational (a + b*i)/d, stored as three ints with d > 0 and
     gcd(a, b, d) = 1, so equal values have equal triples.  One common
     denominator keeps arithmetic on ints (Cohen, A Course in Computational
-    Algebraic Number Theory, 4.2); `re` and `im` read back as Fractions."""
+    Algebraic Number Theory, 4.2); `re` and `im` read back as Fractions.
+    The constructor validates its arguments; results of arithmetic are
+    built by _make."""
 
     __slots__ = ("a", "b", "d")
 
@@ -192,20 +230,20 @@ class QI(Field):
         # over the lcm of the two reduced denominators the triple is reduced
         dr, di = re.denominator, im.denominator
         d = dr * di // gcd(dr, di)
-        object.__setattr__(self, "a", re.numerator * (d // dr))
-        object.__setattr__(self, "b", im.numerator * (d // di))
-        object.__setattr__(self, "d", d)
+        _set_a(self, re.numerator * (d // dr))
+        _set_b(self, im.numerator * (d // di))
+        _set_d(self, d)
 
-    @classmethod
-    def _make(cls, a, b, d):
+    @staticmethod
+    def _make(a, b, d):
         """The value (a + b*i)/d for ints a, b and d > 0."""
         if d != 1:
             g = gcd(a, b, d)
             a, b, d = a // g, b // g, d // g
-        q = object.__new__(cls)
-        object.__setattr__(q, "a", a)
-        object.__setattr__(q, "b", b)
-        object.__setattr__(q, "d", d)
+        q = _new(QI)
+        _set_a(q, a)
+        _set_b(q, b)
+        _set_d(q, d)
         return q
 
     def __reduce__(self):
@@ -230,11 +268,17 @@ class QI(Field):
             return other.numerator, 0, other.denominator
         return None
 
+    # Each binary operator reads a QI operand's triple directly and any
+    # other operand's through _lift.
+
     def __add__(self, other):
-        o = QI._lift(other)
-        if o is None:
-            return NotImplemented
-        a, b, d = o
+        if type(other) is QI:
+            a, b, d = other.a, other.b, other.d
+        else:
+            o = QI._lift(other)
+            if o is None:
+                return NotImplemented
+            a, b, d = o
         return QI._make(self.a * d + a * self.d, self.b * d + b * self.d,
                         self.d * d)
 
@@ -244,18 +288,24 @@ class QI(Field):
         return QI._make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        o = QI._lift(other)
-        if o is None:
-            return NotImplemented
-        a, b, d = o
+        if type(other) is QI:
+            a, b, d = other.a, other.b, other.d
+        else:
+            o = QI._lift(other)
+            if o is None:
+                return NotImplemented
+            a, b, d = o
         return QI._make(self.a * d - a * self.d, self.b * d - b * self.d,
                         self.d * d)
 
     def __mul__(self, other):
-        o = QI._lift(other)
-        if o is None:
-            return NotImplemented
-        a, b, d = o
+        if type(other) is QI:
+            a, b, d = other.a, other.b, other.d
+        else:
+            o = QI._lift(other)
+            if o is None:
+                return NotImplemented
+            a, b, d = o
         return QI._make(self.a * a - self.b * b, self.a * b + self.b * a,
                         self.d * d)
 
@@ -268,11 +318,14 @@ class QI(Field):
         return QI._make(self.a * self.d, -self.b * self.d, n)
 
     def __truediv__(self, other):
-        o = QI._lift(other)
-        if o is None:
-            return NotImplemented
+        if type(other) is QI:
+            a, b, d = other.a, other.b, other.d
+        else:
+            o = QI._lift(other)
+            if o is None:
+                return NotImplemented
+            a, b, d = o
         # (a1 + b1 i)/d1 * d2 (a2 - b2 i)/(a2^2 + b2^2)
-        a, b, d = o
         n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("0 in Q(i)")
@@ -280,6 +333,9 @@ class QI(Field):
                         (self.b * a - self.a * b) * d, self.d * n)
 
     def __eq__(self, other):
+        if type(other) is QI:
+            return (self.a == other.a and self.b == other.b
+                    and self.d == other.d)
         o = QI._lift(other)
         if o is None:
             return NotImplemented
@@ -289,8 +345,10 @@ class QI(Field):
         return self.a != 0 or self.b != 0
 
     def __hash__(self):
+        # hash(n) == hash(Fraction(n)) for an int n, so an integral value
+        # needs no Fraction
         if self.b == 0:
-            return hash(self.re)
+            return hash(self.a) if self.d == 1 else hash(self.re)
         return hash((self.re, self.im, "QI"))
 
     def __repr__(self):
@@ -299,6 +357,7 @@ class QI(Field):
         return "QI(%s, %s)" % (self.re, self.im)
 
 
+_set_a, _set_b, _set_d = QI.a.__set__, QI.b.__set__, QI.d.__set__
 I = QI(0, 1)
 
 
@@ -324,10 +383,11 @@ class F4(Field):
         return NotImplemented
 
     def __add__(self, other):
-        o = F4._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return F4_ELEMENTS[self.a ^ o.a | (self.b ^ o.b) << 1]
+        if type(other) is not F4:
+            other = F4._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return F4_ELEMENTS[self.a ^ other.a | (self.b ^ other.b) << 1]
 
     __radd__ = __add__
     __sub__ = __add__
@@ -336,11 +396,12 @@ class F4(Field):
         return self
 
     def __mul__(self, other):
-        o = F4._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
+        if type(other) is not F4:
+            other = F4._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
         # (a+bw)(c+dw) = ac + (ad+bc)w + bd w^2,  w^2 = w+1
-        a, b, c, d = self.a, self.b, o.a, o.b
+        a, b, c, d = self.a, self.b, other.a, other.b
         return F4_ELEMENTS[a & c ^ b & d | (a & d ^ b & c ^ b & d) << 1]
 
     __rmul__ = __mul__
@@ -352,10 +413,11 @@ class F4(Field):
         return self * self
 
     def __eq__(self, other):
-        o = F4._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        if type(other) is not F4:
+            other = F4._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -369,9 +431,9 @@ class F4(Field):
 
 
 def _f4_element(a, b):
-    x = object.__new__(F4)
-    object.__setattr__(x, "a", a)
-    object.__setattr__(x, "b", b)
+    x = _new(F4)
+    F4.a.__set__(x, a)
+    F4.b.__set__(x, b)
     return x
 
 
@@ -394,11 +456,11 @@ def char_of(x):
 def one_like(x):
     """Multiplicative identity of the field of x."""
     if isinstance(x, Mod):
-        return Mod(1, x.p)
+        return Mod._make(1, x.p)
     if isinstance(x, F4):
         return F4(1)
     if isinstance(x, QI):
-        return QI(1)
+        return QI._make(1, 0, 1)
     if isinstance(x, (int, Fraction)):
         return Fraction(1)
     raise TypeError("unknown scalar type %r" % type(x))

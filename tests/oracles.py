@@ -315,6 +315,58 @@ class FractionPairQI:
         return "QI(%s, %s)" % (self.re, self.im)
 
 
+def inertia_by_fractions(m):
+    """Exact inertia (n_plus, n_zero, n_minus) of a symmetric rational matrix
+    via symmetric Gaussian elimination over the rationals: the oracle for
+    lattices.inertia_signature, which eliminates fraction-free."""
+    n = len(m)
+    a = [[Fraction(x) for x in r] for r in m]
+    for i in range(n):
+        for j in range(n):
+            if a[i][j] != a[j][i]:
+                raise ValueError("matrix not symmetric")
+    pos = neg = zero = 0
+    live = list(range(n))
+    while live:
+        k = next((i for i in live if a[i][i] != 0), None)
+        if k is None:
+            # all diagonal zero: look for off-diagonal pivot pair
+            pair = None
+            for i in live:
+                for j in live:
+                    if i != j and a[i][j] != 0:
+                        pair = (i, j)
+                        break
+                if pair:
+                    break
+            if pair is None:
+                zero += len(live)
+                break
+            i, j = pair
+            # symmetric congruence: row/col i += row/col j makes a[i][i]=2a[i][j]
+            for t in range(n):
+                a[i][t] += a[j][t]
+            for t in range(n):
+                a[t][i] += a[t][j]
+            continue
+        d = a[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        live.remove(k)
+        for i in live:
+            if a[i][k] == 0:
+                continue
+            f = a[i][k] / d
+            for j in live:
+                a[i][j] -= f * a[k][j]
+            a[i][k] = Fraction(0)
+        for j in live:
+            a[k][j] = Fraction(0)
+    return pos, zero, neg
+
+
 def xgcd_inverse(v, p):
     """The inverse of v mod p as Mod.inverse computed it before the built-in
     pow(v, -1, p): by the extended Euclidean algorithm, or None when

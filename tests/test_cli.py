@@ -471,8 +471,9 @@ OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
                     "mixed moduli 5 and 7", "degrees 3 and 2, not 2 and 3",
                     "quadric in 5 coordinates", "not smooth at (Mod(1, 2), "
                     "Mod(1, 2), Mod(0, 2)", "0 + 16 singular points",
-                    "[[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]] cut "
-                    "a space of dimension 1", "sigma 1 witness embedding "
+                    "(Fraction(0, 1), Fraction(0, 1), Fraction(1, 1), "
+                    "Fraction(0, 1), Fraction(0, 1))] cut a space of "
+                    "dimension 1, not a plane", "sigma 1 witness embedding "
                     "fails: Gram not preserved at (0, 0)", "sigma 2 witness "
                     "embedding fails: Gram not preserved at (0, 0)",
                     "table 1: central 12 misses leaf 2",

@@ -587,6 +587,31 @@ def test_ingest_rejects_records_missing_a_key(tmp_path, edit, match):
         _ingest_edited(tmp_path, edit)
 
 
+def four_cycle(ftype):
+    """Four -2-curves in a cycle, each of multiplicity 1, as one fiber of
+    the given type: the fiber A~3."""
+    ids = ["a", "b", "c", "d"]
+    gram = [[-2 if i == j else int((i - j) % 2) for j in range(4)]
+            for i in range(4)]
+    fiber = {"type": ftype, "components": [{"id": c, "mult": 1} for c in ids]}
+    return cf.CurveSystem(ids, gram, [{"name": "f", "fibers": [fiber]}])
+
+
+def test_four_cycle_is_a_fiber_of_type_a3_only():
+    four_cycle("A~3").validate()
+    for ftype in ("D~0", "D~1", "D~2", "D~3", "D~", "B~3"):
+        with pytest.raises(ValueError, match=re.escape(
+                "fiber 0 of f: unknown fiber type %r" % ftype)):
+            four_cycle(ftype).validate()
+    # a type with another number of components fails on the count, before
+    # any list of its n + 1 multiplicities is built
+    for ftype in ("A~2", "A~4", "D~4", "A~99999999999", "D~99999999999"):
+        with pytest.raises(ValueError, match=re.escape(
+                "fiber 0 of f: multiplicities [1, 1, 1, 1] do not match "
+                "type %s" % ftype)):
+            four_cycle(ftype).validate()
+
+
 def test_ingest_rejects_non_integral_divisor(tmp_path):
     with open(cf.data_path("kummer-char0.json")) as fh:
         data = json.load(fh)

@@ -2,6 +2,7 @@
 The Pfaffian is checked only here, so its code is here too."""
 
 import copy
+import operator
 import pickle
 import random
 import re
@@ -330,6 +331,201 @@ def test_scalars_survive_copy_and_pickle(how):
     q = trip(QI(Fraction(1, 3), Fraction(-2, 5)))
     assert (q.a, q.b, q.d) == (5, -6, 15)
     assert trip([Mod(3, 7), {W: QI(1, 1)}]) == [Mod(3, 7), {W: QI(1, 1)}]
+
+
+# -- the exact-type fast paths of the scalar operators ------------------------
+#
+# Each binary operator of QI, Mod and F4 takes an operand of exactly its own
+# type inline and any other through _lift; arithmetic builds its results by
+# _make, without the validation of the public constructors.
+
+class SubQI(QI):
+    """An operand that is a QI but not exactly one: it takes the _lift
+    path."""
+
+    __slots__ = ()
+
+
+class SubMod(Mod):
+    __slots__ = ()
+
+
+class Foreign:
+    """An operand that no scalar type knows."""
+
+
+BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "==": operator.eq}
+
+
+def random_fraction(rng):
+    return Fraction(rng.randint(-60, 60), rng.randint(1, 40))
+
+
+def test_qi_fast_paths_agree_with_fraction_pair_oracle():
+    """Seeded random operations, with a QI, a QI subclass, an int or a
+    Fraction on either side, against the Fraction-pair oracle: every result
+    is a reduced QI (exactly), and a zero divisor raises alike."""
+    rng = random.Random(20251)
+    for _ in range(1500):
+        r1, i1, r2, i2 = (random_fraction(rng) for _ in range(4))
+        if rng.random() < 0.2:
+            i2 = 0
+        x, ox = QI(r1, i1), oracles.FractionPairQI(r1, i1)
+        kind = rng.choice(["QI", "SubQI", "int", "Fraction"])
+        if kind == "QI":
+            y, oy = QI(r2, i2), oracles.FractionPairQI(r2, i2)
+        elif kind == "SubQI":
+            y, oy = SubQI(r2, i2), oracles.FractionPairQI(r2, i2)
+        elif kind == "int":
+            y = oy = rng.randint(-9, 9)
+        else:
+            y = oy = r2
+        for name, op in BINARY_OPS.items():
+            for args, oargs in (((x, y), (ox, oy)), ((y, x), (oy, ox))):
+                got, want = outcome(op, *args), outcome(op, *oargs)
+                if isinstance(want, (bool, tuple)):
+                    assert got == want, (name, args)
+                else:
+                    assert type(got) is QI and agrees(got, want), (name, args)
+
+
+def test_mod_fast_paths_agree_with_integer_arithmetic():
+    """Seeded random operations, with a Mod, a Mod subclass, an int or a
+    Fraction on either side, against int arithmetic mod p."""
+    rng = random.Random(20252)
+    for _ in range(1500):
+        p = rng.choice([2, 3, 5, 13, 37, 10007])
+        v = rng.randrange(-3 * p, 3 * p)
+        x = Mod(v, p)
+        w = rng.randrange(-3 * p, 3 * p)
+        kind = rng.choice(["Mod", "SubMod", "int", "Fraction"])
+        if kind == "Mod":
+            y, yv = Mod(w, p), w
+        elif kind == "SubMod":
+            y, yv = SubMod(w, p), w
+        elif kind == "int":
+            y, yv = w, w
+        else:
+            d = rng.choice([d for d in range(1, 12) if d % p])
+            y, yv = Fraction(w, d), w * pow(d, -1, p)
+        for a, av, b, bv in ((x, v, y, yv), (y, yv, x, v)):
+            assert is_mod(a + b, av + bv, p) and is_mod(a - b, av - bv, p)
+            assert is_mod(a * b, av * bv, p)
+            assert (a == b) is ((av - bv) % p == 0)
+            if bv % p:
+                assert is_mod(a / b, av * pow(bv, -1, p), p)
+            else:
+                with pytest.raises(ZeroDivisionError,
+                                   match="^not invertible mod %d$" % p):
+                    a / b
+        assert is_mod(-x, -v, p)
+
+
+def test_foreign_operands_are_not_implemented():
+    """A foreign operand, or a float, gets NotImplemented from every
+    operator, so Python raises TypeError either way round and == is
+    False."""
+    for x in (QI(1, 2), SubQI(3), Mod(3, 7), SubMod(2, 5), W, F4(1)):
+        for other in (Foreign(), 0.5):
+            for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                         "__mul__", "__rmul__", "__truediv__",
+                         "__rtruediv__", "__eq__"):
+                assert getattr(x, name)(other) is NotImplemented, (x, name)
+            for name, op in BINARY_OPS.items():
+                if name == "==":
+                    assert not op(x, other) and not op(other, x)
+                    continue
+                with pytest.raises(TypeError):
+                    op(x, other)
+                with pytest.raises(TypeError):
+                    op(other, x)
+
+
+def test_integral_qi_hashes_like_its_int():
+    """An integral QI hashes as its int, which is the hash of that
+    Fraction; any other QI hashes as the Fraction-pair oracle did."""
+    ints = list(range(-20, 21)) + [2 ** 61 - 2, 2 ** 61 - 1, 2 ** 61,
+                                   -2 ** 64 + 3, 10 ** 30]
+    for n in ints:
+        assert hash(QI(n)) == hash(n) == hash(Fraction(n))
+        assert hash(QI(n) * 1) == hash(QI(Fraction(2 * n, 2))) == hash(n)
+    rng = random.Random(20253)
+    for _ in range(1000):
+        r, i = random_fraction(rng), rng.choice([0, random_fraction(rng)])
+        assert hash(QI(r, i)) == hash(oracles.FractionPairQI(r, i))
+        assert hash(QI(r, i) + 0) == hash(QI(r, i))
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+def test_made_scalars_are_immutable_and_survive_copy_and_pickle(how):
+    """Results of arithmetic, built by _make, are as frozen as constructed
+    values and make the same round trips."""
+    trip = ROUND_TRIPS[how]
+    made = [QI(1, 2) * QI(3, -4), QI(Fraction(1, 3)) / 7, -I, I.inverse(),
+            QI(Fraction(5, 6), 1) - Fraction(1, 6), I ** 3,
+            Mod(3, 7) * Mod(5, 7), Mod(3, 7) + 9, Mod(2, 13).inverse(),
+            Mod(2, 13) ** 5, -Mod(1, 2), Mod(4, 11) / Fraction(1, 3),
+            W * W, F4(1) / W]
+    for x in made:
+        for attr in x.__slots__ + ("other",):
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(x, attr, 1)
+        y = trip(x)
+        assert type(y) is type(x) and y == x and hash(y) == hash(x)
+        assert repr(y) == repr(x)
+
+
+def test_arithmetic_runs_no_public_constructor(monkeypatch):
+    """Validation stays at the boundary: a seeded loop of QI and Mod
+    arithmetic, with ints and Fractions among the operands, builds every
+    result without calling QI.__init__ or Mod.__init__."""
+    rng = random.Random(20254)
+    p = 37
+    qs = [QI(random_fraction(rng), random_fraction(rng)) for _ in range(30)]
+    qs += [QI(rng.randint(-5, 5)) for _ in range(10)]
+    ms = [Mod(rng.randrange(p), p) for _ in range(40)]
+    calls = []
+    for cls in (QI, Mod):
+        def counted(self, *args, _init=cls.__init__):
+            calls.append(type(self).__name__)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    # the wrapper sees a public construction
+    assert QI(1) == 1 and Mod(1, p) == 1 and calls == ["QI", "Mod"]
+    del calls[:]
+    for _ in range(1000):
+        n = rng.randint(-5, 5)
+        f = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        for x, y in ((rng.choice(qs), rng.choice(qs)),
+                     (rng.choice(ms), rng.choice(ms))):
+            _ = (x + y, x - y, x * y, -x, x + n, n - x, x * f, f * x,
+                 x ** 3, x == y, x == n, hash(x))
+            if y:
+                _ = (x / y, n / y, f / y, y.inverse(), y ** -2)
+    assert calls == []
+
+
+def test_public_constructors_still_validate():
+    for bad, err, msg in (
+            (lambda: Mod(2.5, 7), TypeError,
+             "Mod value 2.5 is not an int or a Mod"),
+            (lambda: QI(0.1), TypeError, "QI part 0.1 is a float"),
+            (lambda: QI(1, 0.5), TypeError, "QI part 0.5 is a float"),
+            (lambda: Mod(3, 1), ValueError, "modulus 1 is below 2"),
+            (lambda: Mod(Mod(3, 5), 7), ValueError, "mixed moduli 5 and 7"),
+            (lambda: Mod(1, 5) + Mod(1, 7), ValueError,
+             "mixed moduli 5 and 7"),
+            (lambda: Mod(1, 5) * SubMod(1, 7), ValueError,
+             "mixed moduli 5 and 7"),
+            (lambda: Mod(1, 5) == Mod(1, 7), ValueError,
+             "mixed moduli 5 and 7"),
+            (lambda: Mod(1, 5) / Mod(0, 7), ValueError,
+             "mixed moduli 5 and 7"),
+            (lambda: SubMod(1, 7) - Mod(1, 5), ValueError,
+             "mixed moduli 7 and 5")):
+        with pytest.raises(err, match="^%s$" % re.escape(msg)):
+            bad()
 
 
 QI_XY = PolyRing(["x", "y"], QI(1))
@@ -786,6 +982,52 @@ def test_inertia_e8_negative():
     g = [[-x for x in row] for row in gram_e8()]
     assert inertia_signature(g) == (0, 0, 8)
     assert abs(det_poly_matrix(gram_e8())) == 1
+
+
+def random_symmetric(rng):
+    """A symmetric matrix of size 0..7: sparse or dense ints, a low-rank
+    form A^T D A, a zero diagonal (which forces the congruence step), or
+    Fractions."""
+    n = rng.randint(0, 7)
+    kind = rng.choice(["sparse", "dense", "low-rank", "zero-diagonal",
+                       "rational"])
+    if kind == "low-rank":
+        r = rng.randint(0, n)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        d = [rng.choice([-2, -1, 1, 3]) for _ in range(r)]
+        return [[sum(a[k][i] * d[k] * a[k][j] for k in range(r))
+                 for j in range(n)] for i in range(n)]
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if kind == "sparse":
+                x = rng.choice([0, 0, 0, rng.randint(-4, 4)])
+            elif kind == "rational":
+                x = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+            else:
+                x = rng.randint(-9, 9)
+            g[i][j] = g[j][i] = 0 if kind == "zero-diagonal" and i == j \
+                else x
+    return g
+
+
+def test_inertia_agrees_with_fraction_oracle():
+    """The fraction-free elimination against the elimination over Q that it
+    replaced, on 3000 seeded symmetric matrices of size at most 7."""
+    rng = random.Random(20255)
+    for _ in range(3000):
+        g = random_symmetric(rng)
+        assert inertia_signature(g) == oracles.inertia_by_fractions(g), g
+
+
+def test_inertia_scales_a_rational_matrix_and_checks_symmetry():
+    g = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(-5, 7)]]
+    assert inertia_signature(g) == (1, 0, 1)
+    assert inertia_signature([[Fraction(1, 4)]]) == (1, 0, 0)
+    assert inertia_signature([]) == (0, 0, 0)
+    assert inertia_signature([[0, 0], [0, 0]]) == (0, 2, 0)
+    with pytest.raises(ValueError, match="not symmetric"):
+        inertia_signature([[1, 2], [3, 1]])
 
 
 @settings(max_examples=20, deadline=None)
