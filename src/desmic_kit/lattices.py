@@ -5,13 +5,14 @@ they use (Smith normal form, row bases, inertia, linear solves).
 
 Root lattices are taken negative definite (the (-2)-curve convention), so
 hyperbolic Picard-type lattices have signature (1, n).  Finite quadratic
-forms live on finite abelian groups with q in Q/2Z and b in Q/Z.
+forms live on finite abelian groups of exponent e, with q in Q/2Z and b in
+Q/Z stored as the integer tables e*q mod 2e and e*b mod e.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .matrices import bilinear, det_poly_matrix, rref
 
@@ -307,7 +308,10 @@ def _mod1(x):
 class FiniteQuadForm:
     """A quadratic form on a finite abelian group presented by invariant
     factors: orders (d_1, ..., d_k), q(g_i) in Q/2Z and b(g_i, g_j) in
-    Q/Z on the generators."""
+    Q/Z on the generators, given as rationals.  Once checked they are kept
+    as integers over the exponent e = lcm(d_i): q[i] = e*q(g_i) mod 2e and
+    b[i][j] = e*b(g_i, g_j) mod e, integral as d_i*b(g_i, -) is and
+    q(g_i) = b(g_i, g_i) mod 1."""
 
     def __init__(self, orders, qvals, bmat):
         self.orders = tuple(int(d) for d in orders)
@@ -316,67 +320,54 @@ class FiniteQuadForm:
                 raise ValueError("generator %d has order %d, expected "
                                  "above 1" % (i, d))
         k = len(self.orders)
-        self.q = tuple(_mod2(v) for v in qvals)
-        self.b = tuple(tuple(_mod1(bmat[i][j]) for j in range(k))
-                       for i in range(k))
+        qs = [_mod2(v) for v in qvals]
+        bs = [[_mod1(bmat[i][j]) for j in range(k)] for i in range(k)]
         for i in range(k):
-            d, q = self.orders[i], self.q[i]
+            d, q = self.orders[i], qs[i]
             # b(x, x) = q(x) read modulo 1
-            if self.b[i][i] != _mod1(q):
+            if bs[i][i] != _mod1(q):
                 raise ValueError("generator %d: b(g, g) = %s is not q(g) = "
-                                 "%s modulo 1" % (i, self.b[i][i], q))
+                                 "%s modulo 1" % (i, bs[i][i], q))
             if _mod2(q * d * d) != 0:
                 raise ValueError("generator %d: q(g) = %s incompatible with "
                                  "order %d" % (i, q, d))
             for j in range(k):
-                if self.b[i][j] != self.b[j][i]:
+                if bs[i][j] != bs[j][i]:
                     raise ValueError("b not symmetric at generators %d, %d: "
-                                     "%s and %s" % (i, j, self.b[i][j],
-                                                    self.b[j][i]))
-                if _mod1(self.b[i][j] * d) != 0:
+                                     "%s and %s" % (i, j, bs[i][j],
+                                                    bs[j][i]))
+                if _mod1(bs[i][j] * d) != 0:
                     raise ValueError("generators %d, %d: b = %s incompatible "
                                      "with order %d"
-                                     % (i, j, self.b[i][j], d))
+                                     % (i, j, bs[i][j], d))
+        self.e = e = lcm(*self.orders)
+        self.q = tuple(int(v * e) for v in qs)
+        self.b = tuple(tuple(int(v * e) for v in row) for row in bs)
 
     @property
     def order(self):
-        n = 1
-        for d in self.orders:
-            n *= d
-        return n
+        return prod(self.orders)
 
     def elements(self):
         return product(*[range(d) for d in self.orders])
 
     def q_of(self, el):
-        total = Fraction(0)
+        """e*q(el) mod 2e, an int, for el given by its coordinates on the
+        generators."""
+        total = 0
         k = len(self.orders)
         for i in range(k):
             total += el[i] * el[i] * self.q[i]
             for j in range(i + 1, k):
                 total += 2 * el[i] * el[j] * self.b[i][j]
-        return _mod2(total)
-
-    def b_of(self, u, v):
-        total = Fraction(0)
-        k = len(self.orders)
-        for i in range(k):
-            for j in range(k):
-                total += u[i] * v[j] * self.b[i][j]
-        return _mod1(total)
+        return total % (2 * self.e)
 
     def direct_sum(self, other):
-        orders = self.orders + other.orders
-        qvals = list(self.q) + list(other.q)
-        k1, k2 = len(self.orders), len(other.orders)
-        bmat = [[Fraction(0)] * (k1 + k2) for _ in range(k1 + k2)]
-        for i in range(k1):
-            for j in range(k1):
-                bmat[i][j] = self.b[i][j]
-        for i in range(k2):
-            for j in range(k2):
-                bmat[k1 + i][k1 + j] = other.b[i][j]
-        return FiniteQuadForm(orders, qvals, bmat)
+        z1, z2 = [0] * len(other.orders), [0] * len(self.orders)
+        bmat = ([[Fraction(v, self.e) for v in r] + z1 for r in self.b]
+                + [z2 + [Fraction(v, other.e) for v in r] for r in other.b])
+        qvals = [Fraction(v, f.e) for f in (self, other) for v in f.q]
+        return FiniteQuadForm(self.orders + other.orders, qvals, bmat)
 
     def value_multiset(self):
         return Counter(self.q_of(el) for el in self.elements())
@@ -417,12 +408,15 @@ def disc_form(l):
         raise ValueError("degenerate Gram matrix")
     # Z^n / (gram Z^n): generator i is the dual vector gram^-1 (u^-1 e_i),
     # of order diag[i].  As gram^-1 = v diag^-1 u, that is column i of v
-    # over diag[i].
-    gens = [[Fraction(v[r][i], diag[i]) for r in range(n)]
-            for i in range(n) if diag[i] > 1]
-    orders = [x for x in diag if x > 1]
-    qvals = [bilinear(l.gram, x, x) for x in gens]
-    bmat = [[bilinear(l.gram, x, y) for y in gens] for x in gens]
+    # over diag[i], so b(g_i, g_j) is the integer pairing of the two
+    # columns over diag[i]*diag[j].
+    keep = [i for i in range(n) if diag[i] > 1]
+    cols = [[v[r][i] for r in range(n)] for i in keep]
+    orders = [diag[i] for i in keep]
+    bmat = [[Fraction(bilinear(l.gram, x, y), di * dj)
+             for y, dj in zip(cols, orders)] for x, di in zip(cols, orders)]
+    qvals = [r[i] for i, r in enumerate(bmat)]
+    gens = [[Fraction(c, d) for c in x] for x, d in zip(cols, orders)]
     return FiniteQuadForm(orders, qvals, bmat), gens
 
 
@@ -445,7 +439,11 @@ def _primary_parts(orders):
 
 def fq_isometric(q1, q2):
     """Whether two finite quadratic forms are isometric; exhaustive search
-    over generator images (complete for group order <= 2^10)."""
+    over generator images (complete for group order <= 2^10).  Equal
+    primary parts give equal exponents, so past that check the integer
+    tables of the two forms compare directly.  Each element of q2 is
+    tabulated once; generator i of q1 goes to an element of its order and
+    q value whose pairings with the earlier images are q1.b[i]."""
     if q1.order != q2.order:
         return False
     if q1.order > 1024:
@@ -455,11 +453,13 @@ def fq_isometric(q1, q2):
     if q1.value_multiset() != q2.value_multiset():
         return False
 
-    def el_order(q, el):
-        return lcm(*(d // gcd(c, d) for c, d in zip(el, q.orders) if c))
-
-    targets = list(q2.elements())
-    k = len(q1.orders)
+    e, k, k2 = q2.e, len(q1.orders), len(q2.orders)
+    # element -> (order, q value, its row y*b of pairings with generators)
+    table = {y: (lcm(*(d // gcd(c, d) for c, d in zip(y, q2.orders) if c)),
+                 q2.q_of(y),
+                 [sum(y[a] * q2.b[a][c] for a in range(k2)) % e
+                  for c in range(k2)])
+             for y in q2.elements()}
     images = [None] * k
 
     def extend(i):
@@ -467,27 +467,19 @@ def fq_isometric(q1, q2):
             # the candidate homomorphism must be a q-preserving bijection
             seen = set()
             for el in q1.elements():
-                im = tuple(sum(el[a] * images[a][b] for a in range(k))
-                           % q2.orders[b] for b in range(len(q2.orders)))
+                im = tuple(sum(el[a] * images[a][c] for a in range(k))
+                           % q2.orders[c] for c in range(k2))
                 if im in seen:
                     return False
                 seen.add(im)
-                if q2.q_of(im) != q1.q_of(el):
+                if table[im][1] != q1.q_of(el):
                     return False
             return True
-        for y in targets:
-            if el_order(q2, y) != q1.orders[i]:
+        for y, (order, qy, row) in table.items():
+            if order != q1.orders[i] or qy != q1.q[i]:
                 continue
-            if q2.q_of(y) != q1.q_of(tuple(int(j == i) for j in range(k))):
-                continue
-            ok = True
-            for j in range(i):
-                gi = tuple(int(a == i) for a in range(k))
-                gj = tuple(int(a == j) for a in range(k))
-                if q2.b_of(y, images[j]) != q1.b_of(gi, gj):
-                    ok = False
-                    break
-            if not ok:
+            if any(sum(r * z for r, z in zip(row, images[j])) % e
+                   != q1.b[i][j] for j in range(i)):
                 continue
             images[i] = y
             if extend(i + 1):
@@ -499,10 +491,13 @@ def fq_isometric(q1, q2):
 
 
 def genus_match_indefinite(l1, l2):
-    """Signature and discriminant-form comparison.  For indefinite even
-    lattices, agreement means isomorphism by the uniqueness theorem for
-    indefinite lattices in their genus (trusted, not re-proved); for
-    definite ones only genus-level agreement is reported."""
+    """Signature and discriminant-form comparison.  Agreement means
+    isomorphism when the lattices are indefinite and rk L >= l(A_L) + 2,
+    l(A_L) the number of invariant factors above 1 of the discriminant
+    group: an even lattice meeting both is unique in its genus (Nikulin,
+    Integral symmetric bilinear forms and some of their applications,
+    Math. USSR Izv. 14, 1980, Cor. 1.13.3; trusted, not re-proved).
+    Otherwise only genus-level agreement is reported."""
     s1, s2 = l1.signature(), l2.signature()
     d1, d2 = abs(l1.det()), abs(l2.det())
     out = {"signatures": (s1, s2), "disc_orders": (d1, d2)}
@@ -523,7 +518,8 @@ def genus_match_indefinite(l1, l2):
     out["match"] = True
     out["level"] = ("isomorphic by uniqueness of indefinite even "
                     "lattices in their genus (cited)"
-                    if min(s1) > 0 else "genus-level")
+                    if min(s1) > 0 and l1.rank >= len(f1.orders) + 2
+                    else "genus-level")
     return out
 
 

@@ -15,13 +15,15 @@ def is_prime(n):
 
 
 class Frozen:
-    """Base of the immutable values: assignment raises, so each value's
-    slots are set once, when it is built."""
+    """Base of the immutable values: assignment and deletion raise, so each
+    value's slots are set once, when it is built."""
 
     __slots__ = ()
 
     def __setattr__(self, *a):
         raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
 
 
 class Field(Frozen):

@@ -1,9 +1,12 @@
 """Oracles shared by several test modules."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd, lcm
 
 from desmic_kit.configs import TOTALS_TABLE, _duad_str, _syntheme_str
+from desmic_kit.lattices import _primary_parts
 from desmic_kit.matrices import bilinear, det_poly_matrix, matrix_rank, \
     nullspace
 from desmic_kit.poly import MultiPoly, PolyRing
@@ -460,3 +463,151 @@ def searched_duad_syntheme_system():
         "table": tuple(tuple("" if i == j else TOTALS_TABLE[(i + 1, j + 1)]
                              for j in range(6)) for i in range(6)),
     }
+
+
+# Finite quadratic forms in Fraction arithmetic, as lattices kept them
+# before its integer tables: q in Q/2Z and b in Q/Z on the generators,
+# re-evaluated on unit vectors for every candidate image.
+
+def _mod2(x):
+    return Fraction(x) % 2
+
+
+def _mod1(x):
+    return Fraction(x) % 1
+
+
+class FiniteQuadForm:
+    """A quadratic form on a finite abelian group presented by invariant
+    factors: orders (d_1, ..., d_k), q(g_i) in Q/2Z and b(g_i, g_j) in
+    Q/Z on the generators."""
+
+    def __init__(self, orders, qvals, bmat):
+        self.orders = tuple(int(d) for d in orders)
+        for i, d in enumerate(self.orders):
+            if d <= 1:
+                raise ValueError("generator %d has order %d, expected "
+                                 "above 1" % (i, d))
+        k = len(self.orders)
+        self.q = tuple(_mod2(v) for v in qvals)
+        self.b = tuple(tuple(_mod1(bmat[i][j]) for j in range(k))
+                       for i in range(k))
+        for i in range(k):
+            d, q = self.orders[i], self.q[i]
+            # b(x, x) = q(x) read modulo 1
+            if self.b[i][i] != _mod1(q):
+                raise ValueError("generator %d: b(g, g) = %s is not q(g) = "
+                                 "%s modulo 1" % (i, self.b[i][i], q))
+            if _mod2(q * d * d) != 0:
+                raise ValueError("generator %d: q(g) = %s incompatible with "
+                                 "order %d" % (i, q, d))
+            for j in range(k):
+                if self.b[i][j] != self.b[j][i]:
+                    raise ValueError("b not symmetric at generators %d, %d: "
+                                     "%s and %s" % (i, j, self.b[i][j],
+                                                    self.b[j][i]))
+                if _mod1(self.b[i][j] * d) != 0:
+                    raise ValueError("generators %d, %d: b = %s incompatible "
+                                     "with order %d"
+                                     % (i, j, self.b[i][j], d))
+
+    @property
+    def order(self):
+        n = 1
+        for d in self.orders:
+            n *= d
+        return n
+
+    def elements(self):
+        return product(*[range(d) for d in self.orders])
+
+    def q_of(self, el):
+        total = Fraction(0)
+        k = len(self.orders)
+        for i in range(k):
+            total += el[i] * el[i] * self.q[i]
+            for j in range(i + 1, k):
+                total += 2 * el[i] * el[j] * self.b[i][j]
+        return _mod2(total)
+
+    def b_of(self, u, v):
+        total = Fraction(0)
+        k = len(self.orders)
+        for i in range(k):
+            for j in range(k):
+                total += u[i] * v[j] * self.b[i][j]
+        return _mod1(total)
+
+    def direct_sum(self, other):
+        orders = self.orders + other.orders
+        qvals = list(self.q) + list(other.q)
+        k1, k2 = len(self.orders), len(other.orders)
+        bmat = [[Fraction(0)] * (k1 + k2) for _ in range(k1 + k2)]
+        for i in range(k1):
+            for j in range(k1):
+                bmat[i][j] = self.b[i][j]
+        for i in range(k2):
+            for j in range(k2):
+                bmat[k1 + i][k1 + j] = other.b[i][j]
+        return FiniteQuadForm(orders, qvals, bmat)
+
+    def value_multiset(self):
+        return Counter(self.q_of(el) for el in self.elements())
+
+    def __repr__(self):
+        return "FiniteQuadForm(orders=%s, q=%s)" % (self.orders, self.q)
+
+
+def fq_isometric(q1, q2):
+    """Whether two finite quadratic forms are isometric; exhaustive search
+    over generator images (complete for group order <= 2^10)."""
+    if q1.order != q2.order:
+        return False
+    if q1.order > 1024:
+        raise ValueError("group order above the configured bound")
+    if _primary_parts(q1.orders) != _primary_parts(q2.orders):
+        return False
+    if q1.value_multiset() != q2.value_multiset():
+        return False
+
+    def el_order(q, el):
+        return lcm(*(d // gcd(c, d) for c, d in zip(el, q.orders) if c))
+
+    targets = list(q2.elements())
+    k = len(q1.orders)
+    images = [None] * k
+
+    def extend(i):
+        if i == k:
+            # the candidate homomorphism must be a q-preserving bijection
+            seen = set()
+            for el in q1.elements():
+                im = tuple(sum(el[a] * images[a][b] for a in range(k))
+                           % q2.orders[b] for b in range(len(q2.orders)))
+                if im in seen:
+                    return False
+                seen.add(im)
+                if q2.q_of(im) != q1.q_of(el):
+                    return False
+            return True
+        for y in targets:
+            if el_order(q2, y) != q1.orders[i]:
+                continue
+            if q2.q_of(y) != q1.q_of(tuple(int(j == i) for j in range(k))):
+                continue
+            ok = True
+            for j in range(i):
+                gi = tuple(int(a == i) for a in range(k))
+                gj = tuple(int(a == j) for a in range(k))
+                if q2.b_of(y, images[j]) != q1.b_of(gi, gj):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            images[i] = y
+            if extend(i + 1):
+                return True
+            images[i] = None
+        return False
+
+    return extend(0)

@@ -21,6 +21,7 @@ from desmic_kit.lattices import (inertia_signature, smith_invariants,
                                  smith_normal_form)
 from desmic_kit.matrices import (bilinear, det_poly_matrix, matrix_rank,
                                  nullspace, rref)
+from desmic_kit.projgeom import LineP3
 
 import oracles
 
@@ -455,6 +456,18 @@ def test_integral_qi_hashes_like_its_int():
         r, i = random_fraction(rng), rng.choice([0, random_fraction(rng)])
         assert hash(QI(r, i)) == hash(oracles.FractionPairQI(r, i))
         assert hash(QI(r, i) + 0) == hash(QI(r, i))
+
+
+def test_frozen_values_refuse_deletion():
+    """del raises like assignment, so an interned value keeps its slots."""
+    line = LineP3([1, 0, 0, 0], [0, 1, 0, 0])
+    for x in (Mod(3, 7), QI(1, 2), W, line):
+        for attr in x.__slots__:
+            with pytest.raises(AttributeError, match="is immutable"):
+                delattr(x, attr)
+    assert F4_ELEMENTS[2] is W and (W.a, W.b) == (0, 1)
+    assert W * W is W + 1 and W.inverse() is W + 1
+    assert (Mod(3, 7).v, QI(1, 2).b, line.plucker[0]) == (3, 2, 1)
 
 
 @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))

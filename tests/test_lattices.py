@@ -4,8 +4,11 @@ classification of curve subsets and the reported CM and transcendental
 lattices are paper claims that only these tests check, so their code is
 here."""
 
+import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,9 @@ import desmic_kit.configs as cf
 import desmic_kit.lattices as la
 from desmic_kit.lattices import (inertia_signature, row_basis,
                                  smith_invariants, smith_normal_form)
-from desmic_kit.matrices import matrix_rank
+from desmic_kit.matrices import bilinear, matrix_rank
+
+import oracles
 
 
 # -- construction ---------------------------------------------------------------
@@ -140,6 +145,138 @@ def test_disc_form_respects_direct_sums(names):
     assert la.fq_isometric(whole, f1.direct_sum(f2))
 
 
+# -- integer tables against the Fraction oracle -------------------------------------
+
+def oracle_disc_form(l):
+    """disc_form(l) with the Fraction oracle of the same form, paired from
+    the generator vectors that disc_form returns."""
+    fq, gens = la.disc_form(l)
+    qvals = [bilinear(l.gram, x, x) for x in gens]
+    bmat = [[bilinear(l.gram, x, y) for y in gens] for x in gens]
+    return fq, oracles.FiniteQuadForm(fq.orders, qvals, bmat)
+
+
+def seeded_ade_sums(count=14, seed=0):
+    """Direct sums of one to three root lattices and <-2k>, with
+    discriminant order at most 64."""
+    rng = random.Random(seed)
+    names = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "D7", "E6",
+             "E7", "E8", "<-2>", "<-4>", "<-6>", "U"]
+    sums = []
+    while len(sums) < count:
+        l = la.direct_sum(*rng.choices(names, k=rng.randint(1, 3)))
+        if abs(l.det()) <= 64:
+            sums.append(l)
+    return sums
+
+
+HALF = Fraction(1, 2)
+FACTORS = {"u": ((2, 2), (0, 0), [[0, HALF], [HALF, 0]]),
+           "v": ((2, 2), (1, 1), [[0, HALF], [HALF, 0]]),
+           "q1(4)": ((4,), (Fraction(1, 4),), [[Fraction(1, 4)]]),
+           "q5(4)": ((4,), (Fraction(5, 4),), [[Fraction(1, 4)]]),
+           "q2(3)": ((3,), (Fraction(2, 3),), [[Fraction(2, 3)]]),
+           "q1(8)": ((8,), (Fraction(1, 8),), [[Fraction(1, 8)]])}
+SUMS = [("q1(4)", "v"), ("q5(4)", "u"), ("q1(4)", "u"), ("q5(4)", "v"),
+        ("u", "u"), ("v", "v"), ("q2(3)", "u"), ("u", "q2(3)"),
+        ("q1(8)", "v"), ("q1(4)", "q2(3)"), ("q5(4)", "q2(3)")]
+
+
+def summed_forms(names):
+    """The direct sum of the named factors, built by lattices and by the
+    oracle."""
+    forms = [(la.FiniteQuadForm(*FACTORS[name]),
+              oracles.FiniteQuadForm(*FACTORS[name])) for name in names]
+    fq, want = forms[0]
+    for f, o in forms[1:]:
+        fq, want = fq.direct_sum(f), want.direct_sum(o)
+    return fq, want
+
+
+def assert_agrees_with_oracle(pairs):
+    """Every element's e*q, every b entry and the isometry verdict on
+    every ordered pair agree with the Fraction oracle; both verdicts
+    occur."""
+    verdicts = set()
+    for fq, want in pairs:
+        assert fq.e == lcm(*fq.orders) and fq.orders == want.orders
+        assert [[fq.e * x for x in r] for r in want.b] == \
+            [list(r) for r in fq.b]
+        for el in fq.elements():
+            assert fq.q_of(el) == fq.e * want.q_of(el)
+    for (f1, o1), (f2, o2) in product(pairs, repeat=2):
+        got = la.fq_isometric(f1, f2)
+        assert got == oracles.fq_isometric(o1, o2), (f1, f2)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_disc_forms_of_ade_sums_agree_with_fraction_oracle():
+    assert_agrees_with_oracle([oracle_disc_form(l)
+                               for l in seeded_ade_sums()])
+
+
+def test_ternary_candidate_forms_agree_with_fraction_oracle():
+    candidates = la.ternary_enumeration(16)
+    assert len(candidates) == 13
+    target = summed_forms(("q1(4)", "v"))
+    assert_agrees_with_oracle([oracle_disc_form(l) for l in candidates]
+                              + [target, oracle_disc_form(
+                                  la.standard_lattice("A3"))])
+
+
+def test_sums_of_unequal_exponents_agree_with_fraction_oracle():
+    pairs = [summed_forms(names) for names in SUMS]
+    assert [f.e for f, _ in pairs] == [4, 4, 4, 4, 2, 2, 6, 6, 8, 12, 12]
+    assert la.fq_isometric(pairs[0][0], pairs[1][0])
+    assert not la.fq_isometric(pairs[2][0], pairs[1][0])
+    assert_agrees_with_oracle(pairs)
+
+
+def test_flipping_one_generator_q_changes_the_verdict():
+    fq, want = summed_forms(SUMS[0])
+    target, oracle_target = summed_forms(SUMS[1])
+    assert la.fq_isometric(fq, target) and \
+        oracles.fq_isometric(want, oracle_target)
+    qvals = [Fraction(x, fq.e) for x in fq.q]
+    qvals[0] += 1
+    bmat = [[Fraction(x, fq.e) for x in r] for r in fq.b]
+    assert not la.fq_isometric(la.FiniteQuadForm(fq.orders, qvals, bmat),
+                               target)
+    assert not oracles.fq_isometric(
+        oracles.FiniteQuadForm(fq.orders, qvals, bmat), oracle_target)
+
+
+def test_forms_hold_ints_and_search_makes_no_fraction(monkeypatch):
+    q1v = la.fq_cyclic(1, 4).direct_sum(la.fq_v2())
+    q5u = la.fq_cyclic(5, 4).direct_sum(la.fq_u2())
+    q1u = la.fq_cyclic(1, 4).direct_sum(la.fq_u2())
+    d4, _ = la.disc_form(la.standard_lattice("D4"))
+    v2 = la.fq_v2()
+    for f in (q1v, q5u, q1u, d4):
+        fields = (f.e,) + f.orders + f.q + sum(f.b, ())
+        assert all(type(x) is int for x in fields)
+        assert type(f.q_of((1,) * len(f.orders))) is int
+        assert not hasattr(f, "b_of")
+    values = q1v.value_multiset()
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction%r made" % (args,))
+
+    monkeypatch.setattr(la, "Fraction", no_fraction)
+    assert la.fq_isometric(q1v, q5u)
+    assert not la.fq_isometric(q1u, q5u)
+    assert la.fq_isometric(d4, v2)
+    assert q1v.value_multiset() == values and sum(values.values()) == 16
+
+
+def test_unimodular_disc_form_is_trivial():
+    fq, gens = la.disc_form(la.standard_lattice("E8"))
+    assert (fq.e, fq.orders, fq.q, fq.b, gens) == (1, (), (), (), [])
+    assert fq.order == 1 and fq.value_multiset() == Counter({0: 1})
+    assert la.fq_isometric(fq, fq)
+
+
 # -- genus matching ---------------------------------------------------------------
 
 def test_genus_match_main_example():
@@ -167,6 +304,21 @@ def test_genus_match_definite_is_genus_level():
     d4 = la.standard_lattice("D4")
     out = la.genus_match_indefinite(d4, d4)
     assert out["match"] and out["level"] == "genus-level"
+
+
+def test_genus_match_needs_rank_at_least_l_plus_2():
+    """Cor. 1.13.3 of Nikulin needs rk L >= l(A_L) + 2: U(2) has rank 2
+    and l = 2, U + U(2) sits on the bound, the rank-19 pair has l = 3."""
+    u2 = la.Lattice([[0, 2], [2, 0]], name="U(2)")
+    out = la.genus_match_indefinite(u2, u2)
+    assert out["match"] and out["level"] == "genus-level"
+    on_bound = la.direct_sum("U", u2)
+    assert on_bound.rank == len(on_bound.disc_group()) + 2
+    l1, _ = la.curve_span_lattice_names()
+    assert l1.disc_group() == [2, 2, 4]
+    for l in (on_bound, l1):
+        out = la.genus_match_indefinite(l, l)
+        assert out["match"] and "uniqueness of indefinite" in out["level"]
 
 
 def test_genus_match_self():
