@@ -577,14 +577,18 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _records(value, where):
-    """value, which must be a JSON list of objects; `where` names it in the
-    ValueError raised otherwise."""
+def _records(value, where, keys):
+    """value, which must be a JSON list of objects, each with no key outside
+    keys; `where` names it in the ValueError raised otherwise."""
     if not isinstance(value, list):
         raise ValueError("%s: %r is not a list" % (where, value))
     for rec in value:
         if not isinstance(rec, dict):
             raise ValueError("%s: record %r is not an object" % (where, rec))
+        extra = sorted(set(rec) - keys)
+        if extra:
+            raise ValueError("%s: key %r is not one of %s in record %r"
+                             % (where, extra[0], sorted(keys), rec))
     return value
 
 
@@ -601,7 +605,7 @@ def ingest_curve_system(path):
     if "curves" not in data:
         raise ValueError("missing 'curves'")
     ids, selfints = [], {}
-    for rec in _records(data["curves"], "curves"):
+    for rec in _records(data["curves"], "curves", {"id", "self"}):
         if set(rec) != {"id", "self"}:
             raise ValueError("bad curve record %r" % (rec,))
         if not isinstance(rec["id"], str):
@@ -637,12 +641,18 @@ def ingest_curve_system(path):
                              % (a, b, entry))
         given.add(frozenset((a, b)))
         gram[index[a]][index[b]] = gram[index[b]][index[a]] = val
-    fibrations = _records(data.get("fibrations", []), "fibrations")
+    fibrations = _records(data.get("fibrations", []), "fibrations",
+                          {"name", "fibers"})
+    names = []
     for fib in fibrations:
         if set(fib) != {"name", "fibers"}:
             raise ValueError("bad fibration record %r" % (fib.get("name"),))
+        if fib["name"] in names:
+            raise ValueError("fibration name %r is repeated" % (fib["name"],))
+        names.append(fib["name"])
         fibers = _records(fib["fibers"],
-                          "fibration %s fibers" % (fib["name"],))
+                          "fibration %s fibers" % (fib["name"],),
+                          {"type", "components"})
         for k, fiber in enumerate(fibers):
             if not fiber.get("components"):
                 raise ValueError("fibration %s fiber %d has no components: "
@@ -652,7 +662,7 @@ def ingest_curve_system(path):
                                  "string" % (fib["name"], k, fiber["type"]))
             for comp in _records(fiber["components"],
                                  "fibration %s fiber %d components"
-                                 % (fib["name"], k)):
+                                 % (fib["name"], k), {"id", "mult"}):
                 if "id" not in comp:
                     raise ValueError("fibration %s component %r has no id"
                                      % (fib["name"], comp))
@@ -664,14 +674,19 @@ def ingest_curve_system(path):
                     raise ValueError(
                         "fibration %s component %r: multiplicity is not a "
                         "positive integer" % (fib["name"], comp))
-    names = [fib["name"] for fib in fibrations]
-    divisors = _records(data.get("divisors", []), "divisors")
+    divisors = _records(data.get("divisors", []), "divisors",
+                        {"name", "terms"})
+    seen = []
     for div in divisors:
         if not {"name", "terms"} <= set(div):
             raise ValueError("divisor record %r needs a name and terms"
                              % (div,))
+        if div["name"] in seen:
+            raise ValueError("divisor name %r is repeated" % (div["name"],))
+        seen.append(div["name"])
         for term in _records(div["terms"],
-                             "divisor %s terms" % (div["name"],)):
+                             "divisor %s terms" % (div["name"],),
+                             {"id", "class", "coeff"}):
             keys = set(term)
             if keys not in ({"id", "coeff"}, {"class", "coeff"}):
                 raise ValueError("bad divisor term %r in %s"

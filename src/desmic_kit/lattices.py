@@ -241,6 +241,8 @@ class Lattice:
 def _dynkin_edges(kind, n):
     """Edges of the Dynkin graph on vertices 0..n-1."""
     if kind == "A":
+        if n < 1:
+            raise ValueError("A_%d: A_n needs n >= 1" % n)
         return [(i, i + 1) for i in range(n - 1)]
     if kind == "D":
         if n < 3:

@@ -1,8 +1,8 @@
 """The monomial symmetry group of the cubic line complex in Klein
 coordinates: the signed permutation matrices that preserve both equations
-up to scalar, their closure (order 1152 as a projective group) and their
-orbits on the 34 nodes and the 24 planes.  Of the CLI suites, only symmetry
-reads this module.
+up to scalar, which are the group of order 1152 that four named elements
+generate, and their orbits on the 34 nodes and the 24 planes.  Of the CLI
+suites, only symmetry reads this module.
 """
 
 from itertools import permutations, product
@@ -48,17 +48,14 @@ def _element_preserves(el, form):
     return ok
 
 
-def _generators(elements):
-    """(gens, group): walking sorted(elements), an element becomes a
-    generator when the earlier ones do not span it, and group is what gens
-    span.  So elements is closed exactly when group == elements (Sims 1970)."""
-    one = (tuple(range(6)), (0,) * 6)
-    gens, group = [], {one}
-    for el in sorted(elements):
-        if el not in group:
-            gens.append(el)
-            group = _orbit(one, gens, _compose_elements)
-    return gens, group
+ONE = (tuple(range(6)), (0,) * 6)
+G0 = ((3, 4, 5, 0, 1, 2), (0, 0, 0, 1, 1, 1))
+# x1<->x2, the 3-cycle x1->x2->x3, the sign change of x2 and x3, and the
+# block swap G0: no three of them generate the fourth
+GENERATORS = (((1, 0, 2, 3, 4, 5), (0,) * 6),
+              ((1, 2, 0, 3, 4, 5), (0,) * 6),
+              ((0, 1, 2, 3, 4, 5), (0, 1, 1, 0, 0, 0)),
+              G0)
 
 
 def monomial_symmetry_group():
@@ -76,11 +73,14 @@ def monomial_symmetry_group():
     to i*t*x1*x2*x3 + s*y1*y2*y3, so s = i*(i*t) = -t.  So the six signs
     multiply to +1 when the blocks stay and to -1 when they swap: 16 of
     the 32 sign choices for each permutation, 1152 in all.  The derivation
-    is checked, not trusted: each generator of the set gets a full
-    symbolic verification (invariance up to scalar is multiplicative), and
-    one that fails raises ValueError; the set must equal the group its
-    generators span.  Reports projective order, node orbit sizes, and the
-    number of plane orbits.
+    is checked, not trusted: each of the four GENERATORS gets a full
+    symbolic verification of both equations (invariance up to scalar is
+    multiplicative), and one that fails raises ValueError.  One orbit
+    search from ONE then closes the group they generate, and `closed`
+    says that the derived set is that group: closed under composition,
+    and every element a product of verified symmetries.  The node and
+    plane orbits are searched along the same four.  Reports projective
+    order, node orbit sizes, and the number of plane orbits.
     """
     elements = set()
     for pi in permutations(range(6)):
@@ -91,26 +91,24 @@ def monomial_symmetry_group():
         for flips in product((0, 1), repeat=5):
             if sum(flips) % 2 == swap:
                 elements.add((pi, (0,) + flips))
-    gens, group = _generators(elements)
 
     ci = CompleteIntersection35.klein()
-    for el in gens:
+    for el in GENERATORS:
         for name, form in (("quadric", ci.quadric), ("cubic", ci.cubic)):
             if not _element_preserves(el, form):
                 raise ValueError("monomial element %s does not preserve "
                                  "the %s" % (el, name))
-
-    g0 = ((3, 4, 5, 0, 1, 2), (0, 0, 0, 1, 1, 1))
-    has_g0 = g0 in elements
+    group = _orbit(ONE, GENERATORS, _compose_elements)
 
     node_keys = [normalize(p) for p in klein_nodes_18() + klein_nodes_16()]
-    orbit_sizes = _orbit_sizes(node_keys, gens, _apply_point)
+    orbit_sizes = _orbit_sizes(node_keys, GENERATORS, _apply_point)
 
     plane_keys = [_span_key(pl.basis) for pl in klein_plane_list()]
-    plane_orbits = len(_orbit_sizes(plane_keys, gens, _apply_plane))
+    plane_orbits = len(_orbit_sizes(plane_keys, GENERATORS, _apply_plane))
 
     return SymmetryReport(len(elements), sorted(orbit_sizes),
-                          plane_orbits, has_g0, group == elements, elements)
+                          plane_orbits, G0 in elements, group == elements,
+                          elements)
 
 
 def _apply_point(el, key):

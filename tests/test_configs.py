@@ -576,12 +576,27 @@ def _put(value, *path):
      "'components': []}"),
     (_put("f9", "divisors", 0, "terms", 0, "class"),
      "divisor H names unknown fibration 'f9'"),
+    (lambda d: d["divisors"].append(
+        {"name": "H", "terms": [{"id": "E0", "coeff": 1}]}),
+     "divisor name 'H' is repeated"),
+    (_put("f1", "fibrations", 2, "name"), "fibration name 'f1' is repeated"),
+    (_put(1, "divisors", 0, "weight"),
+     "divisors: key 'weight' is not one of ['name', 'terms'] in record "
+     "{'name': 'H', "),
+    (_put(1, "fibrations", 0, "fibers", 0, "weight"),
+     "fibration f1 fibers: key 'weight' is not one of ['components', "
+     "'type'] in record {'type': 'D~4', "),
+    (_put(1, "fibrations", 0, "fibers", 0, "components", 0, "id2"),
+     "fibration f1 fiber 0 components: key 'id2' is not one of ['id', "
+     "'mult'] in record {'id': 'E0', 'mult': 2, 'id2': 1}"),
 ], ids=["component-id", "fiber-components", "divisor-name", "divisor-terms",
         "curve-record", "fibration-record", "fiber-record",
         "component-record", "divisor-record", "term-record", "fibers-list",
         "components-list", "terms-list", "intersection-entry", "top-level",
         "curve-id-type", "fiber-type-type", "fiber-type-number",
-        "fiber-components-empty", "divisor-class"])
+        "fiber-components-empty", "divisor-class", "divisor-name-twice",
+        "fibration-name-twice", "divisor-key", "fiber-key",
+        "component-key"])
 def test_ingest_rejects_records_missing_a_key(tmp_path, edit, match):
     with pytest.raises(ValueError, match=re.escape(match)):
         _ingest_edited(tmp_path, edit)

@@ -51,6 +51,8 @@ def test_unknown_lattice_name():
 
 
 @pytest.mark.parametrize("name,match", [
+    ("A0", "A_0: A_n needs n >= 1"),
+    ("A-1", "A_-1: A_n needs n >= 1"),
     ("D2", "D_2: D_n needs n >= 3"),
     ("E5", r"E_5: E_n needs n in \(6, 7, 8\)"),
     ("E9", r"E_9: E_n needs n in \(6, 7, 8\)"),
@@ -58,6 +60,9 @@ def test_unknown_lattice_name():
 def test_dynkin_rank_out_of_range(name, match):
     with pytest.raises(ValueError, match=match):
         la.standard_lattice(name)
+    # the smallest lattice of each kind is still built
+    smallest = {"A": "A1", "D": "D3", "E": "E6"}[name[0]]
+    assert la.standard_lattice(smallest).rank == int(smallest[1:])
 
 
 def test_odd_diagonal_rejected():

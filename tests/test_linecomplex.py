@@ -2,12 +2,14 @@
 scans, the projected quartic threefold, and the Segre identification."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import desmic_kit.cli as cli
 import desmic_kit.cremona as cr
 import desmic_kit.linecomplex as lc
 import desmic_kit.symmetry as sy
@@ -584,15 +586,40 @@ def _closure_test_sets(group):
                                          ("blocks+1", False)])
 def test_generator_closure_agrees_with_pairwise_oracle(symmetry_group, name,
                                                        closed):
+    """The closure test group == elements holds exactly when the set is
+    pairwise closed and holds the block swap G0: blocks is closed but
+    lacks G0."""
     elements = _closure_test_sets(symmetry_group)[name]
-    gens, group = sy._generators(elements)
-    assert (group == elements) is closed
+    group = _orbit(sy.ONE, sy.GENERATORS, sy._compose_elements)
     assert pairwise_closed(elements, sy._compose_elements) is closed
-    identity = (tuple(range(6)), (0,) * 6)
-    assert set(gens) <= elements <= group
-    assert _orbit(identity, gens, sy._compose_elements) == group
-    for k, g in enumerate(gens):
-        assert g not in _orbit(identity, gens[:k], sy._compose_elements)
+    assert (group == elements) is (closed and sy.G0 in elements)
+
+
+def test_no_three_generators_generate_the_fourth():
+    orders = []
+    for k, gen in enumerate(sy.GENERATORS):
+        rest = sy.GENERATORS[:k] + sy.GENERATORS[k + 1:]
+        subgroup = _orbit(sy.ONE, rest, sy._compose_elements)
+        assert gen not in subgroup
+        orders.append(len(subgroup))
+    assert orders == [288, 128, 72, 24]
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_dropping_a_generator_fails_the_group_check(monkeypatch, k):
+    monkeypatch.setattr(sy, "GENERATORS",
+                        sy.GENERATORS[:k] + sy.GENERATORS[k + 1:])
+    assert not sy.monomial_symmetry_group().closed
+    assert cli.check_symmetry()[0] == "fail"
+
+
+def test_block_swap_with_even_flips_is_refused(monkeypatch):
+    # the block swap keeps the quadric, but the cubic needs odd flips
+    bad = ((3, 4, 5, 0, 1, 2), (0,) * 6)
+    monkeypatch.setattr(sy, "GENERATORS", sy.GENERATORS[:3] + (bad,))
+    with pytest.raises(ValueError, match=re.escape(
+            "monomial element %s does not preserve the cubic" % (bad,))):
+        sy.monomial_symmetry_group()
 
 
 def test_signed_permutations_agree_with_exponent_filter_oracle(
@@ -611,14 +638,12 @@ def test_signed_permutations_agree_with_exponent_filter_oracle(
 
 
 def test_orbit_sizes_agree_with_every_element_oracle(symmetry_group):
-    gens, group = sy._generators(symmetry_group)
-    assert group == symmetry_group
     node_keys = [normalize(p)
                  for p in lc.klein_nodes_18() + lc.klein_nodes_16()]
     plane_keys = [lc._span_key(pl.basis) for pl in lc.klein_plane_list()]
     for keys, action in ((node_keys, sy._apply_point),
                          (plane_keys, sy._apply_plane)):
-        assert sorted(sy._orbit_sizes(keys, gens, action)) == \
+        assert sorted(sy._orbit_sizes(keys, sy.GENERATORS, action)) == \
             orbit_sizes_by_elements(keys, symmetry_group, action)
 
 
@@ -627,11 +652,9 @@ def test_invariance_is_checked_on_the_generators_only(monkeypatch):
     check = sy._element_preserves
     monkeypatch.setattr(sy, "_element_preserves",
                         lambda el, form: calls.append(el) or check(el, form))
-    rep = sy.monomial_symmetry_group()
-    gens, _ = sy._generators(rep.elements)
-    # the sorted walk finds 9 generators: 18 symbolic checks, not 2 * 1152
-    assert len(calls) == 2 * len(gens) == 18
-    assert set(calls) == set(gens)
+    sy.monomial_symmetry_group()
+    # both equations on each of the 4 generators, not on all 1152 elements
+    assert calls == [g for g in sy.GENERATORS for _ in range(2)]
 
 
 # -- scans over prime fields --------------------------------------------------
