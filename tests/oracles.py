@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 
-from desmic_kit.configs import TOTALS_TABLE, _duad_str, _syntheme_str
+from desmic_kit.configs import DUAD_TABLE, _duad_str, _syntheme_str
 from desmic_kit.lattices import _primary_parts
 from desmic_kit.matrices import bilinear, det_poly_matrix, matrix_rank, \
     nullspace
@@ -448,7 +448,7 @@ def searched_duad_syntheme_system():
               if all(not (s & t) for s, t in combinations(combo, 2))]
     for perm in permutations(range(6)):
         if all(_syntheme_str(next(iter(totals[perm[i]] & totals[perm[j]])))
-               == TOTALS_TABLE[(i + 1, j + 1)]
+               == DUAD_TABLE[i][j]
                for i, j in combinations(range(6), 2)):
             break
     else:
@@ -460,8 +460,7 @@ def searched_duad_syntheme_system():
         "synthemes": sorted(_syntheme_str(s) for s in synthemes),
         "totals": {k: sorted(_syntheme_str(s) for s in v)
                    for k, v in labeled.items()},
-        "table": tuple(tuple("" if i == j else TOTALS_TABLE[(i + 1, j + 1)]
-                             for j in range(6)) for i in range(6)),
+        "table": DUAD_TABLE,
     }
 
 

@@ -237,6 +237,23 @@ def test_supersingular_suite_statuses():
         assert by_id[cid].status == "pass"
 
 
+def test_swapped_printed_duad_entries_fail_the_duad_table_alone(
+        monkeypatch):
+    # row T1 keeps its five synthemes, so the totals are labeled as before
+    # and only the table derived from them disagrees with the printed one
+    before = {c.id: c.status for c in cli.run_suite("supersingular").checks}
+    table = [list(row) for row in cf.DUAD_TABLE]
+    table[0][1], table[0][2] = table[0][2], table[0][1]
+    monkeypatch.setattr(cf, "DUAD_TABLE", tuple(map(tuple, table)))
+    checks = {c.id: c for c in cli.run_suite("supersingular").checks}
+    assert checks["ss.duad-table"].status == "fail"
+    assert checks["ss.duad-table"].details == \
+        "6x6 duad/syntheme table differs from the reference"
+    del before["ss.duad-table"], checks["ss.duad-table"]
+    assert {cid: c.status for cid, c in checks.items()} == before
+    assert len(before) == 5
+
+
 def test_supersingular_report_matches_benchmark_reference():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ref = os.path.join(root, "perfbench", "references",

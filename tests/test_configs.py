@@ -280,9 +280,9 @@ def test_solved_totals_agree_with_the_labeling_search():
 def test_printed_row_that_is_not_a_total_is_named(monkeypatch):
     # entry (1, 2) becomes 12.35.46, which shares the duad 12 with the
     # entry (1, 5), 12.34.56, so row 1 is five synthemes but no total
-    table = dict(cf.TOTALS_TABLE)
-    table[(1, 2)] = table[(2, 1)] = "12.35.46"
-    monkeypatch.setattr(cf, "TOTALS_TABLE", table)
+    table = [list(row) for row in cf.DUAD_TABLE]
+    table[0][1] = table[1][0] = "12.35.46"
+    monkeypatch.setattr(cf, "DUAD_TABLE", table)
     with pytest.raises(ValueError, match=re.escape(
             "row T1 of the printed table, 12.34.56, 12.35.46, 13.26.45, "
             "15.23.46, 16.24.35, is not a total")):
@@ -291,10 +291,10 @@ def test_printed_row_that_is_not_a_total_is_named(monkeypatch):
 
 def test_two_printed_rows_naming_one_total_are_named(monkeypatch):
     # row 2 is given the five entries of row 1
-    table = dict(cf.TOTALS_TABLE)
-    for j in range(3, 7):
-        table[(2, j)] = table[(1, j)]
-    monkeypatch.setattr(cf, "TOTALS_TABLE", table)
+    table = [list(row) for row in cf.DUAD_TABLE]
+    for j in range(2, 6):
+        table[1][j] = table[0][j]
+    monkeypatch.setattr(cf, "DUAD_TABLE", table)
     with pytest.raises(ValueError, match="rows T1 and T2 of the printed "
                        "table name the same total"):
         cf.duad_syntheme_system()
@@ -589,6 +589,26 @@ def _put(value, *path):
     (_put(1, "fibrations", 0, "fibers", 0, "components", 0, "id2"),
      "fibration f1 fiber 0 components: key 'id2' is not one of ['id', "
      "'mult'] in record {'id': 'E0', 'mult': 2, 'id2': 1}"),
+    (_put(["E0"], "intersections", 0, 0),
+     "intersection names unknown curve: [['E0'], 'T00', 1]"),
+    (_put(["E0"], "fibrations", 0, "fibers", 0, "components", 0, "id"),
+     "fibration f1 names unknown curve ['E0']"),
+    (_put(["T00"], "divisors", 0, "terms", 3, "id"),
+     "divisor H names unknown curve ['T00']"),
+    (_put(5, "intersections"), "intersections: 5 is not a list"),
+    (_put({"a": 1}, "divisors", 0, "name"),
+     "divisor name {'a': 1} is not a string"),
+    (_put(["f1"], "fibrations", 0, "name"),
+     "fibration name ['f1'] is not a string"),
+    ('{"curves": [{"id": "a", "self": -2, "id": "b"}]}',
+     "key 'id' is repeated in the record {'id': 'a', 'self': -2, "
+     "'id': 'b'}"),
+    ('{"curves": [{"id": "a", "self": -2}], "intersections": [], '
+     '"curves": [{"id": "b", "self": -2}]}',
+     "key 'curves' is repeated in the record {'curves': ..., "
+     "'intersections': ..., 'curves': ...}"),
+    (lambda d: d["curves"].append({"id": "T00", "self": -2}),
+     "duplicate curve ids: T00"),
 ], ids=["component-id", "fiber-components", "divisor-name", "divisor-terms",
         "curve-record", "fibration-record", "fiber-record",
         "component-record", "divisor-record", "term-record", "fibers-list",
@@ -596,7 +616,10 @@ def _put(value, *path):
         "curve-id-type", "fiber-type-type", "fiber-type-number",
         "fiber-components-empty", "divisor-class", "divisor-name-twice",
         "fibration-name-twice", "divisor-key", "fiber-key",
-        "component-key"])
+        "component-key", "intersection-id-type", "component-id-type",
+        "term-id-type", "intersections-list", "divisor-name-type",
+        "fibration-name-type", "record-key-twice", "top-level-key-twice",
+        "curve-id-twice"])
 def test_ingest_rejects_records_missing_a_key(tmp_path, edit, match):
     with pytest.raises(ValueError, match=re.escape(match)):
         _ingest_edited(tmp_path, edit)
@@ -681,7 +704,7 @@ def test_ingest_rejects_bad_intersection_values(tmp_path, case, match):
 
 def _ingest_edited(tmp_path, edit):
     """Ingest the char-0 curve file after edit(data); an edit that is not
-    callable replaces the whole file."""
+    callable replaces the whole file, and a string is the file's text."""
     with open(cf.data_path("kummer-char0.json")) as fh:
         data = json.load(fh)
     if callable(edit):
@@ -689,7 +712,7 @@ def _ingest_edited(tmp_path, edit):
     else:
         data = edit
     path = tmp_path / "edited.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     return cf.ingest_curve_system(str(path))
 
 

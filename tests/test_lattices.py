@@ -5,6 +5,7 @@ lattices are paper claims that only these tests check, so their code is
 here."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -614,6 +615,16 @@ def test_artin_verdicts():
         assert rep["picard_signature"] == (1, 21)
         assert rep["picard_disc_group"] == [2] * (2 * sigma)
         assert rep["l_bounds"] == (2 * sigma - 3, 3)
+
+
+def test_d5_off_its_sub_diagram_fails_the_sigma_1_witness(monkeypatch):
+    # E8 roots 0..4 are a chain: D5's branch edge 2-4 lands on no edge,
+    # which is the pairing of rows 4 and 6 of U + D5 + D12
+    monkeypatch.setattr(la, "D5_IN_E8", (0, 1, 2, 3, 4))
+    with pytest.raises(ValueError, match=re.escape(
+            "sigma 1 witness embedding fails: Gram not preserved at "
+            "(4, 6)")):
+        la.artin2_check(1)
 
 
 def test_artin_check_rejects_bad_sigma():
