@@ -16,7 +16,7 @@ import os
 
 from .matrices import (bilinear, exact_ratio, gram_times, integer_scaled,
                        matrix_rank, nullspace)
-from .projgeom import PLUCKER_INDEX, _orbit, normalize
+from .projgeom import PLUCKER_INDEX, _orbit, normalize, on_line
 from .scalars import F4, F4_ELEMENTS, W
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -210,20 +210,6 @@ def config_isomorphic(A, B, seed=None):
 # the Reye configuration and its geometric/abstract avatars
 # ---------------------------------------------------------------------------
 
-def _collinear(p, q, r):
-    """Whether three integer points of P^3 lie on a line: the 3x4 matrix
-    of their coordinates has rank <= 2 iff its four 3x3 minors vanish.
-    Expanded along r, the minor on columns i < j < k is
-    r_i m_jk - r_j m_ik + r_k m_ij, with m the 2x2 minors of p and q."""
-    m01, m02, m03, m12, m13, m23 = (p[i] * q[j] - p[j] * q[i]
-                                    for i, j in PLUCKER_INDEX)
-    r0, r1, r2, r3 = r
-    return (r0 * m12 - r1 * m02 + r2 * m01 == 0
-            and r0 * m13 - r1 * m03 + r3 * m01 == 0
-            and r0 * m23 - r2 * m03 + r3 * m02 == 0
-            and r1 * m23 - r2 * m13 + r3 * m12 == 0)
-
-
 def reye_config():
     """(12_4, 16_3) from the cube model: 8 vertices, the center, and the
     3 points at infinity of the edge directions; 12 edges + 4 diagonals."""
@@ -234,7 +220,8 @@ def reye_config():
     points = vertices + [center] + infinity
     lines = set()
     for p, q in combinations(points, 2):
-        on = frozenset(r for r in points if _collinear(p, q, r))
+        m = tuple(p[i] * q[j] - p[j] * q[i] for i, j in PLUCKER_INDEX)
+        on = frozenset(r for r in points if on_line(m, r))
         if len(on) == 3:
             lines.add(on)
     if len(lines) != 16:
@@ -251,11 +238,7 @@ def desmic_surface_config(singular_12, lines_16):
     surfaces.desmic_lines_16())."""
     nodes = [tuple(p) for p in singular_12]
     block_sets = [[n for n in nodes if ln.contains(n)] for ln in lines_16]
-    cfg = AbstractConfig.from_blocks(nodes, block_sets, name="desmic")
-    if cfg.type_signature != ((12, 4), (16, 3)):
-        raise ValueError("desmic incidence has type %s, expected "
-                         "((12, 4), (16, 3))" % (cfg.type_signature,))
-    return cfg
+    return AbstractConfig.from_blocks(nodes, block_sets, name="desmic")
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +267,7 @@ def pg24():
     pts = _pg2_reps()
     lines = _pg2_reps()
     inc = {(p, l) for p in pts for l in lines if _on(p, l)}
-    cfg = AbstractConfig(pts, lines, inc, name="pg(2,4)")
-    if cfg.type_signature != ((21, 5), (21, 5)):
-        raise ValueError("pg(2,4) has type %s, expected ((21, 5), (21, 5))"
-                         % (cfg.type_signature,))
-    return cfg
+    return AbstractConfig(pts, lines, inc, name="pg(2,4)")
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +440,6 @@ class CurveSystem:
             if fib["name"] == fibration_name:
                 return fib["fibers"][which]["components"]
         raise KeyError("no fibration named %r" % fibration_name)
-
-    def fiber_vector(self, fibration_name, which=0):
-        return self._as_vector(
-            (c["id"], c["mult"])
-            for c in self._fiber_components(fibration_name, which))
 
     def divisor_vector(self, name):
         """Expand a divisor record; "class" terms contribute the class of
@@ -915,9 +889,6 @@ def extract_desmic_28(tables):
     inc = {(c, e) for c in centrals for e in commons
            if cs28.pair(c, e) == 1}
     cfg = AbstractConfig(centrals, sorted(commons), inc, name="desmic-28")
-    if cfg.type_signature != ((12, 4), (16, 3)):
-        raise ValueError("28-curve configuration has type %s, expected "
-                         "((12, 4), (16, 3))" % (cfg.type_signature,))
     iso = config_isomorphic(cfg, reye_config())
     if iso is None:
         raise ValueError("28-curve configuration is not Reye")

@@ -13,6 +13,7 @@ from .matrices import nullspace
 from .poly import PolyRing, proportional_polys
 from .projgeom import normalize
 from .scalars import Mod, field_i, lift, sqrt_minus_one
+from .surfaces import node_check
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +58,6 @@ def project_to_quartic_threefold():
     """Eliminate x6 and verify: the rewriting identity, the elimination
     identity x1*cubic + X = (x4x5 - x2x3)*quadric, the 17 printed nodes, and
     the four printed singular lines."""
-    from .surfaces import node_check
     ci = CompleteIntersection35.plucker()
     x1p, x2p, x3p, x4p, x5p, x6p = ci.ring.gens()
     X = projected_quartic()
@@ -153,8 +153,9 @@ def segre_isomorphism_check(scan_prime=13):
     of the eight forms is zero and the sum of their cubes is one nonzero
     scalar multiple of the cubic.  Also verifies, over F_p, that the 35
     candidate singular points (34 lifted from the complex plus the cone
-    point) are distinct ordinary nodes of the cubic."""
-    from .surfaces import node_check
+    point) are distinct ordinary nodes of the cubic.  Raises ValueError
+    when a claim fails, and returns the scalar and the number of distinct
+    nodes."""
     f = cubic_sevenfold()
     ring = f.ring
     ts = segre_t_forms(ring)
@@ -163,19 +164,18 @@ def segre_isomorphism_check(scan_prime=13):
     for t in ts:
         total = total + t
         cubes = cubes + t * t * t
-    sum_zero = total.is_zero()
     ok, lam = proportional_polys(cubes, f.poly)
-    if not (sum_zero and ok and lam):
+    if not (total.is_zero() and ok and lam):
         raise ValueError("printed change of variables fails")
 
     p = scan_prime
     one = Mod(1, p)
     ip = sqrt_minus_one(p)
     ci = CompleteIntersection35.klein(i=ip, one=one)
-    inv = verify_node_inventory(ci)
+    reps1, reps2 = verify_node_inventory(ci)
     fp = cubic_sevenfold(one=one, i=ip)
     seen = set()
-    for rep in inv.reports1 + inv.reports2:
+    for rep in reps1 + reps2:
         cand = (-rep.tangent_lambda,) + tuple(rep.point)
         if not node_check(fp, cand):
             raise ValueError("lifted point is not a node: %r" % (cand,))
@@ -184,4 +184,4 @@ def segre_isomorphism_check(scan_prime=13):
     if not node_check(fp, cone):
         raise ValueError("cone point is not a node")
     seen.add(normalize(cone))
-    return {"sum_zero": sum_zero, "lambda": lam, "nodes_mod_p": len(seen)}
+    return {"lambda": lam, "nodes_mod_p": len(seen)}

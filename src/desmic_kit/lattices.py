@@ -734,21 +734,19 @@ def artin2_check(sigma):
     """Whether the 28-curve lattice embeds primitively in the Picard
     lattice with Artin invariant sigma.
 
-    sigma 1 and 2 verify an explicit embedding; sigma 3 returns a
-    certified-exhaustive ternary enumeration with no matching complement.
+    sigma 1 and 2 verify an explicit embedding; sigma 3 enumerates every
+    candidate complement and finds none that matches.  Returns
+    {"embeddable": verdict}, and for sigma 3 also the number of
+    "candidates" enumerated; raises ValueError when a step fails.
     """
     if sigma not in (1, 2, 3):
         raise ValueError("sigma must be 1, 2 or 3")
     s = supersingular_picard(sigma)
-    out = {"picard_signature": s.signature(),
-           "picard_disc_group": s.disc_group(),
-           "l_bounds": (2 * sigma - 3, 3)}
-    if out["picard_signature"] != (1, 21) \
-            or out["picard_disc_group"] != [2] * (2 * sigma):
+    signature, disc_group = s.signature(), s.disc_group()
+    if signature != (1, 21) or disc_group != [2] * (2 * sigma):
         raise ValueError("Picard lattice for sigma %d has signature %s and "
                          "discriminant group %s"
-                         % (sigma, out["picard_signature"],
-                            out["picard_disc_group"]))
+                         % (sigma, signature, disc_group))
 
     if sigma == 1:
         # L = U + D5 + D12 sits blockwise in U + E8 + D12, with D5's
@@ -767,34 +765,25 @@ def artin2_check(sigma):
         if not genus_match_indefinite(sub, printed)["match"]:
             raise ValueError("%s is not in the genus of %s"
                              % (sub.name, printed.name))
-        out.update(embeddable=True)
-        return out
+        return {"embeddable": True}
 
     if sigma == 2:
         # put <-4> primitively inside D4 as the vector e1 + e3
-        amb = supersingular_picard(2)
         sub = direct_sum("U", "E8", "D8", "<-4>")
         v = [1, 0, 1, 0]
         ident = lambda n: [[int(i == j) for j in range(n)]
                            for i in range(n)]
         rows = _block_embedding_rows(
             [(0, ident(2)), (2, ident(8)), (10, ident(8)), (18, [v])],
-            amb.rank)
-        ok, how = _embedding_check(sub.gram, amb, rows)
+            s.rank)
+        ok, how = _embedding_check(sub.gram, s, rows)
         if not ok:
             raise ValueError("sigma 2 witness embedding fails: %s" % how)
-        out.update(embeddable=True)
-        return out
+        return {"embeddable": True}
 
     # sigma == 3: the complement would be a rank-3 even negative-definite
     # lattice of determinant -16 with discriminant form q1(4) + v
     target = fq_cyclic(1, 4).direct_sum(fq_v2())
-    alt = fq_cyclic(5, 4).direct_sum(fq_u2())
-    if not fq_isometric(target, alt):
-        raise ValueError("q1(4) + v is not isometric to q5(4) + u")
-    if not fq_isometric(fq_u2().direct_sum(fq_u2()),
-                        fq_v2().direct_sum(fq_v2())):
-        raise ValueError("u + u is not isometric to v + v")
     candidates = ternary_enumeration(16)
     matching = []
     for lat in candidates:
@@ -803,11 +792,7 @@ def artin2_check(sigma):
             continue
         if fq_isometric(fq, target):
             matching.append(lat)
-    out.update(embeddable=False,
-               candidates=len(candidates),
-               matching=len(matching),
-               exhaustive=True)
     if matching:
         raise ValueError("unexpected complement found: %r"
                          % ([lat.gram for lat in matching],))
-    return out
+    return {"embeddable": False, "candidates": len(candidates)}

@@ -217,23 +217,6 @@ def ci_node_report(ci, pt):
     return NodeReport(pt, True, 1, lam, matrix_rank(bordered) - 2)
 
 
-class NodeInventory:
-    """The 34 singular points, partitioned 18 + 16, with node reports."""
-
-    def __init__(self, sing1, sing2, reports1, reports2):
-        if (len(sing1), len(sing2)) != (18, 16):
-            raise ValueError("%d + %d singular points, not 18 + 16"
-                             % (len(sing1), len(sing2)))
-        self.sing1 = sing1
-        self.sing2 = sing2
-        self.reports1 = reports1
-        self.reports2 = reports2
-
-    @property
-    def all_nodes(self):
-        return all(r.is_node for r in self.reports1 + self.reports2)
-
-
 def _listed_nodes(ci):
     """The printed 18 and 16 singular points in the coordinates of `ci`,
     over its field."""
@@ -244,15 +227,16 @@ def _listed_nodes(ci):
 
 
 def verify_node_inventory(ci):
-    """Check the full printed list of 34 singular points in the coordinate
-    system of `ci`; raises if any point fails a check."""
+    """The node reports of the printed 18 and 16 singular points in the
+    coordinate system of `ci`, as two lists; raises ValueError if a point
+    fails the node test."""
     pts1, pts2 = _listed_nodes(ci)
     reps1 = [ci_node_report(ci, p) for p in pts1]
     reps2 = [ci_node_report(ci, p) for p in pts2]
     for r in reps1 + reps2:
         if not r.is_node:
             raise ValueError("printed point fails the node test: %r" % (r,))
-    return NodeInventory(pts1, pts2, reps1, reps2)
+    return reps1, reps2
 
 
 # ---------------------------------------------------------------------------
@@ -361,26 +345,12 @@ def plane_contained(ci, plane):
             and restrict(ci.cubic, plane.basis).is_zero())
 
 
-class PlaneInventory:
-    """24 planes with their node counts: per plane (first family, second
-    family), and per node of each family."""
-
-    def __init__(self, planes, per_plane, per_node1, per_node2):
-        self.planes = planes
-        self.per_plane = per_plane
-        self.per_node1 = per_node1
-        self.per_node2 = per_node2
-
-    @property
-    def configuration_ok(self):
-        return (all(c == (3, 4) for c in self.per_plane)
-                and all(c == 4 for c in self.per_node1)
-                and all(c == 6 for c in self.per_node2))
-
-
 def verify_plane_inventory(ci):
-    """Containment of all 24 planes plus the incidence counts of the
-    configuration (24_{3+4}, 18_4 + 16_6)."""
+    """The incidences of the 24 planes with the printed 18 + 16 nodes, for
+    the configuration (24_{3+4}, 18_4 + 16_6): per plane its (first family,
+    second family) node counts, and per node of each family its plane
+    count.  Raises ValueError on a plane that the complex does not
+    contain."""
     if ci.coords == "plucker":
         planes = plucker_plane_list(ci.one)
     else:
@@ -391,8 +361,8 @@ def verify_plane_inventory(ci):
             raise ValueError("plane not contained in the complex: %r"
                              % (pl.label,))
     per_plane = []
-    n1 = [0] * 18
-    n2 = [0] * 16
+    n1 = [0] * len(pts1)
+    n2 = [0] * len(pts2)
     for pl in planes:
         c1 = c2 = 0
         for k, pt in enumerate(pts1):
@@ -404,7 +374,7 @@ def verify_plane_inventory(ci):
                 c2 += 1
                 n2[k] += 1
         per_plane.append((c1, c2))
-    return PlaneInventory(planes, per_plane, n1, n2)
+    return per_plane, n1, n2
 
 
 # ---------------------------------------------------------------------------

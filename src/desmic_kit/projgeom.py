@@ -12,7 +12,7 @@ and fiber connectivity.
 
 from fractions import Fraction
 
-from .matrices import matrix_rank, nullspace
+from .matrices import nullspace
 from .scalars import Frozen, lift, one_like
 
 
@@ -45,6 +45,20 @@ def normalize(coords):
 
 
 PLUCKER_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def on_line(m, r):
+    """Whether the point r of P^3 lies on the line through p and q, given
+    by the 2x2 minors m of p and q in PLUCKER_INDEX order: the 3x4 matrix
+    of p, q and r has rank <= 2 iff its four 3x3 minors vanish.  Expanded
+    along r, the minor on columns i < j < k is
+    r_i m_jk - r_j m_ik + r_k m_ij."""
+    m01, m02, m03, m12, m13, m23 = m
+    r0, r1, r2, r3 = r
+    return not (r0 * m12 - r1 * m02 + r2 * m01
+                or r0 * m13 - r1 * m03 + r3 * m01
+                or r0 * m23 - r2 * m03 + r3 * m02
+                or r1 * m23 - r2 * m13 + r3 * m12)
 
 
 class LineP3(Frozen):
@@ -83,8 +97,7 @@ class LineP3(Frozen):
         return cls(ker[0], ker[1])
 
     def contains(self, pt):
-        return matrix_rank([list(self.p), list(self.q),
-                            [lift(Fraction(1), c) for c in pt]]) == 2
+        return on_line(self.plucker, pt)
 
     def __repr__(self):
         return "LineP3(%r)" % (list(self.plucker),)

@@ -19,18 +19,16 @@ class SingularPointReport:
     """Per-point singularity data for a Form."""
 
     def __init__(self, point, on_hypersurface, jacobian_rank, is_singular,
-                 node=None, an_type=None, details=""):
+                 an_type=None):
         self.point = point
         self.on_hypersurface = on_hypersurface
         self.jacobian_rank = jacobian_rank
         self.is_singular = is_singular
-        self.node = node
         self.an_type = an_type
-        self.details = details
 
     def __repr__(self):
-        return ("SingularPointReport(point=%r, singular=%r, node=%r, an=%r)"
-                % (self.point, self.is_singular, self.node, self.an_type))
+        return ("SingularPointReport(point=%r, singular=%r, an=%r)"
+                % (self.point, self.is_singular, self.an_type))
 
 
 def singular_at(f, p):
@@ -137,23 +135,6 @@ def local_series(f, p):
 
 # --------------------------------------------------------------- A_n types --
 
-class AnVerdict:
-    def __init__(self, kind, n=None):
-        self.kind = kind  # "A" | "inconclusive" | "not-A"
-        self.n = n
-
-    def __eq__(self, other):
-        if isinstance(other, str):
-            return self.kind == "A" and ("A%d" % self.n) == other
-        return (isinstance(other, AnVerdict) and self.kind == other.kind
-                and self.n == other.n)
-
-    def __repr__(self):
-        if self.kind == "A":
-            return "A%d" % self.n
-        return self.kind
-
-
 def _factor_binary_quadratic(a, b, c, one):
     """Factor a*s^2 + b*s*t + c*t^2 into two linear forms ((a1,b1),(a2,b2))
     over the field of `one`, or None if irreducible over that field.  With
@@ -188,8 +169,9 @@ def rdp_an_type(series):
     """A_n detection for a 3-variable local equation (a MultiPoly) with zero
     constant and linear parts.  Iteratively absorbs terms divisible by the
     two branches of the rank-2 quadratic part, keeping total degree
-    <= TRUNC, until the residual is a pure power t^(n+1); returns A_n, A_1
-    for a smooth tangent-cone conic, or inconclusive past TRUNC or MAX_AN."""
+    <= TRUNC, until the residual is a pure power t^(n+1).  Returns the
+    string "A<n>" ("A1" for a smooth tangent-cone conic), "inconclusive"
+    past TRUNC or MAX_AN, or "not-A"."""
     ring = series.ring
     if len(ring.varnames) != 3:
         raise ValueError("expected a 3-variable local equation")
@@ -201,15 +183,15 @@ def rdp_an_type(series):
             raise ValueError("nonzero linear part")
     q2 = {e: c for e, c in series.coeffs.items() if sum(e) == 2}
     if not q2:
-        return AnVerdict("not-A")
+        return "not-A"
     if quadratic_part_smooth(q2, 3, one):
-        return AnVerdict("A", 1)
+        return "A1"
     # find the singular point of the tangent-cone conic
     zero = one * 0
     polar = polar_matrix(q2, 3, one)
     ker = nullspace(polar, one)
     if len(ker) != 1:
-        return AnVerdict("not-A")
+        return "not-A"
     P = ker[0]
     # complete P to a basis with the two coordinate vectors e_i, e_j
     piv = next(i for i, c in enumerate(P) if c)
@@ -223,7 +205,7 @@ def rdp_an_type(series):
     bb = polar[i][j]
     fac = _factor_binary_quadratic(aa, bb, cc, one)
     if fac is None:
-        return AnVerdict("not-A")
+        return "not-A"
     (a1, b1), (a2, b2) = fac
     # new coordinates: u = a1*s + b1*t, v = a2*s + b2*t, tt = coordinate of P
     # invert: (s,t) in terms of (u,v)
@@ -267,21 +249,14 @@ def rdp_an_type(series):
         g = MultiPoly(ring, {e: c for e, c in g.coeffs.items()
                              if sum(e) <= TRUNC})
     if not c_part:
-        return AnVerdict("inconclusive")
+        return "inconclusive"
     n = min(sum(e) for e in c_part) - 1
     if n > MAX_AN:
-        return AnVerdict("inconclusive")
-    return AnVerdict("A", n)
+        return "inconclusive"
+    return "A%d" % n
 
 
 # ---------------------------------------------------------- identity tools --
-
-def verify_identity(lhs, rhs):
-    """Exact polynomial equality (same ring required)."""
-    if lhs.ring != rhs.ring:
-        raise ValueError("ring mismatch")
-    return lhs == rhs
-
 
 def contains_line(f, line):
     """True iff f vanishes identically on the line (parameters, if any,
@@ -470,7 +445,8 @@ def char2_cremona_singular_points():
     """Verify the 12 parametric singular points (three families of four) and
     the extra point P_0 of the characteristic-2 Cremona quartic, working in
     F_2(a,b,c,d)[z_i] modulo the printed quartic relation (via pseudo-
-    remainder membership tests).  Returns a list of 13 reports."""
+    remainder membership tests).  Returns (points, verified) per family:
+    [(4, ok)] * 3 + [(1, ok)]."""
     base = PolyRing(["a", "b", "c", "d", "x", "y", "z", "w", "Z"], Mod(1, 2))
     a, b, c, d, x, y, z, w, Z = base.gens()
     F = _cremona_char2(a, b, c, d, x, y, z, w)
@@ -496,24 +472,15 @@ def char2_cremona_singular_points():
                    + b ** 4 * d ** 4 + c ** 4 * d ** 4)
          + b ** 5 * c ** 5 * d + a ** 2 * b ** 4 * c ** 4),
     ]
-    reports = []
+    out = []
     for fam_idx, (coords, rel) in enumerate(families):
         mapping = {"a": a, "b": b, "c": c, "d": d, "Z": Z,
                    "x": coords[0], "y": coords[1], "z": coords[2],
                    "w": coords[3]}
-        ok = True
-        for g in [F] + [partials[n] for n in ("x", "y", "z")]:
-            val = g.subst(mapping, base)
-            if not prem(val, rel, "Z").is_zero():
-                ok = False
-        count = 1 if fam_idx == 3 else 4
-        for _ in range(count):
-            reports.append(SingularPointReport(
-                point=coords, on_hypersurface=ok, jacobian_rank=0 if ok else 1,
-                is_singular=ok,
-                details="family %d (symbolic, modulo degree-4 relation)"
-                        % (fam_idx + 1)))
-    return reports
+        ok = all(prem(g.subst(mapping, base), rel, "Z").is_zero()
+                 for g in [F] + [partials[n] for n in ("x", "y", "z")])
+        out.append((1 if fam_idx == 3 else 4, ok))
+    return out
 
 
 def cremona_char2_specialized(a_val, b_val, c_val, d_val, one=None):
@@ -562,7 +529,6 @@ def kummer_char2_quartic(alpha=None):
         if rep.is_singular:
             series = local_series(form, pt)
             rep.an_type = rdp_an_type(series)
-            rep.node = rep.an_type == AnVerdict("A", 1)
         reports.append(rep)
     return form, lines, reports
 

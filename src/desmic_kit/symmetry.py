@@ -15,11 +15,10 @@ from .projgeom import _orbit, normalize
 
 class SymmetryReport:
     def __init__(self, order, node_orbit_sizes, plane_orbit_count,
-                 has_block_swap, closed, elements):
+                 closed, elements):
         self.order = order
         self.node_orbit_sizes = node_orbit_sizes
         self.plane_orbit_count = plane_orbit_count
-        self.has_block_swap = has_block_swap
         self.closed = closed
         self.elements = elements
 
@@ -107,8 +106,7 @@ def monomial_symmetry_group():
     plane_orbits = len(_orbit_sizes(plane_keys, GENERATORS, _apply_plane))
 
     return SymmetryReport(len(elements), sorted(orbit_sizes),
-                          plane_orbits, G0 in elements, group == elements,
-                          elements)
+                          plane_orbits, group == elements, elements)
 
 
 def _apply_point(el, key):

@@ -178,6 +178,25 @@ def test_rebound_check_function_is_the_one_that_runs(monkeypatch):
                       "identities.steinerian-char2": "rebound in char 2"}
 
 
+def test_a_missing_printed_node_fails_the_family_sizes(monkeypatch):
+    # 17 + 16 points all pass the node test: only the count decides
+    monkeypatch.setattr(cli.lc, "PLUCKER_NODES_18",
+                        cli.lc.PLUCKER_NODES_18[:17])
+    checks = {c.id: c for c in cli.run_suite("line-complex").checks}
+    assert checks["complex.nodes-34"].status == "fail"
+    assert checks["complex.nodes-34"].details == "18 + 16 = 34 listed " \
+        "points are ordinary nodes in both coordinate systems"
+
+
+def test_a_missing_printed_node_fails_the_plane_counts(monkeypatch):
+    # every plane is still contained: only the incidence counts decide
+    monkeypatch.setattr(cli.lc, "PLUCKER_NODES_16",
+                        cli.lc.PLUCKER_NODES_16[1:])
+    checks = {c.id: c for c in cli.run_suite("line-complex").checks}
+    assert checks["complex.planes-24"].status == "fail"
+    assert checks["complex.planes-24"].details.startswith("24 planes ")
+
+
 def test_lattice_suite_passes():
     rep = cli.run_suite("lattices")
     assert rep.ok and len(rep.checks) == 5
@@ -289,6 +308,19 @@ def test_main_json_to_stdout(capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["suite"] == "identities"
+
+
+def test_main_rejects_an_unwritable_json_path_before_running(tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
+    path = str(tmp_path / "no" / "such" / "dir" / "r.json")
+    monkeypatch.setattr(cli, "run_suite", lambda *a: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--suite", "identities", "--json", path])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "cannot write the JSON report to %s" % path in captured.err
+    assert not captured.out
 
 
 def test_main_rejects_the_removed_budget_option():
@@ -421,7 +453,6 @@ for case in (lambda: run_scan(13, 0),
              lambda: lc.CompleteIntersection35(lc.Form(a * a + b * e),
                                                lc.Form(a * b * c), "plucker"),
              lambda: lc.ci_node_report(klein_f2, (1, 1, 0, 0, 0, 0)),
-             lambda: lc.NodeInventory([], [None] * 16, [], []),
              lambda: lc.PlaneInP5([[int(j == k) for j in range(5)]
                                    for k in range(3)], Fraction(1)),
              lambda: artin_with_failing_embedding(1),
@@ -487,7 +518,7 @@ OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
                     "does not preserve the quadric", "modulus 1 is below 2",
                     "mixed moduli 5 and 7", "degrees 3 and 2, not 2 and 3",
                     "quadric in 5 coordinates", "not smooth at (Mod(1, 2), "
-                    "Mod(1, 2), Mod(0, 2)", "0 + 16 singular points",
+                    "Mod(1, 2), Mod(0, 2)",
                     "(Fraction(0, 1), Fraction(0, 1), Fraction(1, 1), "
                     "Fraction(0, 1), Fraction(0, 1))] cut a space of "
                     "dimension 1, not a plane", "sigma 1 witness embedding "

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import desmic_kit.configs as cf
 from desmic_kit.matrices import gram_times, matrix_rank
+from desmic_kit.projgeom import PLUCKER_INDEX, on_line
 from desmic_kit.surfaces import DESMIC_SINGULAR_12, desmic_lines_16
 from claims import coset_config, perm_from_cycles, plane_node_config
 from oracles import collinear_by_minors, searched_duad_syntheme_system
@@ -37,6 +38,12 @@ def rank_collinear(p, q, r):
                         for row in (p, q, r)]) <= 2
 
 
+def collinear(p, q, r):
+    """on_line with the minors of p and q, as reye_config calls it."""
+    return on_line(tuple(p[i] * q[j] - p[j] * q[i] for i, j in PLUCKER_INDEX),
+                   r)
+
+
 small = st.integers(-3, 3)
 point4 = st.tuples(small, small, small, small)
 
@@ -44,7 +51,7 @@ point4 = st.tuples(small, small, small, small)
 @settings(max_examples=300, deadline=None)
 @given(point4, point4, point4)
 def test_collinear_agrees_with_rank(p, q, r):
-    assert cf._collinear(p, q, r) == rank_collinear(p, q, r)
+    assert collinear(p, q, r) == rank_collinear(p, q, r)
 
 
 @settings(max_examples=100, deadline=None)
@@ -52,13 +59,13 @@ def test_collinear_agrees_with_rank(p, q, r):
 def test_collinear_on_combinations(p, q, alpha, beta):
     r = tuple(alpha * x + beta * y for x, y in zip(p, q))
     assert rank_collinear(p, q, r)
-    assert cf._collinear(p, q, r)
+    assert collinear(p, q, r)
 
 
 def test_collinear_agrees_with_rank_on_reye_points():
     points = [pt for b in cf.reye_config().blocks for pt in b]
     for p, q, r in combinations(sorted(set(points)), 3):
-        assert cf._collinear(p, q, r) == rank_collinear(p, q, r)
+        assert collinear(p, q, r) == rank_collinear(p, q, r)
 
 
 def test_collinear_agrees_with_minor_oracle():
@@ -81,7 +88,7 @@ def test_collinear_agrees_with_minor_oracle():
                     (p, q, tuple(a * x + b * y for x, y in zip(p, q)))]
     seen = set()
     for p, q, r in triples:
-        got = cf._collinear(p, q, r)
+        got = collinear(p, q, r)
         assert got == collinear_by_minors(p, q, r), (p, q, r)
         seen.add(got)
     assert seen == {True, False}
@@ -347,11 +354,16 @@ def test_fibration_tables_validate():
         assert cs.pair(u, v) == 0
 
 
+def fiber_vector(cs, fiber):
+    """The class of a fiber record as a vector over the curves of cs."""
+    return cs._as_vector((c["id"], c["mult"]) for c in fiber["components"])
+
+
 def test_fiber_classes_square_to_zero():
     cs, _ = cf.fibration_tables()
     for fib in cs.fibrations:
         for k in range(len(fib["fibers"])):
-            fv = cs.fiber_vector(fib["name"], k)
+            fv = fiber_vector(cs, fib["fibers"][k])
             assert cs.vector_pairing(fv, fv) == 0
 
 
@@ -479,7 +491,7 @@ def test_divisor_pairings_agree_with_per_curve_oracle(name):
 def test_curve_vectors_hold_ints_for_integral_entries(name):
     cs = curve_system(name)
     vectors = [cs.divisor_vector("H")]
-    vectors += [cs.fiber_vector(fib["name"], k) for fib in cs.fibrations
+    vectors += [fiber_vector(cs, fib["fibers"][k]) for fib in cs.fibrations
                 for k in range(len(fib["fibers"]))]
     for v in vectors:
         assert all(type(x) is int or x.denominator > 1 for x in v)

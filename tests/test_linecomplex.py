@@ -198,17 +198,17 @@ def test_node_lists_correspond_under_the_coordinate_change():
 # -- node inventory -----------------------------------------------------------
 
 def test_node_inventory_plucker_rationals():
-    inv = lc.verify_node_inventory(
+    reps1, reps2 = lc.verify_node_inventory(
         lc.CompleteIntersection35.plucker(Fraction(1)))
-    assert inv.all_nodes
-    assert len(inv.sing1) == 18 and len(inv.sing2) == 16
+    assert all(r.is_node for r in reps1 + reps2)
+    assert len(reps1) == 18 and len(reps2) == 16
 
 
 def test_node_inventory_klein_gaussian():
-    inv = lc.verify_node_inventory(lc.CompleteIntersection35.klein())
-    assert inv.all_nodes
+    reps1, reps2 = lc.verify_node_inventory(lc.CompleteIntersection35.klein())
+    assert all(r.is_node for r in reps1 + reps2)
     # every report carries a rank-4 restricted quadratic form
-    for r in inv.reports1 + inv.reports2:
+    for r in reps1 + reps2:
         assert r.jacobian_rank == 1 and r.restricted_rank == 4
 
 
@@ -216,7 +216,8 @@ def test_node_inventory_prime_fields():
     for p in (13, 17):
         ci = lc.CompleteIntersection35.klein(i=sqrt_minus_one(p),
                                              one=Mod(1, p))
-        assert lc.verify_node_inventory(ci).all_nodes
+        reps1, reps2 = lc.verify_node_inventory(ci)
+        assert all(r.is_node for r in reps1 + reps2)
 
 
 def test_first_points_of_each_family_are_nodes():
@@ -458,16 +459,18 @@ def test_bordered_rank_is_the_rank_on_the_kernel(one, seed):
 # -- plane inventory ----------------------------------------------------------
 
 def test_plane_inventory_plucker():
-    inv = lc.verify_plane_inventory(lc.CompleteIntersection35.plucker())
-    assert inv.configuration_ok
-    assert len(inv.planes) == 24
+    per_plane, per_node1, per_node2 = lc.verify_plane_inventory(
+        lc.CompleteIntersection35.plucker())
+    assert per_plane == [(3, 4)] * 24
+    assert per_node1 == [4] * 18 and per_node2 == [6] * 16
 
 
 def test_plane_inventory_klein():
-    inv = lc.verify_plane_inventory(lc.CompleteIntersection35.klein())
-    assert inv.configuration_ok
+    per_plane, per_node1, per_node2 = lc.verify_plane_inventory(
+        lc.CompleteIntersection35.klein())
+    assert per_node1 == [4] * 18 and per_node2 == [6] * 16
     # each plane holds 3+4 = 7 singular points
-    assert all(c1 + c2 == 7 for c1, c2 in inv.per_plane)
+    assert per_plane == [(3, 4)] * 24
 
 
 PLANE_FIELDS = {"Q": (Fraction(1), None), "Qi": (QI(1), I),
@@ -539,7 +542,7 @@ def test_monomial_symmetry_group():
     assert rep.order == 1152
     assert rep.node_orbit_sizes == [16, 18]
     assert rep.plane_orbit_count == 1
-    assert rep.has_block_swap
+    assert sy.G0 in rep.elements
     assert rep.closed
 
 
@@ -739,6 +742,5 @@ def test_rationality_planes():
 
 def test_segre_change_of_variables():
     out = cr.segre_isomorphism_check()
-    assert out["sum_zero"]
     assert out["lambda"] == QI(24)
     assert out["nodes_mod_p"] == 35

@@ -82,6 +82,34 @@ def test_line_survives_copy_and_pickle(how):
             back.p = line.q
 
 
+def test_line_contains_agrees_with_rank_over_each_field():
+    """LineP3.contains, the minors of projgeom.on_line over the cached
+    Plucker coordinates, against the rank of the 3x4 matrix of p, q and
+    the point, over Q, Q(i), F_13 and F_4: points of the line, and points
+    off it, half of them in the plane x0 = 0, where every minor on column
+    0 vanishes."""
+    rng = random.Random(5)
+    for one, elems in ((Fraction(1), [Fraction(k, 2) for k in range(-3, 4)]),
+                       (QI(1), [QI(a, b) for a in (-1, 0, 2) for b in (0, 1)]),
+                       (Mod(1, 13), [Mod(k, 13) for k in range(13)]),
+                       (F4(1), [F4(0), F4(1), W, W * W])):
+        seen = set()
+        for k in range(60):
+            p, q, r = ([rng.choice(elems) for _ in range(4)]
+                       for _ in range(3))
+            if k % 2:
+                p[0] = q[0] = r[0] = one * 0
+            if matrix_rank([p, q]) < 2:
+                continue
+            line = LineP3(p, q)
+            a, b = rng.choice(elems), rng.choice(elems)
+            for pt in (r, [a * x + b * y for x, y in zip(p, q)]):
+                want = matrix_rank([list(line.p), list(line.q), pt]) < 3
+                assert line.contains(pt) == want, (one, p, q, pt)
+                seen.add(want)
+        assert seen == {True, False}, one
+
+
 @pytest.mark.parametrize("value", [
     Mod(3, 7), QI(1, 2), W, LineP3((1, 0, 0, 0), (0, 1, 0, 0))],
     ids=["Mod", "QI", "F4", "LineP3"])
