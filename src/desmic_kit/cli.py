@@ -16,7 +16,6 @@ import json
 import sys
 import time
 
-from .poly import proportional_polys
 from .projgeom import normalize
 from .scalars import QI, is_prime, sqrt_minus_one
 
@@ -43,10 +42,13 @@ def _on_first_use(name):
     return module
 
 
-# A suite executes only the modules its checks read: surfaces for identities,
-# desmic-surface, cremona and char2, linecomplex for line-complex, symmetry
-# and cremona, symmetry and cremona for their own suites alone, configs for
-# desmic-surface, supersingular and lattices, and lattices for the last one.
+# A suite executes only the modules its checks read: surfaces for
+# identities, desmic-surface and char2, linecomplex for line-complex,
+# symmetry and cremona, symmetry and cremona for their own suites alone,
+# configs for desmic-surface, supersingular and lattices, and lattices for
+# the last one.  Both surfaces and linecomplex import forms, whose
+# node_check desmic-surface reads.
+fm = _on_first_use("forms")
 sf = _on_first_use("surfaces")
 lc = _on_first_use("linecomplex")
 sy = _on_first_use("symmetry")
@@ -136,7 +138,7 @@ def check_steinerian(char):
 
 def check_desmic_nodes(pencil):
     f = pencil()
-    good = sum(1 for p in sf.DESMIC_SINGULAR_12 if sf.node_check(f, p))
+    good = sum(1 for p in sf.DESMIC_SINGULAR_12 if fm.node_check(f, p))
     return _ok(good == 12, "%d/12 points are ordinary nodes of the "
                "generic pencil member" % good)
 
@@ -159,6 +161,7 @@ def check_desmic_reye():
 
 
 def check_tangency_computed(tangency):
+    from .poly import proportional_polys
     condition, conic, big = tangency()
     ring = condition.ring
     a, b, u, v = ring.gens()
@@ -175,6 +178,7 @@ def check_tangency_computed(tangency):
 def check_tangency_printed(tangency):
     # the printed formula, taken at face value: u(b+c) + v(a+b) with
     # c = -a-b, compared against the computed condition
+    from .poly import proportional_polys
     condition, _, _ = tangency()
     ring = condition.ring
     a, b, u, v = ring.gens()

@@ -124,14 +124,10 @@ def _check_witness(A, B, pmap, bmap):
     return {(pmap[p], bmap[b]) for p, b in A.incidence} == B.incidence
 
 
-def config_isomorphic(A, B, seed=None):
+def config_isomorphic(A, B):
     """An explicit isomorphism (point map, block map) between two
     configurations, or None when an exhaustive backtracking search rules one
-    out.  Raises ValueError when the type signatures differ.
-
-    seed is an optional list of forced (point of A, point of B) pairs,
-    used for automorphism questions.
-    """
+    out.  Raises ValueError when the type signatures differ."""
     if A.type_signature != B.type_signature:
         raise ValueError("configuration type mismatch: %s vs %s"
                          % (A.type_signature, B.type_signature))
@@ -144,18 +140,10 @@ def config_isomorphic(A, B, seed=None):
         return None
     codA, codB = _codegrees(A), _codegrees(B)
 
-    seed = list(seed or [])
-    for p, q in seed:
-        if pcolA[p] != pcolB[q]:
-            return None
-
-    # assign rarest colors first, then points adjacent to assigned ones
-    free = [p for p in A.points if p not in {s[0] for s in seed}]
-    order = [s[0] for s in seed] + sorted(
-        free, key=lambda p: (ha[pcolA[p]], repr(p)))
-    forced = dict(seed)
-    used = set(forced.values())
-    assign = dict(forced)
+    # assign rarest colors first
+    order = sorted(A.points, key=lambda p: (ha[pcolA[p]], repr(p)))
+    used = set()
+    assign = {}
 
     by_pointset = {frozenset(B._points_of[b]): b for b in B.blocks}
 
@@ -178,14 +166,11 @@ def config_isomorphic(A, B, seed=None):
             yield dict(assign)
             return
         p = order[k]
-        if p in forced:
-            yield from extend(k + 1)
-            return
         for q in B.points:
             if q in used or pcolB[q] != pcolA[p]:
                 continue
             ok = all(codA[(p, p2)] == codB[(q, q2)]
-                     for p2, q2 in assign.items() if p2 != p)
+                     for p2, q2 in assign.items())
             if not ok:
                 continue
             assign[p] = q
@@ -194,9 +179,6 @@ def config_isomorphic(A, B, seed=None):
             del assign[p]
             used.discard(q)
 
-    # seeds count as already assigned for the codegree checks
-    for p, q in seed:
-        assign[p] = q
     for pmap in extend(0):
         bmap = block_map_for(pmap)
         if bmap is None:

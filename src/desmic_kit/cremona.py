@@ -1,19 +1,19 @@
 """The cubic line complex beyond its nodes and planes: the projection
 from a node to a quartic threefold in P^4 with 17 nodes and 4 singular
 lines, the three planes of its rationality argument, and the 35-nodal cubic
-in P^6 whose associated variety is the complex, with the printed change of
-variables to the Segre cubic.  Of the CLI suites, only cremona reads this
-module.
+in P^6 whose associated variety is the complex
+(CompleteIntersection35.associated_cubic), with the printed change of
+variables to the Segre cubic.  Its 35 nodes are the 34 lifts that the node
+test of linecomplex returns and the cone point.  Of the CLI suites, only
+cremona reads this module.
 """
 
-from .forms import Form, cut_out, restrict
-from .linecomplex import (KLEIN_NAMES, CompleteIntersection35,
-                          verify_node_inventory)
+from .forms import Form, cut_out, node_check, restrict
+from .linecomplex import CompleteIntersection35, verify_node_inventory
 from .matrices import nullspace
 from .poly import PolyRing, proportional_polys
 from .projgeom import normalize
 from .scalars import Mod, field_i, lift, sqrt_minus_one
-from .surfaces import node_check
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +120,6 @@ def rationality_planes_check():
 # the 35-nodal cubic in P^6
 # ---------------------------------------------------------------------------
 
-def cubic_sevenfold(one=None, i=None):
-    """x0*(x1^2+...+x6^2) + x1*x2*x3 + i*x4*x5*x6, the cubic in P^6 whose
-    associated variety at [1,0,...,0] is the Klein-form complex: x0 times
-    its quadric plus its cubic, shifted into x1..x6."""
-    ci = CompleteIntersection35.klein(i=i, one=one)
-    ring = PolyRing(["x0", "x1", "x2", "x3", "x4", "x5", "x6"], ci.one)
-    shift = dict(zip(KLEIN_NAMES, ring.gens()[1:]))
-    return Form(ring.var("x0") * ci.quadric.poly.subst(shift, ring)
-                + ci.cubic.poly.subst(shift, ring))
-
-
 def segre_t_forms(ring):
     """The eight printed linear forms identifying the cubic with the Segre
     cubic in P^6."""
@@ -148,15 +137,19 @@ def segre_t_forms(ring):
     return [t0, t1, t2, t3, t4, t5, t6, t7]
 
 
-def segre_isomorphism_check(scan_prime=13):
-    """The printed linear change takes the cubic to the Segre cubic: the sum
-    of the eight forms is zero and the sum of their cubes is one nonzero
-    scalar multiple of the cubic.  Also verifies, over F_p, that the 35
-    candidate singular points (34 lifted from the complex plus the cone
-    point) are distinct ordinary nodes of the cubic.  Raises ValueError
-    when a claim fails, and returns the scalar and the number of distinct
-    nodes."""
-    f = cubic_sevenfold()
+# the prime over which the 35 nodes of the cubic are counted
+SEGRE_PRIME = 13
+
+
+def segre_isomorphism_check():
+    """The printed linear change takes the associated cubic of the Klein
+    complex to the Segre cubic: the sum of the eight forms is zero and the
+    sum of their cubes is one nonzero scalar multiple of the cubic.  Also
+    counts, over F_p, the distinct ordinary nodes of the cubic among the 34
+    lifts of the printed nodes of the complex (verify_node_inventory) and
+    the cone point.  Raises ValueError when a claim fails, and returns the
+    scalar and the number of distinct nodes."""
+    f = CompleteIntersection35.klein().associated_cubic()
     ring = f.ring
     ts = segre_t_forms(ring)
     total = ring.zero()
@@ -168,20 +161,11 @@ def segre_isomorphism_check(scan_prime=13):
     if not (total.is_zero() and ok and lam):
         raise ValueError("printed change of variables fails")
 
-    p = scan_prime
-    one = Mod(1, p)
-    ip = sqrt_minus_one(p)
-    ci = CompleteIntersection35.klein(i=ip, one=one)
-    reps1, reps2 = verify_node_inventory(ci)
-    fp = cubic_sevenfold(one=one, i=ip)
-    seen = set()
-    for rep in reps1 + reps2:
-        cand = (-rep.tangent_lambda,) + tuple(rep.point)
-        if not node_check(fp, cand):
-            raise ValueError("lifted point is not a node: %r" % (cand,))
-        seen.add(normalize(cand))
+    one = Mod(1, SEGRE_PRIME)
+    ci = CompleteIntersection35.klein(i=sqrt_minus_one(SEGRE_PRIME), one=one)
+    lifts1, lifts2 = verify_node_inventory(ci)
     cone = (one,) + (one * 0,) * 6
-    if not node_check(fp, cone):
+    if not node_check(ci.associated_cubic(), cone):
         raise ValueError("cone point is not a node")
-    seen.add(normalize(cone))
+    seen = {normalize(p) for p in lifts1 + lifts2 + [cone]}
     return {"lambda": lam, "nodes_mod_p": len(seen)}

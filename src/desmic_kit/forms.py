@@ -1,21 +1,22 @@
 """Homogeneous forms with designated coordinates, their Taylor expansion at
 a point (from one Hasse table per form and degree, built on first use), the
-polar matrix of a quadratic form, and the restriction of a form to a linear
-subspace: what the node and containment tests of surfaces and linecomplex
-share.
+polar matrix of a quadratic form, the restriction of a form to a linear
+subspace, and the one ordinary-node test (node_check): what the node and
+containment tests of surfaces, linecomplex and cremona share.
 
 Forms may carry symbolic parameters: a Form records which ring variables are
 projective coordinates; the remaining variables are parameters, and all
 verdicts are then generic (over the rational function field in the
 parameters).  The generic node verdict is det(polar matrix) != 0 in the
-parameter ring, in odd characteristic (surfaces.node_check).
+parameter ring, in odd characteristic.
 """
 
 from itertools import product
 from math import comb, prod
 
-from .matrices import nullspace
+from .matrices import det_poly_matrix, matrix_rank, nullspace
 from .poly import MultiPoly, PolyRing
+from .projgeom import normalize
 from .scalars import lift
 
 
@@ -154,3 +155,76 @@ def polar_matrix(q2, nvars, one):
         else:
             m[i][j] = m[j][i] = c
     return m
+
+
+def _chart(point, expansion):
+    """The local equation in the affine chart at a normalized point, from
+    the point's hasse_at expansion.
+
+    The chart fixes the pivot x_k = 1 (k the first nonzero coordinate) and
+    puts x_i = p_i + u_i elsewhere, so of the expansion only the terms with
+    e[k] = 0 remain; their exponent tuples are returned with slot k
+    dropped."""
+    k = next(i for i, c in enumerate(point) if c)
+    return {e[:k] + e[k + 1:]: d for e, d in expansion.items() if not e[k]}
+
+
+def quadratic_part_smooth(q2_coeffs, nvars, one):
+    """Geometric smoothness of the projective quadric defined by a quadratic
+    form in `nvars` variables over an exact field (char-2 robust).
+
+    q2_coeffs: dict exponent-tuple -> field element.  The test: let N be the
+    kernel of the polar matrix (the common kernel of the formal partials);
+    the quadric is smooth iff N = 0, or dim N = 1 with q2 nonvanishing on
+    the kernel line.  The rank decides all but the case dim N = 1, the only
+    one that needs the kernel.
+    """
+    if not q2_coeffs:
+        return False
+    polar = polar_matrix(q2_coeffs, nvars, one)
+    rank = matrix_rank(polar)
+    if rank != nvars - 1:
+        return rank == nvars
+    w, = nullspace(polar, one)
+    val = one * 0
+    for e, c in q2_coeffs.items():
+        t = c
+        for wi, ei in zip(w, e):
+            for _ in range(ei):
+                t = t * wi
+        val = val + t
+    return bool(val)
+
+
+def node_check(f, p):
+    """True iff p is an ordinary node of V(f): the degree-2 part of f in an
+    affine chart at p defines a smooth quadric (Jacobian criterion on the
+    tangent cone; valid in characteristic 2).  Raises ValueError when p is
+    not a singular point of V(f).
+
+    With parameters the verdict is generic, over the rational function
+    field in the parameters, and needs odd characteristic: there the
+    quadric is smooth iff the determinant of its polar matrix, computed in
+    the parameter ring by exact Bareiss division, is not zero.
+
+    Value, gradient and quadratic part come from one degree-2 Hasse
+    expansion at the normalized point: p is singular iff it has no term of
+    degree < 2, and then its chart is the quadratic part."""
+    point = normalize([lift(f.ring.one, c) for c in p])
+    expansion = hasse_at(f, point, 2)
+    if any(sum(e) < 2 for e in expansion):
+        raise ValueError("point %r is not singular on the form" % (p,))
+    q2 = _chart(point, expansion)
+    n = len(f.coord_vars) - 1
+    if f.ring.nvars() > len(f.coord_vars):
+        if f.char == 2:
+            raise ValueError("%r has parameters in characteristic 2, where "
+                             "the generic node test does not apply" % (f,))
+        if not q2:
+            return False
+        ring, _ = f.hasse_table(2)
+        q2 = {e: MultiPoly(ring, d) for e, d in q2.items()}
+        one = ring.const(1)
+        return not det_poly_matrix(polar_matrix(q2, n, one)).is_zero()
+    q2 = {e: d[()] for e, d in q2.items()}
+    return quadratic_part_smooth(q2, n, f.ring.one)

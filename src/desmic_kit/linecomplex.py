@@ -7,18 +7,20 @@ coordinates (x1..x6) = (p12,p13,p14,p23,p24,p34), and Klein coordinates
 
     x1^2+x2^2+x3^2+y1^2+y2^2+y3^2 = 0,   x1*x2*x3 + i*y1*y2*y3 = 0.
 
-The module verifies the 34 singular points (all ordinary nodes) and the 24
-planes with their incidence configuration (24_{3+4}, 18_4+16_6), and scans
-for singular points over prime fields.  The monomial symmetry group of
-order 1152 is in symmetry; the projected quartic threefold in P^4 with 17
-nodes and 4 singular lines and the identification with the associated
-variety of a 35-nodal cubic in P^6 are in cremona.
+The module verifies the 34 singular points (all ordinary nodes, each
+tested as the node (-lambda, p) of the associated cubic x0*quadric + cubic
+in P^6) and the 24 planes with their incidence configuration
+(24_{3+4}, 18_4+16_6), and scans for singular points over prime fields.
+The monomial symmetry group of order 1152 is in symmetry; the projected
+quartic threefold in P^4 with 17 nodes and 4 singular lines and the
+identification of the associated cubic with the Segre cubic are in
+cremona.
 """
 
 from itertools import permutations, product
 
-from .forms import Form, cut_out, hasse_at, polar_matrix, restrict
-from .matrices import matrix_rank, rref
+from .forms import Form, cut_out, hasse_at, node_check, restrict
+from .matrices import rref
 from .poly import PolyRing
 from .projgeom import normalize
 from .scalars import I, QI, field_i, lift, one_like, sqrt_minus_one
@@ -49,10 +51,10 @@ class CompleteIntersection35:
         self.quadric = quadric
         self.cubic = cubic
         self.coords = coords
-        self.char = quadric.char
         self.i = i
         self.ring = quadric.ring
         self.one = quadric.ring.one
+        self._associated = None
 
     @classmethod
     def plucker(cls, one=QI(1)):
@@ -81,6 +83,19 @@ class CompleteIntersection35:
         coeff = one if unit_variant else i
         c = gens[0] * gens[1] * gens[2] + (gens[3] * gens[4] * gens[5]).scale(coeff)
         return cls(Form(q), Form(c), "klein", i=i)
+
+    def associated_cubic(self):
+        """x0*quadric + cubic in P^6, with x0 put before the six
+        coordinates, built on first use and kept: the cubic whose
+        associated variety, from the cone point (1, 0, ..., 0), is the
+        complex."""
+        if self._associated is None:
+            ring = PolyRing(["x0"] + list(self.quadric.coord_vars), self.one)
+            gens = ring.gens()
+            q, c = (f.poly.subst(dict(zip(f.coord_vars, gens[1:])), ring)
+                    for f in (self.quadric, self.cubic))
+            self._associated = Form(gens[0] * q + c)
+        return self._associated
 
 
 # ---------------------------------------------------------------------------
@@ -141,80 +156,45 @@ def klein_nodes_16(i=None):
     return pts
 
 
-class NodeReport:
-    """Per-point data for the complete-intersection node test."""
+def node_lift(ci, pt):
+    """The lift (-lambda, p) of the point p of the complex to its
+    associated cubic F = x0*quadric + cubic when p is an ordinary node of
+    the complex; None when p is singular on the complex but no node, or
+    not singular.  Raises ValueError when the quadric is singular at p.
 
-    def __init__(self, point, on_both, jacobian_rank, tangent_lambda,
-                 restricted_rank):
-        self.point = point
-        self.on_both = on_both
-        self.jacobian_rank = jacobian_rank
-        self.tangent_lambda = tangent_lambda
-        self.restricted_rank = restricted_rank
-
-    @property
-    def is_node(self):
-        return self.on_both and self.jacobian_rank == 1 \
-            and self.restricted_rank == 4
-
-    def __repr__(self):
-        return ("NodeReport(point=%r, node=%r)" % (self.point, self.is_node))
-
-
-def ci_node_report(ci, pt):
-    """Ordinary-node test at a point of the complete intersection: both
-    equations vanish, the 2x6 Jacobian has rank exactly 1, and the quadratic
-    part of cubic - lambda*quadric restricted to the tangent space of the
-    quadric has rank 4.
-
-    Value, gradient and quadratic part of each equation are the
-    parameter-free entries of one degree-2 forms.hasse_at expansion at the
-    normalized point, read from the form's Hasse table (the forms have no
-    parameters; see __init__).  In the affine chart with the pivot (the
-    leading nonzero coordinate) set to 1, the quadratic part q of
-    cubic - lambda*quadric lives on the other five coordinates,
-    with polar matrix H, and the tangent space of the quadric is T = ker l
-    for its gradient l there.  The rank of H on T is that of the bordered
-    matrix [[H, l^t], [l, 0]] minus 2.  This holds for any bilinear H and
-    any covector l != 0, in every characteristic: in a basis of ker l plus
-    one vector v with l(v) = 1 the border is (0, ..., 0, 1), and row and
-    column operations with its two unit entries clear row and column v of
-    H, leaving H on ker l and a 2x2 block [[0, 1], [1, 0]] of rank 2.
-
-    Rank 4 is the criterion of quadratic_part_smooth for q on T, in every
-    characteristic: in an even number of variables a quadric is smooth
-    exactly when its polar form is nondegenerate.  In characteristic 2 the
-    polar form is alternating, so its kernel on the 4-dimensional T has even
-    dimension and the one-dimensional kernel that quadratic_part_smooth
-    admits cannot occur; otherwise q(w) is half the polar value at (w, w),
-    which vanishes on the kernel."""
+    Value and gradient of each equation are the parameter-free entries of
+    its degree-1 forms.hasse_at expansion at the normalized point.  p is
+    singular iff both equations vanish and the cubic's gradient is lambda
+    times the quadric's; then F is singular at (-lambda, p), and p is a
+    node of the complex iff (-lambda, p) is one of F (forms.node_check).
+    For, in the chart at p's pivot with local coordinates u and
+    v = x0 + lambda, the quadratic part of F is q(u) + v*l(u), where q is
+    that of cubic - lambda*quadric with polar matrix H, and l is the
+    quadric's gradient.  Its polar matrix [[H, l^t], [l, 0]] has the rank
+    of H on the tangent space ker l plus 2 (in a basis of ker l and one w
+    with l(w) = 1, the two unit entries of the border clear row and column
+    w), so in even dimension, where a quadric is smooth iff its polar form
+    is nondegenerate in every characteristic, the two quadrics are smooth
+    together."""
     one = ci.one
     zero = one * 0
     pt = normalize([lift(one, c) for c in pt])
     n = len(pt)
-    t2 = {e: d[()] for e, d in hasse_at(ci.quadric, pt, 2).items()}
-    t3 = {e: d[()] for e, d in hasse_at(ci.cubic, pt, 2).items()}
-    on2 = (0,) * n not in t2
-    on3 = (0,) * n not in t3
-    units = [tuple(int(k == m) for m in range(n)) for k in range(n)]
-    g2 = [t2.get(e, zero) for e in units]
-    g3 = [t3.get(e, zero) for e in units]
-    jrank = matrix_rank([g2, g3])
-    if not (on2 and on3) or jrank != 1:
-        return NodeReport(pt, on2 and on3, jrank, None, 0)
-    # the pivot is 1 in the chart; the other five coordinates are local
-    pivot = next(k for k, c in enumerate(pt) if c)
-    lin = g2[:pivot] + g2[pivot + 1:]
-    if not any(lin):
+    keys = [(0,) * n] + [tuple(int(k == m) for m in range(n))
+                         for k in range(n)]
+    (v2, *g2), (v3, *g3) = (
+        [t[e][()] if e in t else zero for e in keys]
+        for t in (hasse_at(ci.quadric, pt, 1), hasse_at(ci.cubic, pt, 1)))
+    if v2 or v3:
+        return None
+    if not any(g2):
         raise ValueError("quadric not smooth at %r" % (pt,))
-    # rank 1 with g2 != 0: the cubic's gradient is lam times the quadric's
-    j = next(k for k, v in enumerate(g2) if v)
+    j = next(k for k, c in enumerate(g2) if c)
     lam = g3[j] / g2[j]
-    q = {e[:pivot] + e[pivot + 1:]: t3.get(e, zero) - lam * t2.get(e, zero)
-         for e in set(t2) | set(t3) if sum(e) == 2 and not e[pivot]}
-    h = polar_matrix(q, n - 1, one)
-    bordered = [row + [l] for row, l in zip(h, lin)] + [lin + [zero]]
-    return NodeReport(pt, True, 1, lam, matrix_rank(bordered) - 2)
+    if any(c != lam * b for b, c in zip(g2, g3)):
+        return None
+    lifted = (-lam,) + pt
+    return lifted if node_check(ci.associated_cubic(), lifted) else None
 
 
 def _listed_nodes(ci):
@@ -227,16 +207,20 @@ def _listed_nodes(ci):
 
 
 def verify_node_inventory(ci):
-    """The node reports of the printed 18 and 16 singular points in the
+    """The lifts (node_lift) of the printed 18 and 16 singular points in the
     coordinate system of `ci`, as two lists; raises ValueError if a point
     fails the node test."""
-    pts1, pts2 = _listed_nodes(ci)
-    reps1 = [ci_node_report(ci, p) for p in pts1]
-    reps2 = [ci_node_report(ci, p) for p in pts2]
-    for r in reps1 + reps2:
-        if not r.is_node:
-            raise ValueError("printed point fails the node test: %r" % (r,))
-    return reps1, reps2
+    lifts = []
+    for pts in _listed_nodes(ci):
+        family = []
+        for p in pts:
+            lifted = node_lift(ci, p)
+            if lifted is None:
+                raise ValueError("printed point fails the node test: %r"
+                                 % (p,))
+            family.append(lifted)
+        lifts.append(family)
+    return tuple(lifts)
 
 
 # ---------------------------------------------------------------------------

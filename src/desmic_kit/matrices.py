@@ -6,14 +6,14 @@ exact field."""
 from fractions import Fraction
 from math import lcm
 
-from .poly import MultiPoly
-
 
 def det_poly_matrix(m):
     """Exact determinant of a square matrix with entries in one ring
     (polynomials, integers, or any exact field scalars), by fraction-free
     Bareiss elimination: every division is exact, so polynomial and integer
-    entries never leave their ring."""
+    entries never leave their ring.  An entry type with a divexact method
+    (polynomials) divides by it, ints by floor division and field scalars
+    by /."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("non-square matrix")
@@ -21,12 +21,12 @@ def det_poly_matrix(m):
         raise ValueError("empty matrix")
     a = [list(r) for r in m]
     sample = a[0][0]
-    if isinstance(sample, MultiPoly):
-        div = MultiPoly.divexact
-    elif all(isinstance(x, int) for r in a for x in r):
-        div = int.__floordiv__
-    else:
-        div = lambda f, g: f / g
+    div = getattr(type(sample), "divexact", None)
+    if div is None:
+        if all(isinstance(x, int) for r in a for x in r):
+            div = int.__floordiv__
+        else:
+            div = lambda f, g: f / g
     sign = 1
     prev = None
     for k in range(n - 1):

@@ -1,15 +1,16 @@
 """Hypersurface singularity analysis and concrete quartic/cubic models:
 the desmic pencil, Cremona's quartic (characteristic 0 and 2), the
 characteristic-2 Kummer quartic, and the Steinerian identities.  Every
-local test reads one forms.hasse_at expansion at the point.  Form,
-hasse_at, polar_matrix and restrict, which linecomplex shares, live in
-forms.
+local test reads one forms.hasse_at expansion at the point: the Jacobian
+test and the A_n detection here, the node test (node_check) in forms,
+which linecomplex and cremona share.
 """
 
 from fractions import Fraction
 
-from .forms import Form, hasse_at, polar_matrix, restrict
-from .matrices import det_poly_matrix, nullspace
+from .forms import (Form, _chart, hasse_at, polar_matrix,
+                    quadratic_part_smooth, restrict)
+from .matrices import nullspace
 from .poly import MultiPoly, PolyRing, coeff_in, prem
 from .projgeom import LineP3, normalize
 from .scalars import F4_ELEMENTS, F4, Mod, lift, one_like
@@ -41,78 +42,6 @@ def singular_at(f, p):
     jac_rank = 1 if any(sum(e) == 1 for e in coeffs) else 0
     return SingularPointReport(point, on, jac_rank,
                                is_singular=on and jac_rank == 0)
-
-
-def _chart(point, expansion):
-    """The local equation in the affine chart at a normalized point, from
-    the point's forms.hasse_at expansion.
-
-    The chart fixes the pivot x_k = 1 (k the first nonzero coordinate) and
-    puts x_i = p_i + u_i elsewhere, so of the expansion only the terms with
-    e[k] = 0 remain; their exponent tuples are returned with slot k
-    dropped."""
-    k = next(i for i, c in enumerate(point) if c)
-    return {e[:k] + e[k + 1:]: d for e, d in expansion.items() if not e[k]}
-
-
-def quadratic_part_smooth(q2_coeffs, nvars, one):
-    """Geometric smoothness of the projective quadric defined by a quadratic
-    form in `nvars` variables over an exact field (char-2 robust).
-
-    q2_coeffs: dict exponent-tuple -> field element.  The test: let N be the
-    kernel of the polar matrix (the common kernel of the formal partials);
-    the quadric is smooth iff N = 0, or dim N = 1 with q2 nonvanishing on
-    the kernel line.
-    """
-    if not q2_coeffs:
-        return False
-    ker = nullspace(polar_matrix(q2_coeffs, nvars, one), one)
-    if not ker:
-        return True
-    if len(ker) >= 2:
-        return False
-    w = ker[0]
-    val = one * 0
-    for e, c in q2_coeffs.items():
-        t = c
-        for wi, ei in zip(w, e):
-            for _ in range(ei):
-                t = t * wi
-        val = val + t
-    return bool(val)
-
-
-def node_check(f, p):
-    """True iff p is an ordinary node of V(f): the degree-2 part of f in an
-    affine chart at p defines a smooth quadric (Jacobian criterion on the
-    tangent cone; valid in characteristic 2).
-
-    With parameters the verdict is generic, over the rational function
-    field in the parameters, and needs odd characteristic: there the
-    quadric is smooth iff the determinant of its polar matrix, computed in
-    the parameter ring by exact Bareiss division, is not zero.
-
-    Value, gradient and quadratic part come from one degree-2 Hasse
-    expansion at the normalized point: p is singular iff it has no term of
-    degree < 2, and then its chart is the quadratic part."""
-    point = normalize([lift(f.ring.one, c) for c in p])
-    expansion = hasse_at(f, point, 2)
-    if any(sum(e) < 2 for e in expansion):
-        raise ValueError("point %r is not singular on the form" % (p,))
-    q2 = _chart(point, expansion)
-    n = len(f.coord_vars) - 1
-    if f.ring.nvars() > len(f.coord_vars):
-        if f.char == 2:
-            raise ValueError("%r has parameters in characteristic 2, where "
-                             "the generic node test does not apply" % (f,))
-        if not q2:
-            return False
-        ring, _ = f.hasse_table(2)
-        q2 = {e: MultiPoly(ring, d) for e, d in q2.items()}
-        one = ring.const(1)
-        return not det_poly_matrix(polar_matrix(q2, n, one)).is_zero()
-    q2 = {e: d[()] for e, d in q2.items()}
-    return quadratic_part_smooth(q2, n, f.ring.one)
 
 
 # local equations are cut at total degree TRUNC, and A_n is named up to

@@ -411,8 +411,9 @@ def dense_rref(rows):
 
 def tangent_gram_rank(h, lin, one):
     """Rank of the bilinear form with matrix h on the kernel of the covector
-    lin, as linecomplex.ci_node_report computed it before its bordered
-    matrix: the Gram matrix of h on a basis of that kernel."""
+    lin, as the node test of linecomplex computed it before the bordered
+    matrix and the associated cubic: the Gram matrix of h on a basis of that
+    kernel."""
     tangent = nullspace([lin], one)
     return matrix_rank([[bilinear(h, u, v) for v in tangent]
                         for u in tangent])

@@ -197,6 +197,56 @@ def test_a_missing_printed_node_fails_the_plane_counts(monkeypatch):
     assert checks["complex.planes-24"].details.startswith("24 planes ")
 
 
+def _changed_records(monkeypatch, suite, module, name, value):
+    """The records of `suite` that change when module.name is rebound to
+    value, by id."""
+    before = {c.id: c.as_dict() for c in cli.run_suite(suite).checks}
+    monkeypatch.setattr(module, name, value)
+    after = {c.id: c.as_dict() for c in cli.run_suite(suite).checks}
+    assert set(after) == set(before)
+    return {cid: rec for cid, rec in after.items() if rec != before[cid]}
+
+
+def test_a_moved_printed_plucker_node_fails_the_node_check(monkeypatch):
+    # (1, 0, 0, 0, 0, 1) is off the quadric, and the planes through it are
+    # not those through (1, 0, 0, 0, 0, 0)
+    moved = [(1, 0, 0, 0, 0, 1)] + cli.lc.PLUCKER_NODES_18[1:]
+    changed = _changed_records(monkeypatch, "line-complex", cli.lc,
+                               "PLUCKER_NODES_18", moved)
+    assert set(changed) == {"complex.nodes-34", "complex.planes-24"}
+    assert all(r["status"] == "fail" for r in changed.values())
+    assert changed["complex.nodes-34"]["details"] == "ValueError: printed " \
+        "point fails the node test: (QI(1), QI(0), QI(0), QI(0), QI(0), QI(1))"
+
+
+def test_a_changed_klein_node_fails_the_segre_check(monkeypatch):
+    # the first node (1, 0, 0, -i, 0, 0) becomes (1, 1, 0, -i, 0, 0), which
+    # is off the quadric; the other cremona checks read Plucker forms only
+    listed = cli.lc.klein_nodes_18
+
+    def moved(i=None):
+        pts = listed(i)
+        return [pts[0][:1] + pts[0][:1] + pts[0][2:]] + pts[1:]
+
+    changed = _changed_records(monkeypatch, "cremona", cli.lc,
+                               "klein_nodes_18", moved)
+    assert set(changed) == {"cremona.segre"}
+    assert changed["cremona.segre"]["status"] == "fail"
+    assert changed["cremona.segre"]["details"].startswith(
+        "ValueError: printed point fails the node test: (Mod(1, 13), "
+        "Mod(1, 13), Mod(0, 13)")
+
+
+def test_a_moved_projected_node_fails_the_seventeen_nodes(monkeypatch):
+    # (0, 0, 1, 0, 1) lies on the singular line x1 = x2 = x4 = 0: singular,
+    # so the projection still runs, but no ordinary node
+    moved = [(0, 0, 1, 0, 1)] + cli.cr.PROJECTED_NODES_17[1:]
+    changed = _changed_records(monkeypatch, "cremona", cli.cr,
+                               "PROJECTED_NODES_17", moved)
+    assert set(changed) == {"cremona.nodes-17"}
+    assert changed["cremona.nodes-17"]["status"] == "fail"
+
+
 def test_lattice_suite_passes():
     rep = cli.run_suite("lattices")
     assert rep.ok and len(rep.checks) == 5
@@ -260,17 +310,14 @@ def test_swapped_printed_duad_entries_fail_the_duad_table_alone(
         monkeypatch):
     # row T1 keeps its five synthemes, so the totals are labeled as before
     # and only the table derived from them disagrees with the printed one
-    before = {c.id: c.status for c in cli.run_suite("supersingular").checks}
     table = [list(row) for row in cf.DUAD_TABLE]
     table[0][1], table[0][2] = table[0][2], table[0][1]
-    monkeypatch.setattr(cf, "DUAD_TABLE", tuple(map(tuple, table)))
-    checks = {c.id: c for c in cli.run_suite("supersingular").checks}
-    assert checks["ss.duad-table"].status == "fail"
-    assert checks["ss.duad-table"].details == \
+    changed = _changed_records(monkeypatch, "supersingular", cf,
+                               "DUAD_TABLE", tuple(map(tuple, table)))
+    assert set(changed) == {"ss.duad-table"}
+    assert changed["ss.duad-table"]["status"] == "fail"
+    assert changed["ss.duad-table"]["details"] == \
         "6x6 duad/syntheme table differs from the reference"
-    del before["ss.duad-table"], checks["ss.duad-table"]
-    assert {cid: c.status for cid, c in checks.items()} == before
-    assert len(before) == 5
 
 
 def test_supersingular_report_matches_benchmark_reference():
@@ -452,7 +499,7 @@ for case in (lambda: run_scan(13, 0),
                                                "plucker"),
              lambda: lc.CompleteIntersection35(lc.Form(a * a + b * e),
                                                lc.Form(a * b * c), "plucker"),
-             lambda: lc.ci_node_report(klein_f2, (1, 1, 0, 0, 0, 0)),
+             lambda: lc.node_lift(klein_f2, (1, 1, 0, 0, 0, 0)),
              lambda: lc.PlaneInP5([[int(j == k) for j in range(5)]
                                    for k in range(3)], Fraction(1)),
              lambda: artin_with_failing_embedding(1),
@@ -605,15 +652,15 @@ print(json.dumps([ok, sorted(os.path.basename(f)[:-3] for f in ran
 """
 
 # what every run executes: cli and the modules it imports eagerly
-EAGER_MODULES = {"__init__", "cli", "scalars", "poly", "matrices", "projgeom"}
+EAGER_MODULES = {"__init__", "cli", "scalars", "matrices", "projgeom"}
 # suite -> (report ok, the modules it executes beyond EAGER_MODULES)
 SUITE_MODULES = {
-    "identities": (True, {"forms", "surfaces"}),
-    "desmic-surface": (False, {"forms", "surfaces", "configs"}),
-    "line-complex": (True, {"forms", "linecomplex", "scan"}),
-    "symmetry": (True, {"forms", "linecomplex", "symmetry"}),
-    "cremona": (True, {"forms", "linecomplex", "surfaces", "cremona"}),
-    "char2": (True, {"forms", "surfaces"}),
+    "identities": (True, {"poly", "forms", "surfaces"}),
+    "desmic-surface": (False, {"poly", "forms", "surfaces", "configs"}),
+    "line-complex": (True, {"poly", "forms", "linecomplex", "scan"}),
+    "symmetry": (True, {"poly", "forms", "linecomplex", "symmetry"}),
+    "cremona": (True, {"poly", "forms", "linecomplex", "cremona"}),
+    "char2": (True, {"poly", "forms", "surfaces"}),
     "supersingular": (False, {"configs"}),
     "lattices": (True, {"configs", "lattices"}),
 }

@@ -94,14 +94,6 @@ def test_collinear_agrees_with_minor_oracle():
     assert seen == {True, False}
 
 
-def test_reye_point_transitive():
-    """Some automorphism of the Reye configuration takes its first point to
-    each other point."""
-    r = cf.reye_config()
-    assert all(cf.config_isomorphic(r, r, seed=[(r.points[0], q)])
-               is not None for q in r.points[1:])
-
-
 def test_desmic_incidence_is_reye():
     d = cf.desmic_surface_config(DESMIC_SINGULAR_12, desmic_lines_16())
     assert d.type_signature == ((12, 4), (16, 3))

@@ -13,6 +13,7 @@ import desmic_kit.cli as cli
 import desmic_kit.cremona as cr
 import desmic_kit.linecomplex as lc
 import desmic_kit.symmetry as sy
+from desmic_kit.forms import hasse_at, polar_matrix
 from desmic_kit.lattices import solve_linear
 from desmic_kit.matrices import det_poly_matrix, matrix_rank, nullspace
 from desmic_kit.poly import PolyRing, proportional_polys
@@ -198,47 +199,65 @@ def test_node_lists_correspond_under_the_coordinate_change():
 # -- node inventory -----------------------------------------------------------
 
 def test_node_inventory_plucker_rationals():
-    reps1, reps2 = lc.verify_node_inventory(
+    lifts1, lifts2 = lc.verify_node_inventory(
         lc.CompleteIntersection35.plucker(Fraction(1)))
-    assert all(r.is_node for r in reps1 + reps2)
-    assert len(reps1) == 18 and len(reps2) == 16
+    assert len(lifts1) == 18 and len(lifts2) == 16
+    listed = lc.PLUCKER_NODES_18 + lc.PLUCKER_NODES_16
+    assert [l[1:] for l in lifts1 + lifts2] \
+        == [normalize(lifted(Fraction(1), p)) for p in listed]
 
 
 def test_node_inventory_klein_gaussian():
-    reps1, reps2 = lc.verify_node_inventory(lc.CompleteIntersection35.klein())
-    assert all(r.is_node for r in reps1 + reps2)
-    # every report carries a rank-4 restricted quadratic form
-    for r in reps1 + reps2:
-        assert r.jacobian_rank == 1 and r.restricted_rank == 4
+    ci = lc.CompleteIntersection35.klein()
+    lifts1, lifts2 = lc.verify_node_inventory(ci)
+    assert len(lifts1) == 18 and len(lifts2) == 16
+    # every lift carries the lambda of a rank-4 restricted quadratic form
+    for l in lifts1 + lifts2:
+        assert localize_node_report(ci, l[1:]) == (True, 1, -l[0], 4)
 
 
 def test_node_inventory_prime_fields():
     for p in (13, 17):
         ci = lc.CompleteIntersection35.klein(i=sqrt_minus_one(p),
                                              one=Mod(1, p))
-        reps1, reps2 = lc.verify_node_inventory(ci)
-        assert all(r.is_node for r in reps1 + reps2)
+        lifts1, lifts2 = lc.verify_node_inventory(ci)
+        assert len(lifts1) == 18 and len(lifts2) == 16
+        assert len({normalize(l) for l in lifts1 + lifts2}) == 34
 
 
 def test_first_points_of_each_family_are_nodes():
     ci = lc.CompleteIntersection35.plucker()
-    assert lc.ci_node_report(ci, (1, 0, 0, 0, 0, 0)).is_node
-    assert lc.ci_node_report(ci, (1, 1, 1, 0, 0, 0)).is_node
+    assert lc.node_lift(ci, (1, 0, 0, 0, 0, 0)) is not None
+    assert lc.node_lift(ci, (1, 1, 1, 0, 0, 0)) is not None
 
 
 def test_off_list_point_fails_the_node_test():
     ci = lc.CompleteIntersection35.plucker()
     # a smooth point of the complex: both equations vanish, Jacobian rank 2
-    rep = lc.ci_node_report(ci, (0, 1, 0, 0, 0, 1))
-    assert rep.on_both and rep.jacobian_rank == 2 and not rep.is_node
+    pt = (0, 1, 0, 0, 0, 1)
+    assert localize_node_report(ci, pt)[:3] == (True, 2, None)
+    assert lc.node_lift(ci, pt) is None
+
+
+def test_associated_cubic_is_x0_quadric_plus_cubic():
+    ci = lc.CompleteIntersection35.klein()
+    f = ci.associated_cubic()
+    assert f is ci.associated_cubic()
+    assert f.ring.varnames == ("x0",) + lc.KLEIN_NAMES
+    x0 = f.ring.var("x0")
+    shift = {v: f.ring.var(v) for v in lc.KLEIN_NAMES}
+    assert f.poly == x0 * ci.quadric.poly.subst(shift, f.ring) \
+        + ci.cubic.poly.subst(shift, f.ring)
 
 
 def localize_node_report(ci, pt):
-    """Oracle: the node test as it was before the Hessian form.  It expands
+    """Oracle: the node test as it was before the Hessian form, as the
+    tuple (on both, Jacobian rank, lambda, restricted rank).  It expands
     both equations in the affine chart at the point by substitution
     (`localize_split`) and polarizes the quadratic part of
     cubic - lambda*quadric on the tangent space of the quadric.  Values and
-    gradients come from evaluating the equations and their partials."""
+    gradients come from evaluating the equations and their partials;
+    lambda is None unless both vanish and the Jacobian has rank 1."""
     one = ci.one
     pt = normalize(lifted(one, pt))
     at = dict(zip(ci.quadric.coord_vars, pt))
@@ -248,7 +267,7 @@ def localize_node_report(ci, pt):
               for f in (ci.quadric, ci.cubic))
     jrank = matrix_rank([g2, g3])
     if not (on2 and on3) or jrank != 1:
-        return lc.NodeReport(pt, on2 and on3, jrank, None, 0)
+        return on2 and on3, jrank, None, 0
     j = next(k for k, v in enumerate(g2) if v)
     lam = g3[j] / g2[j]
     assert all(b == lam * a for a, b in zip(g2, g3))
@@ -293,18 +312,17 @@ def localize_node_report(ci, pt):
             vab = [x + y for x, y in zip(tangent[a], tangent[b])]
             gram[a][b] = gram[b][a] = \
                 qval(vab) - qval(tangent[a]) - qval(tangent[b])
-    return lc.NodeReport(pt, True, 1, lam, matrix_rank(gram))
-
-
-def report_fields(rep):
-    return (rep.point, rep.on_both, rep.jacobian_rank, rep.tangent_lambda,
-            rep.restricted_rank)
+    return True, 1, lam, matrix_rank(gram)
 
 
 def assert_node_reports_agree(ci, pts):
+    """node_lift returns (-lambda, p) exactly at the oracle's nodes, with
+    the oracle's lambda and the normalized point."""
     for pt in pts:
-        assert report_fields(lc.ci_node_report(ci, pt)) \
-            == report_fields(localize_node_report(ci, pt)), pt
+        on_both, jrank, lam, rrank = localize_node_report(ci, pt)
+        node = on_both and jrank == 1 and rrank == 4
+        want = (-lam,) + normalize(lifted(ci.one, pt)) if node else None
+        assert lc.node_lift(ci, pt) == want, pt
 
 
 def plucker_quadric_points(one, rng, count):
@@ -365,8 +383,7 @@ def test_node_report_agrees_with_localized_polarization(one, i, unit):
         if isinstance(one, Mod):
             _, scanned = lc.scan_singular_points(one.p, unit_variant=unit)
             pts += [lifted(one, p) for p in scanned]
-    listed = [lc.ci_node_report(ci, p) for p in pts]
-    assert unit or all(r.is_node for r in listed)
+    assert unit or all(lc.node_lift(ci, p) is not None for p in pts)
     assert_node_reports_agree(ci, pts + off_list_points(ci, one, i, rng))
 
 
@@ -427,8 +444,7 @@ def test_node_report_agrees_at_singular_points_of_random_intersections(
     ci, point = singular_complete_intersection(one, random.Random(seed))
     if ci is None:
         return
-    rep = lc.ci_node_report(ci, point)
-    assert rep.on_both and rep.jacobian_rank == 1
+    assert localize_node_report(ci, point)[:2] == (True, 1)
     assert_node_reports_agree(ci, [point])
 
 
@@ -437,8 +453,9 @@ def test_node_report_agrees_at_singular_points_of_random_intersections(
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
 def test_bordered_rank_is_the_rank_on_the_kernel(one, seed):
-    """The bordered matrix of ci_node_report, [[H, l^t], [l, 0]], has rank
-    2 more than H on ker l, for a random symmetric H of random rank
+    """The bordered matrix [[H, l^t], [l, 0]], the polar matrix of the
+    associated cubic's quadratic part at a lifted node (see node_lift), has
+    rank 2 more than H on ker l, for a random symmetric H of random rank
     (alternating in characteristic 2) and a random covector l != 0."""
     rng = random.Random(seed)
     zero = one * 0
@@ -454,6 +471,55 @@ def test_bordered_rank_is_the_rank_on_the_kernel(one, seed):
     lin[rng.randrange(n)] = one
     bordered = [row + [l] for row, l in zip(h, lin)] + [lin + [zero]]
     assert matrix_rank(bordered) - 2 == tangent_gram_rank(h, lin, one)
+
+
+def assert_polar_matrix_is_bordered(ci, pt):
+    """In the chart at the pivot of p, with v = x0 + lambda first, the
+    polar matrix of the associated cubic's quadratic part at (-lambda, p) is
+    the bordered matrix [[H, l^t], [l, 0]] with its border moved first: H is
+    the polar matrix of the quadratic part of cubic - lambda*quadric in the
+    chart, and l the quadric's gradient there."""
+    one = ci.one
+    zero = one * 0
+    pt = normalize(lifted(one, pt))
+    lam = localize_node_report(ci, pt)[2]
+    k = next(j for j, c in enumerate(pt) if c)
+    t2, t3 = ({e: d[()] for e, d in hasse_at(f, pt, 2).items()}
+              for f in (ci.quadric, ci.cubic))
+    lin = [t2.get(tuple(int(m == j) for m in range(6)), zero)
+           for j in range(6) if j != k]
+    q = {e[:k] + e[k + 1:]: t3.get(e, zero) - lam * t2.get(e, zero)
+         for e in set(t2) | set(t3) if sum(e) == 2 and not e[k]}
+    h = polar_matrix(q, 5, one)
+    expansion = hasse_at(ci.associated_cubic(), (-lam,) + pt, 2)
+    assert all(sum(e) == 2 for e in expansion)  # singular at the lift
+    chart = {e[:k + 1] + e[k + 2:]: d[()] for e, d in expansion.items()
+             if not e[k + 1]}
+    assert polar_matrix(chart, 6, one) \
+        == [[zero] + lin] + [[l] + row for l, row in zip(lin, h)], pt
+
+
+@pytest.mark.parametrize("one,i", [
+    (Fraction(1), None), (QI(1), I), (Mod(1, 13), sqrt_minus_one(13))],
+    ids=["plucker-Q", "klein-Qi", "klein-F13"])
+def test_polar_matrix_at_a_listed_lift_is_the_bordered_matrix(one, i):
+    if i is None:
+        ci = lc.CompleteIntersection35.plucker(one)
+    else:
+        ci = lc.CompleteIntersection35.klein(i=i, one=one)
+    for pts in lc._listed_nodes(ci):
+        for pt in pts:
+            assert_polar_matrix_is_bordered(ci, pt)
+
+
+@pytest.mark.parametrize("one", [Fraction(1), Mod(1, 2), Mod(1, 3),
+                                 Mod(1, 13)], ids=["Q", "F2", "F3", "F13"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_polar_matrix_at_a_random_lift_is_the_bordered_matrix(one, seed):
+    ci, point = singular_complete_intersection(one, random.Random(seed))
+    if ci is not None:
+        assert_polar_matrix_is_bordered(ci, point)
 
 
 # -- plane inventory ----------------------------------------------------------

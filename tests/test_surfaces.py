@@ -9,7 +9,8 @@ from itertools import product
 
 import pytest
 
-from desmic_kit.forms import hasse_at, polar_matrix, restrict
+from desmic_kit.forms import (_chart, hasse_at, node_check, polar_matrix,
+                              restrict)
 from desmic_kit.matrices import det_poly_matrix
 from desmic_kit.poly import MultiPoly, PolyRing
 from desmic_kit.projgeom import LineP3, normalize
@@ -21,7 +22,7 @@ from desmic_kit.surfaces import (
     desmic_identity_parts, desmic_lines_16,
     desmic_pencil_symbolic, eight_squares_parts, kummer_char2_points,
     kummer_char2_quartic,
-    local_series, node_check,
+    local_series,
     rdp_an_type, singular_at, steinerian_equation,
     steinerian_identity_parts)
 from desmic_kit.cremona import PROJECTED_NODES_17, projected_quartic
@@ -157,7 +158,7 @@ def test_taylor_chart_agrees_with_substitution_oracle(name):
             full, _, _ = localize_split(f, p)
             point = normalize([lift(one, c) for c in p])
             for degree in range(f.degree + 1):
-                chart = surfaces._chart(point, hasse_at(f, point, degree))
+                chart = _chart(point, hasse_at(f, point, degree))
                 assert chart == {e: c.coeffs for e, c in full.items()
                                  if sum(e) <= degree}, (name, p, degree)
             # the expansion at p itself: value and gradient of f at p
