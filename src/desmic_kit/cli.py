@@ -47,7 +47,7 @@ def _on_first_use(name):
 # symmetry and cremona, symmetry and cremona for their own suites alone,
 # configs for desmic-surface, supersingular and lattices, and lattices for
 # the last one.  Both surfaces and linecomplex import forms, whose
-# node_check desmic-surface reads.
+# node_check desmic-surface and cremona read.
 fm = _on_first_use("forms")
 sf = _on_first_use("surfaces")
 lc = _on_first_use("linecomplex")
@@ -238,30 +238,32 @@ def check_symmetry():
                   rep.node_orbit_sizes, rep.plane_orbit_count))
 
 
-def check_cremona_rewrite(projection):
-    rep = projection()
-    return _ok(rep["rewrite_identity"] and rep["elimination_identity"],
+def check_cremona_rewrite():
+    return _ok(all(lhs == rhs for lhs, rhs in cr.projection_identity_parts()),
                "quartic-threefold rewriting and elimination identities hold "
                "exactly")
 
 
-def check_cremona_nodes(projection):
-    rep = projection()
-    ok = rep["nodes_ok"] and len(rep["node_flags"]) == 17
-    return _ok(ok, "%d listed points verified as nodes of the projected "
-               "quartic" % len(rep["node_flags"]))
+def check_cremona_nodes():
+    f = fm.Form(cr.projected_quartic())
+    good = sum(1 for p in cr.PROJECTED_NODES_17 if fm.node_check(f, p))
+    return _ok(good == len(cr.PROJECTED_NODES_17) == 17,
+               "%d listed points verified as nodes of the projected quartic"
+               % good)
 
 
-def check_cremona_lines(projection):
-    rep = projection()
-    return _ok(rep["singular_lines_ok"],
+def check_cremona_lines():
+    f = fm.Form(cr.projected_quartic())
+    good = sum(1 for covs in cr.SINGULAR_LINES_4
+               if cr.line_singular_on(f, covs))
+    return _ok(good == len(cr.SINGULAR_LINES_4) == 4,
                "all 4 listed singular lines verified")
 
 
 def check_rationality_planes():
-    return _ok(cr.rationality_planes_check(),
-               "the three planes lie on the threefold and meet pairwise in "
-               "the listed points")
+    cr.verify_rationality_planes()  # raises naming a plane or a meet
+    return ("pass", "the three planes lie on the threefold and meet pairwise "
+            "in the listed points")
 
 
 def check_segre():
@@ -272,27 +274,22 @@ def check_segre():
 
 
 def check_char2_points():
-    families = sf.char2_cremona_singular_points()
-    total = sum(n for n, _ in families)
-    good = sum(n for n, verified in families if verified)
-    return _ok(total == 13 and good == 13,
-               "%d/13 singular points verified in the parametric quotient "
-               "rings" % good)
+    sf.verify_char2_cremona_singular_points()  # raises naming a family
+    return ("pass", "13/13 singular points verified in the parametric "
+            "quotient rings")
 
 
 def check_char2_a3():
     F = sf.cremona_char2_specialized(0, 0, 1, 1)
-    rep = sf.singular_at(F, (0, 0, 0, 1))
     verdict = sf.rdp_an_type(sf.local_series(F, (0, 0, 0, 1)))
-    ok = rep.is_singular and verdict == "A3"
-    return _ok(ok, "specialization (0,0,1,1) has an A_3 point at (0,0,0,1); "
-               "detector returned %s" % verdict)
+    return _ok(verdict == "A3", "specialization (0,0,1,1) has an A_3 point "
+               "at (0,0,0,1); detector returned %s" % verdict)
 
 
 def check_char2_kummer():
-    form, lines, reports = sf.kummer_char2_quartic()
+    form, lines, verdicts = sf.kummer_char2_quartic()
     pts = sf.kummer_char2_points()
-    a3 = sum(1 for r in reports if r.is_singular and r.an_type == "A3")
+    a3 = verdicts.count("A3")
     counts_pt = [sum(1 for l in lines if l.contains(p)) for p in pts]
     counts_ln = [sum(1 for p in pts if l.contains(p)) for l in lines]
     ok = (len(lines) == 4 and all(sf.contains_line(form, l) for l in lines)
@@ -390,12 +387,11 @@ def check_disc_form_relations():
 
 def check_overlattice_chains():
     ch = la.d5_a3_chain()  # raises unless E8 and D8 have det 1 and 4
+    # and D8 lies in E8
     ok = la.genus_match_indefinite(
         ch["E8"], la.standard_lattice("E8"))["match"]
     fq_d8, _ = la.disc_form(ch["D8"])
     ok = ok and la.fq_isometric(fq_d8, la.fq_u2())
-    for row in ch["d8_basis"]:  # raises unless D8 lies in E8
-        la._coords_in_basis(row, ch["e8_basis"])
     return _ok(ok, "glue over the rank-8 base yields unimodular and "
                "determinant-4 overlattices with the expected forms, nested "
                "as sublattices")
@@ -425,7 +421,6 @@ def _check_table(opt):
     pencil = functools.cache(lambda: sf.desmic_pencil_symbolic())
     tangency = functools.cache(lambda: sf.residual_conic_tangency(pencil()))
     scan = functools.cache(lambda p, unit: lc.scan_singular_points(p, unit))
-    projection = functools.cache(lambda: cr.project_to_quartic_threefold())
     tables = functools.cache(lambda: cf.fibration_tables())
     h_pairings = functools.cache(lambda: cf.divisor_pairings(tables()[0], "H"))
     scans = [row for p in opt.primes for row in (
@@ -473,11 +468,11 @@ def _check_table(opt):
         ],
         "cremona": [
             ("cremona.rewrite", "quartic threefold rewriting identity",
-             check_cremona_rewrite, projection),
+             check_cremona_rewrite),
             ("cremona.nodes-17", "seventeen nodes",
-             check_cremona_nodes, projection),
+             check_cremona_nodes),
             ("cremona.singular-lines", "four singular lines",
-             check_cremona_lines, projection),
+             check_cremona_lines),
             ("cremona.rationality-planes", "three planes and intersections",
              check_rationality_planes),
             ("cremona.segre", "cubic change of variables", check_segre),

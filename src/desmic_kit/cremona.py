@@ -5,7 +5,11 @@ in P^6 whose associated variety is the complex
 (CompleteIntersection35.associated_cubic), with the printed change of
 variables to the Segre cubic.  Its 35 nodes are the 34 lifts that the node
 test of linecomplex returns and the cone point.  Of the CLI suites, only
-cremona reads this module.
+cremona reads this module.  The projected quartic, its printed nodes,
+lines and planes are data here: the checks test the nodes with
+forms.node_check and the lines with line_singular_on, and the verifiers
+(verify_rationality_planes, segre_isomorphism_check) raise ValueError
+naming the claim that fails.
 """
 
 from .forms import Form, cut_out, node_check, restrict
@@ -46,42 +50,29 @@ def projected_quartic():
             - x2 * x3 * x3 * x4 + x3 * x4 * x4 * x5 - x2 * x4 * x5 * x5)
 
 
-def _line_on_and_singular(form, covectors):
+def line_singular_on(form, covectors):
+    """True iff the line cut out by the covectors lies on V(form) and every
+    partial of the form vanishes along it.  Raises ValueError unless the
+    covectors cut out a line."""
     basis = cut_out(covectors, form.ring.one, 1, "line")
-    if not restrict(form, basis).is_zero():
-        return False
     return all(restrict(Form(g, form.coord_vars), basis).is_zero()
-               for g in form.partials())
+               for g in [form.poly] + form.partials())
 
 
-def project_to_quartic_threefold():
-    """Eliminate x6 and verify: the rewriting identity, the elimination
-    identity x1*cubic + X = (x4x5 - x2x3)*quadric, the 17 printed nodes, and
-    the four printed singular lines."""
+def projection_identity_parts():
+    """(lhs, rhs) of the rewriting identity
+    X = x1^2 (x2x4 - x3x5) + (x2x3 - x4x5)(x2x5 - x3x4) and of the
+    elimination identity x1*cubic + X = (x4x5 - x2x3)*quadric in P^5."""
     ci = CompleteIntersection35.plucker()
     x1p, x2p, x3p, x4p, x5p, x6p = ci.ring.gens()
     X = projected_quartic()
     x1, x2, x3, x4, x5 = X_RING.gens()
     rewrite = (x1 * x1 * (x2 * x4 - x3 * x5)
                + (x2 * x3 - x4 * x5) * (x2 * x5 - x3 * x4))
-    rewrite_ok = X == rewrite
-
-    mapping = {n: ci.ring.var(n) for n in X_RING.varnames}
-    x_in6 = X.subst(mapping, ci.ring)
-    elim_ok = (x1p * ci.cubic.poly + x_in6
-               == (x4p * x5p - x2p * x3p) * ci.quadric.poly)
-
-    form = Form(X)
-    node_flags = [node_check(form, pt) for pt in PROJECTED_NODES_17]
-    line_flags = [_line_on_and_singular(form, covs)
-                  for covs in SINGULAR_LINES_4]
-    return {
-        "rewrite_identity": rewrite_ok,
-        "elimination_identity": elim_ok,
-        "nodes_ok": all(node_flags),
-        "node_flags": node_flags,
-        "singular_lines_ok": all(line_flags),
-    }
+    x_in6 = X.subst({n: ci.ring.var(n) for n in X_RING.varnames}, ci.ring)
+    return ((X, rewrite),
+            (x1p * ci.cubic.poly + x_in6,
+             (x4p * x5p - x2p * x3p) * ci.quadric.poly))
 
 
 RATIONALITY_PLANES = [
@@ -97,23 +88,24 @@ RATIONALITY_INTERSECTIONS = {
 }
 
 
-def rationality_planes_check():
+def verify_rationality_planes():
     """The three planes used in the rationality argument lie on the quartic
-    threefold and meet pairwise in the printed points."""
+    threefold and meet pairwise in the printed points.  Raises ValueError
+    naming the plane that is not on it, or the pair that meets elsewhere."""
     X = Form(projected_quartic())
     one = X.ring.one
-    for covs in RATIONALITY_PLANES:
+    for k, covs in enumerate(RATIONALITY_PLANES):
         if not restrict(X, cut_out(covs, one, 2, "plane")).is_zero():
-            return False
+            raise ValueError("rationality plane %d is not on the quartic "
+                             "threefold" % k)
     for (a, b), printed in RATIONALITY_INTERSECTIONS.items():
         rows = [[lift(one, c) for c in cv]
                 for cv in RATIONALITY_PLANES[a] + RATIONALITY_PLANES[b]]
         ker = nullspace(rows, one)
-        if len(ker) != 1:
-            return False
-        if normalize(ker[0]) != normalize([lift(one, c) for c in printed]):
-            return False
-    return True
+        if (len(ker) != 1 or normalize(ker[0])
+                != normalize([lift(one, c) for c in printed])):
+            raise ValueError("rationality planes %d and %d do not meet in "
+                             "the printed point %r" % (a, b, printed))
 
 
 # ---------------------------------------------------------------------------

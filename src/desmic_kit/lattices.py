@@ -502,20 +502,12 @@ def genus_match_indefinite(l1, l2):
     Otherwise only genus-level agreement is reported."""
     s1, s2 = l1.signature(), l2.signature()
     d1, d2 = abs(l1.det()), abs(l2.det())
-    out = {"signatures": (s1, s2), "disc_orders": (d1, d2)}
-    if s1 != s2:
-        out["match"] = False
-        out["reason"] = "signatures differ"
-        return out
-    if d1 != d2:
-        out["match"] = False
-        out["reason"] = "discriminant orders differ"
+    out = {"signatures": (s1, s2), "disc_orders": (d1, d2), "match": False}
+    if s1 != s2 or d1 != d2:
         return out
     f1, _ = disc_form(l1)
     f2, _ = disc_form(l2)
     if not fq_isometric(f1, f2):
-        out["match"] = False
-        out["reason"] = "discriminant forms not isometric"
         return out
     out["match"] = True
     out["level"] = ("isomorphic by uniqueness of indefinite even "
@@ -607,7 +599,8 @@ def d5_a3_chain():
     """The chain D5+A3 inside D8 inside E8 built by glue vectors, with the
     index-2 and index-4 overlattices verified even and unimodular/disc-4.
 
-    Returns a dict with the three lattices and the two overlattice bases."""
+    Returns a dict with the three lattices and the two overlattice bases;
+    raises ValueError unless D8 lies in E8."""
     base = direct_sum("D5", "A3")
     fq, gens = disc_form(base)
     # find an isotropic element of order 4 mixing both factors
@@ -636,6 +629,8 @@ def d5_a3_chain():
     if abs(d8.det()) != 4 or d8.signature() != (0, 8):
         raise ValueError("glued D8 has det %s and signature %s"
                          % (d8.det(), d8.signature()))
+    for row in d8_basis:
+        _coords_in_basis(row, e8_basis)
     return {"base": base, "E8": e8, "D8": d8,
             "e8_basis": e8_basis, "d8_basis": d8_basis}
 
@@ -668,20 +663,21 @@ def supersingular_picard(sigma):
 D5_IN_E8 = (0, 1, 2, 3, 7)
 
 
-def _embedding_check(sub_gram, amb, rows):
-    """rows: integer images in amb of a basis of the sub lattice.  Checks
-    the Gram is preserved and the sublattice is primitive (all Smith
-    invariants of the embedding matrix equal 1)."""
+def _embedding_check(sigma, sub_gram, amb, rows):
+    """rows: integer images in amb of a basis of the sub lattice, the
+    witness for Artin invariant sigma.  Raises ValueError unless the Gram
+    is preserved and the sublattice is primitive (all Smith invariants of
+    the embedding matrix equal 1)."""
     k = len(rows)
     for i in range(k):
         for j in range(k):
-            val = bilinear(amb.gram, rows[i], rows[j])
-            if val != sub_gram[i][j]:
-                return False, "Gram not preserved at (%d, %d)" % (i, j)
+            if bilinear(amb.gram, rows[i], rows[j]) != sub_gram[i][j]:
+                raise ValueError("sigma %d witness embedding fails: Gram not "
+                                 "preserved at (%d, %d)" % (sigma, i, j))
     invs = smith_invariants(rows)
     if len(invs) != k or any(d != 1 for d in invs):
-        return False, "embedding not primitive: invariants %s" % invs
-    return True, "primitive embedding, Gram preserved"
+        raise ValueError("sigma %d witness embedding fails: embedding not "
+                         "primitive: invariants %s" % (sigma, invs))
 
 
 def _block_embedding_rows(blocks, total_rank):
@@ -757,9 +753,7 @@ def artin2_check(sigma):
              (2, [[int(j == r) for j in range(8)] for r in D5_IN_E8]),
              (10, [[int(i == j) for j in range(12)] for i in range(12)])],
             s.rank)
-        ok, how = _embedding_check(sub.gram, s, rows)
-        if not ok:
-            raise ValueError("sigma 1 witness embedding fails: %s" % how)
+        _embedding_check(sigma, sub.gram, s, rows)
         # the printed presentation agrees with the blocks used
         printed = direct_sum("U", "E8", "D8", "<-4>")
         if not genus_match_indefinite(sub, printed)["match"]:
@@ -776,9 +770,7 @@ def artin2_check(sigma):
         rows = _block_embedding_rows(
             [(0, ident(2)), (2, ident(8)), (10, ident(8)), (18, [v])],
             s.rank)
-        ok, how = _embedding_check(sub.gram, s, rows)
-        if not ok:
-            raise ValueError("sigma 2 witness embedding fails: %s" % how)
+        _embedding_check(sigma, sub.gram, s, rows)
         return {"embeddable": True}
 
     # sigma == 3: the complement would be a rank-3 even negative-definite

@@ -1,9 +1,9 @@
 """Hypersurface singularity analysis and concrete quartic/cubic models:
 the desmic pencil, Cremona's quartic (characteristic 0 and 2), the
 characteristic-2 Kummer quartic, and the Steinerian identities.  Every
-local test reads one forms.hasse_at expansion at the point: the Jacobian
-test and the A_n detection here, the node test (node_check) in forms,
-which linecomplex and cremona share.
+local test reads one forms.hasse_at expansion at the point: the
+singularity test (singular_at) and the A_n detection here, the node test
+(node_check) in forms, which linecomplex and cremona share.
 """
 
 from fractions import Fraction
@@ -16,32 +16,12 @@ from .projgeom import LineP3, normalize
 from .scalars import F4_ELEMENTS, F4, Mod, lift, one_like
 
 
-class SingularPointReport:
-    """Per-point singularity data for a Form."""
-
-    def __init__(self, point, on_hypersurface, jacobian_rank, is_singular,
-                 an_type=None):
-        self.point = point
-        self.on_hypersurface = on_hypersurface
-        self.jacobian_rank = jacobian_rank
-        self.is_singular = is_singular
-        self.an_type = an_type
-
-    def __repr__(self):
-        return ("SingularPointReport(point=%r, singular=%r, an=%r)"
-                % (self.point, self.is_singular, self.an_type))
-
-
 def singular_at(f, p):
-    """Value and gradient of f at p, read from the keys of its degree-1
-    Hasse expansion; a partial that vanishes identically (as x^2 does in
-    characteristic 2) contributes nothing."""
-    point = list(p)
-    coeffs = hasse_at(f, [lift(f.ring.one, c) for c in point], 1)
-    on = (0,) * len(point) not in coeffs
-    jac_rank = 1 if any(sum(e) == 1 for e in coeffs) else 0
-    return SingularPointReport(point, on, jac_rank,
-                               is_singular=on and jac_rank == 0)
+    """True iff p is a singular point of V(f): its degree-1 Hasse expansion
+    is empty, so the value and the gradient vanish there (a partial that
+    vanishes identically, as that of x^2 does in characteristic 2, is zero
+    at every point)."""
+    return not hasse_at(f, [lift(f.ring.one, c) for c in p], 1)
 
 
 # local equations are cut at total degree TRUNC, and A_n is named up to
@@ -370,12 +350,13 @@ def _cremona_char2(a, b, c, d, x, y, z, w):
                + x ** 2 + y ** 2 + z ** 2) ** 2)
 
 
-def char2_cremona_singular_points():
+def verify_char2_cremona_singular_points():
     """Verify the 12 parametric singular points (three families of four) and
     the extra point P_0 of the characteristic-2 Cremona quartic, working in
     F_2(a,b,c,d)[z_i] modulo the printed quartic relation (via pseudo-
-    remainder membership tests).  Returns (points, verified) per family:
-    [(4, ok)] * 3 + [(1, ok)]."""
+    remainder membership tests).  Raises ValueError naming the first
+    family, numbered from 1 with P_0 as family 4, at which the quartic or
+    one of its partials does not vanish."""
     base = PolyRing(["a", "b", "c", "d", "x", "y", "z", "w", "Z"], Mod(1, 2))
     a, b, c, d, x, y, z, w, Z = base.gens()
     F = _cremona_char2(a, b, c, d, x, y, z, w)
@@ -401,15 +382,14 @@ def char2_cremona_singular_points():
                    + b ** 4 * d ** 4 + c ** 4 * d ** 4)
          + b ** 5 * c ** 5 * d + a ** 2 * b ** 4 * c ** 4),
     ]
-    out = []
-    for fam_idx, (coords, rel) in enumerate(families):
+    for k, (coords, rel) in enumerate(families, 1):
         mapping = {"a": a, "b": b, "c": c, "d": d, "Z": Z,
                    "x": coords[0], "y": coords[1], "z": coords[2],
                    "w": coords[3]}
-        ok = all(prem(g.subst(mapping, base), rel, "Z").is_zero()
-                 for g in [F] + [partials[n] for n in ("x", "y", "z")])
-        out.append((1 if fam_idx == 3 else 4, ok))
-    return out
+        if not all(prem(g.subst(mapping, base), rel, "Z").is_zero()
+                   for g in [F] + [partials[n] for n in ("x", "y", "z")]):
+            raise ValueError("the points of family %d are not singular on "
+                             "the characteristic-2 Cremona quartic" % k)
 
 
 def cremona_char2_specialized(a_val, b_val, c_val, d_val, one=None):
@@ -433,8 +413,9 @@ KUMMER2_SIX_POINTS = [
 def kummer_char2_quartic(alpha=None):
     """F_alpha = xyzw + alpha*(x+y+z+w)^4 in characteristic 2 (alpha != 0).
 
-    Returns (form, lines, reports): the four lines of V(xyzw) in the plane
-    V(x+y+z+w), and the six singular points with their A_n verdicts."""
+    Returns (form, lines, verdicts): the four lines of V(xyzw) in the plane
+    V(x+y+z+w), and for each of the six printed points its rdp_an_type
+    verdict, or None where the point is not singular."""
     if alpha is None:
         alpha = F4(1)
     if not alpha:
@@ -452,14 +433,10 @@ def kummer_char2_quartic(alpha=None):
         h2 = [one] * 4
         h2[i] = zero
         lines.append(LineP3.from_planes(h1, h2))
-    reports = []
-    for pt in KUMMER2_SIX_POINTS:
-        rep = singular_at(form, pt)
-        if rep.is_singular:
-            series = local_series(form, pt)
-            rep.an_type = rdp_an_type(series)
-        reports.append(rep)
-    return form, lines, reports
+    verdicts = [rdp_an_type(local_series(form, pt))
+                if singular_at(form, pt) else None
+                for pt in KUMMER2_SIX_POINTS]
+    return form, lines, verdicts
 
 
 def kummer_char2_points(one=None):

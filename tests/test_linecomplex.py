@@ -13,7 +13,7 @@ import desmic_kit.cli as cli
 import desmic_kit.cremona as cr
 import desmic_kit.linecomplex as lc
 import desmic_kit.symmetry as sy
-from desmic_kit.forms import hasse_at, polar_matrix
+from desmic_kit.forms import Form, hasse_at, node_check, polar_matrix
 from desmic_kit.lattices import solve_linear
 from desmic_kit.matrices import det_poly_matrix, matrix_rank, nullspace
 from desmic_kit.poly import PolyRing, proportional_polys
@@ -793,15 +793,23 @@ def test_scan_count_stable_at_29():
 # -- projection and rationality ----------------------------------------------
 
 def test_projected_quartic_identities_nodes_and_lines():
-    rep = cr.project_to_quartic_threefold()
-    assert rep["rewrite_identity"]
-    assert rep["elimination_identity"]
-    assert rep["nodes_ok"] and len(rep["node_flags"]) == 17
-    assert rep["singular_lines_ok"]
+    for lhs, rhs in cr.projection_identity_parts():
+        assert lhs == rhs
+    form = Form(cr.projected_quartic())
+    assert len(cr.PROJECTED_NODES_17) == 17
+    assert all(node_check(form, p) for p in cr.PROJECTED_NODES_17)
+    assert all(cr.line_singular_on(form, covs)
+               for covs in cr.SINGULAR_LINES_4)
 
 
-def test_rationality_planes():
-    assert cr.rationality_planes_check()
+def test_rationality_planes(monkeypatch):
+    cr.verify_rationality_planes()
+    # x1 = x2 = 0 leaves the term x3*x4^2*x5 of the quartic
+    monkeypatch.setattr(cr, "RATIONALITY_PLANES", [
+        ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))] + cr.RATIONALITY_PLANES[1:])
+    with pytest.raises(ValueError, match="rationality plane 0 is not on "
+                       "the quartic threefold"):
+        cr.verify_rationality_planes()
 
 
 # -- the 35-nodal cubic -------------------------------------------------------

@@ -17,14 +17,14 @@ from desmic_kit.projgeom import LineP3, normalize
 from desmic_kit.scalars import F4, F4_ELEMENTS, Mod, QI, W, lift
 from desmic_kit.surfaces import (
     DESMIC_SINGULAR_12, Form,
-    KUMMER2_SIX_POINTS, char2_cremona_singular_points,
+    KUMMER2_SIX_POINTS,
     contains_line, cremona_char2_specialized, cremona_cubic_q, cubic_ring,
     desmic_identity_parts, desmic_lines_16,
     desmic_pencil_symbolic, eight_squares_parts, kummer_char2_points,
     kummer_char2_quartic,
     local_series,
     rdp_an_type, singular_at, steinerian_equation,
-    steinerian_identity_parts)
+    steinerian_identity_parts, verify_char2_cremona_singular_points)
 from desmic_kit.cremona import PROJECTED_NODES_17, projected_quartic
 from desmic_kit import surfaces
 from claims import (DESMIC_VERTICES_12, mat_apply,
@@ -61,12 +61,13 @@ def test_singular_at_cone():
     ring = PolyRing(["x", "y", "z", "w"])
     x, y, z, w = ring.gens()
     f = Form(x * x + y * y - z * z)
-    rep = singular_at(f, (0, 0, 0, 1))
-    assert rep.on_hypersurface and rep.is_singular and rep.jacobian_rank == 0
-    rep2 = singular_at(f, (1, 0, 1, 0))
-    assert rep2.on_hypersurface and not rep2.is_singular
-    rep3 = singular_at(f, (1, 1, 1, 1))
-    assert not rep3.on_hypersurface
+
+    def value(p):
+        return evaluate(f.poly, dict(zip(f.coord_vars, p)))
+
+    assert value((0, 0, 0, 1)) == 0 and singular_at(f, (0, 0, 0, 1))
+    assert value((1, 0, 1, 0)) == 0 and not singular_at(f, (1, 0, 1, 0))
+    assert value((1, 1, 1, 1)) != 0 and not singular_at(f, (1, 1, 1, 1))
 
 
 def test_node_check_true_and_false():
@@ -303,8 +304,7 @@ def test_rdp_rejects_linear_part():
 def test_desmic_twelve_singular_points_symbolic():
     f = desmic_pencil_symbolic()
     for p in DESMIC_SINGULAR_12:
-        rep = singular_at(f, p)
-        assert rep.is_singular, p
+        assert singular_at(f, p), p
 
 
 def test_desmic_twelve_nodes_symbolic():
@@ -315,8 +315,9 @@ def test_desmic_twelve_nodes_symbolic():
 
 def test_desmic_vertices_not_on_generic_member():
     f = desmic_pencil_symbolic()
+    # f(s*p) = s^4 f(p), a nonzero polynomial in a, b and s
     for p in DESMIC_VERTICES_12:
-        assert not singular_at(f, p).on_hypersurface, p
+        assert not restrict(f, [p]).is_zero(), p
 
 
 def test_desmic_sixteen_lines_in_base_locus():
@@ -579,15 +580,14 @@ def test_char2_quartic_partials():
 
 
 def test_char2_cremona_singular_points_symbolic():
-    assert char2_cremona_singular_points() == [(4, True)] * 3 + [(1, True)]
+    verify_char2_cremona_singular_points()
 
 
 def test_char2_cremona_specialized_a3():
     # at (a,b,c,d) = (0,0,1,1) the extra singular point specializes to
     # (0,0,0,1) and is a rational double point of type A_3
     F = cremona_char2_specialized(0, 0, 1, 1)
-    rep = singular_at(F, (0, 0, 0, 1))
-    assert rep.is_singular
+    assert singular_at(F, (0, 0, 0, 1))
     s = local_series(F, (0, 0, 0, 1))
     assert rdp_an_type(s) == "A3"
 
@@ -595,15 +595,19 @@ def test_char2_cremona_specialized_a3():
 # ------------------------------------------------ characteristic-2 Kummer --
 
 def test_kummer_char2_quartic_report():
-    form, lines, reports = kummer_char2_quartic()
+    form, lines, verdicts = kummer_char2_quartic()
     assert len(lines) == 4
     assert len(set(l.plucker for l in lines)) == 4
     for l in lines:
         assert contains_line(form, l)
-    assert len(reports) == 6
-    for rep in reports:
-        assert rep.is_singular
-        assert rep.an_type == "A3"
+    assert verdicts == ["A3"] * 6
+
+
+def test_kummer_char2_verdict_is_none_at_a_smooth_point(monkeypatch):
+    # (1, 1, 1, 0) is off the surface
+    monkeypatch.setattr(surfaces, "KUMMER2_SIX_POINTS",
+                        [(1, 1, 1, 0), (1, 1, 0, 0)])
+    assert kummer_char2_quartic()[2] == [None, "A3"]
 
 
 def test_kummer_char2_incidence_6_2_4_3():
