@@ -298,8 +298,8 @@ def check_char2_kummer():
                "incidence")
 
 
-def check_pg24():
-    pg = cf.pg24()
+def check_pg24(plane):
+    pg = plane()
     ok = pg.type_signature == ((21, 5), (21, 5))
     ok = ok and all(len(pg.blocks_of(p) & pg.blocks_of(q)) == 1
                     for p, q in combinations(pg.points, 2))
@@ -307,8 +307,8 @@ def check_pg24():
                "configuration with unique joins")
 
 
-def check_duad_table():
-    sysd = cf.duad_syntheme_system()
+def check_duad_table(duads):
+    sysd = duads()
     same = sysd["table"] == cf.DUAD_TABLE
     return _ok(same, "6x6 duad/syntheme table is byte-identical to the "
                "reference rendering" if same else
@@ -367,7 +367,7 @@ def check_genus_match():
 
 
 def check_span_28(data_dir):
-    rep = la.lattice_from_curves(cf.kummer_char0_system(data_dir))
+    rep = la.lattice_from_curves(la.kummer_char0_system(data_dir))
     ok = (rep["rank"] == 19 and rep["signature"] == (1, 18)
           and rep["disc_order"] == 16)
     return _ok(ok, "28-curve span has rank %d, signature %s, discriminant "
@@ -421,7 +421,10 @@ def _check_table(opt):
     pencil = functools.cache(lambda: sf.desmic_pencil_symbolic())
     tangency = functools.cache(lambda: sf.residual_conic_tangency(pencil()))
     scan = functools.cache(lambda p, unit: lc.scan_singular_points(p, unit))
-    tables = functools.cache(lambda: cf.fibration_tables())
+    plane = functools.cache(lambda: cf.pg24())
+    duads = functools.cache(lambda: cf.duad_syntheme_system())
+    tables = functools.cache(lambda: cf.fibration_tables(
+        cf.label_42_curves(plane(), duads())[0]))
     h_pairings = functools.cache(lambda: cf.divisor_pairings(tables()[0], "H"))
     scans = [row for p in opt.primes for row in (
         ("complex.scan-f%d" % p, "exhaustive scan over F_%d" % p,
@@ -486,8 +489,10 @@ def _check_table(opt):
              check_char2_kummer),
         ],
         "supersingular": [
-            ("ss.pg24", "plane over the four-element field", check_pg24),
-            ("ss.duad-table", "duad/syntheme table", check_duad_table),
+            ("ss.pg24", "plane over the four-element field", check_pg24,
+             plane),
+            ("ss.duad-table", "duad/syntheme table", check_duad_table,
+             duads),
             ("ss.fibration-tables", "three fibration tables",
              check_fibration_tables, tables),
             ("ss.reye-28", "28-curve configuration",

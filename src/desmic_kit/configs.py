@@ -3,28 +3,20 @@
 Covers the abstract side of the toolkit: the Reye configuration and the
 incidence of the desmic surface's 12 nodes with its 16 lines, the
 projective plane over the four-element field, Sylvester's
-duads/synthemes/totals, the 42-curve system with its fibration tables,
-divisor pairings on a curve system, and a JSON loader for dual-graph data
-(curve systems with intersection matrices, fibers and divisors).
+duads/synthemes/totals, curve systems (intersection matrices with fiber
+and divisor records, validated), the 42-curve system with its fibration
+tables, and divisor pairings on a curve system.  The JSON loader of curve
+systems lives in `lattices`, whose suite alone reads a curve file.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-import json
-import os
 
 from .matrices import (bilinear, exact_ratio, gram_times, integer_scaled,
                        matrix_rank, nullspace)
 from .projgeom import PLUCKER_INDEX, _orbit, normalize, on_line
 from .scalars import F4, F4_ELEMENTS, W
-
-DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
-
-
-def data_path(name, data_dir=None):
-    return os.path.join(data_dir or DATA_DIR, name)
-
 
 # ---------------------------------------------------------------------------
 # abstract configurations
@@ -127,7 +119,12 @@ def _check_witness(A, B, pmap, bmap):
 def config_isomorphic(A, B):
     """An explicit isomorphism (point map, block map) between two
     configurations, or None when an exhaustive backtracking search rules one
-    out.  Raises ValueError when the type signatures differ."""
+    out.  Raises ValueError when the type signatures differ.
+
+    Each point of A goes to a point of B of its color whose codegrees with
+    those already assigned agree.  A block of A is mapped when its last
+    point is assigned, and the search backtracks there if the image is not
+    a block of B; `_check_witness` decides each complete pair of maps."""
     if A.type_signature != B.type_signature:
         raise ValueError("configuration type mismatch: %s vs %s"
                          % (A.type_signature, B.type_signature))
@@ -140,30 +137,21 @@ def config_isomorphic(A, B):
         return None
     codA, codB = _codegrees(A), _codegrees(B)
 
-    # assign rarest colors first
+    # assign rarest colors first; closing[k] are the blocks of A whose last
+    # point in that order is order[k] (an empty block closes at once)
     order = sorted(A.points, key=lambda p: (ha[pcolA[p]], repr(p)))
+    rank = {p: k for k, p in enumerate(order)}
+    closing = [[] for _ in order]
+    for b in A.blocks:
+        closing[max((rank[p] for p in A._points_of[b]), default=0)].append(b)
+    by_pointset = {frozenset(B._points_of[b]): b for b in B.blocks}
     used = set()
     assign = {}
-
-    by_pointset = {frozenset(B._points_of[b]): b for b in B.blocks}
-
-    def block_map_for(pmap):
-        """Derive the block map from a point map, or None if some block
-        image is not a block (codegree consistency alone does not force
-        block preservation)."""
-        bmap = {}
-        for b in A.blocks:
-            s = frozenset(pmap[p] for p in A._points_of[b])
-            if s not in by_pointset:
-                return None
-            bmap[b] = by_pointset[s]
-        if len(set(bmap.values())) != len(A.blocks):
-            return None
-        return bmap
+    bmap = {}
 
     def extend(k):
         if k == len(order):
-            yield dict(assign)
+            yield dict(assign), dict(bmap)
             return
         p = order[k]
         for q in B.points:
@@ -174,17 +162,19 @@ def config_isomorphic(A, B):
             if not ok:
                 continue
             assign[p] = q
-            used.add(q)
-            yield from extend(k + 1)
+            images = [frozenset(assign[x] for x in A._points_of[b])
+                      for b in closing[k]]
+            if all(s in by_pointset for s in images):
+                for b, s in zip(closing[k], images):
+                    bmap[b] = by_pointset[s]
+                used.add(q)
+                yield from extend(k + 1)
+                used.discard(q)
             del assign[p]
-            used.discard(q)
 
-    for pmap in extend(0):
-        bmap = block_map_for(pmap)
-        if bmap is None:
-            continue
-        if _check_witness(A, B, pmap, bmap):
-            return pmap, bmap
+    for pmap, blocks in extend(0):
+        if _check_witness(A, B, pmap, blocks):
+            return pmap, blocks
     return None
 
 
@@ -519,169 +509,6 @@ def divisor_pairings(cs, name):
     return {"self": self_int, "pairings": table}
 
 
-def _is_int(value):
-    """True for a JSON integer; bool is an int subclass but not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _records(value, where, keys):
-    """value, which must be a JSON list of objects, each with no key outside
-    keys; `where` names it in the ValueError raised otherwise."""
-    if not isinstance(value, list):
-        raise ValueError("%s: %r is not a list" % (where, value))
-    for rec in value:
-        if not isinstance(rec, dict):
-            raise ValueError("%s: record %r is not an object" % (where, rec))
-        extra = sorted(set(rec) - keys)
-        if extra:
-            raise ValueError("%s: key %r is not one of %s in record %r"
-                             % (where, extra[0], sorted(keys), rec))
-    return value
-
-
-def _unique_keys(pairs):
-    """object_pairs_hook for json.load: the object as a dict; a repeated key
-    raises ValueError naming the record, its list and object values elided."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError("key %r is repeated in the record {%s}" % (
-                key, ", ".join("%r: %s" % (k, "..." if isinstance(
-                    v, (list, dict)) else repr(v)) for k, v in pairs)))
-        obj[key] = value
-    return obj
-
-
-def ingest_curve_system(path):
-    """Load and validate a curve system from its JSON file."""
-    with open(path) as fh:
-        data = json.load(fh, object_pairs_hook=_unique_keys)
-    if not isinstance(data, dict):
-        raise ValueError("top level %r is not an object" % (data,))
-    for key in data:
-        if key not in ("curves", "intersections", "fibrations",
-                       "divisors"):
-            raise ValueError("unknown top-level key %r" % key)
-    if "curves" not in data:
-        raise ValueError("missing 'curves'")
-    ids, selfints = [], {}
-    for rec in _records(data["curves"], "curves", {"id", "self"}):
-        if set(rec) != {"id", "self"}:
-            raise ValueError("bad curve record %r" % (rec,))
-        if not isinstance(rec["id"], str):
-            raise ValueError("curve record %r: id is not a string" % (rec,))
-        if not _is_int(rec["self"]):
-            raise ValueError("curve record %r: self-intersection is not an "
-                             "integer" % (rec,))
-        ids.append(rec["id"])
-        selfints[rec["id"]] = rec["self"]
-    n = len(ids)
-    index = {c: k for k, c in enumerate(ids)}
-    gram = [[0] * n for _ in range(n)]
-    for c in ids:
-        gram[index[c]][index[c]] = selfints[c]
-    given = set()
-    intersections = data.get("intersections", [])
-    if not isinstance(intersections, list):
-        raise ValueError("intersections: %r is not a list" % (intersections,))
-    for entry in intersections:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ValueError("bad intersection entry %r" % (entry,))
-        a, b, val = entry
-        # curve ids are strings, so an id of another type names no curve
-        if not all(isinstance(c, str) and c in index for c in (a, b)):
-            raise ValueError("intersection names unknown curve: %r"
-                             % (entry,))
-        if a == b:
-            raise ValueError("self-intersections belong in 'curves': %r"
-                             % (entry,))
-        if not _is_int(val):
-            raise ValueError("intersection entry %r: value is not an integer"
-                             % (entry,))
-        if frozenset((a, b)) in given:
-            raise ValueError("intersection %s.%s given twice: %r"
-                             % (a, b, entry))
-        given.add(frozenset((a, b)))
-        gram[index[a]][index[b]] = gram[index[b]][index[a]] = val
-    fibrations = _records(data.get("fibrations", []), "fibrations",
-                          {"name", "fibers"})
-    names = []
-    for fib in fibrations:
-        if set(fib) != {"name", "fibers"}:
-            raise ValueError("bad fibration record %r" % (fib.get("name"),))
-        if not isinstance(fib["name"], str):
-            raise ValueError("fibration name %r is not a string"
-                             % (fib["name"],))
-        if fib["name"] in names:
-            raise ValueError("fibration name %r is repeated" % (fib["name"],))
-        names.append(fib["name"])
-        fibers = _records(fib["fibers"],
-                          "fibration %s fibers" % (fib["name"],),
-                          {"type", "components"})
-        for k, fiber in enumerate(fibers):
-            if not fiber.get("components"):
-                raise ValueError("fibration %s fiber %d has no components: "
-                                 "%r" % (fib["name"], k, fiber))
-            if not isinstance(fiber.get("type", ""), str):
-                raise ValueError("fibration %s fiber %d: type %r is not a "
-                                 "string" % (fib["name"], k, fiber["type"]))
-            for comp in _records(fiber["components"],
-                                 "fibration %s fiber %d components"
-                                 % (fib["name"], k), {"id", "mult"}):
-                if "id" not in comp:
-                    raise ValueError("fibration %s component %r has no id"
-                                     % (fib["name"], comp))
-                if not (isinstance(comp["id"], str) and comp["id"] in index):
-                    raise ValueError(
-                        "fibration %s names unknown curve %r"
-                        % (fib["name"], comp["id"]))
-                if not (_is_int(comp.get("mult")) and comp["mult"] > 0):
-                    raise ValueError(
-                        "fibration %s component %r: multiplicity is not a "
-                        "positive integer" % (fib["name"], comp))
-    divisors = _records(data.get("divisors", []), "divisors",
-                        {"name", "terms"})
-    seen = []
-    for div in divisors:
-        if not {"name", "terms"} <= set(div):
-            raise ValueError("divisor record %r needs a name and terms"
-                             % (div,))
-        if not isinstance(div["name"], str):
-            raise ValueError("divisor name %r is not a string"
-                             % (div["name"],))
-        if div["name"] in seen:
-            raise ValueError("divisor name %r is repeated" % (div["name"],))
-        seen.append(div["name"])
-        for term in _records(div["terms"],
-                             "divisor %s terms" % (div["name"],),
-                             {"id", "class", "coeff"}):
-            keys = set(term)
-            if keys not in ({"id", "coeff"}, {"class", "coeff"}):
-                raise ValueError("bad divisor term %r in %s"
-                                 % (term, div["name"]))
-            if "id" in term and not (isinstance(term["id"], str)
-                                     and term["id"] in index):
-                raise ValueError("divisor %s names unknown curve %r"
-                                 % (div["name"], term["id"]))
-            if "class" in term and term["class"] not in names:
-                raise ValueError("divisor %s names unknown fibration %r"
-                                 % (div["name"], term["class"]))
-            coeff = term["coeff"]
-            try:  # an integer, or a string that Fraction parses
-                if not _is_int(coeff):
-                    Fraction(coeff if isinstance(coeff, str) else "")
-            except (ValueError, ZeroDivisionError):
-                raise ValueError("divisor %s term %r: coefficient is not an "
-                                 "integer or a fraction string"
-                                 % (div["name"], term)) from None
-    cs = CurveSystem(ids, gram, fibrations, divisors)
-    return cs.validate()
-
-
-def kummer_char0_system(data_dir=None):
-    return ingest_curve_system(data_path("kummer-char0.json", data_dir))
-
-
 # ---------------------------------------------------------------------------
 # the 42-curve system
 # ---------------------------------------------------------------------------
@@ -694,14 +521,17 @@ SIX_ARC = ((F4(1), F4(0), F4(0)),
            (F4(1), W * W, W))
 
 
-def label_42_curves():
+def label_42_curves(plane=None, sysd=None):
     """The 42-curve system: 21 exceptional curves over the points of the
     plane and 21 line transforms, labeled by letters 1..6, duads,
-    synthemes and totals via the fixed 6-arc.
+    synthemes and totals via the fixed 6-arc.  `plane` is pg24() and
+    `sysd` is duad_syntheme_system(), each built here when not given; the
+    incidence of points and lines is read from the plane.
 
     Returns (CurveSystem, labeling dict)."""
-    pts = _pg2_reps()
-    lines = _pg2_reps()
+    plane = plane or pg24()
+    sysd = sysd or duad_syntheme_system()
+    pts, lines = plane.points, plane.blocks
     arc = list(SIX_ARC)
     for trip in combinations(arc, 3):
         if matrix_rank([list(r) for r in trip]) != 3:
@@ -722,13 +552,12 @@ def label_42_curves():
     point_label = {}
     for k, a in enumerate(arc):
         point_label[a] = "%d" % (k + 1)
-    sysd = duad_syntheme_system()
     syntheme_strs = set(sysd["synthemes"])
     for p in pts:
         if p in point_label:
             continue
-        duads = sorted(lbl for rep, lbl in line_label.items()
-                       if _on(p, rep))
+        duads = sorted(line_label[l] for l in plane._blocks_of[p]
+                       if l in line_label)
         if len(duads) != 3:
             raise ValueError("non-arc point %s lies on the %d duad lines %s"
                              % (p, len(duads), duads))
@@ -746,7 +575,7 @@ def label_42_curves():
     for l in lines:
         if l in line_label:
             continue
-        synths = sorted(point_label[p] for p in pts if _on(p, l))
+        synths = sorted(point_label[p] for p in plane._points_of[l])
         match = [k for k, v in totals.items() if v == set(synths)]
         if len(synths) != 5 or len(match) != 1:
             raise ValueError("line %s through the synthemes %s matches the "
@@ -763,10 +592,12 @@ def label_42_curves():
     gram = [[0] * n for _ in range(n)]
     for k in range(n):
         gram[k][k] = -2
-    for a, p in enumerate(pts):
-        for b, l in enumerate(lines):
-            if _on(p, l):
-                gram[a][21 + b] = gram[21 + b][a] = 1
+    # points and lines share their coordinate tuples: two row indexes
+    prow = {p: a for a, p in enumerate(pts)}
+    lrow = {l: 21 + b for b, l in enumerate(lines)}
+    for p, l in plane.incidence:
+        a, b = prow[p], lrow[l]
+        gram[a][b] = gram[b][a] = 1
     cs = CurveSystem(ids, gram)
     cs.validate()
     # the lifted (21_5) property: each curve meets five curves, all of

@@ -1,7 +1,9 @@
 """Even integral lattices, discriminant forms, and curve-lattice checks:
 the lattice spanned by a curve system, overlattice glue, and the
 embeddability verdicts, with the integer and rational linear algebra only
-they use (Smith normal form, row bases, inertia, linear solves).
+they use (Smith normal form, row bases, inertia, linear solves), and the
+validating JSON loader of curve systems (intersection matrices, fibers
+and divisors), since the lattices suite alone reads a curve file.
 
 Root lattices are taken negative definite (the (-2)-curve convention), so
 hyperbolic Picard-type lattices have signature (1, n).  Finite quadratic
@@ -12,8 +14,11 @@ Q/Z stored as the integer tables e*q mod 2e and e*b mod e.
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+import json
 from math import gcd, lcm, prod
+import os
 
+from .configs import CurveSystem
 from .matrices import bilinear, det_poly_matrix, rref
 
 
@@ -540,6 +545,177 @@ def lattice_from_curves(cs):
             "signature": lat.signature(),
             "disc_group": lat.disc_group(),
             "disc_order": abs(lat.det())}
+
+
+# the curve files and their validating JSON loader
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+
+def data_path(name, data_dir=None):
+    return os.path.join(data_dir or DATA_DIR, name)
+
+
+def _is_int(value):
+    """True for a JSON integer; bool is an int subclass but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _records(value, where, keys):
+    """value, which must be a JSON list of objects, each with no key outside
+    keys; `where` names it in the ValueError raised otherwise."""
+    if not isinstance(value, list):
+        raise ValueError("%s: %r is not a list" % (where, value))
+    for rec in value:
+        if not isinstance(rec, dict):
+            raise ValueError("%s: record %r is not an object" % (where, rec))
+        extra = sorted(set(rec) - keys)
+        if extra:
+            raise ValueError("%s: key %r is not one of %s in record %r"
+                             % (where, extra[0], sorted(keys), rec))
+    return value
+
+
+def _unique_keys(pairs):
+    """object_pairs_hook for json.load: the object as a dict; a repeated key
+    raises ValueError naming the record, its list and object values elided."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError("key %r is repeated in the record {%s}" % (
+                key, ", ".join("%r: %s" % (k, "..." if isinstance(
+                    v, (list, dict)) else repr(v)) for k, v in pairs)))
+        obj[key] = value
+    return obj
+
+
+def ingest_curve_system(path):
+    """Load and validate a curve system from its JSON file."""
+    with open(path) as fh:
+        data = json.load(fh, object_pairs_hook=_unique_keys)
+    if not isinstance(data, dict):
+        raise ValueError("top level %r is not an object" % (data,))
+    for key in data:
+        if key not in ("curves", "intersections", "fibrations",
+                       "divisors"):
+            raise ValueError("unknown top-level key %r" % key)
+    if "curves" not in data:
+        raise ValueError("missing 'curves'")
+    ids, selfints = [], {}
+    for rec in _records(data["curves"], "curves", {"id", "self"}):
+        if set(rec) != {"id", "self"}:
+            raise ValueError("bad curve record %r" % (rec,))
+        if not isinstance(rec["id"], str):
+            raise ValueError("curve record %r: id is not a string" % (rec,))
+        if not _is_int(rec["self"]):
+            raise ValueError("curve record %r: self-intersection is not an "
+                             "integer" % (rec,))
+        ids.append(rec["id"])
+        selfints[rec["id"]] = rec["self"]
+    n = len(ids)
+    index = {c: k for k, c in enumerate(ids)}
+    gram = [[0] * n for _ in range(n)]
+    for c in ids:
+        gram[index[c]][index[c]] = selfints[c]
+    given = set()
+    intersections = data.get("intersections", [])
+    if not isinstance(intersections, list):
+        raise ValueError("intersections: %r is not a list" % (intersections,))
+    for entry in intersections:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ValueError("bad intersection entry %r" % (entry,))
+        a, b, val = entry
+        # curve ids are strings, so an id of another type names no curve
+        if not all(isinstance(c, str) and c in index for c in (a, b)):
+            raise ValueError("intersection names unknown curve: %r"
+                             % (entry,))
+        if a == b:
+            raise ValueError("self-intersections belong in 'curves': %r"
+                             % (entry,))
+        if not _is_int(val):
+            raise ValueError("intersection entry %r: value is not an integer"
+                             % (entry,))
+        if frozenset((a, b)) in given:
+            raise ValueError("intersection %s.%s given twice: %r"
+                             % (a, b, entry))
+        given.add(frozenset((a, b)))
+        gram[index[a]][index[b]] = gram[index[b]][index[a]] = val
+    fibrations = _records(data.get("fibrations", []), "fibrations",
+                          {"name", "fibers"})
+    names = []
+    for fib in fibrations:
+        if set(fib) != {"name", "fibers"}:
+            raise ValueError("bad fibration record %r" % (fib.get("name"),))
+        if not isinstance(fib["name"], str):
+            raise ValueError("fibration name %r is not a string"
+                             % (fib["name"],))
+        if fib["name"] in names:
+            raise ValueError("fibration name %r is repeated" % (fib["name"],))
+        names.append(fib["name"])
+        fibers = _records(fib["fibers"],
+                          "fibration %s fibers" % (fib["name"],),
+                          {"type", "components"})
+        for k, fiber in enumerate(fibers):
+            if not fiber.get("components"):
+                raise ValueError("fibration %s fiber %d has no components: "
+                                 "%r" % (fib["name"], k, fiber))
+            if not isinstance(fiber.get("type", ""), str):
+                raise ValueError("fibration %s fiber %d: type %r is not a "
+                                 "string" % (fib["name"], k, fiber["type"]))
+            for comp in _records(fiber["components"],
+                                 "fibration %s fiber %d components"
+                                 % (fib["name"], k), {"id", "mult"}):
+                if "id" not in comp:
+                    raise ValueError("fibration %s component %r has no id"
+                                     % (fib["name"], comp))
+                if not (isinstance(comp["id"], str) and comp["id"] in index):
+                    raise ValueError(
+                        "fibration %s names unknown curve %r"
+                        % (fib["name"], comp["id"]))
+                if not (_is_int(comp.get("mult")) and comp["mult"] > 0):
+                    raise ValueError(
+                        "fibration %s component %r: multiplicity is not a "
+                        "positive integer" % (fib["name"], comp))
+    divisors = _records(data.get("divisors", []), "divisors",
+                        {"name", "terms"})
+    seen = []
+    for div in divisors:
+        if not {"name", "terms"} <= set(div):
+            raise ValueError("divisor record %r needs a name and terms"
+                             % (div,))
+        if not isinstance(div["name"], str):
+            raise ValueError("divisor name %r is not a string"
+                             % (div["name"],))
+        if div["name"] in seen:
+            raise ValueError("divisor name %r is repeated" % (div["name"],))
+        seen.append(div["name"])
+        for term in _records(div["terms"],
+                             "divisor %s terms" % (div["name"],),
+                             {"id", "class", "coeff"}):
+            keys = set(term)
+            if keys not in ({"id", "coeff"}, {"class", "coeff"}):
+                raise ValueError("bad divisor term %r in %s"
+                                 % (term, div["name"]))
+            if "id" in term and not (isinstance(term["id"], str)
+                                     and term["id"] in index):
+                raise ValueError("divisor %s names unknown curve %r"
+                                 % (div["name"], term["id"]))
+            if "class" in term and term["class"] not in names:
+                raise ValueError("divisor %s names unknown fibration %r"
+                                 % (div["name"], term["class"]))
+            coeff = term["coeff"]
+            try:  # an integer, or a string that Fraction parses
+                if not _is_int(coeff):
+                    Fraction(coeff if isinstance(coeff, str) else "")
+            except (ValueError, ZeroDivisionError):
+                raise ValueError("divisor %s term %r: coefficient is not an "
+                                 "integer or a fraction string"
+                                 % (div["name"], term)) from None
+    cs = CurveSystem(ids, gram, fibrations, divisors)
+    return cs.validate()
+
+
+def kummer_char0_system(data_dir=None):
+    return ingest_curve_system(data_path("kummer-char0.json", data_dir))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 
-from desmic_kit.configs import DUAD_TABLE, _duad_str, _syntheme_str
+from desmic_kit.configs import DUAD_TABLE, _check_witness, _codegrees, \
+    _duad_str, _refined_colors, _syntheme_str
 from desmic_kit.lattices import _primary_parts
 from desmic_kit.matrices import bilinear, det_poly_matrix, matrix_rank, \
     nullspace
@@ -208,9 +209,6 @@ class F4Formulas:
 
     def __eq__(self, o):
         return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b, "F4"))
 
     def __repr__(self):
         return {(0, 0): "F4(0)", (1, 0): "F4(1)",
@@ -425,6 +423,61 @@ def naive_power(base, e, one):
     for _ in range(e):
         r = r * base
     return r
+
+
+def exhaustive_config_isomorphic(A, B):
+    """configs.config_isomorphic as it was before it mapped blocks during
+    the search: every point map consistent with the colors and codegrees is
+    completed first, and only then is its block map derived, rejected when
+    some block image is not a block or two blocks share an image, and the
+    pair checked."""
+    if A.type_signature != B.type_signature:
+        raise ValueError("configuration type mismatch: %s vs %s"
+                         % (A.type_signature, B.type_signature))
+    pcolA, bcolA = _refined_colors(A)
+    pcolB, bcolB = _refined_colors(B)
+    ha = Counter(pcolA.values())
+    if (ha != Counter(pcolB.values())
+            or Counter(bcolA.values()) != Counter(bcolB.values())):
+        return None
+    codA, codB = _codegrees(A), _codegrees(B)
+    order = sorted(A.points, key=lambda p: (ha[pcolA[p]], repr(p)))
+    by_pointset = {frozenset(B._points_of[b]): b for b in B.blocks}
+    used, assign = set(), {}
+
+    def block_map_for(pmap):
+        bmap = {}
+        for b in A.blocks:
+            s = frozenset(pmap[p] for p in A._points_of[b])
+            if s not in by_pointset:
+                return None
+            bmap[b] = by_pointset[s]
+        if len(set(bmap.values())) != len(A.blocks):
+            return None
+        return bmap
+
+    def extend(k):
+        if k == len(order):
+            yield dict(assign)
+            return
+        p = order[k]
+        for q in B.points:
+            if q in used or pcolB[q] != pcolA[p]:
+                continue
+            if not all(codA[(p, p2)] == codB[(q, q2)]
+                       for p2, q2 in assign.items()):
+                continue
+            assign[p] = q
+            used.add(q)
+            yield from extend(k + 1)
+            del assign[p]
+            used.discard(q)
+
+    for pmap in extend(0):
+        bmap = block_map_for(pmap)
+        if bmap is not None and _check_witness(A, B, pmap, bmap):
+            return pmap, bmap
+    return None
 
 
 def searched_duad_syntheme_system():

@@ -13,6 +13,7 @@ import pytest
 
 import desmic_kit.cli as cli
 import desmic_kit.configs as cf
+import desmic_kit.lattices as la
 
 
 def test_identity_suite_all_pass():
@@ -357,15 +358,19 @@ def test_supersingular_suite_reads_no_data_dir(tmp_path):
 
 
 def test_supersingular_run_derives_the_42_curves_once(monkeypatch):
+    # the plane, the duad system and the 42 curves are each built once per
+    # run, and the suite reads no curve file
     calls = []
-    for name in ("label_42_curves", "fibration_tables",
-                 "ingest_curve_system"):
-        real = getattr(cf, name)
-        monkeypatch.setattr(cf, name, lambda *a, name=name, real=real:
+    for module, name in ((cf, "pg24"), (cf, "duad_syntheme_system"),
+                         (cf, "label_42_curves"), (cf, "fibration_tables"),
+                         (la, "ingest_curve_system")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, name=name, real=real:
                             calls.append(name) or real(*a))
     rep = cli.run_suite("supersingular")
     assert [c.id for c in rep.failures] == ["ss.pairing-profile-printed"]
-    assert sorted(calls) == ["fibration_tables", "label_42_curves"]
+    assert sorted(calls) == ["duad_syntheme_system", "fibration_tables",
+                             "label_42_curves", "pg24"]
 
 
 def test_supersingular_suite_statuses():
@@ -830,9 +835,9 @@ XFAIL_PROFILE = {"ss.pairing-profile-printed": "pairing profile {0x15, "
 
 @pytest.mark.parametrize("how,rebound,calls", [
     ("import", XFAIL_PROFILE, ["tables", "pairings", "names"]),
-    ("unloaded", dict(XFAIL_PROFILE, **{
-        "ss.pg24": "ValueError: rebound",
-        "lat.genus-match": "ValueError: rebound"}), []),
+    ("unloaded", {cid: "ValueError: rebound" for cid in (
+        "ss.pg24", "ss.fibration-tables", "ss.reye-28", "ss.divisor-h",
+        "ss.pairing-profile-printed", "lat.genus-match")}, []),
     ("unloaded-lc-sf", {"identities.eight-squares": "ValueError: rebound",
                         "symmetry.group-1152": "ValueError: rebound"}, [])])
 def test_rebinding_configs_and_lattices_after_importing_cli(how, rebound,

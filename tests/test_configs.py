@@ -1,5 +1,5 @@
 """Tests for incidence configurations, the duad/syntheme structures, the
-42-curve system and the curve-system JSON loader."""
+42-curve system and the curve-system JSON loader (in `lattices`)."""
 
 import importlib.util
 import json
@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import desmic_kit.configs as cf
+import desmic_kit.lattices as la
 from desmic_kit.matrices import gram_times, matrix_rank
 from desmic_kit.projgeom import PLUCKER_INDEX, on_line
 from desmic_kit.surfaces import DESMIC_SINGULAR_12, desmic_lines_16
 from claims import coset_config, perm_from_cycles, plane_node_config
-from oracles import collinear_by_minors, searched_duad_syntheme_system
+from oracles import collinear_by_minors, exhaustive_config_isomorphic, \
+    searched_duad_syntheme_system
 
 
 # -- abstract configurations ---------------------------------------------------
@@ -107,7 +109,7 @@ def test_kummer_28_incidence_is_reye():
     """(12_4, 16_3) read off the 28-curve Kummer system: the twelve
     disjoint curves as points, the sixteen exceptional curves as blocks,
     incident when the curves meet."""
-    cs = cf.kummer_char0_system()
+    cs = la.kummer_char0_system()
     pts = [c for c in cs.ids if not c.startswith("T")]
     blocks = [c for c in cs.ids if c.startswith("T")]
     assert len(pts) == 12 and len(blocks) == 16
@@ -122,9 +124,9 @@ def test_isomorphism_type_mismatch_raises():
         cf.config_isomorphic(cf.reye_config(), cf.pg24())
 
 
-def test_switched_bipartite_graph_is_not_reye():
-    # swap one incidence between two disjoint blocks: degrees survive but
-    # the structure is no longer a Reye configuration
+def switched_reye():
+    """Reye with one incidence swapped between two disjoint blocks: the
+    degrees survive but the structure is no longer a Reye configuration."""
     r = cf.reye_config()
     blocks = [set(r._points_of[b]) for b in r.blocks]
     a, b = None, None
@@ -138,8 +140,12 @@ def test_switched_bipartite_graph_is_not_reye():
     blocks[a].add(pb)
     blocks[b].remove(pb)
     blocks[b].add(pa)
-    other = cf.AbstractConfig.from_blocks(r.points,
-                                          [frozenset(s) for s in blocks])
+    return cf.AbstractConfig.from_blocks(r.points,
+                                         [frozenset(s) for s in blocks])
+
+
+def test_switched_bipartite_graph_is_not_reye():
+    r, other = cf.reye_config(), switched_reye()
     assert other.type_signature == r.type_signature
     assert cf.config_isomorphic(other, r) is None
 
@@ -210,6 +216,49 @@ def test_determinant_config_matches_plane_incidence_on_second_family():
     p = plane_node_config(2)
     assert p.type_signature == ((24, 4), (16, 6))
     assert cf.config_isomorphic(d, p) is not None
+
+
+def relabeled_reye(seed):
+    """Reye with its points and blocks renamed and listed in a seeded random
+    order."""
+    r = cf.reye_config()
+    rnd = random.Random(seed)
+    names = list(range(len(r.points)))
+    rnd.shuffle(names)
+    rename = dict(zip(r.points, names))
+    blocks = [frozenset(rename[p] for p in r._points_of[b]) for b in r.blocks]
+    rnd.shuffle(blocks)
+    return cf.AbstractConfig.from_blocks(sorted(names), blocks)
+
+
+ISOMORPHISM_CASES = {
+    **{"reye-relabeled-%d" % seed: (lambda seed=seed: relabeled_reye(seed),
+                                    cf.reye_config)
+       for seed in range(4)},
+    "reye-switched": (switched_reye, cf.reye_config),
+    "desmic-12": (lambda: cf.desmic_surface_config(DESMIC_SINGULAR_12,
+                                                   desmic_lines_16()),
+                  cf.reye_config),
+    "desmic-28": (lambda: cf.extract_desmic_28(cf.fibration_tables())[1],
+                  cf.reye_config),
+    "coset": (coset_config, lambda: plane_node_config(1)),
+    "determinant": (determinant_config, lambda: plane_node_config(2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ISOMORPHISM_CASES))
+def test_isomorphism_search_agrees_with_exhaustive_oracle(case):
+    """The search that maps blocks as it goes against the exhaustive one
+    that derives the block map of each complete point map: the same
+    verdict, both ways round, and every witness an isomorphism."""
+    a, b = (make() for make in ISOMORPHISM_CASES[case])
+    for x, y in ((a, b), (b, a)):
+        got = cf.config_isomorphic(x, y)
+        want = exhaustive_config_isomorphic(x, y)
+        assert (got is None) == (want is None)
+        for iso in (got, want):
+            assert iso is None or cf._check_witness(x, y, *iso)
+    assert (want is None) == (case == "reye-switched")
 
 
 # -- the plane over the four-element field -------------------------------------
@@ -382,8 +431,8 @@ def curve_system(name):
     if name == "42-curve":
         return cf.fibration_tables()[0]
     if name == "kummer-char0":
-        return cf.kummer_char0_system()
-    return cf.ingest_curve_system(cf.data_path("kummer-char2-ordinary.json"))
+        return la.kummer_char0_system()
+    return la.ingest_curve_system(la.data_path("kummer-char2-ordinary.json"))
 
 
 SYSTEMS = ("42-curve", "kummer-char0", "kummer-char2")
@@ -492,7 +541,7 @@ def test_curve_vectors_hold_ints_for_integral_entries(name):
 # -- curve-system ingestion ------------------------------------------------------
 
 def test_checked_in_data_files_validate():
-    cs0 = cf.kummer_char0_system()
+    cs0 = la.kummer_char0_system()
     assert len(cs0.ids) == 28
     cs2 = curve_system("kummer-char2")
     assert len(cs2.ids) == 22
@@ -507,7 +556,7 @@ def test_checked_in_data_files_validate():
 
 
 def test_char0_divisor_h():
-    cs = cf.kummer_char0_system()
+    cs = la.kummer_char0_system()
     h = cs.divisor_vector("H")
     assert cs.vector_pairing(h, h) == 4
     for cid in cs.ids:
@@ -525,14 +574,14 @@ def test_char2_divisor_h():
 
 
 def test_ingest_rejects_bad_fiber(tmp_path):
-    with open(cf.data_path("kummer-char0.json")) as fh:
+    with open(la.data_path("kummer-char0.json")) as fh:
         data = json.load(fh)
     # drop one leaf from the first fiber: its class no longer squares to 0
     data["fibrations"][0]["fibers"][0]["components"].pop()
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="f1"):
-        cf.ingest_curve_system(str(bad))
+        la.ingest_curve_system(str(bad))
 
 
 def _put(value, *path):
@@ -655,24 +704,24 @@ def test_four_cycle_is_a_fiber_of_type_a3_only():
 
 
 def test_ingest_rejects_non_integral_divisor(tmp_path):
-    with open(cf.data_path("kummer-char0.json")) as fh:
+    with open(la.data_path("kummer-char0.json")) as fh:
         data = json.load(fh)
     data["divisors"].append(
         {"name": "bad", "terms": [{"id": "E0", "coeff": "1/2"}]})
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="bad"):
-        cf.ingest_curve_system(str(bad))
+        la.ingest_curve_system(str(bad))
 
 
 def test_ingest_rejects_unknown_curve(tmp_path):
-    with open(cf.data_path("kummer-char0.json")) as fh:
+    with open(la.data_path("kummer-char0.json")) as fh:
         data = json.load(fh)
     data["intersections"].append(["E0", "nonsense", 1])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="nonsense"):
-        cf.ingest_curve_system(str(bad))
+        la.ingest_curve_system(str(bad))
 
 
 def _edit_intersections(data, case):
@@ -697,19 +746,19 @@ def _edit_intersections(data, case):
     ("self-1.5", "'T00', 'self': 1.5}: self-intersection is not an integer"),
 ])
 def test_ingest_rejects_bad_intersection_values(tmp_path, case, match):
-    with open(cf.data_path("kummer-char0.json")) as fh:
+    with open(la.data_path("kummer-char0.json")) as fh:
         data = json.load(fh)
     _edit_intersections(data, case)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=match):
-        cf.ingest_curve_system(str(bad))
+        la.ingest_curve_system(str(bad))
 
 
 def _ingest_edited(tmp_path, edit):
     """Ingest the char-0 curve file after edit(data); an edit that is not
     callable replaces the whole file, and a string is the file's text."""
-    with open(cf.data_path("kummer-char0.json")) as fh:
+    with open(la.data_path("kummer-char0.json")) as fh:
         data = json.load(fh)
     if callable(edit):
         edit(data)
@@ -717,7 +766,7 @@ def _ingest_edited(tmp_path, edit):
         data = edit
     path = tmp_path / "edited.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
-    return cf.ingest_curve_system(str(path))
+    return la.ingest_curve_system(str(path))
 
 
 @pytest.mark.parametrize("value", [True, 1.5, "x"])
@@ -745,12 +794,12 @@ def test_ingest_accepts_an_integer_divisor_coefficient(tmp_path):
     def edit(data):
         data["divisors"][0]["terms"][0]["coeff"] = 1
     cs = _ingest_edited(tmp_path, edit)
-    want = cf.kummer_char0_system().divisor_vector("H")
+    want = la.kummer_char0_system().divisor_vector("H")
     assert cs.divisor_vector("H") == want
 
 
 def test_divisor_halves_are_fractions():
-    cs = cf.kummer_char0_system()
+    cs = la.kummer_char0_system()
     coeffs = {Fraction(t["coeff"]) for t in cs.divisors[0]["terms"]
               if "id" in t}
     assert coeffs == {Fraction(-1, 2)}
@@ -765,7 +814,7 @@ def test_data_files_are_what_their_writer_renders():
     writer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(writer)
     rendered = dict(writer.data_files())
-    assert sorted(os.listdir(cf.DATA_DIR)) == sorted(rendered)
+    assert sorted(os.listdir(la.DATA_DIR)) == sorted(rendered)
     for name, text in rendered.items():
-        with open(cf.data_path(name)) as fh:
+        with open(la.data_path(name)) as fh:
             assert fh.read() == text

@@ -258,7 +258,7 @@ def test_f4_agrees_with_formula_oracle_on_all_pairs():
     for x, (a, b) in zip(F4_ELEMENTS, bits):
         ox = oracles.F4Formulas(a, b)
         assert (x.a, x.b) == (a, b)
-        assert hash(x) == hash(ox) and repr(x) == repr(ox)
+        assert x is F4(ox.a, ox.b) and repr(x) == repr(ox)
         if a or b:
             assert repr(x.inverse()) == repr(ox.inverse())
         else:
@@ -274,7 +274,7 @@ def test_f4_agrees_with_formula_oracle_on_all_pairs():
             for got, want in results:
                 assert any(got is e for e in F4_ELEMENTS)
                 assert (got.a, got.b) == (want.a, want.b)
-                assert hash(got) == hash(want) and repr(got) == repr(want)
+                assert got is F4(want.a, want.b) and repr(got) == repr(want)
         for n in range(-2, 4):
             on = oracles.F4Formulas(n)
             results = [(n - x, on - ox)]
@@ -332,6 +332,25 @@ def test_scalars_survive_copy_and_pickle(how):
     q = trip(QI(Fraction(1, 3), Fraction(-2, 5)))
     assert (q.a, q.b, q.d) == (5, -6, 15)
     assert trip([Mod(3, 7), {W: QI(1, 1)}]) == [Mod(3, 7), {W: QI(1, 1)}]
+
+
+def test_f4_hash_agrees_with_equality_of_the_interned_elements():
+    # F4 hashes by identity: equal elements are one object, whether made by
+    # the constructor, a copy or a pickle round trip
+    for x in F4_ELEMENTS:
+        assert F4(x.a, x.b) is x and F4(x.a + 2, x.b - 4) is x
+        for trip in ROUND_TRIPS.values():
+            assert trip(x) is x
+    for x in F4_ELEMENTS:
+        for y in F4_ELEMENTS:
+            assert (hash(x) == hash(y)) == (x == y) == (x is y)
+    # the 21 points of PG(2,4), each a triple of first nonzero entry 1
+    triples = [(F4(1), F4(a, b), F4(c, d)) for a in (0, 1) for b in (0, 1)
+               for c in (0, 1) for d in (0, 1)]
+    triples += [(F4(0), F4(1), F4(a, b)) for a in (0, 1) for b in (0, 1)]
+    triples.append((F4(0), F4(0), F4(1)))
+    copies = copy.deepcopy(triples) + pickle.loads(pickle.dumps(triples))
+    assert len(set(triples)) == len(set(triples + copies)) == 21
 
 
 # -- the exact-type fast paths of the scalar operators ------------------------

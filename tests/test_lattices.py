@@ -335,7 +335,7 @@ def test_genus_match_self():
 # -- curve-span lattices ----------------------------------------------------------
 
 def test_28_curve_span():
-    rep = la.lattice_from_curves(cf.kummer_char0_system())
+    rep = la.lattice_from_curves(la.kummer_char0_system())
     assert rep["rank"] == 19
     assert rep["signature"] == (1, 18)
     assert rep["disc_order"] == 16
@@ -361,7 +361,7 @@ def _subsystem(cs, names):
 
 
 def test_d8_fibration_subsystem_contains_u_d8_d5_d4():
-    cs = cf.kummer_char0_system()
+    cs = la.kummer_char0_system()
     rep = la.lattice_from_curves(_subsystem(cs, d8_subsystem_names()))
     target = la.direct_sum("U", "D8", "D5", "D4")
     assert rep["rank"] == target.rank == 19
@@ -386,7 +386,7 @@ def test_42_curve_span_is_the_sigma1_lattice():
 # -- divisor pairings --------------------------------------------------------------
 
 def test_char0_h_pairings():
-    cs = cf.kummer_char0_system()
+    cs = la.kummer_char0_system()
     out = cf.divisor_pairings(cs, "H")
     assert out["self"] == 4
     for cid, val in out["pairings"].items():
@@ -395,7 +395,7 @@ def test_char0_h_pairings():
 
 def test_two_node_line_system_squares_to_four():
     # 2(E1+E2) + F1+...+F6 + 2F0 for two nodes sharing exactly one line
-    cs = cf.kummer_char0_system()
+    cs = la.kummer_char0_system()
     terms = [{"id": "E0", "coeff": "2"}, {"id": "Ep0", "coeff": "2"},
              {"id": "T00", "coeff": "2"}]
     terms += [{"id": t, "coeff": "1"}
@@ -427,7 +427,7 @@ def test_supersingular_h_profile():
 
 
 def test_divisor_pairings_invariant_under_relabeling():
-    cs = cf.kummer_char0_system()
+    cs = la.kummer_char0_system()
     order = list(reversed(cs.ids))
     idx = [cs.index[c] for c in order]
     gram = [[cs.gram[a][b] for b in idx] for a in idx]
@@ -440,7 +440,7 @@ def test_divisor_pairings_invariant_under_relabeling():
 
 def test_divisor_pairings_invariant_under_radical_shift():
     # two fibers of one fibration differ by a radical vector
-    cs = cf.kummer_char0_system()
+    cs = la.kummer_char0_system()
     extra = [{"id": "E0", "coeff": "2"}, {"id": "E1", "coeff": "-2"}]
     extra += [{"id": "T0%d" % j, "coeff": "1"} for j in range(4)]
     extra += [{"id": "T1%d" % j, "coeff": "-1"} for j in range(4)]
@@ -451,7 +451,7 @@ def test_divisor_pairings_invariant_under_radical_shift():
 
 
 def test_divisor_pairings_unknown_name():
-    cs = cf.kummer_char0_system()
+    cs = la.kummer_char0_system()
     with pytest.raises(KeyError):
         cf.divisor_pairings(cs, "nope")
 
@@ -545,7 +545,7 @@ def classify_dynkin(cs, subset):
 
 
 def test_classify_dynkin_char0_examples():
-    cs = cf.kummer_char0_system()
+    cs = la.kummer_char0_system()
     assert classify_dynkin(cs, ["T20", "E2", "T22", "T23"]) == "D4"
     assert classify_dynkin(cs, ["D3", "T30", "E3", "T32", "T33"]) == "D5"
 

@@ -7,10 +7,12 @@ for byte.  It imports nothing from desmic_kit: the 42-curve system of the
 supersingular suite is no data file, since desmic_kit.configs derives it
 from the 6-arc on every run.
 
-The incidence rules encoded here are validated independently by
-desmic_kit.configs (fiber squares, affine Dynkin shapes, divisor pairing
-integrality), so a transcription slip shows up as a validation error rather
-than silently corrupting downstream checks.
+The files are validated where they are read: desmic_kit.lattices'
+ingest_curve_system checks the records, and the desmic_kit.configs
+CurveSystem it builds checks the incidence rules encoded here (fiber
+squares, affine Dynkin shapes, divisor pairing integrality), so a
+transcription slip shows up as a validation error rather than silently
+corrupting downstream checks.
 """
 
 import json
