@@ -123,8 +123,9 @@ def config_isomorphic(A, B):
 
     Each point of A goes to a point of B of its color whose codegrees with
     those already assigned agree.  A block of A is mapped when its last
-    point is assigned, and the search backtracks there if the image is not
-    a block of B; `_check_witness` decides each complete pair of maps."""
+    point is assigned, to a block of B on the image points that no other
+    block took, and the search backtracks there if there is none;
+    `_check_witness` decides each complete pair of maps."""
     if A.type_signature != B.type_signature:
         raise ValueError("configuration type mismatch: %s vs %s"
                          % (A.type_signature, B.type_signature))
@@ -144,7 +145,9 @@ def config_isomorphic(A, B):
     closing = [[] for _ in order]
     for b in A.blocks:
         closing[max((rank[p] for p in A._points_of[b]), default=0)].append(b)
-    by_pointset = {frozenset(B._points_of[b]): b for b in B.blocks}
+    blocks_on = {}
+    for b in B.blocks:
+        blocks_on.setdefault(frozenset(B._points_of[b]), []).append(b)
     used = set()
     assign = {}
     bmap = {}
@@ -162,11 +165,17 @@ def config_isomorphic(A, B):
             if not ok:
                 continue
             assign[p] = q
-            images = [frozenset(assign[x] for x in A._points_of[b])
-                      for b in closing[k]]
-            if all(s in by_pointset for s in images):
-                for b, s in zip(closing[k], images):
-                    bmap[b] = by_pointset[s]
+            # blocks of A with one image have one point set, so they all
+            # close here: each takes the next block of B on that image
+            free = {}
+            for b in closing[k]:
+                s = frozenset(assign[x] for x in A._points_of[b])
+                image = next(free.setdefault(s, iter(blocks_on.get(s, ()))),
+                             None)
+                if image is None:
+                    break
+                bmap[b] = image
+            else:
                 used.add(q)
                 yield from extend(k + 1)
                 used.discard(q)

@@ -1,8 +1,10 @@
 """Homogeneous forms with designated coordinates, their Taylor expansion at
 a point (from one Hasse table per form and degree, built on first use), the
-polar matrix of a quadratic form, the restriction of a form to a linear
-subspace, and the one ordinary-node test (node_check): what the node and
-containment tests of surfaces, linecomplex and cremona share.
+polar matrix of a quadratic form and the smoothness test of the quadric it
+defines, the restriction of a form to a linear subspace (each term expanded
+into one exponent dict, with no polynomial product), and the ordinary-node
+test of a hypersurface (node_check): what the node and containment tests of
+surfaces, linecomplex and cremona share.
 
 Forms may carry symbolic parameters: a Form records which ring variables are
 projective coordinates; the remaining variables are parameters, and all
@@ -76,21 +78,37 @@ def restrict(f, vectors):
     """f(s0*v0 + s1*v1 + ...) as a polynomial in the parameters of f and
     s0, s1, ...: the restriction of f to the span of the vectors, with the
     parameters kept symbolic.  Entries enter the field through lift.  It is
-    the zero polynomial iff f vanishes identically on that span."""
+    the zero polynomial iff f vanishes identically on that span.
+
+    Each term of f is expanded straight into one exponent dict, one linear
+    factor sum_k v_k[j]*s_k at a time; no polynomial is multiplied."""
     one = f.ring.one
-    params = [v for v in f.ring.varnames if v not in f.coord_vars]
-    ring = PolyRing(params + ["s%d" % k for k in range(len(vectors))], one)
-    n = ring.nvars()
-    mapping = {v: ring.var(v) for v in params}
-    for j, v in enumerate(f.coord_vars):
-        # the linear form sum_k v_k[j]*s_k, built as its exponent dict
-        coeffs = {}
-        for k, vec in enumerate(vectors, len(params)):
-            c = lift(one, vec[j])
-            if c:
-                coeffs[(0,) * k + (1,) + (0,) * (n - k - 1)] = c
-        mapping[v] = MultiPoly(ring, coeffs)
-    return f.poly.subst(mapping, ring)
+    params = [k for k, v in enumerate(f.ring.varnames)
+              if v not in f.coord_vars]
+    ring = PolyRing([f.ring.varnames[k] for k in params]
+                    + ["s%d" % k for k in range(len(vectors))], one)
+    # the nonzero (k, v_k[j]) of the linear form of each coordinate j
+    linear = [[(k, c) for k, c in enumerate(lift(one, vec[j])
+                                            for vec in vectors) if c]
+              for j in range(len(f.coord_idx))]
+    start = (0,) * len(vectors)
+    out = {}
+    for exp, c in f.poly.coeffs.items():
+        terms = {start: c}
+        for j, idx in enumerate(f.coord_idx):
+            for _ in range(exp[idx]):
+                new = {}
+                for e, d in terms.items():
+                    for k, a in linear[j]:
+                        e2 = e[:k] + (e[k] + 1,) + e[k + 1:]
+                        x = d * a
+                        new[e2] = new[e2] + x if e2 in new else x
+                terms = new
+        head = tuple(exp[k] for k in params)
+        for e, d in terms.items():
+            key = head + e
+            out[key] = out[key] + d if key in out else d
+    return MultiPoly(ring, out)
 
 
 def cut_out(covectors, one, dim, what):

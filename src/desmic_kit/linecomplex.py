@@ -9,8 +9,10 @@ coordinates (x1..x6) = (p12,p13,p14,p23,p24,p34), and Klein coordinates
 
 The module verifies the 34 singular points (all ordinary nodes, each
 tested as the node (-lambda, p) of the associated cubic x0*quadric + cubic
-in P^6) and the 24 planes with their incidence configuration
-(24_{3+4}, 18_4+16_6), and scans for singular points over prime fields.
+in P^6, whose quadratic part there node_lift writes down from one Taylor
+expansion of each equation) and the 24 planes with their incidence
+configuration (24_{3+4}, 18_4+16_6), and scans for singular points over
+prime fields.
 The monomial symmetry group of order 1152 is in symmetry; the projected
 quartic threefold in P^4 with 17 nodes and 4 singular lines and the
 identification of the associated cubic with the Segre cubic are in
@@ -19,7 +21,8 @@ cremona.
 
 from itertools import permutations, product
 
-from .forms import Form, cut_out, hasse_at, node_check, restrict
+from .forms import (Form, cut_out, hasse_at, quadratic_part_smooth,
+                    restrict)
 from .matrices import rref
 from .poly import PolyRing
 from .projgeom import normalize
@@ -88,7 +91,8 @@ class CompleteIntersection35:
         """x0*quadric + cubic in P^6, with x0 put before the six
         coordinates, built on first use and kept: the cubic whose
         associated variety, from the cone point (1, 0, ..., 0), is the
-        complex."""
+        complex.  node_lift tests its nodes without building it; cremona
+        counts them on it with forms.node_check."""
         if self._associated is None:
             ring = PolyRing(["x0"] + list(self.quadric.coord_vars), self.one)
             gens = ring.gens()
@@ -162,39 +166,56 @@ def node_lift(ci, pt):
     the complex; None when p is singular on the complex but no node, or
     not singular.  Raises ValueError when the quadric is singular at p.
 
-    Value and gradient of each equation are the parameter-free entries of
-    its degree-1 forms.hasse_at expansion at the normalized point.  p is
-    singular iff both equations vanish and the cubic's gradient is lambda
-    times the quadric's; then F is singular at (-lambda, p), and p is a
-    node of the complex iff (-lambda, p) is one of F (forms.node_check).
-    For, in the chart at p's pivot with local coordinates u and
-    v = x0 + lambda, the quadratic part of F is q(u) + v*l(u), where q is
-    that of cubic - lambda*quadric with polar matrix H, and l is the
-    quadric's gradient.  Its polar matrix [[H, l^t], [l, 0]] has the rank
-    of H on the tangent space ker l plus 2 (in a basis of ker l and one w
-    with l(w) = 1, the two unit entries of the border clear row and column
-    w), so in even dimension, where a quadric is smooth iff its polar form
-    is nondegenerate in every characteristic, the two quadrics are smooth
-    together."""
+    One degree-2 forms.hasse_at expansion of each equation at the
+    normalized point gives its value, its gradient and its quadratic part.
+    p is singular iff both equations vanish and the cubic's gradient is
+    lambda times the quadric's; then F is singular at (-lambda, p), and p
+    is a node of the complex iff (-lambda, p) is one of F (what
+    forms.node_check decides on F).  For, in the chart at p's pivot
+    with local coordinates u and v = x0 + lambda, the quadratic part of F
+    is q(u) + v*l(u), where q is that of cubic - lambda*quadric with polar
+    matrix H, and l is the quadric's gradient.  That form is written down
+    here, with v last, and tested by forms.quadratic_part_smooth.  Its
+    polar matrix [[H, l^t], [l, 0]] has the rank of H on the tangent space
+    ker l plus 2 (in a basis of ker l and one w with l(w) = 1, the two unit
+    entries of the border clear row and column w), so in even dimension,
+    where a quadric is smooth iff its polar form is nondegenerate in every
+    characteristic, the two quadrics are smooth together."""
     one = ci.one
-    zero = one * 0
     pt = normalize([lift(one, c) for c in pt])
     n = len(pt)
-    keys = [(0,) * n] + [tuple(int(k == m) for m in range(n))
-                         for k in range(n)]
-    (v2, *g2), (v3, *g3) = (
-        [t[e][()] if e in t else zero for e in keys]
-        for t in (hasse_at(ci.quadric, pt, 1), hasse_at(ci.cubic, pt, 1)))
-    if v2 or v3:
+    t2, t3 = ({e: d[()] for e, d in hasse_at(f, pt, 2).items()}
+              for f in (ci.quadric, ci.cubic))
+    origin = (0,) * n
+    if origin in t2 or origin in t3:
         return None
+    zero = one * 0
+    units = [origin[:k] + (1,) + origin[k + 1:] for k in range(n)]
+    g2 = [t2.get(e, zero) for e in units]
     if not any(g2):
         raise ValueError("quadric not smooth at %r" % (pt,))
     j = next(k for k, c in enumerate(g2) if c)
-    lam = g3[j] / g2[j]
-    if any(c != lam * b for b, c in zip(g2, g3)):
+    lam = t3.get(units[j], zero) / g2[j]
+    if any(t3.get(e, zero) != lam * b for e, b in zip(units, g2)):
         return None
+    # the chart at the pivot k drops slot k; v = x0 + lambda goes last,
+    # since with the border first matrix_rank's elimination fills in
+    k = next(m for m, c in enumerate(pt) if c)
+    q2 = {}
+    for e, c in t3.items():
+        if sum(e) == 2 and not e[k]:
+            q2[e[:k] + e[k + 1:] + (0,)] = c
+    for e, c in t2.items():
+        if sum(e) == 2 and not e[k]:
+            key = e[:k] + e[k + 1:] + (0,)
+            q2[key] = q2[key] - lam * c if key in q2 else -lam * c
+    for m, c in enumerate(g2):
+        if c and m != k:
+            key = units[m][:k] + units[m][k + 1:] + (1,)
+            q2[key] = c
+    q2 = {e: c for e, c in q2.items() if c}
     lifted = (-lam,) + pt
-    return lifted if node_check(ci.associated_cubic(), lifted) else None
+    return lifted if quadratic_part_smooth(q2, n, one) else None
 
 
 def _listed_nodes(ci):

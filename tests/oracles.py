@@ -7,10 +7,13 @@ from math import gcd, lcm
 
 from desmic_kit.configs import DUAD_TABLE, _check_witness, _codegrees, \
     _duad_str, _refined_colors, _syntheme_str
+from desmic_kit.forms import hasse_at, node_check
 from desmic_kit.lattices import _primary_parts
 from desmic_kit.matrices import bilinear, det_poly_matrix, matrix_rank, \
     nullspace
 from desmic_kit.poly import MultiPoly, PolyRing
+from desmic_kit.projgeom import normalize
+from desmic_kit.scalars import lift
 
 
 # The ways a coordinate entered a field before scalars.lift replaced them.
@@ -417,6 +420,32 @@ def tangent_gram_rank(h, lin, one):
                         for u in tangent])
 
 
+def associated_cubic_node_lift(ci, pt):
+    """linecomplex.node_lift as it was before it wrote the quadratic part
+    of the associated cubic down itself: value, gradient and lambda from
+    the degree-1 hasse_at expansion of each equation, and the verdict from
+    forms.node_check on ci.associated_cubic() at the lift (-lambda, p)."""
+    one = ci.one
+    zero = one * 0
+    pt = normalize([lift(one, c) for c in pt])
+    n = len(pt)
+    keys = [(0,) * n] + [tuple(int(k == m) for m in range(n))
+                         for k in range(n)]
+    (v2, *g2), (v3, *g3) = (
+        [t[e][()] if e in t else zero for e in keys]
+        for t in (hasse_at(ci.quadric, pt, 1), hasse_at(ci.cubic, pt, 1)))
+    if v2 or v3:
+        return None
+    if not any(g2):
+        raise ValueError("quadric not smooth at %r" % (pt,))
+    j = next(k for k, c in enumerate(g2) if c)
+    lam = g3[j] / g2[j]
+    if any(c != lam * b for b, c in zip(g2, g3)):
+        return None
+    lifted = (-lam,) + pt
+    return lifted if node_check(ci.associated_cubic(), lifted) else None
+
+
 def naive_power(base, e, one):
     """base**e as the product of e factors base."""
     r = one
@@ -428,9 +457,9 @@ def naive_power(base, e, one):
 def exhaustive_config_isomorphic(A, B):
     """configs.config_isomorphic as it was before it mapped blocks during
     the search: every point map consistent with the colors and codegrees is
-    completed first, and only then is its block map derived, rejected when
-    some block image is not a block or two blocks share an image, and the
-    pair checked."""
+    completed first, and only then is its block map derived, each block
+    going to a block of B on its image points that no earlier block took
+    (rejected when there is none), and the pair checked."""
     if A.type_signature != B.type_signature:
         raise ValueError("configuration type mismatch: %s vs %s"
                          % (A.type_signature, B.type_signature))
@@ -442,18 +471,20 @@ def exhaustive_config_isomorphic(A, B):
         return None
     codA, codB = _codegrees(A), _codegrees(B)
     order = sorted(A.points, key=lambda p: (ha[pcolA[p]], repr(p)))
-    by_pointset = {frozenset(B._points_of[b]): b for b in B.blocks}
+    blocks_on = {}
+    for b in B.blocks:
+        blocks_on.setdefault(frozenset(B._points_of[b]), []).append(b)
     used, assign = set(), {}
 
     def block_map_for(pmap):
         bmap = {}
         for b in A.blocks:
             s = frozenset(pmap[p] for p in A._points_of[b])
-            if s not in by_pointset:
+            free = [c for c in blocks_on.get(s, ())
+                    if c not in bmap.values()]
+            if not free:
                 return None
-            bmap[b] = by_pointset[s]
-        if len(set(bmap.values())) != len(A.blocks):
-            return None
+            bmap[b] = free[0]
         return bmap
 
     def extend(k):

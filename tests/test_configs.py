@@ -231,6 +231,11 @@ def relabeled_reye(seed):
     return cf.AbstractConfig.from_blocks(sorted(names), blocks)
 
 
+def repeated_block_config():
+    return cf.AbstractConfig([1, 2], ["a", "b"], {(1, "a"), (2, "a"),
+                                                  (1, "b"), (2, "b")})
+
+
 ISOMORPHISM_CASES = {
     **{"reye-relabeled-%d" % seed: (lambda seed=seed: relabeled_reye(seed),
                                     cf.reye_config)
@@ -243,6 +248,8 @@ ISOMORPHISM_CASES = {
                   cf.reye_config),
     "coset": (coset_config, lambda: plane_node_config(1)),
     "determinant": (determinant_config, lambda: plane_node_config(2)),
+    # two blocks on the same two points
+    "repeated-block": (repeated_block_config, repeated_block_config),
 }
 
 

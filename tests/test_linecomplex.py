@@ -24,9 +24,10 @@ from desmic_kit.scan import run_scan
 from desmic_kit.surfaces import desmic_lines_16
 from claims import (klein_change_rows, klein_plane_labels, mat_apply,
                     perm_compose, perm_from_cycles)
-from oracles import (dense_contains_point, evaluate, localize_split,
-                     monomial_elements_by_exponents, orbit_sizes_by_elements,
-                     pairwise_closed, tangent_gram_rank)
+from oracles import (associated_cubic_node_lift, dense_contains_point,
+                     evaluate, localize_split, monomial_elements_by_exponents,
+                     orbit_sizes_by_elements, pairwise_closed,
+                     tangent_gram_rank)
 
 
 def coord_point(j):
@@ -317,12 +318,15 @@ def localize_node_report(ci, pt):
 
 def assert_node_reports_agree(ci, pts):
     """node_lift returns (-lambda, p) exactly at the oracle's nodes, with
-    the oracle's lambda and the normalized point."""
+    the oracle's lambda and the normalized point; and it returns what the
+    route through forms.node_check on the associated cubic returns."""
     for pt in pts:
         on_both, jrank, lam, rrank = localize_node_report(ci, pt)
         node = on_both and jrank == 1 and rrank == 4
         want = (-lam,) + normalize(lifted(ci.one, pt)) if node else None
-        assert lc.node_lift(ci, pt) == want, pt
+        got = lc.node_lift(ci, pt)
+        assert got == want, pt
+        assert got == associated_cubic_node_lift(ci, pt), pt
 
 
 def plucker_quadric_points(one, rng, count):
@@ -446,6 +450,71 @@ def test_node_report_agrees_at_singular_points_of_random_intersections(
         return
     assert localize_node_report(ci, point)[:2] == (True, 1)
     assert_node_reports_agree(ci, [point])
+
+
+# the seeds below reach every restricted rank over each field: 0..4, and
+# 0, 2, 4 in characteristic 2, where the polar form is alternating
+RANK_SEEDS = 70
+
+
+@pytest.mark.parametrize("one", [Fraction(1), Mod(1, 2), Mod(1, 3),
+                                 Mod(1, 13)], ids=["Q", "F2", "F3", "F13"])
+def test_node_reports_agree_at_every_restricted_rank(one):
+    ranks = set()
+    for seed in range(RANK_SEEDS):
+        ci, point = singular_complete_intersection(one, random.Random(seed))
+        if ci is None:
+            continue
+        ranks.add(localize_node_report(ci, point)[3])
+        assert_node_reports_agree(ci, [point])
+    assert ranks == ({0, 2, 4} if isinstance(one, Mod) and one.p == 2
+                     else {0, 1, 2, 3, 4})
+
+
+def test_node_inventory_makes_two_expansions_per_point(monkeypatch):
+    """Per printed point one degree-2 hasse_at of each equation, and no
+    node_check on the associated cubic: 68 expansions per coordinate
+    system, 136 per run of complex.nodes-34."""
+    import desmic_kit.forms as forms
+    real = forms.hasse_at
+    calls = []
+
+    def counted(f, p, degree):
+        calls.append(degree)
+        return real(f, p, degree)
+
+    def refused(*args):
+        raise AssertionError("node_check called")
+
+    for module in (forms, lc):
+        monkeypatch.setattr(module, "hasse_at", counted)
+        monkeypatch.setattr(module, "node_check", refused, raising=False)
+    for ci in (lc.CompleteIntersection35.plucker(),
+               lc.CompleteIntersection35.klein(),
+               lc.CompleteIntersection35.klein(i=sqrt_minus_one(13),
+                                               one=Mod(1, 13))):
+        del calls[:]
+        lifts1, lifts2 = lc.verify_node_inventory(ci)
+        assert (len(lifts1), len(lifts2)) == (18, 16)
+        assert calls == [2] * 68
+    del calls[:]
+    assert cli.check_complex_nodes()[0] == "pass"
+    assert len(calls) == 136
+
+
+def test_restrict_multiplies_no_polynomials(monkeypatch):
+    """restrict expands each term into one exponent dict: the plane
+    inventory runs without MultiPoly.subst or MultiPoly.__mul__."""
+    from desmic_kit.poly import MultiPoly
+    ci = lc.CompleteIntersection35.plucker()
+
+    def refused(*args):
+        raise AssertionError("polynomial product or substitution")
+
+    monkeypatch.setattr(MultiPoly, "subst", refused)
+    monkeypatch.setattr(MultiPoly, "__mul__", refused)
+    per_plane, _, _ = lc.verify_plane_inventory(ci)
+    assert per_plane == [(3, 4)] * 24
 
 
 @pytest.mark.parametrize("one", [Fraction(1), Mod(1, 2), Mod(1, 3),
@@ -818,3 +887,28 @@ def test_segre_change_of_variables():
     out = cr.segre_isomorphism_check()
     assert out["lambda"] == QI(24)
     assert out["nodes_mod_p"] == 35
+
+
+def test_segre_counts_only_lifts_that_pass_node_check(monkeypatch):
+    """The 35 nodes are counted by node_check on the cubic itself: a lift
+    that it rejects drops the count, and a lift at which the cubic is not
+    singular raises."""
+    one = Mod(1, cr.SEGRE_PRIME)
+    i = sqrt_minus_one(cr.SEGRE_PRIME)
+    ci = lc.CompleteIntersection35.klein(i=i, one=one)
+    first = lc.node_lift(ci, lc.klein_nodes_18(i)[0])
+    real = cr.node_check
+    monkeypatch.setattr(cr, "node_check",
+                        lambda f, p: p != first and real(f, p))
+    assert cr.segre_isomorphism_check()["nodes_mod_p"] == 34
+    monkeypatch.setattr(cr, "node_check", real)
+
+    inventory = lc.verify_node_inventory
+
+    def moved(ci):
+        lifts1, lifts2 = inventory(ci)
+        return [(lifts1[0][0] + 1,) + lifts1[0][1:]] + lifts1[1:], lifts2
+
+    monkeypatch.setattr(cr, "verify_node_inventory", moved)
+    with pytest.raises(ValueError, match="is not singular on the form"):
+        cr.segre_isomorphism_check()
