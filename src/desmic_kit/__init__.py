@@ -14,7 +14,9 @@ Library layout:
 - scan                      : singular points of the complex over F_p
 - configs                   : abstract incidence configurations and curve systems
 - lattices                  : even lattices, discriminant forms, embedding checks
-- cli                       : batch verification suites with JSON reports
+- cli                       : the batch verification runner, JSON reports
+- suite_<name>              : the checks of one suite each, imported by cli
+                              when that suite runs
 """
 
 __version__ = "0.1.0"

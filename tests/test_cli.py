@@ -13,7 +13,11 @@ import pytest
 
 import desmic_kit.cli as cli
 import desmic_kit.configs as cf
+import desmic_kit.cremona as cr
 import desmic_kit.lattices as la
+import desmic_kit.linecomplex as lc
+import desmic_kit.suite_identities as suite_identities
+import desmic_kit.surfaces as sf
 
 
 def test_identity_suite_all_pass():
@@ -84,17 +88,17 @@ SCAN_CHECKS = tuple("complex.scan-f%d%s" % (p, kind) for p in (13, 17)
 # shared input -> (suite, module, function, calls in one run, the checks
 # that read it).  The scan runs once for each of its 4 distinct arguments.
 SHARED_INPUTS = {
-    "pencil": ("desmic-surface", cli.sf, "desmic_pencil_symbolic", 1,
+    "pencil": ("desmic-surface", sf, "desmic_pencil_symbolic", 1,
                ("desmic.nodes-12", "desmic.lines-16",
                 "desmic.tangency-computed", "desmic.tangency-printed")),
-    "tangency": ("desmic-surface", cli.sf, "residual_conic_tangency", 1,
+    "tangency": ("desmic-surface", sf, "residual_conic_tangency", 1,
                  ("desmic.tangency-computed", "desmic.tangency-printed")),
-    "scan": ("line-complex", cli.lc, "scan_singular_points", 4,
+    "scan": ("line-complex", lc, "scan_singular_points", 4,
              SCAN_CHECKS),
-    "42-curve-tables": ("supersingular", cli.cf, "fibration_tables", 1,
+    "42-curve-tables": ("supersingular", cf, "fibration_tables", 1,
                         ("ss.fibration-tables", "ss.reye-28", "ss.divisor-h",
                          "ss.pairing-profile-printed")),
-    "h-pairings": ("supersingular", cli.cf, "divisor_pairings", 1,
+    "h-pairings": ("supersingular", cf, "divisor_pairings", 1,
                    ("ss.divisor-h", "ss.pairing-profile-printed")),
 }
 # the "all" case breaks every input but the pencil and the H pairings: the
@@ -159,7 +163,7 @@ def test_shared_input_failure_is_not_cached(monkeypatch, case):
 
 
 def test_rebound_check_function_is_the_one_that_runs(monkeypatch):
-    monkeypatch.setattr(cli, "check_steinerian",
+    monkeypatch.setattr(suite_identities, "check_steinerian",
                         lambda char: ("fail", "rebound in char %d" % char))
     failed = {c.id: c.details for c in cli.run_suite("identities").failures}
     assert failed == {"identities.steinerian-char0": "rebound in char 0",
@@ -168,8 +172,8 @@ def test_rebound_check_function_is_the_one_that_runs(monkeypatch):
 
 def test_a_missing_printed_node_fails_the_family_sizes(monkeypatch):
     # 17 + 16 points all pass the node test: only the count decides
-    monkeypatch.setattr(cli.lc, "PLUCKER_NODES_18",
-                        cli.lc.PLUCKER_NODES_18[:17])
+    monkeypatch.setattr(lc, "PLUCKER_NODES_18",
+                        lc.PLUCKER_NODES_18[:17])
     checks = {c.id: c for c in cli.run_suite("line-complex").checks}
     assert checks["complex.nodes-34"].status == "fail"
     assert checks["complex.nodes-34"].details == "18 + 16 = 34 listed " \
@@ -178,8 +182,8 @@ def test_a_missing_printed_node_fails_the_family_sizes(monkeypatch):
 
 def test_a_missing_printed_node_fails_the_plane_counts(monkeypatch):
     # every plane is still contained: only the incidence counts decide
-    monkeypatch.setattr(cli.lc, "PLUCKER_NODES_16",
-                        cli.lc.PLUCKER_NODES_16[1:])
+    monkeypatch.setattr(lc, "PLUCKER_NODES_16",
+                        lc.PLUCKER_NODES_16[1:])
     checks = {c.id: c for c in cli.run_suite("line-complex").checks}
     assert checks["complex.planes-24"].status == "fail"
     assert checks["complex.planes-24"].details.startswith("24 planes ")
@@ -195,11 +199,55 @@ def _changed_records(monkeypatch, suite, module, name, value):
     return {cid: rec for cid, rec in after.items() if rec != before[cid]}
 
 
+def _edited_scan(edit):
+    """linecomplex.scan_singular_points with edit(p, unit_variant, points)
+    applied to the points it finds; the count is that of the edited
+    list."""
+    real = lc.scan_singular_points
+
+    def scan(p, unit_variant=False):
+        pts = edit(p, unit_variant, real(p, unit_variant)[1])
+        return len(pts), pts
+
+    return scan
+
+
+@pytest.mark.parametrize("edit,failed", [
+    # a point dropped from the F_13 scan: its count and its match fail
+    (lambda p, unit, pts: pts[1:] if (p, unit) == (13, False) else pts,
+     {"complex.scan-f13", "complex.scan-f13-match"}),
+    # a point replaced, so the count holds: only the match fails
+    (lambda p, unit, pts: [(0,) * 6] + pts[1:] if (p, unit) == (13, False)
+     else pts, {"complex.scan-f13-match"}),
+    # a point dropped from the unit-variant scan, which nothing matches
+    (lambda p, unit, pts: pts[1:] if (p, unit) == (13, True) else pts,
+     {"complex.scan-f13-unit"})], ids=["drop", "replace", "drop-unit"])
+def test_an_edited_scan_fails_the_checks_that_read_it(monkeypatch, edit,
+                                                      failed):
+    changed = _changed_records(monkeypatch, "line-complex", lc,
+                               "scan_singular_points", _edited_scan(edit))
+    assert set(changed) == failed
+    assert all(r["status"] == "fail" for r in changed.values())
+
+
+def test_a_switched_reye_configuration_fails_the_reye_28_alone(monkeypatch):
+    # one incidence swapped between two disjoint blocks keeps the degrees;
+    # the 28 curves are then no longer isomorphic to what reye_config says
+    from test_configs import switched_reye
+    switched = switched_reye()
+    changed = _changed_records(monkeypatch, "supersingular", cf,
+                               "reye_config", lambda: switched)
+    assert changed == {"ss.reye-28": {
+        "id": "ss.reye-28", "anchor": "28-curve configuration",
+        "status": "fail",
+        "details": "ValueError: 28-curve configuration is not Reye"}}
+
+
 def test_a_moved_printed_plucker_node_fails_the_node_check(monkeypatch):
     # (1, 0, 0, 0, 0, 1) is off the quadric, and the planes through it are
     # not those through (1, 0, 0, 0, 0, 0)
-    moved = [(1, 0, 0, 0, 0, 1)] + cli.lc.PLUCKER_NODES_18[1:]
-    changed = _changed_records(monkeypatch, "line-complex", cli.lc,
+    moved = [(1, 0, 0, 0, 0, 1)] + lc.PLUCKER_NODES_18[1:]
+    changed = _changed_records(monkeypatch, "line-complex", lc,
                                "PLUCKER_NODES_18", moved)
     assert set(changed) == {"complex.nodes-34", "complex.planes-24"}
     assert all(r["status"] == "fail" for r in changed.values())
@@ -210,13 +258,13 @@ def test_a_moved_printed_plucker_node_fails_the_node_check(monkeypatch):
 def test_a_changed_klein_node_fails_the_segre_check(monkeypatch):
     # the first node (1, 0, 0, -i, 0, 0) becomes (1, 1, 0, -i, 0, 0), which
     # is off the quadric; the other cremona checks read Plucker forms only
-    listed = cli.lc.klein_nodes_18
+    listed = lc.klein_nodes_18
 
     def moved(i=None):
         pts = listed(i)
         return [pts[0][:1] + pts[0][:1] + pts[0][2:]] + pts[1:]
 
-    changed = _changed_records(monkeypatch, "cremona", cli.lc,
+    changed = _changed_records(monkeypatch, "cremona", lc,
                                "klein_nodes_18", moved)
     assert set(changed) == {"cremona.segre"}
     assert changed["cremona.segre"]["status"] == "fail"
@@ -228,8 +276,8 @@ def test_a_changed_klein_node_fails_the_segre_check(monkeypatch):
 def test_a_moved_projected_node_fails_the_seventeen_nodes(monkeypatch):
     # (0, 0, 1, 0, 1) lies on the singular line x1 = x2 = x4 = 0: singular,
     # but no ordinary node, so the count and the details drop to 16
-    moved = [(0, 0, 1, 0, 1)] + cli.cr.PROJECTED_NODES_17[1:]
-    changed = _changed_records(monkeypatch, "cremona", cli.cr,
+    moved = [(0, 0, 1, 0, 1)] + cr.PROJECTED_NODES_17[1:]
+    changed = _changed_records(monkeypatch, "cremona", cr,
                                "PROJECTED_NODES_17", moved)
     assert set(changed) == {"cremona.nodes-17"}
     assert changed["cremona.nodes-17"] == {
@@ -242,8 +290,8 @@ def test_a_nonsingular_projected_node_fails_the_seventeen_nodes_alone(
         monkeypatch):
     # (1, 0, 1, 1, 1) is not a singular point of the projected quartic; the
     # identities, lines and planes do not read the printed nodes
-    moved = [(1, 0, 1, 1, 1)] + cli.cr.PROJECTED_NODES_17[1:]
-    changed = _changed_records(monkeypatch, "cremona", cli.cr,
+    moved = [(1, 0, 1, 1, 1)] + cr.PROJECTED_NODES_17[1:]
+    changed = _changed_records(monkeypatch, "cremona", cr,
                                "PROJECTED_NODES_17", moved)
     assert set(changed) == {"cremona.nodes-17"}
     assert changed["cremona.nodes-17"]["status"] == "fail"
@@ -255,18 +303,18 @@ def test_a_smooth_printed_line_fails_the_singular_lines_alone(monkeypatch):
     # the line x1 = x2 = x3 = 0 lies on the projected quartic, but the
     # partial in x3 does not vanish along it
     lines = [((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))]
-    changed = _changed_records(monkeypatch, "cremona", cli.cr,
+    changed = _changed_records(monkeypatch, "cremona", cr,
                                "SINGULAR_LINES_4",
-                               lines + cli.cr.SINGULAR_LINES_4[1:])
+                               lines + cr.SINGULAR_LINES_4[1:])
     assert set(changed) == {"cremona.singular-lines"}
     assert changed["cremona.singular-lines"]["status"] == "fail"
 
 
 def test_a_moved_printed_meet_fails_the_rationality_planes_alone(
         monkeypatch):
-    meets = dict(cli.cr.RATIONALITY_INTERSECTIONS)
+    meets = dict(cr.RATIONALITY_INTERSECTIONS)
     meets[(0, 1)] = (1, 1, 0, 0, 0)
-    changed = _changed_records(monkeypatch, "cremona", cli.cr,
+    changed = _changed_records(monkeypatch, "cremona", cr,
                                "RATIONALITY_INTERSECTIONS", meets)
     assert set(changed) == {"cremona.rationality-planes"}
     assert changed["cremona.rationality-planes"]["status"] == "fail"
@@ -279,13 +327,13 @@ def test_a_changed_projected_quartic_fails_every_check_that_reads_it(
         monkeypatch):
     # the coefficient of x2*x3^2*x4 goes from -1 to -3; cremona.segre reads
     # the complex, not the projection
-    real = cli.cr.projected_quartic
+    real = cr.projected_quartic
 
     def changed_quartic():
-        x1, x2, x3, x4, x5 = cli.cr.X_RING.gens()
+        x1, x2, x3, x4, x5 = cr.X_RING.gens()
         return real() - (x2 * x3 * x3 * x4).scale(2)
 
-    changed = _changed_records(monkeypatch, "cremona", cli.cr,
+    changed = _changed_records(monkeypatch, "cremona", cr,
                                "projected_quartic", changed_quartic)
     assert set(changed) == {"cremona.rewrite", "cremona.nodes-17",
                             "cremona.singular-lines",
@@ -297,12 +345,12 @@ def test_a_changed_char2_cremona_quartic_fails_the_thirteen_points_alone(
         monkeypatch):
     # adding b*c*w^2*x*y cancels that term in characteristic 2; b = 0 at the
     # A_3 specialization, and the Kummer quartic is another surface
-    real = cli.sf._cremona_char2
+    real = sf._cremona_char2
 
     def changed_quartic(a, b, c, d, x, y, z, w):
         return real(a, b, c, d, x, y, z, w) + b * c * w ** 2 * x * y
 
-    changed = _changed_records(monkeypatch, "char2", cli.sf, "_cremona_char2",
+    changed = _changed_records(monkeypatch, "char2", sf, "_cremona_char2",
                                changed_quartic)
     assert set(changed) == {"char2.points-13"}
     assert changed["char2.points-13"]["status"] == "fail"
@@ -312,8 +360,8 @@ def test_a_changed_char2_cremona_quartic_fails_the_thirteen_points_alone(
 
 def test_a_moved_kummer_point_fails_the_kummer_model_alone(monkeypatch):
     # (1, 1, 1, 0) is off the characteristic-2 Kummer quartic
-    moved = [(1, 1, 1, 0)] + cli.sf.KUMMER2_SIX_POINTS[1:]
-    changed = _changed_records(monkeypatch, "char2", cli.sf,
+    moved = [(1, 1, 1, 0)] + sf.KUMMER2_SIX_POINTS[1:]
+    changed = _changed_records(monkeypatch, "char2", sf,
                                "KUMMER2_SIX_POINTS", moved)
     assert set(changed) == {"char2.kummer-model"}
     assert changed["char2.kummer-model"]["status"] == "fail"
@@ -480,6 +528,19 @@ def test_main_accepts_primes_one_mod_four(capsys):
                      "--prime", "29", "--json", "-"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["primes"] == [5, 29]
+
+
+@pytest.mark.parametrize("primes,named", [
+    ([], "no scan prime given: ()"),
+    ([13, 21], "21 is not a prime p = 1 (mod 4)"),
+    ([19, 13], "19 is not a prime p = 1 (mod 4)"),
+    ([13, "17"], "'17' is not a prime p = 1 (mod 4)"),
+    ([17, 13, 13], "prime 13 given twice")],
+    ids=["empty", "composite", "three-mod-four", "string", "repeated"])
+def test_options_reject_bad_primes_by_name(primes, named):
+    with pytest.raises(ValueError) as exc:
+        cli.Options(primes=primes)
+    assert str(exc.value) == named
 
 
 def test_duplicate_check_ids_rejected():
@@ -686,14 +747,14 @@ OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
                     "drop the rank from 4 to 1"]
 
 
-def _fresh_python(*args):
-    """Run a new interpreter with this package's src/ and the tests'
-    shared modules on its path."""
+def _fresh_python(*args, path=()):
+    """Run a new interpreter with this package's src/, the tests' shared
+    modules and the directories in `path` on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     here = os.path.dirname(os.path.abspath(__file__))
     return subprocess.run([sys.executable, *args],
-                          env=dict(os.environ,
-                                   PYTHONPATH=os.pathsep.join((src, here))),
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                              (src, here) + tuple(path))),
                           capture_output=True, text=True)
 
 
@@ -717,36 +778,42 @@ def test_all_suites_report_alike_under_python_O():
 
 # The package modules a fresh process executes: the audit hook sees the
 # module code of each import that runs.  Given a suite, the process runs
-# it; given "table", it only builds the check table.
+# it; given "import", it only imports cli.
 EXECUTED_MODULES = """
 import json, os, sys
 ran = set()
 sys.addaudithook(lambda event, args: event == "exec"
                  and ran.add(getattr(args[0], "co_filename", "")))
 import desmic_kit.cli as cli
-if sys.argv[1] == "table":
-    cli._check_table(cli.Options())
-    ok = None
-else:
-    ok = cli.run_suite(sys.argv[1]).ok
+ok = None if sys.argv[1] == "import" else cli.run_suite(sys.argv[1]).ok
 package = os.path.dirname(cli.__file__)
 print(json.dumps([ok, sorted(os.path.basename(f)[:-3] for f in ran
                              if os.path.dirname(f) == package)]))
 """
 
-# what every run executes: cli and the modules it imports eagerly
-EAGER_MODULES = {"__init__", "cli", "scalars", "matrices", "projgeom"}
-# suite -> (report ok, the modules it executes beyond EAGER_MODULES)
+# what `import desmic_kit.cli` executes, and so every run
+EAGER_MODULES = {"__init__", "cli", "scalars"}
+# suite -> (report ok, the library modules it executes beyond EAGER_MODULES);
+# each suite also executes its own suite module and no other
 SUITE_MODULES = {
-    "identities": (True, {"poly", "forms", "surfaces"}),
-    "desmic-surface": (False, {"poly", "forms", "surfaces", "configs"}),
-    "line-complex": (True, {"poly", "forms", "linecomplex", "scan"}),
-    "symmetry": (True, {"poly", "forms", "linecomplex", "symmetry"}),
-    "cremona": (True, {"poly", "forms", "linecomplex", "cremona"}),
-    "char2": (True, {"poly", "forms", "surfaces"}),
-    "supersingular": (False, {"configs"}),
-    "lattices": (True, {"configs", "lattices"}),
+    "identities": (True, {"matrices", "projgeom", "poly", "forms",
+                          "surfaces"}),
+    "desmic-surface": (False, {"matrices", "projgeom", "poly", "forms",
+                               "surfaces", "configs"}),
+    "line-complex": (True, {"matrices", "projgeom", "poly", "forms",
+                            "linecomplex", "scan"}),
+    "symmetry": (True, {"matrices", "projgeom", "poly", "forms",
+                        "linecomplex", "symmetry"}),
+    "cremona": (True, {"matrices", "projgeom", "poly", "forms",
+                       "linecomplex", "cremona"}),
+    "char2": (True, {"matrices", "projgeom", "poly", "forms", "surfaces"}),
+    "supersingular": (False, {"matrices", "projgeom", "configs"}),
+    "lattices": (True, {"matrices", "projgeom", "configs", "lattices"}),
 }
+
+
+def suite_module_name(suite):
+    return "suite_" + suite.replace("-", "_")
 
 
 @pytest.mark.parametrize("suite", cli.SUITES)
@@ -756,18 +823,60 @@ def test_suite_executes_only_its_modules(suite):
     report_ok, ran = json.loads(out.stdout)
     ok, extra = SUITE_MODULES[suite]
     assert report_ok == ok
-    assert set(ran) == EAGER_MODULES | extra
+    assert set(ran) == EAGER_MODULES | extra | {suite_module_name(suite)}
 
 
-def test_check_table_executes_no_lazily_loaded_module():
-    out = _fresh_python("-c", EXECUTED_MODULES, "table")
+def test_importing_cli_executes_only_the_eager_modules():
+    out = _fresh_python("-c", EXECUTED_MODULES, "import")
     assert out.returncode == 0, out.stderr
     assert set(json.loads(out.stdout)[1]) == EAGER_MODULES
 
 
+# Installed as sitecustomize in a fresh process: at exit it prints how many
+# times the module code of cli.py ran.  Under `python -m desmic_kit.cli`
+# that code runs as __main__, so a suite module that imported
+# desmic_kit.cli would run it a second time.
+COUNT_CLI_RUNS = """
+import atexit, os, sys
+runs = []
+sys.addaudithook(lambda event, args: event == "exec"
+                 and getattr(args[0], "co_name", "") == "<module>"
+                 and os.path.basename(getattr(args[0], "co_filename", ""))
+                 == "cli.py" and runs.append(args[0].co_filename))
+atexit.register(lambda: sys.stderr.write("cli.py ran %d times\\n"
+                                         % len(runs)))
+"""
+
+
+def test_python_m_runs_the_cli_module_once(tmp_path):
+    (tmp_path / "sitecustomize.py").write_text(COUNT_CLI_RUNS)
+    out = _fresh_python("-m", "desmic_kit.cli", "--suite", "all", "--json",
+                        "-", path=(str(tmp_path),))
+    assert out.returncode == 1, out.stderr
+    assert len(json.loads(out.stdout)["checks"]) == 37
+    assert out.stderr.splitlines()[-1] == "cli.py ran 1 times"
+
+
+def test_startup_cost_lists_the_line_complex_modules():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = _fresh_python(os.path.join(root, "tools", "startup_cost.py"),
+                        "--suite", "line-complex", "--repeats", "1")
+    assert out.returncode == 0, out.stderr
+    head, *rows = out.stdout.splitlines()
+    assert head.startswith("line-complex: %d modules, " % len(rows))
+    # each row: module, line count, "lines", milliseconds, "ms"
+    rows = [row.split() for row in rows]
+    modules = {row[0] for row in rows}
+    assert {m for m in modules if m.startswith("suite_")} == {
+        "suite_line_complex"}
+    assert modules == EAGER_MODULES | SUITE_MODULES["line-complex"][1] | {
+        "suite_line_complex"}
+    assert all(int(row[1]) > 0 and float(row[3]) > 0 for row in rows)
+
+
 # The two commands that the benchmark runs, each with its reference report
-# in perfbench/references/: a mistake in loading modules on first use that
-# shows only under `python -m` fails here.
+# in perfbench/references/: a mistake in loading suite modules that shows
+# only under `python -m` fails here.
 BENCHMARK_COMMANDS = [
     (["--suite", "supersingular"], "supersingular-13-17.json", 1),
     (["--suite", "line-complex", "--prime", "29", "--prime", "37"],
@@ -785,21 +894,26 @@ def test_fresh_cli_run_matches_benchmark_reference(args, reference, code):
         assert out.stdout.encode() == fh.read()
 
 
-# A run after lazily loaded modules were rebound in a fresh process that
-# imported cli: either configs and lattices once they have run ("import"),
-# or modules that have not run yet, reached through cli and through the
-# package, whose first use keeps the binding: configs and lattices
-# ("unloaded"), or symmetry and surfaces ("unloaded-lc-sf").  The process
-# also prints which of the six lazily loaded modules had run when it
-# rebound.
+# A run after library modules were rebound in a fresh process that imported
+# cli: configs and lattices wrapped to count their calls ("import"), or
+# rebound to raise through the package before the suite modules that read
+# them have run: configs and lattices ("unloaded"), or symmetry and
+# surfaces ("unloaded-lc-sf"); or configs and lattices rebound to raise
+# after their suites ran once, so that their suite modules are loaded
+# ("after-run").  The process also prints which suite modules had run when
+# it rebound.
 REBOUND_AFTER_IMPORT = """
 import json, os, sys
 ran = set()
 sys.addaudithook(lambda event, args: event == "exec"
                  and ran.add(os.path.basename(getattr(args[0], "co_filename",
                                                       ""))))
-import desmic_kit
 import desmic_kit.cli as cli
+import desmic_kit
+import desmic_kit.configs as cf
+import desmic_kit.lattices as la
+import desmic_kit.surfaces
+import desmic_kit.symmetry
 calls = []
 
 def rebound(*args):
@@ -807,23 +921,24 @@ def rebound(*args):
 
 suites = ("supersingular", "lattices")
 if sys.argv[1] == "import":
-    import desmic_kit.configs as cf
-    import desmic_kit.lattices as la
     real = (cf.fibration_tables, cf.divisor_pairings,
             la.curve_span_lattice_names)
     cf.fibration_tables = lambda *a: calls.append("tables") or real[0](*a)
     cf.divisor_pairings = lambda *a: calls.append("pairings") or real[1](*a)
     la.curve_span_lattice_names = lambda: calls.append("names") or real[2]()
 elif sys.argv[1] == "unloaded":
-    cli.cf.pg24 = rebound
+    desmic_kit.configs.pg24 = rebound
     desmic_kit.lattices.curve_span_lattice_names = rebound
-else:
-    cli.sy.monomial_symmetry_group = rebound
-    cli.sf.eight_squares_parts = rebound
+elif sys.argv[1] == "unloaded-lc-sf":
+    desmic_kit.symmetry.monomial_symmetry_group = rebound
+    desmic_kit.surfaces.eight_squares_parts = rebound
     suites = ("identities", "symmetry")
-early = sorted(m[:-3] for m in ("configs.py", "lattices.py",
-                                "linecomplex.py", "surfaces.py",
-                                "symmetry.py", "cremona.py") if m in ran)
+else:
+    for s in suites:
+        cli.run_suite(s)
+    cf.pg24 = rebound
+    la.curve_span_lattice_names = rebound
+early = sorted(m[:-3] for m in ran if m.startswith("suite_"))
 failed = {c.id: c.details for s in suites
           for c in cli.run_suite(s).failures}
 print(json.dumps([failed, calls, early]))
@@ -831,15 +946,17 @@ print(json.dumps([failed, calls, early]))
 
 XFAIL_PROFILE = {"ss.pairing-profile-printed": "pairing profile {0x15, "
                  "1x24, 2x3} vs printed {0x15, 1x16, 2x3, 3x8}"}
+REBOUND_SS_LAT = {cid: "ValueError: rebound" for cid in (
+    "ss.pg24", "ss.fibration-tables", "ss.reye-28", "ss.divisor-h",
+    "ss.pairing-profile-printed", "lat.genus-match")}
 
 
 @pytest.mark.parametrize("how,rebound,calls", [
     ("import", XFAIL_PROFILE, ["tables", "pairings", "names"]),
-    ("unloaded", {cid: "ValueError: rebound" for cid in (
-        "ss.pg24", "ss.fibration-tables", "ss.reye-28", "ss.divisor-h",
-        "ss.pairing-profile-printed", "lat.genus-match")}, []),
+    ("unloaded", REBOUND_SS_LAT, []),
     ("unloaded-lc-sf", {"identities.eight-squares": "ValueError: rebound",
-                        "symmetry.group-1152": "ValueError: rebound"}, [])])
+                        "symmetry.group-1152": "ValueError: rebound"}, []),
+    ("after-run", REBOUND_SS_LAT, [])])
 def test_rebinding_configs_and_lattices_after_importing_cli(how, rebound,
                                                             calls):
     out = _fresh_python("-c", REBOUND_AFTER_IMPORT, how)
@@ -847,7 +964,8 @@ def test_rebinding_configs_and_lattices_after_importing_cli(how, rebound,
     failed, seen, early = json.loads(out.stdout)
     assert failed == rebound
     assert seen == calls
-    assert early == (["configs", "lattices"] if how == "import" else [])
+    assert early == (["suite_lattices", "suite_supersingular"]
+                     if how == "after-run" else [])
 
 
 # Every module of the package, a new one included, must be free of assert
@@ -869,19 +987,36 @@ def test_module_has_no_assert_statements(module):
 
 
 def test_cli_reads_no_private_name_of_a_lazily_loaded_module():
-    """cli reaches each lazily loaded module through the alias that
-    _on_first_use binds, and reads only its public names there."""
-    with open(cli.__file__) as fh:
-        tree = ast.parse(fh.read(), filename=cli.__file__)
-    aliases = {target.id for node in tree.body if isinstance(node, ast.Assign)
-               and isinstance(node.value, ast.Call)
-               and getattr(node.value.func, "id", None) == "_on_first_use"
-               for target in node.targets}
-    assert aliases == {"fm", "sf", "lc", "sy", "cr", "cf", "la"}
-    private = ["%s.%s at line %d" % (node.value.id, node.attr, node.lineno)
-               for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-               and isinstance(node.value, ast.Name)
-               and node.value.id in aliases and node.attr.startswith("_")]
+    """Each suite module imports the library modules it reads as module
+    objects (`from . import linecomplex as lc`), never cli, and reads only
+    their public names."""
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    paths = sorted(glob.glob(os.path.join(package, "suite_*.py")))
+    assert [os.path.basename(p)[:-3] for p in paths] == sorted(
+        map(suite_module_name, cli.SUITES))
+    private = []
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1]
+        modules = {node.module or a.name for node in imports
+                   for a in node.names}
+        assert modules and "cli" not in modules, path
+        aliases = {a.asname or a.name for node in imports
+                   if node.module is None for a in node.names}
+        private += ["%s: %s.%s at line %d" % (os.path.basename(path),
+                                              node.value.id, node.attr,
+                                              node.lineno)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases
+                    and node.attr.startswith("_")]
+        private += ["%s: imports %s.%s" % (os.path.basename(path),
+                                           node.module, a.name)
+                    for node in imports if node.module is not None
+                    for a in node.names if a.name.startswith("_")]
     assert private == []
 
 

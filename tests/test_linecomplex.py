@@ -9,9 +9,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import desmic_kit.cli as cli
 import desmic_kit.cremona as cr
 import desmic_kit.linecomplex as lc
+import desmic_kit.suite_line_complex as suite_line_complex
+import desmic_kit.suite_symmetry as suite_symmetry
 import desmic_kit.symmetry as sy
 from desmic_kit.forms import Form, hasse_at, node_check, polar_matrix
 from desmic_kit.lattices import solve_linear
@@ -498,7 +499,7 @@ def test_node_inventory_makes_two_expansions_per_point(monkeypatch):
         assert (len(lifts1), len(lifts2)) == (18, 16)
         assert calls == [2] * 68
     del calls[:]
-    assert cli.check_complex_nodes()[0] == "pass"
+    assert suite_line_complex.check_complex_nodes()[0] is True
     assert len(calls) == 136
 
 
@@ -748,8 +749,8 @@ def test_dropping_a_generator_fails_the_group_check(monkeypatch, k):
     monkeypatch.setattr(sy, "GENERATORS",
                         sy.GENERATORS[:k] + sy.GENERATORS[k + 1:])
     assert not sy.monomial_symmetry_group().closed
-    status, details = cli.check_symmetry()
-    assert status == "fail"
+    verdict, details = suite_symmetry.check_symmetry()
+    assert verdict is False
     assert details.startswith("monomial symmetry group does not close at "
                               "order 1152 ")
 
