@@ -118,7 +118,7 @@ def segre_t_forms(ring):
     cubic in P^6."""
     x0, x1, x2, x3, x4, x5, x6 = ring.gens()
     i = field_i(ring.one)
-    two_x0 = x0.scale(lift(ring.one, 2))
+    two_x0 = x0.scale(2)
     t0 = two_x0 + x1 - x2 - x3
     t1 = two_x0 - x1 + x2 - x3
     t2 = two_x0 - x1 - x2 + x3

@@ -48,7 +48,6 @@ class Form:
         x^(a-e), each as often as its exponent."""
         table = self._hasse.get(degree)
         if table is None:
-            one = self.ring.one
             params = [k for k in range(self.ring.nvars())
                       if k not in self.coord_idx]
             entries = []
@@ -58,12 +57,13 @@ class Form:
                 for e in product(*(range(min(ai, degree) + 1) for ai in a)):
                     if sum(e) > degree:
                         continue
-                    ce = c * lift(one, prod(map(comb, a, e)))
+                    ce = c * prod(map(comb, a, e))
                     if ce:
                         rest = tuple(k for k, (ai, ei) in enumerate(zip(a, e))
                                      for _ in range(ai - ei))
                         entries.append((e, b, ce, rest))
-            ring = PolyRing([self.ring.varnames[k] for k in params], one)
+            ring = PolyRing([self.ring.varnames[k] for k in params],
+                            self.ring.one)
             table = self._hasse[degree] = (ring, entries)
         return table
 
@@ -77,19 +77,18 @@ class Form:
 def restrict(f, vectors):
     """f(s0*v0 + s1*v1 + ...) as a polynomial in the parameters of f and
     s0, s1, ...: the restriction of f to the span of the vectors, with the
-    parameters kept symbolic.  Entries enter the field through lift.  It is
-    the zero polynomial iff f vanishes identically on that span.
+    parameters kept symbolic.  The entries of the vectors are ints or
+    elements of the field of f; each only multiplies a coefficient of f.
+    It is the zero polynomial iff f vanishes identically on that span.
 
     Each term of f is expanded straight into one exponent dict, one linear
     factor sum_k v_k[j]*s_k at a time; no polynomial is multiplied."""
-    one = f.ring.one
     params = [k for k, v in enumerate(f.ring.varnames)
               if v not in f.coord_vars]
     ring = PolyRing([f.ring.varnames[k] for k in params]
-                    + ["s%d" % k for k in range(len(vectors))], one)
+                    + ["s%d" % k for k in range(len(vectors))], f.ring.one)
     # the nonzero (k, v_k[j]) of the linear form of each coordinate j
-    linear = [[(k, c) for k, c in enumerate(lift(one, vec[j])
-                                            for vec in vectors) if c]
+    linear = [[(k, vec[j]) for k, vec in enumerate(vectors) if vec[j]]
               for j in range(len(f.coord_idx))]
     start = (0,) * len(vectors)
     out = {}
@@ -112,10 +111,10 @@ def restrict(f, vectors):
 
 
 def cut_out(covectors, one, dim, what):
-    """A basis of the common kernel of the covectors, whose entries enter
-    the field of `one` through lift.  Raises ValueError, naming the
-    covectors as given, unless the kernel is a projective space of
-    dimension dim (the `what`: a line or a plane)."""
+    """A basis of the common kernel of the covectors, whose int entries
+    are mapped into the field of `one` (scalars.lift).  Raises ValueError,
+    naming the covectors as given, unless the kernel is a projective space
+    of dimension dim (the `what`: a line or a plane)."""
     basis = nullspace([[lift(one, c) for c in cv] for cv in covectors], one)
     if len(basis) != dim + 1:
         raise ValueError("covectors %r cut a space of dimension %d, not a %s"
@@ -164,12 +163,11 @@ def polar_matrix(q2, nvars, one):
     which is zero in characteristic 2.  Each exponent names its slots, and
     no two exponents name the same slot."""
     zero = one * 0
-    two = lift(one, 2)
     m = [[zero] * nvars for _ in range(nvars)]
     for e, c in q2.items():
         i, j = (k for k, x in enumerate(e) for _ in range(x))
         if i == j:
-            m[i][i] = c * two
+            m[i][i] = c * 2
         else:
             m[i][j] = m[j][i] = c
     return m

@@ -1,29 +1,29 @@
 """Sparse multivariate polynomials and pseudo-remainders.
 
 A polynomial is a map from exponent tuples to nonzero scalar coefficients,
-tied to a PolyRing that fixes the variable names and the coefficient field.
-Everything is exact; no floats anywhere.
+tied to a PolyRing that fixes the variable names and the coefficient field:
+Q(i) (QI) in characteristic 0, GF(p) (Mod) or F_4.  Everything is exact; no
+floats anywhere.
 """
 
-from fractions import Fraction
-
-from .scalars import Field, Mod, char_of, is_prime, lift, power
+from .scalars import QI, Field, Mod, char_of, is_prime, power
 
 
 class PolyRing:
-    """Polynomial ring k[x1,...,xn]: variable names plus the field's one."""
+    """Polynomial ring k[x1,...,xn]: variable names plus the field's one,
+    a QI, Mod or F4; any other one raises TypeError (char_of)."""
 
-    def __init__(self, varnames, one=Fraction(1)):
+    def __init__(self, varnames, one=QI(1)):
         self.varnames = tuple(varnames)
         for k, v in enumerate(self.varnames):
             if v in self.varnames[:k]:
                 raise ValueError("repeated variable %r in %r"
                                  % (v, self.varnames))
+        self.char = char_of(one)
         if isinstance(one, Mod) and not is_prime(one.p):
             raise ValueError("modulus %d is not prime" % one.p)
         self.one = one
         self.zero_exp = (0,) * len(self.varnames)
-        self.char = char_of(one)
 
     def nvars(self):
         return len(self.varnames)
@@ -38,7 +38,10 @@ class PolyRing:
         return tuple(self.var(v) for v in self.varnames)
 
     def const(self, c):
-        c = lift(self.one, c)
+        """The scalar c, an int or a field element, as a constant: it is
+        multiplied by the ring's one, which raises for a scalar that does
+        not belong, such as a Mod of another modulus."""
+        c = self.one * c
         if not c:
             return MultiPoly(self, {})
         return MultiPoly(self, {self.zero_exp: c})
@@ -57,16 +60,6 @@ class PolyRing:
 
     def __repr__(self):
         return "PolyRing(%s)" % (",".join(self.varnames))
-
-
-def _constant(ring, c):
-    """The scalar c as a constant of `ring`.  An int or a Fraction enters
-    through scalars.lift (F4 * Fraction is undefined).  Anything else is
-    multiplied by the ring's one, which raises for a scalar that does not
-    belong, such as a Mod of another modulus."""
-    if isinstance(c, (int, Fraction)):
-        return ring.const(c)
-    return MultiPoly(ring, {ring.zero_exp: ring.one * c})
 
 
 class MultiPoly:
@@ -102,8 +95,8 @@ class MultiPoly:
             if other.ring != self.ring:
                 raise ValueError("mixed polynomial rings")
             return other
-        if isinstance(other, (int, Fraction, Field)):
-            return _constant(self.ring, other)
+        if isinstance(other, (int, Field)):
+            return self.ring.const(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -172,18 +165,13 @@ class MultiPoly:
 
     def diff(self, name):
         """Formal partial derivative (char-2 safe: coefficients multiply
-        by the integer exponent image in the field, possibly zero)."""
+        by the integer exponent, possibly to zero).  Distinct terms have
+        distinct derivative exponents, so none are summed."""
         i = self.ring.varnames.index(name)
         new = {}
         for e, c in self.coeffs.items():
-            if e[i] == 0:
-                continue
-            k = lift(self.ring.one, e[i])
-            if not k:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            new[tuple(e2)] = new.get(tuple(e2), self.ring.one * 0) + c * k
+            if e[i]:
+                new[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
         return MultiPoly(self.ring, new)
 
     def subst(self, mapping, target_ring=None):
@@ -199,7 +187,7 @@ class MultiPoly:
         for e, c in self.coeffs.items():
             if isinstance(c, MultiPoly):
                 raise ValueError("nested polynomial coefficients unsupported")
-            term = _constant(target_ring, c)
+            term = target_ring.const(c)
             for name, ei in zip(self.ring.varnames, e):
                 if ei == 0:
                     continue
@@ -207,7 +195,7 @@ class MultiPoly:
                     raise ValueError("substitution misses variable %r" % name)
                 g = mapping[name]
                 if not isinstance(g, MultiPoly):
-                    g = _constant(target_ring, g)
+                    g = target_ring.const(g)
                 if g.ring != target_ring:
                     raise ValueError("substitution targets mix rings")
                 term = term * (g if ei == 1 else g ** ei)

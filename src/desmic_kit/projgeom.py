@@ -5,15 +5,17 @@ Plucker convention: (p12, p13, p14, p23, p24, p34), satisfying
 p12*p34 - p13*p24 + p14*p23 = 0.
 
 A point of any projective space, and a plane of P^3, is a tuple of field
-coordinates (see scalars.lift); normalize() gives its key.
+coordinates (see scalars.lift); normalize() gives its key.  LineP3 takes
+int coordinates into Q, the QI values with zero imaginary part.
 _orbit() is the one orbit search: group closure, orbits, coset subgroups
 and fiber connectivity.
 """
 
-from fractions import Fraction
-
 from .matrices import nullspace
-from .scalars import Frozen, lift, one_like
+from .scalars import QI, Frozen, lift, one_like
+
+# the one of Q, into which LineP3 lifts int coordinates
+_Q = QI(1)
 
 
 def _orbit(seed, gens, action, keys=None):
@@ -63,14 +65,15 @@ def on_line(m, r):
 
 class LineP3(Frozen):
     """Line in P^3 through two points, given as coordinate sequences, with
-    cached Plucker coordinates (p12,p13,p14,p23,p24,p34).  Int and Fraction
-    coordinates are lifted into the rationals."""
+    cached Plucker coordinates (p12,p13,p14,p23,p24,p34).  Int coordinates
+    are lifted into Q; field elements, such as the F_4 covectors of the
+    characteristic-2 Kummer quartic, are kept."""
 
     __slots__ = ("p", "q", "plucker")
 
     def __init__(self, p, q):
-        p = tuple(lift(Fraction(1), c) for c in p)
-        q = tuple(lift(Fraction(1), c) for c in q)
+        p = tuple(lift(_Q, c) for c in p)
+        q = tuple(lift(_Q, c) for c in q)
         pl = tuple(p[i] * q[j] - p[j] * q[i] for i, j in PLUCKER_INDEX)
         if not any(pl):
             raise ValueError("dependent spanning points")
@@ -90,7 +93,7 @@ class LineP3(Frozen):
     def from_planes(cls, h1, h2):
         """The intersection line of two distinct planes, given as
         covector sequences."""
-        rows = [[lift(Fraction(1), c) for c in h] for h in (h1, h2)]
+        rows = [[lift(_Q, c) for c in h] for h in (h1, h2)]
         ker = nullspace(rows, one_like(rows[0][0]))
         if len(ker) != 2:
             raise ValueError("planes do not meet in a line")

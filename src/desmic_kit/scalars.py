@@ -1,8 +1,8 @@
 """Exact scalar arithmetic: prime fields, Gaussian rationals, F_4.
 
-Plain rationals are represented by fractions.Fraction (or int); the classes
-here supply the remaining field variants.  All values are immutable and
-hashable, and arithmetic accepts plain ints on either side.
+The rationals are the QI values with zero imaginary part, so Q(i) is the
+one field of characteristic 0.  All values are immutable and hashable, and
+arithmetic accepts plain ints on either side.
 """
 
 from fractions import Fraction
@@ -189,29 +189,20 @@ def sqrt_minus_one(p):
 
 
 def field_i(one):
-    """The designated square root of -1 in the field of `one`: i in Q and
-    Q(i), sqrt_minus_one(p) in GF(p).  Other fields raise ValueError."""
+    """The designated square root of -1 in the field of `one`: i in Q(i),
+    sqrt_minus_one(p) in GF(p).  Other fields raise ValueError."""
     if isinstance(one, Mod):
         return sqrt_minus_one(one.p)
-    if isinstance(one, (int, Fraction, QI)):
+    if isinstance(one, QI):
         return I
     raise ValueError("field lacks a designated square root of -1")
 
 
 def lift(one, x):
-    """Image of x in the field of `one`, times `one`.  An int n maps to
-    one*n and a Fraction n/d to (one*n)/d, with d taken into the field
-    through its identity, which also serves F_4, where F4 * Fraction is
-    undefined; with an int `one` (the rationals) a Fraction maps to one*x,
-    since int / int is a float.  Anything else is taken to be a field
-    element already and is returned unchanged."""
-    if isinstance(x, int):
-        return one * x
-    if isinstance(x, Fraction):
-        if isinstance(one, int):
-            return one * x
-        return one * x.numerator / (one_like(one) * x.denominator)
-    return x
+    """Image of x in the field of `one`: an int n maps to one*n, and
+    anything else is taken to be a field element already and is returned
+    unchanged."""
+    return one * x if isinstance(x, int) else x
 
 
 class QI(Field):
@@ -450,7 +441,7 @@ def char_of(x):
         return x.p
     if isinstance(x, F4):
         return 2
-    if isinstance(x, (int, Fraction, QI)):
+    if isinstance(x, QI):
         return 0
     raise TypeError("unknown scalar type %r" % type(x))
 
@@ -463,8 +454,6 @@ def one_like(x):
         return F4(1)
     if isinstance(x, QI):
         return QI._make(1, 0, 1)
-    if isinstance(x, (int, Fraction)):
-        return Fraction(1)
     raise TypeError("unknown scalar type %r" % type(x))
 
 

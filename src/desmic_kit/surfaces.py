@@ -6,14 +6,12 @@ singularity test (singular_at) and the A_n detection here, the node test
 (node_check) in forms, which linecomplex and cremona share.
 """
 
-from fractions import Fraction
-
 from .forms import (Form, _chart, hasse_at, polar_matrix,
                     quadratic_part_smooth, restrict)
 from .matrices import nullspace
 from .poly import MultiPoly, PolyRing, coeff_in, prem
 from .projgeom import LineP3, normalize
-from .scalars import F4_ELEMENTS, F4, Mod, lift, one_like
+from .scalars import F4_ELEMENTS, F4, QI, Mod, lift, one_like
 
 
 def singular_at(f, p):
@@ -223,7 +221,8 @@ def residual_conic_tangency(f):
     (condition, conic, conic_ring): condition lives in k[params, u, v] and
     is linear in (u, v); the conic is a quadratic in plane coordinates
     (s, t, r) with the line at r = 0."""
-    h1, h2 = ([Fraction(c) for c in h] for h in TANGENCY_PLANES)
+    one = f.ring.one
+    h1, h2 = ([lift(one, c) for c in h] for h in TANGENCY_PLANES)
     line = LineP3.from_planes(h1, h2)
 
     def dot(h, x):
@@ -231,20 +230,18 @@ def residual_conic_tangency(f):
 
     # third spanning point of the plane V(u*h1 + v*h2): P3 = v*A - u*B with
     # A in V(h2), B in V(h1), scaled so h1(A) = h2(B).
-    A = next(x for x in nullspace([h2], Fraction(1)) if dot(h1, x))
-    B = next(x for x in nullspace([h1], Fraction(1)) if dot(h2, x))
+    A = next(x for x in nullspace([h2], one) if dot(h1, x))
+    B = next(x for x in nullspace([h1], one) if dot(h2, x))
     sc = dot(h1, A) / dot(h2, B)
     B = [sc * c for c in B]
 
     pr = [v for v in f.ring.varnames if v not in f.coord_vars]
-    ring = PolyRing(pr + ["u", "v", "s", "t", "r"], f.ring.one)
+    ring = PolyRing(pr + ["u", "v", "s", "t", "r"], one)
     u, v, s, t, r = (ring.var(n) for n in ("u", "v", "s", "t", "r"))
     mapping = {n: ring.var(n) for n in pr}
     for k, name in enumerate(f.coord_vars):
-        mapping[name] = (s.scale(f.ring.one * line.p[k])
-                         + t.scale(f.ring.one * line.q[k])
-                         + (r * v).scale(f.ring.one * A[k])
-                         - (r * u).scale(f.ring.one * B[k]))
+        mapping[name] = (s.scale(line.p[k]) + t.scale(line.q[k])
+                         + (r * v).scale(A[k]) - (r * u).scale(B[k]))
     fbig = f.poly.subst(mapping, ring)
     if coeff_in(fbig, "r", 0):
         raise ValueError("the form does not vanish on the line %r" % (line,))
@@ -263,11 +260,11 @@ def residual_conic_tangency(f):
               for g in (fu, fv))
     if fu * cv != fv * cu:
         raise ValueError("no single linear tangency condition")
-    uab = PolyRing(pr + ["u", "v"], f.ring.one)
+    uab = PolyRing(pr + ["u", "v"], one)
     condition = (cu * u + cv * v).subst(
         {n: uab.var(n) for n in uab.varnames}, uab)
     # residual conic at the tangent plane (u, v) = (cv, -cu)
-    big = PolyRing(pr + ["s", "t", "r"], f.ring.one)
+    big = PolyRing(pr + ["s", "t", "r"], one)
     sub2 = {n: big.var(n) for n in big.varnames}
     sub2["u"], sub2["v"] = cv.subst(sub2, big), -cu.subst(sub2, big)
     conic = fbig.subst(sub2, big).divexact(big.var("r") ** 2)
@@ -276,7 +273,7 @@ def residual_conic_tangency(f):
 
 # --------------------------------------------------------- Cremona quartic --
 
-def cubic_ring(one=Fraction(1)):
+def cubic_ring(one=QI(1)):
     return PolyRing(["a", "b", "c", "d", "x", "y", "z", "w"], one)
 
 
@@ -299,7 +296,7 @@ def steinerian_equation(q):
 def steinerian_identity_parts(char=0):
     """(lhs, rhs) for the identity f^2 - f_x f_y f_z = G w^2 with symbolic
     a, b, c, d, in characteristic 0 or 2."""
-    one = Fraction(1) if char == 0 else Mod(1, 2)
+    one = QI(1) if char == 0 else Mod(1, 2)
     ring = cubic_ring(one)
     w = ring.var("w")
     q = cremona_cubic_q(ring)
@@ -319,7 +316,7 @@ def desmic_identity_parts():
           * (x + y + z + w))
     t2 = ((-x + y + z + w) * (x - y + z + w) * (x + y - z + w)
           * (x + y + z - w))
-    lhs = (x * y * z * w).scale(Fraction(-16)) + t1 + t2
+    lhs = (x * y * z * w).scale(-16) + t1 + t2
     return lhs, ring.zero()
 
 
@@ -327,13 +324,12 @@ def eight_squares_parts():
     """(lhs, rhs) for 8(x^2+y^2+z^2+w^2) = sum of the eight squares."""
     ring = PolyRing(["x", "y", "z", "w"])
     x, y, z, w = ring.gens()
-    lhs = (x * x + y * y + z * z + w * w).scale(Fraction(8))
+    lhs = (x * x + y * y + z * z + w * w).scale(8)
     signs = [(-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1),
              (-1, -1, 1), (-1, 1, -1), (1, -1, -1), (1, 1, 1)]
     rhs = ring.zero()
     for sy, sz, sw in signs:
-        l = x + y.scale(Fraction(sy)) + z.scale(Fraction(sz)) \
-            + w.scale(Fraction(sw))
+        l = x + y.scale(sy) + z.scale(sz) + w.scale(sw)
         rhs = rhs + l * l
     return lhs, rhs
 

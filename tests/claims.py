@@ -7,7 +7,6 @@ plane/node incidence configurations, and the rank of the 24 points
 projected to the plane.
 """
 
-from fractions import Fraction
 from itertools import permutations
 
 import desmic_kit.linecomplex as lc
@@ -38,8 +37,8 @@ def klein_change_rows(i):
 
 
 def mat_apply(m, point):
-    """The point m * point, its coordinates lifted into the rationals."""
-    return tuple(lift(Fraction(1), sum(a * x for a, x in zip(row, point)))
+    """The point m * point, its int coordinates lifted into Q(i)."""
+    return tuple(lift(QI(1), sum(a * x for a, x in zip(row, point)))
                  for row in m)
 
 
@@ -127,7 +126,7 @@ def plane_node_config(family):
     (16 points, 4 per plane)."""
     if family not in (1, 2):
         raise ValueError("plane family %r is not 1 or 2" % (family,))
-    one = Fraction(1)
+    one = QI(1)
     planes = lc.plucker_plane_list(one)
     nodes = lc.PLUCKER_NODES_18 if family == 1 else lc.PLUCKER_NODES_16
     pts = list(range(len(planes)))
@@ -155,9 +154,9 @@ DESMIC_VERTICES_12 = [
 def projected_24_points_quartic_rank(center):
     """Project the 12 nodes plus 12 vertices from `center` to P^2 and return
     the rank of the 24 x 15 evaluation matrix of plane quartic monomials."""
-    pts = [tuple(lift(Fraction(1), x) for x in p)
+    pts = [tuple(lift(QI(1), x) for x in p)
            for p in DESMIC_SINGULAR_12 + DESMIC_VERTICES_12]
-    c = tuple(lift(Fraction(1), x) for x in center)
+    c = tuple(lift(QI(1), x) for x in center)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if matrix_rank([list(pts[i]), list(pts[j]), list(c)]) <= 2:
@@ -169,7 +168,7 @@ def quartic_rank_of_projection(pts, c):
     """Rank of the plane quartic monomials at the images of pts under the
     projection from c."""
     # basis of linear forms vanishing at c
-    forms = nullspace([list(c)], Fraction(1))  # 3 covectors
+    forms = nullspace([list(c)], QI(1))  # 3 covectors
     if len(forms) != 3:
         raise ValueError("center %r has %d independent linear forms through "
                          "it, not 3" % (c, len(forms)))

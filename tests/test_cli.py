@@ -367,6 +367,42 @@ def test_a_moved_kummer_point_fails_the_kummer_model_alone(monkeypatch):
     assert changed["char2.kummer-model"]["status"] == "fail"
 
 
+_real_lines, _real_steinerian = sf.desmic_lines_16, sf.steinerian_equation
+
+
+def _flipped_steinerian(q):
+    """Humbert's Steinerian equation with - xyz q_w in place of + xyz q_w,
+    which is the same equation in characteristic 2."""
+    x, y, z = (q.ring.var(n) for n in ("x", "y", "z"))
+    return _real_steinerian(q) - (x * y * z * q.diff("w")).scale(2)
+
+
+@pytest.mark.parametrize("suite,name,value,failed", [
+    # (1, 1, 1, 2) is not singular on the generic member, and the lines no
+    # longer meet the twelve points in a Reye configuration
+    ("desmic-surface", "DESMIC_SINGULAR_12",
+     sf.DESMIC_SINGULAR_12[:4] + [(1, 1, 1, 2)] + sf.DESMIC_SINGULAR_12[5:],
+     {"desmic.nodes-12", "desmic.reye-incidence"}),
+    # V(x+y, z+w) is not on the generic member, which restricts to
+    # (b - c)(x^2 - w^2)^2 there
+    ("desmic-surface", "desmic_lines_16",
+     lambda: [sf.LineP3.from_planes((1, 1, 0, 0), (0, 0, 1, 1))]
+     + _real_lines()[1:],
+     {"desmic.lines-16", "desmic.reye-incidence"}),
+    # the generic member restricts to (b - c) z^2 w^2 on V(x, y)
+    ("desmic-surface", "TANGENCY_PLANES", ((1, 0, 0, 0), (0, 1, 0, 0)),
+     {"desmic.tangency-computed", "desmic.tangency-printed"}),
+    # the characteristic-2 identity holds still: the two are independent
+    ("identities", "steinerian_equation", _flipped_steinerian,
+     {"identities.steinerian-char0"})],
+    ids=["node", "line", "tangency-line", "steinerian-sign"])
+def test_a_changed_rational_record_fails_the_checks_that_read_it(
+        monkeypatch, suite, name, value, failed):
+    changed = _changed_records(monkeypatch, suite, sf, name, value)
+    assert set(changed) == failed
+    assert all(r["status"] == "fail" for r in changed.values())
+
+
 def test_lattice_suite_passes():
     rep = cli.run_suite("lattices")
     assert rep.ok and len(rep.checks) == 5
@@ -645,7 +681,7 @@ for case in (lambda: run_scan(13, 0),
                                                lc.Form(a * b * c), "plucker"),
              lambda: lc.node_lift(klein_f2, (1, 1, 0, 0, 0, 0)),
              lambda: lc.PlaneInP5([[int(j == k) for j in range(5)]
-                                   for k in range(3)], Fraction(1)),
+                                   for k in range(3)], QI(1)),
              lambda: artin_with_wrong_witness(1),
              lambda: artin_with_wrong_witness(2),
              lambda: cf.fibration_tables(relabeled_42("12", "2", 0)),
@@ -710,8 +746,7 @@ OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
                     "mixed moduli 5 and 7", "degrees 3 and 2, not 2 and 3",
                     "quadric in 5 coordinates", "not smooth at (Mod(1, 2), "
                     "Mod(1, 2), Mod(0, 2)",
-                    "(Fraction(0, 1), Fraction(0, 1), Fraction(1, 1), "
-                    "Fraction(0, 1), Fraction(0, 1))] cut a space of "
+                    "(QI(0), QI(0), QI(1), QI(0), QI(0))] cut a space of "
                     "dimension 1, not a plane", "sigma 1 witness embedding "
                     "fails: Gram not preserved at (0, 0)", "sigma 2 witness "
                     "embedding fails: Gram not preserved at (0, 0)",
@@ -722,13 +757,12 @@ OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
                     "F4(1), F4(0)), (F4(1), F4(1), F4(0))) are collinear",
                     "generator 0: b(g, g) = 1/7 is not q(g) = 1/3 modulo 1",
                     "quadratic terms [(1, 1, 0), (2, 0, 0)], not u*v alone",
-                    "does not vanish on the line LineP3([Fraction(0, 1), "
-                    "Fraction(1, 1)",
-                    "the form is singular along the line LineP3([Fraction(0, "
-                    "1), Fraction(1, 1)",
+                    "does not vanish on the line LineP3([QI(0), QI(1), "
+                    "QI(0), QI(-1), QI(0), QI(1)])",
+                    "the form is singular along the line LineP3([QI(0), "
+                    "QI(1), QI(0), QI(-1), QI(0), QI(1)])",
                     "no single linear tangency condition",
-                    "center (Fraction(1, 1), Fraction(2, 1), "
-                    "Fraction(3, 1), Fraction(4, 1), Fraction(5, 1)) has 4 "
+                    "center (QI(1), QI(2), QI(3), QI(4), QI(5)) has 4 "
                     "independent linear forms",
                     "printed planes have 23 distinct canonical forms",
                     "Klein planes match 23 distinct printed labels",
@@ -743,7 +777,7 @@ OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
                     "plane family 3 is not 1 or 2",
                     "quadruple (143), (132), (1432), (13) is a block on "
                     "neither side",
-                    "violate the Plucker relation: Fraction(-2, 1)",
+                    "violate the Plucker relation: QI(-2)",
                     "drop the rank from 4 to 1"]
 
 
@@ -984,6 +1018,56 @@ def test_module_has_no_assert_statements(module):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert lines == [], "%s asserts at lines %s" % (module, lines)
+
+
+# The modules that may import fractions: the integer-lattice layer and the
+# scalars (QI is built from and read back as rationals).  The geometry
+# computes over QI, Mod and F4 alone.
+FRACTION_MODULES = {"configs", "lattices", "matrices", "scalars"}
+
+
+def test_only_the_lattice_layer_and_the_scalars_import_fractions():
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    importing = set()
+    for path in glob.glob(os.path.join(package, "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        if any(isinstance(node, ast.ImportFrom) and node.module == "fractions"
+               or isinstance(node, ast.Import)
+               and any(a.name == "fractions" for a in node.names)
+               for node in ast.walk(tree)):
+            importing.add(os.path.basename(path)[:-3])
+    assert importing == FRACTION_MODULES
+
+
+# Runs `desmic-kit --suite all` and the line-complex suite at two primes
+# with MultiPoly.__init__ wrapped, and prints the name of the type of every
+# coefficient a polynomial was built with.
+COEFFICIENT_TYPES = """
+import contextlib, io, json
+import desmic_kit.cli as cli
+from desmic_kit.poly import MultiPoly
+seen = set()
+init = MultiPoly.__init__
+
+def recording(self, ring, coeffs):
+    seen.update(type(c).__name__ for c in coeffs.values())
+    init(self, ring, coeffs)
+
+MultiPoly.__init__ = recording
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["--suite", "all", "--json", "-"])
+    cli.main(["--suite", "line-complex", "--prime", "29", "--prime", "37"])
+print(json.dumps(sorted(seen)))
+"""
+
+
+def test_every_polynomial_coefficient_is_a_field_element():
+    """Characteristic 0 computes over Q(i): no polynomial that a run builds
+    has an int, Fraction or float coefficient."""
+    out = _fresh_python("-c", COEFFICIENT_TYPES)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == ["F4", "Mod", "QI"]
 
 
 def test_cli_reads_no_private_name_of_a_lazily_loaded_module():

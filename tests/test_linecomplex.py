@@ -3,7 +3,6 @@ scans, the projected quartic threefold, and the Segre identification."""
 
 import random
 import re
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -131,8 +130,8 @@ def test_three_desmic_nets_cut_the_same_complex():
 
 def test_montesano_matrix_rows_for_the_standard_net():
     # rows are the printed symmetric functions of the spanning points
-    a = [Fraction(v) for v in (2, 3, 5, 7)]
-    b = [Fraction(v) for v in (1, 4, 6, 9)]
+    a = [QI(v) for v in (2, 3, 5, 7)]
+    b = [QI(v) for v in (1, 4, 6, 9)]
     m = montesano_matrix(desmic_nets()["standard"], a, b)
     assert m[0] == [a[0] * a[1] + a[2] * a[3], a[0] * a[2] + a[1] * a[3],
                     a[0] * a[3] + a[1] * a[2]]
@@ -193,7 +192,7 @@ def test_node_lists_correspond_under_the_coordinate_change():
     rows = klein_change_rows(I)
     imgs = {normalize(mat_apply(rows, pt))
             for pt in lc.PLUCKER_NODES_18 + lc.PLUCKER_NODES_16}
-    target = {normalize(tuple(lift(Fraction(1), c) for c in p))
+    target = {normalize(tuple(lift(QI(1), c) for c in p))
               for p in lc.klein_nodes_18() + lc.klein_nodes_16()}
     assert imgs == target and len(imgs) == 34
 
@@ -202,11 +201,11 @@ def test_node_lists_correspond_under_the_coordinate_change():
 
 def test_node_inventory_plucker_rationals():
     lifts1, lifts2 = lc.verify_node_inventory(
-        lc.CompleteIntersection35.plucker(Fraction(1)))
+        lc.CompleteIntersection35.plucker(QI(1)))
     assert len(lifts1) == 18 and len(lifts2) == 16
     listed = lc.PLUCKER_NODES_18 + lc.PLUCKER_NODES_16
     assert [l[1:] for l in lifts1 + lifts2] \
-        == [normalize(lifted(Fraction(1), p)) for p in listed]
+        == [normalize(lifted(QI(1), p)) for p in listed]
 
 
 def test_node_inventory_klein_gaussian():
@@ -364,7 +363,7 @@ def off_list_points(ci, one, i, rng):
 
 
 def _node_cases():
-    yield pytest.param(Fraction(1), None, False, id="plucker-Q")
+    yield pytest.param(QI(1), None, False, id="plucker-Q")
     yield pytest.param(QI(1), None, False, id="plucker-Qi")
     yield pytest.param(QI(1), I, False, id="klein-Qi")
     for p in (13, 17, 29):
@@ -440,7 +439,7 @@ def test_complete_intersection_rejects_a_form_with_parameters():
         lc.CompleteIntersection35(plain.quadric, cubic, "plucker")
 
 
-@pytest.mark.parametrize("one", [Fraction(1), Mod(1, 13), Mod(1, 3),
+@pytest.mark.parametrize("one", [QI(1), Mod(1, 13), Mod(1, 3),
                                  Mod(1, 2)], ids=["Q", "F13", "F3", "F2"])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
@@ -458,7 +457,7 @@ def test_node_report_agrees_at_singular_points_of_random_intersections(
 RANK_SEEDS = 70
 
 
-@pytest.mark.parametrize("one", [Fraction(1), Mod(1, 2), Mod(1, 3),
+@pytest.mark.parametrize("one", [QI(1), Mod(1, 2), Mod(1, 3),
                                  Mod(1, 13)], ids=["Q", "F2", "F3", "F13"])
 def test_node_reports_agree_at_every_restricted_rank(one):
     ranks = set()
@@ -518,7 +517,7 @@ def test_restrict_multiplies_no_polynomials(monkeypatch):
     assert per_plane == [(3, 4)] * 24
 
 
-@pytest.mark.parametrize("one", [Fraction(1), Mod(1, 2), Mod(1, 3),
+@pytest.mark.parametrize("one", [QI(1), Mod(1, 2), Mod(1, 3),
                                  Mod(1, 13)], ids=["Q", "F2", "F3", "F13"])
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
@@ -570,7 +569,7 @@ def assert_polar_matrix_is_bordered(ci, pt):
 
 
 @pytest.mark.parametrize("one,i", [
-    (Fraction(1), None), (QI(1), I), (Mod(1, 13), sqrt_minus_one(13))],
+    (QI(1), None), (QI(1), I), (Mod(1, 13), sqrt_minus_one(13))],
     ids=["plucker-Q", "klein-Qi", "klein-F13"])
 def test_polar_matrix_at_a_listed_lift_is_the_bordered_matrix(one, i):
     if i is None:
@@ -582,7 +581,7 @@ def test_polar_matrix_at_a_listed_lift_is_the_bordered_matrix(one, i):
             assert_polar_matrix_is_bordered(ci, pt)
 
 
-@pytest.mark.parametrize("one", [Fraction(1), Mod(1, 2), Mod(1, 3),
+@pytest.mark.parametrize("one", [QI(1), Mod(1, 2), Mod(1, 3),
                                  Mod(1, 13)], ids=["Q", "F2", "F3", "F13"])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
@@ -609,7 +608,7 @@ def test_plane_inventory_klein():
     assert per_plane == [(3, 4)] * 24
 
 
-PLANE_FIELDS = {"Q": (Fraction(1), None), "Qi": (QI(1), I),
+PLANE_FIELDS = {"Q": (QI(1), None), "Qi": (QI(1), I),
                 "F13": (Mod(1, 13), sqrt_minus_one(13))}
 
 

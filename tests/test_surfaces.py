@@ -136,7 +136,7 @@ def chart_cases(name):
         return [(kummer_char2_quartic(alpha)[0],
                  KUMMER2_SIX_POINTS + kummer_char2_points())
                 for alpha in (F4(1), W)]
-    one = {"random-Q": Fraction(1), "random-F13": Mod(1, 13),
+    one = {"random-Q": QI(1), "random-F13": Mod(1, 13),
            "random-F3": Mod(1, 3), "random-F2": Mod(1, 2)}[name]
     return [(random_form(one, degree, rng), random_points(one, rng, 6))
             for degree in (2, 3, 4, 4, 5)]
@@ -179,8 +179,8 @@ def test_taylor_chart_agrees_with_substitution_oracle(name):
 # ----------------------------------------------- restriction to a subspace --
 
 RESTRICT_FIELDS = {
-    "Q": (Fraction(1),
-          lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 3))),
+    "Q": (QI(1),
+          lambda rng: QI(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))),
     "Qi": (QI(1), lambda rng: QI(Fraction(rng.randint(-3, 3),
                                           rng.randint(1, 2)),
                                  rng.randint(-2, 2))),
@@ -222,7 +222,7 @@ def test_restrict_agrees_with_evaluation(name):
 
 # --------------------------------------------------------------- A_n types --
 
-def an_series(n, one=Fraction(1)):
+def an_series(n, one=QI(1)):
     """uv + t^(n+1) in disguise after a linear change of coordinates."""
     ring = PolyRing(["u", "v", "t"], one)
     u, v, t = ring.gens()
@@ -251,7 +251,7 @@ def test_rdp_an_after_coordinate_mixing():
 
 
 # two units c of each field for the absorption family below
-ABSORPTION_UNITS = [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(-2, 3)),
+ABSORPTION_UNITS = [(QI(1), QI(1)), (QI(1), QI(Fraction(-2, 3))),
                     (Mod(1, 13), Mod(1, 13)), (Mod(1, 13), Mod(5, 13)),
                     (F4(1), F4(1)), (F4(1), W)]
 
@@ -354,8 +354,7 @@ def desmic_pencil_at(a, b):
     """The member of the desmic pencil at rational (a, b), c = -a-b: the
     symbolic pencil with a and b substituted."""
     ring = PolyRing(["x", "y", "z", "w"])
-    mapping = dict(zip(ring.varnames, ring.gens()), a=Fraction(a),
-                   b=Fraction(b))
+    mapping = dict(zip(ring.varnames, ring.gens()), a=QI(a), b=QI(b))
     return Form(desmic_pencil_symbolic().poly.subst(mapping, ring))
 
 
@@ -390,7 +389,7 @@ def test_generic_node_verdict_agrees_with_specialized_members():
         det = polar_determinant(f, p)
         assert not det.is_zero()
         for a, b in samples:
-            nonzero = bool(evaluate(det, {"a": Fraction(a), "b": Fraction(b)}))
+            nonzero = bool(evaluate(det, {"a": QI(a), "b": QI(b)}))
             assert node_check(desmic_pencil_at(a, b), p) == nonzero, (p, a, b)
             checked.add(nonzero)
     assert checked == {True, False}
@@ -469,16 +468,15 @@ def test_tangent_plane_matches_gradient_oracle():
     f = desmic_pencil_at(1, 2)
     grads = []
     for (s, t) in ((1, 2), (2, 1), (1, 3)):
-        vals = {"x": Fraction(s), "y": Fraction(-s), "z": Fraction(t),
-                "w": Fraction(-s)}
+        vals = {"x": QI(s), "y": QI(-s), "z": QI(t), "w": QI(-s)}
         grads.append([evaluate(f.poly.diff(n), vals)
                       for n in ("x", "y", "z", "w")])
     for g in grads:
         lead = next(c for c in g if c)
         assert [c / lead for c in g] == [1, -4, 0, 5]
     # covector of u(x+y) + v(x+w) at (u,v) = (4,-5): (u+v, u, 0, v)
-    u, v = Fraction(4), Fraction(-5)
-    cov = [u + v, u, Fraction(0), v]
+    u, v = QI(4), QI(-5)
+    cov = [u + v, u, QI(0), v]
     lead = cov[0]
     assert [c / lead for c in cov] == [1, -4, 0, 5]
 
@@ -635,9 +633,9 @@ def test_projected_24_points_give_a_quartic():
 
 def test_random_24_points_rank_full():
     rng = random.Random(7)
-    pts = [tuple(Fraction(rng.randint(1, 50)) for _ in range(4))
+    pts = [tuple(QI(rng.randint(1, 50)) for _ in range(4))
            for _ in range(24)]
-    center = tuple(Fraction(c) for c in (1, 2, 3, 7))
+    center = tuple(QI(c) for c in (1, 2, 3, 7))
     assert quartic_rank_of_projection(pts, center) == 15
 
 
