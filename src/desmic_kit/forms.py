@@ -7,16 +7,17 @@ test of a hypersurface (node_check): what the node and containment tests of
 surfaces, linecomplex and cremona share.
 
 Forms may carry symbolic parameters: a Form records which ring variables are
-projective coordinates; the remaining variables are parameters, and all
-verdicts are then generic (over the rational function field in the
-parameters).  The generic node verdict is det(polar matrix) != 0 in the
-parameter ring, in odd characteristic.
+projective coordinates, and the remaining variables are parameters.
+restrict keeps them symbolic, so containment verdicts are generic.  Every
+local test is numeric: the Taylor expansion, and with it node_check, refuses
+a form with parameters, and a generic node verdict is read off numeric
+members (surfaces.desmic_members).
 """
 
 from itertools import product
 from math import comb, prod
 
-from .matrices import det_poly_matrix, matrix_rank, nullspace
+from .matrices import matrix_rank, nullspace
 from .poly import MultiPoly, PolyRing
 from .projgeom import normalize
 from .scalars import lift
@@ -36,24 +37,24 @@ class Form:
         if len(degs) > 1:
             raise ValueError("form not homogeneous in its coordinates")
         self.degree = degs.pop() if degs else -1
-        self.char = poly.ring.char
         self._hasse = {}
 
     def hasse_table(self, degree):
-        """(ring, entries) of the Taylor expansion up to `degree`, built on
-        first use and kept.  ring is the polynomial ring of the parameters.
-        Each entry is (e, b, c*C(a, e), rest) for a term c*x^a*t^b of the
+        """The entries of the Taylor expansion up to `degree`, built on
+        first use and kept: (e, c*C(a, e), rest) for a term c*x^a of the
         form and an e <= a with |e| <= degree whose coefficient c*C(a, e)
         is nonzero in the field; rest lists the coordinate positions of
-        x^(a-e), each as often as its exponent."""
+        x^(a-e), each as often as its exponent.  Raises ValueError for a
+        form with parameters, whose local tests are taken on numeric
+        members."""
         table = self._hasse.get(degree)
         if table is None:
-            params = [k for k in range(self.ring.nvars())
-                      if k not in self.coord_idx]
-            entries = []
+            if len(self.coord_idx) != self.ring.nvars():
+                raise ValueError("%r has parameters; its Taylor expansion "
+                                 "needs a numeric form" % (self,))
+            table = self._hasse[degree] = []
             for exp, c in self.poly.coeffs.items():
                 a = [exp[k] for k in self.coord_idx]
-                b = tuple(exp[k] for k in params)
                 for e in product(*(range(min(ai, degree) + 1) for ai in a)):
                     if sum(e) > degree:
                         continue
@@ -61,10 +62,7 @@ class Form:
                     if ce:
                         rest = tuple(k for k, (ai, ei) in enumerate(zip(a, e))
                                      for _ in range(ai - ei))
-                        entries.append((e, b, ce, rest))
-            ring = PolyRing([self.ring.varnames[k] for k in params],
-                            self.ring.one)
-            table = self._hasse[degree] = (ring, entries)
+                        table.append((e, ce, rest))
         return table
 
     def partials(self):
@@ -123,36 +121,29 @@ def cut_out(covectors, one, dim, what):
 
 
 def hasse_at(f, p, degree):
-    """Hasse derivatives of the form f at the point p, whose entries are
-    field elements, up to total degree `degree`: {e: {b: coeff}}, the
-    nonzero coefficients of u^e*t^b in f(p + u), where u = x - p are the
-    local coordinates and t the parameters of f.  A term c*x^a*t^b of f
-    contributes c*C(a, e)*p^(a-e) to u^e*t^b for every e <= a with
-    |e| <= degree (Form.hasse_table); one whose rest p^(a-e) has a zero
-    factor contributes nothing and is skipped.  C(a, e) is the product of
-    the binomial coefficients C(a_i, e_i) mapped into the field, and no
+    """Hasse derivatives of the numeric form f at the point p, whose entries
+    are field elements, up to total degree `degree`: {e: coeff}, the
+    nonzero coefficients of u^e in f(p + u), where u = x - p are the local
+    coordinates.  A term c*x^a of f contributes c*C(a, e)*p^(a-e) to u^e
+    for every e <= a with |e| <= degree (Form.hasse_table, which refuses a
+    form with parameters); one whose rest p^(a-e) has a zero factor
+    contributes nothing and is skipped.  C(a, e) is the product of the
+    binomial coefficients C(a_i, e_i) mapped into the field, and no
     division by e! is involved, so the expansion is exact in every
     characteristic (Hasse 1936, J. reine angew. Math. 175)."""
     if len(p) != len(f.coord_vars):
         raise ValueError("point %r has %d coordinates, the form %d"
                          % (p, len(p), len(f.coord_vars)))
-    _, entries = f.hasse_table(degree)
-    buckets = {}
-    for e, b, c, rest in entries:
+    out = {}
+    for e, c, rest in f.hasse_table(degree):
         for k in rest:
             x = p[k]
             if not x:
                 break
             c = c * x
         else:
-            bucket = buckets.setdefault(e, {})
-            bucket[b] = bucket[b] + c if b in bucket else c
-    out = {}
-    for e, bucket in buckets.items():
-        bucket = {b: c for b, c in bucket.items() if c}
-        if bucket:
-            out[e] = bucket
-    return out
+            out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if c}
 
 
 def polar_matrix(q2, nvars, one):
@@ -213,15 +204,10 @@ def quadratic_part_smooth(q2_coeffs, nvars, one):
 
 
 def node_check(f, p):
-    """True iff p is an ordinary node of V(f): the degree-2 part of f in an
-    affine chart at p defines a smooth quadric (Jacobian criterion on the
-    tangent cone; valid in characteristic 2).  Raises ValueError when p is
-    not a singular point of V(f).
-
-    With parameters the verdict is generic, over the rational function
-    field in the parameters, and needs odd characteristic: there the
-    quadric is smooth iff the determinant of its polar matrix, computed in
-    the parameter ring by exact Bareiss division, is not zero.
+    """True iff p is an ordinary node of V(f), for a numeric form f: the
+    degree-2 part of f in an affine chart at p defines a smooth quadric
+    (Jacobian criterion on the tangent cone; valid in characteristic 2).
+    Raises ValueError when p is not a singular point of V(f).
 
     Value, gradient and quadratic part come from one degree-2 Hasse
     expansion at the normalized point: p is singular iff it has no term of
@@ -230,17 +216,5 @@ def node_check(f, p):
     expansion = hasse_at(f, point, 2)
     if any(sum(e) < 2 for e in expansion):
         raise ValueError("point %r is not singular on the form" % (p,))
-    q2 = _chart(point, expansion)
-    n = len(f.coord_vars) - 1
-    if f.ring.nvars() > len(f.coord_vars):
-        if f.char == 2:
-            raise ValueError("%r has parameters in characteristic 2, where "
-                             "the generic node test does not apply" % (f,))
-        if not q2:
-            return False
-        ring, _ = f.hasse_table(2)
-        q2 = {e: MultiPoly(ring, d) for e, d in q2.items()}
-        one = ring.const(1)
-        return not det_poly_matrix(polar_matrix(q2, n, one)).is_zero()
-    q2 = {e: d[()] for e, d in q2.items()}
-    return quadratic_part_smooth(q2, n, f.ring.one)
+    return quadratic_part_smooth(_chart(point, expansion),
+                                 len(f.coord_vars) - 1, f.ring.one)

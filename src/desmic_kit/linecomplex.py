@@ -47,10 +47,6 @@ class CompleteIntersection35:
         if len(quadric.coord_vars) != 6:
             raise ValueError("quadric in %d coordinates, not 6"
                              % len(quadric.coord_vars))
-        for f in (quadric, cubic):
-            if set(f.coord_vars) != set(f.ring.varnames):
-                raise ValueError("%r has parameters; the node test needs "
-                                 "numeric forms" % (f,))
         self.quadric = quadric
         self.cubic = cubic
         self.coords = coords
@@ -184,8 +180,7 @@ def node_lift(ci, pt):
     one = ci.one
     pt = normalize([lift(one, c) for c in pt])
     n = len(pt)
-    t2, t3 = ({e: d[()] for e, d in hasse_at(f, pt, 2).items()}
-              for f in (ci.quadric, ci.cubic))
+    t2, t3 = (hasse_at(f, pt, 2) for f in (ci.quadric, ci.cubic))
     origin = (0,) * n
     if origin in t2 or origin in t3:
         return None

@@ -13,7 +13,8 @@ def det_poly_matrix(m):
     Bareiss elimination: every division is exact, so polynomial and integer
     entries never leave their ring.  An entry type with a divexact method
     (polynomials) divides by it, ints by floor division and field scalars
-    by /."""
+    by /.  The package calls it on integer Gram matrices only; the
+    polynomial and field paths serve the tests' oracles."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("non-square matrix")

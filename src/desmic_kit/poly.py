@@ -6,7 +6,7 @@ Q(i) (QI) in characteristic 0, GF(p) (Mod) or F_4.  Everything is exact; no
 floats anywhere.
 """
 
-from .scalars import QI, Field, Mod, char_of, is_prime, power
+from .scalars import QI, Field, Mod, char_of, is_prime, lift, power
 
 
 class PolyRing:
@@ -39,9 +39,11 @@ class PolyRing:
 
     def const(self, c):
         """The scalar c, an int or a field element, as a constant: it is
-        multiplied by the ring's one, which raises for a scalar that does
-        not belong, such as a Mod of another modulus."""
-        c = self.one * c
+        lifted (scalars.lift, which raises TypeError for any other value,
+        such as a Fraction) and multiplied by the ring's one, which raises
+        for a scalar that does not belong, such as a Mod of another
+        modulus."""
+        c = self.one * lift(self.one, c)
         if not c:
             return MultiPoly(self, {})
         return MultiPoly(self, {self.zero_exp: c})

@@ -199,9 +199,11 @@ def field_i(one):
 
 
 def lift(one, x):
-    """Image of x in the field of `one`: an int n maps to one*n, and
-    anything else is taken to be a field element already and is returned
-    unchanged."""
+    """Image of x in the field of `one`: an int n maps to one*n, and a field
+    element is returned unchanged.  Any other value, such as a Fraction or
+    a float, raises TypeError."""
+    if not isinstance(x, (int, Field)):
+        raise TypeError("%r is neither an int nor a field element" % (x,))
     return one * x if isinstance(x, int) else x
 
 

@@ -1,9 +1,11 @@
 """Hypersurface singularity analysis and concrete quartic/cubic models:
 the desmic pencil, Cremona's quartic (characteristic 0 and 2), the
 characteristic-2 Kummer quartic, and the Steinerian identities.  Every
-local test reads one forms.hasse_at expansion at the point: the
-singularity test (singular_at) and the A_n detection here, the node test
-(node_check) in forms, which linecomplex and cremona share.
+local test reads one forms.hasse_at expansion of a numeric form at the
+point: the singularity test (singular_at) and the A_n detection here, the
+node test (node_check) in forms, which linecomplex and cremona share.  The
+nodes of the generic desmic member are tested on four members
+(GENERIC_WITNESSES).
 """
 
 from .forms import (Form, _chart, hasse_at, polar_matrix,
@@ -29,15 +31,12 @@ MAX_AN = 6
 
 
 def local_series(f, p):
-    """Local equation of f in an affine chart centered at p, cut at total
-    degree TRUNC (numeric, parameter-free forms only)."""
-    if f.ring.nvars() > len(f.coord_vars):
-        raise ValueError("local_series requires a parameter-free form")
+    """Local equation of the numeric form f in an affine chart centered at
+    p, cut at total degree TRUNC."""
     ring = PolyRing(["u%d" % i for i in range(len(f.coord_vars) - 1)],
                     f.ring.one)
     point = normalize([lift(f.ring.one, c) for c in p])
-    chart = _chart(point, hasse_at(f, point, TRUNC))
-    return MultiPoly(ring, {e: d[()] for e, d in chart.items()})
+    return MultiPoly(ring, _chart(point, hasse_at(f, point, TRUNC)))
 
 
 # --------------------------------------------------------------- A_n types --
@@ -203,6 +202,27 @@ def desmic_pencil_symbolic():
          + b * (x ** 2 - w ** 2) * (y ** 2 - z ** 2)
          + c * (x ** 2 - z ** 2) * (w ** 2 - y ** 2))
     return Form(f, coord_vars=("x", "y", "z", "w"))
+
+
+# the members (a, b) of the pencil on which desmic.nodes-12 tests each
+# point.  At a point singular on every member, the determinant of the polar
+# matrix of the tangent cone is a binary cubic in (a, b): the chart has
+# three coordinates and f is linear in a and b.  The point is a node of the
+# generic member iff that cubic is nonzero, and a nonzero binary cubic
+# vanishes at no more than three points of P^1, so "a node on one of four
+# members" is exactly "a node on the generic member", at every point.  At
+# the twelve printed nodes the three zeros are the members a = b, b = -2a
+# and a = -2b, where two of a, b, c are equal.
+GENERIC_WITNESSES = ((1, 2), (2, 1), (1, 3), (3, 1))
+
+
+def desmic_members(f):
+    """The members of the desmic pencil f (desmic_pencil_symbolic) at
+    GENERIC_WITNESSES, as numeric Forms in (x, y, z, w)."""
+    ring = PolyRing(list(f.coord_vars), f.ring.one)
+    coords = dict(zip(f.coord_vars, ring.gens()))
+    return [Form(f.poly.subst(dict(coords, a=a, b=b), ring))
+            for a, b in GENERIC_WITNESSES]
 
 
 # the base-locus line V(x+y, x+w), cut out by the covectors of x+y and x+w,

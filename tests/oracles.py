@@ -432,7 +432,7 @@ def associated_cubic_node_lift(ci, pt):
     keys = [(0,) * n] + [tuple(int(k == m) for m in range(n))
                          for k in range(n)]
     (v2, *g2), (v3, *g3) = (
-        [t[e][()] if e in t else zero for e in keys]
+        [t.get(e, zero) for e in keys]
         for t in (hasse_at(ci.quadric, pt, 1), hasse_at(ci.cubic, pt, 1)))
     if v2 or v3:
         return None

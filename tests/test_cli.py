@@ -358,6 +358,31 @@ def test_a_changed_char2_cremona_quartic_fails_the_thirteen_points_alone(
         "of family 1 are not singular on the characteristic-2 Cremona quartic"
 
 
+def test_degenerate_witnesses_fail_the_twelve_nodes_alone(monkeypatch):
+    # at a = b, b = -2a and a = -2b two of a, b, c are equal, and there the
+    # tangent cone at each of the twelve points is a singular quadric
+    changed = _changed_records(monkeypatch, "desmic-surface", sf,
+                               "GENERIC_WITNESSES",
+                               ((1, 1), (1, -2), (-2, 1)))
+    assert changed == {"desmic.nodes-12": {
+        "id": "desmic.nodes-12", "anchor": "twelve singular points of the "
+        "pencil", "status": "fail", "details": "0/12 points are ordinary "
+        "nodes of the generic pencil member"}}
+
+
+def test_another_char2_member_fails_the_a3_specialization_alone(
+        monkeypatch):
+    # at (a, b, c, d) = (0, 0, 0, 1) the point (0, 0, 0, 1) is no A_n point
+    real = sf.cremona_char2_specialized
+    changed = _changed_records(
+        monkeypatch, "char2", sf, "cremona_char2_specialized",
+        lambda a, b, c, d, one=None: real(0, 0, 0, 1, one))
+    assert changed == {"char2.a3-specialization": {
+        "id": "char2.a3-specialization", "anchor": "A_3 at the special "
+        "member", "status": "fail", "details": "specialization (0,0,1,1) "
+        "has an A_3 point at (0,0,0,1); detector returned not-A"}}
+
+
 def test_a_moved_kummer_point_fails_the_kummer_model_alone(monkeypatch):
     # (1, 1, 1, 0) is off the characteristic-2 Kummer quartic
     moved = [(1, 1, 1, 0)] + sf.KUMMER2_SIX_POINTS[1:]
@@ -605,7 +630,7 @@ from desmic_kit.configs import CurveSystem
 from desmic_kit.lattices import FiniteQuadForm, Lattice, _coords_in_basis
 from desmic_kit.poly import PolyRing
 from desmic_kit.projgeom import LineP3
-from desmic_kit.scalars import F4, Mod, QI
+from desmic_kit.scalars import F4, Mod, QI, lift
 from desmic_kit.scan import run_scan
 print("debug", __debug__)
 
@@ -728,15 +753,19 @@ for case in (lambda: run_scan(13, 0),
              lambda: patched(la, "row_basis", lambda rows: rows[:1],
                              lambda: la.overlattice(
                                  la.standard_lattice("D4"),
-                                 [[Fraction(1, 2)] * 4]))):
+                                 [[Fraction(1, 2)] * 4])),
+             lambda: sf.Form(a * b * b + c * d, "bcd").hasse_table(2),
+             lambda: lift(QI(1), Fraction(1, 2)),
+             lambda: PolyRing(["x"]).const(Fraction(1, 2))):
     try:
         case()
         print("accepted")
-    except ValueError as exc:
-        print("ValueError", exc)
+    except (ValueError, TypeError) as exc:
+        print(type(exc).__name__, exc)
 """
 
-# what each case's error names, in the order of OPTIMIZED_CHECKS
+# what each case's error names, in the order of OPTIMIZED_CHECKS: a
+# ValueError, unless the entry is a pair (exception type, text)
 OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
                     "symmetric at a, b", "1 rows for 2 curves",
                     "curve b has 1 entries", "fiber 0 of f lists curve a",
@@ -778,7 +807,13 @@ OPTIMIZED_ERRORS = ["c=0", "'bogus'", "ids: x", "curve ids: a",
                     "quadruple (143), (132), (1432), (13) is a block on "
                     "neither side",
                     "violate the Plucker relation: QI(-2)",
-                    "drop the rank from 4 to 1"]
+                    "drop the rank from 4 to 1",
+                    "has parameters; its Taylor expansion needs a numeric "
+                    "form",
+                    ("TypeError", "Fraction(1, 2) is neither an int nor a "
+                     "field element"),
+                    ("TypeError", "Fraction(1, 2) is neither an int nor a "
+                     "field element")]
 
 
 def _fresh_python(*args, path=()):
@@ -799,7 +834,8 @@ def test_validation_survives_python_O():
     assert lines[0] == "debug False"
     assert len(lines) == 1 + len(OPTIMIZED_ERRORS), lines
     for line, want in zip(lines[1:], OPTIMIZED_ERRORS):
-        assert line.startswith("ValueError ") and want in line, (line, want)
+        kind, want = want if isinstance(want, tuple) else ("ValueError", want)
+        assert line.startswith(kind + " ") and want in line, (line, want)
 
 
 def test_all_suites_report_alike_under_python_O():

@@ -142,6 +142,22 @@ def test_lift_agrees_with_the_helpers_it_replaced(one, elements):
         assert lift(QI(1), x) == oracles.as_field(x)
 
 
+@pytest.mark.parametrize("value", [Fraction(1, 2), 0.5],
+                         ids=["Fraction", "float"])
+def test_lift_and_const_refuse_a_value_that_is_no_field_element(value):
+    """lift and PolyRing.const take an int or a field element: a Fraction
+    or a float raises TypeError over Q(i), F_13 and F_4 alike, and so does
+    a line of P^3 with such a coordinate."""
+    refused = "neither an int nor a field element"
+    for one in (QI(1), Mod(1, 13), F4(1)):
+        with pytest.raises(TypeError, match=refused):
+            lift(one, value)
+        with pytest.raises(TypeError, match=refused):
+            PolyRing(["x"], one).const(value)
+    with pytest.raises(TypeError, match=refused):
+        LineP3((3, 1, 4, 1), (value, 9, 2, 6))
+
+
 def test_gaussian_rationals():
     assert I * I == QI(-1)
     a = QI(Fraction(1, 2), 3)

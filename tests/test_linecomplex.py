@@ -426,17 +426,18 @@ def singular_complete_intersection(one, rng):
 
 
 def test_complete_intersection_rejects_a_form_with_parameters():
-    """The node test reads the parameter-free Hasse coefficients only, so a
-    form in a ring with a parameter t is refused, as either equation."""
+    """The node test reads numeric Hasse coefficients only, so a form in a
+    ring with a parameter t is refused by its Taylor expansion
+    (forms.Form.hasse_table), as either equation."""
     x1, x2, x3, x4, x5, x6, t = PolyRing(list(lc.PLUCKER_NAMES) + ["t"],
                                          QI(1)).gens()
     quadric = lc.Form(x1 * x6 - x2 * x5 + x3 * x4, lc.PLUCKER_NAMES)
     cubic = lc.Form(x1 * x2 * x3 + t * x4 * x5 * x6, lc.PLUCKER_NAMES)
     plain = lc.CompleteIntersection35.plucker()
-    with pytest.raises(ValueError, match="has parameters"):
-        lc.CompleteIntersection35(quadric, plain.cubic, "plucker")
-    with pytest.raises(ValueError, match="has parameters"):
-        lc.CompleteIntersection35(plain.quadric, cubic, "plucker")
+    for ci in (lc.CompleteIntersection35(quadric, plain.cubic, "plucker"),
+               lc.CompleteIntersection35(plain.quadric, cubic, "plucker")):
+        with pytest.raises(ValueError, match="has parameters"):
+            lc.node_lift(ci, (1, 0, 0, 0, 0, 0))
 
 
 @pytest.mark.parametrize("one", [QI(1), Mod(1, 13), Mod(1, 3),
@@ -553,8 +554,7 @@ def assert_polar_matrix_is_bordered(ci, pt):
     pt = normalize(lifted(one, pt))
     lam = localize_node_report(ci, pt)[2]
     k = next(j for j, c in enumerate(pt) if c)
-    t2, t3 = ({e: d[()] for e, d in hasse_at(f, pt, 2).items()}
-              for f in (ci.quadric, ci.cubic))
+    t2, t3 = (hasse_at(f, pt, 2) for f in (ci.quadric, ci.cubic))
     lin = [t2.get(tuple(int(m == j) for m in range(6)), zero)
            for j in range(6) if j != k]
     q = {e[:k] + e[k + 1:]: t3.get(e, zero) - lam * t2.get(e, zero)
@@ -562,7 +562,7 @@ def assert_polar_matrix_is_bordered(ci, pt):
     h = polar_matrix(q, 5, one)
     expansion = hasse_at(ci.associated_cubic(), (-lam,) + pt, 2)
     assert all(sum(e) == 2 for e in expansion)  # singular at the lift
-    chart = {e[:k + 1] + e[k + 2:]: d[()] for e, d in expansion.items()
+    chart = {e[:k + 1] + e[k + 2:]: d for e, d in expansion.items()
              if not e[k + 1]}
     assert polar_matrix(chart, 6, one) \
         == [[zero] + lin] + [[l] + row for l, row in zip(lin, h)], pt

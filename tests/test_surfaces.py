@@ -20,7 +20,8 @@ from desmic_kit.surfaces import (
     KUMMER2_SIX_POINTS,
     contains_line, cremona_char2_specialized, cremona_cubic_q, cubic_ring,
     desmic_identity_parts, desmic_lines_16,
-    desmic_pencil_symbolic, eight_squares_parts, kummer_char2_points,
+    desmic_members, desmic_pencil_symbolic, eight_squares_parts,
+    kummer_char2_points,
     kummer_char2_quartic,
     local_series,
     rdp_an_type, singular_at, steinerian_equation,
@@ -121,7 +122,7 @@ def chart_cases(name):
     """(form, points) pairs of one family of inputs."""
     rng = random.Random(name)
     if name == "desmic-pencil":
-        return [(desmic_pencil_symbolic(),
+        return [(desmic_pencil_at(1, 2),
                  DESMIC_SINGULAR_12 + DESMIC_VERTICES_12
                  + [(2, 0, -3, 5), (0, 3, 1, 0), (-1, 2, 2, 7)])]
     if name == "projected-17":
@@ -149,31 +150,26 @@ CHART_CASES = ["desmic-pencil", "projected-17", "cremona-char2",
 
 @pytest.mark.parametrize("name", CHART_CASES)
 def test_taylor_chart_agrees_with_substitution_oracle(name):
-    rng = random.Random(name)
     for f, pts in chart_cases(name):
         one = f.ring.one
-        params = [v for v in f.ring.varnames if v not in f.coord_vars]
-        at_params = {v: lift(one, rng.randint(-4, 4)) for v in params}
-        ring, _ = f.hasse_table(1)
         for p in pts:
-            full, _, _ = localize_split(f, p)
+            full, _, const_ring = localize_split(f, p)
             point = normalize([lift(one, c) for c in p])
             for degree in range(f.degree + 1):
                 chart = _chart(point, hasse_at(f, point, degree))
-                assert chart == {e: c.coeffs for e, c in full.items()
-                                 if sum(e) <= degree}, (name, p, degree)
+                assert {e: const_ring.const(c) for e, c in chart.items()} == {
+                    e: c for e, c in full.items() if sum(e) <= degree}, \
+                    (name, p, degree)
             # the expansion at p itself: value and gradient of f at p
             p = [lift(one, c) for c in p]
-            at = dict(at_params, **dict(zip(f.coord_vars, p)))
+            at = dict(zip(f.coord_vars, p))
             n = len(f.coord_vars)
             coeffs = hasse_at(f, p, 1)
             want = {(0,) * n: evaluate(f.poly, at)}
             for k, v in enumerate(f.coord_vars):
                 want[tuple(int(m == k) for m in range(n))] = \
                     evaluate(f.poly.diff(v), at)
-            got = {e: evaluate(MultiPoly(ring, coeffs[e]), at_params)
-                   if e in coeffs else one * 0 for e in want}
-            assert got == want, (name, p)
+            assert {e: coeffs.get(e, one * 0) for e in want} == want, (name, p)
 
 
 # ----------------------------------------------- restriction to a subspace --
@@ -302,15 +298,15 @@ def test_rdp_rejects_linear_part():
 # ---------------------------------------------------------- desmic pencil --
 
 def test_desmic_twelve_singular_points_symbolic():
-    f = desmic_pencil_symbolic()
-    for p in DESMIC_SINGULAR_12:
-        assert singular_at(f, p), p
+    for f in desmic_members(desmic_pencil_symbolic()):
+        for p in DESMIC_SINGULAR_12:
+            assert singular_at(f, p), p
 
 
 def test_desmic_twelve_nodes_symbolic():
-    f = desmic_pencil_symbolic()
+    members = desmic_members(desmic_pencil_symbolic())
     for p in DESMIC_SINGULAR_12:
-        assert node_check(f, p), p
+        assert any(node_check(f, p) for f in members), p
 
 
 def test_desmic_vertices_not_on_generic_member():
@@ -373,21 +369,33 @@ def polar_determinant(f, p):
                                         params.const(1)))
 
 
+# the members a = b, b = -2a and a = -2b, where two of a, b, c are equal
+DEGENERATE_MEMBERS = ((1, 1), (1, -2), (-2, 1))
+
+
 def test_generic_node_verdict_agrees_with_specialized_members():
-    """At each of the 12 nodes the generic verdict is True, and at seeded
-    random (a, b), and at the three members a = b, b = -2a and a = -2b where
-    the polar determinant vanishes, the numeric node_check of the member is
-    True exactly when the determinant is nonzero there."""
+    """The witness rule of surfaces.GENERIC_WITNESSES against the symbolic
+    oracle.  At each of the 12 nodes the polar determinant of the tangent
+    cone over Q(i)[a, b] is a nonzero binary cubic, the premise of the
+    rule, and it vanishes at the three degenerate members; the rule's
+    verdict, a node on one of the four witness members, holds exactly
+    where the determinant is nonzero, and at seeded random (a, b) the
+    numeric node_check of the member does too."""
     f = desmic_pencil_symbolic()
+    members = desmic_members(f)
     rng = random.Random(17)
-    samples = [(1, 1), (1, -2), (-2, 1)] + [
+    samples = list(DEGENERATE_MEMBERS) + [
         (rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(12)]
     samples = [(a, b) for a, b in samples if (a, b) != (0, 0)]
     checked = set()
     for p in DESMIC_SINGULAR_12:
-        assert node_check(f, p) is True, p
         det = polar_determinant(f, p)
-        assert not det.is_zero()
+        assert not det.is_zero(), p
+        assert {sum(e) for e in det.coeffs} == {3}, (p, det)
+        for a, b in DEGENERATE_MEMBERS:
+            assert not evaluate(det, {"a": QI(a), "b": QI(b)}), (p, a, b)
+        assert any(node_check(m, p) for m in members) \
+            == (not det.is_zero()), p
         for a, b in samples:
             nonzero = bool(evaluate(det, {"a": QI(a), "b": QI(b)}))
             assert node_check(desmic_pencil_at(a, b), p) == nonzero, (p, a, b)
@@ -395,28 +403,23 @@ def test_generic_node_verdict_agrees_with_specialized_members():
     assert checked == {True, False}
 
 
-def test_generic_node_verdict_on_a_degenerate_tangent_cone():
-    """With parameters a, b: the tangent cone a(x^2 - y^2) + b z^2 at
-    (0, 0, 0, 1) is a smooth conic, a(x^2 - y^2) a line pair, and a form
-    with no quadratic part there has no node."""
-    ring = PolyRing(["a", "b", "x", "y", "z", "w"])
-    a, b, x, y, z, w = ring.gens()
-    coords = ("x", "y", "z", "w")
-    smooth = Form(a * (x * x - y * y) * w * w + b * z * z * w * w, coords)
-    pair = Form(a * (x * x - y * y) * w * w + b * z ** 4, coords)
-    cubic = Form(a * x ** 3 * w + b * y ** 3 * w + z ** 4, coords)
-    assert node_check(smooth, (0, 0, 0, 1)) is True
-    assert node_check(pair, (0, 0, 0, 1)) is False
-    assert node_check(cubic, (0, 0, 0, 1)) is False
-
-
-def test_generic_node_verdict_rejects_characteristic_2():
-    ring = PolyRing(["a", "x", "y", "z", "w"], Mod(1, 2))
+@pytest.mark.parametrize("one", [QI(1), Mod(1, 2), Mod(1, 3), F4(1)],
+                         ids=["Q", "F2", "F3", "F4"])
+def test_taylor_expansion_refuses_a_form_with_parameters(one):
+    """A form with parameters has no numeric local test: hasse_table, and
+    so hasse_at, singular_at, node_check and local_series, raise in every
+    characteristic."""
+    ring = PolyRing(["a", "x", "y", "z", "w"], one)
     a, x, y, z, w = ring.gens()
     f = Form(a * x * y * w * w + z ** 4, ("x", "y", "z", "w"))
-    with pytest.raises(ValueError, match=r"Form\(.*\) has parameters in "
-                       "characteristic 2"):
-        node_check(f, (0, 0, 0, 1))
+    for call in (lambda: f.hasse_table(2),
+                 lambda: hasse_at(f, [one * 0] * 3 + [one], 2),
+                 lambda: singular_at(f, (0, 0, 0, 1)),
+                 lambda: node_check(f, (0, 0, 0, 1)),
+                 lambda: local_series(f, (0, 0, 0, 1))):
+        with pytest.raises(ValueError, match=r"Form\(.*\) has parameters; "
+                           "its Taylor expansion needs a numeric form"):
+            call()
 
 
 @pytest.mark.parametrize("one", [Fraction(1), QI(1)], ids=["Q", "Qi"])
